@@ -19,9 +19,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use protoobf_core::framing::{FrameBuffer, FrameReader, FrameWriter};
 use protoobf_core::profile::{Endpoint, Profile, SpecSource};
-use protoobf_core::sample::random_message;
+use protoobf_core::sample::{random_message, sample_into};
 use protoobf_core::FormatGraph;
-use protoobf_transport::{duplex, Conn, Gateway, GatewayMode, LoopConfig};
+use protoobf_transport::{
+    duplex, evloop, Conn, Gateway, GatewayMode, LoopConfig, Metrics, Responder,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -153,6 +155,87 @@ fn asymmetric_profile_chain_relays_byte_identical() {
 #[test]
 fn symmetric_profile_chain_relays_byte_identical() {
     run_chain(SYM_PROFILE);
+}
+
+/// The asymmetric chain with the production [`Responder`] as its server:
+/// every request gets exactly one reply, sampled from the response
+/// grammar as `Responder::new` seeds it, and relayed byte-identical. The
+/// responder transcodes nothing: its replies are sampled, not copied.
+#[test]
+fn responder_answers_every_request_through_the_chain() {
+    const SEED: u64 = 0x5EED;
+    let encode_ep = Profile::parse(ASYM_PROFILE).unwrap().build_with(&resolver).unwrap();
+    let decode_ep = Profile::parse(ASYM_PROFILE).unwrap().build_with(&resolver).unwrap();
+
+    let server_l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let decode_l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let encode_l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client_addr = encode_l.local_addr().unwrap();
+    let encode_gw =
+        Gateway::from_endpoint(&encode_ep, GatewayMode::Encode, decode_l.local_addr().unwrap())
+            .unwrap();
+    let decode_gw =
+        Gateway::from_endpoint(&decode_ep, GatewayMode::Decode, server_l.local_addr().unwrap())
+            .unwrap();
+    let (requests, replies) = (decode_ep.clear_tx_service(), decode_ep.clear_rx_service());
+    let server_metrics = Metrics::new();
+
+    // The replies the responder must send, in order.
+    let reply_codec = replies.codec();
+    let mut reply = reply_codec.message_seeded(SEED);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let expected: Vec<Vec<u8>> = (0..MSGS)
+        .map(|_| {
+            sample_into(reply_codec, &mut reply, &mut rng, &[]);
+            reply_codec.serialize(&reply).unwrap()
+        })
+        .collect();
+
+    let shutdown = AtomicBool::new(false);
+    let cfg = LoopConfig { workers: 1, accept_limit: None, ..LoopConfig::default() };
+    std::thread::scope(|scope| {
+        let loops = [
+            scope.spawn(|| {
+                evloop::serve(server_l, &cfg, &shutdown, &server_metrics, |s, _| {
+                    Ok(Responder::new(s, requests, replies, SEED, &server_metrics))
+                })
+            }),
+            scope.spawn(|| decode_gw.serve(decode_l, &cfg, &shutdown)),
+            scope.spawn(|| encode_gw.serve(encode_l, &cfg, &shutdown)),
+        ];
+
+        let request_codec = encode_ep.clear_tx_service().codec();
+        let stream = TcpStream::connect(client_addr).unwrap();
+        let mut writer = FrameWriter::new(request_codec, &stream);
+        let mut reader = FrameReader::new(encode_ep.clear_rx_service().codec(), &stream);
+        let mut rng = StdRng::seed_from_u64(8);
+        for (i, want) in expected.iter().enumerate() {
+            let wire = request_codec.serialize(&random_message(request_codec, &mut rng)).unwrap();
+            writer.send_raw(&wire).unwrap();
+            let got = reader.recv_raw().unwrap().expect("reply frame");
+            assert_eq!(&got, want, "reply {i} diverged from the seeded sample");
+        }
+        drop((reader, writer));
+        drop(stream);
+
+        shutdown.store(true, Ordering::Relaxed);
+        for l in loops {
+            l.join().unwrap().unwrap();
+        }
+    });
+
+    let server = server_metrics.snapshot();
+    assert_eq!(server.messages_in, MSGS as u64, "{server}");
+    assert_eq!(server.messages_out, server.messages_in, "{server}");
+    assert_eq!(server.transcodes, 0, "replies are sampled, not transcoded: {server}");
+    assert_eq!(server.frame_bytes_in.count(), MSGS as u64, "{server}");
+    assert_eq!(server.frame_bytes_out.count(), MSGS as u64, "{server}");
+    assert_eq!(server.failed, 0, "{server}");
+    for gw in [&encode_gw, &decode_gw] {
+        let stats = gw.metrics().snapshot();
+        assert_eq!(stats.transcodes, 2 * MSGS as u64, "{stats}");
+        assert_eq!(stats.failed, 0, "{stats}");
+    }
 }
 
 #[test]

@@ -10,10 +10,15 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use protoobf_core::profile::{Profile, SpecSource};
+use protoobf_core::sample::sample_into;
 use protoobf_core::service::CodecService;
-use protoobf_core::Codec;
+use protoobf_core::{Codec, FormatGraph};
 use protoobf_protocols::modbus::{self, Function};
-use protoobf_transport::{evloop, Echo, LoopConfig, Metrics};
+use protoobf_transport::{
+    evloop, Drive, Echo, Gateway, GatewayMode, LoopConfig, Metrics, MetricsSnapshot, Responder,
+    Session, TransportError,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,10 +33,7 @@ fn force_scan() {
 fn framed_request(clear: &Codec, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let f = Function::ALL[seed as usize % Function::ALL.len()];
-    let body = clear.serialize(&modbus::build_request(clear, f, &mut rng)).unwrap();
-    let mut framed = (body.len() as u32).to_be_bytes().to_vec();
-    framed.extend_from_slice(&body);
-    framed
+    framed(&clear.serialize(&modbus::build_request(clear, f, &mut rng)).unwrap())
 }
 
 /// 32 concurrent echo round trips on the scan worker, byte-identical,
@@ -86,56 +88,182 @@ fn scan_fallback_roundtrips_and_records_wake_latency() {
     assert!(snap.idle_naps > 0, "idle scan workers must nap: {snap}");
 }
 
-/// Backpressure on the scan worker: a tiny outbound cap against a client
-/// that floods requests while not reading replies. The echo must gate
-/// its reads (backpressure events recorded), survive (no failure, no
-/// unbounded queue), and deliver every reply once the client drains.
-#[test]
-fn scan_fallback_gates_reads_under_backpressure() {
-    force_scan();
-    const MSGS: usize = 64;
+/// The server behind the flooded listener in
+/// [`scan_fallback_gates_reads_under_backpressure`].
+#[derive(Debug, Clone, Copy)]
+enum Server {
+    /// An `Echo` with a one-byte outbound cap.
+    Echo,
+    /// A `Responder` with a one-byte outbound cap.
+    Responder,
+    /// An encode + decode gateway pair, both capped at one byte, in front
+    /// of an uncapped `Echo`.
+    RelayChain,
+}
 
+const RESPONDER_SEED: u64 = 0x5EED;
+/// Requests each flood sends before reading a reply.
+const MSGS: usize = 64;
+
+const PROFILE: &str = "profile protoobf/1\n\
+                       spec builtin:modbus-request\n\
+                       key \"scan backpressure\"\n\
+                       level 2\n";
+
+fn resolver(src: &SpecSource) -> Result<FormatGraph, String> {
+    match src {
+        SpecSource::Builtin(name) if name == "modbus-request" => Ok(modbus::request_graph()),
+        other => Err(format!("not in the test table: {other}")),
+    }
+}
+
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut framed = (body.len() as u32).to_be_bytes().to_vec();
+    framed.extend_from_slice(body);
+    framed
+}
+
+/// Floods `MSGS` requests at `server` without reading a reply, then
+/// drains. Returns the replies expected, the replies received and the
+/// metrics of every session in the path.
+fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSnapshot>) {
     let graph = modbus::request_graph();
     let clear = Codec::identity(&graph);
-    let svc = CodecService::new(Codec::identity(&graph));
-    let metrics = Metrics::new();
+    let requests = CodecService::new(Codec::identity(&graph));
+    let replies = CodecService::new(Codec::identity(&modbus::response_graph()));
+    let server_metrics = Metrics::new();
+    let encode_ep = Profile::parse(PROFILE).unwrap().build_with(&resolver).unwrap();
+    let decode_ep = Profile::parse(PROFILE).unwrap().build_with(&resolver).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
+    let server_addr = listener.local_addr().unwrap();
+    let decode_l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let encode_l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let encode_gw =
+        Gateway::from_endpoint(&encode_ep, GatewayMode::Encode, decode_l.local_addr().unwrap())
+            .unwrap()
+            .with_outbound_cap(1);
+    let decode_gw = Gateway::from_endpoint(&decode_ep, GatewayMode::Decode, server_addr)
+        .unwrap()
+        .with_outbound_cap(1);
+    let client_addr = match server {
+        Server::RelayChain => encode_l.local_addr().unwrap(),
+        Server::Echo | Server::Responder => server_addr,
+    };
+
+    let request = framed_request(&clear, 3);
+    let expected: Vec<Vec<u8>> = match server {
+        Server::Echo | Server::RelayChain => vec![request.clone(); MSGS],
+        Server::Responder => {
+            let codec = replies.codec();
+            let mut reply = codec.message_seeded(RESPONDER_SEED);
+            let mut rng = StdRng::seed_from_u64(RESPONDER_SEED);
+            (0..MSGS)
+                .map(|_| {
+                    sample_into(codec, &mut reply, &mut rng, &[]);
+                    framed(&codec.serialize(&reply).unwrap())
+                })
+                .collect()
+        }
+    };
+
     let shutdown = AtomicBool::new(false);
     let cfg = LoopConfig { workers: 1, ..LoopConfig::default() };
-
+    let mut received = Vec::new();
     std::thread::scope(|scope| {
-        let served = scope.spawn(|| {
-            evloop::serve(listener, &cfg, &shutdown, &metrics, |s, _| {
+        let mut loops = vec![scope.spawn(|| {
+            evloop::serve(listener, &cfg, &shutdown, &server_metrics, |s, _| {
                 // One frame's worth of cap: pressure engages immediately.
-                Ok(Echo::new(s, &svc, &metrics).outbound_cap(1))
+                Ok(match server {
+                    Server::Echo => {
+                        Either::Echo(Echo::new(s, &requests, &server_metrics).outbound_cap(1))
+                    }
+                    Server::RelayChain => Either::Echo(Echo::new(s, &requests, &server_metrics)),
+                    Server::Responder => Either::Responder(
+                        Responder::new(s, &requests, &replies, RESPONDER_SEED, &server_metrics)
+                            .outbound_cap(1),
+                    ),
+                })
             })
-        });
+        })];
+        if let Server::RelayChain = server {
+            loops.push(scope.spawn(|| decode_gw.serve(decode_l, &cfg, &shutdown)));
+            loops.push(scope.spawn(|| encode_gw.serve(encode_l, &cfg, &shutdown)));
+        }
 
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = TcpStream::connect(client_addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let framed = framed_request(&clear, 3);
         // Flood all requests without reading a single reply.
         for _ in 0..MSGS {
-            stream.write_all(&framed).unwrap();
+            stream.write_all(&request).unwrap();
         }
-        // Now drain: every echo must still arrive, in order, intact.
-        for i in 0..MSGS {
-            let mut echoed = vec![0u8; framed.len()];
-            stream.read_exact(&mut echoed).unwrap_or_else(|e| panic!("echo {i}: {e}"));
-            assert_eq!(echoed, framed, "echo {i} diverged under backpressure");
+        // Now drain: every reply must still arrive, in order, intact.
+        for (i, want) in expected.iter().enumerate() {
+            let mut reply = vec![0u8; want.len()];
+            stream.read_exact(&mut reply).unwrap_or_else(|e| panic!("{server:?} reply {i}: {e}"));
+            received.push(reply);
         }
         drop(stream);
 
         shutdown.store(true, Ordering::Relaxed);
-        served.join().unwrap().unwrap();
+        for l in loops {
+            l.join().unwrap().unwrap();
+        }
     });
 
-    let snap = metrics.snapshot();
-    assert_eq!(snap.failed, 0, "backpressure must pause, not kill: {snap}");
-    assert_eq!(snap.messages_in as usize, MSGS, "every request served: {snap}");
-    assert!(
-        snap.backpressure_events > 0,
-        "a 1-byte cap against a flood must record pressure: {snap}"
-    );
+    let mut stats = vec![server_metrics.snapshot()];
+    if let Server::RelayChain = server {
+        stats.push(encode_gw.metrics().snapshot());
+        stats.push(decode_gw.metrics().snapshot());
+    }
+    (expected, received, stats)
+}
+
+/// Either server session, so one factory can return both.
+#[derive(Debug)]
+enum Either<'s> {
+    Echo(Echo<'s>),
+    Responder(Responder<'s>),
+}
+
+impl Session for Either<'_> {
+    fn drive(&mut self) -> Result<Drive, TransportError> {
+        match self {
+            Either::Echo(s) => s.drive(),
+            Either::Responder(s) => s.drive(),
+        }
+    }
+
+    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
+        match self {
+            Either::Echo(s) => s.sockets(out),
+            Either::Responder(s) => s.sockets(out),
+        }
+    }
+}
+
+/// Backpressure on the scan worker: a one-byte outbound cap against a
+/// client that floods requests while not reading replies, for each
+/// session kind that gates its reads on the cap. Each must gate (pressure
+/// recorded), survive (no failure, no unbounded queue), and deliver every
+/// reply intact once the client drains.
+#[test]
+fn scan_fallback_gates_reads_under_backpressure() {
+    force_scan();
+    for server in [Server::Echo, Server::Responder, Server::RelayChain] {
+        let (expected, received, stats) = flood_and_drain(server);
+        for (i, (got, want)) in received.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "{server:?}: reply {i} diverged under backpressure");
+        }
+        assert_eq!(received.len(), MSGS);
+        for snap in &stats {
+            assert_eq!(snap.failed, 0, "{server:?}: backpressure must pause, not kill: {snap}");
+        }
+        assert_eq!(stats[0].messages_in as usize, MSGS, "{server:?}: every request served");
+        let pressure: u64 = match server {
+            // The gateways carry the caps; the echo behind them does not.
+            Server::RelayChain => stats[1..].iter().map(|s| s.backpressure_events).sum(),
+            Server::Echo | Server::Responder => stats[0].backpressure_events,
+        };
+        assert!(pressure > 0, "{server:?}: a 1-byte cap against a flood must record pressure");
+    }
 }

@@ -17,7 +17,9 @@ use protoobf_core::framing::{FrameReader, FrameWriter};
 use protoobf_core::service::CodecService;
 use protoobf_core::{Codec, Obfuscator};
 use protoobf_protocols::modbus::{self, Function};
-use protoobf_transport::{evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
+use protoobf_transport::{
+    evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics, MetricsSnapshot,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,11 +32,12 @@ fn obf_codec() -> Codec {
 }
 
 /// Runs the echo server + gateway pair, calls `clients` against the
-/// encode gateway's address, shuts everything down, and returns the two
-/// gateways' final metric snapshots (encode, decode).
+/// encode gateway's address, shuts everything down, and returns the final
+/// metric snapshots of the encode gateway, the decode gateway and the
+/// echo server.
 fn with_gateway_chain(
     clients: impl FnOnce(std::net::SocketAddr) + Send,
-) -> (protoobf_transport::MetricsSnapshot, protoobf_transport::MetricsSnapshot) {
+) -> (MetricsSnapshot, MetricsSnapshot, MetricsSnapshot) {
     let graph = modbus::request_graph();
 
     let server_listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -68,7 +71,7 @@ fn with_gateway_chain(
             l.join().unwrap().unwrap();
         }
     });
-    (encode_gw.metrics().snapshot(), decode_gw.metrics().snapshot())
+    (encode_gw.metrics().snapshot(), decode_gw.metrics().snapshot(), server_metrics.snapshot())
 }
 
 #[test]
@@ -76,7 +79,7 @@ fn sixty_four_concurrent_connections_roundtrip_byte_identical() {
     let graph = modbus::request_graph();
     let clear = Codec::identity(&graph);
 
-    let (encode_stats, decode_stats) = with_gateway_chain(|gateway_addr| {
+    let (encode_stats, decode_stats, server_stats) = with_gateway_chain(|gateway_addr| {
         std::thread::scope(|scope| {
             for t in 0..CLIENTS {
                 let clear = &clear;
@@ -106,11 +109,24 @@ fn sixty_four_concurrent_connections_roundtrip_byte_identical() {
 
     assert_eq!(encode_stats.accepted as usize, CLIENTS);
     assert_eq!(decode_stats.accepted as usize, CLIENTS);
+    // Every relayed message is decoded once, transcoded once and
+    // re-encoded once, and each side of that records one frame size.
     let expect = (CLIENTS * MSGS_PER_CLIENT * 2) as u64; // requests + echoes
-    assert_eq!(encode_stats.messages_in, expect);
-    assert_eq!(decode_stats.messages_in, expect);
-    assert_eq!(encode_stats.failed, 0, "no relay may fail: {encode_stats}");
-    assert_eq!(decode_stats.failed, 0, "no relay may fail: {decode_stats}");
+    for stats in [&encode_stats, &decode_stats] {
+        assert_eq!(stats.messages_in, expect, "{stats}");
+        assert_eq!(stats.messages_out, expect, "{stats}");
+        assert_eq!(stats.transcodes, expect, "{stats}");
+        assert_eq!(stats.frame_bytes_in.count(), expect, "{stats}");
+        assert_eq!(stats.frame_bytes_out.count(), expect, "{stats}");
+        assert_eq!(stats.failed, 0, "no relay may fail: {stats}");
+    }
+    // The echo decodes each request once and answers it once.
+    let requests = (CLIENTS * MSGS_PER_CLIENT) as u64;
+    assert_eq!(server_stats.messages_in, requests, "{server_stats}");
+    assert_eq!(server_stats.messages_out, requests, "{server_stats}");
+    assert_eq!(server_stats.transcodes, requests, "{server_stats}");
+    assert_eq!(server_stats.frame_bytes_in.count(), requests, "{server_stats}");
+    assert_eq!(server_stats.frame_bytes_out.count(), requests, "{server_stats}");
 }
 
 #[test]
@@ -118,7 +134,7 @@ fn hostile_client_fails_only_its_own_relay() {
     let graph = modbus::request_graph();
     let clear = Codec::identity(&graph);
 
-    let (encode_stats, _) = with_gateway_chain(|gateway_addr| {
+    let (encode_stats, _, _) = with_gateway_chain(|gateway_addr| {
         // A client that speaks garbage: well-formed prefix, undecodable
         // body. Its relay must die with a typed error server-side; the
         // client observes EOF/reset, never a wedged gateway.
