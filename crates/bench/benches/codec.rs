@@ -260,7 +260,8 @@ fn bench_service(c: &mut Criterion) {
     // checkout fails the bench, not just a dashboard.
     let stats = service.stats();
     assert_eq!(
-        stats.pool_contention, 0,
+        (stats.checkout_contention, stats.checkin_contention),
+        (0, 0),
         "lock-free session pools must report zero contention (stats: {stats:?})"
     );
     // Trajectory file for cross-run comparison of the serving layer

@@ -1,9 +1,8 @@
 //! Runs every table and figure in sequence (convenience wrapper; see the
-//! individual binaries `table3`, `table4`, `fig4`–`fig7`, `resilience`).
+//! individual binaries `table3`, `table4`, `fig4`–`fig7`). The §VII-D
+//! resilience assessment is `protoobf resilience`.
 
 use protoobf_bench::report::{comparative_table, cost_figure, potency_figure};
-use protoobf_bench::resilience::{dns_resilience, http_resilience, modbus_resilience, render};
-use protoobf_bench::runner::env_usize;
 use protoobf_bench::{run_experiment, ExperimentConfig, Protocol};
 
 fn main() {
@@ -30,10 +29,4 @@ fn main() {
     println!();
     println!("FIGURE 7 — TCP-MODBUS POTENCY");
     print!("{}", potency_figure(&modbus));
-    println!();
-    println!("RESILIENCE (§VII-D)");
-    let per_type = env_usize("PROTOOBF_TRACE_PER_TYPE", 8);
-    print!("{}", render(&modbus_resilience(per_type, 2, 0xD5)));
-    print!("{}", render(&http_resilience(per_type * 8, 2, 0xD5)));
-    print!("{}", render(&dns_resilience(per_type * 4, 2, 0xD5)));
 }

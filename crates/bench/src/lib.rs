@@ -11,15 +11,16 @@
 //! | Figure 5 (Modbus parsing/serialization time) | `fig5` |
 //! | Figure 6 (HTTP normalized potency) | `fig6` |
 //! | Figure 7 (Modbus normalized potency) | `fig7` |
-//! | §VII-D resilience assessment | `resilience` |
 //!
 //! Run counts default to 100 regenerations per level (the paper used
 //! 1000); set `PROTOOBF_ITERS` to change. All binaries honour
 //! `PROTOOBF_SEED`.
+//!
+//! The §VII-D resilience assessment is `protoobf resilience` (the PRE
+//! attack of `protoobf_pre::resilience` scored per obfuscation level).
 
 pub mod ablation;
 pub mod report;
-pub mod resilience;
 pub mod runner;
 pub mod stats;
 

@@ -25,15 +25,13 @@
 //! # }
 //! ```
 
-//! The emitter intentionally walks the obfuscation graph (the paper's
-//! artifact is defined node-by-node over it); the runtime-oriented,
-//! plan-targeted backend is a separate follow-up tracked in ROADMAP.md
-//! and stubbed in [`plan`].
+//! The emitter intentionally walks the obfuscation graph: the paper's
+//! artifact, and so its potency metrics, are defined node by node over
+//! it. It is a measurement rendition, not a runtime backend.
 
 pub mod cflow;
 pub mod emit;
 pub mod metrics;
-pub mod plan;
 
 pub use emit::{generate, GeneratedLibrary};
 pub use metrics::{measure, NormalizedPotency, PotencyMetrics};

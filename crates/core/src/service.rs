@@ -144,11 +144,6 @@ pub struct ServiceStats {
     pub checkout_contention: u64,
     /// Checkin-side pool contention; zero by construction, as above.
     pub checkin_contention: u64,
-    /// Aggregate of both sides: `checkout_contention +
-    /// checkin_contention` — the quantity the pre-split
-    /// `checkout_contention` field used to report. Zero by construction
-    /// under the lock-free pools.
-    pub pool_contention: u64,
 }
 
 impl CodecService {
@@ -363,7 +358,6 @@ impl CodecService {
             pooled_parser_peak: count(|s| s.parsers.high_water()),
             checkout_contention: out,
             checkin_contention: inn,
-            pool_contention: out + inn,
         }
     }
 
@@ -719,7 +713,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.checkout_contention, 0, "lock-free checkout cannot contend");
         assert_eq!(stats.checkin_contention, 0, "lock-free checkin cannot contend");
-        assert_eq!(stats.pool_contention, 0, "legacy aggregate stays the sum (0 + 0)");
         // The scratch itself still pools and reuses across the churn.
         assert!(stats.pooled_serializers >= 1, "scratch returned to the pool");
     }

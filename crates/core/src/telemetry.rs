@@ -818,11 +818,6 @@ impl Telemetry {
             let _ =
                 writeln!(out, "protoobf_service_serialized_total{label} {}", s.serialized_messages);
             let _ = writeln!(out, "protoobf_service_parsed_total{label} {}", s.parsed_messages);
-            let _ = writeln!(
-                out,
-                "protoobf_service_pool_contention_total{label} {}",
-                s.pool_contention
-            );
         }
 
         {
@@ -894,14 +889,16 @@ impl Telemetry {
             let s = service.stats();
             let _ = writeln!(
                 out,
-                "  service {name}: {} serialized / {} parsed; pooled {}+{} (peak {}+{}); contention {}",
+                "  service {name}: {} serialized / {} parsed; pooled {}+{} (peak {}+{}); \
+                 contention {} checkout / {} checkin",
                 s.serialized_messages,
                 s.parsed_messages,
                 s.pooled_serializers,
                 s.pooled_parsers,
                 s.pooled_serializer_peak,
                 s.pooled_parser_peak,
-                s.pool_contention,
+                s.checkout_contention,
+                s.checkin_contention,
             );
         }
         let _ = write!(

@@ -27,3 +27,41 @@ pub mod corpus;
 pub mod dns;
 pub mod http;
 pub mod modbus;
+
+use protoobf_core::FormatGraph;
+
+/// The bundled protocol specifications, by the name `builtin:NAME`
+/// spells them.
+pub const BUILTIN_NAMES: [&str; 6] = [
+    "dns-query",
+    "dns-response",
+    "http-request",
+    "http-response",
+    "modbus-request",
+    "modbus-response",
+];
+
+/// The plain specification of the bundled protocol `name` (one of
+/// [`BUILTIN_NAMES`]), or `None` for any other name.
+pub fn builtin(name: &str) -> Option<FormatGraph> {
+    Some(match name {
+        "dns-query" => dns::query_graph(),
+        "dns-response" => dns::response_graph(),
+        "http-request" => http::request_graph(),
+        "http-response" => http::response_graph(),
+        "modbus-request" => modbus::request_graph(),
+        "modbus-response" => modbus::response_graph(),
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_builtin_name_resolves() {
+        for name in super::BUILTIN_NAMES {
+            assert!(super::builtin(name).is_some(), "{name}");
+        }
+        assert!(super::builtin("smtp").is_none());
+    }
+}

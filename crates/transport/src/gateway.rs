@@ -34,11 +34,7 @@ use std::time::Duration;
 
 use protoobf_core::message::Message;
 use protoobf_core::profile::{Endpoint, Fingerprint};
-use protoobf_core::sample::sample_into;
 use protoobf_core::service::CodecService;
-use protoobf_core::{Codec, FormatGraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::conn::{Conn, ConnState};
 use crate::error::TransportError;
@@ -80,9 +76,316 @@ impl<'s> LegServices<'s> {
     }
 }
 
+/// One socket of a session and the sans-io [`Conn`] framing it.
+#[derive(Debug)]
+pub(crate) struct Leg<'s> {
+    pub(crate) stream: TcpStream,
+    pub(crate) conn: Conn<'s>,
+    /// Whether this leg's outbound cap paused its producer on the last
+    /// pass — edge-detects [`Metrics::backpressure_events`] so a long
+    /// stall counts once, not once per drive.
+    gated: bool,
+    /// Whether this leg's write side has been shut down.
+    pub(crate) write_closed: bool,
+}
+
+impl<'s> Leg<'s> {
+    pub(crate) fn new(stream: TcpStream, conn: Conn<'s>) -> Leg<'s> {
+        Leg { stream, conn, gated: false, write_closed: false }
+    }
+
+    /// Drains the socket's ready bytes into the connection (non-blocking).
+    /// Returns whether any byte moved; clean EOF is fed to the connection.
+    pub(crate) fn read_into(
+        &mut self,
+        buf: &mut [u8],
+        metrics: &Metrics,
+    ) -> Result<bool, TransportError> {
+        if self.conn.state() != ConnState::Open {
+            return Ok(false);
+        }
+        let mut progress = false;
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => {
+                    self.conn.feed_eof();
+                    progress = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.conn.feed_inbound(&buf[..n])?;
+                    Metrics::add(&metrics.bytes_in, n as u64);
+                    progress = true;
+                    if n < buf.len() {
+                        break; // drained the socket's ready bytes
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::Io(e)),
+            }
+        }
+        Ok(progress)
+    }
+
+    /// Writes the queued outbound bytes until the socket would block or
+    /// the queue drains, then records a backpressure event if `engaged`
+    /// (this pass's producer was paused by the cap) starts a stall.
+    /// Returns whether any byte moved.
+    pub(crate) fn flush_from(
+        &mut self,
+        engaged: bool,
+        metrics: &Metrics,
+        token: u64,
+    ) -> Result<bool, TransportError> {
+        let mut progress = false;
+        while self.conn.has_outbound() {
+            match self.stream.write(self.conn.outbound()) {
+                Ok(0) => return Err(TransportError::Io(io::Error::from(io::ErrorKind::WriteZero))),
+                Ok(n) => {
+                    self.conn.consume_outbound(n);
+                    Metrics::add(&metrics.bytes_out, n as u64);
+                    progress = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::Io(e)),
+            }
+        }
+        if engaged && !self.gated {
+            Metrics::add(&metrics.backpressure_events, 1);
+            metrics.recorder.record(
+                EventKind::Backpressure,
+                token,
+                self.conn.outbound_len() as u64,
+            );
+        }
+        self.gated = engaged;
+        Ok(progress)
+    }
+
+    /// Shuts the write side down once `finished` holds and everything
+    /// queued is delivered. Returns whether it did so on this call.
+    pub(crate) fn close_write(&mut self, finished: bool) -> bool {
+        if self.write_closed || !finished || self.conn.has_outbound() {
+            return false;
+        }
+        let _ = self.stream.shutdown(Shutdown::Write);
+        self.write_closed = true;
+        true
+    }
+}
+
+/// The per-message steps of the [`Pump`] sessions. Sealed in a private
+/// module: [`Relay`], [`Echo`] and [`Responder`] are the pump's only
+/// instances.
+mod step {
+    use protoobf_core::message::Message;
+    use protoobf_core::sample::sample_into;
+    use protoobf_core::service::CodecService;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use crate::error::TransportError;
+    use crate::metrics::Metrics;
+
+    /// What a pump sends for each decoded message.
+    pub trait Step<'s> {
+        /// The message to send on direction `dir`'s destination leg in
+        /// answer to `msg`, just decoded from its source leg.
+        fn step(
+            &mut self,
+            dir: usize,
+            msg: &Message<'_>,
+            metrics: &Metrics,
+        ) -> Result<&Message<'s>, TransportError>;
+    }
+
+    /// Transcodes direction `dir`'s messages into its armed target: the
+    /// compiled copy program shared per leg pairing
+    /// ([`CodecService::transcode_target`]), allocation-free.
+    impl<'s, const N: usize> Step<'s> for [Message<'s>; N] {
+        fn step(
+            &mut self,
+            dir: usize,
+            msg: &Message<'_>,
+            metrics: &Metrics,
+        ) -> Result<&Message<'s>, TransportError> {
+            let target = &mut self[dir];
+            let transcode_t = metrics.stages.transcode.start();
+            msg.transcode_into(target)?;
+            metrics.stages.transcode.finish(transcode_t);
+            Metrics::add(&metrics.transcodes, 1);
+            Ok(target)
+        }
+    }
+
+    /// The responder's step: answers every request, whatever its content,
+    /// with a fresh sample of the reply grammar drawn into one pooled
+    /// message ([`sample_into`]: stores reused across replies; only the
+    /// sampled values themselves still allocate).
+    #[derive(Debug)]
+    pub struct Sample<'s> {
+        svc: &'s CodecService,
+        reply: Message<'s>,
+        rng: StdRng,
+    }
+
+    impl<'s> Sample<'s> {
+        /// Replies of `svc`'s codec, deterministic per `seed`.
+        pub(super) fn new(svc: &'s CodecService, seed: u64) -> Sample<'s> {
+            Sample {
+                svc,
+                reply: svc.codec().message_seeded(seed),
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+    }
+
+    impl<'s> Step<'s> for Sample<'s> {
+        fn step(
+            &mut self,
+            _dir: usize,
+            _msg: &Message<'_>,
+            _metrics: &Metrics,
+        ) -> Result<&Message<'s>, TransportError> {
+            sample_into(self.svc.codec(), &mut self.reply, &mut self.rng, &[]);
+            Ok(&self.reply)
+        }
+    }
+}
+
+use step::{Sample, Step};
+
+/// A socket session over `N` legs that decodes every inbound message,
+/// runs it through the session's step and sends the result: direction `i` reads
+/// leg `i` and writes leg `(i + 1) % N`, so a one-leg session answers on
+/// the socket it reads. [`Relay`], [`Echo`] and [`Responder`] are its
+/// instances.
+///
+/// Ingestion is **gated on the destination's outbound cap**
+/// ([`Conn::can_send`]): while the destination queue is at capacity a
+/// direction neither reads its socket nor decodes buffered frames, so
+/// [`TransportError::Backpressure`] is never hit — the pressure
+/// propagates backwards as an unread socket (a closed TCP window to the
+/// sender) instead of killing the session or growing its memory. This is
+/// safe under edge-triggered readiness: a pass whose queue stays at
+/// capacity past the flush has queued bytes behind a write-blocked
+/// socket, so that socket's next writability edge re-drives the session
+/// and reopens the gate. Each direction passes its source's half-close on
+/// once everything in flight is delivered; the session is
+/// [`Drive::Done`] when every leg's write side is shut.
+#[derive(Debug)]
+pub struct Pump<'s, S, const N: usize> {
+    legs: [Leg<'s>; N],
+    step: S,
+    read_buf: Vec<u8>,
+    metrics: &'s Metrics,
+    token: u64,
+}
+
+impl<'s, S, const N: usize> Pump<'s, S, N> {
+    fn with_legs(legs: [Leg<'s>; N], step: S, metrics: &'s Metrics) -> Pump<'s, S, N> {
+        Pump { legs, step, read_buf: vec![0u8; 16 * 1024], metrics, token: 0 }
+    }
+
+    /// Sets the flight-recorder token for this session's lifecycle events
+    /// (builder; conventionally [`peer_token`] of the accepted peer).
+    pub fn with_token(mut self, token: u64) -> Pump<'s, S, N> {
+        self.token = token;
+        self
+    }
+
+    /// Caps every leg's outbound queue at `cap` bytes (builder; default
+    /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]). When a leg's queue reaches
+    /// its cap the session stops *reading* the socket that feeds it, so a
+    /// slow receiver surfaces to the original sender as a closed TCP
+    /// window rather than as unbounded memory.
+    pub fn outbound_cap(mut self, cap: usize) -> Pump<'s, S, N> {
+        for leg in &mut self.legs {
+            leg.conn.set_outbound_cap(cap);
+        }
+        self
+    }
+}
+
+/// Pumps direction `src` once: socket bytes → frames → decoded messages →
+/// `step` → destination frames → destination socket, then the
+/// backpressure edge and the half-close. Each codec stage runs under a
+/// sampled timer (an armed sample on an empty poll is dropped —
+/// under-sampling, never skew) and frame sizes feed the traffic-shape
+/// histograms; all of it relaxed atomics, allocation-free. Returns
+/// whether any byte or message moved.
+fn pump<'s, const N: usize>(
+    legs: &mut [Leg<'s>; N],
+    src: usize,
+    step: &mut impl Step<'s>,
+    read_buf: &mut [u8],
+    metrics: &Metrics,
+    token: u64,
+) -> Result<bool, TransportError> {
+    let dst = (src + 1) % N;
+    let mut progress = false;
+    let engaged = if legs[dst].conn.can_send() {
+        progress |= legs[src].read_into(read_buf, metrics)?;
+        while legs[dst].conn.can_send() {
+            let parse_t = metrics.stages.parse.start();
+            let Some(msg) = legs[src].conn.poll_inbound()? else { break };
+            metrics.stages.parse.finish(parse_t);
+            Metrics::add(&metrics.messages_in, 1);
+            let out = step.step(src, msg, metrics)?;
+            // Recorded after the step releases the decoded message's
+            // borrow of the connection.
+            metrics.frame_bytes_in.record(legs[src].conn.last_inbound_frame_len() as u64);
+            let serialize_t = metrics.stages.serialize.start();
+            legs[dst].conn.send(out)?;
+            metrics.stages.serialize.finish(serialize_t);
+            Metrics::add(&metrics.messages_out, 1);
+            metrics.frame_bytes_out.record(legs[dst].conn.last_outbound_frame_len() as u64);
+            progress = true;
+        }
+        !legs[dst].conn.can_send()
+    } else {
+        true
+    };
+    progress |= legs[dst].flush_from(engaged, metrics, token)?;
+    let peer_closed = legs[src].conn.state() == ConnState::PeerClosed;
+    progress |= legs[dst].close_write(peer_closed);
+    Ok(progress)
+}
+
+impl<'s, S: Step<'s>, const N: usize> Session for Pump<'s, S, N> {
+    fn drive(&mut self) -> Result<Drive, TransportError> {
+        let mut progress = false;
+        for src in 0..N {
+            progress |= pump(
+                &mut self.legs,
+                src,
+                &mut self.step,
+                &mut self.read_buf,
+                self.metrics,
+                self.token,
+            )?;
+        }
+        if self.legs.iter().all(|leg| leg.write_closed) {
+            return Ok(Drive::Done);
+        }
+        Ok(if progress { Drive::Progress } else { Drive::Idle })
+    }
+
+    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
+        out.extend(self.legs.iter().map(|leg| &leg.stream));
+    }
+
+    fn token(&self) -> u64 {
+        self.token
+    }
+}
+
 /// One relayed connection: the accepted ("down") leg and the dialed
-/// upstream ("up") leg, each a sans-io [`Conn`], glued together by
-/// transcoding every decoded message onto the other leg's codec.
+/// upstream ("up") leg, glued together by transcoding every decoded
+/// message onto the other leg's codec. Done once both half-closes have
+/// been passed on.
 ///
 /// Buffers and sessions are all reused across messages: decode borrows
 /// the parse session's message, transcode refills a long-lived
@@ -93,28 +396,7 @@ impl<'s> LegServices<'s> {
 /// [`CodecService::transcode_target`]), so the whole steady-state relay
 /// loop — decode, transcode, re-encode — performs zero per-message heap
 /// allocation.
-#[derive(Debug)]
-pub struct Relay<'s> {
-    down: TcpStream,
-    up: TcpStream,
-    down_conn: Conn<'s>,
-    up_conn: Conn<'s>,
-    /// Transcode target bound to the up leg's tx codec.
-    to_up: Message<'s>,
-    /// Transcode target bound to the down leg's tx codec.
-    to_down: Message<'s>,
-    read_buf: Vec<u8>,
-    down_eof_relayed: bool,
-    up_eof_relayed: bool,
-    /// Whether each direction's last pump had its ingestion paused by
-    /// the other leg's outbound cap — edge-detects
-    /// [`Metrics::backpressure_events`] so a long stall counts once, not
-    /// once per drive.
-    down_gated: bool,
-    up_gated: bool,
-    metrics: &'s Metrics,
-    token: u64,
-}
+pub type Relay<'s> = Pump<'s, [Message<'s>; 2], 2>;
 
 impl<'s> Relay<'s> {
     /// Builds a relay between an accepted socket (framed with `down`'s
@@ -141,366 +423,38 @@ impl<'s> Relay<'s> {
     ) -> Result<Relay<'s>, TransportError> {
         let to_up = up.tx.transcode_target(down.rx)?;
         let to_down = down.tx.transcode_target(up.rx)?;
-        Ok(Relay {
-            down: down_stream,
-            up: up_stream,
-            down_conn: Conn::new(down.rx, down.tx),
-            up_conn: Conn::new(up.rx, up.tx),
-            to_up,
-            to_down,
-            read_buf: vec![0u8; 16 * 1024],
-            down_eof_relayed: false,
-            up_eof_relayed: false,
-            down_gated: false,
-            up_gated: false,
-            metrics,
-            token: 0,
-        })
+        let legs = [
+            Leg::new(down_stream, Conn::new(down.rx, down.tx)),
+            Leg::new(up_stream, Conn::new(up.rx, up.tx)),
+        ];
+        Ok(Pump::with_legs(legs, [to_up, to_down], metrics))
     }
-
-    /// Sets the flight-recorder token for this relay's lifecycle events
-    /// (builder; conventionally [`peer_token`] of the accepted peer).
-    pub fn with_token(mut self, token: u64) -> Relay<'s> {
-        self.token = token;
-        self
-    }
-
-    /// Caps both legs' outbound queues at `cap` bytes (builder; default
-    /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]). When one leg's queue
-    /// reaches its cap the relay stops *reading* the opposite socket, so
-    /// a slow receiver surfaces to the original sender as a closed TCP
-    /// window rather than as unbounded gateway memory.
-    pub fn outbound_cap(mut self, cap: usize) -> Relay<'s> {
-        self.down_conn.set_outbound_cap(cap);
-        self.up_conn.set_outbound_cap(cap);
-        self
-    }
-}
-
-impl Session for Relay<'_> {
-    fn drive(&mut self) -> Result<Drive, TransportError> {
-        let mut progress = false;
-        progress |= pump_direction(
-            &mut self.down,
-            &mut self.down_conn,
-            &mut self.up,
-            &mut self.up_conn,
-            &mut self.to_up,
-            &mut self.read_buf,
-            &mut self.down_eof_relayed,
-            &mut self.down_gated,
-            self.metrics,
-            self.token,
-        )?;
-        progress |= pump_direction(
-            &mut self.up,
-            &mut self.up_conn,
-            &mut self.down,
-            &mut self.down_conn,
-            &mut self.to_down,
-            &mut self.read_buf,
-            &mut self.up_eof_relayed,
-            &mut self.up_gated,
-            self.metrics,
-            self.token,
-        )?;
-        if self.down_eof_relayed && self.up_eof_relayed {
-            return Ok(Drive::Done);
-        }
-        Ok(if progress { Drive::Progress } else { Drive::Idle })
-    }
-
-    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.down);
-        out.push(&self.up);
-    }
-
-    fn token(&self) -> u64 {
-        self.token
-    }
-}
-
-/// Drains the socket's ready bytes into the connection (non-blocking).
-/// Returns whether any byte moved; clean EOF is fed to the connection.
-/// Shared with the tunnel session ([`crate::tunnel`]).
-pub(crate) fn read_into(
-    stream: &mut TcpStream,
-    conn: &mut Conn<'_>,
-    buf: &mut [u8],
-    metrics: &Metrics,
-) -> Result<bool, TransportError> {
-    if conn.state() != ConnState::Open {
-        return Ok(false);
-    }
-    let mut progress = false;
-    loop {
-        match stream.read(buf) {
-            Ok(0) => {
-                conn.feed_eof();
-                progress = true;
-                break;
-            }
-            Ok(n) => {
-                conn.feed_inbound(&buf[..n])?;
-                Metrics::add(&metrics.bytes_in, n as u64);
-                progress = true;
-                if n < buf.len() {
-                    break; // drained the socket's ready bytes
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::Io(e)),
-        }
-    }
-    Ok(progress)
-}
-
-/// Writes the connection's queued outbound bytes to the socket until it
-/// would block or the queue drains. Returns whether any byte moved.
-/// Shared with the tunnel session ([`crate::tunnel`]).
-pub(crate) fn flush_from(
-    stream: &mut TcpStream,
-    conn: &mut Conn<'_>,
-    metrics: &Metrics,
-) -> Result<bool, TransportError> {
-    let mut progress = false;
-    while conn.has_outbound() {
-        match stream.write(conn.outbound()) {
-            Ok(0) => return Err(TransportError::Io(io::Error::from(io::ErrorKind::WriteZero))),
-            Ok(n) => {
-                conn.consume_outbound(n);
-                Metrics::add(&metrics.bytes_out, n as u64);
-                progress = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::Io(e)),
-        }
-    }
-    Ok(progress)
-}
-
-/// Pumps one direction of a relay: `src` socket bytes → `src_conn` frames
-/// → decoded messages → transcode into `tmpl` → `dst_conn` frames → `dst`
-/// socket. Returns whether any byte or message moved.
-///
-/// Ingestion is **gated on the destination's outbound cap**
-/// ([`Conn::can_send`]): while `dst_conn`'s queue is at capacity this
-/// direction neither reads `src` nor decodes buffered frames, so
-/// [`TransportError::Backpressure`] is never hit on this path — the
-/// pressure propagates backwards as an unread socket (a closed TCP window
-/// to the sender) instead of killing the relay or growing its memory.
-/// This is safe under edge-triggered readiness: a pass whose queue stays
-/// at capacity past the flush has queued `dst` bytes behind a
-/// write-blocked socket, so the destination's next writability edge
-/// re-drives the session and reopens the gate. `gated` edge-detects
-/// passes where the cap paused ingestion (before the flush relieves it)
-/// for [`Metrics::backpressure_events`] — a long stall counts once.
-#[allow(clippy::too_many_arguments)]
-fn pump_direction(
-    src: &mut TcpStream,
-    src_conn: &mut Conn<'_>,
-    dst: &mut TcpStream,
-    dst_conn: &mut Conn<'_>,
-    tmpl: &mut Message<'_>,
-    read_buf: &mut [u8],
-    eof_relayed: &mut bool,
-    gated: &mut bool,
-    metrics: &Metrics,
-    token: u64,
-) -> Result<bool, TransportError> {
-    let mut progress = false;
-    let engaged;
-    if dst_conn.can_send() {
-        progress |= read_into(src, src_conn, read_buf, metrics)?;
-
-        // Decode complete frames, transcode (compiled copy program,
-        // shared per leg pairing), re-encode onto the other leg — until
-        // the frames run out or the destination queue fills. Each stage
-        // runs under a sampled timer (an armed sample on an empty poll
-        // is dropped — under-sampling, never skew), and frame sizes
-        // feed the traffic-shape histograms; all of it relaxed atomics,
-        // nothing on the allocation-free path changes.
-        while dst_conn.can_send() {
-            let parse_t = metrics.stages.parse.start();
-            let Some(msg) = src_conn.poll_inbound()? else { break };
-            metrics.stages.parse.finish(parse_t);
-            Metrics::add(&metrics.messages_in, 1);
-            let transcode_t = metrics.stages.transcode.start();
-            msg.transcode_into(tmpl)?;
-            metrics.stages.transcode.finish(transcode_t);
-            Metrics::add(&metrics.transcodes, 1);
-            // Recorded after the transcode releases the decoded
-            // message's borrow of the connection.
-            metrics.frame_bytes_in.record(src_conn.last_inbound_frame_len() as u64);
-            let serialize_t = metrics.stages.serialize.start();
-            dst_conn.send(tmpl)?;
-            metrics.stages.serialize.finish(serialize_t);
-            Metrics::add(&metrics.messages_out, 1);
-            metrics.frame_bytes_out.record(dst_conn.last_outbound_frame_len() as u64);
-            progress = true;
-        }
-        engaged = !dst_conn.can_send();
-    } else {
-        engaged = true;
-    }
-
-    progress |= flush_from(dst, dst_conn, metrics)?;
-
-    if engaged && !*gated {
-        Metrics::add(&metrics.backpressure_events, 1);
-        metrics.recorder.record(EventKind::Backpressure, token, dst_conn.outbound_len() as u64);
-    }
-    *gated = engaged;
-
-    // Propagate the half-close once everything in flight is delivered.
-    if !*eof_relayed && src_conn.state() == ConnState::PeerClosed && !dst_conn.has_outbound() {
-        let _ = dst.shutdown(Shutdown::Write);
-        *eof_relayed = true;
-        progress = true;
-    }
-    Ok(progress)
 }
 
 /// A framed echo session: parses every inbound message and sends it
 /// straight back on the same codec — the stand-in "real server" for
-/// gateway smoke tests and the `protoobf recv` subcommand.
-#[derive(Debug)]
-pub struct Echo<'s> {
-    stream: TcpStream,
-    conn: Conn<'s>,
-    reply: Message<'s>,
-    read_buf: Vec<u8>,
-    /// Edge-detector for [`Metrics::backpressure_events`], as in
-    /// [`Relay`].
-    gated: bool,
-    metrics: &'s Metrics,
-    token: u64,
-}
+/// gateway smoke tests and the `protoobf recv` subcommand. Done once the
+/// peer has closed and every reply is delivered.
+pub type Echo<'s> = Pump<'s, [Message<'s>; 1], 1>;
 
 impl<'s> Echo<'s> {
     /// Wraps an accepted (non-blocking) socket speaking `svc`'s codec in
     /// both directions.
     pub fn new(stream: TcpStream, svc: &'s CodecService, metrics: &'s Metrics) -> Echo<'s> {
-        Echo {
-            stream,
-            conn: Conn::new(svc, svc),
-            // A codec always structurally matches itself, so the armed
-            // self-pair target cannot fail to build.
-            reply: svc.transcode_target(svc).expect("self-pair transcode target"),
-            read_buf: vec![0u8; 16 * 1024],
-            gated: false,
-            metrics,
-            token: 0,
-        }
-    }
-
-    /// Caps the outbound queue at `cap` bytes (builder; default
-    /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]). A full queue pauses reads
-    /// (the echo stops accepting requests it could not answer) instead of
-    /// buffering without bound.
-    pub fn outbound_cap(mut self, cap: usize) -> Echo<'s> {
-        self.conn.set_outbound_cap(cap);
-        self
-    }
-
-    /// Sets the flight-recorder token (builder); see
-    /// [`Relay::with_token`].
-    pub fn with_token(mut self, token: u64) -> Echo<'s> {
-        self.token = token;
-        self
-    }
-}
-
-impl Session for Echo<'_> {
-    fn drive(&mut self) -> Result<Drive, TransportError> {
-        let mut progress = false;
-        let engaged;
-        // Ingestion gated on the outbound cap, as in `pump_direction`:
-        // a peer that sends requests faster than it reads replies stalls
-        // its own stream instead of growing the echo's queue.
-        if self.conn.can_send() {
-            progress |=
-                read_into(&mut self.stream, &mut self.conn, &mut self.read_buf, self.metrics)?;
-            // Decode, then echo. The reply cannot be sent while the
-            // decoded message is still borrowed from the connection's
-            // parse session, so each message is first copied into the
-            // reusable reply (same graph on both sides: transcoding is a
-            // plain structural copy).
-            while self.conn.can_send() {
-                let parse_t = self.metrics.stages.parse.start();
-                let Some(msg) = self.conn.poll_inbound()? else { break };
-                self.metrics.stages.parse.finish(parse_t);
-                Metrics::add(&self.metrics.messages_in, 1);
-                let transcode_t = self.metrics.stages.transcode.start();
-                msg.transcode_into(&mut self.reply)?;
-                self.metrics.stages.transcode.finish(transcode_t);
-                Metrics::add(&self.metrics.transcodes, 1);
-                // After the transcode releases the decoded message's
-                // borrow of the connection.
-                self.metrics.frame_bytes_in.record(self.conn.last_inbound_frame_len() as u64);
-                progress = true;
-                let serialize_t = self.metrics.stages.serialize.start();
-                self.conn.send(&self.reply)?;
-                self.metrics.stages.serialize.finish(serialize_t);
-                Metrics::add(&self.metrics.messages_out, 1);
-                self.metrics.frame_bytes_out.record(self.conn.last_outbound_frame_len() as u64);
-            }
-            engaged = !self.conn.can_send();
-        } else {
-            engaged = true;
-        }
-        progress |= flush_from(&mut self.stream, &mut self.conn, self.metrics)?;
-        if engaged && !self.gated {
-            Metrics::add(&self.metrics.backpressure_events, 1);
-            self.metrics.recorder.record(
-                EventKind::Backpressure,
-                self.token,
-                self.conn.outbound_len() as u64,
-            );
-        }
-        self.gated = engaged;
-        if self.conn.state() == ConnState::PeerClosed && !self.conn.has_outbound() {
-            let _ = self.stream.shutdown(Shutdown::Write);
-            return Ok(Drive::Done);
-        }
-        Ok(if progress { Drive::Progress } else { Drive::Idle })
-    }
-
-    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.stream);
-    }
-
-    fn token(&self) -> u64 {
-        self.token
+        // A codec always structurally matches itself, so the armed
+        // self-pair target cannot fail to build.
+        let reply = svc.transcode_target(svc).expect("self-pair transcode target");
+        Pump::with_legs([Leg::new(stream, Conn::new(svc, svc))], [reply], metrics)
     }
 }
 
 /// A framed request/response session for **asymmetric** protocols: every
 /// inbound message (the request spec) is answered with a freshly sampled
-/// message of the response spec — the stand-in "real server" behind a
-/// decode gateway when the two directions speak different grammars and a
-/// byte [`Echo`] therefore cannot apply. Used by `protoobf recv` for
-/// asymmetric profiles.
-#[derive(Debug)]
-pub struct Responder<'s> {
-    stream: TcpStream,
-    conn: Conn<'s>,
-    /// Codec the sampled replies are drawn from (`reply_svc`'s).
-    reply_svc: &'s CodecService,
-    /// Pooled reply scratch: one long-lived message refilled per reply
-    /// ([`sample_into`]), so answering does not allocate a fresh message
-    /// store per request.
-    reply: Message<'s>,
-    rng: StdRng,
-    read_buf: Vec<u8>,
-    /// Edge-detector for [`Metrics::backpressure_events`], as in
-    /// [`Relay`].
-    gated: bool,
-    metrics: &'s Metrics,
-    token: u64,
-}
+/// message of the response spec — the stand-in "real server"
+/// behind a decode gateway when the two directions speak different
+/// grammars and a byte [`Echo`] therefore cannot apply. Used by
+/// `protoobf recv` for asymmetric profiles.
+pub type Responder<'s> = Pump<'s, Sample<'s>, 1>;
 
 impl<'s> Responder<'s> {
     /// Wraps an accepted (non-blocking) socket that receives
@@ -513,94 +467,8 @@ impl<'s> Responder<'s> {
         seed: u64,
         metrics: &'s Metrics,
     ) -> Responder<'s> {
-        Responder {
-            stream,
-            conn: Conn::new(request_svc, reply_svc),
-            reply_svc,
-            reply: reply_svc.codec().message_seeded(seed),
-            rng: StdRng::seed_from_u64(seed),
-            read_buf: vec![0u8; 16 * 1024],
-            gated: false,
-            metrics,
-            token: 0,
-        }
-    }
-
-    /// Caps the outbound queue at `cap` bytes (builder; default
-    /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]); see [`Echo::outbound_cap`].
-    pub fn outbound_cap(mut self, cap: usize) -> Responder<'s> {
-        self.conn.set_outbound_cap(cap);
-        self
-    }
-
-    /// Sets the flight-recorder token (builder); see
-    /// [`Relay::with_token`].
-    pub fn with_token(mut self, token: u64) -> Responder<'s> {
-        self.token = token;
-        self
-    }
-}
-
-impl Session for Responder<'_> {
-    fn drive(&mut self) -> Result<Drive, TransportError> {
-        let mut progress = false;
-        let engaged;
-        // Ingestion gated on the outbound cap, as in `pump_direction`.
-        if self.conn.can_send() {
-            progress |=
-                read_into(&mut self.stream, &mut self.conn, &mut self.read_buf, self.metrics)?;
-            // The decoded request's content is not inspected — arrival of
-            // a structurally valid message is the contract; the reply is
-            // sampled from the *other* direction's grammar into a pooled
-            // scratch message (stores reused across replies; only the
-            // sampled values themselves still allocate — see
-            // [`sample_into`]).
-            loop {
-                if !self.conn.can_send() {
-                    break;
-                }
-                let parse_t = self.metrics.stages.parse.start();
-                if self.conn.poll_inbound()?.is_none() {
-                    break;
-                }
-                self.metrics.stages.parse.finish(parse_t);
-                Metrics::add(&self.metrics.messages_in, 1);
-                self.metrics.frame_bytes_in.record(self.conn.last_inbound_frame_len() as u64);
-                sample_into(self.reply_svc.codec(), &mut self.reply, &mut self.rng, &[]);
-                let serialize_t = self.metrics.stages.serialize.start();
-                self.conn.send(&self.reply)?;
-                self.metrics.stages.serialize.finish(serialize_t);
-                Metrics::add(&self.metrics.messages_out, 1);
-                self.metrics.frame_bytes_out.record(self.conn.last_outbound_frame_len() as u64);
-                progress = true;
-            }
-            engaged = !self.conn.can_send();
-        } else {
-            engaged = true;
-        }
-        progress |= flush_from(&mut self.stream, &mut self.conn, self.metrics)?;
-        if engaged && !self.gated {
-            Metrics::add(&self.metrics.backpressure_events, 1);
-            self.metrics.recorder.record(
-                EventKind::Backpressure,
-                self.token,
-                self.conn.outbound_len() as u64,
-            );
-        }
-        self.gated = engaged;
-        if self.conn.state() == ConnState::PeerClosed && !self.conn.has_outbound() {
-            let _ = self.stream.shutdown(Shutdown::Write);
-            return Ok(Drive::Done);
-        }
-        Ok(if progress { Drive::Progress } else { Drive::Idle })
-    }
-
-    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.stream);
-    }
-
-    fn token(&self) -> u64 {
-        self.token
+        let legs = [Leg::new(stream, Conn::new(request_svc, reply_svc))];
+        Pump::with_legs(legs, Sample::new(reply_svc, seed), metrics)
     }
 }
 
@@ -621,46 +489,11 @@ pub struct Gateway {
     /// Per-connection outbound queue cap for both relay legs (`None` =
     /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]).
     outbound_cap: Option<usize>,
-    /// Derivation fingerprint when built from a profile endpoint.
-    fingerprint: Option<Fingerprint>,
+    /// Derivation fingerprint of the profile endpoint.
+    fingerprint: Fingerprint,
 }
 
 impl Gateway {
-    /// Legacy symmetric constructor: one plain spec, one obfuscated codec
-    /// for both directions (both gateways of a pair must derive it from
-    /// the same key / level — the shared secret). `upstream` is the
-    /// decode gateway (for [`GatewayMode::Encode`]) or the real server
-    /// (for [`GatewayMode::Decode`]). Prefer [`Gateway::from_endpoint`],
-    /// which also carries asymmetric profiles and the fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors resolving `upstream`.
-    pub fn new(
-        plain: &FormatGraph,
-        obf: Codec,
-        mode: GatewayMode,
-        upstream: impl ToSocketAddrs,
-    ) -> io::Result<Gateway> {
-        let clear = Arc::new(CodecService::new(Codec::identity(plain)));
-        let obf = Arc::new(CodecService::new(obf));
-        let (down, up) = match mode {
-            GatewayMode::Encode => (&clear, &obf),
-            GatewayMode::Decode => (&obf, &clear),
-        };
-        Ok(Gateway {
-            down_rx: Arc::clone(down),
-            down_tx: Arc::clone(down),
-            up_rx: Arc::clone(up),
-            up_tx: Arc::clone(up),
-            mode,
-            upstream: resolve_upstream(upstream)?,
-            metrics: Arc::new(Metrics::new()),
-            outbound_cap: None,
-            fingerprint: None,
-        })
-    }
-
     /// Builds a gateway from a compiled profile [`Endpoint`] — the whole
     /// point of the profile API: both gateways of a pair are configured
     /// by two copies of the same profile file and derive identical
@@ -704,13 +537,13 @@ impl Gateway {
             upstream: resolve_upstream(upstream)?,
             metrics: Arc::new(Metrics::new()),
             outbound_cap: None,
-            fingerprint: Some(endpoint.fingerprint()),
+            fingerprint: endpoint.fingerprint(),
         })
     }
 
     /// Caps every relayed connection's outbound queues at `cap` bytes
     /// (builder; default [`crate::conn::DEFAULT_OUTBOUND_CAP`]) — see
-    /// [`Relay::outbound_cap`] for the semantics. The `protoobf` binary
+    /// [`Pump::outbound_cap`] for the semantics. The `protoobf` binary
     /// exposes this as `--backpressure BYTES`.
     pub fn with_outbound_cap(mut self, cap: usize) -> Gateway {
         self.outbound_cap = Some(cap);
@@ -742,11 +575,10 @@ impl Gateway {
         self.mode
     }
 
-    /// The profile derivation fingerprint (`None` for the legacy
-    /// [`Gateway::new`] construction). Operators compare this across the
-    /// pair — equal fingerprints mean both sides derived identical
+    /// The profile derivation fingerprint. Operators compare this across
+    /// the pair — equal fingerprints mean both sides derived identical
     /// stacks; a key mismatch is caught here, before any traffic flows.
-    pub fn fingerprint(&self) -> Option<Fingerprint> {
+    pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
     }
 

@@ -30,8 +30,8 @@ use protoobf_core::tunnel::{TunnelDecoder, TunnelEncoder, TunnelError};
 use crate::conn::{Conn, ConnState};
 use crate::error::TransportError;
 use crate::evloop::{Drive, Session};
-use crate::gateway::{flush_from, read_into};
-use crate::metrics::{EventKind, Metrics};
+use crate::gateway::Leg;
+use crate::metrics::Metrics;
 
 /// Default byte cap of a [`PayloadBuf`]: a local source that outruns the
 /// tunnel's (deliberately modest) goodput blocks at the buffer instead of
@@ -176,9 +176,8 @@ pub fn spawn_reader(
 /// tunnel codec. See the module docs for the data flow and wake-pipe
 /// rationale.
 pub struct TunnelSession<'s, W: Write + Send> {
-    stream: TcpStream,
+    leg: Leg<'s>,
     wake_rx: Option<TcpStream>,
-    conn: Conn<'s>,
     enc: TunnelEncoder<'s>,
     dec: TunnelDecoder<'s>,
     source: Arc<PayloadBuf>,
@@ -186,9 +185,7 @@ pub struct TunnelSession<'s, W: Write + Send> {
     read_buf: Vec<u8>,
     scratch: Vec<u8>,
     source_finished: bool,
-    sent_shutdown: bool,
     exit_on_eof: bool,
-    gated: bool,
     metrics: &'s Metrics,
     token: u64,
 }
@@ -199,11 +196,9 @@ impl<W: Write + Send> std::fmt::Debug for TunnelSession<'_, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TunnelSession")
             .field("token", &self.token)
-            .field("conn", &self.conn)
+            .field("leg", &self.leg)
             .field("source_finished", &self.source_finished)
-            .field("sent_shutdown", &self.sent_shutdown)
             .field("exit_on_eof", &self.exit_on_eof)
-            .field("gated", &self.gated)
             .finish_non_exhaustive()
     }
 }
@@ -230,9 +225,8 @@ impl<'s, W: Write + Send> TunnelSession<'s, W> {
         let enc = TunnelEncoder::new(tx.codec(), seed)?;
         let dec = TunnelDecoder::new(rx.codec())?;
         Ok(TunnelSession {
-            stream,
+            leg: Leg::new(stream, Conn::new(rx, tx)),
             wake_rx: None,
-            conn: Conn::new(rx, tx),
             enc,
             dec,
             source,
@@ -240,9 +234,7 @@ impl<'s, W: Write + Send> TunnelSession<'s, W> {
             read_buf: vec![0u8; 16 * 1024],
             scratch: Vec::new(),
             source_finished: false,
-            sent_shutdown: false,
             exit_on_eof: false,
-            gated: false,
             metrics,
             token: 0,
         })
@@ -268,7 +260,7 @@ impl<'s, W: Write + Send> TunnelSession<'s, W> {
     /// production, which pauses payload pulls, which blocks the local
     /// producer — end-to-end backpressure.
     pub fn outbound_cap(mut self, cap: usize) -> Self {
-        self.conn.set_outbound_cap(cap);
+        self.leg.conn.set_outbound_cap(cap);
         self
     }
 
@@ -315,14 +307,14 @@ impl<W: Write + Send> Session for TunnelSession<'_, W> {
         let mut progress = self.drain_wake();
 
         // Inbound: socket bytes → frames → decoder → local sink.
-        progress |= read_into(&mut self.stream, &mut self.conn, &mut self.read_buf, self.metrics)?;
+        progress |= self.leg.read_into(&mut self.read_buf, self.metrics)?;
         loop {
             let parse_t = self.metrics.stages.parse.start();
-            let Some(msg) = self.conn.poll_inbound()? else { break };
+            let Some(msg) = self.leg.conn.poll_inbound()? else { break };
             self.metrics.stages.parse.finish(parse_t);
             Metrics::add(&self.metrics.messages_in, 1);
             self.dec.accept(msg)?;
-            self.metrics.frame_bytes_in.record(self.conn.last_inbound_frame_len() as u64);
+            self.metrics.frame_bytes_in.record(self.leg.conn.last_inbound_frame_len() as u64);
             progress = true;
         }
         self.scratch.clear();
@@ -348,40 +340,22 @@ impl<W: Write + Send> Session for TunnelSession<'_, W> {
             self.source_finished = true;
             progress = true;
         }
-        while self.conn.can_send() {
+        while self.leg.conn.can_send() {
             let Some(frame) = self.enc.next_cover()? else { break };
             let serialize_t = self.metrics.stages.serialize.start();
-            self.conn.send(&frame.message)?;
+            self.leg.conn.send(&frame.message)?;
             self.metrics.stages.serialize.finish(serialize_t);
             Metrics::add(&self.metrics.messages_out, 1);
             Metrics::add(&self.metrics.payload_bytes_out, frame.payload_len as u64);
-            self.metrics.frame_bytes_out.record(self.conn.last_outbound_frame_len() as u64);
+            self.metrics.frame_bytes_out.record(self.leg.conn.last_outbound_frame_len() as u64);
             progress = true;
         }
-        let engaged = !self.conn.can_send();
-        progress |= flush_from(&mut self.stream, &mut self.conn, self.metrics)?;
-        if engaged && !self.gated {
-            Metrics::add(&self.metrics.backpressure_events, 1);
-            self.metrics.recorder.record(
-                EventKind::Backpressure,
-                self.token,
-                self.conn.outbound_len() as u64,
-            );
-        }
-        self.gated = engaged;
-
+        let engaged = !self.leg.conn.can_send();
+        progress |= self.leg.flush_from(engaged, self.metrics, self.token)?;
         // Half-close once our whole stream (incl. FIN) is on the wire.
-        if !self.sent_shutdown
-            && self.source_finished
-            && self.enc.is_drained()
-            && !self.conn.has_outbound()
-        {
-            let _ = self.stream.shutdown(Shutdown::Write);
-            self.sent_shutdown = true;
-            progress = true;
-        }
+        progress |= self.leg.close_write(self.source_finished && self.enc.is_drained());
 
-        let peer_closed = self.conn.state() == ConnState::PeerClosed;
+        let peer_closed = self.leg.conn.state() == ConnState::PeerClosed;
         if peer_closed && !self.dec.is_complete() {
             // The peer's write side ended mid-stream: bytes are gone.
             return Err(TransportError::Tunnel(TunnelError::Incomplete {
@@ -389,7 +363,7 @@ impl<W: Write + Send> Session for TunnelSession<'_, W> {
                 expected: self.dec.total_expected(),
             }));
         }
-        let local_done = self.sent_shutdown && !self.conn.has_outbound();
+        let local_done = self.leg.write_closed;
         let remote_done = self.dec.is_complete();
         if local_done && remote_done && (self.exit_on_eof || peer_closed) {
             return Ok(Drive::Done);
@@ -398,7 +372,7 @@ impl<W: Write + Send> Session for TunnelSession<'_, W> {
     }
 
     fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.stream);
+        out.push(&self.leg.stream);
         if let Some(w) = &self.wake_rx {
             out.push(w);
         }

@@ -10,18 +10,30 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use protoobf_core::framing::{FrameReader, FrameWriter};
+use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::service::CodecService;
-use protoobf_core::{Codec, Obfuscator};
+use protoobf_core::Codec;
 use protoobf_protocols::modbus::{self, Function};
 use protoobf_transport::{evloop, serve_admin, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const SHARED_SEED: u64 = 0x0BF;
+const PROFILE: &str = "profile protoobf/1\n\
+                       spec builtin:modbus-request\n\
+                       key \"admin plane secret\"\n\
+                       level 2\n";
 const MSGS: usize = 16;
 
-fn obf_codec() -> Codec {
-    Obfuscator::new(&modbus::request_graph()).seed(SHARED_SEED).max_per_node(2).obfuscate().unwrap()
+/// Builds one gateway's endpoint from its own copy of the shared profile,
+/// resolving builtins from the protocols crate.
+fn endpoint() -> Endpoint {
+    let resolve = |src: &SpecSource| match src {
+        SpecSource::Builtin(name) => {
+            protoobf_protocols::builtin(name).ok_or_else(|| format!("unknown builtin {name}"))
+        }
+        other => Err(format!("unexpected source {other}")),
+    };
+    Profile::parse(PROFILE).unwrap().build_with(&resolve).unwrap()
 }
 
 /// One blocking HTTP request against the admin endpoint, the way curl
@@ -57,8 +69,8 @@ fn admin_endpoint_serves_scrapes_while_the_gateway_relays() {
     let admin_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let admin_addr = admin_listener.local_addr().unwrap();
 
-    let encode_gw = Gateway::new(&graph, obf_codec(), GatewayMode::Encode, decode_addr).unwrap();
-    let decode_gw = Gateway::new(&graph, obf_codec(), GatewayMode::Decode, server_addr).unwrap();
+    let encode_gw = Gateway::from_endpoint(&endpoint(), GatewayMode::Encode, decode_addr).unwrap();
+    let decode_gw = Gateway::from_endpoint(&endpoint(), GatewayMode::Decode, server_addr).unwrap();
     let server_svc = CodecService::new(Codec::identity(&graph));
     let server_metrics = Metrics::new();
     let telemetry = Arc::new(encode_gw.telemetry());

@@ -27,17 +27,13 @@ use protoobf_transport::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The builtin table the facade's standard resolver provides, recreated
-/// here from the protocols crate (transport cannot depend on the facade).
+/// The builtin half of the facade's standard resolver (transport cannot
+/// depend on the facade).
 fn resolver(src: &SpecSource) -> Result<FormatGraph, String> {
     match src {
-        SpecSource::Builtin(name) => match name.as_str() {
-            "dns-query" => Ok(protoobf_protocols::dns::query_graph()),
-            "dns-response" => Ok(protoobf_protocols::dns::response_graph()),
-            "modbus-request" => Ok(protoobf_protocols::modbus::request_graph()),
-            "modbus-response" => Ok(protoobf_protocols::modbus::response_graph()),
-            other => Err(format!("not in the test table: {other}")),
-        },
+        SpecSource::Builtin(name) => {
+            protoobf_protocols::builtin(name).ok_or_else(|| format!("unknown builtin {name}"))
+        }
         other => Err(format!("unexpected source {other}")),
     }
 }

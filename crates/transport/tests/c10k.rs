@@ -26,14 +26,18 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::service::CodecService;
-use protoobf_core::{Codec, Obfuscator};
+use protoobf_core::Codec;
 use protoobf_protocols::modbus::{self, Function};
 use protoobf_transport::{evloop, sys, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const SHARED_SEED: u64 = 0xC10C;
+const PROFILE: &str = "profile protoobf/1\n\
+                       spec builtin:modbus-request\n\
+                       key \"c10k secret\"\n\
+                       level 2\n";
 const DEFAULT_CONNS: usize = 10_000;
 /// Six sockets per end-to-end connection: client, encode down+up, decode
 /// down+up, echo.
@@ -42,6 +46,18 @@ const FDS_PER_CONN: usize = 6;
 /// "bounded under 10k connections", not a latency benchmark on shared CI
 /// hardware.
 const P99_BOUND_MICROS: u64 = 2_000_000;
+
+/// Builds one gateway's endpoint from its own copy of the shared profile,
+/// resolving builtins from the protocols crate.
+fn endpoint() -> Endpoint {
+    let resolve = |src: &SpecSource| match src {
+        SpecSource::Builtin(name) => {
+            protoobf_protocols::builtin(name).ok_or_else(|| format!("unknown builtin {name}"))
+        }
+        other => Err(format!("unexpected source {other}")),
+    };
+    Profile::parse(PROFILE).unwrap().build_with(&resolve).unwrap()
+}
 
 fn target_conns() -> usize {
     std::env::var("PROTOOBF_C10K_CONNS")
@@ -113,7 +129,6 @@ fn c10k_chain_relays_byte_identical_with_bounded_wake_latency() {
 
     let graph = modbus::request_graph();
     let clear = Codec::identity(&graph);
-    let obf = || Obfuscator::new(&graph).seed(SHARED_SEED).max_per_node(2).obfuscate().unwrap();
 
     let server_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let server_addr = server_listener.local_addr().unwrap();
@@ -122,8 +137,8 @@ fn c10k_chain_relays_byte_identical_with_bounded_wake_latency() {
     let encode_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let encode_addr = encode_listener.local_addr().unwrap();
 
-    let encode_gw = Gateway::new(&graph, obf(), GatewayMode::Encode, decode_addr).unwrap();
-    let decode_gw = Gateway::new(&graph, obf(), GatewayMode::Decode, server_addr).unwrap();
+    let encode_gw = Gateway::from_endpoint(&endpoint(), GatewayMode::Encode, decode_addr).unwrap();
+    let decode_gw = Gateway::from_endpoint(&endpoint(), GatewayMode::Decode, server_addr).unwrap();
     let server_svc = CodecService::new(Codec::identity(&graph));
     let server_metrics = Metrics::new();
 

@@ -41,12 +41,7 @@ fn corpus<'c>(clear: &'c CodecService, proto: &str, rng: &mut StdRng) -> Vec<Mes
 }
 
 fn graph_for(proto: &str) -> FormatGraph {
-    match proto {
-        "dns-query" => protoobf_protocols::dns::query_graph(),
-        "http-request" => protoobf_protocols::http::request_graph(),
-        "modbus-request" => protoobf_protocols::modbus::request_graph(),
-        other => panic!("unknown corpus {other}"),
-    }
+    protoobf_protocols::builtin(proto).unwrap_or_else(|| panic!("unknown builtin {proto}"))
 }
 
 /// The deterministic reference wire: identity codecs draw no random

@@ -251,10 +251,10 @@ fn scan_fallback_gates_reads_under_backpressure() {
     force_scan();
     for server in [Server::Echo, Server::Responder, Server::RelayChain] {
         let (expected, received, stats) = flood_and_drain(server);
+        assert_eq!(received.len(), MSGS);
         for (i, (got, want)) in received.iter().zip(&expected).enumerate() {
             assert_eq!(got, want, "{server:?}: reply {i} diverged under backpressure");
         }
-        assert_eq!(received.len(), MSGS);
         for snap in &stats {
             assert_eq!(snap.failed, 0, "{server:?}: backpressure must pause, not kill: {snap}");
         }

@@ -14,8 +14,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use protoobf_core::framing::{FrameReader, FrameWriter};
+use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::service::CodecService;
-use protoobf_core::{Codec, Obfuscator};
+use protoobf_core::Codec;
 use protoobf_protocols::modbus::{self, Function};
 use protoobf_transport::{
     evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics, MetricsSnapshot,
@@ -23,12 +24,23 @@ use protoobf_transport::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const SHARED_SEED: u64 = 0x0BF;
+const PROFILE: &str = "profile protoobf/1\n\
+                       spec builtin:modbus-request\n\
+                       key \"loopback tcp secret\"\n\
+                       level 2\n";
 const CLIENTS: usize = 64;
 const MSGS_PER_CLIENT: usize = 4;
 
-fn obf_codec() -> Codec {
-    Obfuscator::new(&modbus::request_graph()).seed(SHARED_SEED).max_per_node(2).obfuscate().unwrap()
+/// Builds one gateway's endpoint from its own copy of the shared profile,
+/// resolving builtins from the protocols crate.
+fn endpoint() -> Endpoint {
+    let resolve = |src: &SpecSource| match src {
+        SpecSource::Builtin(name) => {
+            protoobf_protocols::builtin(name).ok_or_else(|| format!("unknown builtin {name}"))
+        }
+        other => Err(format!("unexpected source {other}")),
+    };
+    Profile::parse(PROFILE).unwrap().build_with(&resolve).unwrap()
 }
 
 /// Runs the echo server + gateway pair, calls `clients` against the
@@ -47,8 +59,8 @@ fn with_gateway_chain(
     let encode_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let encode_addr = encode_listener.local_addr().unwrap();
 
-    let encode_gw = Gateway::new(&graph, obf_codec(), GatewayMode::Encode, decode_addr).unwrap();
-    let decode_gw = Gateway::new(&graph, obf_codec(), GatewayMode::Decode, server_addr).unwrap();
+    let encode_gw = Gateway::from_endpoint(&endpoint(), GatewayMode::Encode, decode_addr).unwrap();
+    let decode_gw = Gateway::from_endpoint(&endpoint(), GatewayMode::Decode, server_addr).unwrap();
     let server_svc = CodecService::new(Codec::identity(&graph));
     let server_metrics = Metrics::new();
 

@@ -104,18 +104,12 @@ impl SpecResolver for StdResolver {
 /// file, or DSL parse failure.
 pub fn resolve_spec(src: &SpecSource) -> Result<FormatGraph, String> {
     match src {
-        SpecSource::Builtin(name) => match name.as_str() {
-            "dns-query" => Ok(protocols::dns::query_graph()),
-            "dns-response" => Ok(protocols::dns::response_graph()),
-            "http-request" => Ok(protocols::http::request_graph()),
-            "http-response" => Ok(protocols::http::response_graph()),
-            "modbus-request" => Ok(protocols::modbus::request_graph()),
-            "modbus-response" => Ok(protocols::modbus::response_graph()),
-            other => Err(format!(
-                "unknown builtin protocol {other:?} (expected dns-query, dns-response, \
+        SpecSource::Builtin(name) => protocols::builtin(name).ok_or_else(|| {
+            format!(
+                "unknown builtin protocol {name:?} (expected dns-query, dns-response, \
                  http-request, http-response, modbus-request or modbus-response)"
-            )),
-        },
+            )
+        }),
         SpecSource::File(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;

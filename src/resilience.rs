@@ -18,31 +18,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::protocols::{dns, http, modbus};
-use crate::FormatGraph;
-
-/// The builtin protocols sampled into every trajectory cell, by resolver
-/// name (`builtin:NAME`).
-pub const BUILTIN_PROTOCOLS: [&str; 6] = [
-    "dns-query",
-    "dns-response",
-    "http-request",
-    "http-response",
-    "modbus-request",
-    "modbus-response",
-];
-
-fn graph_of(name: &str) -> FormatGraph {
-    match name {
-        "dns-query" => dns::query_graph(),
-        "dns-response" => dns::response_graph(),
-        "http-request" => http::request_graph(),
-        "http-response" => http::response_graph(),
-        "modbus-request" => modbus::request_graph(),
-        "modbus-response" => modbus::response_graph(),
-        other => unreachable!("not a builtin protocol: {other}"),
-    }
-}
+use crate::protocols::{builtin, BUILTIN_NAMES};
 
 /// Samples `n` wires of realistic traffic for `codec`: a handful of
 /// distinct application messages ("flows") serialized over and over,
@@ -164,8 +140,8 @@ fn score_mixed(
 ) -> LevelScore {
     let mut wires: Vec<Vec<u8>> = Vec::new();
     let mut labels: Vec<&'static str> = Vec::new();
-    for (pi, proto) in BUILTIN_PROTOCOLS.iter().enumerate() {
-        let graph = graph_of(proto);
+    for (pi, proto) in BUILTIN_NAMES.iter().enumerate() {
+        let graph = builtin(proto).expect("a bundled protocol");
         let codec = if level == 0 {
             Codec::identity(&graph)
         } else {

@@ -19,30 +19,13 @@
 
 use proptest::prelude::*;
 use protoobf::core::tunnel::{encode_stream, ChannelMap, TunnelDecoder, TunnelError};
-use protoobf::protocols::{dns, http, modbus};
+use protoobf::protocols::{builtin, BUILTIN_NAMES};
 use protoobf::{Codec, FormatGraph, Message, Obfuscator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const PROTOS: [&str; 6] = [
-    "dns-query",
-    "dns-response",
-    "http-request",
-    "http-response",
-    "modbus-request",
-    "modbus-response",
-];
-
 fn graph_of(proto: &str) -> FormatGraph {
-    match proto {
-        "dns-query" => dns::query_graph(),
-        "dns-response" => dns::response_graph(),
-        "http-request" => http::request_graph(),
-        "http-response" => http::response_graph(),
-        "modbus-request" => modbus::request_graph(),
-        "modbus-response" => modbus::response_graph(),
-        other => panic!("unknown builtin {other:?}"),
-    }
+    builtin(proto).unwrap_or_else(|| panic!("unknown builtin {proto:?}"))
 }
 
 fn obf_codec(graph: &FormatGraph, level: u32) -> Codec {
@@ -109,7 +92,7 @@ proptest! {
         payload_seed in any::<u64>(),
     ) {
         let level = [0u32, 2][level_idx];
-        let graph = graph_of(PROTOS[proto_idx]);
+        let graph = graph_of(BUILTIN_NAMES[proto_idx]);
         let clear = Codec::identity(&graph);
         let obf = obf_codec(&graph, level);
         let mut rng = StdRng::seed_from_u64(payload_seed);
@@ -119,7 +102,7 @@ proptest! {
         let out = round_trip_via_gateways(&clear, &obf, &msgs, payload_seed).unwrap();
         prop_assert_eq!(
             out, payload,
-            "{} level {} must deliver the payload byte-identically", PROTOS[proto_idx], level
+            "{} level {} must deliver the payload byte-identically", BUILTIN_NAMES[proto_idx], level
         );
     }
 
@@ -136,7 +119,7 @@ proptest! {
         pos in any::<usize>(),
         flip in 1u8..=255,
     ) {
-        let graph = graph_of(PROTOS[proto_idx]);
+        let graph = graph_of(BUILTIN_NAMES[proto_idx]);
         let clear = Codec::identity(&graph);
         let map = ChannelMap::analyze(&clear);
         let mut rng = StdRng::seed_from_u64(payload_seed);
@@ -162,13 +145,13 @@ proptest! {
         if !failed && dec.is_complete() {
             // Flip landed in padding (or was repaired by a duplicate):
             // the delivered stream must still be exactly the payload.
-            prop_assert_eq!(out, payload, "{}: undetected corruption", PROTOS[proto_idx]);
+            prop_assert_eq!(out, payload, "{}: undetected corruption", BUILTIN_NAMES[proto_idx]);
         } else if !failed {
             // Frame rejected as cover or stream left open: everything
             // actually delivered must be a prefix of the true payload.
             prop_assert!(
                 out.as_slice() == &payload[..out.len()],
-                "{}: delivered bytes diverge from the payload", PROTOS[proto_idx]
+                "{}: delivered bytes diverge from the payload", BUILTIN_NAMES[proto_idx]
             );
         }
     }
@@ -183,7 +166,7 @@ proptest! {
         order_seed in any::<u64>(),
         drop_idx in any::<usize>(),
     ) {
-        let graph = graph_of(PROTOS[proto_idx]);
+        let graph = graph_of(BUILTIN_NAMES[proto_idx]);
         let clear = Codec::identity(&graph);
         let mut rng = StdRng::seed_from_u64(payload_seed);
         let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
@@ -201,7 +184,7 @@ proptest! {
             dec.accept(&msgs[i]).unwrap();
             dec.take_ready(&mut out);
         }
-        prop_assert!(dec.is_complete(), "{}: reordered stream must complete", PROTOS[proto_idx]);
+        prop_assert!(dec.is_complete(), "{}: reordered stream must complete", BUILTIN_NAMES[proto_idx]);
         prop_assert_eq!(out, payload);
 
         // Drop one frame: the stream must stay typed-incomplete.
@@ -218,7 +201,7 @@ proptest! {
             }
             prop_assert!(
                 !dec.is_complete(),
-                "{}: a dropped frame must leave the stream incomplete", PROTOS[proto_idx]
+                "{}: a dropped frame must leave the stream incomplete", BUILTIN_NAMES[proto_idx]
             );
             prop_assert!(out.as_slice() == &payload[..out.len()], "prefix property violated");
         }
@@ -231,7 +214,7 @@ proptest! {
 fn sixty_four_kib_payload_round_trips_on_every_builtin() {
     let mut rng = StdRng::seed_from_u64(0x64_000);
     let payload: Vec<u8> = (0..64 * 1024).map(|_| rng.gen()).collect();
-    for proto in PROTOS {
+    for proto in BUILTIN_NAMES {
         let graph = graph_of(proto);
         let clear = Codec::identity(&graph);
         let obf = obf_codec(&graph, 2);
