@@ -192,8 +192,12 @@ impl<T> FreeList<T> {
         unsafe {
             *self.slab[index].item.get() = Some(item);
         }
-        self.push_node(&self.live, index);
+        // Counted before the node is published: a popper can take it the
+        // moment it is on `live`, and its decrement must not run ahead of
+        // this increment or `len` wraps below zero. The increment is
+        // sequenced before the Release CAS the popper's Acquire reads.
         let now = self.len.fetch_add(1, Ordering::Relaxed) + 1;
+        self.push_node(&self.live, index);
         // Relaxed max: a racing lower value only under-reports a gauge.
         let mut peak = self.high_water.load(Ordering::Relaxed);
         while now > peak {
