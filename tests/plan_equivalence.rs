@@ -123,3 +123,133 @@ fn modbus_function_sweep_is_equivalent() {
         }
     }
 }
+
+/// FNV-1a (64-bit) over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Wire digest of one golden case: a seeded `random_message` on the
+/// codec of `graph` at `level` (obfuscation seed `seed`), serialized with
+/// a seeded session.
+fn golden_digest(graph: &FormatGraph, level: u32, seed: u64) -> u64 {
+    let codec = codec_for(graph, level, seed);
+    let mut rng = StdRng::seed_from_u64(0x601D ^ (seed << 8) ^ u64::from(level));
+    let msg = random_message(&codec, &mut rng);
+    let mut wire = Vec::new();
+    codec.serializer().serialize_into_seeded(&msg, &mut wire, seed).unwrap();
+    fnv1a(&wire)
+}
+
+/// Golden wire digests per builtin, `[level][seed]`, recorded once. They
+/// pin what the accessor layer (setters, sampler) writes into a message:
+/// any change in how values are distributed, or in the random draws that
+/// produce them, moves a digest.
+const GOLDEN_WIRES: [(&str, [[u64; 3]; 4]); 6] = [
+    (
+        "dns-query",
+        [
+            [0xfe92c2c10e4f597d, 0x67b23f7e20d61196, 0xf2e4d587d4d44d79],
+            [0x4db4e0ff6c03929c, 0xab8776bc2205e1ce, 0xab3884f072f628b3],
+            [0x6eb94c78fdfb21ed, 0x1286bff98e20a44b, 0x29f1606af4a952b4],
+            [0x081b39f71ce9f909, 0x3feeab47582d9919, 0x1fd0db2e9bbe05bf],
+        ],
+    ),
+    (
+        "dns-response",
+        [
+            [0x5ab774269629f571, 0xf35a7056b4175eff, 0xf2e4d587d4d44d79],
+            [0x54fca1a44f77e5de, 0x2a1107563d49c7ae, 0x457307e796b1c36e],
+            [0x4ab1a1b8a9e0a76e, 0x6577f36cea76ca72, 0xb9b17ea56a9fcebc],
+            [0x422871515e5b7d8e, 0x8de573ae953a5afb, 0x48c97a0a0d9d619a],
+        ],
+    ),
+    (
+        "http-request",
+        [
+            [0xd63541407be73e2f, 0x471c1ec2728aa41d, 0xa64b0aa6fcb93fe4],
+            [0xab9c503ca1e24033, 0xf3ef58a3e5da6773, 0xf07a1c9757e46a66],
+            [0x740ab6ac4d6e1522, 0xecbf253c57cedfb9, 0x76c67178c9c35a06],
+            [0xe694c63b1c7ee5d9, 0x787f0ccb9d99b018, 0x054f34e549d3367b],
+        ],
+    ),
+    (
+        "http-response",
+        [
+            [0x53bad94e2c975257, 0xb4220af019780483, 0x60370cdf7d65e69e],
+            [0x6309eaad527bb1ac, 0x92eb9aec0527b9ca, 0x23cb4e2950bbf4d1],
+            [0x967a3a93fc09c95c, 0xbdc325243e8e4e22, 0x76c67178c9c35a06],
+            [0x49c2c4d1576ba296, 0xae1042d8f572e34a, 0x1ed467d5e8e2948b],
+        ],
+    ),
+    (
+        "modbus-request",
+        [
+            [0xc61a59b04fef2d38, 0x90b583d5156fe508, 0x5d3926e0eaa9b46f],
+            [0x8054f516b87a435b, 0x4d402e132879ac65, 0xa7be7bc385e3f38b],
+            [0xeac45afa00bca5eb, 0xd25aaed1fee723c3, 0x09b0b2437d408900],
+            [0x8dd25150e27c1d36, 0x6890820477732398, 0x76c7a3d24f97cc88],
+        ],
+    ),
+    (
+        "modbus-response",
+        [
+            [0xc61a59b04fef2d38, 0x90b583d5156fe508, 0x5d3926e0eaa9b46f],
+            [0x977543a7be41970d, 0x4d402e132879ac65, 0xa7be7bc385e3f38b],
+            [0x48a57842ff95dc86, 0x5da85fcd94d5cb42, 0x14a8c9a354a9fd2f],
+            [0x9f2deceb7ad0f427, 0xeb089834027d1d20, 0xd42adb2b209284b3],
+        ],
+    ),
+];
+
+#[test]
+fn golden_wire_digests_are_pinned() {
+    let mut got = Vec::new();
+    for (name, _) in GOLDEN_WIRES {
+        let graph = protoobf::protocols::builtin(name).unwrap();
+        let mut table = [[0u64; 3]; 4];
+        for level in 0..=3u32 {
+            for seed in 0..3u64 {
+                table[level as usize][seed as usize] = golden_digest(&graph, level, seed);
+            }
+        }
+        got.push((name, table));
+    }
+    for (&(name, want), (_, table)) in GOLDEN_WIRES.iter().zip(&got) {
+        assert_eq!(*table, want, "{name}: golden wire digests moved (got {table:#x?})");
+    }
+}
+
+/// Carrier capacities and the serialized cover stream of one tunnel
+/// encoder run (`http-request`, level 2, fixed payload), pinned.
+#[test]
+fn golden_tunnel_stream_is_pinned() {
+    use protoobf::core::tunnel::TunnelEncoder;
+    let codec = codec_for(&http::request_graph(), 2, 5);
+    let payload: Vec<u8> = (0..160u32).map(|i| (i * 13 % 251) as u8).collect();
+    let mut enc = TunnelEncoder::new(&codec, 21).unwrap();
+    enc.push(&payload);
+    enc.finish();
+    let mut capacities = Vec::new();
+    let mut stream = Vec::new();
+    while let Some(frame) = enc.next_cover().unwrap() {
+        capacities.push(enc.map().capacity(&frame.message));
+        let mut wire = Vec::new();
+        let seed = u64::from(frame.seq);
+        codec.serializer().serialize_into_seeded(&frame.message, &mut wire, seed).unwrap();
+        stream.extend_from_slice(&wire);
+    }
+    let want = [
+        23, 22, 18, 14, 19, 17, 17, 14, 17, 16, 14, 21, 20, 13, 19, 15, 20, 20, 16, 15, 18, 15, 23,
+        20, 17, 22, 13, 20, 20,
+    ];
+    assert_eq!(capacities, want, "tunnel carrier capacities moved");
+    assert_eq!(
+        fnv1a(&stream),
+        0x28a6_075b_b549_d03a,
+        "tunnel cover wires moved ({:#x})",
+        fnv1a(&stream)
+    );
+}
