@@ -29,9 +29,7 @@ use crate::error::BuildError;
 use crate::graph::{AutoValue, Boundary, NodeId, NodeType, StopRule};
 use crate::obf::{ObfGraph, ObfId};
 use crate::path::{self, Path};
-use crate::plan::{
-    CodecPlan, CopyProgram, CopyStep, DistErr, DistEval, DistProg, RecEval, RecProg,
-};
+use crate::plan::{CodecPlan, CopyProgram, CopyStep, DistEval, DistProg, RecEval, RecProg};
 use crate::runtime::{self, Scope};
 use crate::value::{Endian, TerminalKind, Value};
 
@@ -234,6 +232,12 @@ pub struct Message<'c> {
     pub(crate) presence: MetaStore<bool>,
     pub(crate) counts: MetaStore<usize>,
     rng: StdRng,
+    /// Evaluation scratch of the compiled plan programs: recovery (the
+    /// sampler's subject reads, and a relay target reading its source)
+    /// and distribution (the setters, and the copy programs writing into
+    /// this message). Warmed capacity travels with [`MessageState`].
+    ev: RecEval,
+    dist: DistEval,
     /// Uid of the last source graph this message was structurally
     /// validated against as a transcode destination (0 = none). Lets a
     /// reusable relay target skip the per-message [`plains_match`] walk;
@@ -241,9 +245,8 @@ pub struct Message<'c> {
     /// cache cannot be fooled by allocator address reuse.
     validated_src: u64,
     /// Compiled transcode state of a reusable relay target: the copy
-    /// program for the last source graph plus warmed recovery /
-    /// distribution scratch. `None` until the first
-    /// [`Message::transcode_into`] (or until armed by
+    /// program for the last source graph plus warmed read cursors. `None`
+    /// until the first [`Message::transcode_into`] (or until armed by
     /// [`crate::service::CodecService::transcode_target`]).
     transcode: Option<TranscodeCache>,
 }
@@ -251,40 +254,28 @@ pub struct Message<'c> {
 /// The compiled-transcode state a destination [`Message`] caches across
 /// relayed messages: which source graph the program was compiled for
 /// (uid, refreshed on every graph mutation), the shared program, and the
-/// reusable evaluation scratch. Once warm, running the program allocates
+/// reusable read cursors. Once warm, running the program allocates
 /// nothing.
 #[derive(Debug)]
 pub(crate) struct TranscodeCache {
     src_uid: u64,
     prog: Arc<CopyProgram>,
-    ev: RecEval,
-    dist: DistEval,
     /// Per-source-slot sequential read cursors (see
     /// [`WireStore::get_seq`]); reset per message, reused capacity.
     cursors: Vec<u32>,
 }
 
-impl TranscodeCache {
-    fn new(src_uid: u64, prog: Arc<CopyProgram>) -> TranscodeCache {
-        TranscodeCache {
-            src_uid,
-            prog,
-            ev: RecEval::default(),
-            dist: DistEval::default(),
-            cursors: Vec::new(),
-        }
-    }
-}
-
-/// The lifetime-free owned state of a [`Message`]: its stores and RNG
-/// without the graph borrow. Lets session scratch (and through it the
-/// [`crate::service::CodecService`] pools) carry warmed-up message
-/// capacity across checkouts.
+/// The lifetime-free owned state of a [`Message`]: its stores and
+/// evaluation scratch without the graph borrow. Lets session scratch (and
+/// through it the [`crate::service::CodecService`] pools) carry warmed-up
+/// message capacity across checkouts.
 #[derive(Debug)]
 pub(crate) struct MessageState {
     wires: WireStore,
     presence: MetaStore<bool>,
     counts: MetaStore<usize>,
+    ev: RecEval,
+    dist: DistEval,
     transcode: Option<TranscodeCache>,
 }
 
@@ -306,6 +297,8 @@ impl<'c> Message<'c> {
             presence: MetaStore::with_slots(n_plain),
             counts: MetaStore::with_slots(n_plain),
             rng: StdRng::seed_from_u64(seed),
+            ev: RecEval::default(),
+            dist: DistEval::default(),
             validated_src: 0,
             transcode: None,
         }
@@ -338,6 +331,8 @@ impl<'c> Message<'c> {
             presence: state.presence,
             counts: state.counts,
             rng: StdRng::seed_from_u64(rand::random()),
+            ev: state.ev,
+            dist: state.dist,
             validated_src: 0,
             transcode: state.transcode,
         };
@@ -354,6 +349,8 @@ impl<'c> Message<'c> {
             wires: self.wires,
             presence: self.presence,
             counts: self.counts,
+            ev: self.ev,
+            dist: self.dist,
             transcode: self.transcode,
         }
     }
@@ -410,38 +407,8 @@ impl<'c> Message<'c> {
     /// * [`BuildError::BadValueLength`], [`BuildError::IntegerOverflow`],
     ///   [`BuildError::ValueContainsDelimiter`] for invalid values.
     pub fn set(&mut self, path: &str, value: impl Into<Value>) -> Result<(), BuildError> {
-        let value = value.into();
         let (x, scope) = self.resolve(path)?;
-        let plain = self.graph.plain();
-        let node = plain.node(x);
-        let kind = match node.node_type() {
-            NodeType::Terminal(k) => k,
-            _ => return Err(BuildError::NotATerminal(path.to_string())),
-        };
-        if node.auto().is_auto() {
-            return Err(BuildError::AutoField(path.to_string()));
-        }
-        if let Some(w) = kind.implied_width() {
-            if value.len() != w {
-                return Err(BuildError::BadValueLength {
-                    path: path.to_string(),
-                    expected: w,
-                    found: value.len(),
-                });
-            }
-        }
-        if let Boundary::Delimited(d) = node.boundary() {
-            if runtime::contains(value.as_bytes(), d) {
-                return Err(BuildError::ValueContainsDelimiter { path: path.to_string() });
-            }
-        }
-        self.mark_ancestors(x, &scope);
-        let holder =
-            self.graph.holder_of(x).ok_or_else(|| BuildError::UnknownPath(path.to_string()))?;
-        let wires = &mut self.wires;
-        runtime::distribute(self.graph, holder, value, &scope, &mut self.rng, &mut |id, sc, v| {
-            wires.set(id.index(), sc, v.as_bytes());
-        })
+        self.set_at(x, &scope, value.into().as_bytes())
     }
 
     /// Sets an unsigned-integer field, encoding it with the field's
@@ -452,19 +419,68 @@ impl<'c> Message<'c> {
     /// [`BuildError::NotNumeric`] if the field is not an unsigned integer;
     /// [`BuildError::IntegerOverflow`] if the value does not fit.
     pub fn set_uint(&mut self, path: &str, v: u64) -> Result<(), BuildError> {
-        let (x, _) = self.resolve(path)?;
+        let (x, scope) = self.resolve(path)?;
         let (width, endian) = self.numeric_kind(x, path)?;
         let value = Value::from_uint(v, width, endian).ok_or(BuildError::IntegerOverflow {
             path: path.to_string(),
             width,
             value: v,
         })?;
-        self.set(path, value)
+        self.set_at(x, &scope, value.as_bytes())
     }
 
     /// Sets a text field.
     pub fn set_str(&mut self, path: &str, v: &str) -> Result<(), BuildError> {
-        self.set(path, Value::from(v))
+        let (x, scope) = self.resolve(path)?;
+        self.set_at(x, &scope, v.as_bytes())
+    }
+
+    /// Sets the plain value of terminal `x` at `scope`: the one setter
+    /// every path-based setter, the sampler and the tunnel run. Checks the
+    /// plain constraints (terminal, not auto, implied width, delimiter),
+    /// marks the enclosing optionals present and containers long enough,
+    /// then runs the holder's compiled distribution program into the wire
+    /// store. Errors name the plain field.
+    pub(crate) fn set_at(
+        &mut self,
+        x: NodeId,
+        scope: &[u32],
+        bytes: &[u8],
+    ) -> Result<(), BuildError> {
+        let graph = self.graph;
+        let node = graph.plain().node(x);
+        let name = || node.name().to_string();
+        let NodeType::Terminal(kind) = node.node_type() else {
+            return Err(BuildError::NotATerminal(name()));
+        };
+        if node.auto().is_auto() {
+            return Err(BuildError::AutoField(name()));
+        }
+        if let Some(w) = kind.implied_width() {
+            if bytes.len() != w {
+                return Err(BuildError::BadValueLength {
+                    path: name(),
+                    expected: w,
+                    found: bytes.len(),
+                });
+            }
+        }
+        if let Boundary::Delimited(d) = node.boundary() {
+            if runtime::contains(bytes, d) {
+                return Err(BuildError::ValueContainsDelimiter { path: name() });
+            }
+        }
+        let plan = graph.plan();
+        let prog = plan
+            .holder_slot(x)
+            .and_then(|h| plan.dist[h as usize])
+            .ok_or_else(|| BuildError::UnknownPath(name()))?;
+        self.mark_ancestors(x, scope);
+        self.dist.input().extend_from_slice(bytes);
+        let wires = &mut self.wires;
+        self.dist
+            .eval(plan, prog, &mut self.rng, &mut |obf, b| wires.set(obf as usize, scope, b))
+            .map_err(|e| e.into_build_error(graph))
     }
 
     /// Marks an optional subtree present without setting any of its fields
@@ -474,9 +490,14 @@ impl<'c> Message<'c> {
         if !matches!(self.graph.plain().node(x).node_type(), NodeType::Optional(_)) {
             return Err(BuildError::UnknownPath(format!("{path} is not an optional node")));
         }
-        self.mark_ancestors(x, &scope);
-        self.presence.set(x.index(), &scope, true);
+        self.mark_present_at(x, &scope);
         Ok(())
+    }
+
+    /// Marks optional `x` present at `scope` (and its ancestors).
+    pub(crate) fn mark_present_at(&mut self, x: NodeId, scope: &[u32]) {
+        self.mark_ancestors(x, scope);
+        self.presence.set(x.index(), scope, true);
     }
 
     /// True if the optional subtree at `path` is present.
@@ -538,21 +559,6 @@ impl<'c> Message<'c> {
         }
     }
 
-    /// Sets the plain value of terminal `x` at `scope` without path
-    /// resolution or value validation — the transcoding fast path ([`
-    /// Message::transcode_into`]): values come from an already-validated
-    /// message over the same plain specification.
-    fn set_value_at(&mut self, x: NodeId, scope: &[u32], value: Value) -> Result<(), BuildError> {
-        self.mark_ancestors(x, scope);
-        let holder = self.graph.holder_of(x).ok_or_else(|| {
-            BuildError::UnknownPath(self.graph.plain().node(x).name().to_string())
-        })?;
-        let wires = &mut self.wires;
-        runtime::distribute(self.graph, holder, value, scope, &mut self.rng, &mut |id, sc, v| {
-            wires.set(id.index(), sc, v.as_bytes());
-        })
-    }
-
     /// Copies every plain field value, presence flag and element count of
     /// `self` into `dst` (cleared first, capacity kept) — the transcoding
     /// primitive of the obfuscating gateway: a message parsed under one
@@ -587,12 +593,28 @@ impl<'c> Message<'c> {
             dst.arm_transcode(src_uid, Arc::new(prog));
         }
         dst.reset();
-        // Take the cache out so its scratch can be borrowed mutably next
-        // to the destination stores; a plain move, no allocation.
-        let mut cache = dst.transcode.take().expect("armed above");
-        let r = self.run_copy(dst, &mut cache);
-        dst.transcode = Some(cache);
-        r
+        // Run the armed program with the destination's own scratch.
+        let Message { graph, wires, presence, counts, rng, ev, dist, transcode, .. } = dst;
+        let graph: &ObfGraph = graph;
+        let TranscodeCache { prog, cursors, .. } = transcode.as_mut().expect("armed above");
+        let sp = self.graph.plan();
+        cursors.clear();
+        cursors.resize(sp.slots(), 0);
+        let mut run = CopyRun {
+            src: self,
+            sp,
+            dp: graph.plan(),
+            dst_graph: graph,
+            wires,
+            presence,
+            counts,
+            rng,
+            ev,
+            dist,
+            cursors,
+            scope: [0; MAX_SCOPE],
+        };
+        run.exec(&prog.steps, 0)
     }
 
     /// **Reference implementation** of [`Message::transcode_into`]: the
@@ -637,35 +659,8 @@ impl<'c> Message<'c> {
                 c.src_uid = src_uid;
                 c.prog = prog;
             }
-            None => self.transcode = Some(TranscodeCache::new(src_uid, prog)),
+            None => self.transcode = Some(TranscodeCache { src_uid, prog, cursors: Vec::new() }),
         }
-    }
-
-    /// Executes the compiled copy program against `dst`'s stores.
-    fn run_copy(
-        &self,
-        dst: &mut Message<'_>,
-        cache: &mut TranscodeCache,
-    ) -> Result<(), BuildError> {
-        let TranscodeCache { prog, ev, dist, cursors, .. } = cache;
-        let sp = self.graph.plan();
-        cursors.clear();
-        cursors.resize(sp.slots(), 0);
-        let mut run = CopyRun {
-            src: self,
-            sp,
-            dp: dst.graph.plan(),
-            dst_graph: dst.graph,
-            wires: &mut dst.wires,
-            presence: &mut dst.presence,
-            counts: &mut dst.counts,
-            rng: &mut dst.rng,
-            ev,
-            dist,
-            cursors,
-            scope: [0; MAX_SCOPE],
-        };
-        run.exec(&prog.steps, 0)
     }
 
     /// Convenience form of [`Message::transcode_into`] that allocates a
@@ -694,12 +689,20 @@ impl<'c> Message<'c> {
                 // Auto fields are derived from structure at serialization
                 // time; copying them would only re-assert what the
                 // destination recomputes anyway.
-                if !node.auto().is_auto() {
-                    if let Some(v) = self.value_at(x, scope) {
-                        dst.set_value_at(x, scope, v)?;
-                    }
+                if node.auto().is_auto() {
+                    return Ok(());
                 }
-                Ok(())
+                let Some(v) = self.value_at_walk(x, scope) else {
+                    return Ok(());
+                };
+                let holder = dst.graph.holder_of(x).ok_or_else(|| {
+                    BuildError::UnknownPath(dst.graph.plain().node(x).name().to_string())
+                })?;
+                dst.mark_ancestors(x, scope);
+                let wires = &mut dst.wires;
+                runtime::distribute(dst.graph, holder, v, scope, &mut dst.rng, &mut |id, sc, v| {
+                    wires.set(id.index(), sc, v.as_bytes());
+                })
             }
             NodeType::Sequence => {
                 for &c in node.children() {
@@ -751,9 +754,33 @@ impl<'c> Message<'c> {
         }
     }
 
-    /// Plain value of terminal `x` at `scope`: recovered from stored wires,
-    /// or computed for auto fields that were never materialized.
+    /// Plain value of terminal `x` at `scope`: recovered from stored wires
+    /// by the compiled recovery program, or computed for auto fields that
+    /// were never materialized.
     pub(crate) fn value_at(&self, x: NodeId, scope: &[u32]) -> Option<Value> {
+        let plan = self.graph.plan();
+        plan.holder_slot(x)?;
+        let mut ev = RecEval::default();
+        match recover(plan, &self.wires, &mut ev, x, scope) {
+            Some((s, l)) => Some(Value::from_bytes(ev.buf[s..s + l].to_vec())),
+            None => self.auto_value(x, scope),
+        }
+    }
+
+    /// Stored plain value of terminal `x` at `scope`, recovered into the
+    /// message's own scratch (no allocation once warm). Unlike
+    /// [`Message::value_at`] there is no auto-value fallback: `None` means
+    /// no value was set.
+    pub(crate) fn stored_at(&mut self, x: NodeId, scope: &[u32]) -> Option<&[u8]> {
+        let (s, l) = recover(self.graph.plan(), &self.wires, &mut self.ev, x, scope)?;
+        Some(&self.ev.buf[s..s + l])
+    }
+
+    /// **Reference** form of [`Message::value_at`] through the graph-walk
+    /// runtime ([`runtime::recover`]); only the reference interpreters
+    /// (the walk serializer and [`Message::transcode_into_walk`]) read
+    /// through it.
+    pub(crate) fn value_at_walk(&self, x: NodeId, scope: &[u32]) -> Option<Value> {
         let holder = self.graph.holder_of(x)?;
         let recovered = runtime::recover(self.graph, holder, scope, &|id, sc| {
             self.wires.get(id.index(), sc).map(|b| Value::from_bytes(b.to_vec()))
@@ -903,6 +930,26 @@ impl<'c> Message<'c> {
     }
 }
 
+/// Runs the compiled recovery program of plain terminal `x` at `scope`
+/// over `wires`, returning the value's range in `ev.buf` (`None` when `x`
+/// has no program or a wire is missing).
+fn recover(
+    plan: &CodecPlan,
+    wires: &WireStore,
+    ev: &mut RecEval,
+    x: NodeId,
+    scope: &[u32],
+) -> Option<(usize, usize)> {
+    let prog = (*plan.rec.get(x.index())?)?;
+    ev.eval(plan, prog, scope, &mut |obf, sc, buf| match wires.get(obf as usize, sc) {
+        Some(b) => {
+            buf.extend_from_slice(b);
+            true
+        }
+        None => false,
+    })
+}
+
 /// One execution of a compiled [`CopyProgram`]: the source message plus
 /// disjoint mutable borrows of the destination's stores, RNG and the
 /// cached evaluation scratch. The element scope lives in an inline array
@@ -1026,19 +1073,7 @@ impl CopyRun<'_, '_> {
             .eval(self.dp, dprog, &mut *self.rng, &mut |obf, bytes| {
                 wires.set(obf as usize, sc, bytes);
             })
-            .map_err(|e| {
-                let name = |o: u32| self.dst_graph.node(ObfId(o)).name().to_string();
-                match e {
-                    DistErr::BadLen { obf, expected, found } => BuildError::BadValueLength {
-                        path: name(obf),
-                        expected: expected as usize,
-                        found: found as usize,
-                    },
-                    DistErr::Delim { obf } => {
-                        BuildError::ValueContainsDelimiter { path: name(obf) }
-                    }
-                }
-            })
+            .map_err(|e| e.into_build_error(self.dst_graph))
     }
 }
 

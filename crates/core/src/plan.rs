@@ -14,9 +14,10 @@
 //! * every plain-graph lookup the interpreters used to perform per message
 //!   (reference targets, container depths, byte orders, auto-field
 //!   encodings) is resolved to plain `u32` indices at compile time;
-//! * the inverse-aggregation walk [`crate::runtime::recover`] runs per
-//!   holder is lowered into a [`RecStep`] program: a post-order,
-//!   stack-machine byte program evaluated by [`RecEval`] against reusable
+//! * the reference aggregation walks ([`crate::runtime`]) are lowered per
+//!   holder into a post-order [`RecStep`] recovery program and a
+//!   pre-order [`DistStep`] distribution program: stack-machine byte
+//!   programs evaluated by [`RecEval`] / [`DistEval`] against reusable
 //!   scratch buffers — no allocation, no recursion, no hashing;
 //! * auto-field sanity checks are collected into a flat
 //!   [`AutoCheck`] list walked after parsing.
@@ -252,7 +253,7 @@ pub(crate) enum RecStep {
 }
 
 /// One step of a compiled distribution program: the **forward** mirror of
-/// [`RecStep`], lowered from [`runtime::distribute`]. Steps run in
+/// [`RecStep`], lowered from the reference distribution walk. Steps run in
 /// pre-order against a stack of byte ranges; each split pops its input
 /// range and pushes the two child ranges (left on top), each store pops
 /// one range and emits it as a terminal's wire value.
@@ -279,7 +280,7 @@ pub(crate) enum DistStep {
 }
 
 /// Boundary validation of a distribution store (mirrors the checks of
-/// [`runtime::distribute`], performed on the **input** value before the
+/// the reference distribution walk, performed on the **input** value before the
 /// constant-op stack is applied).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DistCheck {
@@ -324,6 +325,23 @@ pub(crate) enum DistErr {
         /// Offending wire slot.
         obf: u32,
     },
+}
+
+impl DistErr {
+    /// The named [`crate::error::BuildError`] of this failure, naming the
+    /// offending wire terminal of `g`.
+    pub(crate) fn into_build_error(self, g: &ObfGraph) -> crate::error::BuildError {
+        use crate::error::BuildError;
+        let name = |obf: u32| g.node(ObfId(obf)).name().to_string();
+        match self {
+            DistErr::BadLen { obf, expected, found } => BuildError::BadValueLength {
+                path: name(obf),
+                expected: expected as usize,
+                found: found as usize,
+            },
+            DistErr::Delim { obf } => BuildError::ValueContainsDelimiter { path: name(obf) },
+        }
+    }
 }
 
 /// One step of a compiled transcode **copy program** (see
@@ -1129,9 +1147,10 @@ impl<'g> Compiler<'g> {
             }
         }
         // Distribution programs for every remaining holder root: the
-        // transcode copy programs ([`CopyProgram`]) distribute recovered
-        // source values into *application-set* fields too, not just the
-        // auto/const/pad bases the serializer materializes itself.
+        // setters ([`crate::message::Message::set_at`]) and the transcode
+        // copy programs ([`CopyProgram`]) distribute *application-set*
+        // values too, not just the auto/const/pad bases the serializer
+        // materializes itself.
         for x in plain.ids() {
             let h = self.plan.holder[x.index()];
             if h != NONE && self.live[h as usize] && self.plan.dist[h as usize].is_none() {
@@ -1325,7 +1344,7 @@ impl<'g> Compiler<'g> {
     }
 
     /// Lowers the holder subtree of one plain terminal into a post-order
-    /// recovery program (the compiled form of [`runtime::recover`]).
+    /// recovery program (the compiled form of the reference recovery walk).
     fn compile_rec(&mut self, holder: ObfId) -> Option<RecProg> {
         let mut steps = Vec::new();
         self.rec_of(holder, &mut steps)?;
@@ -1362,7 +1381,7 @@ impl<'g> Compiler<'g> {
 
     /// Lowers the holder subtree of one materializable node into a
     /// pre-order distribution program (the compiled, forward mirror of
-    /// [`runtime::distribute`]).
+    /// the recovery program).
     fn compile_dist(&mut self, root: ObfId) -> Option<DistProg> {
         let mut steps = Vec::new();
         self.dist_of(root, &mut steps)?;
@@ -1529,8 +1548,7 @@ impl RecEval {
 }
 
 /// Applies a constant-op stack in place (forward direction, constants
-/// cycled — the compiled form of the `apply_ops` closure inside
-/// [`runtime::distribute`]).
+/// cycled — the compiled form of the reference walk's `apply_ops`).
 pub(crate) fn apply_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
     for op in ops {
         let k = &op.k;
@@ -1546,9 +1564,9 @@ pub(crate) fn apply_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
 
 /// Reusable scratch state for distribution-program evaluation: the forward
 /// counterpart of [`RecEval`]. Buffers grow to a steady-state size and are
-/// then reused allocation-free, which is what lets
-/// [`crate::serialize::SerializeSession::materialize`] run without routing
-/// through the allocating [`runtime::distribute`].
+/// then reused allocation-free. Every production writer runs it: the
+/// setters ([`crate::message::Message::set_at`]), serializer
+/// materialization and the transcode copy programs.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DistEval {
     /// Work stack: contiguous `(start, len)` ranges into `buf`.
@@ -1569,8 +1587,8 @@ impl DistEval {
     /// Runs `prog` over the previously written input, emitting each
     /// terminal's wire bytes through `emit`. Random shares are drawn from
     /// `rng` byte-by-byte, in exactly the order of the reference
-    /// [`runtime::distribute`] walk, so both paths produce identical wires
-    /// for identical seeds.
+    /// distribution walk, so both produce identical wires for identical
+    /// seeds.
     pub(crate) fn eval<R: Rng + ?Sized>(
         &mut self,
         plan: &CodecPlan,
@@ -1832,6 +1850,30 @@ mod tests {
         let data = g.plain().resolve_names(&["data"]).unwrap();
         let dh = g.holder_of(data).unwrap();
         assert!(plan.dist[dh.index()].is_some(), "copy programs need source-holder programs");
+    }
+
+    #[test]
+    fn every_settable_field_has_a_distribution_program() {
+        // `Message::set_at` has no fallback: each application-set terminal
+        // with a value channel must distribute through a compiled program,
+        // at every obfuscation depth.
+        let plain = sample().plain().clone();
+        for (level, seed) in (1..=4).flat_map(|l| (0..8u64).map(move |s| (l, s))) {
+            let codec =
+                crate::engine::Obfuscator::new(&plain).seed(seed).max_per_node(level).obfuscate();
+            let g = codec.unwrap().obf_graph().clone();
+            let plan = CodecPlan::compile(&g);
+            for x in plain.ids() {
+                let node = plain.node(x);
+                if !node.is_terminal() || node.auto().is_auto() {
+                    continue;
+                }
+                if let Some(h) = plan.holder_slot(x) {
+                    let name = node.name();
+                    assert!(plan.dist[h as usize].is_some(), "level {level} seed {seed}: {name}");
+                }
+            }
+        }
     }
 
     #[test]

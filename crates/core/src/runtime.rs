@@ -1,11 +1,16 @@
-//! Shared runtime machinery: top-down value *distribution* (the forward
+//! Shared runtime machinery: scope helpers, byte-string search, and the
+//! **reference** graph walks of top-down value *distribution* (the forward
 //! aggregation transformations, τ) and bottom-up value *recovery* (their
 //! inverses, τ⁻¹).
 //!
-//! Both the accessor layer ([`crate::message`]) and the wire layer
-//! ([`crate::serialize`], [`crate::parse`]) use these primitives, which is
-//! what guarantees τ⁻¹ ∘ τ = id across the whole system: the same rewrite
-//! metadata drives both directions.
+//! Production code never runs the two walks: the accessors, the plan
+//! sessions and the transcode copy programs all execute the compiled
+//! distribution/recovery programs of [`crate::plan::CodecPlan`]. The walks
+//! serve only the reference interpreters the compiled paths are
+//! differentially tested against — the walk serializer
+//! ([`crate::serialize::serialize_seeded`]), the walk parser
+//! ([`crate::parse::parse`]) and
+//! [`crate::message::Message::transcode_into_walk`].
 
 use rand::Rng;
 
@@ -69,7 +74,7 @@ fn undo_ops(ops: &[crate::obf::ConstOp], v: Value) -> Value {
 ///
 /// [`BuildError::BadValueLength`] / [`BuildError::ValueContainsDelimiter`]
 /// when the input violates a boundary of the subtree.
-pub fn distribute<R: Rng + ?Sized>(
+pub(crate) fn distribute<R: Rng + ?Sized>(
     g: &ObfGraph,
     node: ObfId,
     input: Value,
@@ -145,7 +150,7 @@ fn pad_one(share: &[u8]) -> &[u8] {
 /// by the parser for structurally needed references).
 ///
 /// Returns `None` when a required wire value is missing from `lookup`.
-pub fn recover(
+pub(crate) fn recover(
     g: &ObfGraph,
     node: ObfId,
     scope: &[u32],

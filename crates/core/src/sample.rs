@@ -9,7 +9,9 @@ use rand::Rng;
 
 use crate::codec::Codec;
 use crate::graph::{Boundary, FormatGraph, NodeId, NodeType};
-use crate::message::Message;
+use crate::message::{Message, MAX_SCOPE};
+use crate::plan::pred_eval;
+use crate::runtime;
 use crate::value::{TerminalKind, Value};
 
 /// Builds a random, structurally valid message for `codec`'s plain
@@ -54,12 +56,11 @@ pub fn random_message_pinned<'c, R: Rng + ?Sized>(
 /// hot path (the transport responder's per-request replies). `msg` must
 /// have been created from `codec`.
 ///
-/// Note what this does and does not save: the message's wire/presence/
-/// count stores are reused, but sampled *values* still allocate (each
-/// bytes/text value is built as a fresh `Vec`/`String`, and instance
-/// paths are formatted per field) because the sampled structure varies
-/// draw to draw. Pooling removes the per-message store churn; the
-/// per-value churn is inherent to structure-varying sampling.
+/// The walk addresses fields by node and inline element scope and writes
+/// them through the compiled distribution programs, so a warmed message
+/// allocates only for the sampled *values* themselves: each drawn value
+/// is a fresh byte vector (plus, for delimited text, the delimiter-safe
+/// charset), because the sampled structure varies draw to draw.
 pub fn sample_into<R: Rng + ?Sized>(
     codec: &Codec,
     msg: &mut Message<'_>,
@@ -68,25 +69,17 @@ pub fn sample_into<R: Rng + ?Sized>(
 ) {
     msg.clear();
     let plain = codec.plain();
-    let mut set_paths = std::collections::HashMap::new();
-    fill(plain, plain.root(), msg, String::new(), rng, &mut set_paths, pins);
+    fill(plain, plain.root(), msg, &mut [0; MAX_SCOPE], 0, rng, pins);
 }
 
-fn join(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
-    }
-}
-
+/// Samples the subtree of `id` at element scope `scope[..depth]`.
 fn fill<R: Rng + ?Sized>(
     plain: &FormatGraph,
     id: NodeId,
     msg: &mut Message<'_>,
-    path: String,
+    scope: &mut [u32; MAX_SCOPE],
+    depth: usize,
     rng: &mut R,
-    set_paths: &mut std::collections::HashMap<NodeId, String>,
     pins: &[(NodeId, Value)],
 ) {
     let node = plain.node(id);
@@ -95,81 +88,59 @@ fn fill<R: Rng + ?Sized>(
             if node.auto().is_auto() {
                 return; // serializer computes these
             }
-            // Tabular counters that are user-set were already written by
-            // the tabular handler; don't overwrite them.
-            if msg.get(&path).is_ok() {
-                return;
-            }
-            let value = pins
-                .iter()
-                .find(|(p, _)| *p == id)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| random_value(plain, id, kind, rng));
-            msg.set(&path, value).expect("generated value satisfies the field constraints");
-            set_paths.insert(id, path);
+            let drawn;
+            let value = match pins.iter().find(|(p, _)| *p == id) {
+                Some((_, v)) => v,
+                None => {
+                    drawn = random_value(plain, id, kind, rng);
+                    &drawn
+                }
+            };
+            msg.set_at(id, &scope[..depth], value.as_bytes())
+                .expect("generated value satisfies the field constraints");
         }
         NodeType::Sequence => {
             for &c in node.children() {
-                let p = join(&path, plain.node(c).name());
-                fill(plain, c, msg, p, rng, set_paths, pins);
+                fill(plain, c, msg, scope, depth, rng, pins);
             }
         }
         NodeType::Optional(cond) => {
-            // Presence must follow the subject's (already set) value. The
-            // subject is in a scope-prefix of this optional (validated), so
-            // its most recently set concrete instance is the right one.
-            let present = set_paths
-                .get(&cond.subject)
-                .and_then(|p| msg.get(p).ok())
-                .map(|v| cond.predicate.eval(&v))
-                .unwrap_or(false);
+            // Presence follows the value the sampler stored for the
+            // subject. Validation puts the subject before this optional,
+            // at a scope prefix of it, and never in an optional this one
+            // is outside of, so that instance was filled already. Auto
+            // subjects hold no stored value: their branches stay absent.
+            let sd = runtime::container_depth(plain, cond.subject);
+            let present = msg
+                .stored_at(cond.subject, &scope[..sd])
+                .is_some_and(|v| pred_eval(&cond.predicate, v));
             if present {
-                let child = node.children()[0];
-                msg.mark_present(&path).expect("optional path resolves");
-                let p = join(&path, plain.node(child).name());
-                fill(plain, child, msg, p, rng, set_paths, pins);
+                msg.mark_present_at(id, &scope[..depth]);
+                fill(plain, node.children()[0], msg, scope, depth, rng, pins);
             }
         }
         NodeType::Repetition(_) | NodeType::Tabular => {
             let count = rng.gen_range(0..=3usize);
             if let (NodeType::Tabular, Boundary::Counter(c)) = (node.node_type(), node.boundary()) {
-                // A user-set counter must agree with the element count; the
-                // counter's concrete instance path was recorded when it was
-                // first filled (scope-prefix of this tabular).
-                if !plain.node(*c).auto().is_auto() {
-                    let cpath = set_paths.get(c).cloned().unwrap_or_else(|| path_of(plain, *c));
-                    if let Some(TerminalKind::UInt { width, endian }) =
-                        plain.node(*c).terminal_kind().cloned()
-                    {
-                        let v = Value::from_uint(count as u64, width, endian)
-                            .expect("small count fits");
-                        msg.set(&cpath, v).expect("counter path resolves");
-                        set_paths.insert(*c, cpath);
-                    }
+                // A user-set counter must agree with the element count:
+                // overwrite the instance filled earlier (at a scope prefix
+                // of this tabular, by the same validation rule).
+                if let (false, Some(TerminalKind::UInt { width, endian })) =
+                    (plain.node(*c).auto().is_auto(), plain.node(*c).terminal_kind())
+                {
+                    let v =
+                        Value::from_uint(count as u64, *width, *endian).expect("small count fits");
+                    let cd = runtime::container_depth(plain, *c);
+                    msg.set_at(*c, &scope[..cd], v.as_bytes()).expect("counter is settable");
                 }
             }
             let child = node.children()[0];
             for i in 0..count {
-                let p = format!("{path}[{i}].{}", plain.node(child).name());
-                fill(plain, child, msg, p, rng, set_paths, pins);
+                scope[depth] = i as u32;
+                fill(plain, child, msg, scope, depth + 1, rng, pins);
             }
         }
     }
-}
-
-/// Dotted path of a node from the root (skipping the root name).
-fn path_of(plain: &FormatGraph, id: NodeId) -> String {
-    let mut parts = vec![plain.node(id).name().to_string()];
-    let mut cur = plain.node(id).parent();
-    while let Some(p) = cur {
-        if plain.node(p).parent().is_none() {
-            break;
-        }
-        parts.push(plain.node(p).name().to_string());
-        cur = plain.node(p).parent();
-    }
-    parts.reverse();
-    parts.join(".")
 }
 
 fn random_value<R: Rng + ?Sized>(

@@ -33,8 +33,8 @@ use crate::graph::NodeId;
 use crate::message::{Message, WireStore};
 use crate::obf::{Base, ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
 use crate::plan::{
-    bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistErr, DistEval, PlanOp, RecEval, RepStopC,
-    SeqB, TermB, NONE,
+    bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, PlanOp, RecEval, RepStopC, SeqB, TermB,
+    NONE,
 };
 use crate::runtime::{self, Scope};
 use crate::value::{TerminalKind, Value};
@@ -333,7 +333,9 @@ impl<'c> SerializeSession<'c> {
             PlanOp::Opt { subject, subject_depth, pred, origin, origin_depth } => {
                 let od = (*origin_depth as usize).min(self.scratch.scope.len());
                 let present = msg.presence_of(NodeId(*origin), &self.scratch.scope[..od]);
-                let implied = self.subject_holds(*subject, *subject_depth, *pred, msg)?;
+                let pred = &plan.preds[*pred as usize];
+                let implied =
+                    self.read_ref(*subject, *subject_depth, msg, |v| pred_eval(pred, v))?;
                 if implied != present {
                     return Err(BuildError::OptionalMismatch {
                         path: self.obf_name(idx),
@@ -540,54 +542,48 @@ impl<'c> SerializeSession<'c> {
         dist.eval(plan, prog, rng, &mut |obf, bytes| {
             overlay.set(obf as usize, scope, bytes);
         })
-        .map_err(|e| match e {
-            DistErr::BadLen { obf, expected, found } => BuildError::BadValueLength {
-                path: obf_name(obf),
-                expected: expected as usize,
-                found: found as usize,
-            },
-            DistErr::Delim { obf } => BuildError::ValueContainsDelimiter { path: obf_name(obf) },
-        })
+        .map_err(|e| e.into_build_error(g))
     }
 
-    /// Holds the subject predicate of an optional against the message.
-    fn subject_holds(
+    /// The one reader of referenced plain values (optional subjects,
+    /// length and counter references): runs `x`'s compiled recovery
+    /// program at its container depth over the serialization overlay
+    /// (materialized auto subtrees) and then the message wires, and hands
+    /// the value to `f`. Auto fields that were never materialized fall
+    /// back to [`Message::value_at`].
+    fn read_ref<T>(
         &mut self,
-        subject: u32,
+        x: u32,
         depth: u8,
-        pred: u32,
         msg: &Message<'_>,
-    ) -> Result<bool, BuildError> {
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, BuildError> {
         let plan = self.plan;
-        let d = (depth as usize).min(self.scratch.scope.len());
-        if let Some(prog) = plan.rec[subject as usize] {
-            let SerializeScratch { ev, overlay, scope, .. } = &mut self.scratch;
-            let xscope = &scope[..d];
-            if let Some((s, l)) = ev.eval(plan, prog, xscope, &mut |obf, sc, buf| {
-                if let Some(b) = overlay.get(obf as usize, sc) {
+        let SerializeScratch { ev, overlay, scope, .. } = &mut self.scratch;
+        let xscope = &scope[..(depth as usize).min(scope.len())];
+        if let Some(prog) = plan.rec[x as usize] {
+            let load = &mut |obf: u32, sc: &[u32], buf: &mut Vec<u8>| match overlay
+                .get(obf as usize, sc)
+                .or_else(|| msg.wire(ObfId(obf), sc))
+            {
+                Some(b) => {
                     buf.extend_from_slice(b);
                     true
-                } else if let Some(b) = msg.wire(ObfId(obf), sc) {
-                    buf.extend_from_slice(b);
-                    true
-                } else {
-                    false
                 }
-            }) {
-                return Ok(pred_eval(&plan.preds[pred as usize], &ev.buf[s..s + l]));
+                None => false,
+            };
+            if let Some((s, l)) = ev.eval(plan, prog, xscope, load) {
+                return Ok(f(&ev.buf[s..s + l]));
             }
         }
-        // Slow path: auto subjects (or unrecoverable wires) go through the
-        // accessor recovery with its auto-value fallback.
-        let v = msg
-            .value_at(NodeId(subject), &self.scratch.scope[..d])
-            .ok_or_else(|| BuildError::MissingField(self.plain_name(subject)))?;
-        Ok(pred_eval(&plan.preds[pred as usize], v.as_bytes()))
+        match msg.value_at(NodeId(x), xscope) {
+            Some(v) => Ok(f(v.as_bytes())),
+            None => Err(BuildError::MissingField(self.plain_name(x))),
+        }
     }
 
-    /// Plain value of a referenced numeric field, as an unsigned integer
-    /// (overlay first, then message wires, then the accessor fallback for
-    /// never-materialized auto fields).
+    /// A referenced numeric field's plain value (see
+    /// [`SerializeSession::read_ref`]).
     fn msg_uint(
         &mut self,
         r: u32,
@@ -595,30 +591,8 @@ impl<'c> SerializeSession<'c> {
         endian: crate::value::Endian,
         msg: &Message<'_>,
     ) -> Result<u64, BuildError> {
-        let plan = self.plan;
-        let d = (depth as usize).min(self.scratch.scope.len());
-        if let Some(prog) = plan.rec[r as usize] {
-            let SerializeScratch { ev, overlay, scope, .. } = &mut self.scratch;
-            let xscope = &scope[..d];
-            if let Some((s, l)) = ev.eval(plan, prog, xscope, &mut |obf, sc, buf| {
-                if let Some(b) = overlay.get(obf as usize, sc) {
-                    buf.extend_from_slice(b);
-                    true
-                } else if let Some(b) = msg.wire(ObfId(obf), sc) {
-                    buf.extend_from_slice(b);
-                    true
-                } else {
-                    false
-                }
-            }) {
-                return bytes_to_uint(&ev.buf[s..s + l], endian)
-                    .ok_or_else(|| BuildError::NotNumeric(self.plain_name(r)));
-            }
-        }
-        let v = msg
-            .value_at(NodeId(r), &self.scratch.scope[..d])
-            .ok_or_else(|| BuildError::MissingField(self.plain_name(r)))?;
-        v.to_uint(endian).ok_or_else(|| BuildError::NotNumeric(self.plain_name(r)))
+        self.read_ref(r, depth, msg, |v| bytes_to_uint(v, endian))?
+            .ok_or_else(|| BuildError::NotNumeric(self.plain_name(r)))
     }
 }
 
@@ -749,7 +723,7 @@ impl<'a, 'c> Ctx<'a, 'c> {
                 let present = self.msg.presence_of(origin, &oscope);
                 let subject_scope = runtime::scoped(self.g.plain(), condition.subject, scope);
                 let subject =
-                    self.msg.value_at(condition.subject, &subject_scope).ok_or_else(|| {
+                    self.msg.value_at_walk(condition.subject, &subject_scope).ok_or_else(|| {
                         BuildError::MissingField(
                             self.g.plain().node(condition.subject).name().to_string(),
                         )
@@ -790,7 +764,7 @@ impl<'a, 'c> Ctx<'a, 'c> {
                 let origin = node.origin().expect("tabulars always have plain origins");
                 let oscope = runtime::scoped(self.g.plain(), origin, scope);
                 let m = self.msg.count_of(origin, &oscope);
-                let declared = self.ref_uint_of_counter(*counter, scope)?;
+                let declared = self.decode_plain_uint(*counter, scope)?;
                 if declared != m as u64 {
                     return Err(BuildError::LengthInconsistent {
                         path: node.name().to_string(),
@@ -986,19 +960,11 @@ impl<'a, 'c> Ctx<'a, 'c> {
         self.decode_plain_uint(r, scope)
     }
 
-    fn ref_uint_of_counter(
-        &self,
-        counter: crate::graph::NodeId,
-        scope: &[u32],
-    ) -> Result<u64, BuildError> {
-        self.decode_plain_uint(counter, scope)
-    }
-
     fn decode_plain_uint(&self, x: crate::graph::NodeId, scope: &[u32]) -> Result<u64, BuildError> {
         let xscope = runtime::scoped(self.g.plain(), x, scope);
         let v = self
             .msg
-            .value_at(x, &xscope)
+            .value_at_walk(x, &xscope)
             .ok_or_else(|| BuildError::MissingField(self.g.plain().node(x).name().to_string()))?;
         let endian = match self.g.plain().node(x).terminal_kind() {
             Some(TerminalKind::UInt { endian, .. }) => *endian,

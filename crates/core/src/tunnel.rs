@@ -59,7 +59,7 @@ use rand::{Rng, SeedableRng};
 use crate::codec::Codec;
 use crate::error::BuildError;
 use crate::graph::{AutoValue, Boundary, FormatGraph, NodeId, NodeType, Predicate};
-use crate::message::Message;
+use crate::message::{Message, ScopeKey, MAX_SCOPE};
 use crate::sample::random_message_pinned;
 use crate::value::{TerminalKind, Value};
 
@@ -224,14 +224,6 @@ impl From<BuildError> for TunnelError {
     }
 }
 
-fn join(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
-    }
-}
-
 /// FNV-1a over the frame header fields and payload, folded to 32 bits.
 fn frame_crc(flags: u8, seq: u32, payload: &[u8]) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -369,40 +361,44 @@ impl<'g> ChannelMap<'g> {
         self.plain.name()
     }
 
-    /// Concrete carrier instance paths of `msg`, in document order —
-    /// presence and element counts come from the message itself.
-    fn paths(&self, msg: &Message<'_>) -> Vec<String> {
+    /// Concrete carrier instances of `msg` — node and element scope, in
+    /// document order. Presence and element counts come from the message
+    /// itself.
+    fn instances(&self, msg: &Message<'_>) -> Vec<(NodeId, ScopeKey)> {
         let mut out = Vec::new();
-        self.visit(msg, self.plain.root(), String::new(), &mut out);
+        self.visit(msg, self.plain.root(), &mut [0; MAX_SCOPE], 0, &mut out);
         out
     }
 
-    fn visit(&self, msg: &Message<'_>, id: NodeId, path: String, out: &mut Vec<String>) {
+    fn visit(
+        &self,
+        msg: &Message<'_>,
+        id: NodeId,
+        scope: &mut [u32; MAX_SCOPE],
+        depth: usize,
+        out: &mut Vec<(NodeId, ScopeKey)>,
+    ) {
         let node = self.plain.node(id);
         match node.node_type() {
             NodeType::Terminal(_) => {
                 if self.carrier[id.index()] {
-                    out.push(path);
+                    out.push((id, ScopeKey::from_slice(&scope[..depth])));
                 }
             }
             NodeType::Sequence => {
                 for &c in node.children() {
-                    let p = join(&path, self.plain.node(c).name());
-                    self.visit(msg, c, p, out);
+                    self.visit(msg, c, scope, depth, out);
                 }
             }
             NodeType::Optional(_) => {
-                if msg.is_present(&path) {
-                    let child = node.children()[0];
-                    let p = join(&path, self.plain.node(child).name());
-                    self.visit(msg, child, p, out);
+                if msg.presence_of(id, &scope[..depth]) {
+                    self.visit(msg, node.children()[0], scope, depth, out);
                 }
             }
             NodeType::Repetition(_) | NodeType::Tabular => {
-                let child = node.children()[0];
-                let name = self.plain.node(child).name();
-                for i in 0..msg.element_count(&path) {
-                    self.visit(msg, child, format!("{path}[{i}].{name}"), out);
+                for i in 0..msg.count_of(id, &scope[..depth]) {
+                    scope[depth] = i as u32;
+                    self.visit(msg, node.children()[0], scope, depth + 1, out);
                 }
             }
         }
@@ -411,14 +407,15 @@ impl<'g> ChannelMap<'g> {
     /// Channel capacity of one concrete message: the summed byte length
     /// of its carrier instances.
     pub fn capacity(&self, msg: &Message<'_>) -> usize {
-        self.paths(msg).iter().map(|p| msg.get(p).map(|v| v.len()).unwrap_or(0)).sum()
+        let len = |(x, sc): &(NodeId, ScopeKey)| msg.value_len_at(*x, sc.as_slice());
+        self.instances(msg).iter().map(|i| len(i).unwrap_or(0)).sum()
     }
 
     /// Appends the message's channel bytes (carrier instance values in
     /// document order) to `out`.
     pub fn read_channel(&self, msg: &Message<'_>, out: &mut Vec<u8>) {
-        for p in self.paths(msg) {
-            if let Ok(v) = msg.get(&p) {
+        for (x, sc) in self.instances(msg) {
+            if let Some(v) = msg.value_at(x, sc.as_slice()) {
                 out.extend_from_slice(v.as_bytes());
             }
         }
@@ -430,16 +427,15 @@ impl<'g> ChannelMap<'g> {
     /// contents change). `bytes` must exactly fill the capacity.
     pub fn write_channel(&self, msg: &mut Message<'_>, bytes: &[u8]) -> Result<(), TunnelError> {
         let mut off = 0usize;
-        for p in self.paths(msg) {
-            let len = msg.get(&p).map(|v| v.len()).unwrap_or(0);
-            let end = off + len;
+        for (x, sc) in self.instances(msg) {
+            let end = off + msg.value_len_at(x, sc.as_slice()).unwrap_or(0);
             let Some(chunk) = bytes.get(off..end) else {
                 return Err(TunnelError::ChannelMismatch {
                     expected: self.capacity(msg),
                     got: bytes.len(),
                 });
             };
-            msg.set(&p, Value::from_bytes(chunk.to_vec()))?;
+            msg.set_at(x, sc.as_slice(), chunk)?;
             off = end;
         }
         if off != bytes.len() {

@@ -100,23 +100,7 @@ impl Value {
     ///
     /// Returns `None` if the value is longer than 8 bytes.
     pub fn to_uint(&self, endian: Endian) -> Option<u64> {
-        if self.0.len() > 8 {
-            return None;
-        }
-        let mut acc: u64 = 0;
-        match endian {
-            Endian::Big => {
-                for &b in &self.0 {
-                    acc = (acc << 8) | u64::from(b);
-                }
-            }
-            Endian::Little => {
-                for &b in self.0.iter().rev() {
-                    acc = (acc << 8) | u64::from(b);
-                }
-            }
-        }
-        Some(acc)
+        crate::plan::bytes_to_uint(&self.0, endian)
     }
 
     /// Borrows the underlying bytes.
