@@ -971,7 +971,7 @@ mod tests {
         assert_eq!(stretch_key(b"secret"), stretch_key(b"secret"));
         assert_ne!(stretch_key(b"secret"), stretch_key(b"secres"));
         assert_ne!(stretch_key(b""), stretch_key(b"\x00"));
-        // The decimal-string mapping the CLI uses for legacy --seed.
+        // Numeric keys (the CLI default is "0") still differ.
         assert_ne!(stretch_key(b"1"), stretch_key(b"2"));
     }
 

@@ -15,7 +15,7 @@ BIN="${PROTOOBF_BIN:-target/release/protoobf}"
 COUNT="${SMOKE_COUNT:-64}"
 CLIENT_TIMEOUT="${SMOKE_TIMEOUT:-120}"
 PORT="${SMOKE_BASE_PORT:-19750}"
-SEED=7
+KEY=7
 LEVEL=2
 
 logdir=$(mktemp -d)
@@ -61,7 +61,7 @@ level 2
 PROFILE
 
 for spec in dns-query http-request modbus-request; do
-    "$BIN" lint "builtin:$spec" --seed $SEED --level $LEVEL \
+    "$BIN" lint "builtin:$spec" --key $KEY --level $LEVEL \
         >"$logdir/lint-$spec.log" 2>&1 \
         || { echo "[smoke] lint failed for builtin:$spec" >&2; exit 1; }
 done
@@ -76,11 +76,11 @@ for spec in dns-query http-request modbus-request; do
     "$BIN" recv "builtin:$spec" --listen "127.0.0.1:$p_server" --accept-limit 1 \
         2>"$logdir/$spec-recv.log" &
     recv_pid=$!
-    "$BIN" gateway "builtin:$spec" --mode decode --seed $SEED --level $LEVEL \
+    "$BIN" gateway "builtin:$spec" --mode decode --key $KEY --level $LEVEL \
         --listen "127.0.0.1:$p_obf" --upstream "127.0.0.1:$p_server" --accept-limit 1 \
         2>"$logdir/$spec-decode.log" &
     dec_pid=$!
-    "$BIN" gateway "builtin:$spec" --mode encode --seed $SEED --level $LEVEL \
+    "$BIN" gateway "builtin:$spec" --mode encode --key $KEY --level $LEVEL \
         --listen "127.0.0.1:$p_client" --upstream "127.0.0.1:$p_obf" --accept-limit 1 \
         2>"$logdir/$spec-encode.log" &
     enc_pid=$!
@@ -90,7 +90,7 @@ for spec in dns-query http-request modbus-request; do
     wait_ready "gateway on" "$logdir/$spec-decode.log"
     wait_ready "gateway on" "$logdir/$spec-encode.log"
     timeout "$CLIENT_TIMEOUT" "$BIN" send "builtin:$spec" \
-        --connect "127.0.0.1:$p_client" --count "$COUNT" --seed 3
+        --connect "127.0.0.1:$p_client" --count "$COUNT" --key 3
 
     # wait with multiple PIDs reports only the last one's status; loop so
     # a responder/decode-gateway failure cannot be masked.
@@ -155,11 +155,11 @@ PORT=$((PORT + 4))
 "$BIN" recv "builtin:$spec" --listen "127.0.0.1:$p_server" --accept-limit 2 \
     2>"$logdir/telemetry-recv.log" &
 recv_pid=$!
-"$BIN" gateway "builtin:$spec" --mode decode --seed $SEED --level $LEVEL \
+"$BIN" gateway "builtin:$spec" --mode decode --key $KEY --level $LEVEL \
     --listen "127.0.0.1:$p_obf" --upstream "127.0.0.1:$p_server" --accept-limit 2 \
     2>"$logdir/telemetry-decode.log" &
 dec_pid=$!
-"$BIN" gateway "builtin:$spec" --mode encode --seed $SEED --level $LEVEL \
+"$BIN" gateway "builtin:$spec" --mode encode --key $KEY --level $LEVEL \
     --listen "127.0.0.1:$p_client" --upstream "127.0.0.1:$p_obf" --accept-limit 2 \
     --admin "127.0.0.1:$p_admin" 2>"$logdir/telemetry-encode.log" &
 enc_pid=$!
@@ -173,7 +173,7 @@ scrape "$p_admin" /health | grep -q '^ok' \
     || { echo "[smoke] /health did not answer ok" >&2; exit 1; }
 
 timeout "$CLIENT_TIMEOUT" "$BIN" send "builtin:$spec" \
-    --connect "127.0.0.1:$p_client" --count "$COUNT" --seed 3 --quiet
+    --connect "127.0.0.1:$p_client" --count "$COUNT" --key 3 --quiet
 
 # The encode gateway decodes every client request AND every upstream
 # echo: the live counter must read exactly 2×COUNT after run one.
@@ -188,7 +188,7 @@ scrape "$p_admin" /events | grep -q 'accept' \
     || { echo "[smoke] /events shows no accept event" >&2; exit 1; }
 
 timeout "$CLIENT_TIMEOUT" "$BIN" send "builtin:$spec" \
-    --connect "127.0.0.1:$p_client" --count "$COUNT" --seed 4
+    --connect "127.0.0.1:$p_client" --count "$COUNT" --key 4
 
 for pid in "$recv_pid" "$dec_pid" "$enc_pid"; do wait "$pid"; done
 echo "[smoke] telemetry plane: live scrape saw $msgs relayed messages"

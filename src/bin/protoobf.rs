@@ -44,9 +44,9 @@
 //! [`protoobf::Profile`] text format. The profile is the deployment's
 //! single source of truth: spec source(s) (optionally distinct per
 //! direction — asymmetric request/response), the shared key, level,
-//! allowed transformations and service tuning. Legacy flags map onto an
-//! implicit symmetric profile: `--key STRING` sets the secret, `--seed N`
-//! is the deprecated alias for `--key N`, `--level N` the budget.
+//! allowed transformations and service tuning. Flags map onto an implicit
+//! symmetric profile: `--key STRING` sets the secret (default `"0"`),
+//! `--level N` the budget.
 //!
 //! A full loopback deployment (the paper's gateway-pair model), driven by
 //! two copies of one profile file:
@@ -110,7 +110,7 @@ fn usage(msg: &str) -> String {
         "error: {msg}\n\
          usage: protoobf <check|lint|print|dot|gen|demo|gateway|recv|send|tunnel|fuzz|resilience>\n\
          \x20      <spec-file|builtin:NAME> | --profile FILE\n\
-         \x20      [--key STRING] [--seed N (deprecated alias for --key N)] [--level N]\n\
+         \x20      [--key STRING] [--level N]\n\
          \x20      [-o FILE] [--listen ADDR] [--upstream ADDR] [--connect ADDR]\n\
          \x20      [--mode encode|decode] [--workers N] [--accept-limit N] [--count N]\n\
          \x20      [--accept-burst N] [--backpressure BYTES]\n\
@@ -123,7 +123,6 @@ struct Options {
     spec_path: Option<String>,
     profile: Option<String>,
     level: Option<u32>,
-    seed: Option<u64>,
     key: Option<String>,
     out: Option<String>,
     listen: Option<String>,
@@ -150,7 +149,6 @@ fn parse_options(args: &[String], spec_required: bool) -> Result<Options, String
         spec_path: None,
         profile: None,
         level: None,
-        seed: None,
         key: None,
         out: None,
         listen: None,
@@ -177,7 +175,6 @@ fn parse_options(args: &[String], spec_required: bool) -> Result<Options, String
         match arg.as_str() {
             "--profile" => opts.profile = Some(value("--profile")?),
             "--level" => opts.level = Some(number("--level", &value("--level")?)?),
-            "--seed" => opts.seed = Some(number("--seed", &value("--seed")?)?),
             "--key" => opts.key = Some(value("--key")?),
             "-o" | "--out" => opts.out = Some(value("-o")?),
             "--listen" => opts.listen = Some(addr("--listen", &value("--listen")?)?),
@@ -214,11 +211,7 @@ fn parse_options(args: &[String], spec_required: bool) -> Result<Options, String
         if let Some(spec) = &opts.spec_path {
             return Err(format!("--profile excludes the positional spec {spec:?}"));
         }
-        for (flag, given) in [
-            ("--seed", opts.seed.is_some()),
-            ("--key", opts.key.is_some()),
-            ("--level", opts.level.is_some()),
-        ] {
+        for (flag, given) in [("--key", opts.key.is_some()), ("--level", opts.level.is_some())] {
             if given {
                 return Err(format!("--profile excludes {flag} (set it in the profile file)"));
             }
@@ -248,7 +241,7 @@ fn addr(flag: &str, v: &str) -> Result<String, String> {
 }
 
 /// The profile driving this invocation: `--profile FILE`, or an implicit
-/// symmetric profile assembled from the legacy flags.
+/// symmetric profile assembled from the spec, `--key` and `--level`.
 fn profile_for(opts: &Options) -> Result<Profile, CliError> {
     if let Some(path) = &opts.profile {
         let text = std::fs::read_to_string(path)
@@ -262,21 +255,7 @@ fn profile_for(opts: &Options) -> Result<Profile, CliError> {
         Some(name) => SpecSource::Builtin(name.to_string()),
         None => SpecSource::File(raw.to_string()),
     };
-    // Legacy mapping: --seed N is an alias for --key N (the decimal
-    // string); explicit --key wins. Default key "0" matches the old
-    // default seed of 0.
-    let key = match (&opts.key, opts.seed) {
-        (Some(k), _) => k.clone(),
-        (None, Some(seed)) => {
-            eprintln!(
-                "note: --seed {seed} is deprecated and now derives the stack from key \
-                 \"{seed}\" (not the raw u64 seed of older releases); pair only with peers \
-                 on the same version, and prefer --key or a profile file"
-            );
-            seed.to_string()
-        }
-        (None, None) => "0".to_string(),
-    };
+    let key = opts.key.clone().unwrap_or_else(|| "0".to_string());
     Ok(Profile::symmetric(spec).key(key).level(opts.level.unwrap_or(1)))
 }
 
@@ -578,7 +557,7 @@ fn run() -> Result<(), CliError> {
             let mut writer = FrameWriter::new(tx_clear, &stream);
             let mut reader = FrameReader::new(rx_clear, &stream);
             use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(opts.seed.unwrap_or(0));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
             let symmetric = endpoint.is_symmetric();
             let mut bytes = 0usize;
             eprintln!("fingerprint {}", endpoint.fingerprint());

@@ -53,7 +53,7 @@ fn print_is_reparseable() {
 fn demo_roundtrips() {
     let path = write_spec("demo", SPEC);
     let out =
-        cli().args(["demo"]).arg(&path).args(["--level", "2", "--seed", "9"]).output().unwrap();
+        cli().args(["demo"]).arg(&path).args(["--level", "2", "--key", "9"]).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("round-trip: ok"), "{stdout}");
@@ -66,7 +66,7 @@ fn gen_writes_c_library() {
     let out = cli()
         .arg("gen")
         .arg(&path)
-        .args(["--level", "1", "--seed", "3", "-o"])
+        .args(["--level", "1", "--key", "3", "-o"])
         .arg(&out_path)
         .output()
         .unwrap();
@@ -121,7 +121,7 @@ fn unknown_flags_and_malformed_values_route_through_usage() {
     let path = write_spec("badflags", SPEC);
     let cases: &[(&[&str], &str)] = &[
         (&["check", "--bogus-flag"], "--bogus-flag"),
-        (&["demo", "--seed", "not-a-number"], "not-a-number"),
+        (&["demo", "--seed", "3"], "--seed"),
         (&["demo", "--level", "x9"], "x9"),
         (&["gateway", "--listen", "not@an:addr"], "not@an:addr"),
         (&["send", "--connect", "12345"], "12345"),
@@ -139,9 +139,9 @@ fn unknown_flags_and_malformed_values_route_through_usage() {
 
     // A flag at the very end with its value missing (no spec path after
     // it to swallow).
-    let out = cli().arg("demo").arg(&path).arg("--seed").output().unwrap();
+    let out = cli().arg("demo").arg(&path).arg("--key").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--seed needs a value"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--key needs a value"));
 }
 
 #[test]
@@ -158,9 +158,9 @@ fn missing_spec_and_profile_conflicts_are_usage_errors() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--profile excludes"));
     let out =
-        cli().args(["check", "--profile"]).arg(&profile).args(["--seed", "3"]).output().unwrap();
+        cli().args(["check", "--profile"]).arg(&profile).args(["--key", "3"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--seed"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--key"));
 }
 
 fn write_profile(name: &str, body: &str) -> std::path::PathBuf {
@@ -298,21 +298,6 @@ fn hostnames_pass_flag_parsing_and_fail_at_runtime() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(!String::from_utf8_lossy(&out.stderr).contains("usage:"));
-}
-
-/// The legacy --seed alias changes derivation semantics versus pre-profile
-/// releases; the CLI must say so out loud.
-#[test]
-fn seed_flag_warns_about_deprecation() {
-    let path = write_spec("seedwarn", SPEC);
-    let out = cli().arg("demo").arg(&path).args(["--seed", "7"]).output().unwrap();
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("deprecated"), "{stderr}");
-    // --key stays silent.
-    let out = cli().arg("demo").arg(&path).args(["--key", "7"]).output().unwrap();
-    assert!(out.status.success());
-    assert!(!String::from_utf8_lossy(&out.stderr).contains("deprecated"));
 }
 
 #[test]
