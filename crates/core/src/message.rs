@@ -619,8 +619,8 @@ impl<'c> Message<'c> {
 
     /// **Reference implementation** of [`Message::transcode_into`]: the
     /// direct recursive walk over the shared plain specification, copying
-    /// one field at a time through the allocating graph-walk runtime
-    /// ([`runtime::recover`] / [`runtime::distribute`]). Kept as the
+    /// one field at a time through the allocating graph walks of
+    /// [`crate::runtime`]. Kept as the
     /// executable specification the compiled copy-program path is
     /// differentially tested against (`tests/transcode_differential.rs`);
     /// production relays use `transcode_into`.
