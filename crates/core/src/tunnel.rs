@@ -407,8 +407,8 @@ impl<'g> ChannelMap<'g> {
     /// Channel capacity of one concrete message: the summed byte length
     /// of its carrier instances.
     pub fn capacity(&self, msg: &Message<'_>) -> usize {
-        let len = |(x, sc): &(NodeId, ScopeKey)| msg.value_len_at(*x, sc.as_slice());
-        self.instances(msg).iter().map(|i| len(i).unwrap_or(0)).sum()
+        let instances = self.instances(msg);
+        instances.iter().map(|(x, sc)| msg.value_len_at(*x, sc.as_slice()).unwrap_or(0)).sum()
     }
 
     /// Appends the message's channel bytes (carrier instance values in
