@@ -284,7 +284,10 @@ fn bench_service(c: &mut Criterion) {
 /// clear frame, transcode, encode obfuscated; then the decode gateway's
 /// inverse back to clear), which is exactly the per-message work a
 /// `Relay` pair performs. Throughput is bytes of relayed payload per
-/// second; the round trip counts the payload once per gateway.
+/// second; the round trip counts the payload once per gateway. The
+/// `serialize-session`/`parse-session` rows time the clear codec's two
+/// directions on the same message, and the group asserts that
+/// serializing costs at most twice as much as parsing.
 fn bench_relay(c: &mut Criterion) {
     let graph = bulk_graph();
     let clear = Codec::identity(&graph);
@@ -311,6 +314,17 @@ fn bench_relay(c: &mut Criterion) {
             b.iter(|| src.transcode_into_walk(&mut walk_dst).unwrap())
         });
 
+        let mut serializer = clear.serializer();
+        let mut out = Vec::new();
+        group.bench_with_input(BenchmarkId::new("serialize-session", "64KiB"), &0u32, |b, _| {
+            b.iter(|| serializer.serialize_into_seeded(&msg, &mut out, 1).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("parse-session", "64KiB"), &0u32, |b, _| {
+            b.iter(|| {
+                parser.parse_in_place(&clear_wire).unwrap();
+            })
+        });
+
         // Full gateway pair: encode side (clear in → obf out) and decode
         // side (obf in → clear out), all sessions and targets long-lived.
         let mut clear_parser = clear.parser();
@@ -333,6 +347,23 @@ fn bench_relay(c: &mut Criterion) {
             })
         });
         group.finish();
+    }
+    // Serializer guard: the emit walk reads every store in order through
+    // sequential cursors, so serializing the bulk message should cost
+    // about what parsing it does. A return to a per-instance search of
+    // the stores makes it several times dearer and fails here.
+    let median =
+        |name: &str| c.results().iter().find(|r| r.name == name).map(|r| r.stats.median_ns);
+    if let (Some(ser), Some(parse)) =
+        (median("relay/serialize-session/64KiB"), median("relay/parse-session/64KiB"))
+    {
+        let ratio = ser / parse.max(f64::MIN_POSITIVE);
+        eprintln!("64 KiB clear bulk message: serialize/parse = {ratio:.2}x");
+        assert!(
+            ratio <= 2.0,
+            "serializing must cost at most 2x parsing \
+             (serialize {ser:.0} ns vs parse {parse:.0} ns, ratio {ratio:.2}x)"
+        );
     }
     // Relay-throughput trajectory, tracked from this PR onward. Same env
     // override as the service group; CI runs the two groups as separate

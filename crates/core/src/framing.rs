@@ -80,19 +80,21 @@ impl From<io::Error> for FrameError {
 }
 
 /// Writes length-framed obfuscated messages to a byte stream, reusing one
-/// serialization session and one body buffer across messages.
+/// serialization session and one frame buffer across messages. Each frame
+/// (prefix and body) reaches the stream in one `write_all`, so a socket
+/// with `TCP_NODELAY` sends it as one segment rather than two.
 #[derive(Debug)]
 pub struct FrameWriter<'c, W> {
     session: SerializeSession<'c>,
     inner: W,
-    body: Vec<u8>,
+    frame: Vec<u8>,
     max_frame: usize,
 }
 
 impl<'c, W: Write> FrameWriter<'c, W> {
     /// Wraps a writer.
     pub fn new(codec: &'c Codec, inner: W) -> Self {
-        FrameWriter { session: codec.serializer(), inner, body: Vec::new(), max_frame: MAX_FRAME }
+        FrameWriter { session: codec.serializer(), inner, frame: Vec::new(), max_frame: MAX_FRAME }
     }
 
     /// Sets the maximum frame size this writer will emit (default
@@ -110,11 +112,9 @@ impl<'c, W: Write> FrameWriter<'c, W> {
     /// [`FrameError::Build`] for serialization failures, [`FrameError::Io`]
     /// for transport failures.
     pub fn send(&mut self, msg: &Message<'_>) -> Result<(), FrameError> {
-        let mut body = std::mem::take(&mut self.body);
-        let r = self.session.serialize_into(msg, &mut body).map_err(FrameError::Build);
-        let r = r.and_then(|()| write_frame(&mut self.inner, &body, self.max_frame));
-        self.body = body;
-        r
+        self.frame.clear();
+        append_frame(&mut self.session, msg, &mut self.frame, self.max_frame)?;
+        self.write_frame()
     }
 
     /// Sends already-serialized bytes as one frame.
@@ -123,7 +123,17 @@ impl<'c, W: Write> FrameWriter<'c, W> {
     ///
     /// [`FrameError::TooLarge`] / [`FrameError::Io`].
     pub fn send_raw(&mut self, body: &[u8]) -> Result<(), FrameError> {
-        write_frame(&mut self.inner, body, self.max_frame)
+        let len = frame_len(body.len(), self.max_frame)?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&len);
+        self.frame.extend_from_slice(body);
+        self.write_frame()
+    }
+
+    fn write_frame(&mut self) -> Result<(), FrameError> {
+        self.inner.write_all(&self.frame)?;
+        self.inner.flush()?;
+        Ok(())
     }
 
     /// Consumes the writer, returning the underlying stream.
@@ -136,8 +146,9 @@ impl<'c, W: Write> FrameWriter<'c, W> {
 /// as one length-prefixed frame: the body is written straight into `out`
 /// after a backfilled 4-byte prefix — no intermediate copy. On error,
 /// `out` is left exactly as it was. This is the one framing routine
-/// shared by [`crate::service::CodecService::serialize_framed`] and the
-/// transport layer's per-connection encoders.
+/// shared by [`FrameWriter::send`],
+/// [`crate::service::CodecService::serialize_framed`] and the transport
+/// layer's per-connection encoders.
 ///
 /// # Errors
 ///
@@ -155,30 +166,28 @@ pub fn append_frame(
         out.truncate(start);
         return Err(FrameError::Build(e));
     }
-    let body_len = out.len() - start - 4;
-    // The 4-byte prefix caps frames at u32::MAX even if the configured
-    // limit is larger; a truncated prefix would desynchronize the peer.
-    let limit = max_frame.min(u32::MAX as usize);
-    if body_len > limit {
-        out.truncate(start);
-        return Err(FrameError::TooLarge { limit, got: body_len });
+    match frame_len(out.len() - start - 4, max_frame) {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len);
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
     }
-    out[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
-    Ok(())
 }
 
-fn write_frame<W: Write>(inner: &mut W, body: &[u8], max_frame: usize) -> Result<(), FrameError> {
-    // The 4-byte prefix caps frames at u32::MAX even if the configured
-    // limit is larger; a truncated prefix would desynchronize the peer.
+/// The 4-byte length prefix of a `body_len`-byte frame, or
+/// [`FrameError::TooLarge`] past `max_frame`. The prefix caps frames at
+/// `u32::MAX` even if the configured limit is larger; a truncated prefix
+/// would desynchronize the peer.
+fn frame_len(body_len: usize, max_frame: usize) -> Result<[u8; 4], FrameError> {
     let limit = max_frame.min(u32::MAX as usize);
-    if body.len() > limit {
-        return Err(FrameError::TooLarge { limit, got: body.len() });
+    if body_len > limit {
+        return Err(FrameError::TooLarge { limit, got: body_len });
     }
-    let len = (body.len() as u32).to_be_bytes();
-    inner.write_all(&len)?;
-    inner.write_all(body)?;
-    inner.flush()?;
-    Ok(())
+    Ok((body_len as u32).to_be_bytes())
 }
 
 /// Reads length-framed obfuscated messages from a byte stream, reusing one
@@ -325,7 +334,7 @@ impl<'c, R: Read> FrameReader<'c, R> {
 pub const FRAME_BUFFER_RETAIN: usize = 256 * 1024;
 
 /// Incremental frame reassembly for event-driven code: feed arbitrary
-/// chunks, pop (or peek) complete frames.
+/// chunks, then peek at and consume complete frames.
 ///
 /// Consumed frames advance a read cursor instead of memmoving the whole
 /// buffer, so draining a burst of pipelined frames is linear in the bytes
@@ -453,19 +462,6 @@ impl FrameBuffer {
         self.buf.shrink_to(self.retain);
     }
 
-    /// Pops the next complete frame body, if one is buffered.
-    ///
-    /// # Errors
-    ///
-    /// See [`FrameBuffer::peek`].
-    pub fn pop(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let body = self.peek()?.map(<[u8]>::to_vec);
-        if body.is_some() {
-            self.consume();
-        }
-        Ok(body)
-    }
-
     /// Bytes currently buffered and not yet consumed (complete or partial
     /// frame data).
     pub fn pending(&self) -> usize {
@@ -500,6 +496,60 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Takes the next complete frame body out of `fb` through `peek` +
+    /// `consume`, the way event-driven callers drain it.
+    fn pop(fb: &mut FrameBuffer) -> Result<Option<Vec<u8>>, FrameError> {
+        let body = fb.peek()?.map(<[u8]>::to_vec);
+        if body.is_some() {
+            fb.consume();
+        }
+        Ok(body)
+    }
+
+    /// Counts `write` calls while collecting the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_issues_one_write_per_frame() {
+        let c = codec();
+        let mut w = FrameWriter::new(&c, CountingWriter::default());
+        let mut reference = c.serializer();
+        let mut expected = Vec::new();
+        for id in [1u64, 2, 3] {
+            let mut m = c.message_seeded(id);
+            m.set_uint("id", id).unwrap();
+            m.set("body", format!("payload {id}").into_bytes()).unwrap();
+            w.session.reseed(id);
+            w.send(&m).unwrap();
+            let mut body = Vec::new();
+            reference.serialize_into_seeded(&m, &mut body, id).unwrap();
+            expected.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            expected.extend_from_slice(&body);
+        }
+        w.send_raw(b"raw body").unwrap();
+        expected.extend_from_slice(&8u32.to_be_bytes());
+        expected.extend_from_slice(b"raw body");
+        let out = w.into_inner();
+        assert_eq!(out.writes, 4, "one write per frame, prefix included");
+        assert_eq!(out.bytes, expected);
     }
 
     #[test]
@@ -649,7 +699,7 @@ mod tests {
         by_pop.feed(&stream);
         let mut by_peek = FrameBuffer::new();
         by_peek.feed(&stream);
-        while let Some(frame) = by_pop.pop().unwrap() {
+        while let Some(frame) = pop(&mut by_pop).unwrap() {
             let peeked = by_peek.peek().unwrap().expect("same frame boundary");
             assert_eq!(peeked, frame.as_slice());
             by_peek.consume();
@@ -670,13 +720,13 @@ mod tests {
             for cut2 in cut1..wire.len() {
                 let mut fb = FrameBuffer::new();
                 fb.feed(&wire[..cut1]);
-                assert_eq!(fb.pop().unwrap(), None, "cut inside prefix at {cut1}");
+                assert_eq!(pop(&mut fb).unwrap(), None, "cut inside prefix at {cut1}");
                 fb.feed(&wire[cut1..cut2]);
                 if cut2 < wire.len() {
-                    assert_eq!(fb.pop().unwrap(), None, "cut inside body at {cut2}");
+                    assert_eq!(pop(&mut fb).unwrap(), None, "cut inside body at {cut2}");
                     fb.feed(&wire[cut2..]);
                 }
-                assert_eq!(fb.pop().unwrap(), Some(body.clone()));
+                assert_eq!(pop(&mut fb).unwrap(), Some(body.clone()));
                 assert_eq!(fb.pending(), 0);
             }
         }
@@ -696,7 +746,7 @@ mod tests {
                 fb.feed(&body);
                 fed += 1;
             }
-            let frame = fb.pop().unwrap().expect("frame buffered");
+            let frame = pop(&mut fb).unwrap().expect("frame buffered");
             assert_eq!(frame, popped.to_be_bytes());
             popped += 1;
         }
@@ -710,7 +760,7 @@ mod tests {
         let mut frames = Vec::new();
         for &b in &stream {
             fb.feed(&[b]);
-            while let Some(frame) = fb.pop().unwrap() {
+            while let Some(frame) = pop(&mut fb).unwrap() {
                 frames.push(frame);
             }
         }
@@ -725,7 +775,7 @@ mod tests {
         let mut fb = FrameBuffer::new().max_frame(2);
         fb.feed(&3u32.to_be_bytes());
         fb.feed(&[1, 2, 3]);
-        assert!(matches!(fb.pop(), Err(FrameError::TooLarge { limit: 2, got: 3 })));
+        assert!(matches!(pop(&mut fb), Err(FrameError::TooLarge { limit: 2, got: 3 })));
     }
 
     #[test]
@@ -743,14 +793,14 @@ mod tests {
             fb.feed(std::slice::from_ref(b));
         }
         assert!(fb.capacity() >= big.len(), "buffer grew to the backlog");
-        assert_eq!(fb.pop().unwrap(), Some(big));
+        assert_eq!(pop(&mut fb).unwrap(), Some(big));
         // Many small frames afterwards: the first consume shrinks, and
         // the capacity stays bounded while the frames stay intact.
         for i in 0..1000u32 {
             let body = i.to_be_bytes();
             fb.feed(&(body.len() as u32).to_be_bytes());
             fb.feed(&body);
-            assert_eq!(fb.pop().unwrap(), Some(body.to_vec()));
+            assert_eq!(pop(&mut fb).unwrap(), Some(body.to_vec()));
             assert!(
                 fb.capacity() <= FRAME_BUFFER_RETAIN,
                 "capacity {} still above the retain cap after small frame {i}",
@@ -772,7 +822,7 @@ mod tests {
         for _ in 0..5 {
             fb.feed(&(body.len() as u32).to_be_bytes());
             fb.feed(&body);
-            assert_eq!(fb.pop().unwrap().as_deref(), Some(body.as_slice()));
+            assert_eq!(pop(&mut fb).unwrap().as_deref(), Some(body.as_slice()));
             high_water = high_water.max(fb.capacity());
             assert!(fb.capacity() > FRAME_BUFFER_RETAIN, "working set kept");
         }
@@ -785,6 +835,6 @@ mod tests {
         // will reject it, but framing must not hang or mis-frame).
         let mut fb = FrameBuffer::new();
         fb.feed(&0u32.to_be_bytes());
-        assert_eq!(fb.pop().unwrap(), Some(Vec::new()));
+        assert_eq!(pop(&mut fb).unwrap(), Some(Vec::new()));
     }
 }

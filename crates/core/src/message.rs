@@ -14,10 +14,12 @@
 //! Values live in **slot-backed dense stores** ([`WireStore`] /
 //! [`MetaStore`]), indexed by the raw node index (the plan's *slot*) with
 //! per-instance element scopes as inline [`ScopeKey`]s and value bytes in
-//! one shared arena. Lookups are an index plus a short linear scan — no
-//! hashing — and clearing a store keeps its capacity, which is what lets
-//! the codec sessions ([`crate::serialize::SerializeSession`],
-//! [`crate::parse::ParseSession`]) run without steady-state allocation.
+//! one shared arena. Lookups are an index plus a binary search over the
+//! slot's sorted scopes, or one comparison for readers that visit them in
+//! order through a cursor — no hashing — and clearing a store keeps its
+//! capacity, which is what lets the codec sessions
+//! ([`crate::serialize::SerializeSession`], [`crate::parse::ParseSession`])
+//! run without steady-state allocation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -89,8 +91,11 @@ impl WireStore {
         let key = ScopeKey::from_slice(scope);
         let entries = self.per_slot.get(slot)?;
         let i = entries.binary_search_by(|(k, _, _)| k.cmp(&key)).ok()?;
-        let (_, start, end) = entries[i];
-        Some(&self.data[start as usize..end as usize])
+        Some(self.bytes(entries[i]))
+    }
+
+    fn bytes(&self, (_, start, end): (ScopeKey, u32, u32)) -> &[u8] {
+        &self.data[start as usize..end as usize]
     }
 
     pub(crate) fn contains(&self, slot: usize, scope: &[u32]) -> bool {
@@ -127,24 +132,26 @@ impl WireStore {
 
     /// [`WireStore::get`] with a **sequential cursor**: when the caller
     /// visits a slot's instances in scope order (the transcode copy
-    /// programs do — plain pre-order is exactly the stores' sort order),
-    /// each lookup is one equality check instead of a binary search. A
-    /// cursor miss falls back to the search and re-synchronizes the
-    /// cursor, so out-of-order access is merely slower, never wrong.
+    /// programs and the serializer do — plain pre-order is exactly the
+    /// stores' sort order), each lookup is one equality check instead of a
+    /// binary search. A cursor miss falls back to the search and
+    /// re-synchronizes the cursor, so out-of-order access is merely
+    /// slower, never wrong.
     pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<&[u8]> {
-        let key = ScopeKey::from_slice(scope);
         let entries = self.per_slot.get(slot)?;
-        let c = *cursor as usize;
-        if let Some(&(k, start, end)) = entries.get(c) {
-            if k == key {
-                *cursor = (c + 1) as u32;
-                return Some(&self.data[start as usize..end as usize]);
-            }
-        }
-        let i = entries.binary_search_by(|(k, _, _)| k.cmp(&key)).ok()?;
-        *cursor = (i + 1) as u32;
-        let (_, start, end) = entries[i];
-        Some(&self.data[start as usize..end as usize])
+        let i = seek(entries, &ScopeKey::from_slice(scope), cursor, |e| &e.0)?;
+        *cursor += 1;
+        Some(self.bytes(entries[i]))
+    }
+
+    /// Whether `(slot, scope)` holds a value, looked up like
+    /// [`WireStore::get_seq`] but without consuming the entry: a hit
+    /// leaves the cursor on it, so the read that follows is a hit too.
+    pub(crate) fn contains_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> bool {
+        self.per_slot
+            .get(slot)
+            .and_then(|entries| seek(entries, &ScopeKey::from_slice(scope), cursor, |e| &e.0))
+            .is_some()
     }
 
     /// The scopes at which `slot` holds a value.
@@ -165,6 +172,26 @@ impl WireStore {
             })
         })
     }
+}
+
+/// Finds `key` in one slot's sorted entries, trying the entry under
+/// `cursor` first and leaving the cursor on the match. Only a cursor miss
+/// pays for a search, and a key past the last entry (the miss of a reader
+/// that runs ahead of an in-order writer) costs one comparison.
+fn seek<E>(
+    entries: &[E],
+    key: &ScopeKey,
+    cursor: &mut u32,
+    key_of: impl Fn(&E) -> &ScopeKey,
+) -> Option<usize> {
+    let c = *cursor as usize;
+    let i = match entries.get(c) {
+        Some(e) if key_of(e) == key => c,
+        _ if entries.last().is_some_and(|e| key_of(e) < key) => return None,
+        _ => entries.binary_search_by(|e| key_of(e).cmp(key)).ok()?,
+    };
+    *cursor = i as u32;
+    Some(i)
 }
 
 /// Dense per-slot metadata storage (presence flags, element counts).
@@ -188,6 +215,15 @@ impl<T: Copy> MetaStore<T> {
         let key = ScopeKey::from_slice(scope);
         let entries = self.per_slot.get(slot)?;
         let i = entries.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+        Some(entries[i].1)
+    }
+
+    /// [`MetaStore::get`] through a sequential cursor (see
+    /// [`WireStore::get_seq`]).
+    pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<T> {
+        let entries = self.per_slot.get(slot)?;
+        let i = seek(entries, &ScopeKey::from_slice(scope), cursor, |e| &e.0)?;
+        *cursor += 1;
         Some(entries[i].1)
     }
 
@@ -1331,6 +1367,42 @@ mod tests {
         s.clear();
         assert_eq!(s.get(0, &[]), None);
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn cursor_reads_fall_back_to_the_search_out_of_order() {
+        let mut s = WireStore::with_slots(1);
+        for i in [4u32, 0, 2, 1] {
+            s.set(0, &[i], &[i as u8]);
+        }
+        let mut cursor = 0;
+        // In order: each read hits under the cursor and advances it.
+        for i in [0u32, 1, 2] {
+            assert_eq!(s.get_seq(0, &[i], &mut cursor), Some([i as u8].as_slice()));
+            assert_eq!(cursor, i + 1);
+        }
+        // Absent keys, before and past the last entry, leave it alone.
+        assert_eq!(s.get_seq(0, &[3], &mut cursor), None);
+        assert_eq!(s.get_seq(0, &[9], &mut cursor), None);
+        assert_eq!(cursor, 3);
+        // Backwards and repeated reads search and re-synchronize.
+        assert_eq!(s.get_seq(0, &[0], &mut cursor), Some([0].as_slice()));
+        assert_eq!(cursor, 1);
+        assert_eq!(s.get_seq(0, &[4], &mut cursor), Some([4].as_slice()));
+        assert_eq!(s.get_seq(0, &[4], &mut cursor), Some([4].as_slice()));
+        // A containment check keeps the cursor on its hit.
+        assert!(s.contains_seq(0, &[2], &mut cursor));
+        assert_eq!(s.get_seq(0, &[2], &mut cursor), Some([2].as_slice()));
+        assert_eq!(cursor, 3);
+        assert!(!s.contains_seq(0, &[3], &mut cursor));
+
+        let mut m: MetaStore<bool> = MetaStore::with_slots(1);
+        m.set(0, &[2], true);
+        m.set(0, &[0], false);
+        let mut cursor = 0;
+        assert_eq!(m.get_seq(0, &[2], &mut cursor), Some(true));
+        assert_eq!(m.get_seq(0, &[0], &mut cursor), Some(false));
+        assert_eq!(m.get_seq(0, &[1], &mut cursor), None);
     }
 
     #[test]

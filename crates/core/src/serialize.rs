@@ -119,10 +119,33 @@ pub(crate) struct SerializeScratch {
     ev: RecEval,
     dist: DistEval,
     rng: StdRng,
+    cursors: ReadCursors,
     /// Per-slot byte ranges recorded while `tracing` is set; stays empty
     /// (and costs one branch per node) on the production path.
     trace: Vec<SlotSpan>,
     tracing: bool,
+}
+
+/// Sequential read cursors (see [`WireStore::get_seq`]) of the emit walk.
+/// Child permutations, split tabulars and mirrors reorder slots or bytes,
+/// never one slot's scopes, so the walk visits each slot's instances in
+/// the stores' sort order and every per-instance read is one comparison.
+#[derive(Debug)]
+struct ReadCursors {
+    /// Per plan slot, into the message's wires.
+    wire: Vec<u32>,
+    /// Per plan slot, into the serialization overlay.
+    overlay: Vec<u32>,
+    /// Per plain node, into the message's presence flags.
+    presence: Vec<u32>,
+}
+
+impl ReadCursors {
+    fn reset(&mut self) {
+        self.wire.fill(0);
+        self.overlay.fill(0);
+        self.presence.fill(0);
+    }
 }
 
 impl SerializeScratch {
@@ -133,6 +156,11 @@ impl SerializeScratch {
             ev: RecEval::default(),
             dist: DistEval::default(),
             rng: StdRng::seed_from_u64(rand::random()),
+            cursors: ReadCursors {
+                wire: vec![0; plan.slots()],
+                overlay: vec![0; plan.slots()],
+                presence: vec![0; plan.plain_len()],
+            },
             trace: Vec::new(),
             tracing: false,
         }
@@ -204,6 +232,7 @@ impl<'c> SerializeSession<'c> {
     ) -> Result<(), BuildError> {
         self.scratch.overlay.clear();
         self.scratch.scope.clear();
+        self.scratch.cursors.reset();
         let start = out.len();
         let r = self.emit(self.plan.root, msg, out);
         if r.is_err() {
@@ -331,8 +360,13 @@ impl<'c> SerializeSession<'c> {
                 Ok(())
             }
             PlanOp::Opt { subject, subject_depth, pred, origin, origin_depth } => {
-                let od = (*origin_depth as usize).min(self.scratch.scope.len());
-                let present = msg.presence_of(NodeId(*origin), &self.scratch.scope[..od]);
+                let s = &mut self.scratch;
+                let od = (*origin_depth as usize).min(s.scope.len());
+                let o = *origin as usize;
+                let present = msg
+                    .presence
+                    .get_seq(o, &s.scope[..od], &mut s.cursors.presence[o])
+                    .unwrap_or(false);
                 let pred = &plan.preds[*pred as usize];
                 let implied =
                     self.read_ref(*subject, *subject_depth, msg, |v| pred_eval(pred, v))?;
@@ -424,21 +458,21 @@ impl<'c> SerializeSession<'c> {
         msg: &Message<'_>,
         out: &mut Vec<u8>,
     ) -> Result<(), BuildError> {
-        if let Some(b) = self.scratch.overlay.get(idx as usize, &self.scratch.scope) {
-            out.extend_from_slice(b);
-            return Ok(());
-        }
-        if base.is_materialized() {
+        let i = idx as usize;
+        let s = &mut self.scratch;
+        let materialized = base.is_materialized();
+        if materialized && !s.overlay.contains_seq(i, &s.scope, &mut s.cursors.overlay[i]) {
             self.materialize(idx, base, msg)?;
-            let b = self
-                .scratch
-                .overlay
-                .get(idx as usize, &self.scratch.scope)
-                .ok_or_else(|| BuildError::MissingField(self.obf_name(idx)))?;
+        }
+        let s = &mut self.scratch;
+        if let Some(b) = s.overlay.get_seq(i, &s.scope, &mut s.cursors.overlay[i]) {
             out.extend_from_slice(b);
             return Ok(());
         }
-        if let Some(b) = msg.wire(ObfId(idx), &self.scratch.scope) {
+        if materialized {
+            return Err(BuildError::MissingField(self.obf_name(idx)));
+        }
+        if let Some(b) = msg.wires.get_seq(i, &s.scope, &mut s.cursors.wire[i]) {
             out.extend_from_slice(b);
             return Ok(());
         }
@@ -463,10 +497,12 @@ impl<'c> SerializeSession<'c> {
         first_term: u32,
         msg: &Message<'_>,
     ) -> Result<(), BuildError> {
+        let s = &mut self.scratch;
+        let t = first_term as usize;
         match base {
             _ if base.is_materialized() => {
                 if first_term != NONE
-                    && self.scratch.overlay.contains(first_term as usize, &self.scratch.scope)
+                    && s.overlay.contains_seq(t, &s.scope, &mut s.cursors.overlay[t])
                 {
                     return Ok(());
                 }
@@ -474,7 +510,7 @@ impl<'c> SerializeSession<'c> {
             }
             BaseOp::Pad { .. } => {
                 let stored = first_term != NONE
-                    && msg.wire(ObfId(first_term), &self.scratch.scope).is_some();
+                    && msg.wires.contains_seq(t, &s.scope, &mut s.cursors.wire[t]);
                 if stored {
                     Ok(())
                 } else {

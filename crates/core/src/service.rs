@@ -331,9 +331,9 @@ impl CodecService {
             }
             // Parse straight out of the buffer (no per-frame copy), then
             // advance the buffer's cursor past the frame. The cursor moves
-            // even when the frame does not decode — matching the previous
-            // pop()-based contract — so a caller that treats the error as
-            // recoverable does not spin on the same poison frame forever.
+            // even when the frame does not decode, so a caller that treats
+            // the error as recoverable does not spin on the same poison
+            // frame forever.
             let parsed = session.parse_in_place(frame).map_err(FrameError::Parse);
             buf.consume();
             parsed?;

@@ -20,6 +20,16 @@ fn frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Takes the next complete frame body out of `fb` through `peek` +
+/// `consume`, the way event-driven callers drain it.
+fn pop(fb: &mut FrameBuffer) -> Result<Option<Vec<u8>>, FrameError> {
+    let body = fb.peek()?.map(<[u8]>::to_vec);
+    if body.is_some() {
+        fb.consume();
+    }
+    Ok(body)
+}
+
 #[test]
 fn writer_accepts_exactly_max_frame_and_rejects_one_more() {
     let c = codec();
@@ -52,9 +62,9 @@ fn reader_accepts_exactly_max_frame_and_rejects_one_more() {
 fn frame_buffer_boundary_at_and_over_limit() {
     let mut fb = FrameBuffer::new().max_frame(8);
     fb.feed(&frame(&[1; 8]));
-    assert_eq!(fb.pop().unwrap(), Some(vec![1; 8]), "at the limit pops cleanly");
+    assert_eq!(pop(&mut fb).unwrap(), Some(vec![1; 8]), "at the limit pops cleanly");
     fb.feed(&frame(&[1; 9]));
-    assert!(matches!(fb.pop(), Err(FrameError::TooLarge { limit: 8, got: 9 })));
+    assert!(matches!(pop(&mut fb), Err(FrameError::TooLarge { limit: 8, got: 9 })));
 }
 
 #[test]
@@ -75,8 +85,8 @@ fn zero_length_bodies_are_framed_and_recovered() {
     // Two adjacent empty frames do not desynchronize reassembly.
     let mut fb = FrameBuffer::new();
     fb.feed(&[frame(&[]), frame(&[])].concat());
-    assert_eq!(fb.pop().unwrap(), Some(Vec::new()));
-    assert_eq!(fb.pop().unwrap(), Some(Vec::new()));
+    assert_eq!(pop(&mut fb).unwrap(), Some(Vec::new()));
+    assert_eq!(pop(&mut fb).unwrap(), Some(Vec::new()));
     assert_eq!(fb.pending(), 0);
 }
 
@@ -97,8 +107,8 @@ fn truncated_header_regression() {
     // A partial header buffered in a FrameBuffer simply stays pending.
     let mut fb = FrameBuffer::new();
     fb.feed(&full[..3]);
-    assert_eq!(fb.pop().unwrap(), None);
+    assert_eq!(pop(&mut fb).unwrap(), None);
     assert_eq!(fb.pending(), 3);
     fb.feed(&full[3..]);
-    assert_eq!(fb.pop().unwrap(), Some(b"xyz".to_vec()));
+    assert_eq!(pop(&mut fb).unwrap(), Some(b"xyz".to_vec()));
 }

@@ -253,3 +253,113 @@ fn golden_tunnel_stream_is_pinned() {
         fnv1a(&stream)
     );
 }
+
+/// The codec bench's bulk record table, shrunk: a counted table of 30-byte
+/// records plus a rest-of-message tail.
+const BULK_SPEC: &str = r#"
+message Bulk {
+    u16 count = count(records);
+    tabular records count_by count {
+        u32 key;
+        u16 flags;
+        bytes(24) payload;
+    }
+    bytes tail rest;
+}
+"#;
+
+/// Field assignments of a bulk message with `n` records, in traversal
+/// order.
+fn bulk_fields(n: u32) -> Vec<(String, Vec<u8>)> {
+    let mut fields = Vec::new();
+    for i in 0..n {
+        fields.push((format!("records[{i}].key"), (i * 7919).to_be_bytes().to_vec()));
+        fields.push((format!("records[{i}].flags"), (i as u16 ^ 0x5A5A).to_be_bytes().to_vec()));
+        let payload = (0..24u32).map(|b| (i * 31 + b) as u8).collect();
+        fields.push((format!("records[{i}].payload"), payload));
+    }
+    fields.push(("tail".to_string(), b"tail bytes".to_vec()));
+    fields
+}
+
+/// Field assignments of a DNS query with three questions of one to three
+/// labels each (a repetition nested in a tabular), in traversal order.
+fn dns_query_fields() -> Vec<(String, Vec<u8>)> {
+    let mut fields =
+        vec![("id".to_string(), vec![0x12, 0x34]), ("flags".to_string(), vec![0x01, 0x00])];
+    for (q, name) in ["example.org", "a.b.example", "localhost"].iter().enumerate() {
+        for (l, label) in name.split('.').enumerate() {
+            fields.push((format!("questions[{q}].qname[{l}].label"), label.as_bytes().to_vec()));
+        }
+        fields.push((format!("questions[{q}].qtype"), vec![0, 1 + q as u8]));
+        fields.push((format!("questions[{q}].qclass"), vec![0, 1]));
+    }
+    fields
+}
+
+/// `fields` in reverse order, interleaved: every second assignment from
+/// the back first, then the rest. Later elements are set before earlier
+/// ones, so the stores take their binary-insert path.
+fn reversed_interleaved(fields: &[(String, Vec<u8>)]) -> Vec<(String, Vec<u8>)> {
+    let rev: Vec<_> = fields.iter().rev().cloned().collect();
+    rev.iter().step_by(2).chain(rev.iter().skip(1).step_by(2)).cloned().collect()
+}
+
+fn build<'c>(codec: &'c Codec, fields: &[(String, Vec<u8>)], seed: u64) -> Message<'c> {
+    let mut msg = codec.message_seeded(seed);
+    for (path, value) in fields {
+        msg.set(path, value.clone()).unwrap_or_else(|e| panic!("set {path}: {e}"));
+    }
+    msg
+}
+
+/// A message's plain content as bytes: transcoded into the identity codec
+/// of its plain graph, which draws no random shares, and serialized there.
+fn plain_bytes(identity: &Codec, msg: &Message<'_>) -> Vec<u8> {
+    let plain = msg.transcode(identity.obf_graph()).expect("transcode to the identity codec");
+    identity.serialize_seeded(&plain, 0).expect("identity serialize")
+}
+
+/// Messages whose elements were set out of order (so the stores took
+/// their binary-insert path) serialize through a reused session exactly
+/// like the graph walk does, and carry the same message as an in-order
+/// build. The setters draw random split shares in call order, so the two
+/// builds' wires are compared directly only at level 0; at every level
+/// the session's wire is parsed back and compared by plain content.
+#[test]
+fn out_of_order_stores_serialize_like_in_order_ones() {
+    let bulk = protoobf::spec::parse_spec(BULK_SPEC).unwrap();
+    let cases =
+        [("bulk", bulk, bulk_fields(48)), ("dns-query", dns::query_graph(), dns_query_fields())];
+    for (name, graph, fields) in &cases {
+        let shuffled = reversed_interleaved(fields);
+        let identity = Codec::identity(graph);
+        for level in 0..=3u32 {
+            for plan_seed in 0..3u64 {
+                let what = format!("{name} level={level} plan={plan_seed}");
+                let codec = codec_for(graph, level, plan_seed);
+                let mut session = codec.serializer();
+                let seed = plan_seed ^ 0x0DD;
+                let mut wires = Vec::new();
+                for msg in [build(&codec, fields, plan_seed), build(&codec, &shuffled, plan_seed)] {
+                    let mut wire = Vec::new();
+                    session.serialize_into_seeded(&msg, &mut wire, seed).unwrap();
+                    let walk = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, seed)
+                        .unwrap_or_else(|e| panic!("{what}: reference serialize failed: {e}"));
+                    assert_eq!(wire, walk, "{what}: session and graph walk differ");
+                    wires.push(wire);
+                }
+                if level == 0 {
+                    assert_eq!(wires[1], wires[0], "{what}: out-of-order wire differs");
+                }
+                let in_order = codec.parse(&wires[0]).unwrap();
+                let out_of_order = codec.parse(&wires[1]).unwrap();
+                assert_eq!(
+                    plain_bytes(&identity, &out_of_order),
+                    plain_bytes(&identity, &in_order),
+                    "{what}: out-of-order build holds a different message"
+                );
+            }
+        }
+    }
+}
