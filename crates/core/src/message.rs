@@ -31,7 +31,10 @@ use crate::error::BuildError;
 use crate::graph::{AutoValue, Boundary, NodeId, NodeType, StopRule};
 use crate::obf::{ObfGraph, ObfId};
 use crate::path::{self, Path};
-use crate::plan::{CodecPlan, CopyProgram, CopyStep, DistEval, DistProg, RecEval, RecProg};
+use crate::plan::{
+    apply_ops_in_place, undo_ops_in_place, CodecPlan, CopyProgram, CopyStep, DistCheck, DistErr,
+    DistEval, DistProg, PoolRange, RecEval, RecProg,
+};
 use crate::runtime::{self, Scope};
 use crate::value::{Endian, TerminalKind, Value};
 
@@ -108,9 +111,36 @@ impl WireStore {
     /// insert in order, so the common case is an O(1) tail push (checked
     /// before falling back to a binary search).
     pub(crate) fn set(&mut self, slot: usize, scope: &[u32], bytes: &[u8]) {
-        let start = self.data.len() as u32;
+        let start = self.data.len();
         self.data.extend_from_slice(bytes);
-        let end = self.data.len() as u32;
+        self.index(slot, scope, start);
+    }
+
+    /// [`WireStore::set`] that hands the stored bytes to `edit` before
+    /// indexing them, so a caller can transform a value in place instead
+    /// of building it in a scratch buffer and copying it in. When `edit`
+    /// fails the value is discarded: the arena is truncated back and the
+    /// entry at `(slot, scope)` keeps whatever it held before.
+    pub(crate) fn set_with<E>(
+        &mut self,
+        slot: usize,
+        scope: &[u32],
+        bytes: &[u8],
+        edit: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = self.data.len();
+        self.data.extend_from_slice(bytes);
+        if let Err(e) = edit(&mut self.data[start..]) {
+            self.data.truncate(start);
+            return Err(e);
+        }
+        self.index(slot, scope, start);
+        Ok(())
+    }
+
+    /// Points `(slot, scope)` at the arena bytes from `start` to the end.
+    fn index(&mut self, slot: usize, scope: &[u32], start: usize) {
+        let (start, end) = (start as u32, self.data.len() as u32);
         let key = ScopeKey::from_slice(scope);
         let entries = &mut self.per_slot[slot];
         match entries.last_mut() {
@@ -1026,6 +1056,10 @@ impl CopyRun<'_, '_> {
                     self.value_direct(src_obf, src_ops, dist, depth)?;
                     i += 1;
                 }
+                CopyStep::Direct { src_obf, src_ops, dst_obf, dst_ops, check } => {
+                    self.direct(src_obf, src_ops, dst_obf, dst_ops, check, depth)?;
+                    i += 1;
+                }
                 CopyStep::Optional { plain, skip } => {
                     let sc = &self.scope[..depth];
                     if self.src.presence.get(plain as usize, sc).unwrap_or(false) {
@@ -1085,7 +1119,7 @@ impl CopyRun<'_, '_> {
     fn value_direct(
         &mut self,
         src_obf: u32,
-        src_ops: (u32, u32),
+        src_ops: PoolRange,
         dprog: DistProg,
         depth: usize,
     ) -> Result<(), BuildError> {
@@ -1096,8 +1130,37 @@ impl CopyRun<'_, '_> {
         };
         let input = self.dist.input();
         input.extend_from_slice(bytes);
-        crate::plan::undo_ops_in_place(self.sp.ops(src_ops), input);
+        undo_ops_in_place(self.sp.ops(src_ops), input);
         self.distribute(dprog, depth)
+    }
+
+    /// The fused wire-to-wire copy: the source wire is appended straight
+    /// into the destination store and rewritten there — source ops undone,
+    /// the destination store's check run on the plain value, destination
+    /// ops applied. A failed check leaves the destination store as it was.
+    fn direct(
+        &mut self,
+        src_obf: u32,
+        src_ops: PoolRange,
+        dst_obf: u32,
+        dst_ops: PoolRange,
+        check: DistCheck,
+        depth: usize,
+    ) -> Result<(), BuildError> {
+        let sc = &self.scope[..depth];
+        let cursor = &mut self.cursors[src_obf as usize];
+        let Some(bytes) = self.src.wires.get_seq(src_obf as usize, sc, cursor) else {
+            return Ok(());
+        };
+        let (sp, dp) = (self.sp, self.dp);
+        self.wires
+            .set_with(dst_obf as usize, sc, bytes, |v| {
+                undo_ops_in_place(sp.ops(src_ops), v);
+                check.validate(dp, dst_obf, v)?;
+                apply_ops_in_place(dp.ops(dst_ops), v);
+                Ok(())
+            })
+            .map_err(|e: DistErr| e.into_build_error(self.dst_graph))
     }
 
     /// Runs the destination distribution program over the value already
@@ -1326,6 +1389,57 @@ mod tests {
             b.set_uint("flag", 0).unwrap();
             b.transcode_into(&mut dst).unwrap();
             assert_eq!(dst.get("data").unwrap().as_bytes(), b"from obf");
+        }
+    }
+
+    #[test]
+    fn fused_copy_checks_fail_like_the_walk() {
+        let mut b = GraphBuilder::new("d");
+        let root = b.root_sequence("m", Boundary::End);
+        b.uint_be(root, "tag", 1);
+        b.terminal(root, "word", TerminalKind::Ascii, Boundary::Delimited(b" ".to_vec()));
+        b.uint_be(root, "n", 2);
+        let plain = b.build().unwrap();
+        let clear = ObfGraph::from_plain(&plain);
+        // Constant ops only: no value channel splits, so every value step
+        // is a fused copy that applies ops on the destination end.
+        let codec = crate::engine::Obfuscator::new(&plain)
+            .seed(5)
+            .max_per_node(2)
+            .allowed([TransformKind::ConstAdd, TransformKind::ConstSub, TransformKind::ConstXor])
+            .obfuscate()
+            .unwrap();
+        let obf = codec.obf_graph();
+        let prog = CopyProgram::compile(&clear, obf).unwrap();
+        assert_eq!(prog.steps.len(), 3);
+        assert!(prog.steps.iter().all(|s| matches!(s, CopyStep::Direct { .. })));
+        assert!(prog
+            .steps
+            .iter()
+            .any(|s| matches!(s, CopyStep::Direct { dst_ops, .. } if dst_ops.1 > 0)));
+
+        let slot = |name: &str| clear.plan().holder_slot(plain.resolve_names(&[name]).unwrap());
+        type Expect = fn(&BuildError) -> bool;
+        let planted: [(&str, &[u8], Expect); 2] = [
+            // Wrong length for a u16.
+            ("n", b"\x01\x02\x03", |e| matches!(e, BuildError::BadValueLength { .. })),
+            // Contains its delimiter.
+            ("word", b"two words", |e| matches!(e, BuildError::ValueContainsDelimiter { .. })),
+        ];
+        for (field, wire, expect) in planted {
+            let mut src = Message::with_seed(&clear, 1);
+            src.set_uint("tag", 7).unwrap();
+            src.set_str("word", "GET").unwrap();
+            src.set_uint("n", 9).unwrap();
+            src.wires.set(slot(field).unwrap() as usize, &[], wire);
+            let (mut compiled, mut walked) =
+                (Message::with_seed(obf, 2), Message::with_seed(obf, 2));
+            let got = src.transcode_into(&mut compiled).unwrap_err();
+            let want = src.transcode_into_walk(&mut walked).unwrap_err();
+            assert!(expect(&got), "{field}: {got:?}");
+            assert_eq!(got, want, "{field}");
+            // The failed store leaves the destination as the walk does.
+            assert!(compiled.wires.iter().eq(walked.wires.iter()), "{field}");
         }
     }
 

@@ -292,6 +292,21 @@ pub(crate) enum DistCheck {
     Delim(u32),
 }
 
+impl DistCheck {
+    /// Validates the plain value a store of slot `obf` receives.
+    pub(crate) fn validate(self, plan: &CodecPlan, obf: u32, value: &[u8]) -> Result<(), DistErr> {
+        match self {
+            DistCheck::Fixed(k) if value.len() != k as usize => {
+                Err(DistErr::BadLen { obf, expected: k, found: value.len() as u32 })
+            }
+            DistCheck::Delim(d) if runtime::contains(value, &plan.bytes[d as usize]) => {
+                Err(DistErr::Delim { obf })
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Compiled split rule of a distribution step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SplitRuleC {
@@ -365,12 +380,10 @@ pub(crate) enum CopyStep {
         /// Distribution program in the destination plan.
         dist: DistProg,
     },
-    /// [`CopyStep::Value`] specialized for the dominant case of an unsplit
-    /// source holder (the whole clear leg of a gateway, and every
-    /// terminal whose value channel no aggregation split touched): the
-    /// recovery program is a single `Load`, so the source wire is read
-    /// straight into the distribution scratch — no recovery stack, one
-    /// byte copy fewer per value.
+    /// [`CopyStep::Value`] specialized for an unsplit source holder whose
+    /// destination holder splits: the recovery program is a single
+    /// `Load`, so the source wire is read straight into the distribution
+    /// scratch — no recovery stack, one byte copy fewer per value.
     ValueDirect {
         /// Source wire slot.
         src_obf: u32,
@@ -379,6 +392,29 @@ pub(crate) enum CopyStep {
         src_ops: PoolRange,
         /// Distribution program in the destination plan.
         dist: DistProg,
+    },
+    /// The fused wire-to-wire copy, for the dominant case of a value
+    /// channel no aggregation split touched at either end (the whole
+    /// clear leg of a gateway, and every unsplit terminal of the
+    /// obfuscated one): the recovery program is a single `Load` and the
+    /// distribution program a single `Store`. The source wire is appended
+    /// straight into the destination store, where its source ops are
+    /// undone, the store's check runs and its destination ops are applied
+    /// in place — no recovery stack, no distribution scratch, one byte
+    /// copy per value.
+    Direct {
+        /// Source wire slot.
+        src_obf: u32,
+        /// Source constant-op stack to undo (pool range in the source
+        /// plan).
+        src_ops: PoolRange,
+        /// Destination wire slot.
+        dst_obf: u32,
+        /// Destination constant-op stack to apply (pool range in the
+        /// destination plan).
+        dst_ops: PoolRange,
+        /// The destination store's boundary validation.
+        check: DistCheck,
     },
     /// Copy the presence flag of optional `plain`. When the source marks
     /// it absent, the next `skip` steps (its subtree) are jumped over.
@@ -461,9 +497,13 @@ fn lower_copy(
             // Terminals without a value channel on either side carry
             // nothing to copy (the walk skips them the same way).
             if let (Some(rec), Some(dist)) = (rec, dist) {
-                out.push(match sp.rec_prog(rec) {
-                    [RecStep::Load { obf, ops }] => {
-                        CopyStep::ValueDirect { src_obf: *obf, src_ops: *ops, dist }
+                out.push(match (sp.rec_prog(rec), dp.dist_prog(dist)) {
+                    (
+                        &[RecStep::Load { obf: src_obf, ops: src_ops }],
+                        &[DistStep::Store { obf: dst_obf, ops: dst_ops, check }],
+                    ) => CopyStep::Direct { src_obf, src_ops, dst_obf, dst_ops, check },
+                    (&[RecStep::Load { obf, ops }], _) => {
+                        CopyStep::ValueDirect { src_obf: obf, src_ops: ops, dist }
                     }
                     _ => CopyStep::Value { plain: x.0, rec, dist },
                 });
@@ -1462,14 +1502,20 @@ pub(crate) fn apply1(op: ByteOp, a: u8, k: u8) -> u8 {
     }
 }
 
+/// `bytes[i] = bytes[i] ⟨op⟩ k[i mod k.len()]` in place, the key cycled
+/// by an iterator rather than indexed through a division per byte. An
+/// empty key leaves `bytes` unchanged.
+#[inline]
+fn apply_cycled(op: ByteOp, bytes: &mut [u8], k: &[u8]) {
+    for (b, &k) in bytes.iter_mut().zip(k.iter().cycle()) {
+        *b = apply1(op, *b, k);
+    }
+}
+
 /// Undoes a constant-op stack in place (reverse order, inverse operators).
 pub(crate) fn undo_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
     for op in ops.iter().rev() {
-        let inv = op.op.inverse();
-        let k = &op.k;
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = apply1(inv, *b, k[i % k.len()]);
-        }
+        apply_cycled(op.op.inverse(), bytes, &op.k);
     }
 }
 
@@ -1524,16 +1570,11 @@ impl RecEval {
                 RecStep::Op { op, ops } => {
                     let (b, bl) = self.stack.pop()?;
                     let (a, al) = self.stack.pop()?;
-                    let inv = op.inverse();
-                    // combined ⟨inv⟩ share, share cycled (empty share ⇒
-                    // inert 1-byte operand, matching `runtime::pad_one`).
+                    // combined ⟨inv⟩ share, share cycled (an empty share
+                    // leaves it unchanged, like the inert zero operand of
+                    // `runtime::pad_one`).
                     let (left, right) = self.buf.split_at_mut(b);
-                    let share = &left[a..a + al];
-                    let combined = &mut right[..bl];
-                    for (i, c) in combined.iter_mut().enumerate() {
-                        let k = if al == 0 { 0 } else { share[i % al] };
-                        *c = apply1(inv, *c, k);
-                    }
+                    apply_cycled(op.inverse(), &mut right[..bl], &left[a..a + al]);
                     // Compact: move the result down over the share so the
                     // stack stays contiguous.
                     self.buf.copy_within(b..b + bl, a);
@@ -1551,10 +1592,7 @@ impl RecEval {
 /// cycled — the compiled form of the reference walk's `apply_ops`).
 pub(crate) fn apply_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
     for op in ops {
-        let k = &op.k;
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = apply1(op.op, *b, k[i % k.len()]);
-        }
+        apply_cycled(op.op, bytes, &op.k);
     }
 }
 
@@ -1602,17 +1640,7 @@ impl DistEval {
             match *step {
                 DistStep::Store { obf, ops, check } => {
                     let (s, l) = self.stack.pop().expect("distribution programs are balanced");
-                    match check {
-                        DistCheck::Fixed(k) if l != k as usize => {
-                            return Err(DistErr::BadLen { obf, expected: k, found: l as u32 });
-                        }
-                        DistCheck::Delim(d)
-                            if runtime::contains(&self.buf[s..s + l], &plan.bytes[d as usize]) =>
-                        {
-                            return Err(DistErr::Delim { obf });
-                        }
-                        _ => {}
-                    }
+                    check.validate(plan, obf, &self.buf[s..s + l])?;
                     apply_ops_in_place(plan.ops(ops), &mut self.buf[s..s + l]);
                     emit(obf, &self.buf[s..s + l]);
                 }
@@ -1892,20 +1920,135 @@ mod tests {
         // One value step per settable terminal, one Optional for
         // `extra`; auto fields (len) never copy. The identity source
         // side has single-Load recovery programs throughout, so every
-        // value step takes the direct form.
-        let values = prog
-            .steps
-            .iter()
-            .filter(|s| matches!(s, CopyStep::Value { .. } | CopyStep::ValueDirect { .. }))
-            .count();
-        assert_eq!(values, 3, "data, flag, extra.ev");
-        assert!(prog.steps.iter().all(|s| !matches!(s, CopyStep::Value { .. })));
+        // value step takes a direct form: the fused wire-to-wire copy
+        // where the destination stores unsplit (flag, extra.ev), the
+        // source-side one where it splits (data).
+        assert_eq!(step_kinds(&prog), [0, 1, 2], "data; flag, extra.ev");
         assert!(prog.steps.iter().any(|s| matches!(s, CopyStep::Optional { .. })));
         assert!(prog.steps() >= 4);
         // The reverse direction recovers through the split: `data`'s
         // program needs the full recovery machine.
         let back = CopyProgram::compile(&obf, &g).expect("same plain spec");
-        assert!(back.steps.iter().any(|s| matches!(s, CopyStep::Value { .. })));
+        assert_eq!(step_kinds(&back), [1, 0, 2]);
+    }
+
+    /// Counts of a copy program's `Value`, `ValueDirect` and `Direct` steps.
+    fn step_kinds(prog: &CopyProgram) -> [usize; 3] {
+        let mut kinds = [0; 3];
+        for s in &prog.steps {
+            match s {
+                CopyStep::Value { .. } => kinds[0] += 1,
+                CopyStep::ValueDirect { .. } => kinds[1] += 1,
+                CopyStep::Direct { .. } => kinds[2] += 1,
+                CopyStep::Optional { .. } | CopyStep::Loop { .. } => {}
+            }
+        }
+        kinds
+    }
+
+    /// The e2ebench `bulk.spec` grammar, built the way the DSL lowers it.
+    fn bulk_shaped() -> crate::graph::FormatGraph {
+        let mut b = GraphBuilder::new("Bulk");
+        let root = b.root_sequence("Bulk", Boundary::End);
+        let count = b.uint_be(root, "count", 2);
+        let tab = b.tabular(root, "records", count);
+        b.set_auto(count, AutoValue::CounterOf(tab));
+        let item = b.sequence(tab, "item", Boundary::Delegated);
+        b.uint_be(item, "key", 4);
+        b.uint_be(item, "flags", 2);
+        b.terminal(item, "payload", TerminalKind::Bytes, Boundary::Fixed(24));
+        b.terminal(root, "tail", TerminalKind::Bytes, Boundary::End);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bulk_copy_programs_fuse_every_value_step_at_level_2() {
+        // The benchmark's derivation: its shared secret at level 2. No
+        // value channel of this grammar is split, so both relay
+        // directions copy key, flags, payload and tail wire to wire.
+        let plain = bulk_shaped();
+        let clear = ObfGraph::from_plain(&plain);
+        let codec = crate::engine::Obfuscator::new(&plain)
+            .key("e2ebench shared secret")
+            .max_per_node(2)
+            .obfuscate()
+            .unwrap();
+        let obf = codec.obf_graph();
+        for (src, dst) in [(&clear, obf), (obf, &clear)] {
+            let prog = CopyProgram::compile(src, dst).expect("same plain spec");
+            assert_eq!(step_kinds(&prog), [0, 0, 4], "{:?}", prog.steps);
+            // The obfuscated end carries constant ops, undone or applied
+            // in place.
+            assert!(
+                prog.steps.iter().any(|s| matches!(s,
+                    CopyStep::Direct { src_ops, dst_ops, .. } if src_ops.1 + dst_ops.1 > 0)),
+                "{:?}",
+                prog.steps
+            );
+        }
+    }
+
+    /// Every `ByteOp`, for building kernel test cases.
+    const BYTE_OPS: [ByteOp; 3] = [ByteOp::Add, ByteOp::Sub, ByteOp::Xor];
+
+    #[test]
+    fn op_kernels_match_the_allocating_reference() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for klen in 1..=5usize {
+            for vlen in 0..=67usize {
+                let value: Vec<u8> = (0..vlen).map(|_| rng.gen()).collect();
+                let ops: Vec<ConstOp> = BYTE_OPS
+                    .iter()
+                    .map(|&op| ConstOp { op, k: (0..klen).map(|_| rng.gen()).collect() })
+                    .collect();
+                for stack in [&ops[..1], &ops[1..2], &ops[2..], &ops[..]] {
+                    let reference = stack
+                        .iter()
+                        .fold(value.clone(), |v, c| crate::value::apply_op(c.op, &v, &c.k));
+                    let mut v = value.clone();
+                    apply_ops_in_place(stack, &mut v);
+                    assert_eq!(v, reference, "key {klen}, value {vlen}, {stack:?}");
+                    undo_ops_in_place(stack, &mut v);
+                    assert_eq!(v, value, "undo after apply, key {klen}, value {vlen}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn op_recombination_matches_the_reference() {
+        // A three-step program recombining two loaded wires: slot 0 holds
+        // the share, slot 1 the combined value.
+        let mut plan = CodecPlan::compile(&sample());
+        let none = (0, 0);
+        let mut rng = StdRng::seed_from_u64(23);
+        for op in BYTE_OPS {
+            plan.rec_steps = vec![
+                RecStep::Load { obf: 0, ops: none },
+                RecStep::Load { obf: 1, ops: none },
+                RecStep::Op { op, ops: none },
+            ];
+            for vlen in 0..=67usize {
+                let combined: Vec<u8> = (0..vlen).map(|_| rng.gen()).collect();
+                for slen in (0..=5).chain([vlen]) {
+                    let share: Vec<u8> = (0..slen).map(|_| rng.gen()).collect();
+                    let reference = if share.is_empty() {
+                        combined.clone()
+                    } else {
+                        crate::value::apply_op(op.inverse(), &combined, &share)
+                    };
+                    let mut ev = RecEval::default();
+                    let wires = [&share, &combined];
+                    let (s, l) = ev
+                        .eval(&plan, RecProg((0, 3)), &[], &mut |obf, _, buf| {
+                            buf.extend_from_slice(wires[obf as usize]);
+                            true
+                        })
+                        .expect("both wires present");
+                    assert_eq!(&ev.buf[s..s + l], reference, "{op:?}, share {slen}, value {vlen}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!
 //! [`verify_copy_program`] applies the same discipline to compiled
 //! transcode programs (relative jumps in bounds and properly nested,
-//! source/destination slot types in agreement), and
+//! source/destination slot types in agreement, each fused wire-to-wire
+//! copy equal to the recovery and distribution programs it replaces), and
 //! [`verify_channel_map`] checks the covert tunnel's carrier
 //! classification against a traced serialization: carrier spans must lie
 //! inside their slots' wire extents.
@@ -42,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::codec::Codec;
-use crate::graph::{NodeId, NodeType};
+use crate::graph::{FormatGraph, NodeId, NodeType};
 use crate::message::MAX_SCOPE;
 use crate::obf::ObfGraph;
 use crate::plan::{
@@ -99,6 +100,9 @@ pub const AUTO_CYCLE: &str = "P009";
 pub const COPY_TYPE_MISMATCH: &str = "P010";
 /// `P011` — a tunnel carrier span lies outside its slot's wire extent.
 pub const CARRIER_SPAN_OUT_OF_EXTENT: &str = "P011";
+/// `P012` — a fused wire-to-wire copy step differs from the single-`Load`
+/// recovery program and single-`Store` distribution program it replaces.
+pub const DIRECT_COPY_MISMATCH: &str = "P012";
 
 fn diag(code: &'static str, message: String) -> Diagnostic {
     Diagnostic { code, message }
@@ -859,6 +863,7 @@ pub fn verify_copy_program(src: &ObfGraph, dst: &ObfGraph, prog: &CopyProgram) -
         ));
         return diags;
     }
+    let loads = single_loads(plain, sp);
     let n = prog.steps.len();
     // Stack of enclosing block end indices (exclusive): a jump may end a
     // block early but must never escape the enclosing one.
@@ -971,23 +976,7 @@ pub fn verify_copy_program(src: &ObfGraph, dst: &ObfGraph, prog: &CopyProgram) -
                 }
             }
             CopyStep::ValueDirect { src_obf, src_ops, dist } => {
-                if src_obf as usize >= sp.nodes.len()
-                    || !matches!(sp.nodes[src_obf as usize].op, PlanOp::Term { .. })
-                {
-                    diags.push(diag(
-                        SLOT_OUT_OF_BOUNDS,
-                        format!(
-                            "step {i}: direct source slot {src_obf} is not a terminal of the \
-                             source plan"
-                        ),
-                    ));
-                }
-                if !range_ok(src_ops, sp.ops.len()) {
-                    diags.push(diag(
-                        POOL_OUT_OF_BOUNDS,
-                        format!("step {i}: source op range out of bounds in the source plan"),
-                    ));
-                }
+                direct_end(&mut diags, i, "source", sp, src_obf, src_ops);
                 if !range_ok(dist.0, dp.dist_steps.len()) {
                     diags.push(diag(
                         POOL_OUT_OF_BOUNDS,
@@ -997,9 +986,91 @@ pub fn verify_copy_program(src: &ObfGraph, dst: &ObfGraph, prog: &CopyProgram) -
                     ));
                 }
             }
+            CopyStep::Direct { src_obf, src_ops, dst_obf, dst_ops, check } => {
+                direct_end(&mut diags, i, "source", sp, src_obf, src_ops);
+                direct_end(&mut diags, i, "destination", dp, dst_obf, dst_ops);
+                let load = loads.iter().find(|l| l.1 == src_obf);
+                let store = load.and_then(|&(x, ..)| single_store(dp, x));
+                let replaced = match (load, store) {
+                    (Some(&(_, _, ops)), Some(s)) => {
+                        ops == src_ops && s == DistStep::Store { obf: dst_obf, ops: dst_ops, check }
+                    }
+                    _ => false,
+                };
+                if !replaced {
+                    diags.push(diag(
+                        DIRECT_COPY_MISMATCH,
+                        format!(
+                            "step {i}: direct copy {src_obf} {src_ops:?} -> {dst_obf} {dst_ops:?} \
+                             {check:?} is not a plain terminal's single Load in the source plan \
+                             and single Store in the destination plan"
+                        ),
+                    ));
+                }
+            }
         }
     }
     diags
+}
+
+/// Bounds of one wire end of a direct copy step: `obf` must be a terminal
+/// slot of `plan` and `ops` a range inside its op pool.
+fn direct_end(
+    diags: &mut Vec<Diagnostic>,
+    i: usize,
+    side: &str,
+    plan: &CodecPlan,
+    obf: u32,
+    ops: PoolRange,
+) {
+    if obf as usize >= plan.nodes.len()
+        || !matches!(plan.nodes[obf as usize].op, PlanOp::Term { .. })
+    {
+        diags.push(diag(
+            SLOT_OUT_OF_BOUNDS,
+            format!("step {i}: direct {side} slot {obf} is not a terminal of the {side} plan"),
+        ));
+    }
+    if !range_ok(ops, plan.ops.len()) {
+        diags.push(diag(
+            POOL_OUT_OF_BOUNDS,
+            format!("step {i}: {side} op range out of bounds in the {side} plan"),
+        ));
+    }
+}
+
+/// The copyable (non-auto) plain terminals of `plain` whose recovery
+/// program in `plan` is one `Load`, as `(plain, slot, ops)`: what a fused
+/// copy step may read.
+fn single_loads(plain: &FormatGraph, plan: &CodecPlan) -> Vec<(NodeId, u32, PoolRange)> {
+    plain
+        .ids()
+        .filter(|&x| plain.node(x).is_terminal() && !plain.node(x).auto().is_auto())
+        .filter_map(|x| {
+            let prog = plan.rec.get(x.index()).copied().flatten()?;
+            if !range_ok(prog.0, plan.rec_steps.len()) {
+                return None;
+            }
+            match *plan.rec_prog(prog) {
+                [RecStep::Load { obf, ops }] => Some((x, obf, ops)),
+                _ => None,
+            }
+        })
+        .collect()
+}
+
+/// The distribution program of plain terminal `x`'s holder in `plan`, when
+/// it is one `Store`: what a fused copy step may write.
+fn single_store(plan: &CodecPlan, x: NodeId) -> Option<DistStep> {
+    let holder = *plan.holder.get(x.index())?;
+    let prog = plan.dist.get(holder as usize).copied().flatten()?;
+    if !range_ok(prog.0, plan.dist_steps.len()) {
+        return None;
+    }
+    match *plan.dist_prog(prog) {
+        [store @ DistStep::Store { .. }] => Some(store),
+        _ => None,
+    }
 }
 
 /// Verifies the covert tunnel's carrier classification for `codec`: every
@@ -1357,6 +1428,39 @@ mod tests {
         let spans = [SlotSpan { slot: 0, start: 0, end: 10, depth: 0 }];
         let d = check_spans(&spans, 8, &plan, &[]);
         assert!(codes(&d).contains(&CARRIER_SPAN_OUT_OF_EXTENT), "{d:?}");
+    }
+
+    #[test]
+    fn p012_direct_copy_mismatch_fires() {
+        // Clear → transformed: `flag` and `extra.ev` fuse; `data` splits.
+        let (src, dst) = (sample(), transformed());
+        let prog = CopyProgram::compile(&src, &dst).expect("same plain spec");
+        assert_eq!(verify_copy_program(&src, &dst, &prog), vec![], "clean program");
+        let tampered = |edit: &dyn Fn(&mut u32, &mut PoolRange)| {
+            let mut prog = prog.clone();
+            for s in &mut prog.steps {
+                if let CopyStep::Direct { dst_obf, dst_ops, .. } = s {
+                    edit(dst_obf, dst_ops);
+                }
+            }
+            verify_copy_program(&src, &dst, &prog)
+        };
+        // Swap the two fused steps' destination slots: both stay live
+        // terminals of the destination plan, only P012 can tell.
+        let slots: Vec<u32> = prog
+            .steps
+            .iter()
+            .filter_map(|s| match s {
+                CopyStep::Direct { dst_obf, .. } => Some(*dst_obf),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(slots.len(), 2, "{:?}", prog.steps);
+        let d = tampered(&|obf, _| *obf = if *obf == slots[0] { slots[1] } else { slots[0] });
+        assert_eq!(codes(&d), vec![DIRECT_COPY_MISMATCH; 2], "{d:?}");
+        // Give the destination ends an in-bounds op stack they do not have.
+        let d = tampered(&|_, ops| *ops = (0, 1));
+        assert_eq!(codes(&d), vec![DIRECT_COPY_MISMATCH; 2], "{d:?}");
     }
 
     #[test]
