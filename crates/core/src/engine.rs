@@ -55,11 +55,11 @@ impl<'g> Obfuscator<'g> {
     /// Sets the raw RNG seed. Both communicating peers must use the same
     /// seed (and specification) to derive identical codecs.
     ///
-    /// Deprecated shim: a bare `u64` is awkward to distribute and keep in
-    /// sync across every layer of a deployment. Prefer
-    /// [`Obfuscator::key`] (a string/byte secret, stretched into the seed)
-    /// or, at the endpoint level, a [`crate::profile::Profile`] — the one
-    /// object both peers share.
+    /// Experiments that sweep integer seeds use this directly. A
+    /// deployment shares a string/byte secret instead: [`Obfuscator::key`]
+    /// stretches it into the seed, and at the endpoint level a
+    /// [`crate::profile::Profile`] carries it — the one object both peers
+    /// share.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -68,7 +68,7 @@ impl<'g> Obfuscator<'g> {
     /// Sets the shared secret: an arbitrary byte/string key stretched into
     /// the per-graph RNG seed ([`crate::profile::stretch_key`]). Both
     /// communicating peers must use the same key (and specification) to
-    /// derive identical codecs. Supersedes [`Obfuscator::seed`].
+    /// derive identical codecs. Overrides any earlier [`Obfuscator::seed`].
     pub fn key(mut self, key: impl AsRef<[u8]>) -> Self {
         self.seed = crate::profile::stretch_key(key.as_ref());
         self

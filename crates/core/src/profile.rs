@@ -18,8 +18,7 @@
 //!   string/byte secret stretched into the per-graph RNG seed by
 //!   [`stretch_key`]), the per-node budget (*level*) and the allowed
 //!   transformation set;
-//! * the **service tuning** ([`Tuning`]) — frame limit, pool shards and
-//!   per-shard pool capacity.
+//! * the **service tuning** ([`Tuning`]) — the frame limit.
 //!
 //! A profile serializes to a human-readable text format
 //! ([`Profile::to_text`], round-tripped by [`Profile::parse`]); both
@@ -154,15 +153,11 @@ impl ObfConfig {
 pub struct Tuning {
     /// Frame-size limit enforced by services and connections.
     pub max_frame: usize,
-    /// Pool shard count (`None`: one per available CPU).
-    pub shards: Option<usize>,
-    /// Pooled scratch states kept per shard (`None`: service default).
-    pub pool_capacity: Option<usize>,
 }
 
 impl Default for Tuning {
     fn default() -> Self {
-        Tuning { max_frame: MAX_FRAME, shards: None, pool_capacity: None }
+        Tuning { max_frame: MAX_FRAME }
     }
 }
 
@@ -218,18 +213,6 @@ impl Profile {
         self
     }
 
-    /// Sets the service pool shard count.
-    pub fn shards(mut self, shards: usize) -> Profile {
-        self.tuning.shards = Some(shards);
-        self
-    }
-
-    /// Sets the per-shard session pool capacity.
-    pub fn pool_capacity(mut self, cap: usize) -> Profile {
-        self.tuning.pool_capacity = Some(cap);
-        self
-    }
-
     /// Initiator→responder spec source.
     pub fn tx(&self) -> &SpecSource {
         &self.tx
@@ -276,12 +259,6 @@ impl Profile {
             out.push_str(&format!("transforms {}\n", names.join(",")));
         }
         out.push_str(&format!("max-frame {}\n", self.tuning.max_frame));
-        if let Some(s) = self.tuning.shards {
-            out.push_str(&format!("shards {s}\n"));
-        }
-        if let Some(c) = self.tuning.pool_capacity {
-            out.push_str(&format!("pool-capacity {c}\n"));
-        }
         out
     }
 
@@ -383,16 +360,7 @@ impl Profile {
     }
 
     fn service(&self, codec: Codec) -> Arc<CodecService> {
-        let svc = match self.tuning.shards {
-            Some(n) => CodecService::with_shards(codec, n),
-            None => CodecService::new(codec),
-        };
-        let svc = svc.max_frame(self.tuning.max_frame);
-        let svc = match self.tuning.pool_capacity {
-            Some(cap) => svc.pool_capacity(cap),
-            None => svc,
-        };
-        Arc::new(svc)
+        Arc::new(CodecService::new(codec).max_frame(self.tuning.max_frame))
     }
 }
 
@@ -653,8 +621,6 @@ struct Parser<'t> {
     level: Option<u32>,
     allowed: Option<Vec<TransformKind>>,
     max_frame: Option<usize>,
-    shards: Option<usize>,
-    pool_capacity: Option<usize>,
 }
 
 impl<'t> Parser<'t> {
@@ -668,8 +634,6 @@ impl<'t> Parser<'t> {
             level: None,
             allowed: None,
             max_frame: None,
-            shards: None,
-            pool_capacity: None,
         }
     }
 
@@ -707,15 +671,6 @@ impl<'t> Parser<'t> {
                 "max-frame" => {
                     set(no, "max-frame", &mut self.max_frame, number(no, "max-frame", value)?)?;
                 }
-                "shards" => set(no, "shards", &mut self.shards, number(no, "shards", value)?)?,
-                "pool-capacity" => {
-                    set(
-                        no,
-                        "pool-capacity",
-                        &mut self.pool_capacity,
-                        number(no, "pool-capacity", value)?,
-                    )?;
-                }
                 other => {
                     return Err(ProfileError::parse(no, format!("unknown keyword {other:?}")));
                 }
@@ -746,11 +701,7 @@ impl<'t> Parser<'t> {
                 level: self.level.unwrap_or(defaults.0.level),
                 allowed: self.allowed.unwrap_or(defaults.0.allowed),
             },
-            tuning: Tuning {
-                max_frame: self.max_frame.unwrap_or(defaults.1.max_frame),
-                shards: self.shards,
-                pool_capacity: self.pool_capacity,
-            },
+            tuning: Tuning { max_frame: self.max_frame.unwrap_or(defaults.1.max_frame) },
         })
     }
 
@@ -920,9 +871,7 @@ mod tests {
             .key(b"\x00weird \"key\"\\ \xff".as_slice())
             .level(4)
             .transforms([TransformKind::ConstXor, TransformKind::SplitCat])
-            .max_frame(4096)
-            .shards(3)
-            .pool_capacity(7);
+            .max_frame(4096);
         let text = p.to_text();
         assert_eq!(Profile::parse(&text).unwrap(), p, "{text}");
     }
@@ -941,6 +890,12 @@ mod tests {
         let cases: &[(&str, &str)] = &[
             ("spec builtin:a\n", "profile protoobf/1"), // missing header
             ("profile protoobf/1\nbogus 1\n", "bogus"), // unknown keyword
+            // The retired pool-tuning keywords are unknown, too.
+            (
+                "profile protoobf/1\nspec builtin:a\nshards 4\n",
+                "line 3: unknown keyword \"shards\"",
+            ),
+            ("profile protoobf/1\nspec builtin:a\npool-capacity 8\n", "line 3: unknown keyword"),
             ("profile protoobf/1\nspec builtin:a\nlevel x\n", "x"), // bad number
             ("profile protoobf/1\nspec builtin:a\nlevel 1\nlevel 2\n", "repeated"),
             ("profile protoobf/1\ntx builtin:a\n", "rx"), // half a pair
@@ -1039,9 +994,8 @@ mod tests {
 
     #[test]
     fn tuning_reaches_the_services() {
-        let ep = sym().max_frame(2048).shards(3).build_with(&resolver).unwrap();
+        let ep = sym().max_frame(2048).build_with(&resolver).unwrap();
         assert_eq!(ep.tx_service().frame_limit(), 2048);
-        assert_eq!(ep.tx_service().stats().shards, 3);
         assert_eq!(ep.clear_tx_service().frame_limit(), 2048);
     }
 

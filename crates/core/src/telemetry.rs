@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::service::CodecService;
+use crate::service::{CodecService, ServiceStats};
 
 /// Log-bucketed bucket count of [`LatencyHistogram`]: bucket `i` holds
 /// values whose bit length is `i` (bucket 0 is exactly zero, bucket 1 is
@@ -269,6 +269,13 @@ pub struct StagesSnapshot {
     pub serialize: StageSnapshot,
     pub parse: StageSnapshot,
     pub transcode: StageSnapshot,
+}
+
+impl StagesSnapshot {
+    /// The three stages with their `stage` label values, in a fixed order.
+    fn named(&self) -> [(&'static str, &StageSnapshot); 3] {
+        [("serialize", &self.serialize), ("parse", &self.parse), ("transcode", &self.transcode)]
+    }
 }
 
 /// Connection lifecycle event kinds recorded by the [`FlightRecorder`].
@@ -669,7 +676,7 @@ impl std::fmt::Display for MetricsSnapshot {
 /// The unified observability registry behind the admin endpoint: one
 /// [`Metrics`] (transport counters + stage timers + flight recorder)
 /// plus any number of named [`CodecService`]s whose
-/// [`crate::service::ServiceStats`] become per-service gauge/counter series. Renders
+/// [`crate::service::ServiceStats`] become per-service gauge series. Renders
 /// the whole lot as Prometheus text exposition (`/metrics`), a flight-
 /// recorder dump (`/events`), or a human summary (the CLI's final
 /// line). Cheap to build — services register as `Arc` clones.
@@ -720,6 +727,7 @@ impl Telemetry {
     /// the previous scrape), frame sizes are cumulative `le` histograms,
     /// and every registered service contributes labeled series.
     pub fn render_prometheus(&self) -> String {
+        use std::fmt::Write;
         let snap = self.metrics.snapshot();
         let prev = {
             let mut last = self.last_scrape.lock().unwrap_or_else(|e| e.into_inner());
@@ -756,14 +764,15 @@ impl Telemetry {
             ),
         ];
         for (name, help, value) in counters {
-            use std::fmt::Write;
             let _ = writeln!(out, "# HELP protoobf_{name}_total {help}");
-            let _ = writeln!(out, "# TYPE protoobf_{name}_total counter");
+            type_line(&mut out, &format!("protoobf_{name}_total"), "counter");
             let _ = writeln!(out, "protoobf_{name}_total {value}");
         }
 
+        type_line(&mut out, "protoobf_wake_latency_micros", "summary");
         render_summary(&mut out, "protoobf_wake_latency_micros", "", &snap.wake_latency);
         if let Some(prev) = &prev {
+            type_line(&mut out, "protoobf_wake_latency_interval_micros", "summary");
             render_summary(
                 &mut out,
                 "protoobf_wake_latency_interval_micros",
@@ -772,60 +781,58 @@ impl Telemetry {
             );
         }
 
-        for (stage, cur, old) in [
-            ("serialize", &snap.stages.serialize, prev.as_ref().map(|p| &p.stages.serialize)),
-            ("parse", &snap.stages.parse, prev.as_ref().map(|p| &p.stages.parse)),
-            ("transcode", &snap.stages.transcode, prev.as_ref().map(|p| &p.stages.transcode)),
-        ] {
-            use std::fmt::Write;
-            let _ = writeln!(out, "protoobf_stage_calls_total{{stage=\"{stage}\"}} {}", cur.calls);
-            let label = format!("{{stage=\"{stage}\"}}");
-            render_summary(&mut out, "protoobf_stage_latency_nanos", &label, &cur.latency);
-            if let Some(old) = old {
+        // The exposition format wants each family's samples in one group,
+        // so the stages are walked once per family, not once in total.
+        let stages = snap.stages.named();
+        let stage_label = |stage: &str| format!("{{stage=\"{stage}\"}}");
+        type_line(&mut out, "protoobf_stage_calls_total", "counter");
+        for (stage, cur) in stages {
+            let _ = writeln!(out, "protoobf_stage_calls_total{} {}", stage_label(stage), cur.calls);
+        }
+        type_line(&mut out, "protoobf_stage_latency_nanos", "summary");
+        for (stage, cur) in stages {
+            render_summary(
+                &mut out,
+                "protoobf_stage_latency_nanos",
+                &stage_label(stage),
+                &cur.latency,
+            );
+        }
+        if let Some(prev) = &prev {
+            type_line(&mut out, "protoobf_stage_latency_interval_nanos", "summary");
+            for ((stage, cur), (_, old)) in stages.into_iter().zip(prev.stages.named()) {
                 render_summary(
                     &mut out,
                     "protoobf_stage_latency_interval_nanos",
-                    &label,
+                    &stage_label(stage),
                     &cur.latency.delta(&old.latency),
                 );
             }
         }
 
+        type_line(&mut out, "protoobf_frame_bytes", "histogram");
         render_histogram(&mut out, "protoobf_frame_bytes", "in", &snap.frame_bytes_in);
         render_histogram(&mut out, "protoobf_frame_bytes", "out", &snap.frame_bytes_out);
 
-        for (name, service) in &self.services {
-            use std::fmt::Write;
-            let s = service.stats();
-            let label = format!("{{service=\"{name}\"}}");
-            let _ = writeln!(out, "protoobf_service_shards{label} {}", s.shards);
-            let _ = writeln!(
-                out,
-                "protoobf_service_pooled_serializers{label} {}",
-                s.pooled_serializers
-            );
-            let _ = writeln!(out, "protoobf_service_pooled_parsers{label} {}", s.pooled_parsers);
-            let _ = writeln!(
-                out,
-                "protoobf_service_pooled_serializers_peak{label} {}",
-                s.pooled_serializer_peak
-            );
-            let _ = writeln!(
-                out,
-                "protoobf_service_pooled_parsers_peak{label} {}",
-                s.pooled_parser_peak
-            );
-            let _ =
-                writeln!(out, "protoobf_service_serialized_total{label} {}", s.serialized_messages);
-            let _ = writeln!(out, "protoobf_service_parsed_total{label} {}", s.parsed_messages);
+        let stats: Vec<_> = self.services.iter().map(|(name, svc)| (name, svc.stats())).collect();
+        type Gauge = fn(&ServiceStats) -> usize;
+        let gauges: [(&str, Gauge); 4] = [
+            ("pooled_serializers", |s| s.pooled_serializers),
+            ("pooled_parsers", |s| s.pooled_parsers),
+            ("pooled_serializers_peak", |s| s.pooled_serializer_peak),
+            ("pooled_parsers_peak", |s| s.pooled_parser_peak),
+        ];
+        for (gauge, read) in gauges {
+            type_line(&mut out, &format!("protoobf_service_{gauge}"), "gauge");
+            for (name, s) in &stats {
+                let _ = writeln!(out, "protoobf_service_{gauge}{{service=\"{name}\"}} {}", read(s));
+            }
         }
 
-        {
-            use std::fmt::Write;
-            let _ =
-                writeln!(out, "protoobf_flight_events_total {}", self.metrics.recorder.recorded());
-            let _ = writeln!(out, "protoobf_uptime_seconds {}", self.started.elapsed().as_secs());
-        }
+        type_line(&mut out, "protoobf_flight_events_total", "counter");
+        let _ = writeln!(out, "protoobf_flight_events_total {}", self.metrics.recorder.recorded());
+        type_line(&mut out, "protoobf_uptime_seconds", "gauge");
+        let _ = writeln!(out, "protoobf_uptime_seconds {}", self.started.elapsed().as_secs());
         out
     }
 
@@ -889,16 +896,11 @@ impl Telemetry {
             let s = service.stats();
             let _ = writeln!(
                 out,
-                "  service {name}: {} serialized / {} parsed; pooled {}+{} (peak {}+{}); \
-                 contention {} checkout / {} checkin",
-                s.serialized_messages,
-                s.parsed_messages,
+                "  service {name}: pooled {}+{} (peak {}+{})",
                 s.pooled_serializers,
                 s.pooled_parsers,
                 s.pooled_serializer_peak,
                 s.pooled_parser_peak,
-                s.checkout_contention,
-                s.checkin_contention,
             );
         }
         let _ = write!(
@@ -911,16 +913,20 @@ impl Telemetry {
     }
 }
 
-/// Emits a Prometheus summary: p50/p95/p99 `quantile` series plus
-/// `_sum`/`_count`. `labels` is either empty or `{k="v"}` (merged with
-/// the quantile label as needed).
+/// Emits a metric family's `# TYPE` line. Each family gets exactly one,
+/// right before its first sample, and its samples follow as one group.
+fn type_line(out: &mut String, name: &str, kind: &str) {
+    use std::fmt::Write;
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Emits a Prometheus summary's samples: p50/p95/p99 `quantile` series
+/// plus `_sum`/`_count`. `labels` is either empty or `{k="v"}` (merged
+/// with the quantile label as needed).
 fn render_summary(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
     use std::fmt::Write;
     let base = labels.trim_start_matches('{').trim_end_matches('}');
     let sep = if base.is_empty() { "" } else { "," };
-    if labels.is_empty() {
-        let _ = writeln!(out, "# TYPE {name} summary");
-    }
     for (q, p) in [("0.5", 50u8), ("0.95", 95), ("0.99", 99)] {
         let _ = writeln!(out, "{name}{{{base}{sep}quantile=\"{q}\"}} {}", snap.percentile(p));
     }
@@ -928,14 +934,11 @@ fn render_summary(out: &mut String, name: &str, labels: &str, snap: &HistogramSn
     let _ = writeln!(out, "{name}_count{labels} {}", snap.count());
 }
 
-/// Emits a Prometheus histogram with cumulative `le` buckets from the
-/// log₂ bucket ceilings (only buckets up to the last non-empty one,
-/// plus `+Inf`), labeled by `direction`.
+/// Emits a Prometheus histogram's samples with cumulative `le` buckets
+/// from the log₂ bucket ceilings (only buckets up to the last non-empty
+/// one, plus `+Inf`), labeled by `direction`.
 fn render_histogram(out: &mut String, name: &str, direction: &str, snap: &HistogramSnapshot) {
     use std::fmt::Write;
-    if direction == "in" {
-        let _ = writeln!(out, "# TYPE {name} histogram");
-    }
     let last = snap.buckets.iter().rposition(|&n| n != 0);
     let mut cumulative = 0u64;
     if let Some(last) = last {
@@ -1163,7 +1166,7 @@ mod tests {
         b.uint_be(root, "id", 2);
         let graph = b.build().unwrap();
         let codec = crate::engine::Obfuscator::new(&graph).seed(1).obfuscate().unwrap();
-        Arc::new(CodecService::with_shards(codec, 1))
+        Arc::new(CodecService::new(codec))
     }
 
     #[test]
@@ -1194,7 +1197,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("protoobf_frame_bytes_sum{direction=\"in\"} 64"), "{text}");
-        assert!(text.contains("protoobf_service_shards{service=\"down\"} 1"), "{text}");
+        assert!(text.contains("protoobf_service_pooled_serializers{service=\"down\"} 0"), "{text}");
         assert!(text.contains("protoobf_flight_events_total 1"), "{text}");
         // First scrape has no interval series; the second does.
         assert!(!text.contains("interval"), "{text}");
@@ -1213,5 +1216,56 @@ mod tests {
         assert!(summary.contains("frames: in"), "{summary}");
         assert!(summary.contains("service down:"), "{summary}");
         assert!(summary.contains("flight recorder: 1 events"), "{summary}");
+    }
+
+    /// Every sample on `/metrics` sits in the group of the family whose
+    /// `# TYPE` line precedes it, and no family is typed twice — on the
+    /// first scrape and on the second, which adds the interval series.
+    #[test]
+    fn every_metric_family_is_typed_once_before_its_samples() {
+        let metrics = Arc::new(Metrics::new());
+        metrics.stages.parse.finish(metrics.stages.parse.start());
+        metrics.frame_bytes_out.record(64);
+        let mut telemetry = Telemetry::new(Arc::clone(&metrics));
+        telemetry.register_service("a", &tiny_service());
+        telemetry.register_service("b", &tiny_service());
+        for scrape in 1..=2 {
+            let text = telemetry.render_prometheus();
+            let mut declared: Vec<(&str, &str)> = Vec::new();
+            for line in text.lines() {
+                if let Some(decl) = line.strip_prefix("# TYPE ") {
+                    let (family, kind) = decl.split_once(' ').unwrap();
+                    assert!(
+                        declared.iter().all(|&(f, _)| f != family),
+                        "scrape {scrape}: {family} typed twice"
+                    );
+                    declared.push((family, kind));
+                    continue;
+                }
+                if line.starts_with('#') {
+                    continue;
+                }
+                let name = line.split(['{', ' ']).next().unwrap();
+                let &(family, kind) = declared
+                    .last()
+                    .unwrap_or_else(|| panic!("scrape {scrape}: {line:?} precedes every TYPE"));
+                let suffixes: &[&str] = match kind {
+                    "summary" => &["", "_sum", "_count"],
+                    "histogram" => &["_bucket", "_sum", "_count"],
+                    _ => &[""],
+                };
+                assert!(
+                    suffixes.iter().any(|suffix| name == format!("{family}{suffix}")),
+                    "scrape {scrape}: {line:?} is outside its family's group (last TYPE {family})"
+                );
+            }
+            assert!(declared.contains(&("protoobf_stage_latency_nanos", "summary")), "{text}");
+            assert!(declared.contains(&("protoobf_service_pooled_parsers", "gauge")), "{text}");
+            assert_eq!(
+                declared.contains(&("protoobf_stage_latency_interval_nanos", "summary")),
+                scrape == 2,
+                "{text}"
+            );
+        }
     }
 }

@@ -171,7 +171,7 @@ pub fn score_trajectory(
 }
 
 /// Renders the report in the same shape as the vendored criterion's
-/// `PROTOOBF_BENCH_JSON` trajectories (`prefix` / `unix_time` /
+/// `BENCH_<group>.json` trajectories (`prefix` / `unix_time` /
 /// `results` with one named entry per cell), so the CI artifact tooling
 /// treats perf and resilience curves uniformly.
 pub fn export_json(report: &ResilienceReport) -> String {

@@ -132,43 +132,3 @@ fn shared_service_matches_single_threaded_reference() {
         }
     }
 }
-
-#[test]
-fn batch_paths_under_contention() {
-    // Many threads hammering the batch + framing service APIs on one
-    // shared service: results must match per-message one-shot paths.
-    let graph = modbus::request_graph();
-    let service = Arc::new(CodecService::new(codec_for(&graph, 2, 11)));
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let service = Arc::clone(&service);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(t);
-                for _ in 0..20 {
-                    let msgs: Vec<_> =
-                        (0..8).map(|_| random_message(service.codec(), &mut rng)).collect();
-                    let wires = service.serialize_batch(&msgs).unwrap();
-                    let back = service.parse_batch(&wires).unwrap();
-                    for (wire, parsed) in wires.iter().zip(&back) {
-                        let ref_parsed =
-                            parse_mod::parse(service.codec().obf_graph(), wire).unwrap();
-                        assert_eq!(
-                            serialize_mod::serialize_seeded(service.codec().obf_graph(), parsed, 0)
-                                .unwrap(),
-                            serialize_mod::serialize_seeded(
-                                service.codec().obf_graph(),
-                                &ref_parsed,
-                                0
-                            )
-                            .unwrap(),
-                            "batch roundtrip diverged under contention"
-                        );
-                    }
-                }
-            });
-        }
-    });
-    let stats = service.stats();
-    assert_eq!(stats.serialized_messages, THREADS * 20 * 8);
-    assert_eq!(stats.parsed_messages, THREADS * 20 * 8);
-}
