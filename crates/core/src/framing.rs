@@ -190,28 +190,27 @@ fn frame_len(body_len: usize, max_frame: usize) -> Result<[u8; 4], FrameError> {
 }
 
 /// Reads length-framed obfuscated messages from a byte stream, reusing one
-/// parse session and one body buffer across messages.
+/// parse session, one [`FrameBuffer`] and one read chunk across messages.
 ///
-/// The reader is **resumable**: partial progress through a frame (both the
-/// 4-byte prefix and the body) survives transient I/O errors. When the
+/// The reader is **resumable**: every byte read stays in its
+/// [`FrameBuffer`] until the frame it belongs to is complete, so partial
+/// progress through a frame survives transient I/O errors. When the
 /// underlying stream is non-blocking and `read` fails with
 /// [`io::ErrorKind::WouldBlock`], the resulting [`FrameError::Io`] leaves
 /// the reader in a consistent state — call [`FrameReader::recv`] again when
 /// the stream is readable and the frame continues where it stopped.
-/// [`io::ErrorKind::Interrupted`] is retried internally.
+/// [`io::ErrorKind::Interrupted`] is retried internally. Reads may run past
+/// the end of a frame; the extra bytes stay buffered for the next call.
 #[derive(Debug)]
 pub struct FrameReader<'c, R> {
     session: ParseSession<'c>,
     inner: R,
-    body: Vec<u8>,
-    max_frame: usize,
-    /// Prefix bytes accumulated so far (resumption state).
-    header: [u8; 4],
-    header_filled: usize,
-    /// `Some(len)` once the prefix is complete and the body is being read.
-    body_target: Option<usize>,
-    body_filled: usize,
+    frames: FrameBuffer,
+    chunk: Vec<u8>,
 }
+
+/// Bytes a [`FrameReader`] asks its stream for per `read` call.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl<'c, R: Read> FrameReader<'c, R> {
     /// Wraps a reader.
@@ -219,18 +218,14 @@ impl<'c, R: Read> FrameReader<'c, R> {
         FrameReader {
             session: codec.parser(),
             inner,
-            body: Vec::new(),
-            max_frame: MAX_FRAME,
-            header: [0u8; 4],
-            header_filled: 0,
-            body_target: None,
-            body_filled: 0,
+            frames: FrameBuffer::new(),
+            chunk: Vec::new(),
         }
     }
 
     /// Sets the maximum accepted frame size (default [`MAX_FRAME`]).
     pub fn max_frame(mut self, limit: usize) -> Self {
-        self.max_frame = limit;
+        self.frames = self.frames.max_frame(limit);
         self
     }
 
@@ -246,10 +241,9 @@ impl<'c, R: Read> FrameReader<'c, R> {
     /// [`FrameError::Parse`] when the frame does not decode,
     /// [`FrameError::TooLarge`] when a length prefix exceeds the limit.
     pub fn recv(&mut self) -> Result<Option<Message<'c>>, FrameError> {
-        if !self.fill_body()? {
+        if self.recv_borrowed()?.is_none() {
             return Ok(None);
         }
-        self.session.parse_in_place(&self.body).map_err(FrameError::Parse)?;
         Ok(Some(self.session.take_message()))
     }
 
@@ -261,11 +255,12 @@ impl<'c, R: Read> FrameReader<'c, R> {
     ///
     /// See [`FrameReader::recv`].
     pub fn recv_borrowed(&mut self) -> Result<Option<&Message<'c>>, FrameError> {
-        if !self.fill_body()? {
+        if !self.fill()? {
             return Ok(None);
         }
-        let msg = self.session.parse_in_place(&self.body).map_err(FrameError::Parse)?;
-        Ok(Some(msg))
+        let parsed = self.session.parse_in_place(self.frames.peek()?.unwrap_or_default());
+        self.frames.consume();
+        parsed.map(Some).map_err(FrameError::Parse)
     }
 
     /// Receives one raw frame body.
@@ -274,54 +269,29 @@ impl<'c, R: Read> FrameReader<'c, R> {
     ///
     /// See [`FrameReader::recv`].
     pub fn recv_raw(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if !self.fill_body()? {
+        if !self.fill()? {
             return Ok(None);
         }
-        Ok(Some(self.body.clone()))
+        let body = self.frames.peek()?.map(<[u8]>::to_vec);
+        self.frames.consume();
+        Ok(body)
     }
 
-    /// Reads the next frame into the reusable body buffer, resuming any
-    /// partially-read prefix/body from a previous errored call. Returns
-    /// `false` on clean EOF (stream end exactly at a frame boundary).
-    fn fill_body(&mut self) -> Result<bool, FrameError> {
-        if self.body_target.is_none() {
-            while self.header_filled < 4 {
-                match self.inner.read(&mut self.header[self.header_filled..]) {
-                    Ok(0) if self.header_filled == 0 => return Ok(false),
-                    Ok(0) => return Err(FrameError::Truncated),
-                    Ok(n) => self.header_filled += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(FrameError::Io(e)),
-                }
-            }
-            let len = u32::from_be_bytes(self.header) as usize;
-            if len > self.max_frame {
-                return Err(FrameError::TooLarge { limit: self.max_frame, got: len });
-            }
-            self.body.clear();
-            self.body.resize(len, 0);
-            self.body_target = Some(len);
-            self.body_filled = 0;
-        }
-        let target = self.body_target.unwrap_or(0);
-        while self.body_filled < target {
-            match self.inner.read(&mut self.body[self.body_filled..target]) {
+    /// Reads until the buffer holds a complete frame, which the caller
+    /// peeks at and consumes. Returns `false` on clean EOF (stream end
+    /// exactly at a frame boundary).
+    fn fill(&mut self) -> Result<bool, FrameError> {
+        while self.frames.peek()?.is_none() {
+            self.chunk.resize(READ_CHUNK, 0);
+            match self.inner.read(&mut self.chunk) {
+                Ok(0) if self.frames.pending() == 0 => return Ok(false),
                 Ok(0) => return Err(FrameError::Truncated),
-                Ok(n) => self.body_filled += n,
+                Ok(n) => self.frames.feed(&self.chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
-        // Frame complete: reset the resumption state for the next one.
-        self.header_filled = 0;
-        self.body_target = None;
-        self.body_filled = 0;
         Ok(true)
-    }
-
-    /// Consumes the reader, returning the underlying stream.
-    pub fn into_inner(self) -> R {
-        self.inner
     }
 }
 

@@ -41,6 +41,21 @@ pub const BUILTIN_NAMES: [&str; 6] = [
     "modbus-response",
 ];
 
+/// The short tag of each [`BUILTIN_NAMES`] entry, at the same index: the
+/// `<tag>` of pinned regression-corpus files
+/// (`tests/corpus/<tag>-l<level>-p<seed>-<desc>.bin`).
+pub const BUILTIN_TAGS: [&str; 6] = ["dnsq", "dnsr", "httpq", "httpr", "modq", "modr"];
+
+/// The [`BUILTIN_TAGS`] entry of the bundled protocol `name`.
+pub fn builtin_tag(name: &str) -> Option<&'static str> {
+    BUILTIN_NAMES.iter().position(|&n| n == name).map(|i| BUILTIN_TAGS[i])
+}
+
+/// The [`BUILTIN_NAMES`] entry tagged `tag`.
+pub fn builtin_named(tag: &str) -> Option<&'static str> {
+    BUILTIN_TAGS.iter().position(|&t| t == tag).map(|i| BUILTIN_NAMES[i])
+}
+
 /// The plain specification of the bundled protocol `name` (one of
 /// [`BUILTIN_NAMES`]), or `None` for any other name.
 pub fn builtin(name: &str) -> Option<FormatGraph> {
@@ -63,5 +78,10 @@ mod tests {
             assert!(super::builtin(name).is_some(), "{name}");
         }
         assert!(super::builtin("smtp").is_none());
+        for (name, tag) in super::BUILTIN_NAMES.into_iter().zip(super::BUILTIN_TAGS) {
+            assert_eq!(super::builtin_tag(name), Some(tag));
+            assert_eq!(super::builtin_named(tag), Some(name));
+        }
+        assert!(super::builtin_tag("smtp").is_none() && super::builtin_named("smtp").is_none());
     }
 }

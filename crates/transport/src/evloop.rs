@@ -7,7 +7,16 @@
 //! compiled plan inside each [`protoobf_core::CodecService`]) is
 //! immutable by construction.
 //!
-//! ## Readiness backends
+//! ## One worker, two readiness sources
+//!
+//! Every worker runs the same loop: it owns a slab of sessions, accepts
+//! a capped burst, drives each ready session once per pass (retiring
+//! the finished and failed ones), drops everything at shutdown, records
+//! each pass's servicing time and exits once the accept limit is met
+//! and its sessions drained. The backends differ only in how sockets
+//! are registered at accept and deregistered at retirement, in how the
+//! worker learns which sessions are ready, and in the scan backend's
+//! backoff.
 //!
 //! On targets with the raw-syscall shim ([`crate::sys`], Linux
 //! x86-64/aarch64 — no libc) each worker owns an epoll instance:
@@ -22,20 +31,18 @@
 //! a new edge.
 //!
 //! The portable fallback — selected at **compile time** on targets
-//! without the shim, or at run time by setting `PROTOOBF_EVLOOP=scan`
-//! (how the test suite covers both paths on one machine) — discovers
-//! work by scanning: every socket is non-blocking and each worker
-//! repeatedly calls [`Session::drive`] on every session it owns, backing
-//! off exponentially (yield → 50 µs … 1.6 ms naps) when a whole scan
+//! without the shim, at run time when epoll setup fails, or by setting
+//! `PROTOOBF_EVLOOP=scan` (how the test suite covers both paths on one
+//! machine) — treats every live session as ready on every pass, backing
+//! off exponentially (yield → 50 µs … 1.6 ms naps) when a whole pass
 //! makes no progress. That is O(n) per quiet connection and adds up to a
 //! nap of latency — fine for hundreds of connections, the reason the
 //! epoll path exists for thousands.
 //!
-//! Both backends cap accepts per wake ([`LoopConfig::accept_burst`]) so
-//! a continuous stream of new connections cannot starve established
-//! sessions, and both record how long each wake spent servicing ready
-//! sessions into [`Metrics::wake_latency`] (p50/p95/p99 visible in the
-//! snapshot).
+//! Accepts are capped per wake ([`LoopConfig::accept_burst`]) so a
+//! continuous stream of new connections cannot starve established
+//! sessions, and each wake's time spent servicing ready sessions goes
+//! into [`Metrics::wake_latency`] (p50/p95/p99 visible in the snapshot).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,15 +77,13 @@ pub trait Session {
     /// [`Metrics::failed`] and drops it, closing its sockets).
     fn drive(&mut self) -> Result<Drive, TransportError>;
 
-    /// The sockets whose readiness gates this session's progress, for
-    /// kernel registration on the epoll path (edge-triggered, read and
-    /// write interest, registered at accept and deregistered at
-    /// close/fail). The default reports none, which makes the epoll
-    /// worker treat the session as always-ready — correct but O(n), i.e.
-    /// scan semantics for that one session.
-    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        let _ = out;
-    }
+    /// The sockets whose readiness gates this session's progress. The
+    /// epoll backend registers them (edge-triggered, read and write
+    /// interest) at accept, deregisters them at close/fail, and wakes the
+    /// session **only** through them: after its first drive, a session
+    /// is driven again only when one of the sockets it reports becomes
+    /// ready or its last drive made progress.
+    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>);
 
     /// An opaque identity for this session's flight-recorder events —
     /// conventionally [`peer_token`] of the accepted peer, so `/events`
@@ -126,8 +131,8 @@ impl Default for LoopConfig {
 /// dropped immediately, closing their sockets) or `accept_limit` is
 /// reached and every session drains gracefully. `factory` is called once
 /// per accepted connection — on the accepting worker's thread — to build
-/// its session; a factory error closes the connection and counts an
-/// accept error.
+/// its session; a factory error, or a failure to register the session's
+/// sockets, closes the connection and counts one accept error.
 ///
 /// Workers use kernel readiness (epoll via [`crate::sys`]) where the
 /// build supports it, unless `PROTOOBF_EVLOOP=scan` forces the portable
@@ -198,6 +203,144 @@ struct AcceptCounters {
     admitted: AtomicU64,
 }
 
+/// A worker's live sessions, indexed by slot (the slot doubles as the
+/// session's epoll token), plus the slots to drive on the next pass.
+struct Slab<S> {
+    slots: Vec<Option<S>>,
+    free: Vec<usize>,
+    /// Slots queued in `ready`, so a session named twice is driven once.
+    queued: Vec<bool>,
+    ready: Vec<usize>,
+    live: usize,
+}
+
+impl<S> Slab<S> {
+    /// The slot the next [`Slab::insert`] will fill.
+    fn next_slot(&self) -> usize {
+        self.free.last().copied().unwrap_or(self.slots.len())
+    }
+
+    /// Stores a new session and queues it: bytes may already be buffered,
+    /// and on epoll the registration consumed the first edge.
+    fn insert(&mut self, session: S) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.queued.push(false);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some(session);
+        self.live += 1;
+        self.queue(slot);
+    }
+
+    /// Queues a live slot for the next pass (stale tokens are ignored).
+    fn queue(&mut self, slot: usize) {
+        if self.slots.get(slot).is_some_and(Option::is_some) && !self.queued[slot] {
+            self.queued[slot] = true;
+            self.ready.push(slot);
+        }
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<S> {
+        let session = self.slots[slot].take()?;
+        self.queued[slot] = false;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(session)
+    }
+}
+
+/// Token of the worker's listener in its epoll interest list; session
+/// tokens are their slot index, which can never reach this.
+const LISTENER_TOKEN: u64 = u64::MAX;
+
+/// How a worker learns which sessions are ready — the only state in
+/// which the two backends differ.
+enum Readiness {
+    /// Kernel readiness: the worker's epoll instance, its wait buffer and
+    /// scratch for one session's raw fds.
+    Epoll { epoll: sys::Epoll, events: Vec<sys::EpollEvent>, fds: Vec<i32> },
+    /// Every live session is ready on every pass; `idle_scans` counts the
+    /// passes in a row without progress, for [`backoff`].
+    Scan { idle_scans: u32 },
+}
+
+impl Readiness {
+    /// Epoll when asked for and its setup succeeds; setup failures (fd
+    /// exhaustion, odd kernels) fall back to scanning instead of taking
+    /// the worker down.
+    fn new(listener: &TcpListener, use_epoll: bool) -> Readiness {
+        let epoll = || -> io::Result<Readiness> {
+            let epoll = sys::Epoll::new()?;
+            // Level-triggered listener: a burst capped short of draining
+            // the backlog re-reports immediately, so established sessions
+            // get their turn without new connections waiting for a fresh
+            // edge.
+            epoll.add(raw_fd(listener), sys::flags::IN, LISTENER_TOKEN)?;
+            let events = vec![sys::EpollEvent::zeroed(); 256];
+            Ok(Readiness::Epoll { epoll, events, fds: Vec::new() })
+        };
+        match use_epoll.then(epoll) {
+            Some(Ok(readiness)) => readiness,
+            _ => Readiness::Scan { idle_scans: 0 },
+        }
+    }
+
+    /// Registers a new session's sockets under `slot`. On failure none of
+    /// them stays registered.
+    fn register<S: Session>(&mut self, session: &S, slot: usize) -> io::Result<()> {
+        let Readiness::Epoll { epoll, fds, .. } = self else { return Ok(()) };
+        collect_fds(session, fds);
+        let interest = sys::flags::IN | sys::flags::OUT | sys::flags::RDHUP | sys::flags::ET;
+        for (i, &fd) in fds.iter().enumerate() {
+            if let Err(e) = epoll.add(fd, interest, slot as u64) {
+                for &added in &fds[..i] {
+                    let _ = epoll.del(added);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    fn deregister<S: Session>(&mut self, session: &S) {
+        if let Readiness::Epoll { epoll, fds, .. } = self {
+            collect_fds(session, fds);
+            for &fd in fds.iter() {
+                let _ = epoll.del(fd);
+            }
+        }
+    }
+
+    /// Queues this pass's ready sessions and reports whether the listener
+    /// may have connections pending. `busy` (work already queued or an
+    /// undrained backlog) makes epoll poll instead of parking.
+    fn poll<S>(&mut self, slab: &mut Slab<S>, accept_ready: &mut bool, busy: bool) {
+        match self {
+            Readiness::Epoll { epoll, events, .. } => {
+                // The 10 ms cap bounds how stale the shutdown/limit check
+                // can get. Wait failures are not setup failures; treat one
+                // as a timeout tick rather than abandoning live sessions.
+                let timeout = Duration::from_millis(if busy { 0 } else { 10 });
+                let n = epoll.wait(events, Some(timeout)).unwrap_or_default();
+                for ev in &events[..n] {
+                    match ev.token() {
+                        LISTENER_TOKEN => *accept_ready = true,
+                        slot => slab.queue(slot as usize),
+                    }
+                }
+            }
+            Readiness::Scan { .. } => {
+                *accept_ready = true;
+                for slot in 0..slab.slots.len() {
+                    slab.queue(slot);
+                }
+            }
+        }
+    }
+}
+
+/// One event-loop worker: see the [module docs](self).
 fn worker<S, F>(
     listener: TcpListener,
     cfg: &LoopConfig,
@@ -210,17 +353,93 @@ fn worker<S, F>(
     S: Session,
     F: Fn(TcpStream, SocketAddr) -> Result<S, TransportError> + Sync,
 {
-    #[cfg(unix)]
-    if use_epoll {
-        // Setup failures (fd exhaustion, odd kernels) fall back to the
-        // scan loop instead of taking the worker down.
-        if epoll_worker(&listener, cfg, shutdown, metrics, counters, factory).is_ok() {
+    let mut readiness = Readiness::new(&listener, use_epoll);
+    let mut slab: Slab<S> = Slab {
+        slots: Vec::new(),
+        free: Vec::new(),
+        queued: Vec::new(),
+        ready: Vec::new(),
+        live: 0,
+    };
+    let mut pass: Vec<usize> = Vec::new();
+    // Assume a pending backlog at startup: connections may have queued
+    // before the listener's registration.
+    let mut accept_ready = true;
+    loop {
+        let stop = shutdown.load(Ordering::Relaxed);
+        if stop && slab.live > 0 {
+            // Shutdown is immediate: drop every live session (closing its
+            // sockets) rather than waiting out idle peers that may never
+            // send or hang up — otherwise one lingering connection keeps
+            // serve() from ever returning. Bounded runs that want a
+            // graceful drain use `accept_limit` instead.
+            Metrics::add(&metrics.closed, slab.live as u64);
+            for slot in 0..slab.slots.len() {
+                if let Some(session) = slab.remove(slot) {
+                    metrics.recorder.record(EventKind::Shutdown, session.token(), 0);
+                    readiness.deregister(&session);
+                }
+            }
+            slab.ready.clear();
+        }
+        let accepting = !stop && !limit_reached(cfg, counters);
+        if !accepting && slab.live == 0 {
             return;
         }
+
+        let mut progress = false;
+        if accepting && accept_ready {
+            let accepted = accept_pass(&listener, cfg, metrics, counters, factory, |session| {
+                readiness.register(&session, slab.next_slot()).map_err(TransportError::Io)?;
+                slab.insert(session);
+                Ok(())
+            });
+            progress = accepted.progress;
+            accept_ready = !accepted.drained;
+        }
+        let busy = !slab.ready.is_empty() || (accepting && accept_ready);
+        readiness.poll(&mut slab, &mut accept_ready, busy);
+
+        // One drive per ready session per pass (fairness — a firehose
+        // session cannot monopolize the worker); sessions that made
+        // progress are queued again for the next pass.
+        std::mem::swap(&mut slab.ready, &mut pass);
+        let serviced = (!pass.is_empty()).then(std::time::Instant::now);
+        for &slot in &pass {
+            slab.queued[slot] = false;
+            let Some(session) = slab.slots[slot].as_mut() else { continue };
+            let (kind, counter, code) = match session.drive() {
+                Ok(Drive::Idle) => continue,
+                Ok(Drive::Progress) => {
+                    progress = true;
+                    slab.queue(slot);
+                    continue;
+                }
+                Ok(Drive::Done) => (EventKind::Close, &metrics.closed, 0),
+                Err(e) => (EventKind::Fail, &metrics.failed, e.code()),
+            };
+            progress = true;
+            Metrics::add(counter, 1);
+            if let Some(session) = slab.remove(slot) {
+                metrics.recorder.record(kind, session.token(), code);
+                readiness.deregister(&session);
+            }
+        }
+        pass.clear();
+
+        // A scan pass that found nothing to do is no wake: it backs off.
+        if let Readiness::Scan { idle_scans } = &mut readiness {
+            if !progress {
+                backoff(*idle_scans, metrics);
+                *idle_scans = idle_scans.saturating_add(1);
+                continue;
+            }
+            *idle_scans = 0;
+        }
+        if let Some(t0) = serviced {
+            metrics.wake_latency.record(t0.elapsed().as_micros() as u64);
+        }
     }
-    #[cfg(not(unix))]
-    let _ = use_epoll;
-    scan_worker(listener, cfg, shutdown, metrics, counters, factory);
 }
 
 /// What one bounded accept pass did.
@@ -228,20 +447,23 @@ struct AcceptPass {
     /// At least one connection was admitted (or definitively errored).
     progress: bool,
     /// The kernel's queue emptied (`WouldBlock`): no accepts are pending,
-    /// so the epoll worker may park until the listener's next event.
+    /// so an epoll worker may park until the listener's next event.
     drained: bool,
 }
 
 /// Accepts up to `cfg.accept_burst` connections, building a session for
-/// each and handing it to `sink`. Honors the accept-limit reservation
-/// protocol; the caller must already have checked shutdown/limit.
+/// each and handing it to `sink`. Each accept is recorded once, after
+/// the sink: an `Accept`, or one `AcceptError` if socket setup, the
+/// factory or the sink (socket registration) failed. Honors the
+/// accept-limit reservation protocol; the caller must already have
+/// checked shutdown/limit.
 fn accept_pass<S, F>(
     listener: &TcpListener,
     cfg: &LoopConfig,
     metrics: &Metrics,
     counters: &AcceptCounters,
     factory: &F,
-    mut sink: impl FnMut(S),
+    mut sink: impl FnMut(S) -> Result<(), TransportError>,
 ) -> AcceptPass
 where
     S: Session,
@@ -270,14 +492,17 @@ where
             Ok((stream, peer)) => {
                 counters.admitted.fetch_add(1, Ordering::Relaxed);
                 pass.progress = true;
-                match configure(&stream)
+                let admitted = configure(&stream)
                     .map_err(TransportError::Io)
                     .and_then(|()| factory(stream, peer))
-                {
-                    Ok(session) => {
+                    .and_then(|session| {
+                        let token = session.token();
+                        sink(session).map(|()| token)
+                    });
+                match admitted {
+                    Ok(token) => {
                         Metrics::add(&metrics.accepted, 1);
-                        metrics.recorder.record(EventKind::Accept, session.token(), 0);
-                        sink(session);
+                        metrics.recorder.record(EventKind::Accept, token, 0);
                     }
                     Err(e) => {
                         Metrics::add(&metrics.accept_errors, 1);
@@ -312,306 +537,25 @@ fn limit_reached(cfg: &LoopConfig, counters: &AcceptCounters) -> bool {
     cfg.accept_limit.is_some_and(|limit| counters.admitted.load(Ordering::Relaxed) >= limit)
 }
 
-// ---------------------------------------------------------------------
-// Epoll backend: O(ready) wakes via the raw-syscall shim.
-// ---------------------------------------------------------------------
-
-/// Token of the worker's listener in its epoll interest list; session
-/// tokens are their slot index, which can never reach this.
-#[cfg(unix)]
-const LISTENER_TOKEN: u64 = u64::MAX;
-
-/// Runs one worker on kernel readiness. Returns `Err` only for *setup*
-/// failures (epoll instance / listener registration) — the caller then
-/// falls back to the scan loop; once serving, per-connection errors are
-/// absorbed into `metrics` exactly like the scan worker.
-#[cfg(unix)]
-fn epoll_worker<S, F>(
-    listener: &TcpListener,
-    cfg: &LoopConfig,
-    shutdown: &AtomicBool,
-    metrics: &Metrics,
-    counters: &AcceptCounters,
-    factory: &F,
-) -> io::Result<()>
-where
-    S: Session,
-    F: Fn(TcpStream, SocketAddr) -> Result<S, TransportError> + Sync,
-{
-    use std::os::fd::AsRawFd;
-
-    let epoll = sys::Epoll::new()?;
-    // Level-triggered listener: a burst capped short of draining the
-    // backlog re-reports immediately, so established sessions get their
-    // turn without new connections waiting for a fresh edge.
-    epoll.add(listener.as_raw_fd(), sys::flags::IN, LISTENER_TOKEN)?;
-
-    let mut slots: Vec<Option<S>> = Vec::new();
-    let mut free_slots: Vec<usize> = Vec::new();
-    let mut is_ready: Vec<bool> = Vec::new();
-    let mut ready: Vec<usize> = Vec::new();
-    let mut next_ready: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    // Assume a pending backlog at startup: connections may have queued
-    // before our interest registration.
-    let mut accept_ready = true;
-    let mut events = vec![sys::EpollEvent::zeroed(); 256];
-    let mut fd_scratch: Vec<i32> = Vec::new();
-
-    // Deregisters a finished session's sockets and frees its slot.
-    let retire = |slot: usize,
-                  slots: &mut Vec<Option<S>>,
-                  free_slots: &mut Vec<usize>,
-                  is_ready: &mut [bool],
-                  epoll: &sys::Epoll,
-                  fd_scratch: &mut Vec<i32>| {
-        if let Some(session) = slots[slot].take() {
-            collect_fds(&session, fd_scratch);
-            for &fd in fd_scratch.iter() {
-                let _ = epoll.del(fd);
-            }
-            drop(session);
-        }
-        is_ready[slot] = false;
-        free_slots.push(slot);
-    };
-
-    loop {
-        let stop = shutdown.load(Ordering::Relaxed);
-        if stop && live > 0 {
-            // Shutdown is immediate: drop every live session (closing its
-            // sockets) rather than waiting out idle peers that may never
-            // send or hang up. Bounded runs that want a graceful drain
-            // use `accept_limit` instead.
-            Metrics::add(&metrics.closed, live as u64);
-            for slot in 0..slots.len() {
-                if let Some(session) = slots[slot].as_ref() {
-                    metrics.recorder.record(EventKind::Shutdown, session.token(), 0);
-                    retire(
-                        slot,
-                        &mut slots,
-                        &mut free_slots,
-                        &mut is_ready,
-                        &epoll,
-                        &mut fd_scratch,
-                    );
-                }
-            }
-            ready.clear();
-            live = 0;
-        }
-        let limited = limit_reached(cfg, counters);
-        if (stop || limited) && live == 0 {
-            return Ok(());
-        }
-
-        if !stop && !limited && accept_ready {
-            let pass = accept_pass(listener, cfg, metrics, counters, factory, |session| {
-                let slot = match free_slots.pop() {
-                    Some(slot) => slot,
-                    None => {
-                        slots.push(None);
-                        is_ready.push(false);
-                        slots.len() - 1
-                    }
-                };
-                collect_fds(&session, &mut fd_scratch);
-                let mut registered = Vec::new();
-                let mut ok = true;
-                for &fd in fd_scratch.iter() {
-                    let interest =
-                        sys::flags::IN | sys::flags::OUT | sys::flags::RDHUP | sys::flags::ET;
-                    match epoll.add(fd, interest, slot as u64) {
-                        Ok(()) => registered.push(fd),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    slots[slot] = Some(session);
-                    live += 1;
-                    // Drive immediately: bytes may already be buffered
-                    // and the registration edge is consumed by the add.
-                    if !is_ready[slot] {
-                        is_ready[slot] = true;
-                        ready.push(slot);
-                    }
-                } else {
-                    // Registration failed (fd pressure): surface as an
-                    // accept-time error, like a factory failure.
-                    for fd in registered {
-                        let _ = epoll.del(fd);
-                    }
-                    free_slots.push(slot);
-                    Metrics::add(&metrics.accept_errors, 1);
-                    // The accepted counter already ticked; keep it — the
-                    // connection *was* accepted, then failed setup.
-                }
-            });
-            if pass.drained {
-                accept_ready = false;
-            }
-        }
-
-        // Park in the kernel only when nothing is actionable; a pending
-        // ready set or an undrained backlog polls instead. The 10 ms cap
-        // bounds how stale the shutdown/limit check can get.
-        let timeout = if !ready.is_empty() || (accept_ready && !stop && !limited) {
-            Some(Duration::ZERO)
-        } else {
-            Some(Duration::from_millis(10))
-        };
-        // Wait failures are not setup failures; treat one as a timeout
-        // tick rather than abandoning live sessions to a restart.
-        let n = epoll.wait(&mut events, timeout).unwrap_or_default();
-        for ev in events.iter().take(n) {
-            let token = ev.token();
-            if token == LISTENER_TOKEN {
-                accept_ready = true;
-            } else {
-                let slot = token as usize;
-                if slot < slots.len() && slots[slot].is_some() && !is_ready[slot] {
-                    is_ready[slot] = true;
-                    ready.push(slot);
-                }
-            }
-        }
-
-        // Service this wake's ready set: one drive per session per pass
-        // (fairness — a firehose session cannot monopolize the worker),
-        // sessions that made progress stay ready for the next pass.
-        if !ready.is_empty() {
-            let t0 = std::time::Instant::now();
-            next_ready.clear();
-            for &slot in &ready {
-                let Some(session) = slots[slot].as_mut() else {
-                    is_ready[slot] = false;
-                    continue;
-                };
-                match session.drive() {
-                    Ok(Drive::Progress) => next_ready.push(slot),
-                    Ok(Drive::Idle) => is_ready[slot] = false,
-                    Ok(Drive::Done) => {
-                        Metrics::add(&metrics.closed, 1);
-                        metrics.recorder.record(EventKind::Close, session.token(), 0);
-                        retire(
-                            slot,
-                            &mut slots,
-                            &mut free_slots,
-                            &mut is_ready,
-                            &epoll,
-                            &mut fd_scratch,
-                        );
-                        live -= 1;
-                    }
-                    Err(e) => {
-                        Metrics::add(&metrics.failed, 1);
-                        metrics.recorder.record(EventKind::Fail, session.token(), e.code());
-                        retire(
-                            slot,
-                            &mut slots,
-                            &mut free_slots,
-                            &mut is_ready,
-                            &epoll,
-                            &mut fd_scratch,
-                        );
-                        live -= 1;
-                    }
-                }
-            }
-            std::mem::swap(&mut ready, &mut next_ready);
-            metrics.wake_latency.record(t0.elapsed().as_micros() as u64);
-        }
-    }
-}
-
 /// Extracts the raw fds a session's sockets expose (epoll registration
-/// currency). Scratch-reusing so the accept path does not allocate per
-/// connection beyond the first.
-#[cfg(unix)]
+/// currency) into the reused `out`.
 fn collect_fds<S: Session>(session: &S, out: &mut Vec<i32>) {
-    use std::os::fd::AsRawFd;
     let mut streams = Vec::new();
     session.sockets(&mut streams);
     out.clear();
-    out.extend(streams.iter().map(|s| s.as_raw_fd()));
+    out.extend(streams.into_iter().map(raw_fd));
 }
 
-// ---------------------------------------------------------------------
-// Portable fallback: readiness by scanning with exponential backoff.
-// ---------------------------------------------------------------------
+#[cfg(unix)]
+fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> i32 {
+    socket.as_raw_fd()
+}
 
-fn scan_worker<S, F>(
-    listener: TcpListener,
-    cfg: &LoopConfig,
-    shutdown: &AtomicBool,
-    metrics: &Metrics,
-    counters: &AcceptCounters,
-    factory: &F,
-) where
-    S: Session,
-    F: Fn(TcpStream, SocketAddr) -> Result<S, TransportError> + Sync,
-{
-    let mut sessions: Vec<S> = Vec::new();
-    let mut idle_scans: u32 = 0;
-    loop {
-        let stop = shutdown.load(Ordering::Relaxed);
-        if stop && !sessions.is_empty() {
-            // Shutdown is immediate: drop every live session (closing its
-            // sockets) rather than waiting out idle peers that may never
-            // send or hang up — otherwise one lingering connection keeps
-            // serve() from ever returning. Bounded runs that want a
-            // graceful drain use `accept_limit` instead.
-            Metrics::add(&metrics.closed, sessions.len() as u64);
-            for session in &sessions {
-                metrics.recorder.record(EventKind::Shutdown, session.token(), 0);
-            }
-            sessions.clear();
-        }
-        let limited = limit_reached(cfg, counters);
-        if (stop || limited) && sessions.is_empty() {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        let mut progress = false;
-
-        if !stop && !limited {
-            let pass = accept_pass(&listener, cfg, metrics, counters, factory, |session| {
-                sessions.push(session);
-            });
-            progress |= pass.progress;
-        }
-
-        sessions.retain_mut(|session| match session.drive() {
-            Ok(Drive::Progress) => {
-                progress = true;
-                true
-            }
-            Ok(Drive::Idle) => true,
-            Ok(Drive::Done) => {
-                progress = true;
-                Metrics::add(&metrics.closed, 1);
-                metrics.recorder.record(EventKind::Close, session.token(), 0);
-                false
-            }
-            Err(e) => {
-                progress = true;
-                Metrics::add(&metrics.failed, 1);
-                metrics.recorder.record(EventKind::Fail, session.token(), e.code());
-                false
-            }
-        });
-
-        if progress {
-            metrics.wake_latency.record(t0.elapsed().as_micros() as u64);
-            idle_scans = 0;
-        } else {
-            backoff(idle_scans, metrics);
-            idle_scans = idle_scans.saturating_add(1);
-        }
-    }
+/// Never reached: without unix fds there is no epoll either, so
+/// `sys::Epoll::new` fails first and the worker scans.
+#[cfg(not(unix))]
+fn raw_fd<T>(_: &T) -> i32 {
+    -1
 }
 
 fn configure(stream: &TcpStream) -> io::Result<()> {
@@ -687,6 +631,39 @@ mod tests {
             assert!((50..=1600).contains(&(nap.as_micros() as u64)));
             last = nap;
         }
+    }
+
+    /// A session whose socket registration fails is exactly one accept
+    /// error: never accepted, closed or failed. Reporting its one socket
+    /// twice makes the second `epoll_ctl(ADD)` fail with `EEXIST`,
+    /// standing in for watch or fd exhaustion.
+    #[test]
+    fn registration_failure_is_one_accept_error() {
+        if !sys::supported() || matches!(std::env::var("PROTOOBF_EVLOOP").as_deref(), Ok("scan")) {
+            return;
+        }
+        struct Twice(TcpStream);
+        impl Session for Twice {
+            fn drive(&mut self) -> Result<Drive, TransportError> {
+                Ok(Drive::Done)
+            }
+            fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
+                out.extend([&self.0, &self.0]);
+            }
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let metrics = Metrics::new();
+        let cfg = LoopConfig { workers: 1, accept_limit: Some(1), ..LoopConfig::default() };
+        serve(listener, &cfg, &AtomicBool::new(false), &metrics, |s, _| Ok(Twice(s))).unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(
+            (snap.accepted, snap.accept_errors, snap.closed, snap.failed),
+            (0, 1, 0, 0),
+            "{snap}"
+        );
+        let kinds: Vec<_> = metrics.recorder.dump().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::AcceptError]);
     }
 
     /// Worker naps are visible in the metrics (count and slept micros).

@@ -25,11 +25,12 @@
 //! * [`evloop`] — a **non-blocking event loop** over `std::net` sockets
 //!   (the build environment has no async runtime; none is needed):
 //!   thread-per-core workers each accept and drive their own set of
-//!   sessions. On Linux the workers get true kernel readiness from
-//!   [`sys`] — a dependency-free raw-syscall epoll shim (edge-triggered,
-//!   O(1) idle wakes at any connection count); everywhere else, and
-//!   under `PROTOOBF_EVLOOP=scan`, they fall back to `try`-style
-//!   readiness scanning with exponential idle backoff. Accepts are
+//!   sessions, all running one worker loop with two readiness sources.
+//!   On Linux the workers get true kernel readiness from [`sys`] — a
+//!   dependency-free raw-syscall epoll shim (edge-triggered, O(1) idle
+//!   wakes at any connection count); everywhere else, when epoll setup
+//!   fails, and under `PROTOOBF_EVLOOP=scan`, every live session counts
+//!   as ready on every pass, with exponential idle backoff. Accepts are
 //!   capped per wake ([`evloop::LoopConfig::accept_burst`]) so a
 //!   connect flood cannot starve established sessions, and every
 //!   session's outbound queue is capped

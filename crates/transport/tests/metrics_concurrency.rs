@@ -58,6 +58,7 @@ fn histogram_conserves_records_across_eight_threads() {
 fn snapshots_are_monotone_and_bounded_while_writers_run() {
     let metrics = Arc::new(Metrics::new());
     let stop = Arc::new(AtomicBool::new(false));
+    let observed = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
         for t in 0..WRITERS {
             let metrics = Arc::clone(&metrics);
@@ -72,6 +73,7 @@ fn snapshots_are_monotone_and_bounded_while_writers_run() {
         let reader = {
             let metrics = Arc::clone(&metrics);
             let stop = Arc::clone(&stop);
+            let observed = Arc::clone(&observed);
             scope.spawn(move || {
                 let mut last_count = 0u64;
                 let mut last_msgs = 0u64;
@@ -96,18 +98,24 @@ fn snapshots_are_monotone_and_bounded_while_writers_run() {
                     last_count = count;
                     last_msgs = snap.messages_in;
                     observations += 1;
+                    observed.store(true, Ordering::Relaxed);
                 }
                 observations
             })
         };
         // Writers finish when the scope's non-reader threads join; tell
         // the reader afterwards. (Scope join order: we must signal stop
-        // before the scope can join the reader.)
+        // before the scope can join the reader.) The stopper also waits
+        // for the reader's first snapshot, so a reader scheduled late
+        // still observes at least once.
         scope.spawn({
             let metrics = Arc::clone(&metrics);
             let stop = Arc::clone(&stop);
+            let observed = Arc::clone(&observed);
             move || {
-                while metrics.snapshot().wake_latency.count() < WRITERS * RECORDS_PER_WRITER {
+                while metrics.snapshot().wake_latency.count() < WRITERS * RECORDS_PER_WRITER
+                    || !observed.load(Ordering::Relaxed)
+                {
                     std::thread::yield_now();
                 }
                 stop.store(true, Ordering::Relaxed);

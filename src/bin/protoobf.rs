@@ -803,15 +803,7 @@ fn pin_reproducer(
 ) -> Result<String, CliError> {
     std::fs::create_dir_all(dir).map_err(|e| CliError::Run(format!("cannot create {dir}: {e}")))?;
     let tag = match src {
-        SpecSource::Builtin(name) => match name.as_str() {
-            "dns-query" => Some("dnsq"),
-            "dns-response" => Some("dnsr"),
-            "http-request" => Some("httpq"),
-            "http-response" => Some("httpr"),
-            "modbus-request" => Some("modq"),
-            "modbus-response" => Some("modr"),
-            _ => None,
-        },
+        SpecSource::Builtin(name) => protoobf::protocols::builtin_tag(name),
         SpecSource::File(_) => None,
     };
     let name = match tag {

@@ -15,25 +15,15 @@
 use proptest::prelude::*;
 use protoobf::core::sample::random_message;
 use protoobf::core::{parse as parse_mod, serialize as serialize_mod};
-use protoobf::protocols::{dns, http, modbus};
+use protoobf::protocols::{builtin, builtin_named, BUILTIN_TAGS};
 use protoobf::{Codec, FormatGraph, Obfuscator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The spec corpus, indexable by the fuzzer. Order is part of the corpus
-/// file format (`tests/corpus/<proto>-l<level>-p<seed>-*.bin`).
-const PROTOS: [&str; 6] = ["dnsq", "dnsr", "httpq", "httpr", "modq", "modr"];
-
-fn graph_of(proto: &str) -> FormatGraph {
-    match proto {
-        "dnsq" => dns::query_graph(),
-        "dnsr" => dns::response_graph(),
-        "httpq" => http::request_graph(),
-        "httpr" => http::response_graph(),
-        "modq" => modbus::request_graph(),
-        "modr" => modbus::response_graph(),
-        other => panic!("unknown proto tag {other:?}"),
-    }
+/// The builtin spec tagged `tag` in [`BUILTIN_TAGS`] (the `<tag>` of
+/// `tests/corpus/<tag>-l<level>-p<seed>-*.bin`).
+fn graph_of(tag: &str) -> FormatGraph {
+    builtin_named(tag).and_then(builtin).unwrap_or_else(|| panic!("unknown proto tag {tag:?}"))
 }
 
 fn codec_for(graph: &FormatGraph, level: u32, seed: u64) -> Codec {
@@ -114,13 +104,13 @@ proptest! {
 
     #[test]
     fn mutated_wires_parse_identically(
-        proto_idx in 0usize..6,
+        proto_idx in 0..BUILTIN_TAGS.len(),
         level in 0u32..=3,
         plan_seed in 0u64..3,
         msg_seed in any::<u64>(),
         mutations in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..5),
     ) {
-        let graph = graph_of(PROTOS[proto_idx]);
+        let graph = graph_of(BUILTIN_TAGS[proto_idx]);
         let codec = codec_for(&graph, level, plan_seed);
         let mut rng = StdRng::seed_from_u64(msg_seed);
         let msg = random_message(&codec, &mut rng);
@@ -133,7 +123,7 @@ proptest! {
             "valid wire must parse"
         );
         if let Err(e) = check_agreement(&codec, &wire) {
-            prop_assert!(false, "{} l{level} p{plan_seed} valid wire: {e}", PROTOS[proto_idx]);
+            prop_assert!(false, "{} l{level} p{plan_seed} valid wire: {e}", BUILTIN_TAGS[proto_idx]);
         }
 
         // Mutated wires: agreement, not success.
@@ -143,7 +133,7 @@ proptest! {
                 prop_assert!(
                     false,
                     "{} l{level} p{plan_seed} after {:?}: {e}",
-                    PROTOS[proto_idx],
+                    BUILTIN_TAGS[proto_idx],
                     mutations
                 );
             }
@@ -166,7 +156,7 @@ use protoobf::core::fuzz::{fuzz_codec, FuzzConfig};
 #[test]
 fn plan_aware_engine_agrees_across_the_builtin_corpus() {
     let per_config = fuzz_cases().div_ceil(8).max(8);
-    for (pi, proto) in PROTOS.iter().enumerate() {
+    for (pi, proto) in BUILTIN_TAGS.iter().enumerate() {
         for level in [0u32, 2] {
             let graph = graph_of(proto);
             let codec = codec_for(&graph, level, pi as u64);

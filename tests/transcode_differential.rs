@@ -16,25 +16,15 @@
 use proptest::prelude::*;
 use protoobf::core::sample::random_message;
 use protoobf::core::{parse as parse_mod, serialize as serialize_mod, BuildError};
-use protoobf::protocols::{dns, http, modbus};
+use protoobf::protocols::{builtin, builtin_named, dns, modbus, BUILTIN_TAGS};
 use protoobf::{Codec, FormatGraph, Message, Obfuscator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The spec corpus, indexable by the fuzzer (same order as the corpus
-/// file format of `tests/fuzz_differential.rs`).
-const PROTOS: [&str; 6] = ["dnsq", "dnsr", "httpq", "httpr", "modq", "modr"];
-
-fn graph_of(proto: &str) -> FormatGraph {
-    match proto {
-        "dnsq" => dns::query_graph(),
-        "dnsr" => dns::response_graph(),
-        "httpq" => http::request_graph(),
-        "httpr" => http::response_graph(),
-        "modq" => modbus::request_graph(),
-        "modr" => modbus::response_graph(),
-        other => panic!("unknown proto tag {other:?}"),
-    }
+/// The builtin spec tagged `tag` in [`BUILTIN_TAGS`] (the `<tag>` of
+/// `tests/corpus/<tag>-l<level>-p<seed>-*.bin`).
+fn graph_of(tag: &str) -> FormatGraph {
+    builtin_named(tag).and_then(builtin).unwrap_or_else(|| panic!("unknown proto tag {tag:?}"))
 }
 
 fn codec_for(graph: &FormatGraph, level: u32, seed: u64) -> Codec {
@@ -138,13 +128,13 @@ proptest! {
 
     #[test]
     fn mutated_wires_transcode_identically(
-        proto_idx in 0usize..6,
+        proto_idx in 0..BUILTIN_TAGS.len(),
         level in 0u32..=3,
         plan_seed in 0u64..3,
         msg_seed in any::<u64>(),
         mutations in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..5),
     ) {
-        let graph = graph_of(PROTOS[proto_idx]);
+        let graph = graph_of(BUILTIN_TAGS[proto_idx]);
         let codec = codec_for(&graph, level, plan_seed);
         let clear = Codec::identity(&graph);
         let other = codec_for(&graph, 2, plan_seed + 17);
@@ -155,7 +145,7 @@ proptest! {
 
         // The pristine wire parses, so the relay step definitely runs.
         if let Err(e) = check_relay(&codec, &clear, &other, &wire, msg_seed) {
-            prop_assert!(false, "{} l{level} p{plan_seed} valid wire: {e}", PROTOS[proto_idx]);
+            prop_assert!(false, "{} l{level} p{plan_seed} valid wire: {e}", BUILTIN_TAGS[proto_idx]);
         }
         // Mutated wires: whenever the parser still accepts, the relay
         // step must still agree.
@@ -165,7 +155,7 @@ proptest! {
                 prop_assert!(
                     false,
                     "{} l{level} p{plan_seed} after {:?}: {e}",
-                    PROTOS[proto_idx],
+                    BUILTIN_TAGS[proto_idx],
                     mutations
                 );
             }
