@@ -443,25 +443,18 @@ fn bench_evloop(c: &mut Criterion) {
 /// timing stats and declared throughput).
 fn bench_tunnel(c: &mut Criterion) {
     use protoobf_core::tunnel::{encode_stream, TunnelDecoder};
-    use protoobf_protocols::{dns, http, modbus};
+    use protoobf_protocols::{builtin, BUILTIN_NAMES};
 
     // Deterministic 4 KiB payload: enough to span many cover messages on
     // every builtin without dominating CI wall-clock.
     let payload: Vec<u8> = (0..4096usize).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
-    let builtins: [(&str, FormatGraph); 6] = [
-        ("dns-query", dns::query_graph()),
-        ("dns-response", dns::response_graph()),
-        ("http-request", http::request_graph()),
-        ("http-response", http::response_graph()),
-        ("modbus-request", modbus::request_graph()),
-        ("modbus-response", modbus::response_graph()),
-    ];
     {
         let mut group = c.benchmark_group("tunnel");
         group.sample_size(10);
-        for (name, graph) in &builtins {
+        for name in BUILTIN_NAMES {
+            let graph = builtin(name).expect("every builtin name resolves");
             for level in [0u32, 1, 2, 3] {
-                let codec = codec_for(graph, level);
+                let codec = codec_for(&graph, level);
                 // Overhead in setup: serialized cover bytes per payload
                 // byte at this (protocol, level), seed fixed.
                 let msgs = encode_stream(&codec, &payload, 7).unwrap();

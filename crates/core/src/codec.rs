@@ -109,7 +109,8 @@ impl Codec {
     ///
     /// # Errors
     ///
-    /// See [`Codec::copy_program_from`].
+    /// [`BuildError::GraphMismatch`] when the two codecs do not share a
+    /// structurally identical plain specification.
     pub fn transcode_target(&self, src: &Codec) -> Result<Message<'_>, BuildError> {
         let prog = self.copy_program_from(src)?;
         let mut msg = self.message();
@@ -128,12 +129,6 @@ impl Codec {
     /// session across messages for allocation-free steady-state parsing.
     pub fn parser(&self) -> ParseSession<'_> {
         ParseSession::new(&self.graph, self.plan())
-    }
-
-    /// Wraps this codec in a concurrent [`crate::service::CodecService`]:
-    /// one shared plan behind sharded pools of worker sessions.
-    pub fn into_service(self) -> crate::service::CodecService {
-        crate::service::CodecService::new(self)
     }
 
     /// The plain specification.

@@ -127,7 +127,7 @@ pub use graph::{Boundary, FormatGraph, GraphBuilder, NodeId};
 pub use message::Message;
 pub use path::Path;
 pub use profile::{
-    Derivation, Endpoint, Fingerprint, ObfConfig, Profile, ProfileError, SpecResolver, SpecSource,
+    Endpoint, Fingerprint, ObfConfig, Profile, ProfileError, SpecResolver, SpecSource,
 };
 pub use service::CodecService;
 pub use telemetry::{FlightRecorder, LatencyHistogram, Metrics, MetricsSnapshot, Telemetry};

@@ -11,9 +11,9 @@
 //!
 //! # Storage
 //!
-//! Values live in **slot-backed dense stores** ([`WireStore`] /
-//! [`MetaStore`]), indexed by the raw node index (the plan's *slot*) with
-//! per-instance element scopes as inline [`ScopeKey`]s and value bytes in
+//! Values live in **slot-backed dense stores** (`WireStore` /
+//! `MetaStore`), indexed by the raw node index (the plan's *slot*) with
+//! per-instance element scopes as inline `ScopeKey`s and value bytes in
 //! one shared arena. Lookups are an index plus a binary search over the
 //! slot's sorted scopes, or one comparison for readers that visit them in
 //! order through a cursor — no hashing — and clearing a store keeps its
@@ -370,19 +370,14 @@ impl<'c> Message<'c> {
         }
     }
 
-    /// Clears all stored values, keeping capacity (session reuse).
-    pub(crate) fn reset(&mut self) {
+    /// Clears every field, presence flag and element count, keeping all
+    /// allocated capacity — a long-lived message (e.g. the reusable
+    /// transcode target of a gateway relay, or a parse session's message)
+    /// can be refilled without reallocating its stores.
+    pub fn clear(&mut self) {
         self.wires.clear();
         self.presence.clear();
         self.counts.clear();
-    }
-
-    /// Clears every field, presence flag and element count, keeping all
-    /// allocated capacity — a long-lived message (e.g. the reusable
-    /// transcode target of a gateway relay) can be refilled without
-    /// reallocating its stores.
-    pub fn clear(&mut self) {
-        self.reset();
     }
 
     /// Rebinds pooled message state to the graph it was created for,
@@ -402,7 +397,7 @@ impl<'c> Message<'c> {
             validated_src: 0,
             transcode: state.transcode,
         };
-        m.reset();
+        m.clear();
         m
     }
 
@@ -658,7 +653,7 @@ impl<'c> Message<'c> {
                 .ok_or_else(|| self.transcode_mismatch(dst))?;
             dst.arm_transcode(src_uid, Arc::new(prog));
         }
-        dst.reset();
+        dst.clear();
         // Run the armed program with the destination's own scratch.
         let Message { graph, wires, presence, counts, rng, ev, dist, transcode, .. } = dst;
         let graph: &ObfGraph = graph;
@@ -702,7 +697,7 @@ impl<'c> Message<'c> {
             }
             dst.validated_src = self.graph.uid();
         }
-        dst.reset();
+        dst.clear();
         let mut scope = Vec::new();
         self.copy_subtree(dst, a.root(), &mut scope)
     }

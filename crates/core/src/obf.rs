@@ -140,7 +140,7 @@ pub enum TermBoundary {
         /// The plain terminal whose declared `Length` boundary supplies
         /// the base length.
         source: NodeId,
-        /// Derivation steps accumulated by `Split*` transformations.
+        /// Length-derivation steps accumulated by `Split*` transformations.
         steps: Vec<LenStep>,
     },
     /// The rest of the enclosing window.
@@ -355,7 +355,7 @@ impl ObfGraph {
     }
 
     /// The compiled execution plan of this graph, built on first use and
-    /// cached (every rewrite invalidates it via [`ObfGraph::touch`]). The
+    /// cached (every rewrite invalidates it via `ObfGraph::touch`). The
     /// codec, the pooled sessions and the transcode copy programs all
     /// share this one instance.
     pub fn plan(&self) -> &crate::plan::CodecPlan {

@@ -3,7 +3,7 @@
 //! Two implementations share the same semantics:
 //!
 //! * [`ParseSession`] — the production path: an interpreter over the
-//!   compiled [`CodecPlan`](crate::plan::CodecPlan). Wire values go into
+//!   compiled [`CodecPlan`]. Wire values go into
 //!   slot-backed dense stores, structurally needed references are
 //!   recovered through compiled [`RecStep`](crate::plan) programs with
 //!   reusable scratch buffers, and the session's message is reused across
@@ -160,7 +160,7 @@ impl<'c> ParseSession<'c> {
     /// this codec's plan (truncation, missing delimiters, inconsistent
     /// lengths/counts, trailing bytes).
     pub fn parse_in_place(&mut self, bytes: &[u8]) -> Result<&Message<'c>, ParseError> {
-        self.msg.reset();
+        self.msg.clear();
         self.rep_counts.clear();
         self.recovered.clear();
         self.scope.clear();

@@ -8,19 +8,19 @@
 //! and per-node output buffers. [`CodecPlan::compile`] performs that
 //! interpretation **once**:
 //!
-//! * every node becomes a [`PlanOp`] in a dense table indexed by the raw
+//! * every node becomes a `PlanOp` in a dense table indexed by the raw
 //!   [`ObfId`] value (the node's *slot*), with children flattened into one
 //!   contiguous array;
 //! * every plain-graph lookup the interpreters used to perform per message
 //!   (reference targets, container depths, byte orders, auto-field
 //!   encodings) is resolved to plain `u32` indices at compile time;
 //! * the reference aggregation walks ([`crate::runtime`]) are lowered per
-//!   holder into a post-order [`RecStep`] recovery program and a
-//!   pre-order [`DistStep`] distribution program: stack-machine byte
-//!   programs evaluated by [`RecEval`] / [`DistEval`] against reusable
+//!   holder into a post-order `RecStep` recovery program and a
+//!   pre-order `DistStep` distribution program: stack-machine byte
+//!   programs evaluated by `RecEval` / `DistEval` against reusable
 //!   scratch buffers — no allocation, no recursion, no hashing;
 //! * auto-field sanity checks are collected into a flat
-//!   [`AutoCheck`] list walked after parsing.
+//!   `AutoCheck` list walked after parsing.
 //!
 //! The plan interpreters live in [`crate::serialize`]
 //! ([`crate::serialize::SerializeSession`]) and [`crate::parse`]
@@ -651,11 +651,6 @@ impl CodecPlan {
     /// Borrow a pooled distribution program.
     pub(crate) fn dist_prog(&self, p: DistProg) -> &[DistStep] {
         &self.dist_steps[p.0 .0 as usize..(p.0 .0 + p.0 .1) as usize]
-    }
-
-    /// Number of compiled distribution steps (all programs together).
-    pub fn distribution_steps(&self) -> usize {
-        self.dist_steps.len()
     }
 
     /// Borrow a node's children.

@@ -71,9 +71,10 @@ pub fn stretch_key(key: &[u8]) -> u64 {
 /// Where a profile half's plain specification comes from.
 ///
 /// Sources must not contain whitespace or `#` (the text format is
-/// line-and-token based with `#` comments; [`SpecSource::from_str`]
-/// rejects both so every parseable source round-trips). `builtin:NAME`
-/// names a bundled protocol; any other token is a DSL file path.
+/// line-and-token based with `#` comments; parsing a source with
+/// [`str::parse`] rejects both so every parseable source round-trips).
+/// `builtin:NAME` names a bundled protocol; any other token is a DSL
+/// file path.
 /// Constructing the enum variants directly bypasses that check — only do
 /// so for sources that never pass through the text format (e.g. the
 /// CLI's verbatim positional paths).
@@ -273,38 +274,6 @@ impl Profile {
         Parser::new(text).run()
     }
 
-    /// Resolves the spec sources and derives the per-direction codecs
-    /// plus the [`Fingerprint`] — **without building services**. The
-    /// cheap path for one-shot inspection (`protoobf check`/`dot`/`gen`/
-    /// `demo`, offline fingerprint diffing); [`Profile::build_with`]
-    /// layers the pooled services on top for serving traffic.
-    ///
-    /// # Errors
-    ///
-    /// See [`Profile::build_with`].
-    pub fn derive_with<R: SpecResolver + ?Sized>(
-        &self,
-        resolver: &R,
-    ) -> Result<Derivation, ProfileError> {
-        let tx_graph = resolver
-            .resolve(&self.tx)
-            .map_err(|e| ProfileError::Resolve { source: self.tx.to_string(), reason: e })?;
-        let tx = self.obfuscate(&tx_graph)?;
-        let rx = if self.is_symmetric() {
-            None
-        } else {
-            let rx_graph = resolver
-                .resolve(&self.rx)
-                .map_err(|e| ProfileError::Resolve { source: self.rx.to_string(), reason: e })?;
-            Some(self.obfuscate(&rx_graph)?)
-        };
-        let fingerprint = match &rx {
-            Some(rx) => Fingerprint::derive(self, tx.plan(), rx.plan()),
-            None => Fingerprint::derive(self, tx.plan(), tx.plan()),
-        };
-        Ok(Derivation { tx, rx, fingerprint })
-    }
-
     fn obfuscate(&self, graph: &FormatGraph) -> Result<Codec, ProfileError> {
         if self.obf.level == 0 {
             graph.validate().map_err(ProfileError::Spec)?;
@@ -330,7 +299,19 @@ impl Profile {
         &self,
         resolver: &R,
     ) -> Result<Endpoint, ProfileError> {
-        let Derivation { tx: tx_codec, rx: rx_codec, fingerprint } = self.derive_with(resolver)?;
+        let resolve = |src: &SpecSource| {
+            resolver
+                .resolve(src)
+                .map_err(|e| ProfileError::Resolve { source: src.to_string(), reason: e })
+        };
+        let tx_codec = self.obfuscate(&resolve(&self.tx)?)?;
+        let rx_codec =
+            if self.is_symmetric() { None } else { Some(self.obfuscate(&resolve(&self.rx)?)?) };
+        let fingerprint = Fingerprint::derive(
+            self,
+            tx_codec.plan(),
+            rx_codec.as_ref().unwrap_or(&tx_codec).plan(),
+        );
         let identity = self.obf.level == 0;
         let clear_tx = self.service(Codec::identity(tx_codec.plain()));
         let tx = if identity { Arc::clone(&clear_tx) } else { self.service(tx_codec) };
@@ -343,20 +324,6 @@ impl Profile {
             }
         };
         Ok(Endpoint { profile: self.clone(), fingerprint, tx, rx, clear_tx, clear_rx })
-    }
-
-    /// Derives only the [`Fingerprint`] (compiles the codecs but no
-    /// services) — enough to compare two endpoints' derivations without
-    /// sending traffic.
-    ///
-    /// # Errors
-    ///
-    /// See [`Profile::build_with`].
-    pub fn fingerprint_with<R: SpecResolver + ?Sized>(
-        &self,
-        resolver: &R,
-    ) -> Result<Fingerprint, ProfileError> {
-        Ok(self.derive_with(resolver)?.fingerprint)
     }
 
     fn service(&self, codec: Codec) -> Arc<CodecService> {
@@ -439,22 +406,6 @@ impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}{:016x}", self.bits[0], self.bits[1])
     }
-}
-
-/// The codec-level result of [`Profile::derive_with`]: the derived
-/// per-direction codecs and their fingerprint, with no service pools
-/// built. Enough for inspection, code generation and offline
-/// fingerprint diffing.
-#[derive(Debug)]
-pub struct Derivation {
-    /// Obfuscated codec of the initiator→responder direction.
-    pub tx: Codec,
-    /// Obfuscated codec of the responder→initiator direction (`None`
-    /// for symmetric profiles — use `tx`).
-    pub rx: Option<Codec>,
-    /// The derivation fingerprint (same value [`Endpoint::fingerprint`]
-    /// reports after a full build).
-    pub fingerprint: Fingerprint,
 }
 
 /// A compiled endpoint: what [`Profile::build_with`] returns. Owns the
@@ -955,15 +906,6 @@ mod tests {
             let other = variant.build_with(&resolver).unwrap();
             assert_ne!(good.fingerprint(), other.fingerprint(), "{variant:?}");
         }
-    }
-
-    #[test]
-    fn fingerprint_with_matches_full_build() {
-        let p = asym();
-        assert_eq!(
-            p.fingerprint_with(&resolver).unwrap(),
-            p.build_with(&resolver).unwrap().fingerprint()
-        );
     }
 
     #[test]

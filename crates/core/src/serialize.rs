@@ -3,7 +3,7 @@
 //! Two implementations share the same semantics:
 //!
 //! * [`SerializeSession`] — the production path: an interpreter over the
-//!   compiled [`CodecPlan`](crate::plan::CodecPlan) that writes straight
+//!   compiled [`CodecPlan`] that writes straight
 //!   into a caller-supplied buffer and reuses all of its scratch state, so
 //!   steady-state serialization performs no hashing and no per-message
 //!   heap allocation on the hot path (auto-field materialization draws

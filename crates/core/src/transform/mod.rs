@@ -24,7 +24,7 @@ use std::fmt;
 use rand::Rng;
 
 use crate::error::TransformError;
-use crate::extent::{self, ExtentClass};
+use crate::extent;
 use crate::obf::{ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
 
 /// The thirteen generic transformations of the paper's Table I.
@@ -452,11 +452,6 @@ fn composite_element(g: &ObfGraph, id: ObfId) -> Result<(), String> {
         ObfKind::Sequence { .. } => Err("element boundary must be Delegated".into()),
         _ => Err("element must be a sequence".into()),
     }
-}
-
-/// Classification helper re-exported for the engine's diagnostics.
-pub fn extent_of(g: &ObfGraph, id: ObfId) -> ExtentClass {
-    extent::classify(g, id)
 }
 
 #[cfg(test)]

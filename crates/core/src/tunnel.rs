@@ -745,11 +745,6 @@ impl<'c> TunnelDecoder<'c> {
         n
     }
 
-    /// In-order bytes waiting to be taken.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// In-order payload bytes delivered so far (taken or waiting).
     pub fn bytes_delivered(&self) -> u64 {
         self.delivered

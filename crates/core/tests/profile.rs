@@ -117,16 +117,16 @@ proptest! {
         let base = Profile::symmetric(ping()).key(&key).level(level);
         let copy = Profile::parse(&base.to_text()).unwrap();
         prop_assert_eq!(
-            base.fingerprint_with(&resolver).unwrap(),
-            copy.fingerprint_with(&resolver).unwrap(),
+            base.build_with(&resolver).unwrap().fingerprint(),
+            copy.build_with(&resolver).unwrap().fingerprint(),
         );
         let mut wrong = key.clone();
         let at = flip_at % wrong.len();
         wrong[at] ^= 0x01;
         let imposter = Profile::symmetric(ping()).key(&wrong).level(level);
         prop_assert_ne!(
-            base.fingerprint_with(&resolver).unwrap(),
-            imposter.fingerprint_with(&resolver).unwrap(),
+            base.build_with(&resolver).unwrap().fingerprint(),
+            imposter.build_with(&resolver).unwrap().fingerprint(),
             "flipping key byte {} went undetected", at
         );
     }

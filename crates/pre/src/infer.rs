@@ -36,13 +36,6 @@ pub enum InferredField {
     },
 }
 
-impl InferredField {
-    /// True for static fields.
-    pub fn is_static(&self) -> bool {
-        matches!(self, InferredField::Static(_))
-    }
-}
-
 /// Progressively aligns `messages` into a column profile.
 ///
 /// Each message is aligned against the running consensus (majority byte

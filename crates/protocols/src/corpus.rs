@@ -5,7 +5,7 @@
 use protoobf_core::Codec;
 use rand::Rng;
 
-use crate::{dns, http, modbus};
+use crate::{http, modbus};
 
 /// One serialized message with its ground-truth type label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,26 +72,6 @@ pub fn http_requests<R: Rng + ?Sized>(codec: &Codec, n: usize, rng: &mut R) -> V
             Sample { label, wire }
         })
         .collect()
-}
-
-/// Generates a DNS trace: `n` queries and `n` responses, labeled by
-/// direction.
-pub fn dns_trace<R: Rng + ?Sized>(
-    query_codec: &Codec,
-    resp_codec: &Codec,
-    n: usize,
-    rng: &mut R,
-) -> Vec<Sample> {
-    let mut out = Vec::with_capacity(n * 2);
-    for _ in 0..n {
-        let q = dns::build_query(query_codec, rng);
-        let wire = query_codec.serialize_seeded(&q, rng.gen()).expect("query serializes");
-        out.push(Sample { label: "query".to_string(), wire });
-        let r = dns::build_response(resp_codec, rng);
-        let wire = resp_codec.serialize_seeded(&r, rng.gen()).expect("response serializes");
-        out.push(Sample { label: "response".to_string(), wire });
-    }
-    out
 }
 
 #[cfg(test)]

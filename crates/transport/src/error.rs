@@ -97,12 +97,6 @@ impl From<BuildError> for TransportError {
 }
 
 impl TransportError {
-    /// True when the error is a transient non-blocking readiness miss
-    /// (`WouldBlock`) rather than a real failure.
-    pub fn is_would_block(&self) -> bool {
-        matches!(self, TransportError::Io(e) if e.kind() == io::ErrorKind::WouldBlock)
-    }
-
     /// A stable numeric code per variant, carried as the `detail` of a
     /// flight-recorder [`protoobf_core::telemetry::EventKind::Fail`]
     /// event (events store only integers so recording stays

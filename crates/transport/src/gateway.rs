@@ -36,7 +36,7 @@ use protoobf_core::message::Message;
 use protoobf_core::profile::{Endpoint, Fingerprint};
 use protoobf_core::service::CodecService;
 
-use crate::conn::{Conn, ConnState};
+use crate::conn::{Conn, ConnState, DEFAULT_OUTBOUND_CAP};
 use crate::error::TransportError;
 use crate::evloop::{self, Drive, LoopConfig, Session};
 use crate::metrics::{peer_token, EventKind, Metrics, Telemetry};
@@ -486,10 +486,9 @@ pub struct Gateway {
     mode: GatewayMode,
     upstream: SocketAddr,
     metrics: Arc<Metrics>,
-    /// Per-connection outbound queue cap for both relay legs (`None` =
-    /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]).
-    outbound_cap: Option<usize>,
-    /// Derivation fingerprint of the profile endpoint.
+    /// Per-connection outbound queue cap for both relay legs.
+    outbound_cap: usize,
+    /// The derivation fingerprint of the profile endpoint.
     fingerprint: Fingerprint,
 }
 
@@ -536,7 +535,7 @@ impl Gateway {
             mode,
             upstream: resolve_upstream(upstream)?,
             metrics: Arc::new(Metrics::new()),
-            outbound_cap: None,
+            outbound_cap: DEFAULT_OUTBOUND_CAP,
             fingerprint: endpoint.fingerprint(),
         })
     }
@@ -546,7 +545,7 @@ impl Gateway {
     /// [`Pump::outbound_cap`] for the semantics. The `protoobf` binary
     /// exposes this as `--backpressure BYTES`.
     pub fn with_outbound_cap(mut self, cap: usize) -> Gateway {
-        self.outbound_cap = Some(cap);
+        self.outbound_cap = cap;
         self
     }
 
@@ -611,13 +610,9 @@ impl Gateway {
                 .map_err(TransportError::Io)?;
             up.set_nonblocking(true).map_err(TransportError::Io)?;
             let _ = up.set_nodelay(true);
-            let relay =
-                Relay::new(down, up, self.down_services(), self.up_services(), &self.metrics)?
-                    .with_token(peer_token(&peer));
-            Ok(match self.outbound_cap {
-                Some(cap) => relay.outbound_cap(cap),
-                None => relay,
-            })
+            Ok(Relay::new(down, up, self.down_services(), self.up_services(), &self.metrics)?
+                .with_token(peer_token(&peer))
+                .outbound_cap(self.outbound_cap))
         })
     }
 }

@@ -3,8 +3,8 @@
 //! The repo is deliberately pure-std (see the vendored-crate offline note
 //! in the ROADMAP): rather than pulling in `libc`/`mio`, the handful of
 //! kernel entry points the event loop needs — `epoll_create1`,
-//! `epoll_ctl`, `epoll_pwait`, `close`, and `prlimit64` for the stress
-//! tests — are invoked directly with `core::arch::asm!` on the
+//! `epoll_ctl`, `epoll_pwait`, and `prlimit64` for the stress tests —
+//! are invoked directly with `core::arch::asm!` on the
 //! architectures this project deploys to (x86-64 and aarch64 Linux).
 //! Everything is wrapped in safe types here; nothing outside this module
 //! touches a syscall number.
@@ -25,6 +25,8 @@
 //! `epoll_pwait` with a null signal mask, which is identical.
 
 use std::io;
+#[cfg(unix)]
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::time::Duration;
 
 /// Whether this build carries the raw-syscall readiness backend (Linux on
@@ -85,22 +87,32 @@ impl EpollEvent {
 /// A kernel epoll instance: O(1) readiness discovery over any number of
 /// registered fds, the engine behind the event loop's epoll path.
 ///
-/// The wrapper owns the epoll fd and closes it on drop. Registration
-/// uses raw fds (`std::os::fd::AsRawFd` on the stream); the caller must
-/// keep the registered socket alive until it deregisters it or drops the
-/// `Epoll` — the kernel removes closed fds from the interest list on its
-/// own, so dropping a socket first is safe, merely untidy.
+/// The wrapper owns the epoll fd (an [`OwnedFd`], closed on drop).
+/// Registration uses raw fds (`std::os::fd::AsRawFd` on the stream); the
+/// caller must keep the registered socket alive until it deregisters it
+/// or drops the `Epoll` — the kernel removes closed fds from the interest
+/// list on its own, so dropping a socket first is safe, merely untidy.
 #[derive(Debug)]
 pub struct Epoll {
-    fd: i32,
+    fd: OwnedFd,
 }
 
-// SAFETY: the epoll fd is just a kernel handle; all methods take &self
-// and the kernel serializes ctl/wait internally.
-unsafe impl Send for Epoll {}
-// SAFETY: as above — every method is &self and the kernel is the only
-// mutable state, so concurrent calls from any thread are fine.
-unsafe impl Sync for Epoll {}
+/// Off unix there are no fds to own, and none is ever created:
+/// [`Epoll::new`]'s syscall stub fails with `ENOSYS` first.
+#[cfg(not(unix))]
+#[derive(Debug)]
+enum OwnedFd {}
+
+#[cfg(not(unix))]
+impl OwnedFd {
+    unsafe fn from_raw_fd(_: i32) -> OwnedFd {
+        unreachable!("the syscall stub never returns a descriptor")
+    }
+
+    fn as_raw_fd(&self) -> i32 {
+        match *self {}
+    }
+}
 
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
@@ -113,7 +125,9 @@ impl Epoll {
         const EPOLL_CLOEXEC: usize = 0o2000000;
         // SAFETY: epoll_create1 takes no pointers; a flags-only syscall.
         let fd = syscall_result(unsafe { syscall3(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0) })?;
-        Ok(Epoll { fd: fd as i32 })
+        // SAFETY: epoll_create1 just returned this fd, open and owned by
+        // nothing else, so the `OwnedFd` is its only owner.
+        Ok(Epoll { fd: unsafe { OwnedFd::from_raw_fd(fd as i32) } })
     }
 
     /// Registers `fd` with the given interest `events` (see [`flags`]) and
@@ -161,7 +175,7 @@ impl Epoll {
             let res = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
-                    self.fd as usize,
+                    self.fd.as_raw_fd() as usize,
                     events.as_mut_ptr() as usize,
                     events.len(),
                     timeout_ms as usize,
@@ -185,7 +199,7 @@ impl Epoll {
         syscall_result(unsafe {
             syscall6(
                 nr::EPOLL_CTL,
-                self.fd as usize,
+                self.fd.as_raw_fd() as usize,
                 op,
                 fd as usize,
                 &mut ev as *mut EpollEvent as usize,
@@ -194,14 +208,6 @@ impl Epoll {
             )
         })
         .map(|_| ())
-    }
-}
-
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        // SAFETY: close takes no pointers; the fd is owned by self and
-        // never used again after drop.
-        let _ = syscall_result(unsafe { syscall3(nr::CLOSE, self.fd as usize, 0, 0) });
     }
 }
 
@@ -263,7 +269,6 @@ fn syscall_result(ret: isize) -> io::Result<isize> {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod nr {
-    pub const CLOSE: usize = 3;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
@@ -275,7 +280,6 @@ mod nr {
     pub const EPOLL_CREATE1: usize = 20;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
-    pub const CLOSE: usize = 57;
     pub const PRLIMIT64: usize = 261;
 }
 
@@ -284,7 +288,6 @@ mod nr {
 /// only so the module typechecks everywhere.
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 mod nr {
-    pub const CLOSE: usize = usize::MAX;
     pub const EPOLL_CTL: usize = usize::MAX;
     pub const EPOLL_PWAIT: usize = usize::MAX;
     pub const EPOLL_CREATE1: usize = usize::MAX;

@@ -270,11 +270,6 @@ impl<'s, W: Write + Send> TunnelSession<'s, W> {
         self
     }
 
-    /// True once the peer's payload stream arrived whole.
-    pub fn stream_complete(&self) -> bool {
-        self.dec.is_complete()
-    }
-
     fn drain_wake(&mut self) -> bool {
         let Some(w) = &mut self.wake_rx else { return false };
         let mut gone = false;

@@ -75,9 +75,10 @@
 //! format, `/events` for the connection flight recorder, `/health`),
 //! and prints one unified telemetry summary at exit unless `--quiet`.
 
+use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use protoobf::codegen::{generate, measure};
 use protoobf::core::framing::{FrameReader, FrameWriter};
@@ -86,11 +87,14 @@ use protoobf::core::plan::CopyProgram;
 use protoobf::core::sample::random_message;
 use protoobf::core::verify;
 use protoobf::resilience;
+use protoobf::transport::conn::DEFAULT_OUTBOUND_CAP;
 use protoobf::transport::{
     evloop, peer_token, serve_admin, spawn_reader, wake_pair, Echo, Gateway, GatewayMode,
     LoopConfig, Metrics, PayloadBuf, Responder, Session, Telemetry, TunnelSession,
 };
-use protoobf::{Derivation, Endpoint, ObfConfig, Profile, ProfileExt, SpecSource, TransformKind};
+use protoobf::{
+    Codec, Endpoint, FormatGraph, ObfConfig, Profile, ProfileExt, SpecSource, TransformKind,
+};
 
 /// A CLI failure: usage errors re-print the usage text naming the
 /// offending token (exit 2); run errors report and exit 1.
@@ -132,7 +136,9 @@ struct Options {
     workers: Option<usize>,
     accept_limit: Option<u64>,
     accept_burst: Option<usize>,
-    backpressure: Option<usize>,
+    /// Per-connection outbound queue cap: `--backpressure`, else the
+    /// transport default.
+    outbound_cap: usize,
     admin: Option<String>,
     quiet: bool,
     exit_on_eof: bool,
@@ -158,7 +164,7 @@ fn parse_options(args: &[String], spec_required: bool) -> Result<Options, String
         workers: None,
         accept_limit: None,
         accept_burst: None,
-        backpressure: None,
+        outbound_cap: DEFAULT_OUTBOUND_CAP,
         admin: None,
         quiet: false,
         exit_on_eof: false,
@@ -189,7 +195,7 @@ fn parse_options(args: &[String], spec_required: bool) -> Result<Options, String
                 opts.accept_burst = Some(number("--accept-burst", &value("--accept-burst")?)?);
             }
             "--backpressure" => {
-                opts.backpressure = Some(number("--backpressure", &value("--backpressure")?)?);
+                opts.outbound_cap = number("--backpressure", &value("--backpressure")?)?;
             }
             "--admin" => opts.admin = Some(addr("--admin", &value("--admin")?)?),
             "--quiet" => opts.quiet = true,
@@ -263,525 +269,477 @@ fn endpoint_for(opts: &Options) -> Result<Endpoint, CliError> {
     profile_for(opts)?.build().map_err(|e| CliError::Run(e.to_string()))
 }
 
-/// Codec-level derivation (no service pools) for the one-shot
-/// inspection subcommands.
-fn derivation_for(opts: &Options) -> Result<Derivation, CliError> {
-    profile_for(opts)?.derive_with(&protoobf::StdResolver).map_err(|e| CliError::Run(e.to_string()))
+/// The endpoint's legs as `(name, spec source, codec, clear codec)`, the
+/// clear codec being the identity side of the gateway pairing the leg
+/// runs in: `tx`, then `rx` unless the profile is symmetric (both
+/// directions then share one codec).
+fn legs(ep: &Endpoint) -> impl Iterator<Item = (&'static str, &SpecSource, &Codec, &Codec)> {
+    let p = ep.profile();
+    let tx = ("tx", p.tx(), ep.tx_service(), ep.clear_tx_service());
+    let rx = ("rx", p.rx(), ep.rx_service(), ep.clear_rx_service());
+    std::iter::once(tx)
+        .chain((!ep.is_symmetric()).then_some(rx))
+        .map(|(name, src, obf, clear)| (name, src, obf.codec(), clear.codec()))
 }
 
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.split_first() {
-        Some((c, rest)) => (c.clone(), rest.to_vec()),
-        None => return Err(CliError::Usage("missing command".into())),
-    };
-    let opts = parse_options(&rest, command != "resilience").map_err(CliError::Usage)?;
-
+    let (command, rest) =
+        args.split_first().ok_or_else(|| CliError::Usage("missing command".into()))?;
+    let opts = parse_options(rest, command != "resilience").map_err(CliError::Usage)?;
     match command.as_str() {
-        "check" => {
-            let describe = |label: &str, graph: &protoobf::FormatGraph| {
-                println!(
-                    "{label}{}: ok — {} nodes, {} terminals",
-                    graph.name(),
-                    graph.len(),
-                    graph.ids().filter(|&i| graph.node(i).is_terminal()).count()
-                );
-            };
-            if opts.profile.is_some() {
-                // A profile check validates the whole derivation (both
-                // halves) and reports the fingerprint to diff against the
-                // peer's.
-                let derivation = derivation_for(&opts)?;
-                describe("tx ", derivation.tx.plain());
-                if let Some(rx) = &derivation.rx {
-                    describe("rx ", rx.plain());
-                }
-                println!("fingerprint {}", derivation.fingerprint);
-            } else {
-                // A bare spec check only parses and validates — no
-                // obfuscation derivation is paid for.
-                let graph =
-                    protoobf::resolve_spec(profile_for(&opts)?.tx()).map_err(CliError::Run)?;
-                graph.validate().map_err(|e| CliError::Run(e.to_string()))?;
-                describe("", &graph);
-            }
+        "check" => check(&opts),
+        "lint" => lint(&opts),
+        "print" => print(&opts),
+        "dot" => dot(&opts),
+        "gen" => gen(&opts),
+        "demo" => demo(&opts),
+        "gateway" => gateway(&opts),
+        "recv" => recv(&opts),
+        "send" => send(&opts),
+        "tunnel" => tunnel(&opts),
+        "fuzz" => fuzz(&opts),
+        "resilience" => resilience(&opts),
+        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+    }
+}
+
+fn check(opts: &Options) -> Result<(), CliError> {
+    let describe = |label: &str, graph: &FormatGraph| {
+        println!(
+            "{label}{}: ok — {} nodes, {} terminals",
+            graph.name(),
+            graph.len(),
+            graph.ids().filter(|&i| graph.node(i).is_terminal()).count()
+        );
+    };
+    if opts.profile.is_some() {
+        // A profile check validates the whole derivation (both halves)
+        // and reports the fingerprint to diff against the peer's.
+        let endpoint = endpoint_for(opts)?;
+        for (leg, _, codec, _) in legs(&endpoint) {
+            describe(&format!("{leg} "), codec.plain());
         }
-        "lint" => {
-            // Static verification of the compiled IR (P… errors) plus the
-            // specification lints (L… warnings) — the offline form of the
-            // debug-build compile asserts, over every leg of the profile.
-            let profile = profile_for(&opts)?;
-            let derivation = profile
-                .derive_with(&protoobf::StdResolver)
-                .map_err(|e| CliError::Run(e.to_string()))?;
-            let mut errors = 0usize;
-            let mut warnings = 0usize;
-            let mut legs = vec![("tx", &derivation.tx)];
-            if let Some(rx) = &derivation.rx {
-                legs.push(("rx", rx));
+        println!("fingerprint {}", endpoint.fingerprint());
+    } else {
+        // A bare spec check only parses and validates — no obfuscation
+        // derivation is paid for.
+        let graph = protoobf::resolve_spec(profile_for(opts)?.tx()).map_err(CliError::Run)?;
+        graph.validate().map_err(|e| CliError::Run(e.to_string()))?;
+        describe("", &graph);
+    }
+    Ok(())
+}
+
+/// Static verification of the compiled IR (P… errors) plus the
+/// specification lints (L… warnings) — the offline form of the
+/// debug-build compile asserts, over every leg of the profile.
+fn lint(opts: &Options) -> Result<(), CliError> {
+    let endpoint = endpoint_for(opts)?;
+    let mut errors = 0usize;
+    let mut warnings = 0usize;
+    for (leg, _, codec, clear) in legs(&endpoint) {
+        let name = codec.plain().name();
+        let mut emit = |code: &str, message: &str| {
+            let severity = if code.starts_with('P') { "error" } else { "warning" };
+            if severity == "error" {
+                errors += 1;
+            } else {
+                warnings += 1;
             }
-            for (leg, codec) in legs {
-                let name = codec.plain().name().to_string();
-                let mut emit = |code: &str, message: &str| {
-                    let severity = if code.starts_with('P') { "error" } else { "warning" };
-                    if severity == "error" {
-                        errors += 1;
-                    } else {
-                        warnings += 1;
+            println!("{code} {severity} {leg} {name}: {message}");
+        };
+        for d in verify::verify_codec(codec) {
+            emit(d.code, &d.message);
+        }
+        // The gateway pairing this leg runs in production: the endpoint's
+        // clear↔obfuscated transcode programs, both directions.
+        for (src, dst) in [(clear, codec), (codec, clear)] {
+            match CopyProgram::compile(src.obf_graph(), dst.obf_graph()) {
+                Some(prog) => {
+                    for d in verify::verify_copy_program(src.obf_graph(), dst.obf_graph(), &prog) {
+                        emit(d.code, &d.message);
                     }
-                    println!("{code} {severity} {leg} {name}: {message}");
-                };
-                for d in verify::verify_codec(codec) {
-                    emit(d.code, &d.message);
                 }
-                // The gateway pairing this leg would run in production:
-                // clear↔obfuscated transcode programs, both directions.
-                let clear = protoobf::Codec::identity(codec.plain());
-                for (src, dst) in [(&clear, codec), (codec, &clear)] {
-                    match CopyProgram::compile(src.obf_graph(), dst.obf_graph()) {
-                        Some(prog) => {
-                            for d in
-                                verify::verify_copy_program(src.obf_graph(), dst.obf_graph(), &prog)
-                            {
-                                emit(d.code, &d.message);
-                            }
-                        }
-                        None => emit(
-                            verify::COPY_TYPE_MISMATCH,
-                            "clear↔obfuscated pairing rejected: plain specifications diverged",
-                        ),
-                    }
-                }
-                for l in protoobf::spec::lint::lint_graph(codec.plain()) {
-                    emit(l.code, &l.message);
-                }
-                for l in protoobf::spec::lint::lint_codec(codec, profile.obf()) {
-                    emit(l.code, &l.message);
-                }
-            }
-            println!("lint: {errors} error(s), {warnings} warning(s)");
-            if errors > 0 {
-                return Err(CliError::Run(format!("lint failed with {errors} error(s)")));
-            }
-            if warnings > 0 && opts.deny_warnings {
-                return Err(CliError::Run(format!(
-                    "lint: {warnings} warning(s) denied (--deny-warnings)"
-                )));
+                None => emit(
+                    verify::COPY_TYPE_MISMATCH,
+                    "clear↔obfuscated pairing rejected: plain specifications diverged",
+                ),
             }
         }
-        "print" => {
-            if opts.profile.is_some() {
-                let endpoint = endpoint_for(&opts)?;
-                print!("{}", endpoint.profile().to_text());
-                println!();
-                print!("{}", endpoint.summary());
-            } else {
-                // Reuse the implicit profile's verbatim source mapping so
-                // paths with spaces keep working.
-                let graph =
-                    protoobf::resolve_spec(profile_for(&opts)?.tx()).map_err(CliError::Run)?;
-                print!("{}", protoobf::spec::to_text(&graph));
-            }
+        for l in protoobf::spec::lint::lint_graph(codec.plain()) {
+            emit(l.code, &l.message);
         }
-        "dot" => {
-            // Profiles may be asymmetric; dot renders the tx half.
-            let derivation = derivation_for(&opts)?;
-            let codec = &derivation.tx;
-            if codec.transform_count() == 0 {
-                print!("{}", protoobf::core::dot::format_graph_to_dot(codec.plain()));
-            } else {
-                print!("{}", protoobf::core::dot::obf_graph_to_dot(codec.obf_graph()));
-            }
+        for l in protoobf::spec::lint::lint_codec(codec, endpoint.profile().obf()) {
+            emit(l.code, &l.message);
         }
-        "gen" => {
-            // Code generation covers the tx half (run twice with swapped
-            // halves of an asymmetric profile for both libraries).
-            let derivation = derivation_for(&opts)?;
-            let codec = &derivation.tx;
-            let lib = generate(codec);
-            let m = measure(&lib);
-            eprintln!(
-                "{} transformations; {} lines, {} structs, call graph {}x{}",
-                codec.transform_count(),
-                m.lines,
-                m.structs,
-                m.callgraph_size,
-                m.callgraph_depth
-            );
-            match &opts.out {
-                Some(path) => {
-                    std::fs::write(path, &lib.source)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("wrote {path}");
-                }
-                None => print!("{}", lib.source),
-            }
+    }
+    println!("lint: {errors} error(s), {warnings} warning(s)");
+    if errors > 0 {
+        return Err(CliError::Run(format!("lint failed with {errors} error(s)")));
+    }
+    if warnings > 0 && opts.deny_warnings {
+        return Err(CliError::Run(format!("lint: {warnings} warning(s) denied (--deny-warnings)")));
+    }
+    Ok(())
+}
+
+fn print(opts: &Options) -> Result<(), CliError> {
+    if opts.profile.is_some() {
+        let endpoint = endpoint_for(opts)?;
+        print!("{}", endpoint.profile().to_text());
+        println!();
+        print!("{}", endpoint.summary());
+    } else {
+        // Reuse the implicit profile's verbatim source mapping so paths
+        // with spaces keep working.
+        let graph = protoobf::resolve_spec(profile_for(opts)?.tx()).map_err(CliError::Run)?;
+        print!("{}", protoobf::spec::to_text(&graph));
+    }
+    Ok(())
+}
+
+/// Profiles may be asymmetric; dot renders the tx half.
+fn dot(opts: &Options) -> Result<(), CliError> {
+    let endpoint = endpoint_for(opts)?;
+    let codec = endpoint.tx_service().codec();
+    if codec.transform_count() == 0 {
+        print!("{}", protoobf::core::dot::format_graph_to_dot(codec.plain()));
+    } else {
+        print!("{}", protoobf::core::dot::obf_graph_to_dot(codec.obf_graph()));
+    }
+    Ok(())
+}
+
+/// Code generation covers the tx half (run twice with swapped halves of
+/// an asymmetric profile for both libraries).
+fn gen(opts: &Options) -> Result<(), CliError> {
+    let endpoint = endpoint_for(opts)?;
+    let codec = endpoint.tx_service().codec();
+    let lib = generate(codec);
+    let m = measure(&lib);
+    eprintln!(
+        "{} transformations; {} lines, {} structs, call graph {}x{}",
+        codec.transform_count(),
+        m.lines,
+        m.structs,
+        m.callgraph_size,
+        m.callgraph_depth
+    );
+    write_out(opts, &lib.source)
+}
+
+fn demo(opts: &Options) -> Result<(), CliError> {
+    let endpoint = endpoint_for(opts)?;
+    let codec = endpoint.tx_service().codec();
+    let mut rng = rand::thread_rng();
+    let msg = random_message(codec, &mut rng);
+    // Reusable sessions over the compiled plan: the steady-state
+    // encode/decode path a deployment would hold per connection.
+    let mut serializer = codec.serializer();
+    let mut parser = codec.parser();
+    let mut wire = Vec::new();
+    serializer.serialize_into(&msg, &mut wire).map_err(|e| e.to_string())?;
+    println!(
+        "plan: {} transformations, {} slots, {} recovery steps; wire: {} bytes",
+        codec.transform_count(),
+        codec.plan().slots(),
+        codec.plan().recovery_steps(),
+        wire.len()
+    );
+    for chunk in wire.chunks(16) {
+        let hex: Vec<String> = chunk.iter().map(|b| format!("{b:02x}")).collect();
+        println!("  {}", hex.join(" "));
+    }
+    parser.parse_in_place(&wire).map_err(|e| format!("self-parse failed: {e}"))?;
+    println!("round-trip: ok ({})", endpoint.fingerprint());
+    Ok(())
+}
+
+fn gateway(opts: &Options) -> Result<(), CliError> {
+    let listen =
+        opts.listen.as_deref().ok_or(CliError::Usage("gateway needs --listen ADDR".into()))?;
+    let upstream =
+        opts.upstream.as_deref().ok_or(CliError::Usage("gateway needs --upstream ADDR".into()))?;
+    let mode = match opts.mode.as_deref() {
+        Some("encode") => GatewayMode::Encode,
+        Some("decode") => GatewayMode::Decode,
+        Some(other) => {
+            return Err(CliError::Usage(format!("--mode must be encode or decode, got {other:?}")));
         }
-        "demo" => {
-            let derivation = derivation_for(&opts)?;
-            let codec = &derivation.tx;
-            let mut rng = rand::thread_rng();
-            let msg = random_message(codec, &mut rng);
-            // Reusable sessions over the compiled plan: the steady-state
-            // encode/decode path a deployment would hold per connection.
-            let mut serializer = codec.serializer();
-            let mut parser = codec.parser();
-            let mut wire = Vec::new();
-            serializer.serialize_into(&msg, &mut wire).map_err(|e| e.to_string())?;
-            println!(
-                "plan: {} transformations, {} slots, {} recovery steps; wire: {} bytes",
-                codec.transform_count(),
-                codec.plan().slots(),
-                codec.plan().recovery_steps(),
-                wire.len()
-            );
-            for chunk in wire.chunks(16) {
-                let hex: Vec<String> = chunk.iter().map(|b| format!("{b:02x}")).collect();
-                println!("  {}", hex.join(" "));
-            }
-            parser.parse_in_place(&wire).map_err(|e| format!("self-parse failed: {e}"))?;
-            println!("round-trip: ok ({})", derivation.fingerprint);
+        None => return Err(CliError::Usage("gateway needs --mode encode|decode".into())),
+    };
+    let endpoint = endpoint_for(opts)?;
+    let gw = Gateway::from_endpoint(&endpoint, mode, upstream)
+        .map_err(|e| e.to_string())?
+        .with_outbound_cap(opts.outbound_cap);
+    let cfg = loop_config(opts);
+    let banner = format!(
+        "{mode:?} gateway on {listen} → {upstream} ({} workers)\nfingerprint {}",
+        cfg.workers,
+        endpoint.fingerprint()
+    );
+    serve_on(opts, listen, &banner, &Arc::new(gw.telemetry()), "gateway done", |listener, sd| {
+        gw.serve(listener, &cfg, sd)
+    })
+}
+
+/// The responder side of the chain: parse the profile's tx spec, answer
+/// on the rx spec — clear framing on both (the decode gateway faces the
+/// obfuscated wire for us). A symmetric profile echoes.
+fn recv(opts: &Options) -> Result<(), CliError> {
+    let listen =
+        opts.listen.as_deref().ok_or(CliError::Usage("recv needs --listen ADDR".into()))?;
+    let endpoint = endpoint_for(opts)?;
+    let (request_svc, reply_svc) = (endpoint.clear_tx_service(), endpoint.clear_rx_service());
+    let telemetry = clear_telemetry(&endpoint, ["request", "reply"]);
+    let metrics = telemetry.metrics();
+    let cfg = loop_config(opts);
+    let symmetric = endpoint.is_symmetric();
+    let banner = if symmetric {
+        format!("echo server on {listen} ({} workers)", cfg.workers)
+    } else {
+        format!(
+            "responder on {listen} ({} workers): {} in, {} out",
+            cfg.workers,
+            endpoint.profile().tx(),
+            endpoint.profile().rx()
+        )
+    };
+    let seed = AtomicU64::new(1);
+    serve_on(opts, listen, &banner, &telemetry, "server done", |listener, sd| {
+        if symmetric {
+            evloop::serve(listener, &cfg, sd, metrics, |stream, peer| {
+                Ok(Echo::new(stream, request_svc, metrics)
+                    .with_token(peer_token(&peer))
+                    .outbound_cap(opts.outbound_cap))
+            })
+        } else {
+            evloop::serve(listener, &cfg, sd, metrics, |stream, peer| {
+                let s = seed.fetch_add(1, Ordering::Relaxed);
+                Ok(Responder::new(stream, request_svc, reply_svc, s, metrics)
+                    .with_token(peer_token(&peer))
+                    .outbound_cap(opts.outbound_cap))
+            })
         }
-        "gateway" => {
-            let listen = opts
-                .listen
-                .as_deref()
-                .ok_or(CliError::Usage("gateway needs --listen ADDR".into()))?;
-            let upstream = opts
-                .upstream
-                .as_deref()
-                .ok_or(CliError::Usage("gateway needs --upstream ADDR".into()))?;
-            let mode = match opts.mode.as_deref() {
-                Some("encode") => GatewayMode::Encode,
-                Some("decode") => GatewayMode::Decode,
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "--mode must be encode or decode, got {other:?}"
+    })
+}
+
+fn send(opts: &Options) -> Result<(), CliError> {
+    let connect =
+        opts.connect.as_deref().ok_or(CliError::Usage("send needs --connect ADDR".into()))?;
+    let endpoint = endpoint_for(opts)?;
+    let tx_clear = endpoint.clear_tx_service().codec();
+    let rx_clear = endpoint.clear_rx_service().codec();
+    let telemetry = clear_telemetry(&endpoint, ["tx_clear", "rx_clear"]);
+    let metrics = telemetry.metrics();
+    let stream =
+        std::net::TcpStream::connect(connect).map_err(|e| format!("connect {connect}: {e}"))?;
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).map_err(|e| e.to_string())?;
+    let mut writer = FrameWriter::new(tx_clear, &stream);
+    let mut reader = FrameReader::new(rx_clear, &stream);
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let symmetric = endpoint.is_symmetric();
+    let mut bytes = 0usize;
+    eprintln!("fingerprint {}", endpoint.fingerprint());
+    with_telemetry(opts, &telemetry, "client done", |_shutdown| {
+        for i in 0..opts.count {
+            let msg = random_message(tx_clear, &mut rng);
+            // Identity serialization is deterministic: the bytes sent are
+            // the reference a symmetric echo must match byte-for-byte.
+            let serialize_t = metrics.stages.serialize.start();
+            let reference = tx_clear.serialize(&msg).map_err(|e| e.to_string())?;
+            metrics.stages.serialize.finish(serialize_t);
+            writer.send_raw(&reference).map_err(|e| e.to_string())?;
+            Metrics::add(&metrics.messages_out, 1);
+            Metrics::add(&metrics.bytes_out, (reference.len() + 4) as u64);
+            metrics.frame_bytes_out.record((reference.len() + 4) as u64);
+            let echoed = reader
+                .recv_raw()
+                .map_err(|e| e.to_string())?
+                .ok_or_else(|| format!("stream ended after {i} messages"))?;
+            Metrics::add(&metrics.messages_in, 1);
+            Metrics::add(&metrics.bytes_in, (echoed.len() + 4) as u64);
+            metrics.frame_bytes_in.record(echoed.len() as u64);
+            if symmetric {
+                if echoed != reference {
+                    return Err(CliError::Run(format!(
+                        "message {i}: echoed wire differs from reference"
                     )));
                 }
-                None => return Err(CliError::Usage("gateway needs --mode encode|decode".into())),
-            };
-            let endpoint = endpoint_for(&opts)?;
-            let mut gw =
-                Gateway::from_endpoint(&endpoint, mode, upstream).map_err(|e| e.to_string())?;
-            if let Some(cap) = opts.backpressure {
-                gw = gw.with_outbound_cap(cap);
+            } else {
+                // Asymmetric chains answer in the rx grammar: verify the
+                // response parses as such.
+                let parse_t = metrics.stages.parse.start();
+                rx_clear
+                    .parse(&echoed)
+                    .map_err(|e| format!("message {i}: response does not parse: {e}"))?;
+                metrics.stages.parse.finish(parse_t);
             }
-            let listener =
-                std::net::TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
-            let cfg = loop_config(&opts);
-            eprintln!(
-                "{mode:?} gateway on {listen} → {upstream} ({} workers)\nfingerprint {}",
+            bytes += reference.len() + 4;
+        }
+        println!(
+            "{} messages ({} bytes framed) round-tripped {} through {connect}",
+            opts.count,
+            bytes,
+            if symmetric { "byte-identical" } else { "with parsed responses" }
+        );
+        Ok(())
+    })
+}
+
+/// Like send/recv, tunnel endpoints speak clear framing: the obfuscation
+/// gateways in between own the hostile wire. The carrier slots are
+/// classified on the *plain* grammar, and the gateways' transcode
+/// preserves plain values, so the covert payload survives any level of
+/// obfuscation in the chain.
+fn tunnel(opts: &Options) -> Result<(), CliError> {
+    let endpoint = endpoint_for(opts)?;
+    let (tx_svc, rx_svc) = (endpoint.clear_tx_service(), endpoint.clear_rx_service());
+    let telemetry = clear_telemetry(&endpoint, ["tx_clear", "rx_clear"]);
+    let metrics = telemetry.metrics();
+    // Stdin feeds a bounded payload buffer from a detached thread; the
+    // wake pipe turns payload arrival into socket readiness so the epoll
+    // loop re-drives the session.
+    let source = PayloadBuf::new();
+    let (wake_rx, wake_tx) = wake_pair().map_err(|e| e.to_string())?;
+    spawn_reader(std::io::stdin(), Arc::clone(&source), Some(wake_tx));
+    match (opts.connect.as_deref(), opts.listen.as_deref()) {
+        (Some(connect), None) => {
+            let stream = std::net::TcpStream::connect(connect)
+                .map_err(|e| format!("connect {connect}: {e}"))?;
+            stream.set_nonblocking(true).map_err(|e| e.to_string())?;
+            eprintln!("tunnel client → {connect}\nfingerprint {}", endpoint.fingerprint());
+            let mut session =
+                TunnelSession::new(stream, rx_svc, tx_svc, source, std::io::stdout(), 1, metrics)
+                    .map_err(|e| e.to_string())?
+                    .with_wake(wake_rx)
+                    .exit_on_eof(opts.exit_on_eof)
+                    .outbound_cap(opts.outbound_cap);
+            // A single client connection doesn't need the full event
+            // loop: a mini drive loop with a short nap on Idle keeps the
+            // binary simple and the socket hot.
+            with_telemetry(opts, &telemetry, "tunnel client done", |_shutdown| loop {
+                match session.drive().map_err(|e| CliError::Run(e.to_string()))? {
+                    evloop::Drive::Done => break Ok(()),
+                    evloop::Drive::Progress => {}
+                    evloop::Drive::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
+                }
+            })
+        }
+        (None, Some(listen)) => {
+            let mut cfg = loop_config(opts);
+            // Stdin is one stream: by default serve exactly one tunnel,
+            // then exit (--accept-limit overrides).
+            cfg.accept_limit = cfg.accept_limit.or(Some(1));
+            let banner = format!(
+                "tunnel server on {listen} ({} workers)\nfingerprint {}",
                 cfg.workers,
                 endpoint.fingerprint()
             );
-            let telemetry = Arc::new(gw.telemetry());
-            with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
-                gw.serve(listener, &cfg, shutdown).map_err(|e| CliError::Run(e.to_string()))
-            })?;
-            print_summary("gateway done", &telemetry, opts.quiet);
-        }
-        "recv" => {
-            let listen =
-                opts.listen.as_deref().ok_or(CliError::Usage("recv needs --listen ADDR".into()))?;
-            let endpoint = endpoint_for(&opts)?;
-            // The responder side of the chain: parse the profile's tx
-            // spec, answer on the rx spec — clear framing on both (the
-            // decode gateway faces the obfuscated wire for us).
-            let request_svc = endpoint.clear_tx_service();
-            let reply_svc = endpoint.clear_rx_service();
-            let metrics = Arc::new(Metrics::new());
-            let mut registry = Telemetry::new(Arc::clone(&metrics));
-            registry.register_service("request", request_svc);
-            registry.register_service("reply", reply_svc);
-            let telemetry = Arc::new(registry);
-            let listener =
-                std::net::TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
-            let cfg = loop_config(&opts);
-            if endpoint.is_symmetric() {
-                eprintln!("echo server on {listen} ({} workers)", cfg.workers);
-                with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
-                    evloop::serve(listener, &cfg, shutdown, &metrics, |stream, peer| {
-                        let echo =
-                            Echo::new(stream, request_svc, &metrics).with_token(peer_token(&peer));
-                        Ok(match opts.backpressure {
-                            Some(cap) => echo.outbound_cap(cap),
-                            None => echo,
-                        })
-                    })
-                    .map_err(|e| CliError::Run(e.to_string()))
-                })?;
-            } else {
-                eprintln!(
-                    "responder on {listen} ({} workers): {} in, {} out",
-                    cfg.workers,
-                    endpoint.profile().tx(),
-                    endpoint.profile().rx()
-                );
-                let seed = std::sync::atomic::AtomicU64::new(1);
-                with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
-                    evloop::serve(listener, &cfg, shutdown, &metrics, |stream, peer| {
-                        let s = seed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let responder = Responder::new(stream, request_svc, reply_svc, s, &metrics)
-                            .with_token(peer_token(&peer));
-                        Ok(match opts.backpressure {
-                            Some(cap) => responder.outbound_cap(cap),
-                            None => responder,
-                        })
-                    })
-                    .map_err(|e| CliError::Run(e.to_string()))
-                })?;
-            }
-            print_summary("server done", &telemetry, opts.quiet);
-        }
-        "send" => {
-            let connect = opts
-                .connect
-                .as_deref()
-                .ok_or(CliError::Usage("send needs --connect ADDR".into()))?;
-            let endpoint = endpoint_for(&opts)?;
-            let tx_svc = endpoint.clear_tx_service();
-            let rx_svc = endpoint.clear_rx_service();
-            let tx_clear = tx_svc.codec();
-            let rx_clear = rx_svc.codec();
-            let metrics = Arc::new(Metrics::new());
-            let mut registry = Telemetry::new(Arc::clone(&metrics));
-            registry.register_service("tx_clear", tx_svc);
-            registry.register_service("rx_clear", rx_svc);
-            let telemetry = Arc::new(registry);
-            let stream = std::net::TcpStream::connect(connect)
-                .map_err(|e| format!("connect {connect}: {e}"))?;
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-                .map_err(|e| e.to_string())?;
-            let mut writer = FrameWriter::new(tx_clear, &stream);
-            let mut reader = FrameReader::new(rx_clear, &stream);
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-            let symmetric = endpoint.is_symmetric();
-            let mut bytes = 0usize;
-            eprintln!("fingerprint {}", endpoint.fingerprint());
-            with_admin(opts.admin.as_deref(), &telemetry, |_shutdown| {
-                for i in 0..opts.count {
-                    let msg = random_message(tx_clear, &mut rng);
-                    // Identity serialization is deterministic: the bytes
-                    // sent are the reference a symmetric echo must match
-                    // byte-for-byte.
-                    let serialize_t = metrics.stages.serialize.start();
-                    let reference = tx_clear.serialize(&msg).map_err(|e| e.to_string())?;
-                    metrics.stages.serialize.finish(serialize_t);
-                    writer.send_raw(&reference).map_err(|e| e.to_string())?;
-                    Metrics::add(&metrics.messages_out, 1);
-                    Metrics::add(&metrics.bytes_out, (reference.len() + 4) as u64);
-                    metrics.frame_bytes_out.record((reference.len() + 4) as u64);
-                    let echoed = reader
-                        .recv_raw()
-                        .map_err(|e| e.to_string())?
-                        .ok_or_else(|| format!("stream ended after {i} messages"))?;
-                    Metrics::add(&metrics.messages_in, 1);
-                    Metrics::add(&metrics.bytes_in, (echoed.len() + 4) as u64);
-                    metrics.frame_bytes_in.record(echoed.len() as u64);
-                    if symmetric {
-                        if echoed != reference {
-                            return Err(CliError::Run(format!(
-                                "message {i}: echoed wire differs from reference"
-                            )));
-                        }
-                    } else {
-                        // Asymmetric chains answer in the rx grammar:
-                        // verify the response parses as such.
-                        let parse_t = metrics.stages.parse.start();
-                        rx_clear
-                            .parse(&echoed)
-                            .map_err(|e| format!("message {i}: response does not parse: {e}"))?;
-                        metrics.stages.parse.finish(parse_t);
+            // Only the first accepted session gets the stdin wake pipe
+            // (and with it, fresh local payload).
+            let wake_slot = Mutex::new(Some(wake_rx));
+            let seed = AtomicU64::new(2);
+            serve_on(opts, listen, &banner, &telemetry, "tunnel server done", |listener, sd| {
+                evloop::serve(listener, &cfg, sd, metrics, |stream, peer| {
+                    let s = seed.fetch_add(1, Ordering::Relaxed);
+                    let mut sess = TunnelSession::new(
+                        stream,
+                        tx_svc,
+                        rx_svc,
+                        Arc::clone(&source),
+                        std::io::stdout(),
+                        s,
+                        metrics,
+                    )?
+                    .exit_on_eof(opts.exit_on_eof)
+                    .with_token(peer_token(&peer))
+                    .outbound_cap(opts.outbound_cap);
+                    if let Some(w) = wake_slot.lock().expect("wake slot lock poisoned").take() {
+                        sess = sess.with_wake(w);
                     }
-                    bytes += reference.len() + 4;
-                }
-                Ok(())
-            })?;
-            println!(
-                "{} messages ({} bytes framed) round-tripped {} through {connect}",
-                opts.count,
-                bytes,
-                if symmetric { "byte-identical" } else { "with parsed responses" }
+                    Ok(sess)
+                })
+            })
+        }
+        _ => Err(CliError::Usage(
+            "tunnel needs exactly one of --connect ADDR or --listen ADDR".into(),
+        )),
+    }
+}
+
+fn fuzz(opts: &Options) -> Result<(), CliError> {
+    let endpoint = endpoint_for(opts)?;
+    let obf = endpoint.profile().obf();
+    // One entry point for the fast PR gate and the long stress run:
+    // --cases wins, then PROTOOBF_FUZZ_CASES (the knob the CI stress
+    // matrix already sets), then a fast default.
+    let cases = opts
+        .cases
+        .or_else(|| std::env::var("PROTOOBF_FUZZ_CASES").ok().and_then(|v| v.parse().ok()))
+        .unwrap_or(256);
+    let corpus = opts.corpus.as_deref().unwrap_or("tests/corpus");
+    let cfg = FuzzConfig { cases, seed: obf.rng_seed() ^ 0x0BF5_CA7E, ..FuzzConfig::default() };
+    let mut total = 0usize;
+    for (leg, src, codec, _) in legs(&endpoint) {
+        let report = fuzz_codec(codec, &cfg);
+        eprintln!(
+            "{} {}: {} executions ({} accepted, {} rejected), {} coverage signatures, {} \
+             divergence(s)",
+            leg,
+            codec.plain().name(),
+            report.executions,
+            report.accepted,
+            report.rejected,
+            report.signatures,
+            report.divergences.len()
+        );
+        for rep in &report.divergences {
+            let path = pin_reproducer(corpus, src, obf, leg, rep)?;
+            eprintln!(
+                "  divergence ({} bytes, minimized from {}): {}\n  pinned {path}",
+                rep.wire.len(),
+                rep.original.len(),
+                rep.detail.lines().next().unwrap_or("")
             );
-            print_summary("client done", &telemetry, opts.quiet);
         }
-        "tunnel" => {
-            let endpoint = endpoint_for(&opts)?;
-            // Like send/recv, tunnel endpoints speak clear framing: the
-            // obfuscation gateways in between own the hostile wire. The
-            // carrier slots are classified on the *plain* grammar, and the
-            // gateways' transcode preserves plain values, so the covert
-            // payload survives any level of obfuscation in the chain.
-            let tx_svc = endpoint.clear_tx_service();
-            let rx_svc = endpoint.clear_rx_service();
-            let metrics = Arc::new(Metrics::new());
-            let mut registry = Telemetry::new(Arc::clone(&metrics));
-            registry.register_service("tx_clear", tx_svc);
-            registry.register_service("rx_clear", rx_svc);
-            let telemetry = Arc::new(registry);
-            // Stdin feeds a bounded payload buffer from a detached thread;
-            // the wake pipe turns payload arrival into socket readiness so
-            // the epoll loop re-drives the session.
-            let source = PayloadBuf::new();
-            let (wake_rx, wake_tx) = wake_pair().map_err(|e| e.to_string())?;
-            spawn_reader(std::io::stdin(), Arc::clone(&source), Some(wake_tx));
-            match (opts.connect.as_deref(), opts.listen.as_deref()) {
-                (Some(connect), None) => {
-                    let stream = std::net::TcpStream::connect(connect)
-                        .map_err(|e| format!("connect {connect}: {e}"))?;
-                    stream.set_nonblocking(true).map_err(|e| e.to_string())?;
-                    eprintln!("tunnel client → {connect}\nfingerprint {}", endpoint.fingerprint());
-                    let stdout = std::io::stdout();
-                    let mut session =
-                        TunnelSession::new(stream, rx_svc, tx_svc, source, stdout, 1, &metrics)
-                            .map_err(|e| e.to_string())?
-                            .with_wake(wake_rx)
-                            .exit_on_eof(opts.exit_on_eof);
-                    if let Some(cap) = opts.backpressure {
-                        session = session.outbound_cap(cap);
-                    }
-                    // A single client connection doesn't need the full
-                    // event loop: a mini drive loop with a short nap on
-                    // Idle keeps the binary simple and the socket hot.
-                    with_admin(opts.admin.as_deref(), &telemetry, |_shutdown| loop {
-                        match session.drive().map_err(|e| CliError::Run(e.to_string()))? {
-                            evloop::Drive::Done => break Ok(()),
-                            evloop::Drive::Progress => {}
-                            evloop::Drive::Idle => {
-                                std::thread::sleep(std::time::Duration::from_millis(1));
-                            }
-                        }
-                    })?;
-                    print_summary("tunnel client done", &telemetry, opts.quiet);
-                }
-                (None, Some(listen)) => {
-                    let listener = std::net::TcpListener::bind(listen)
-                        .map_err(|e| format!("bind {listen}: {e}"))?;
-                    let mut cfg = loop_config(&opts);
-                    // Stdin is one stream: by default serve exactly one
-                    // tunnel, then exit (--accept-limit overrides).
-                    if cfg.accept_limit.is_none() {
-                        cfg.accept_limit = Some(1);
-                    }
-                    eprintln!(
-                        "tunnel server on {listen} ({} workers)\nfingerprint {}",
-                        cfg.workers,
-                        endpoint.fingerprint()
-                    );
-                    // Only the first accepted session gets the stdin wake
-                    // pipe (and with it, fresh local payload).
-                    let wake_slot = std::sync::Mutex::new(Some(wake_rx));
-                    let seed = std::sync::atomic::AtomicU64::new(2);
-                    with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
-                        evloop::serve(listener, &cfg, shutdown, &metrics, |stream, peer| {
-                            let s = seed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let mut sess = TunnelSession::new(
-                                stream,
-                                tx_svc,
-                                rx_svc,
-                                Arc::clone(&source),
-                                std::io::stdout(),
-                                s,
-                                &metrics,
-                            )?
-                            .exit_on_eof(opts.exit_on_eof)
-                            .with_token(peer_token(&peer));
-                            if let Some(w) = wake_slot.lock().unwrap().take() {
-                                sess = sess.with_wake(w);
-                            }
-                            if let Some(cap) = opts.backpressure {
-                                sess = sess.outbound_cap(cap);
-                            }
-                            Ok(sess)
-                        })
-                        .map_err(|e| CliError::Run(e.to_string()))
-                    })?;
-                    print_summary("tunnel server done", &telemetry, opts.quiet);
-                }
-                _ => {
-                    return Err(CliError::Usage(
-                        "tunnel needs exactly one of --connect ADDR or --listen ADDR".into(),
-                    ));
-                }
-            }
+        total += report.divergences.len();
+    }
+    if total > 0 {
+        return Err(CliError::Run(format!(
+            "{total} divergence(s) found — minimized reproducers pinned under {corpus}"
+        )));
+    }
+    println!("fuzz: ok — {cases} cases per leg, no divergence");
+    Ok(())
+}
+
+fn resilience(opts: &Options) -> Result<(), CliError> {
+    if let Some(spec) = &opts.spec_path {
+        return Err(CliError::Usage(format!(
+            "resilience scores the builtin protocol suite and takes no specification (got \
+             {spec:?})"
+        )));
+    }
+    let samples = opts.samples.unwrap_or(16);
+    let max_level = opts.max_level.unwrap_or(3);
+    let report = resilience::score_trajectory(max_level, samples, 0xD5C_0BF);
+    for cell in &report.levels {
+        eprintln!("{}", resilience::summarize(cell));
+    }
+    write_out(opts, &resilience::export_json(&report))
+}
+
+/// Writes `text` to `-o FILE`, or to stdout without one.
+fn write_out(opts: &Options, text: &str) -> Result<(), CliError> {
+    match &opts.out {
+        Some(path) => {
+            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("wrote {path}");
         }
-        "fuzz" => {
-            let profile = profile_for(&opts)?;
-            let derivation = derivation_for(&opts)?;
-            // One entry point for the fast PR gate and the long stress
-            // run: --cases wins, then PROTOOBF_FUZZ_CASES (the knob the
-            // CI stress matrix already sets), then a fast default.
-            let cases = opts
-                .cases
-                .or_else(|| std::env::var("PROTOOBF_FUZZ_CASES").ok().and_then(|v| v.parse().ok()))
-                .unwrap_or(256);
-            let corpus = opts.corpus.clone().unwrap_or_else(|| "tests/corpus".to_string());
-            let cfg = FuzzConfig {
-                cases,
-                seed: profile.obf().rng_seed() ^ 0x0BF5_CA7E,
-                ..FuzzConfig::default()
-            };
-            let mut legs = vec![("tx", &derivation.tx, profile.tx())];
-            if let Some(rx) = &derivation.rx {
-                legs.push(("rx", rx, profile.rx()));
-            }
-            let mut total = 0usize;
-            for (leg, codec, src) in legs {
-                let report = fuzz_codec(codec, &cfg);
-                eprintln!(
-                    "{leg} {}: {} executions ({} accepted, {} rejected), {} coverage \
-                     signatures, {} divergence(s)",
-                    codec.plain().name(),
-                    report.executions,
-                    report.accepted,
-                    report.rejected,
-                    report.signatures,
-                    report.divergences.len()
-                );
-                for rep in &report.divergences {
-                    let path = pin_reproducer(&corpus, src, profile.obf(), leg, rep)?;
-                    eprintln!(
-                        "  divergence ({} bytes, minimized from {}): {}\n  pinned {path}",
-                        rep.wire.len(),
-                        rep.original.len(),
-                        rep.detail.lines().next().unwrap_or("")
-                    );
-                }
-                total += report.divergences.len();
-            }
-            if total > 0 {
-                return Err(CliError::Run(format!(
-                    "{total} divergence(s) found — minimized reproducers pinned under {corpus}"
-                )));
-            }
-            println!("fuzz: ok — {cases} cases per leg, no divergence");
-        }
-        "resilience" => {
-            if let Some(spec) = &opts.spec_path {
-                return Err(CliError::Usage(format!(
-                    "resilience scores the builtin protocol suite and takes no \
-                     specification (got {spec:?})"
-                )));
-            }
-            let samples = opts.samples.unwrap_or(16);
-            let max_level = opts.max_level.unwrap_or(3);
-            let report = resilience::score_trajectory(max_level, samples, 0xD5C_0BF);
-            for cell in &report.levels {
-                eprintln!("{}", resilience::summarize(cell));
-            }
-            let json = resilience::export_json(&report);
-            match &opts.out {
-                Some(path) => {
-                    std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("wrote {path}");
-                }
-                None => print!("{json}"),
-            }
-        }
-        other => return Err(CliError::Usage(format!("unknown command {other:?}"))),
+        None => print!("{text}"),
     }
     Ok(())
 }
@@ -818,21 +776,51 @@ fn pin_reproducer(
     Ok(path)
 }
 
-/// Runs `body` with the optional admin scrape plane live next to it:
-/// the listener is bound eagerly (a bad `--admin` address fails before
-/// any traffic flows), [`serve_admin`] runs on a scoped thread over the
-/// shared registry, and the shared shutdown flag is raised as soon as
-/// the body returns so the scraper thread winds down with the data
-/// plane.
-fn with_admin<T>(
-    admin: Option<&str>,
+/// The telemetry registry of a clear-framed endpoint process (`recv`,
+/// `send`, `tunnel`): a fresh metrics block plus the endpoint's clear
+/// tx and rx services, registered under `names`.
+fn clear_telemetry(endpoint: &Endpoint, names: [&str; 2]) -> Arc<Telemetry> {
+    let mut registry = Telemetry::new(Arc::new(Metrics::new()));
+    registry.register_service(names[0], endpoint.clear_tx_service());
+    registry.register_service(names[1], endpoint.clear_rx_service());
+    Arc::new(registry)
+}
+
+/// The serving subcommands' (`gateway`, `recv`, `tunnel --listen`) one
+/// run: binds `listen`, prints `banner`, then hands the listener to
+/// `serve` under [`with_telemetry`].
+fn serve_on(
+    opts: &Options,
+    listen: &str,
+    banner: &str,
     telemetry: &Arc<Telemetry>,
-    body: impl FnOnce(&AtomicBool) -> Result<T, CliError>,
-) -> Result<T, CliError> {
-    let listener = match admin {
+    done: &str,
+    serve: impl FnOnce(TcpListener, &AtomicBool) -> std::io::Result<()>,
+) -> Result<(), CliError> {
+    let listener = TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
+    eprintln!("{banner}");
+    with_telemetry(opts, telemetry, done, |shutdown| {
+        serve(listener, shutdown).map_err(|e| CliError::Run(e.to_string()))
+    })
+}
+
+/// Runs `body` with the optional `--admin` scrape plane live next to it,
+/// then prints the end-of-run telemetry summary as `{done}: …` (unless
+/// `--quiet`). The admin listener is bound eagerly (a bad `--admin`
+/// address fails before any traffic flows), [`serve_admin`] runs on a
+/// scoped thread over the shared registry, and the shared shutdown flag
+/// is raised as soon as the body returns so the scraper thread winds
+/// down with the data plane.
+fn with_telemetry(
+    opts: &Options,
+    telemetry: &Arc<Telemetry>,
+    done: &str,
+    body: impl FnOnce(&AtomicBool) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let listener = match &opts.admin {
         Some(a) => {
-            let l = std::net::TcpListener::bind(a)
-                .map_err(|e| CliError::Run(format!("bind admin {a}: {e}")))?;
+            let l =
+                TcpListener::bind(a).map_err(|e| CliError::Run(format!("bind admin {a}: {e}")))?;
             eprintln!("admin endpoint on {a} (/metrics /events /health)");
             Some(l)
         }
@@ -852,15 +840,11 @@ fn with_admin<T>(
         let result = body(&shutdown);
         shutdown.store(true, Ordering::Release);
         result
-    })
-}
-
-/// The end-of-run telemetry report every networked subcommand prints
-/// (unless `--quiet`).
-fn print_summary(label: &str, telemetry: &Telemetry, quiet: bool) {
-    if !quiet {
-        eprintln!("{label}: {}", telemetry.summary());
+    })?;
+    if !opts.quiet {
+        eprintln!("{done}: {}", telemetry.summary());
     }
+    Ok(())
 }
 
 fn loop_config(opts: &Options) -> LoopConfig {

@@ -9,7 +9,7 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`core`](protoobf_core) — format graphs, transformations, codecs;
+//! * [`core`] — format graphs, transformations, codecs;
 //! * [`spec`] — the specification DSL;
 //! * [`codegen`] — C library generation + potency metrics;
 //! * [`protocols`] — Modbus/TCP and HTTP formats and core applications;
@@ -68,10 +68,9 @@
 //! ```
 
 pub use protoobf_core::{
-    Boundary, BuildError, ByteOp, Codec, CodecService, Derivation, Endian, Endpoint, Fingerprint,
-    FormatGraph, GraphBuilder, Message, NodeId, ObfConfig, Obfuscator, ParseError, Path, Profile,
-    ProfileError, SpecError, SpecResolver, SpecSource, TerminalKind, TransformError, TransformKind,
-    Value,
+    Boundary, BuildError, ByteOp, Codec, CodecService, Endian, Endpoint, Fingerprint, FormatGraph,
+    GraphBuilder, Message, NodeId, ObfConfig, Obfuscator, ParseError, Path, Profile, ProfileError,
+    SpecError, SpecResolver, SpecSource, TerminalKind, TransformError, TransformKind, Value,
 };
 
 pub use protoobf_codegen as codegen;
@@ -105,10 +104,8 @@ impl SpecResolver for StdResolver {
 pub fn resolve_spec(src: &SpecSource) -> Result<FormatGraph, String> {
     match src {
         SpecSource::Builtin(name) => protocols::builtin(name).ok_or_else(|| {
-            format!(
-                "unknown builtin protocol {name:?} (expected dns-query, dns-response, \
-                 http-request, http-response, modbus-request or modbus-response)"
-            )
+            let (last, rest) = protocols::BUILTIN_NAMES.split_last().expect("builtins exist");
+            format!("unknown builtin protocol {name:?} (expected {} or {last})", rest.join(", "))
         }),
         SpecSource::File(path) => {
             let text =
@@ -129,21 +126,24 @@ pub trait ProfileExt {
     ///
     /// See [`Profile::build_with`].
     fn build(&self) -> Result<Endpoint, ProfileError>;
-
-    /// Derives only the fingerprint ([`Profile::fingerprint_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Profile::build_with`].
-    fn fingerprint(&self) -> Result<Fingerprint, ProfileError>;
 }
 
 impl ProfileExt for Profile {
     fn build(&self) -> Result<Endpoint, ProfileError> {
         self.build_with(&StdResolver)
     }
+}
 
-    fn fingerprint(&self) -> Result<Fingerprint, ProfileError> {
-        self.fingerprint_with(&StdResolver)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_builtin_error_names_every_builtin() {
+        let err = resolve_spec(&SpecSource::Builtin("smtp".into())).unwrap_err();
+        assert!(err.contains("\"smtp\""), "{err}");
+        for name in protocols::BUILTIN_NAMES {
+            assert!(err.contains(name), "{err} omits {name}");
+        }
     }
 }

@@ -287,6 +287,53 @@ fn telemetry_summary_prints_at_exit_and_quiet_suppresses_it() {
     assert!(stderr.contains("stages:"), "{stderr}");
 }
 
+/// `--backpressure` reaches the echo sessions' outbound queues: with a
+/// 1-byte cap every echoed frame fills the queue and pauses the session's
+/// reads until it drains, and the echoes still come back byte-identical.
+#[test]
+fn recv_backpressure_cap_still_echoes_byte_identically() {
+    use std::io::BufRead;
+    let listen = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    let mut recv = cli()
+        .args(["recv", "builtin:modbus-request", "--listen", &listen])
+        .args(["--backpressure", "1", "--accept-limit", "1"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The banner prints once the listener is bound; a probe connection
+    // would use up the one accept.
+    let mut stderr = std::io::BufReader::new(recv.stderr.take().unwrap());
+    let mut line = String::new();
+    while !line.contains("echo server on") {
+        line.clear();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "recv exited before serving");
+    }
+
+    let send = cli()
+        .args(["send", "builtin:modbus-request", "--connect", &listen, "--count", "8"])
+        .output()
+        .unwrap();
+    assert!(send.status.success(), "{}", String::from_utf8_lossy(&send.stderr));
+    let stdout = String::from_utf8_lossy(&send.stdout);
+    assert!(stdout.contains("8 messages"), "{stdout}");
+    assert!(stdout.contains("round-tripped byte-identical"), "{stdout}");
+
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut rest).unwrap();
+    assert!(recv.wait().unwrap().success(), "{rest}");
+    assert!(rest.contains("server done:"), "{rest}");
+    // The cap bit: queued echoes stalled the sessions' reads.
+    let stalls = rest
+        .split("; ")
+        .find_map(|part| part.strip_suffix(" backpressure events"))
+        .and_then(|n| n.rsplit(' ').next()?.parse::<u64>().ok())
+        .expect("summary reports backpressure events");
+    assert!(stalls > 0, "{rest}");
+}
+
 /// Address flags validate shape only — an unresolvable hostname is a
 /// runtime failure (exit 1), never a usage error (exit 2), so transient
 /// DNS trouble cannot masquerade as a typo.

@@ -7,34 +7,25 @@
 
 use protoobf::core::plan::CopyProgram;
 use protoobf::core::verify;
+use protoobf::protocols::BUILTIN_NAMES;
 use protoobf::spec::lint;
-use protoobf::{Codec, Profile, SpecSource, StdResolver};
+use protoobf::{Codec, Endpoint, Profile, ProfileExt, SpecSource};
 
-const BUILTINS: &[&str] = &[
-    "dns-query",
-    "dns-response",
-    "http-request",
-    "http-response",
-    "modbus-request",
-    "modbus-response",
-];
-
-fn derive(name: &str, level: u32) -> Codec {
+fn endpoint(name: &str, level: u32) -> Endpoint {
     Profile::symmetric(SpecSource::Builtin(name.to_string()))
         .key("lint sweep")
         .level(level)
-        .derive_with(&StdResolver)
+        .build()
         .expect("builtin derives")
-        .tx
 }
 
-/// Verifies one codec the way `protoobf lint` does: the plan + channel-map
-/// pass, then both directions of the clear↔obfuscated gateway pairing.
-fn assert_verifies_clean(label: &str, codec: &Codec) {
+/// Verifies one leg the way `protoobf lint` does: the plan + channel-map
+/// pass, then both directions of the endpoint's clear↔obfuscated gateway
+/// pairing.
+fn assert_verifies_clean(label: &str, codec: &Codec, clear: &Codec) {
     let diags = verify::verify_codec(codec);
     assert!(diags.is_empty(), "{label}: {diags:?}");
-    let clear = Codec::identity(codec.plain());
-    for (dir, src, dst) in [("clear→obf", &clear, codec), ("obf→clear", codec, &clear)] {
+    for (dir, src, dst) in [("clear→obf", clear, codec), ("obf→clear", codec, clear)] {
         let prog = CopyProgram::compile(src.obf_graph(), dst.obf_graph())
             .expect("identity pairing shares the plain spec");
         let diags = verify::verify_copy_program(src.obf_graph(), dst.obf_graph(), &prog);
@@ -44,10 +35,11 @@ fn assert_verifies_clean(label: &str, codec: &Codec) {
 
 #[test]
 fn all_builtins_verify_clean_across_levels() {
-    for name in BUILTINS {
+    for name in BUILTIN_NAMES {
         for level in 0..=3 {
-            let codec = derive(name, level);
-            assert_verifies_clean(&format!("{name} level {level}"), &codec);
+            let ep = endpoint(name, level);
+            let label = format!("{name} level {level}");
+            assert_verifies_clean(&label, ep.tx_service().codec(), ep.clear_tx_service().codec());
         }
     }
 }
@@ -58,10 +50,10 @@ fn all_builtins_verify_clean_across_levels() {
 /// entirely clean.
 #[test]
 fn builtin_lint_warnings_are_stable() {
-    for name in BUILTINS {
-        let codec = derive(name, 2);
-        let lints = lint::lint_graph(codec.plain());
-        match *name {
+    for name in BUILTIN_NAMES {
+        let ep = endpoint(name, 2);
+        let lints = lint::lint_graph(ep.tx_service().codec().plain());
+        match name {
             "modbus-request" | "modbus-response" => {
                 assert!(lints.is_empty(), "{name}: {lints:?}");
             }
@@ -88,8 +80,12 @@ fn asymmetric_profile_verifies_both_legs() {
     )
     .key("asym sweep")
     .level(3);
-    let derivation = profile.derive_with(&StdResolver).expect("derives");
-    assert_verifies_clean("tx dns-query", &derivation.tx);
-    let rx = derivation.rx.as_ref().expect("asymmetric profile has an rx codec");
-    assert_verifies_clean("rx dns-response", rx);
+    let ep = profile.build().expect("derives");
+    assert!(!ep.is_symmetric(), "asymmetric profile has an rx codec");
+    assert_verifies_clean("tx dns-query", ep.tx_service().codec(), ep.clear_tx_service().codec());
+    assert_verifies_clean(
+        "rx dns-response",
+        ep.rx_service().codec(),
+        ep.clear_rx_service().codec(),
+    );
 }
