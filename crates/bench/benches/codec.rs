@@ -260,6 +260,12 @@ fn bench_service(c: &mut Criterion) {
     export_trajectory(c, "service");
 }
 
+/// The level-2 derivation e2ebench runs: its shared secret, stretched
+/// the way a profile stretches it.
+fn e2ebench_codec(graph: &FormatGraph) -> Codec {
+    Obfuscator::new(graph).key("e2ebench shared secret").max_per_node(2).obfuscate().unwrap()
+}
+
 /// Gateway relay scenario: the per-message transcode step on the 64 KiB
 /// bulk message — compiled copy program vs. the graph-walk reference it
 /// replaced — plus the **aggregate gateway round trip** (decode the
@@ -269,7 +275,10 @@ fn bench_service(c: &mut Criterion) {
 /// second; the round trip counts the payload once per gateway. The
 /// `serialize-session`/`parse-session` rows time the clear codec's two
 /// directions on the same message, and the group asserts that
-/// serializing costs at most twice as much as parsing.
+/// serializing costs at most twice as much as parsing. The
+/// `*/e2ebench-l2` rows repeat the transcode and obfuscated session steps
+/// on the benchmark's own derivation, and the `modbus-*` rows time one
+/// small request at levels 0 and 2.
 fn bench_relay(c: &mut Criterion) {
     let graph = bulk_graph();
     let clear = Codec::identity(&graph);
@@ -328,6 +337,80 @@ fn bench_relay(c: &mut Criterion) {
                 clear_serializer.serialize_into_seeded(&to_clear, &mut back_wire, 1).unwrap();
             })
         });
+
+        // The benchmark's own derivation (its shared secret, level 2),
+        // where every table loop of both relay directions is a column
+        // copy: the per-message steps of bulk-64k's two gateways.
+        let e2e = e2ebench_codec(&graph);
+        let mut to_e2e = e2e.transcode_target(&clear).unwrap();
+        src.transcode_into(&mut to_e2e).unwrap();
+        let mut e2e_serializer = e2e.serializer();
+        let mut e2e_wire = Vec::new();
+        e2e_serializer.serialize_into_seeded(&to_e2e, &mut e2e_wire, 1).unwrap();
+        let e2e_src = e2e.parse(&e2e_wire).unwrap();
+        group.throughput(Throughput::Bytes(clear_wire.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("transcode-clear-obf", "e2ebench-l2"),
+            &0u32,
+            |b, _| b.iter(|| src.transcode_into(&mut to_e2e).unwrap()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("serialize-session-obf", "e2ebench-l2"),
+            &0u32,
+            |b, _| {
+                b.iter(|| e2e_serializer.serialize_into_seeded(&to_e2e, &mut e2e_wire, 1).unwrap())
+            },
+        );
+        let mut e2e_parser = e2e.parser();
+        group.bench_with_input(
+            BenchmarkId::new("parse-session-obf", "e2ebench-l2"),
+            &0u32,
+            |b, _| {
+                b.iter(|| {
+                    e2e_parser.parse_in_place(&e2e_wire).unwrap();
+                })
+            },
+        );
+        let mut from_e2e = clear.transcode_target(&e2e).unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("transcode-obf-clear", "e2ebench-l2"),
+            &0u32,
+            |b, _| b.iter(|| e2e_src.transcode_into(&mut from_e2e).unwrap()),
+        );
+
+        // Small messages: one modbus request, where the plan's per-node
+        // work rather than the bytes sets the cost (levels 0 and 2 under
+        // the benchmark's shared secret, as modbus-rr runs it).
+        let modbus = protoobf_protocols::modbus::request_graph();
+        for level in [0u32, 2] {
+            let codec = if level == 0 { Codec::identity(&modbus) } else { e2ebench_codec(&modbus) };
+            let mut rng = StdRng::seed_from_u64(7);
+            let msg = protoobf_protocols::modbus::build_request(
+                &codec,
+                protoobf_protocols::modbus::Function::WriteMultipleRegisters,
+                &mut rng,
+            );
+            let mut serializer = codec.serializer();
+            let mut wire = Vec::new();
+            serializer.serialize_into_seeded(&msg, &mut wire, 1).unwrap();
+            group.throughput(Throughput::Bytes(wire.len() as u64));
+            let mut out = Vec::new();
+            group.bench_with_input(
+                BenchmarkId::new("modbus-serialize-session", level),
+                &level,
+                |b, _| b.iter(|| serializer.serialize_into_seeded(&msg, &mut out, 1).unwrap()),
+            );
+            let mut parser = codec.parser();
+            group.bench_with_input(
+                BenchmarkId::new("modbus-parse-session", level),
+                &level,
+                |b, _| {
+                    b.iter(|| {
+                        parser.parse_in_place(&wire).unwrap();
+                    })
+                },
+            );
+        }
         group.finish();
     }
     // Serializer guard: the emit walk reads every store in order through

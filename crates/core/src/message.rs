@@ -67,6 +67,25 @@ impl ScopeKey {
     pub(crate) fn as_slice(&self) -> &[u32] {
         &self.idx[..self.len as usize]
     }
+
+    /// The key of element `i` of a container at `scope`: `scope`
+    /// followed by `i`. Loop kernels build it once per container and
+    /// move it along with [`ScopeKey::set_last`].
+    pub(crate) fn element(scope: &[u32], i: u32) -> ScopeKey {
+        assert!(
+            scope.len() < MAX_SCOPE,
+            "element scope deeper than the supported nesting of {MAX_SCOPE}"
+        );
+        let mut idx = [0u32; MAX_SCOPE];
+        idx[..scope.len()].copy_from_slice(scope);
+        idx[scope.len()] = i;
+        ScopeKey { len: scope.len() as u8 + 1, idx }
+    }
+
+    /// Replaces the innermost element index.
+    pub(crate) fn set_last(&mut self, i: u32) {
+        self.idx[self.len as usize - 1] = i;
+    }
 }
 
 /// Dense per-slot wire-value storage: value bytes live in one arena,
@@ -111,9 +130,14 @@ impl WireStore {
     /// insert in order, so the common case is an O(1) tail push (checked
     /// before falling back to a binary search).
     pub(crate) fn set(&mut self, slot: usize, scope: &[u32], bytes: &[u8]) {
+        self.set_key(slot, &ScopeKey::from_slice(scope), bytes);
+    }
+
+    /// [`WireStore::set`] under an already-built key.
+    pub(crate) fn set_key(&mut self, slot: usize, key: &ScopeKey, bytes: &[u8]) {
         let start = self.data.len();
         self.data.extend_from_slice(bytes);
-        self.index(slot, scope, start);
+        self.index(slot, key, start);
     }
 
     /// [`WireStore::set`] that hands the stored bytes to `edit` before
@@ -134,14 +158,14 @@ impl WireStore {
             self.data.truncate(start);
             return Err(e);
         }
-        self.index(slot, scope, start);
+        self.index(slot, &ScopeKey::from_slice(scope), start);
         Ok(())
     }
 
-    /// Points `(slot, scope)` at the arena bytes from `start` to the end.
-    fn index(&mut self, slot: usize, scope: &[u32], start: usize) {
+    /// Points `(slot, key)` at the arena bytes from `start` to the end.
+    fn index(&mut self, slot: usize, key: &ScopeKey, start: usize) {
         let (start, end) = (start as u32, self.data.len() as u32);
-        let key = ScopeKey::from_slice(scope);
+        let key = *key;
         let entries = &mut self.per_slot[slot];
         match entries.last_mut() {
             Some(last) if last.0 < key => entries.push((key, start, end)),
@@ -168,10 +192,84 @@ impl WireStore {
     /// re-synchronizes the cursor, so out-of-order access is merely
     /// slower, never wrong.
     pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<&[u8]> {
+        self.get_seq_key(slot, &ScopeKey::from_slice(scope), cursor)
+    }
+
+    /// [`WireStore::get_seq`] under an already-built key.
+    pub(crate) fn get_seq_key(
+        &self,
+        slot: usize,
+        key: &ScopeKey,
+        cursor: &mut u32,
+    ) -> Option<&[u8]> {
         let entries = self.per_slot.get(slot)?;
-        let i = seek(entries, &ScopeKey::from_slice(scope), cursor, |e| &e.0)?;
+        let i = seek(entries, key, cursor, |e| &e.0)?;
         *cursor += 1;
         Some(self.bytes(entries[i]))
+    }
+
+    /// The column copy of one slot: appends every entry of `src`'s
+    /// `src_slot` whose key is `scope` followed by an element index below
+    /// `n` — the entries a loop over `n` elements would read, in order —
+    /// to `slot` under the same key, each value handed to `edit` in the
+    /// arena first. Returns `false`, with whatever was appended left in
+    /// place, when `edit` rejects a value or a key would not sort after
+    /// the slot's last entry; the caller rolls back with
+    /// [`WireStore::truncate`].
+    pub(crate) fn copy_column(
+        &mut self,
+        slot: usize,
+        src: &WireStore,
+        src_slot: usize,
+        scope: &[u32],
+        n: usize,
+        mut edit: impl FnMut(&mut [u8]) -> bool,
+    ) -> bool {
+        // Keys sort by depth, then index by index: the column is the
+        // entries from `scope`'s element 0 up to (not including) element
+        // `n`, and they sort after everything already under `slot` when
+        // their first one does.
+        let entries = &src.per_slot[src_slot];
+        let lo = entries.partition_point(|e| e.0 < ScopeKey::element(scope, 0));
+        let hi = match u32::try_from(n) {
+            Ok(n) => entries.partition_point(|e| e.0 < ScopeKey::element(scope, n)),
+            Err(_) => entries.partition_point(|e| e.0 <= ScopeKey::element(scope, u32::MAX)),
+        };
+        let column = &entries[lo..hi.max(lo)];
+        let dst = &mut self.per_slot[slot];
+        if let (Some(last), Some(first)) = (dst.last(), column.first()) {
+            if last.0 >= first.0 {
+                return false;
+            }
+        }
+        dst.reserve(column.len());
+        for &(key, s, e) in column {
+            let start = self.data.len();
+            self.data.extend_from_slice(&src.data[s as usize..e as usize]);
+            if !edit(&mut self.data[start..]) {
+                return false;
+            }
+            dst.push((key, start as u32, self.data.len() as u32));
+        }
+        true
+    }
+
+    /// Arena length: with [`WireStore::entries_len`], the state
+    /// [`WireStore::truncate`] rolls back to.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Number of entries under `slot`.
+    pub(crate) fn entries_len(&self, slot: usize) -> usize {
+        self.per_slot[slot].len()
+    }
+
+    /// Drops `slot`'s entries past the first `entries` and the arena
+    /// bytes past `arena` (a rollback to lengths read before appending).
+    pub(crate) fn truncate(&mut self, slot: usize, entries: usize, arena: usize) {
+        self.per_slot[slot].truncate(entries);
+        self.data.truncate(arena);
     }
 
     /// Whether `(slot, scope)` holds a value, looked up like
@@ -329,6 +427,8 @@ pub(crate) struct TranscodeCache {
     /// Per-source-slot sequential read cursors (see
     /// [`WireStore::get_seq`]); reset per message, reused capacity.
     cursors: Vec<u32>,
+    /// Destination entry counts a column copy rolls back to.
+    marks: Vec<usize>,
 }
 
 /// The lifetime-free owned state of a [`Message`]: its stores and
@@ -657,7 +757,7 @@ impl<'c> Message<'c> {
         // Run the armed program with the destination's own scratch.
         let Message { graph, wires, presence, counts, rng, ev, dist, transcode, .. } = dst;
         let graph: &ObfGraph = graph;
-        let TranscodeCache { prog, cursors, .. } = transcode.as_mut().expect("armed above");
+        let TranscodeCache { prog, cursors, marks, .. } = transcode.as_mut().expect("armed above");
         let sp = self.graph.plan();
         cursors.clear();
         cursors.resize(sp.slots(), 0);
@@ -673,6 +773,7 @@ impl<'c> Message<'c> {
             ev,
             dist,
             cursors,
+            marks,
             scope: [0; MAX_SCOPE],
         };
         run.exec(&prog.steps, 0)
@@ -720,7 +821,10 @@ impl<'c> Message<'c> {
                 c.src_uid = src_uid;
                 c.prog = prog;
             }
-            None => self.transcode = Some(TranscodeCache { src_uid, prog, cursors: Vec::new() }),
+            None => {
+                self.transcode =
+                    Some(TranscodeCache { src_uid, prog, cursors: Vec::new(), marks: Vec::new() })
+            }
         }
     }
 
@@ -1011,6 +1115,25 @@ fn recover(
     })
 }
 
+/// The fused copy's rewrite of one value already appended to the
+/// destination arena: the source ops undone, the destination store's
+/// check run on the plain value, the destination ops applied.
+#[inline]
+fn rewrite(
+    sp: &CodecPlan,
+    src_ops: PoolRange,
+    dp: &CodecPlan,
+    dst_obf: u32,
+    dst_ops: PoolRange,
+    check: DistCheck,
+    v: &mut [u8],
+) -> Result<(), DistErr> {
+    undo_ops_in_place(sp.ops(src_ops), v);
+    check.validate(dp, dst_obf, v)?;
+    apply_ops_in_place(dp.ops(dst_ops), v);
+    Ok(())
+}
+
 /// One execution of a compiled [`CopyProgram`]: the source message plus
 /// disjoint mutable borrows of the destination's stores, RNG and the
 /// cached evaluation scratch. The element scope lives in an inline array
@@ -1032,6 +1155,8 @@ struct CopyRun<'a, 'c> {
     dist: &'a mut DistEval,
     /// Sequential read cursors, one per source slot.
     cursors: &'a mut [u32],
+    /// Rollback scratch of [`CopyRun::column`].
+    marks: &'a mut Vec<usize>,
     scope: [u32; MAX_SCOPE],
 }
 
@@ -1065,23 +1190,72 @@ impl CopyRun<'_, '_> {
                     }
                 }
                 CopyStep::Loop { plain, body } => {
-                    debug_assert!(depth < MAX_SCOPE, "validated nesting exceeded");
-                    let n = {
-                        let sc = &self.scope[..depth];
-                        let n = self.src.counts.get(plain as usize, sc).unwrap_or(0);
-                        self.counts.set(plain as usize, sc, n);
-                        n
-                    };
-                    let inner = &steps[i + 1..i + 1 + body as usize];
-                    for e in 0..n {
-                        self.scope[depth] = e as u32;
-                        self.exec(inner, depth + 1)?;
-                    }
+                    let n = self.count(plain, depth);
+                    self.per_element(&steps[i + 1..i + 1 + body as usize], n, depth)?;
+                    i += 1 + body as usize;
+                }
+                CopyStep::Column { plain, body } => {
+                    let n = self.count(plain, depth);
+                    self.column(&steps[i + 1..i + 1 + body as usize], n, depth)?;
                     i += 1 + body as usize;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Copies the element count of container `plain` at the current
+    /// scope and returns it.
+    fn count(&mut self, plain: u32, depth: usize) -> usize {
+        debug_assert!(depth < MAX_SCOPE, "validated nesting exceeded");
+        let sc = &self.scope[..depth];
+        let n = self.src.counts.get(plain as usize, sc).unwrap_or(0);
+        self.counts.set(plain as usize, sc, n);
+        n
+    }
+
+    /// Runs a loop body once per element, the element index appended to
+    /// the scope.
+    fn per_element(&mut self, body: &[CopyStep], n: usize, depth: usize) -> Result<(), BuildError> {
+        for e in 0..n {
+            self.scope[depth] = e as u32;
+            self.exec(body, depth + 1)?;
+        }
+        Ok(())
+    }
+
+    /// Runs a [`CopyStep::Column`] body: each `Direct` step copies its
+    /// whole column ([`WireStore::copy_column`]) with the fused copy's
+    /// in-place rewrite. When a column fails, every column of the body is
+    /// truncated back to its pre-loop length and the body reruns per
+    /// element, which stops at the failing element and step exactly like
+    /// the loop it replaces.
+    fn column(&mut self, body: &[CopyStep], n: usize, depth: usize) -> Result<(), BuildError> {
+        let dst_slot = |step: &CopyStep| match *step {
+            CopyStep::Direct { dst_obf, .. } => dst_obf as usize,
+            _ => unreachable!("column bodies are only direct copies"),
+        };
+        let arena = self.wires.arena_len();
+        self.marks.clear();
+        self.marks.extend(body.iter().map(|s| self.wires.entries_len(dst_slot(s))));
+        let (sp, dp) = (self.sp, self.dp);
+        let sc = &self.scope[..depth];
+        let copied = body.iter().all(|step| {
+            let CopyStep::Direct { src_obf, src_ops, dst_obf, dst_ops, check } = *step else {
+                unreachable!("column bodies are only direct copies")
+            };
+            let src = &self.src.wires;
+            self.wires.copy_column(dst_obf as usize, src, src_obf as usize, sc, n, |v| {
+                rewrite(sp, src_ops, dp, dst_obf, dst_ops, check, v).is_ok()
+            })
+        });
+        if copied {
+            return Ok(());
+        }
+        for (step, &len) in body.iter().zip(self.marks.iter()) {
+            self.wires.truncate(dst_slot(step), len, arena);
+        }
+        self.per_element(body, n, depth)
     }
 
     /// Copies one terminal instance: recover through the source plan's
@@ -1150,10 +1324,7 @@ impl CopyRun<'_, '_> {
         let (sp, dp) = (self.sp, self.dp);
         self.wires
             .set_with(dst_obf as usize, sc, bytes, |v| {
-                undo_ops_in_place(sp.ops(src_ops), v);
-                check.validate(dp, dst_obf, v)?;
-                apply_ops_in_place(dp.ops(dst_ops), v);
-                Ok(())
+                rewrite(sp, src_ops, dp, dst_obf, dst_ops, check, v)
             })
             .map_err(|e: DistErr| e.into_build_error(self.dst_graph))
     }
@@ -1436,6 +1607,66 @@ mod tests {
             // The failed store leaves the destination as the walk does.
             assert!(compiled.wires.iter().eq(walked.wires.iter()), "{field}");
         }
+    }
+
+    #[test]
+    fn column_copy_failures_roll_back_to_the_walks_state() {
+        let mut b = GraphBuilder::new("t");
+        let root = b.root_sequence("m", Boundary::End);
+        let count = b.uint_be(root, "count", 2);
+        let tab = b.tabular(root, "records", count);
+        b.set_auto(count, AutoValue::CounterOf(tab));
+        let item = b.sequence(tab, "item", Boundary::Delegated);
+        b.uint_be(item, "key", 4);
+        b.uint_be(item, "flags", 2);
+        b.terminal(item, "payload", TerminalKind::Bytes, Boundary::Fixed(5));
+        let plain = b.build().unwrap();
+        let clear = ObfGraph::from_plain(&plain);
+        let codec = crate::engine::Obfuscator::new(&plain)
+            .seed(8)
+            .max_per_node(2)
+            .allowed([TransformKind::ConstAdd, TransformKind::ConstSub, TransformKind::ConstXor])
+            .obfuscate()
+            .unwrap();
+        let obf = codec.obf_graph();
+        let prog = CopyProgram::compile(&clear, obf).unwrap();
+        assert!(matches!(prog.steps[0], CopyStep::Column { body: 3, .. }), "{:?}", prog.steps);
+
+        let slot = |name: &str| {
+            clear.plan().holder_slot(plain.resolve_names(&["records", name]).unwrap()).unwrap()
+        };
+        let source = |planted: &[(&str, u32, &[u8])]| {
+            let mut src = Message::with_seed(&clear, 1);
+            for i in 0..10u64 {
+                src.set_uint(&format!("records[{i}].key"), i).unwrap();
+                src.set_uint(&format!("records[{i}].flags"), i).unwrap();
+                src.set(&format!("records[{i}].payload"), vec![i as u8; 5]).unwrap();
+            }
+            for &(field, i, wire) in planted {
+                src.wires.set(slot(field) as usize, &[i], wire);
+            }
+            src
+        };
+        // Clean: the columns land exactly where the walk puts them, and
+        // an entry past the element count is skipped like the walk skips
+        // it.
+        let src = source(&[("key", 12, b"\x00\x00\x00\x0c")]);
+        let (mut compiled, mut walked) = (Message::with_seed(obf, 2), Message::with_seed(obf, 2));
+        src.transcode_into(&mut compiled).unwrap();
+        src.transcode_into_walk(&mut walked).unwrap();
+        assert!(compiled.wires.iter().eq(walked.wires.iter()));
+        // A bad `flags` at element 5 and a bad `key` at element 7: the key
+        // column fails first, but the loop stops at element 5's flags.
+        let src = source(&[("flags", 5, b"\x01\x02\x03"), ("key", 7, b"\x01")]);
+        let got = src.transcode_into(&mut compiled).unwrap_err();
+        let want = src.transcode_into_walk(&mut walked).unwrap_err();
+        assert_eq!(got, want);
+        assert!(
+            matches!(&got, BuildError::BadValueLength { expected: 2, found: 3, .. }),
+            "{got:?}"
+        );
+        assert!(compiled.wires.iter().eq(walked.wires.iter()), "rolled back to the walk's state");
+        assert_eq!(compiled.wires.iter().count(), 5 * 3 + 1, "elements 0-4 and element 5's key");
     }
 
     #[test]

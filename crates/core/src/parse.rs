@@ -358,7 +358,7 @@ impl<'c> ParseSession<'c> {
                                 referenced: self.obf_name(*first),
                             }
                         })?;
-                        for j in 0..m {
+                        for j in self.parse_run(idx, m, buf, pos, end) {
                             self.scope.push(j as u32);
                             let r = self.parse_node(elem, buf, pos, end, false);
                             self.scope.pop();
@@ -388,7 +388,7 @@ impl<'c> ParseSession<'c> {
                 let m = self.recover_uint(*counter, *counter_depth, *counter_endian)? as usize;
                 let elem = plan.kids(node)[0];
                 let mut empties = 0usize;
-                for j in 0..m {
+                for j in self.parse_run(idx, m, buf, pos, end) {
                     let before = *pos;
                     self.scope.push(j as u32);
                     let r = self.parse_node(elem, buf, pos, end, false);
@@ -481,6 +481,42 @@ impl<'c> ParseSession<'c> {
                 Ok(())
             }
         }
+    }
+
+    /// The element kernel of counted container `idx`: when the container
+    /// has an element run and all `m` elements fit the window (one
+    /// `checked_mul`, one bounds check), stores every column of every
+    /// element under one moving scope key. Returns the element indices
+    /// left for the per-element walk: none after the kernel ran, all `m`
+    /// otherwise, so a window overrun fails at the exact element and
+    /// terminal it always did.
+    fn parse_run(
+        &mut self,
+        idx: u32,
+        m: usize,
+        buf: &[u8],
+        pos: &mut usize,
+        end: usize,
+    ) -> std::ops::Range<usize> {
+        let plan = self.plan;
+        let Some(run) = &plan.runs[idx as usize] else {
+            return 0..m;
+        };
+        if m.checked_mul(run.width as usize).is_none_or(|total| total > end - *pos) {
+            return 0..m;
+        }
+        let mut key = ScopeKey::element(&self.scope, 0);
+        let mut p = *pos;
+        for j in 0..m {
+            key.set_last(j as u32);
+            for col in &run.cols {
+                let w = col.width as usize;
+                self.msg.wires.set_key(col.slot as usize, &key, &buf[p..p + w]);
+                p += w;
+            }
+        }
+        *pos = p;
+        0..0
     }
 
     fn take(

@@ -136,6 +136,12 @@ impl BaseOp {
     }
 }
 
+/// True for the counted containers an [`ElemRun`] may specialize: a
+/// tabular, or a repetition linked to another one's element count.
+fn is_counted(op: &PlanOp) -> bool {
+    matches!(op, PlanOp::Tab { .. } | PlanOp::Rep { stop: RepStopC::CountOf(_), .. })
+}
+
 /// Compiled repetition stop rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RepStopC {
@@ -216,6 +222,46 @@ pub(crate) enum PlanOp {
         /// Prefix byte order.
         endian: Endian,
     },
+}
+
+/// One fixed-width column of an [`ElemRun`]: a `Term{Fixed}` of the
+/// element.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RunCol {
+    /// Terminal slot.
+    pub(crate) slot: u32,
+    /// Its fixed wire width.
+    pub(crate) width: u32,
+    /// Its base: [`BaseOp::Source`] or [`BaseOp::Pad`].
+    pub(crate) base: BaseOp,
+}
+
+/// The element run of a counted container (a `Tab`, or a `Rep` with a
+/// `CountOf` stop) whose element is a `Seq{Delegated}` of `Term{Fixed}`
+/// children with `Source`/`Pad` bases, or one such terminal (a table of
+/// a single field lowers to its terminal): every element has the same width,
+/// so the sessions check the window once per container and store or emit
+/// each element under one scope key, with no per-terminal dispatch (the
+/// SNIPPETS.md deobfuscator's basic-block grouping, applied to loops).
+/// Derived from the node table, so it stays out of [`CodecPlan::digest`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ElemRun {
+    /// The element's terminals, in wire order.
+    pub(crate) cols: Vec<RunCol>,
+    /// Sum of the columns' widths (never zero: zero-width elements keep
+    /// the walk's empty-element bound).
+    pub(crate) width: u32,
+}
+
+/// How many of a program's loops run a specialized kernel: element runs
+/// of a compiled plan ([`CodecPlan::element_kernels`]) or column copies of
+/// a transcode program ([`CopyProgram::column_copies`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KernelCoverage {
+    /// Loops eligible in kind: counted containers, or copy-program loops.
+    pub loops: usize,
+    /// Loops that run the kernel.
+    pub kernels: usize,
 }
 
 /// One compiled node: operation plus flattened child range.
@@ -433,6 +479,19 @@ pub(crate) enum CopyStep {
         /// Steps forming one element's body.
         body: u32,
     },
+    /// A [`CopyStep::Loop`] whose body is only [`CopyStep::Direct`] steps
+    /// with pairwise-distinct source and destination slots, run a column
+    /// at a time: each source slot's entries under the current scope are
+    /// appended in order into the destination slot under the same keys,
+    /// with no per-element key rebuild, cursor seek or step dispatch. A
+    /// failed check rolls the columns back and reruns the body per
+    /// element, so errors and the destination state are the loop's own.
+    Column {
+        /// Plain node index of the container.
+        plain: u32,
+        /// Steps forming one element's body (all `Direct`).
+        body: u32,
+    },
 }
 
 /// A compiled transcode program for one ordered (source plan, destination
@@ -471,6 +530,39 @@ impl CopyProgram {
     pub fn steps(&self) -> usize {
         self.steps.len()
     }
+
+    /// How many of the program's loops are column copies.
+    pub fn column_copies(&self) -> KernelCoverage {
+        let mut c = KernelCoverage::default();
+        for s in &self.steps {
+            match s {
+                CopyStep::Loop { .. } => c.loops += 1,
+                CopyStep::Column { .. } => {
+                    c.loops += 1;
+                    c.kernels += 1;
+                }
+                _ => {}
+            }
+        }
+        c
+    }
+}
+
+/// True when a loop body may run as a column copy: non-empty, only
+/// `Direct` steps, and no two steps sharing a source or a destination
+/// slot (each column then owns its destination slot outright).
+pub(crate) fn is_column_body(body: &[CopyStep]) -> bool {
+    let mut slots = Vec::with_capacity(body.len());
+    for step in body {
+        let CopyStep::Direct { src_obf, dst_obf, .. } = *step else {
+            return false;
+        };
+        if slots.iter().any(|&(s, d)| s == src_obf || d == dst_obf) {
+            return false;
+        }
+        slots.push((src_obf, dst_obf));
+    }
+    !body.is_empty()
 }
 
 /// Emits the copy steps of the plain subtree rooted at `x` (pre-order,
@@ -526,7 +618,11 @@ fn lower_copy(
             out.push(CopyStep::Loop { plain: x.0, body: 0 });
             lower_copy(plain, node.children()[0], sp, dp, out);
             let body = (out.len() - at - 1) as u32;
-            out[at] = CopyStep::Loop { plain: x.0, body };
+            out[at] = if is_column_body(&out[at + 1..]) {
+                CopyStep::Column { plain: x.0, body }
+            } else {
+                CopyStep::Loop { plain: x.0, body }
+            };
         }
     }
 }
@@ -609,6 +705,9 @@ pub struct CodecPlan {
     pub(crate) steps: Vec<LenStep>,
     /// Auto-field checks, in plain-graph order.
     pub(crate) autos: Vec<AutoCheck>,
+    /// slot → element run of a counted container whose element is a run
+    /// of fixed-width terminals ([`ElemRun`]; derived, not digested).
+    pub(crate) runs: Vec<Option<ElemRun>>,
 }
 
 impl CodecPlan {
@@ -656,6 +755,51 @@ impl CodecPlan {
     /// Borrow a node's children.
     pub(crate) fn kids(&self, n: &PlanNode) -> &[u32] {
         &self.children[n.children.0 as usize..(n.children.0 + n.children.1) as usize]
+    }
+
+    /// How many counted containers (`Tab`, and `Rep` with a `CountOf`
+    /// stop) run element kernels.
+    pub fn element_kernels(&self) -> KernelCoverage {
+        let mut c = KernelCoverage::default();
+        for (node, run) in self.nodes.iter().zip(&self.runs) {
+            if is_counted(&node.op) {
+                c.loops += 1;
+                c.kernels += usize::from(run.is_some());
+            }
+        }
+        c
+    }
+
+    /// The element run of counted container `slot`: its element is a
+    /// `Seq{Delegated}` of `Term{Fixed}` children with `Source`/`Pad`
+    /// bases (or one such terminal itself) of non-zero total width.
+    /// `None` for every other slot.
+    pub(crate) fn derive_run(&self, slot: u32) -> Option<ElemRun> {
+        let node = &self.nodes[slot as usize];
+        if !is_counted(&node.op) {
+            return None;
+        }
+        let elem = self.kids(node).first()?;
+        let terms = match self.nodes[*elem as usize].op {
+            PlanOp::Seq { boundary: SeqB::Delegated } => self.kids(&self.nodes[*elem as usize]),
+            PlanOp::Term { .. } => std::slice::from_ref(elem),
+            _ => return None,
+        };
+        let mut cols = Vec::with_capacity(terms.len());
+        let mut width = 0u32;
+        for &c in terms {
+            match &self.nodes[c as usize].op {
+                PlanOp::Term {
+                    base: base @ (BaseOp::Source { .. } | BaseOp::Pad { .. }),
+                    boundary: TermB::Fixed(w),
+                } => {
+                    width = width.checked_add(*w)?;
+                    cols.push(RunCol { slot: c, width: *w, base: base.clone() });
+                }
+                _ => return None,
+            }
+        }
+        (width > 0).then_some(ElemRun { cols, width })
     }
 
     /// Lowers the final obfuscation graph into a flat plan. One pass over
@@ -1149,6 +1293,7 @@ impl<'g> Compiler<'g> {
                 preds: Vec::new(),
                 steps: Vec::new(),
                 autos: Vec::new(),
+                runs: Vec::new(),
             },
         }
     }
@@ -1193,6 +1338,8 @@ impl<'g> Compiler<'g> {
             }
         }
         self.compile_autos();
+        self.plan.runs =
+            (0..self.plan.nodes.len() as u32).map(|i| self.plan.derive_run(i)).collect();
         self.plan
     }
 
@@ -1935,7 +2082,7 @@ mod tests {
                 CopyStep::Value { .. } => kinds[0] += 1,
                 CopyStep::ValueDirect { .. } => kinds[1] += 1,
                 CopyStep::Direct { .. } => kinds[2] += 1,
-                CopyStep::Optional { .. } | CopyStep::Loop { .. } => {}
+                CopyStep::Optional { .. } | CopyStep::Loop { .. } | CopyStep::Column { .. } => {}
             }
         }
         kinds
@@ -1981,6 +2128,70 @@ mod tests {
                 prog.steps
             );
         }
+    }
+
+    #[test]
+    fn element_runs_cover_fixed_width_counted_elements() {
+        // The bulk table runs a kernel; a terminated repetition does not
+        // until it is split, and then only its count-linked half does.
+        let plan = CodecPlan::compile(&ObfGraph::from_plain(&bulk_shaped()));
+        let runs: Vec<&ElemRun> = plan.runs.iter().flatten().collect();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].width, 30);
+        assert_eq!(plan.element_kernels(), KernelCoverage { loops: 1, kernels: 1 });
+
+        // A table of one field lowers to its terminal: a one-column run.
+        let mut b = GraphBuilder::new("regs");
+        let root = b.root_sequence("m", Boundary::End);
+        let n = b.uint_be(root, "n", 1);
+        let regs = b.tabular(root, "regs", n);
+        b.set_auto(n, AutoValue::CounterOf(regs));
+        b.uint_be(regs, "reg", 2);
+        let plan = CodecPlan::compile(&ObfGraph::from_plain(&b.build().unwrap()));
+        let run = plan.runs.iter().flatten().next().expect("the table runs a kernel");
+        assert_eq!((run.cols.len(), run.width), (1, 2));
+
+        let mut b = GraphBuilder::new("marks");
+        let root = b.root_sequence("m", Boundary::End);
+        let rep = b.repetition(
+            root,
+            "marks",
+            crate::graph::StopRule::Terminator(vec![0xff]),
+            Boundary::Delegated,
+        );
+        let mark = b.sequence(rep, "mark", Boundary::Delegated);
+        b.uint_be(mark, "tag", 1);
+        b.uint_be(mark, "mv", 2);
+        b.terminal(mark, "mb", TerminalKind::Bytes, Boundary::Fixed(3));
+        let mut g = ObfGraph::from_plain(&b.build().unwrap());
+        assert_eq!(CodecPlan::compile(&g).element_kernels(), KernelCoverage::default());
+        let rep = g.preorder().into_iter().find(|&id| g.node(id).name() == "marks").unwrap();
+        apply(&mut g, rep, TransformKind::RepSplit, &mut StdRng::seed_from_u64(3)).unwrap();
+        let plan = CodecPlan::compile(&g);
+        let linked = (0..plan.slots())
+            .find(|&i| matches!(plan.nodes[i].op, PlanOp::Rep { stop: RepStopC::CountOf(_), .. }))
+            .expect("the split leaves a count-linked half");
+        let run = plan.runs[linked].as_ref().expect("the linked half runs a kernel");
+        // (j = 1 leaves `mv` and `mb` to the linked half, j = 2 only `mb`.)
+        assert!(run.width == 5 || run.width == 3, "{run:?}");
+        assert_eq!(plan.element_kernels(), KernelCoverage { loops: 1, kernels: 1 });
+
+        // Its kernel agrees with the walk both ways.
+        let mut m = crate::message::Message::with_seed(&g, 1);
+        for i in 0..4u64 {
+            m.set_uint(&format!("marks[{i}].tag"), i).unwrap();
+            m.set_uint(&format!("marks[{i}].mv"), 0x100 + i).unwrap();
+            m.set(&format!("marks[{i}].mb"), vec![i as u8; 3]).unwrap();
+        }
+        let mut wire = Vec::new();
+        crate::serialize::SerializeSession::new(&g, &plan)
+            .serialize_into_seeded(&m, &mut wire, 9)
+            .unwrap();
+        assert_eq!(wire, crate::serialize::serialize_seeded(&g, &m, 9).unwrap());
+        let mut parser = crate::parse::ParseSession::new(&g, &plan);
+        let parsed = parser.parse_in_place(&wire).unwrap();
+        assert_eq!(parsed.get("marks[3].mb").unwrap().as_bytes(), [3; 3]);
+        assert!(parsed.wires.iter().eq(crate::parse::parse(&g, &wire).unwrap().wires.iter()));
     }
 
     /// Every `ByteOp`, for building kernel test cases.

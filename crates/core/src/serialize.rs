@@ -26,11 +26,11 @@
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::error::BuildError;
 use crate::graph::NodeId;
-use crate::message::{Message, WireStore};
+use crate::message::{Message, ScopeKey, WireStore};
 use crate::obf::{Base, ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
 use crate::plan::{
     bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, PlanOp, RecEval, RepStopC, SeqB, TermB,
@@ -389,13 +389,7 @@ impl<'c> SerializeSession<'c> {
                 assert_ne!(*origin, NONE, "repetitions always have plain origins");
                 let od = (*origin_depth as usize).min(self.scratch.scope.len());
                 let m = msg.count_of(NodeId(*origin), &self.scratch.scope[..od]);
-                let child = plan.kids(node)[0];
-                for i in 0..m {
-                    self.scratch.scope.push(i as u32);
-                    let piece = self.emit(child, msg, out);
-                    self.scratch.scope.pop();
-                    piece?;
-                }
+                self.emit_elements(idx, m, msg, out)?;
                 if let RepStopC::Terminator(t) = stop {
                     out.extend_from_slice(&plan.bytes[*t as usize]);
                 }
@@ -413,14 +407,7 @@ impl<'c> SerializeSession<'c> {
                         actual: m as u64,
                     });
                 }
-                let child = plan.kids(node)[0];
-                for i in 0..m {
-                    self.scratch.scope.push(i as u32);
-                    let piece = self.emit(child, msg, out);
-                    self.scratch.scope.pop();
-                    piece?;
-                }
-                Ok(())
+                self.emit_elements(idx, m, msg, out)
             }
             PlanOp::Mirror => {
                 let start = out.len();
@@ -444,6 +431,55 @@ impl<'c> SerializeSession<'c> {
                 Ok(())
             }
         }
+    }
+
+    /// Emits the `m` elements of container `idx`. A counted container
+    /// with an element run takes the element kernel (except while
+    /// tracing, which records spans through the per-element walk): one
+    /// scope key per element, and per column the message wire read
+    /// through its cursor, or fresh pad bytes, or the missing source
+    /// field's error — what the walk's terminal read does, since no
+    /// overlay write reaches a run slot (verifier code P013). Pads draw
+    /// from the RNG in the walk's order.
+    fn emit_elements(
+        &mut self,
+        idx: u32,
+        m: usize,
+        msg: &Message<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), BuildError> {
+        let plan = self.plan;
+        let run = plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing);
+        let Some(run) = run else {
+            let child = plan.kids(&plan.nodes[idx as usize])[0];
+            for i in 0..m {
+                self.scratch.scope.push(i as u32);
+                let piece = self.emit(child, msg, out);
+                self.scratch.scope.pop();
+                piece?;
+            }
+            return Ok(());
+        };
+        let s = &mut self.scratch;
+        let mut key = ScopeKey::element(&s.scope, 0);
+        for i in 0..m {
+            key.set_last(i as u32);
+            for col in &run.cols {
+                let c = col.slot as usize;
+                if let Some(b) = msg.wires.get_seq_key(c, &key, &mut s.cursors.wire[c]) {
+                    out.extend_from_slice(b);
+                    continue;
+                }
+                match col.base {
+                    BaseOp::Pad { k } => out.extend((0..k).map(|_| s.rng.gen::<u8>())),
+                    BaseOp::Source { plain } => {
+                        return Err(BuildError::MissingField(self.plain_name(plain)))
+                    }
+                    _ => unreachable!("element runs hold only source and pad columns"),
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Appends the wire bytes of a terminal: serialization overlay first

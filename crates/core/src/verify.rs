@@ -21,12 +21,16 @@
 //! * each recovery program's dual distribution program is its **forward
 //!   mirror** (the invertibility invariant of the paper's
 //!   transformations);
-//! * the auto-field dependency graph is acyclic.
+//! * the auto-field dependency graph is acyclic;
+//! * every element run (the loop kernel of a counted container) is
+//!   exactly its container's element of fixed-width source/pad
+//!   terminals, and no overlay write of the serializer reaches one.
 //!
 //! [`verify_copy_program`] applies the same discipline to compiled
 //! transcode programs (relative jumps in bounds and properly nested,
 //! source/destination slot types in agreement, each fused wire-to-wire
-//! copy equal to the recovery and distribution programs it replaces), and
+//! copy equal to the recovery and distribution programs it replaces,
+//! each column copy's body only fused copies of distinct slots), and
 //! [`verify_channel_map`] checks the covert tunnel's carrier
 //! classification against a traced serialization: carrier spans must lie
 //! inside their slots' wire extents.
@@ -47,8 +51,8 @@ use crate::graph::{FormatGraph, NodeId, NodeType};
 use crate::message::MAX_SCOPE;
 use crate::obf::ObfGraph;
 use crate::plan::{
-    AutoCheckKind, BaseOp, CodecPlan, CopyProgram, CopyStep, DistCheck, DistProg, DistStep, PlanOp,
-    PoolRange, RecProg, RecStep, SeqB, SplitRuleC, TermB, NONE,
+    is_column_body, AutoCheckKind, BaseOp, CodecPlan, CopyProgram, CopyStep, DistCheck, DistProg,
+    DistStep, PlanOp, PoolRange, RecProg, RecStep, SeqB, SplitRuleC, TermB, NONE,
 };
 use crate::runtime;
 use crate::serialize::SlotSpan;
@@ -103,6 +107,11 @@ pub const CARRIER_SPAN_OUT_OF_EXTENT: &str = "P011";
 /// `P012` — a fused wire-to-wire copy step differs from the single-`Load`
 /// recovery program and single-`Store` distribution program it replaces.
 pub const DIRECT_COPY_MISMATCH: &str = "P012";
+/// `P013` — a loop kernel disagrees with the loop it replaces: an element
+/// run differs from its container's element (or a serializer overlay
+/// write could reach one of its slots), or a column copy's body is not
+/// only direct copies with pairwise-distinct slots.
+pub const LOOP_KERNEL_MISMATCH: &str = "P013";
 
 fn diag(code: &'static str, message: String) -> Diagnostic {
     Diagnostic { code, message }
@@ -123,6 +132,7 @@ pub fn verify_plan(g: &ObfGraph, plan: &CodecPlan) -> Vec<Diagnostic> {
     let rec_ok = v.rec_programs();
     let dist_ok = v.dist_programs();
     v.duality(&rec_ok, &dist_ok);
+    v.elem_runs(&dist_ok);
     v.autos();
     v.diags
 }
@@ -602,6 +612,84 @@ impl Verifier<'_> {
         clean
     }
 
+    /// `slot`'s children when its child range and every child index are
+    /// in bounds (the table pass reports the rest).
+    fn kids_of(&self, slot: u32) -> Option<&[u32]> {
+        let node = self.plan.nodes.get(slot as usize)?;
+        let kids =
+            range_ok(node.children, self.plan.children.len()).then(|| self.plan.kids(node))?;
+        kids.iter().all(|&k| (k as usize) < self.slots()).then_some(kids)
+    }
+
+    /// Element runs: each must be exactly the run its container's element
+    /// derives — that sequence's `Term{Fixed}` children with
+    /// `Source`/`Pad` bases (or the element terminal itself), their
+    /// widths, their sum — and no
+    /// distribution program the serializer materializes into its overlay
+    /// may store into a run slot, since the element kernel reads only the
+    /// message wires.
+    fn elem_runs(&mut self, dist_ok: &[bool]) {
+        if self.plan.runs.len() != self.slots() {
+            self.push(
+                LOOP_KERNEL_MISMATCH,
+                format!(
+                    "element-run table covers {} slots, the plan has {}",
+                    self.plan.runs.len(),
+                    self.slots()
+                ),
+            );
+            return;
+        }
+        let mut in_run = vec![false; self.slots()];
+        for s in 0..self.slots() as u32 {
+            let Some(run) = &self.plan.runs[s as usize] else { continue };
+            let sound = self
+                .kids_of(s)
+                .and_then(|kids| kids.first())
+                .is_some_and(|&elem| self.kids_of(elem).is_some());
+            if !sound || self.plan.derive_run(s).as_ref() != Some(run) {
+                let cols: Vec<(u32, u32)> = run.cols.iter().map(|c| (c.slot, c.width)).collect();
+                self.push(
+                    LOOP_KERNEL_MISMATCH,
+                    format!(
+                        "slot {s}: element run {cols:?} of width {} is not its counted \
+                         container's element of fixed-width source/pad terminals",
+                        run.width
+                    ),
+                );
+                continue;
+            }
+            for c in &run.cols {
+                in_run[c.slot as usize] = true;
+            }
+        }
+        for (s, &ok) in dist_ok.iter().enumerate().take(self.slots()) {
+            let materialized = match &self.plan.nodes[s].op {
+                PlanOp::Term { base, .. } => base.is_materialized(),
+                PlanOp::Split { base, .. } => {
+                    base.is_materialized() || matches!(base, BaseOp::Pad { .. })
+                }
+                _ => false,
+            };
+            let Some(prog) = self.plan.dist[s].filter(|_| materialized && ok) else {
+                continue;
+            };
+            for step in self.plan.dist_prog(prog).to_vec() {
+                if let DistStep::Store { obf, .. } = step {
+                    if in_run[obf as usize] {
+                        self.push(
+                            LOOP_KERNEL_MISMATCH,
+                            format!(
+                                "slot {s}: the serializer materializes into slot {obf}, a column \
+                                 of an element run"
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// A store's validation must mirror the target slot's wire boundary.
     fn store_check(&mut self, what: &str, obf: u32, check: DistCheck) -> bool {
         let PlanOp::Term { ref boundary, .. } = self.plan.nodes[obf as usize].op else {
@@ -916,8 +1004,21 @@ pub fn verify_copy_program(src: &ObfGraph, dst: &ObfGraph, prog: &CopyProgram) -
                     Some(_) => {}
                 }
             }
-            CopyStep::Loop { plain: p, body } => {
+            CopyStep::Loop { plain: p, body } | CopyStep::Column { plain: p, body } => {
                 block(body, "loop");
+                if matches!(step, CopyStep::Column { .. }) {
+                    let end = (i + 1 + body as usize).min(n);
+                    if !is_column_body(&prog.steps[i + 1..end]) {
+                        diags.push(diag(
+                            LOOP_KERNEL_MISMATCH,
+                            format!(
+                                "step {i}: column copy over {body} steps whose body is not only \
+                                 direct copies with pairwise-distinct source and destination \
+                                 slots"
+                            ),
+                        ));
+                    }
+                }
                 match plain.get(NodeId(p)) {
                     None => diags.push(diag(
                         PLAIN_OUT_OF_BOUNDS,
@@ -1461,6 +1562,100 @@ mod tests {
         // Give the destination ends an in-bounds op stack they do not have.
         let d = tampered(&|_, ops| *ops = (0, 1));
         assert_eq!(codes(&d), vec![DIRECT_COPY_MISMATCH; 2], "{d:?}");
+    }
+
+    /// A counted table of fixed-width records behind an auto counter: the
+    /// shape element runs and column copies specialize.
+    fn table() -> ObfGraph {
+        let mut b = GraphBuilder::new("t");
+        let root = b.root_sequence("m", Boundary::End);
+        let count = b.uint_be(root, "count", 2);
+        let tab = b.tabular(root, "items", count);
+        b.set_auto(count, AutoValue::CounterOf(tab));
+        let item = b.sequence(tab, "item", Boundary::Delegated);
+        b.uint_be(item, "key", 4);
+        b.terminal(item, "payload", TerminalKind::Bytes, Boundary::Fixed(6));
+        ObfGraph::from_plain(&b.build().unwrap())
+    }
+
+    /// The table's one container slot with an element run.
+    fn run_slot(plan: &CodecPlan) -> usize {
+        plan.runs.iter().position(Option::is_some).expect("the table has an element run")
+    }
+
+    #[test]
+    fn p013_element_run_mismatch_fires() {
+        let g = table();
+        assert_eq!(verify_tampered(&g, |_| {}), vec![], "clean plan");
+        // A column wider than its terminal.
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            p.runs[s].as_mut().unwrap().cols[1].width += 1;
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+        // A total width that is not the columns' sum.
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            p.runs[s].as_mut().unwrap().width -= 1;
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+        // A column dropped from the run.
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            p.runs[s].as_mut().unwrap().cols.pop();
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+        // A run on a slot that is no counted container (the root).
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            p.runs[p.root as usize] = p.runs[s].clone();
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+    }
+
+    #[test]
+    fn p013_overlay_write_into_a_run_slot_fires() {
+        // Aim the auto counter's materialized store at a run column of the
+        // same width (`key` is a u32, the counter a u16: widen the check
+        // so only the overlay rule can object).
+        let g = table();
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            let key = p.runs[s].as_ref().unwrap().cols[0].slot;
+            for step in &mut p.dist_steps {
+                if let DistStep::Store { obf, check, .. } = step {
+                    if !p.runs.iter().flatten().any(|r| r.cols.iter().any(|c| c.slot == *obf)) {
+                        *obf = key;
+                        *check = DistCheck::Fixed(4);
+                    }
+                }
+            }
+        });
+        assert!(codes(&d).contains(&LOOP_KERNEL_MISMATCH), "{d:?}");
+    }
+
+    #[test]
+    fn p013_column_body_mismatch_fires() {
+        let (src, dst) = (table(), table());
+        let prog = CopyProgram::compile(&src, &dst).expect("same plain spec");
+        assert_eq!(verify_copy_program(&src, &dst, &prog), vec![], "clean program");
+        let column = prog
+            .steps
+            .iter()
+            .position(|s| matches!(s, CopyStep::Column { .. }))
+            .expect("the table's loop is a column copy");
+        // A body step repeated: each step alone is a faithful fused copy
+        // (P012 stays quiet), but two columns now share their slots.
+        let mut dup = prog.clone();
+        dup.steps[column + 2] = dup.steps[column + 1];
+        let d = verify_copy_program(&src, &dst, &dup);
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+        // A column copy whose body shrank to nothing.
+        let mut empty = prog.clone();
+        let CopyStep::Column { plain, .. } = prog.steps[column] else { unreachable!() };
+        empty.steps[column] = CopyStep::Column { plain, body: 0 };
+        let d = verify_copy_program(&src, &dst, &empty);
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
     }
 
     #[test]

@@ -17,9 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use protoobf_core::graph::{AutoValue, Boundary, GraphBuilder};
+use protoobf_core::plan::CopyProgram;
 use protoobf_core::telemetry::{EventKind, Metrics};
 use protoobf_core::value::TerminalKind;
-use protoobf_core::Obfuscator;
+use protoobf_core::{Codec, Obfuscator};
 
 struct CountingAlloc;
 
@@ -191,6 +192,96 @@ fn steady_state_relay_transcode_does_not_allocate() {
         round_trip!(round);
     }
     assert_eq!(allocations() - before, 0, "steady-state relay transcode allocated");
+}
+
+/// The benchmark's bulk record table (`e2ebench/specs/bulk.spec`).
+fn bulk_graph() -> protoobf_core::FormatGraph {
+    let mut b = GraphBuilder::new("Bulk");
+    let root = b.root_sequence("Bulk", Boundary::End);
+    let count = b.uint_be(root, "count", 2);
+    let tab = b.tabular(root, "records", count);
+    b.set_auto(count, AutoValue::CounterOf(tab));
+    let item = b.sequence(tab, "item", Boundary::Delegated);
+    b.uint_be(item, "key", 4);
+    b.uint_be(item, "flags", 2);
+    b.terminal(item, "payload", TerminalKind::Bytes, Boundary::Fixed(24));
+    b.terminal(root, "tail", TerminalKind::Bytes, Boundary::End);
+    b.build().unwrap()
+}
+
+/// Allocations of 50 warmed relay round trips — clear frame decoded,
+/// transcoded into `obf`, encoded, decoded and transcoded back — after
+/// checking the round trip is lossless.
+fn relay_allocations(clear: &Codec, obf: &Codec, msg: &protoobf_core::Message<'_>) -> u64 {
+    let (mut clear_parser, mut obf_parser) = (clear.parser(), obf.parser());
+    let (mut clear_serializer, mut obf_serializer) = (clear.serializer(), obf.serializer());
+    let mut to_obf = obf.transcode_target(clear).unwrap();
+    let mut to_clear = clear.transcode_target(obf).unwrap();
+    let (mut clear_wire, mut obf_wire, mut back_wire) = (Vec::new(), Vec::new(), Vec::new());
+    clear_serializer.serialize_into_seeded(msg, &mut clear_wire, 1).unwrap();
+    let mut round_trip = |seed: u64| {
+        let inbound = clear_parser.parse_in_place(&clear_wire).unwrap();
+        inbound.transcode_into(&mut to_obf).unwrap();
+        obf_serializer.serialize_into_seeded(&to_obf, &mut obf_wire, seed).unwrap();
+        let upstream = obf_parser.parse_in_place(&obf_wire).unwrap();
+        upstream.transcode_into(&mut to_clear).unwrap();
+        clear_serializer.serialize_into_seeded(&to_clear, &mut back_wire, seed).unwrap();
+    };
+    for round in 0..5u64 {
+        round_trip(round);
+    }
+    let before = allocations();
+    for round in 0..50u64 {
+        round_trip(round);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(back_wire, clear_wire, "relay round trip must be lossless");
+    allocated
+}
+
+/// The loop kernels on the benchmark's bulk table, at level 0 and at its
+/// level-2 derivation (the benchmark's shared secret), where every table
+/// loop of either relay direction is a column copy: element kernels and
+/// column copies allocate nothing once warm, in the sessions and in the
+/// relay round trip.
+#[test]
+fn bulk_loop_kernels_do_not_allocate() {
+    let graph = bulk_graph();
+    let clear = Codec::identity(&graph);
+    let obf =
+        Obfuscator::new(&graph).key("e2ebench shared secret").max_per_node(2).obfuscate().unwrap();
+    for (src, dst) in [(&clear, &clear), (&clear, &obf), (&obf, &clear)] {
+        let prog = CopyProgram::compile(src.obf_graph(), dst.obf_graph()).unwrap();
+        let columns = prog.column_copies();
+        assert!(columns.loops > 0 && columns.kernels == columns.loops, "{columns:?}");
+    }
+    for (what, codec) in [("level 0", &clear), ("level 2", &obf)] {
+        assert!(codec.plan().element_kernels().kernels > 0, "{what}: no element kernel");
+        let mut msg = codec.message_seeded(1);
+        for i in 0..256u64 {
+            msg.set_uint(&format!("records[{i}].key"), i * 7919).unwrap();
+            msg.set_uint(&format!("records[{i}].flags"), i).unwrap();
+            msg.set(&format!("records[{i}].payload"), vec![i as u8; 24]).unwrap();
+        }
+        msg.set("tail", vec![0xAB; 512]).unwrap();
+
+        let mut serializer = codec.serializer();
+        let mut parser = codec.parser();
+        let mut wire = Vec::new();
+        for round in 0..5u64 {
+            serializer.serialize_into_seeded(&msg, &mut wire, round).unwrap();
+            parser.parse_in_place(&wire).unwrap();
+        }
+        let before = allocations();
+        for round in 0..50u64 {
+            serializer.serialize_into_seeded(&msg, &mut wire, round).unwrap();
+            parser.parse_in_place(&wire).unwrap();
+        }
+        assert_eq!(allocations() - before, 0, "{what}: steady-state bulk sessions allocated");
+
+        let clear_msg = msg.transcode(clear.obf_graph()).unwrap();
+        assert_eq!(relay_allocations(&clear, codec, &clear_msg), 0, "{what}: bulk relay allocated");
+    }
 }
 
 /// The transport responder's per-reply path: sampling into a pooled

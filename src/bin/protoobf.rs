@@ -7,6 +7,7 @@
 //!                                            machine-readable diagnostics
 //!                                            (P… errors exit 1, L… warnings
 //!                                            exit 0 unless --deny-warnings)
+//!                                            and per-leg loop-kernel coverage
 //! protoobf print <target>                    re-print the canonical form
 //!                                            (spec text, or profile + summary)
 //! protoobf dot <target> [--level N --key K]  Graphviz (plain or obfuscated)
@@ -333,7 +334,9 @@ fn check(opts: &Options) -> Result<(), CliError> {
 
 /// Static verification of the compiled IR (P… errors) plus the
 /// specification lints (L… warnings) — the offline form of the
-/// debug-build compile asserts, over every leg of the profile.
+/// debug-build compile asserts, over every leg of the profile — and,
+/// per leg, how many loops run kernels: counted containers with element
+/// runs in both plans, column copies in both relay directions.
 fn lint(opts: &Options) -> Result<(), CliError> {
     let endpoint = endpoint_for(opts)?;
     let mut errors = 0usize;
@@ -354,18 +357,35 @@ fn lint(opts: &Options) -> Result<(), CliError> {
         }
         // The gateway pairing this leg runs in production: the endpoint's
         // clear↔obfuscated transcode programs, both directions.
+        let mut columns = Vec::new();
         for (src, dst) in [(clear, codec), (codec, clear)] {
             match CopyProgram::compile(src.obf_graph(), dst.obf_graph()) {
                 Some(prog) => {
                     for d in verify::verify_copy_program(src.obf_graph(), dst.obf_graph(), &prog) {
                         emit(d.code, &d.message);
                     }
+                    columns.push(prog.column_copies());
                 }
                 None => emit(
                     verify::COPY_TYPE_MISMATCH,
                     "clear↔obfuscated pairing rejected: plain specifications diverged",
                 ),
             }
+        }
+        // Loop-kernel coverage: which loops skip per-element dispatch.
+        let (obf_runs, clear_runs) =
+            (codec.plan().element_kernels(), clear.plan().element_kernels());
+        println!(
+            "kernels {leg} {name}: {} of {} counted loops run element kernels (obfuscated), \
+             {} of {} (clear)",
+            obf_runs.kernels, obf_runs.loops, clear_runs.kernels, clear_runs.loops
+        );
+        if let [to_obf, to_clear] = columns[..] {
+            println!(
+                "kernels {leg} {name}: {} of {} copy-program loops are column copies \
+                 (clear→obfuscated), {} of {} (obfuscated→clear)",
+                to_obf.kernels, to_obf.loops, to_clear.kernels, to_clear.loops
+            );
         }
         for l in protoobf::spec::lint::lint_graph(codec.plain()) {
             emit(l.code, &l.message);

@@ -516,6 +516,42 @@ fn lint_profile_covers_both_legs() {
     assert!(stdout.contains("rx DnsResponse"), "{stdout}");
 }
 
+/// `lint` reports, per leg, which loops run kernels: the element runs of
+/// both plans and the column copies of both relay directions (at level
+/// 0 the table runs every kernel).
+#[test]
+fn lint_reports_loop_kernel_coverage() {
+    let path = write_spec(
+        "lint-kernels",
+        r#"
+        message Table {
+            u8 n = count(rows);
+            tabular rows count_by n {
+                u16 a;
+                bytes(3) b;
+            }
+        }
+        "#,
+    );
+    let out = cli().args(["lint"]).arg(&path).args(["--level", "0"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(
+            "kernels tx Table: 1 of 1 counted loops run element kernels (obfuscated), 1 of 1 \
+             (clear)"
+        ),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "kernels tx Table: 1 of 1 copy-program loops are column copies \
+             (clear→obfuscated), 1 of 1 (obfuscated→clear)"
+        ),
+        "{stdout}"
+    );
+}
+
 /// `lint` without a target is a usage error (exit 2).
 #[test]
 fn lint_without_target_is_a_usage_error() {

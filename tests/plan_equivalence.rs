@@ -16,6 +16,9 @@ use protoobf::{Codec, FormatGraph, Message, Obfuscator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod kernel;
+use kernel::{kernel_message, KERNEL_SPEC};
+
 fn codec_for(graph: &FormatGraph, level: u32, seed: u64) -> Codec {
     if level == 0 {
         Codec::identity(graph)
@@ -359,6 +362,111 @@ fn out_of_order_stores_serialize_like_in_order_ones() {
                     plain_bytes(&identity, &in_order),
                     "{what}: out-of-order build holds a different message"
                 );
+            }
+        }
+    }
+}
+
+/// The element kernels agree with the per-element walk byte for byte and
+/// structure for structure, at every level, with and without pads in
+/// the elements; at level 0 exactly the two fixed-field tables run them.
+#[test]
+fn loop_kernels_match_the_walk() {
+    use protoobf::TransformKind;
+    let graph = protoobf::spec::parse_spec(KERNEL_SPEC).unwrap();
+    let coverage = codec_for(&graph, 0, 0).plan().element_kernels();
+    assert_eq!((coverage.loops, coverage.kernels), (5, 3), "records, items and regs");
+    let mut padded_runs = 0;
+    for level in 0..=3u32 {
+        for plan_seed in 0..4u64 {
+            let padded = Obfuscator::new(&graph)
+                .seed(plan_seed)
+                .max_per_node(level.max(1))
+                .allowed([TransformKind::PadInsert, TransformKind::ConstXor])
+                .obfuscate()
+                .unwrap();
+            padded_runs += padded.plan().element_kernels().kernels;
+            for (kind, codec) in
+                [("mixed", codec_for(&graph, level, plan_seed)), ("padded", padded)]
+            {
+                let mut rng = StdRng::seed_from_u64(plan_seed * 131 + u64::from(level));
+                for round in 0..4u64 {
+                    let msg = kernel_message(&codec, &mut rng);
+                    let what =
+                        format!("kernel {kind} level={level} plan={plan_seed} round={round}");
+                    assert_equivalent(&codec, &msg, round ^ 0x6EED, &what);
+                }
+            }
+        }
+    }
+    assert!(padded_runs > 0, "no padded element ran a kernel");
+}
+
+/// The bulk grammar with an 8-byte record counter, so a hostile counter
+/// can overflow `count × width`.
+fn wide_counter_bulk() -> FormatGraph {
+    protoobf::spec::parse_spec(&BULK_SPEC.replace("u16 count", "u64 count")).unwrap()
+}
+
+/// Hostile counters: more records than the window holds, and a counter
+/// whose product with the record width overflows `usize`. The element
+/// kernel's one window check fails and the per-element walk reports
+/// the terminal it always did, with the same byte counts.
+#[test]
+fn hostile_counters_fail_at_the_walks_terminal() {
+    for (graph, width) in
+        [(protoobf::spec::parse_spec(BULK_SPEC).unwrap(), 2), (wide_counter_bulk(), 8)]
+    {
+        let codec = Codec::identity(&graph);
+        let wire = codec.serialize_seeded(&build(&codec, &bulk_fields(48), 1), 0).unwrap();
+        // The counter leads the wire; the table's 48 × 30 bytes and the
+        // 10-byte tail follow it.
+        for counter in [49u64, 0xFFFF, u64::MAX] {
+            if width < 8 && counter >= 1 << (8 * width) {
+                continue;
+            }
+            let mut hostile = wire.clone();
+            hostile[..width].copy_from_slice(&counter.to_be_bytes()[8 - width..]);
+            let got = codec.parser().parse_in_place(&hostile).map(|_| ()).unwrap_err();
+            let walk = parse_mod::parse(codec.obf_graph(), &hostile).map(|_| ()).unwrap_err();
+            assert_eq!(got, walk, "counter {counter:#x}");
+            // Record 48 reads its key and flags from the tail's first 6
+            // bytes; its payload needs 24 with 4 left.
+            let want = protoobf::core::ParseError::UnexpectedEnd {
+                node: "payload".into(),
+                needed: 24,
+                available: 4,
+            };
+            assert_eq!(got, want, "counter {counter:#x}");
+        }
+        // Truncated inside the table: the same terminal and byte counts
+        // as the walk, at every cut.
+        for cut in (width..width + 48 * 30).step_by(7) {
+            let got = codec.parser().parse_in_place(&wire[..cut]).map(|_| ()).unwrap_err();
+            let walk = parse_mod::parse(codec.obf_graph(), &wire[..cut]).map(|_| ()).unwrap_err();
+            assert_eq!(got, walk, "cut at {cut}");
+        }
+    }
+}
+
+/// A source field missing in the middle of a table fails serialization
+/// with the walk's error, naming the first missing field in wire order,
+/// at every level.
+#[test]
+fn missing_field_mid_table_fails_like_the_walk() {
+    let graph = protoobf::spec::parse_spec(BULK_SPEC).unwrap();
+    let fields: Vec<_> =
+        bulk_fields(6).into_iter().filter(|(path, _)| path != "records[3].flags").collect();
+    for level in 0..=3u32 {
+        for plan_seed in 0..3u64 {
+            let codec = codec_for(&graph, level, plan_seed);
+            let msg = build(&codec, &fields, plan_seed);
+            let got =
+                codec.serializer().serialize_into_seeded(&msg, &mut Vec::new(), 5).unwrap_err();
+            let walk = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, 5).unwrap_err();
+            assert_eq!(got, walk, "level {level} plan {plan_seed}");
+            if level == 0 {
+                assert_eq!(got, protoobf::core::BuildError::MissingField("flags".into()));
             }
         }
     }
