@@ -277,8 +277,9 @@ fn e2ebench_codec(graph: &FormatGraph) -> Codec {
 /// directions on the same message, and the group asserts that
 /// serializing costs at most twice as much as parsing. The
 /// `*/e2ebench-l2` rows repeat the transcode and obfuscated session steps
-/// on the benchmark's own derivation, and the `modbus-*` rows time one
-/// small request at levels 0 and 2.
+/// on the benchmark's own derivation, and the group asserts that each
+/// obfuscated session row costs at most twice its clear row. The
+/// `modbus-*` rows time one small request at levels 0 and 2.
 fn bench_relay(c: &mut Criterion) {
     let graph = bulk_graph();
     let clear = Codec::identity(&graph);
@@ -429,6 +430,23 @@ fn bench_relay(c: &mut Criterion) {
             "serializing must cost at most 2x parsing \
              (serialize {ser:.0} ns vs parse {parse:.0} ns, ratio {ratio:.2}x)"
         );
+    }
+    // Obfuscated-side guard: on the benchmark's derivation every counted
+    // loop runs its element kernel (mirrored columns included), so the
+    // obfuscated sessions cost at most twice the clear ones. A loop that
+    // falls back to the per-element walk makes them 3-5x dearer.
+    for (obf, clear) in [
+        ("relay/serialize-session-obf/e2ebench-l2", "relay/serialize-session/64KiB"),
+        ("relay/parse-session-obf/e2ebench-l2", "relay/parse-session/64KiB"),
+    ] {
+        if let (Some(o), Some(c)) = (median(obf), median(clear)) {
+            let ratio = o / c.max(f64::MIN_POSITIVE);
+            eprintln!("{obf} / {clear} = {ratio:.2}x");
+            assert!(
+                ratio <= 2.0,
+                "{obf} must cost at most 2x {clear} ({o:.0} ns vs {c:.0} ns, ratio {ratio:.2}x)"
+            );
+        }
     }
     export_trajectory(c, "relay");
 }

@@ -32,8 +32,8 @@ use crate::graph::{AutoValue, Boundary, NodeId, NodeType, StopRule};
 use crate::obf::{ObfGraph, ObfId};
 use crate::path::{self, Path};
 use crate::plan::{
-    apply_ops_in_place, undo_ops_in_place, CodecPlan, CopyProgram, CopyStep, DistCheck, DistErr,
-    DistEval, DistProg, PoolRange, RecEval, RecProg,
+    apply_ops_column, apply_ops_in_place, undo_ops_column, undo_ops_in_place, CodecPlan,
+    CopyProgram, CopyStep, DistCheck, DistErr, DistEval, DistProg, PoolRange, RecEval, RecProg,
 };
 use crate::runtime::{self, Scope};
 use crate::value::{Endian, TerminalKind, Value};
@@ -130,13 +130,18 @@ impl WireStore {
     /// insert in order, so the common case is an O(1) tail push (checked
     /// before falling back to a binary search).
     pub(crate) fn set(&mut self, slot: usize, scope: &[u32], bytes: &[u8]) {
-        self.set_key(slot, &ScopeKey::from_slice(scope), bytes);
+        self.set_key(slot, &ScopeKey::from_slice(scope), bytes, false);
     }
 
-    /// [`WireStore::set`] under an already-built key.
-    pub(crate) fn set_key(&mut self, slot: usize, key: &ScopeKey, bytes: &[u8]) {
+    /// [`WireStore::set`] under an already-built key, storing `bytes`
+    /// reversed when `rev` (an un-mirrored element-run column).
+    pub(crate) fn set_key(&mut self, slot: usize, key: &ScopeKey, bytes: &[u8], rev: bool) {
         let start = self.data.len();
-        self.data.extend_from_slice(bytes);
+        if rev {
+            self.data.extend(bytes.iter().rev());
+        } else {
+            self.data.extend_from_slice(bytes);
+        }
         self.index(slot, key, start);
     }
 
@@ -258,6 +263,11 @@ impl WireStore {
     /// [`WireStore::truncate`] rolls back to.
     pub(crate) fn arena_len(&self) -> usize {
         self.data.len()
+    }
+
+    /// The arena bytes appended since it was `start` long.
+    pub(crate) fn arena_from(&mut self, start: usize) -> &mut [u8] {
+        &mut self.data[start..]
     }
 
     /// Number of entries under `slot`.
@@ -1226,10 +1236,14 @@ impl CopyRun<'_, '_> {
 
     /// Runs a [`CopyStep::Column`] body: each `Direct` step copies its
     /// whole column ([`WireStore::copy_column`]) with the fused copy's
-    /// in-place rewrite. When a column fails, every column of the body is
-    /// truncated back to its pre-loop length and the body reruns per
-    /// element, which stops at the failing element and step exactly like
-    /// the loop it replaces.
+    /// in-place rewrite. A fixed-width column's values land end to end,
+    /// so after their lengths are checked one by one its op stacks run
+    /// once over the whole column ([`undo_ops_column`],
+    /// [`apply_ops_column`]); ops preserve length, so that is the
+    /// per-value rewrite's check. When a column fails, every column of
+    /// the body is truncated back to its pre-loop length and the body
+    /// reruns per element, which stops at the failing element and step
+    /// exactly like the loop it replaces.
     fn column(&mut self, body: &[CopyStep], n: usize, depth: usize) -> Result<(), BuildError> {
         let dst_slot = |step: &CopyStep| match *step {
             CopyStep::Direct { dst_obf, .. } => dst_obf as usize,
@@ -1244,10 +1258,20 @@ impl CopyRun<'_, '_> {
             let CopyStep::Direct { src_obf, src_ops, dst_obf, dst_ops, check } = *step else {
                 unreachable!("column bodies are only direct copies")
             };
-            let src = &self.src.wires;
-            self.wires.copy_column(dst_obf as usize, src, src_obf as usize, sc, n, |v| {
-                rewrite(sp, src_ops, dp, dst_obf, dst_ops, check, v).is_ok()
-            })
+            let (src, dst, from) = (&self.src.wires, dst_obf as usize, src_obf as usize);
+            let DistCheck::Fixed(w) = check else {
+                return self.wires.copy_column(dst, src, from, sc, n, |v| {
+                    rewrite(sp, src_ops, dp, dst_obf, dst_ops, check, v).is_ok()
+                });
+            };
+            let (w, start) = (w as usize, self.wires.arena_len());
+            let copied = self.wires.copy_column(dst, src, from, sc, n, |v| v.len() == w);
+            if copied {
+                let column = self.wires.arena_from(start);
+                undo_ops_column(sp.ops(src_ops), column, w);
+                apply_ops_column(dp.ops(dst_ops), column, w);
+            }
+            copied
         });
         if copied {
             return Ok(());
@@ -1345,7 +1369,8 @@ impl CopyRun<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Condition, GraphBuilder, Predicate};
+    use crate::graph::{Condition, FormatGraph, GraphBuilder, Predicate};
+    use crate::obf::ObfKind;
     use crate::transform::{apply, TransformKind};
 
     fn sample_graph() -> crate::graph::FormatGraph {
@@ -1628,15 +1653,44 @@ mod tests {
             .allowed([TransformKind::ConstAdd, TransformKind::ConstSub, TransformKind::ConstXor])
             .obfuscate()
             .unwrap();
+        // Constant ops on every column (two on `key`), so both the source
+        // and the destination end of a column copy run op stacks
+        // column-wide.
+        let mut all_ops = ObfGraph::from_plain(&plain);
+        let mut rng = StdRng::seed_from_u64(4);
+        for (field, kind) in [
+            ("key", TransformKind::ConstAdd),
+            ("key", TransformKind::ConstXor),
+            ("flags", TransformKind::ConstSub),
+            ("payload", TransformKind::ConstXor),
+        ] {
+            let id = all_ops.preorder().into_iter().find(|&i| all_ops.node(i).name() == field);
+            apply(&mut all_ops, id.unwrap(), kind, &mut rng).unwrap();
+        }
+        for field in ["key", "flags", "payload"] {
+            let holder = all_ops.holder_of(plain.resolve_names(&["records", field]).unwrap());
+            let ObfKind::Terminal { ops, .. } = all_ops.node(holder.unwrap()).kind() else {
+                panic!("{field} is held by a terminal")
+            };
+            assert!(!ops.is_empty(), "{field} has no constant op");
+        }
         let obf = codec.obf_graph();
-        let prog = CopyProgram::compile(&clear, obf).unwrap();
+        for (src_graph, dst_graph) in [(&clear, obf), (&clear, &all_ops), (&all_ops, &clear)] {
+            column_copy_rolls_back(&plain, src_graph, dst_graph);
+        }
+    }
+
+    /// One direction of [`column_copy_failures_roll_back_to_the_walks_state`].
+    fn column_copy_rolls_back(plain: &FormatGraph, src_graph: &ObfGraph, dst_graph: &ObfGraph) {
+        let prog = CopyProgram::compile(src_graph, dst_graph).unwrap();
         assert!(matches!(prog.steps[0], CopyStep::Column { body: 3, .. }), "{:?}", prog.steps);
 
         let slot = |name: &str| {
-            clear.plan().holder_slot(plain.resolve_names(&["records", name]).unwrap()).unwrap()
+            let x = plain.resolve_names(&["records", name]).unwrap();
+            src_graph.plan().holder_slot(x).unwrap()
         };
         let source = |planted: &[(&str, u32, &[u8])]| {
-            let mut src = Message::with_seed(&clear, 1);
+            let mut src = Message::with_seed(src_graph, 1);
             for i in 0..10u64 {
                 src.set_uint(&format!("records[{i}].key"), i).unwrap();
                 src.set_uint(&format!("records[{i}].flags"), i).unwrap();
@@ -1647,11 +1701,12 @@ mod tests {
             }
             src
         };
+        let fresh = || (Message::with_seed(dst_graph, 2), Message::with_seed(dst_graph, 2));
         // Clean: the columns land exactly where the walk puts them, and
         // an entry past the element count is skipped like the walk skips
         // it.
         let src = source(&[("key", 12, b"\x00\x00\x00\x0c")]);
-        let (mut compiled, mut walked) = (Message::with_seed(obf, 2), Message::with_seed(obf, 2));
+        let (mut compiled, mut walked) = fresh();
         src.transcode_into(&mut compiled).unwrap();
         src.transcode_into_walk(&mut walked).unwrap();
         assert!(compiled.wires.iter().eq(walked.wires.iter()));

@@ -486,7 +486,8 @@ impl<'c> ParseSession<'c> {
     /// The element kernel of counted container `idx`: when the container
     /// has an element run and all `m` elements fit the window (one
     /// `checked_mul`, one bounds check), stores every column of every
-    /// element under one moving scope key. Returns the element indices
+    /// element under one moving scope key, a mirrored column reversed as
+    /// the walk stores it after un-mirroring. Returns the element indices
     /// left for the per-element walk: none after the kernel ran, all `m`
     /// otherwise, so a window overrun fails at the exact element and
     /// terminal it always did.
@@ -511,7 +512,7 @@ impl<'c> ParseSession<'c> {
             key.set_last(j as u32);
             for col in &run.cols {
                 let w = col.width as usize;
-                self.msg.wires.set_key(col.slot as usize, &key, &buf[p..p + w]);
+                self.msg.wires.set_key(col.slot as usize, &key, &buf[p..p + w], col.rev);
                 p += w;
             }
         }

@@ -225,7 +225,7 @@ pub(crate) enum PlanOp {
 }
 
 /// One fixed-width column of an [`ElemRun`]: a `Term{Fixed}` of the
-/// element.
+/// element, possibly behind mirrors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RunCol {
     /// Terminal slot.
@@ -234,16 +234,23 @@ pub(crate) struct RunCol {
     pub(crate) width: u32,
     /// Its base: [`BaseOp::Source`] or [`BaseOp::Pad`].
     pub(crate) base: BaseOp,
+    /// Whether an odd number of mirrors wraps the terminal: its stored
+    /// value is its wire bytes reversed.
+    pub(crate) rev: bool,
 }
 
 /// The element run of a counted container (a `Tab`, or a `Rep` with a
-/// `CountOf` stop) whose element is a `Seq{Delegated}` of `Term{Fixed}`
-/// children with `Source`/`Pad` bases, or one such terminal (a table of
-/// a single field lowers to its terminal): every element has the same width,
-/// so the sessions check the window once per container and store or emit
-/// each element under one scope key, with no per-terminal dispatch (the
-/// SNIPPETS.md deobfuscator's basic-block grouping, applied to loops).
-/// Derived from the node table, so it stays out of [`CodecPlan::digest`].
+/// `CountOf` stop) whose element flattens to fixed-width columns: a
+/// `Term{Fixed}` with a `Source`/`Pad` base, a `Seq{Delegated}` of such
+/// elements, or a `Mirror` of one (a table of a single field lowers to its
+/// terminal). Every element has the same width, so the sessions check the
+/// window once per container and store or emit each element under one
+/// scope key, with no per-terminal dispatch (the SNIPPETS.md
+/// deobfuscator's basic-block grouping, applied to loops). A mirror
+/// reverses its columns' order and toggles their [`RunCol::rev`]; it may
+/// hold at most one pad column, so the wire order of the pads is the
+/// order the walk draws them in. Derived from the node table, so it
+/// stays out of [`CodecPlan::digest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ElemRun {
     /// The element's terminals, in wire order.
@@ -770,36 +777,52 @@ impl CodecPlan {
         c
     }
 
-    /// The element run of counted container `slot`: its element is a
-    /// `Seq{Delegated}` of `Term{Fixed}` children with `Source`/`Pad`
-    /// bases (or one such terminal itself) of non-zero total width.
-    /// `None` for every other slot.
+    /// Whether node `id` is a counted container that runs an element
+    /// kernel.
+    pub fn runs_kernel(&self, id: ObfId) -> bool {
+        self.runs.get(id.index()).is_some_and(Option::is_some)
+    }
+
+    /// The element run of counted container `slot`: its element
+    /// flattens to columns ([`ElemRun`]) of non-zero total width. `None`
+    /// for every other slot.
     pub(crate) fn derive_run(&self, slot: u32) -> Option<ElemRun> {
         let node = &self.nodes[slot as usize];
         if !is_counted(&node.op) {
             return None;
         }
-        let elem = self.kids(node).first()?;
-        let terms = match self.nodes[*elem as usize].op {
-            PlanOp::Seq { boundary: SeqB::Delegated } => self.kids(&self.nodes[*elem as usize]),
-            PlanOp::Term { .. } => std::slice::from_ref(elem),
-            _ => return None,
-        };
-        let mut cols = Vec::with_capacity(terms.len());
-        let mut width = 0u32;
-        for &c in terms {
-            match &self.nodes[c as usize].op {
-                PlanOp::Term {
-                    base: base @ (BaseOp::Source { .. } | BaseOp::Pad { .. }),
-                    boundary: TermB::Fixed(w),
-                } => {
-                    width = width.checked_add(*w)?;
-                    cols.push(RunCol { slot: c, width: *w, base: base.clone() });
-                }
-                _ => return None,
-            }
-        }
+        let mut cols = Vec::new();
+        self.flatten(*self.kids(node).first()?, false, &mut cols)?;
+        let width = cols.iter().try_fold(0u32, |w, c| w.checked_add(c.width))?;
         (width > 0).then_some(ElemRun { cols, width })
+    }
+
+    /// Appends the columns of subtree `n` in wire order, each mirrored
+    /// once more when `rev`; `None` when the subtree is not a run.
+    fn flatten(&self, n: u32, rev: bool, cols: &mut Vec<RunCol>) -> Option<()> {
+        let node = &self.nodes[n as usize];
+        match &node.op {
+            PlanOp::Term {
+                base: base @ (BaseOp::Source { .. } | BaseOp::Pad { .. }),
+                boundary: TermB::Fixed(w),
+            } => cols.push(RunCol { slot: n, width: *w, base: base.clone(), rev }),
+            PlanOp::Seq { boundary: SeqB::Delegated } => {
+                for &c in self.kids(node) {
+                    self.flatten(c, rev, cols)?;
+                }
+            }
+            PlanOp::Mirror => {
+                let at = cols.len();
+                self.flatten(*self.kids(node).first()?, !rev, cols)?;
+                let mirrored = &mut cols[at..];
+                if mirrored.iter().filter(|c| matches!(c.base, BaseOp::Pad { .. })).count() > 1 {
+                    return None;
+                }
+                mirrored.reverse();
+            }
+            _ => return None,
+        }
+        Some(())
     }
 
     /// Lowers the final obfuscation graph into a flat plan. One pass over
@@ -1661,6 +1684,62 @@ pub(crate) fn undo_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
     }
 }
 
+/// The stack tile the column kernels cycle a constant through: a whole
+/// number of `w`-byte periods fits it for every `w` up to this.
+const TILE: usize = 64;
+
+/// [`undo_ops_in_place`] over a column of `w`-byte values laid end to end
+/// (`column.len()` a multiple of `w`): each value restarts the key cycle,
+/// so every key runs tiled to period `w`.
+pub(crate) fn undo_ops_column(ops: &[ConstOp], column: &mut [u8], w: usize) {
+    for op in ops.iter().rev() {
+        apply_column(op.op.inverse(), column, &op.k, w);
+    }
+}
+
+/// [`apply_ops_in_place`] over a column of `w`-byte values laid end to
+/// end, like [`undo_ops_column`].
+pub(crate) fn apply_ops_column(ops: &[ConstOp], column: &mut [u8], w: usize) {
+    for op in ops {
+        apply_column(op.op, column, &op.k, w);
+    }
+}
+
+/// One constant op over a column: the key's first `w` cycled bytes are
+/// repeated into a stack tile of whole periods, which then zips along the
+/// column in one monomorphic (vectorizable) loop per operator. A value
+/// wider than the tile runs [`apply_cycled`] per value.
+fn apply_column(op: ByteOp, column: &mut [u8], k: &[u8], w: usize) {
+    if k.is_empty() || w == 0 {
+        return;
+    }
+    if w > TILE {
+        for v in column.chunks_mut(w) {
+            apply_cycled(op, v, k);
+        }
+        return;
+    }
+    let mut tile = [0u8; TILE];
+    let tile = &mut tile[..TILE / w * w];
+    for (t, &b) in tile.iter_mut().zip(k.iter().cycle().take(w).cycle()) {
+        *t = b;
+    }
+    match op {
+        ByteOp::Add => zip_tile(column, tile, u8::wrapping_add),
+        ByteOp::Sub => zip_tile(column, tile, u8::wrapping_sub),
+        ByteOp::Xor => zip_tile(column, tile, |a, b| a ^ b),
+    }
+}
+
+#[inline(always)]
+fn zip_tile(column: &mut [u8], tile: &[u8], f: impl Fn(u8, u8) -> u8) {
+    for chunk in column.chunks_mut(tile.len()) {
+        for (b, &k) in chunk.iter_mut().zip(tile) {
+            *b = f(*b, k);
+        }
+    }
+}
+
 /// Wire-loader callback of [`RecEval::eval`]: appends the wire bytes of a
 /// slot (at the given scope) to the scratch buffer and returns `true`, or
 /// returns `false` when the wire is missing.
@@ -2194,6 +2273,92 @@ mod tests {
         assert!(parsed.wires.iter().eq(crate::parse::parse(&g, &wire).unwrap().wires.iter()));
     }
 
+    #[test]
+    fn mirrored_elements_flatten_to_reversed_columns() {
+        use TransformKind::{PadInsert, ReadFromEnd};
+        // `items` holds records of three fields, `regs` one field each.
+        let mut b = GraphBuilder::new("t");
+        let root = b.root_sequence("m", Boundary::End);
+        let count = b.uint_be(root, "count", 1);
+        let items = b.tabular(root, "items", count);
+        b.set_auto(count, AutoValue::CounterOf(items));
+        let item = b.sequence(items, "item", Boundary::Delegated);
+        b.uint_be(item, "key", 4);
+        b.uint_be(item, "flags", 2);
+        b.terminal(item, "payload", TerminalKind::Bytes, Boundary::Fixed(6));
+        let nregs = b.uint_be(root, "nregs", 1);
+        let regs = b.tabular(root, "regs", nregs);
+        b.set_auto(nregs, AutoValue::CounterOf(regs));
+        b.uint_be(regs, "reg", 2);
+        let plain = b.build().unwrap();
+        // Each case: the edits, then the items run's columns (name, rev)
+        // in wire order (`pad` for any pad), or none.
+        type Case<'a> = (&'a [(&'a str, TransformKind)], Option<&'a [(&'a str, bool)]>);
+        let cases: [Case; 5] = [
+            (&[("key", ReadFromEnd)], Some(&[("key", true), ("flags", false), ("payload", false)])),
+            (
+                &[("key", ReadFromEnd), ("key", ReadFromEnd), ("reg", ReadFromEnd)],
+                Some(&[("key", false), ("flags", false), ("payload", false)]),
+            ),
+            // A mirrored sequence of a mirrored key and one pad: the
+            // columns reverse, each mirrored once more.
+            (
+                &[("key", ReadFromEnd), ("item", PadInsert), ("item", ReadFromEnd)],
+                Some(&[("payload", true), ("pad", true), ("flags", true), ("key", false)]),
+            ),
+            (
+                &[("item", ReadFromEnd), ("item", ReadFromEnd)],
+                Some(&[("key", false), ("flags", false), ("payload", false)]),
+            ),
+            // Two pads under one mirror would draw in reverse: no run.
+            (&[("item", PadInsert), ("item", PadInsert), ("item", ReadFromEnd)], None),
+        ];
+        for (case, (edits, want)) in cases.into_iter().enumerate() {
+            let mut g = ObfGraph::from_plain(&plain);
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let node_of = |g: &ObfGraph, name: &str| {
+                g.preorder().into_iter().find(|&i| g.node(i).name() == name).unwrap()
+            };
+            for &(name, kind) in edits {
+                let id = node_of(&g, name);
+                apply(&mut g, id, kind, &mut rng).unwrap();
+            }
+            let plan = CodecPlan::compile(&g);
+            let name = |c: &RunCol| match c.base {
+                BaseOp::Pad { .. } => "pad",
+                _ => g.node(ObfId(c.slot)).name(),
+            };
+            let got: Option<Vec<(&str, bool)>> = plan.runs[node_of(&g, "items").index()]
+                .as_ref()
+                .map(|r| r.cols.iter().map(|c| (name(c), c.rev)).collect());
+            assert_eq!(got.as_deref(), want, "case {case}");
+            // `regs` is a one-column run, behind its mirror when it has one.
+            let regs = plan.runs[node_of(&g, "regs").index()].as_ref().expect("regs runs a kernel");
+            assert_eq!(regs.cols.len(), 1);
+            assert_eq!(regs.cols[0].rev, case == 1, "case {case}");
+
+            // The kernels agree with the walk both ways.
+            let mut m = crate::message::Message::with_seed(&g, 1);
+            for i in 0..5u64 {
+                m.set_uint(&format!("items[{i}].key"), 0x0102_0304 * i).unwrap();
+                m.set_uint(&format!("items[{i}].flags"), 0x0506 + i).unwrap();
+                m.set(&format!("items[{i}].payload"), vec![i as u8 + 1, 2, 3, 4, 5, 6]).unwrap();
+                m.set_uint(&format!("regs[{i}].reg"), 0x0708 + i).unwrap();
+            }
+            let mut wire = Vec::new();
+            crate::serialize::SerializeSession::new(&g, &plan)
+                .serialize_into_seeded(&m, &mut wire, 9)
+                .unwrap();
+            let walk = crate::serialize::serialize_seeded(&g, &m, 9).unwrap();
+            assert_eq!(wire, walk, "case {case}");
+            let mut parser = crate::parse::ParseSession::new(&g, &plan);
+            let parsed = parser.parse_in_place(&wire).unwrap();
+            let walked = crate::parse::parse(&g, &wire).unwrap();
+            assert!(parsed.wires.iter().eq(walked.wires.iter()), "case {case}");
+            assert_eq!(parsed.get_uint("items[4].key").unwrap(), 0x0102_0304 * 4);
+        }
+    }
+
     /// Every `ByteOp`, for building kernel test cases.
     const BYTE_OPS: [ByteOp; 3] = [ByteOp::Add, ByteOp::Sub, ByteOp::Xor];
 
@@ -2216,6 +2381,28 @@ mod tests {
                     assert_eq!(v, reference, "key {klen}, value {vlen}, {stack:?}");
                     undo_ops_in_place(stack, &mut v);
                     assert_eq!(v, value, "undo after apply, key {klen}, value {vlen}");
+                }
+            }
+            // The column kernels against the per-value ones: `n` values of
+            // width `w` end to end, `w` up to past the tile.
+            for w in 1..=TILE + 3 {
+                for n in 0..=9usize {
+                    let column: Vec<u8> = (0..n * w).map(|_| rng.gen()).collect();
+                    let ops: Vec<ConstOp> = BYTE_OPS
+                        .iter()
+                        .map(|&op| ConstOp { op, k: (0..klen).map(|_| rng.gen()).collect() })
+                        .collect();
+                    for stack in [&ops[..1], &ops[1..2], &ops[2..], &ops[..]] {
+                        let mut want = column.clone();
+                        want.chunks_mut(w).for_each(|v| apply_ops_in_place(stack, v));
+                        let mut got = column.clone();
+                        apply_ops_column(stack, &mut got, w);
+                        assert_eq!(got, want, "apply: key {klen}, {n} × {w}, {stack:?}");
+                        want.chunks_mut(w).for_each(|v| undo_ops_in_place(stack, v));
+                        undo_ops_column(stack, &mut got, w);
+                        assert_eq!(got, want, "undo: key {klen}, {n} × {w}, {stack:?}");
+                        assert_eq!(got, column, "undo after apply: key {klen}, {n} × {w}");
+                    }
                 }
             }
         }

@@ -33,8 +33,8 @@ use crate::graph::NodeId;
 use crate::message::{Message, ScopeKey, WireStore};
 use crate::obf::{Base, ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
 use crate::plan::{
-    bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, PlanOp, RecEval, RepStopC, SeqB, TermB,
-    NONE,
+    bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, ElemRun, PlanOp, RecEval, RepStopC,
+    SeqB, TermB, NONE,
 };
 use crate::runtime::{self, Scope};
 use crate::value::{TerminalKind, Value};
@@ -433,14 +433,10 @@ impl<'c> SerializeSession<'c> {
         }
     }
 
-    /// Emits the `m` elements of container `idx`. A counted container
-    /// with an element run takes the element kernel (except while
-    /// tracing, which records spans through the per-element walk): one
-    /// scope key per element, and per column the message wire read
-    /// through its cursor, or fresh pad bytes, or the missing source
-    /// field's error — what the walk's terminal read does, since no
-    /// overlay write reaches a run slot (verifier code P013). Pads draw
-    /// from the RNG in the walk's order.
+    /// Emits the `m` elements of container `idx`: the element kernel
+    /// ([`Self::emit_run`]) first when the container has an element run
+    /// (except while tracing, which records spans through the walk), then
+    /// the per-element walk over whatever elements the kernel left.
     fn emit_elements(
         &mut self,
         idx: u32,
@@ -449,37 +445,56 @@ impl<'c> SerializeSession<'c> {
         out: &mut Vec<u8>,
     ) -> Result<(), BuildError> {
         let plan = self.plan;
-        let run = plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing);
-        let Some(run) = run else {
-            let child = plan.kids(&plan.nodes[idx as usize])[0];
-            for i in 0..m {
-                self.scratch.scope.push(i as u32);
-                let piece = self.emit(child, msg, out);
-                self.scratch.scope.pop();
-                piece?;
-            }
-            return Ok(());
+        let walked = match plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing) {
+            Some(run) => self.emit_run(run, m, msg, out),
+            None => 0..m,
         };
+        let child = plan.kids(&plan.nodes[idx as usize])[0];
+        for i in walked {
+            self.scratch.scope.push(i as u32);
+            let piece = self.emit(child, msg, out);
+            self.scratch.scope.pop();
+            piece?;
+        }
+        Ok(())
+    }
+
+    /// The element kernel: one scope key per element, and per column the
+    /// message wire read through its cursor or fresh pad bytes — what the
+    /// walk's terminal read does, since no overlay write reaches a run
+    /// slot (verifier code P013) — reversed for a mirrored column. Pads
+    /// draw from the RNG in the walk's order. A missing source field
+    /// stops the kernel at its element, with that element's bytes taken
+    /// back, and returns the elements left for the walk, which names the
+    /// field the walk meets first (a mirror may reverse the wire order).
+    fn emit_run(
+        &mut self,
+        run: &ElemRun,
+        m: usize,
+        msg: &Message<'_>,
+        out: &mut Vec<u8>,
+    ) -> std::ops::Range<usize> {
         let s = &mut self.scratch;
         let mut key = ScopeKey::element(&s.scope, 0);
         for i in 0..m {
             key.set_last(i as u32);
+            let start = out.len();
             for col in &run.cols {
-                let c = col.slot as usize;
-                if let Some(b) = msg.wires.get_seq_key(c, &key, &mut s.cursors.wire[c]) {
-                    out.extend_from_slice(b);
-                    continue;
-                }
-                match col.base {
-                    BaseOp::Pad { k } => out.extend((0..k).map(|_| s.rng.gen::<u8>())),
-                    BaseOp::Source { plain } => {
-                        return Err(BuildError::MissingField(self.plain_name(plain)))
+                let (c, from) = (col.slot as usize, out.len());
+                match (msg.wires.get_seq_key(c, &key, &mut s.cursors.wire[c]), &col.base) {
+                    (Some(b), _) => out.extend_from_slice(b),
+                    (None, BaseOp::Pad { k }) => out.extend((0..*k).map(|_| s.rng.gen::<u8>())),
+                    (None, _) => {
+                        out.truncate(start);
+                        return i..m;
                     }
-                    _ => unreachable!("element runs hold only source and pad columns"),
+                }
+                if col.rev {
+                    out[from..].reverse();
                 }
             }
         }
-        Ok(())
+        m..m
     }
 
     /// Appends the wire bytes of a terminal: serialization overlay first

@@ -622,9 +622,10 @@ impl Verifier<'_> {
     }
 
     /// Element runs: each must be exactly the run its container's element
-    /// derives — that sequence's `Term{Fixed}` children with
-    /// `Source`/`Pad` bases (or the element terminal itself), their
-    /// widths, their sum — and no
+    /// derives ([`CodecPlan::derive_run`]) — its `Term{Fixed}` columns with
+    /// `Source`/`Pad` bases in wire order, through any delegated
+    /// sequences and mirrors, their widths, their `rev` flags (odd mirror
+    /// depth), their sum, and at most one pad under each mirror — and no
     /// distribution program the serializer materializes into its overlay
     /// may store into a run slot, since the element kernel reads only the
     /// message wires.
@@ -648,12 +649,14 @@ impl Verifier<'_> {
                 .and_then(|kids| kids.first())
                 .is_some_and(|&elem| self.kids_of(elem).is_some());
             if !sound || self.plan.derive_run(s).as_ref() != Some(run) {
-                let cols: Vec<(u32, u32)> = run.cols.iter().map(|c| (c.slot, c.width)).collect();
+                let cols: Vec<(u32, u32, bool)> =
+                    run.cols.iter().map(|c| (c.slot, c.width, c.rev)).collect();
                 self.push(
                     LOOP_KERNEL_MISMATCH,
                     format!(
-                        "slot {s}: element run {cols:?} of width {} is not its counted \
-                         container's element of fixed-width source/pad terminals",
+                        "slot {s}: element run {cols:?} (slot, width, reversed) of width {} is \
+                         not its counted container's element flattened to fixed-width \
+                         source/pad columns",
                         run.width
                     ),
                 );
@@ -1609,6 +1612,78 @@ mod tests {
         let d = verify_tampered(&g, |p| {
             let s = run_slot(p);
             p.runs[p.root as usize] = p.runs[s].clone();
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+    }
+
+    /// [`table`] with each `(name, kind)` transformation applied in turn
+    /// to the node of that name.
+    fn edited_table(edits: &[(&str, TransformKind)]) -> ObfGraph {
+        let mut g = table();
+        let mut rng = StdRng::seed_from_u64(1);
+        for &(name, kind) in edits {
+            let id = g.preorder().into_iter().find(|&i| g.node(i).name() == name).unwrap();
+            apply(&mut g, id, kind, &mut rng).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn p013_mirrored_run_mismatch_fires() {
+        use crate::plan::{ElemRun, RunCol};
+        use TransformKind::{PadInsert, ReadFromEnd};
+        // `rev` flipped on the column behind one mirror.
+        let g = edited_table(&[("key", ReadFromEnd)]);
+        assert_eq!(verify_tampered(&g, |_| {}), vec![], "clean plan");
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            let cols = &mut p.runs[s].as_mut().unwrap().cols;
+            cols.iter_mut().find(|c| c.rev).expect("key is mirrored").rev = false;
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+
+        // A mirror dropped from a chain of two: the outer mirror now wraps
+        // the terminal itself, whose wire bytes the run would store as
+        // they are.
+        let g = edited_table(&[("key", ReadFromEnd), ("key", ReadFromEnd)]);
+        assert_eq!(verify_tampered(&g, |_| {}), vec![], "clean plan");
+        let d = verify_tampered(&g, |p| {
+            let is_mirror =
+                |p: &CodecPlan, i: u32| matches!(p.nodes[i as usize].op, PlanOp::Mirror);
+            let outer = (0..p.slots() as u32)
+                .find(|&i| is_mirror(p, i) && is_mirror(p, p.kids(&p.nodes[i as usize])[0]))
+                .expect("a chain of two mirrors");
+            let at = p.nodes[outer as usize].children.0 as usize;
+            let inner = p.children[at];
+            p.children[at] = p.kids(&p.nodes[inner as usize])[0];
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+
+        // A run over a mirrored sequence holding two pads: none derives
+        // (the kernel would draw the pads in reverse), so one put there is
+        // rejected.
+        let g = edited_table(&[("item", PadInsert), ("item", PadInsert), ("item", ReadFromEnd)]);
+        assert_eq!(verify_tampered(&g, |_| {}), vec![], "clean plan");
+        let d = verify_tampered(&g, |p| {
+            assert!(p.runs.iter().all(Option::is_none), "two pads under one mirror");
+            let tab = (0..p.slots()).find(|&i| matches!(p.nodes[i].op, PlanOp::Tab { .. }));
+            let tab = tab.expect("the table");
+            let mirror = p.kids(&p.nodes[tab])[0];
+            let seq = p.kids(&p.nodes[mirror as usize])[0];
+            let cols: Vec<RunCol> = p
+                .kids(&p.nodes[seq as usize])
+                .iter()
+                .rev()
+                .map(|&c| match &p.nodes[c as usize].op {
+                    PlanOp::Term { base, boundary: TermB::Fixed(width) } => {
+                        RunCol { slot: c, width: *width, base: base.clone(), rev: true }
+                    }
+                    op => panic!("not a fixed-width terminal: {op:?}"),
+                })
+                .collect();
+            assert_eq!(cols.iter().filter(|c| matches!(c.base, BaseOp::Pad { .. })).count(), 2);
+            let width = cols.iter().map(|c| c.width).sum();
+            p.runs[tab] = Some(ElemRun { cols, width });
         });
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
     }

@@ -372,23 +372,32 @@ fn out_of_order_stores_serialize_like_in_order_ones() {
 /// the elements; at level 0 exactly the two fixed-field tables run them.
 #[test]
 fn loop_kernels_match_the_walk() {
-    use protoobf::TransformKind;
+    use protoobf::TransformKind::{ConstXor, PadInsert, ReadFromEnd};
     let graph = protoobf::spec::parse_spec(KERNEL_SPEC).unwrap();
     let coverage = codec_for(&graph, 0, 0).plan().element_kernels();
     assert_eq!((coverage.loops, coverage.kernels), (5, 3), "records, items and regs");
     let mut padded_runs = 0;
+    let mut shapes = MirrorShapes::default();
     for level in 0..=3u32 {
         for plan_seed in 0..4u64 {
-            let padded = Obfuscator::new(&graph)
-                .seed(plan_seed)
-                .max_per_node(level.max(1))
-                .allowed([TransformKind::PadInsert, TransformKind::ConstXor])
-                .obfuscate()
-                .unwrap();
+            let derive = |allowed: &[protoobf::TransformKind]| {
+                Obfuscator::new(&graph)
+                    .seed(plan_seed)
+                    .max_per_node(level.max(1))
+                    .allowed(allowed.iter().copied())
+                    .obfuscate()
+                    .unwrap()
+            };
+            let padded = derive(&[PadInsert, ConstXor]);
             padded_runs += padded.plan().element_kernels().kernels;
-            for (kind, codec) in
-                [("mixed", codec_for(&graph, level, plan_seed)), ("padded", padded)]
-            {
+            let mut families =
+                vec![("mixed", codec_for(&graph, level, plan_seed)), ("padded", padded)];
+            if level > 0 {
+                let mirrored = derive(&[ReadFromEnd, PadInsert, ConstXor]);
+                shapes.add(&mirrored);
+                families.push(("mirrored", mirrored));
+            }
+            for (kind, codec) in families {
                 let mut rng = StdRng::seed_from_u64(plan_seed * 131 + u64::from(level));
                 for round in 0..4u64 {
                     let msg = kernel_message(&codec, &mut rng);
@@ -400,6 +409,94 @@ fn loop_kernels_match_the_walk() {
         }
     }
     assert!(padded_runs > 0, "no padded element ran a kernel");
+    assert!(shapes.odd > 0, "no kernel ran a column behind an odd number of mirrors");
+    assert!(shapes.even > 0, "no kernel ran a column behind an even number of mirrors");
+    assert!(shapes.seq_pads > 0, "no kernel ran a mirrored sequence holding a pad");
+}
+
+/// What the element kernels of a family of codecs flatten: columns
+/// behind an odd number of mirrors, behind an even number (two or more),
+/// and mirrors over a sequence that holds a pad.
+#[derive(Default)]
+struct MirrorShapes {
+    odd: usize,
+    even: usize,
+    seq_pads: usize,
+}
+
+impl MirrorShapes {
+    /// Tallies the element subtrees of `codec`'s kernel-running
+    /// containers, read off the obfuscation graph.
+    fn add(&mut self, codec: &Codec) {
+        use protoobf::core::obf::{Base, ObfKind};
+        let g = codec.obf_graph();
+        let is_pad = |id| matches!(g.node(id).kind(), ObfKind::Terminal { base: Base::Pad(_), .. });
+        for container in g.preorder().into_iter().filter(|&id| codec.plan().runs_kernel(id)) {
+            for id in g.subtree(g.node(container).children()[0]) {
+                let node = g.node(id);
+                if node.is_terminal() {
+                    let depth = g
+                        .ancestors(id)
+                        .into_iter()
+                        .take_while(|&a| a != container)
+                        .filter(|&a| matches!(g.node(a).kind(), ObfKind::Mirror))
+                        .count();
+                    match depth {
+                        0 => {}
+                        d if d % 2 == 1 => self.odd += 1,
+                        _ => self.even += 1,
+                    }
+                } else if matches!(node.kind(), ObfKind::Mirror) {
+                    let child = node.children()[0];
+                    if matches!(g.node(child).kind(), ObfKind::Sequence { .. })
+                        && g.subtree(child).into_iter().any(is_pad)
+                    {
+                        self.seq_pads += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Truncations inside mirrored columns: the element kernel's window
+/// check fails and the walk reports its exact `UnexpectedEnd`, naming the
+/// mirror it could not fill, at every cut through the table.
+#[test]
+fn truncated_mirrored_columns_fail_at_the_walks_mirror() {
+    use protoobf::core::obf::ObfKind;
+    use protoobf::TransformKind::ReadFromEnd;
+    let graph = protoobf::spec::parse_spec(BULK_SPEC).unwrap();
+    let mut mirror_cuts = 0;
+    // The benchmark's derivations at levels 1 (`key` behind one mirror)
+    // and 2 (behind two), and mirror-only ones.
+    let e2ebench =
+        |level| Obfuscator::new(&graph).key("e2ebench shared secret").max_per_node(level);
+    let mirrors = |seed| Obfuscator::new(&graph).seed(seed).max_per_node(2).allowed([ReadFromEnd]);
+    let derivations = [e2ebench(1), e2ebench(2), mirrors(0), mirrors(1), mirrors(2), mirrors(3)];
+    for (d, derivation) in derivations.into_iter().enumerate() {
+        let codec = derivation.obfuscate().unwrap();
+        let runs = codec.plan().element_kernels();
+        assert_eq!(runs.kernels, runs.loops, "derivation {d}");
+        let g = codec.obf_graph();
+        let wire = codec.serialize_seeded(&build(&codec, &bulk_fields(6), 1), 0).unwrap();
+        for cut in 0..wire.len() {
+            // (A cut inside the trailing `rest` field still parses.)
+            let got = codec.parser().parse_in_place(&wire[..cut]).map(|_| ());
+            let walk = parse_mod::parse(g, &wire[..cut]).map(|_| ());
+            assert_eq!(got, walk, "derivation {d}, cut at {cut}");
+            if let Err(protoobf::core::ParseError::UnexpectedEnd { node, .. }) = &got {
+                let id = g.preorder().into_iter().find(|&id| g.node(id).name() == node).unwrap();
+                let in_table = g
+                    .ancestors(id)
+                    .into_iter()
+                    .any(|a| matches!(g.node(a).kind(), ObfKind::Tabular { .. }));
+                mirror_cuts +=
+                    usize::from(in_table && matches!(g.node(id).kind(), ObfKind::Mirror));
+            }
+        }
+    }
+    assert!(mirror_cuts > 0, "no cut fell inside a mirrored column");
 }
 
 /// The bulk grammar with an 8-byte record counter, so a hostile counter
@@ -450,24 +547,41 @@ fn hostile_counters_fail_at_the_walks_terminal() {
 }
 
 /// A source field missing in the middle of a table fails serialization
-/// with the walk's error, naming the first missing field in wire order,
-/// at every level.
+/// with the walk's error, naming the first missing field the walk meets
+/// (a mirrored element reverses the wire order of its fields), at every
+/// level and under mirror-only derivations.
 #[test]
 fn missing_field_mid_table_fails_like_the_walk() {
+    use protoobf::TransformKind::ReadFromEnd;
     let graph = protoobf::spec::parse_spec(BULK_SPEC).unwrap();
-    let fields: Vec<_> =
-        bulk_fields(6).into_iter().filter(|(path, _)| path != "records[3].flags").collect();
-    for level in 0..=3u32 {
-        for plan_seed in 0..3u64 {
-            let codec = codec_for(&graph, level, plan_seed);
-            let msg = build(&codec, &fields, plan_seed);
-            let got =
-                codec.serializer().serialize_into_seeded(&msg, &mut Vec::new(), 5).unwrap_err();
-            let walk = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, 5).unwrap_err();
-            assert_eq!(got, walk, "level {level} plan {plan_seed}");
-            if level == 0 {
-                assert_eq!(got, protoobf::core::BuildError::MissingField("flags".into()));
+    for missing in [&["records[3].flags"][..], &["records[3].key", "records[3].payload"]] {
+        let fields: Vec<_> = bulk_fields(6)
+            .into_iter()
+            .filter(|(path, _)| !missing.contains(&path.as_str()))
+            .collect();
+        for level in 0..=3u32 {
+            for plan_seed in 0..3u64 {
+                let mirrored = Obfuscator::new(&graph)
+                    .seed(plan_seed)
+                    .max_per_node(level.max(1))
+                    .allowed([ReadFromEnd])
+                    .obfuscate()
+                    .unwrap();
+                for codec in [codec_for(&graph, level, plan_seed), mirrored] {
+                    let msg = build(&codec, &fields, plan_seed);
+                    let got = codec
+                        .serializer()
+                        .serialize_into_seeded(&msg, &mut Vec::new(), 5)
+                        .unwrap_err();
+                    let walk =
+                        serialize_mod::serialize_seeded(codec.obf_graph(), &msg, 5).unwrap_err();
+                    assert_eq!(got, walk, "{missing:?} level {level} plan {plan_seed}");
+                }
             }
         }
+        let clear = Codec::identity(&graph);
+        let got = clear.serialize_seeded(&build(&clear, &fields, 0), 5).unwrap_err();
+        let first = missing[0].rsplit('.').next().unwrap();
+        assert_eq!(got, protoobf::core::BuildError::MissingField(first.into()));
     }
 }
