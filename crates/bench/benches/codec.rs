@@ -10,7 +10,7 @@
 //! * `*-oneshot` — the compat entry points `Codec::serialize`/`parse`
 //!   (cached plan, fresh session per call);
 //! * `*-walk` — the reference graph-walk interpreters the plan layer
-//!   replaced (`core::serialize::serialize_seeded` / `core::parse::parse`).
+//!   replaced (`core::reference::serialize` / `core::reference::parse`).
 //!
 //! The `large` group drives a ≥64 KiB deeply repeated message so
 //! plan-layer wins are measurable across message sizes, not just on the
@@ -18,9 +18,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use protoobf_core::graph::{AutoValue, Boundary, GraphBuilder};
+use protoobf_core::reference;
 use protoobf_core::telemetry::Metrics;
 use protoobf_core::value::TerminalKind;
-use protoobf_core::{parse as parse_mod, serialize as serialize_mod};
 use protoobf_core::{Codec, CodecService, FormatGraph, Message, Obfuscator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,7 +53,7 @@ fn bench_paths(
         b.iter(|| codec.serialize_seeded(msg, 1).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("serialize-walk", level), &level, |b, _| {
-        b.iter(|| serialize_mod::serialize_seeded(codec.obf_graph(), msg, 1).unwrap())
+        b.iter(|| reference::serialize(codec.obf_graph(), msg, 1).unwrap())
     });
 
     let mut parser = codec.parser();
@@ -66,7 +66,7 @@ fn bench_paths(
         b.iter(|| codec.parse(&wire).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("parse-walk", level), &level, |b, _| {
-        b.iter(|| parse_mod::parse(codec.obf_graph(), &wire).unwrap())
+        b.iter(|| reference::parse(codec.obf_graph(), &wire).unwrap())
     });
 }
 
@@ -303,7 +303,7 @@ fn bench_relay(c: &mut Criterion) {
         });
         let mut walk_dst = obf.message();
         group.bench_with_input(BenchmarkId::new("transcode-walk", "64KiB"), &0u32, |b, _| {
-            b.iter(|| src.transcode_into_walk(&mut walk_dst).unwrap())
+            b.iter(|| reference::transcode_into(&src, &mut walk_dst).unwrap())
         });
 
         let mut serializer = clear.serializer();

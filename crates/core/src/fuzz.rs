@@ -15,12 +15,12 @@
 //!
 //! 1. **Parse agreement** — compiled-plan session
 //!    ([`Codec::parser`]) vs the reference graph-walk parser
-//!    ([`crate::parse::parse`]): both reject, or both accept with
+//!    ([`crate::reference::parse`]): both reject, or both accept with
 //!    structurally equal messages (compared under the seeded reference
 //!    serializer).
 //! 2. **Transcode agreement** — whenever the parser accepts, the parsed
 //!    message is re-expressed through both transcode implementations
-//!    ([`Message::transcode_into`] vs [`Message::transcode_into_walk`])
+//!    ([`Message::transcode_into`] vs [`crate::reference::transcode_into`])
 //!    onto the clear codec *and* onto a second obfuscation of the same
 //!    spec: the two gateway relay directions.
 //!
@@ -36,9 +36,8 @@ use rand::{Rng, SeedableRng};
 use crate::codec::Codec;
 use crate::engine::Obfuscator;
 use crate::message::Message;
-use crate::parse;
+use crate::reference;
 use crate::sample::random_message;
-use crate::serialize;
 pub use crate::serialize::SlotSpan;
 
 // ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ impl<'a> DiffOracle<'a> {
     /// divergence found.
     pub fn check(&self, wire: &[u8]) -> Option<String> {
         let codec = self.codec;
-        let walk = parse::parse(codec.obf_graph(), wire);
+        let walk = reference::parse(codec.obf_graph(), wire);
         let mut session = codec.parser();
         let plan = session.parse_in_place(wire).map(|_| ()).map_err(|e| e.to_string());
         let msg = match (walk, plan) {
@@ -133,7 +132,7 @@ impl<'a> DiffOracle<'a> {
 
 /// Normalized bytes of a message: reference-serialized with a fixed seed.
 fn normalize(codec: &Codec, msg: &Message<'_>) -> Vec<u8> {
-    serialize::serialize_seeded(codec.obf_graph(), msg, 0).expect("normalization serializes")
+    reference::serialize(codec.obf_graph(), msg, 0).expect("normalization serializes")
 }
 
 /// Transcodes `src` through both implementations onto `dst` (identically
@@ -142,13 +141,11 @@ fn transcode_divergence(src: &Message<'_>, dst: &Codec, seed: u64) -> Option<Str
     let mut compiled = dst.message_seeded(seed);
     let mut walked = dst.message_seeded(seed);
     let ra = src.transcode_into(&mut compiled);
-    let rb = src.transcode_into_walk(&mut walked);
+    let rb = reference::transcode_into(src, &mut walked);
     match (ra, rb) {
         (Ok(()), Ok(())) => {
-            let sa = serialize::serialize_seeded(dst.obf_graph(), &compiled, 0)
-                .map_err(|e| e.to_string());
-            let sb =
-                serialize::serialize_seeded(dst.obf_graph(), &walked, 0).map_err(|e| e.to_string());
+            let sa = reference::serialize(dst.obf_graph(), &compiled, 0).map_err(|e| e.to_string());
+            let sb = reference::serialize(dst.obf_graph(), &walked, 0).map_err(|e| e.to_string());
             if sa != sb {
                 Some(format!(
                     "transcode paths diverged onto {}\n  compiled: {sa:02x?}\n  walk:     {sb:02x?}",

@@ -51,10 +51,11 @@
 //!    stacks before any traffic flows.
 //!
 //! The one-shot [`codec::Codec::serialize`]/[`codec::Codec::parse`] entry
-//! points remain as thin wrappers over the cached plan; the original
-//! graph-walk interpreters survive as reference implementations
-//! ([`serialize::serialize_seeded`], [`parse::parse`]) that the plan path
-//! is differentially tested against.
+//! points remain as thin wrappers over the cached plan. The original
+//! graph-walk interpreters live in one module,
+//! [`reference`](mod@reference): the executable specification that the
+//! plan path is differentially tested against, and that `protoobf fuzz`
+//! runs as its oracle.
 //!
 //! ```
 //! use protoobf_core::graph::{Boundary, GraphBuilder};
@@ -110,6 +111,7 @@ pub mod parse;
 pub mod path;
 pub mod plan;
 pub mod profile;
+pub mod reference;
 pub mod runtime;
 pub mod sample;
 pub mod serialize;

@@ -21,7 +21,6 @@
 //! ([`crate::serialize::SerializeSession`], [`crate::parse::ParseSession`])
 //! run without steady-state allocation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -405,19 +404,13 @@ pub struct Message<'c> {
     pub(crate) wires: WireStore,
     pub(crate) presence: MetaStore<bool>,
     pub(crate) counts: MetaStore<usize>,
-    rng: StdRng,
+    pub(crate) rng: StdRng,
     /// Evaluation scratch of the compiled plan programs: recovery (the
     /// sampler's subject reads, and a relay target reading its source)
     /// and distribution (the setters, and the copy programs writing into
     /// this message). Warmed capacity travels with [`MessageState`].
     ev: RecEval,
     dist: DistEval,
-    /// Uid of the last source graph this message was structurally
-    /// validated against as a transcode destination (0 = none). Lets a
-    /// reusable relay target skip the per-message [`plains_match`] walk;
-    /// graph uids are process-unique and refreshed on mutation, so the
-    /// cache cannot be fooled by allocator address reuse.
-    validated_src: u64,
     /// Compiled transcode state of a reusable relay target: the copy
     /// program for the last source graph plus warmed read cursors. `None`
     /// until the first [`Message::transcode_into`] (or until armed by
@@ -475,7 +468,6 @@ impl<'c> Message<'c> {
             rng: StdRng::seed_from_u64(seed),
             ev: RecEval::default(),
             dist: DistEval::default(),
-            validated_src: 0,
             transcode: None,
         }
     }
@@ -504,7 +496,6 @@ impl<'c> Message<'c> {
             rng: StdRng::seed_from_u64(rand::random()),
             ev: state.ev,
             dist: state.dist,
-            validated_src: 0,
             transcode: state.transcode,
         };
         m.clear();
@@ -524,25 +515,6 @@ impl<'c> Message<'c> {
             dist: self.dist,
             transcode: self.transcode,
         }
-    }
-
-    pub(crate) fn from_parts(
-        graph: &'c ObfGraph,
-        wires: HashMap<(ObfId, Scope), Value>,
-        presence: HashMap<(NodeId, Scope), bool>,
-        counts: HashMap<(NodeId, Scope), usize>,
-    ) -> Self {
-        let mut m = Message::with_seed(graph, rand::random());
-        for ((id, scope), v) in &wires {
-            m.wires.set(id.index(), scope, v.as_bytes());
-        }
-        for ((x, scope), p) in &presence {
-            m.presence.set(x.index(), scope, *p);
-        }
-        for ((x, scope), n) in &counts {
-            m.counts.set(x.index(), scope, *n);
-        }
-        m
     }
 
     /// The obfuscation graph this message is bound to.
@@ -744,8 +716,8 @@ impl<'c> Message<'c> {
     /// structural validation folded in) on the first use of a (source
     /// graph, destination message) pairing and cached in `dst`. Once
     /// warm, a reusable relay target transcodes with **zero heap
-    /// allocation**, byte-identically to the reference graph walk
-    /// ([`Message::transcode_into_walk`]).
+    /// allocation**, byte-identically to the reference graph walk in
+    /// [`crate::reference`].
     ///
     /// # Errors
     ///
@@ -789,31 +761,7 @@ impl<'c> Message<'c> {
         run.exec(&prog.steps, 0)
     }
 
-    /// **Reference implementation** of [`Message::transcode_into`]: the
-    /// direct recursive walk over the shared plain specification, copying
-    /// one field at a time through the allocating graph walks of
-    /// [`crate::runtime`]. Kept as the
-    /// executable specification the compiled copy-program path is
-    /// differentially tested against (`tests/transcode_differential.rs`);
-    /// production relays use `transcode_into`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Message::transcode_into`].
-    pub fn transcode_into_walk(&self, dst: &mut Message<'_>) -> Result<(), BuildError> {
-        let a = self.graph.plain();
-        if dst.validated_src != self.graph.uid() {
-            if !runtime::plains_match(a, dst.graph.plain()) {
-                return Err(self.transcode_mismatch(dst));
-            }
-            dst.validated_src = self.graph.uid();
-        }
-        dst.clear();
-        let mut scope = Vec::new();
-        self.copy_subtree(dst, a.root(), &mut scope)
-    }
-
-    fn transcode_mismatch(&self, dst: &Message<'_>) -> BuildError {
+    pub(crate) fn transcode_mismatch(&self, dst: &Message<'_>) -> BuildError {
         let (a, b) = (self.graph.plain(), dst.graph.plain());
         BuildError::GraphMismatch {
             expected: format!("{} ({} nodes)", b.name(), b.len()),
@@ -851,64 +799,9 @@ impl<'c> Message<'c> {
         Ok(dst)
     }
 
-    fn copy_subtree(
-        &self,
-        dst: &mut Message<'_>,
-        x: NodeId,
-        scope: &mut Vec<u32>,
-    ) -> Result<(), BuildError> {
-        let plain = self.graph.plain();
-        let node = plain.node(x);
-        match node.node_type() {
-            NodeType::Terminal(_) => {
-                // Auto fields are derived from structure at serialization
-                // time; copying them would only re-assert what the
-                // destination recomputes anyway.
-                if node.auto().is_auto() {
-                    return Ok(());
-                }
-                let Some(v) = self.value_at_walk(x, scope) else {
-                    return Ok(());
-                };
-                let holder = dst.graph.holder_of(x).ok_or_else(|| {
-                    BuildError::UnknownPath(dst.graph.plain().node(x).name().to_string())
-                })?;
-                dst.mark_ancestors(x, scope);
-                let wires = &mut dst.wires;
-                runtime::distribute(dst.graph, holder, v, scope, &mut dst.rng, &mut |id, sc, v| {
-                    wires.set(id.index(), sc, v.as_bytes());
-                })
-            }
-            NodeType::Sequence => {
-                for &c in node.children() {
-                    self.copy_subtree(dst, c, scope)?;
-                }
-                Ok(())
-            }
-            NodeType::Optional(_) => {
-                if self.presence.get(x.index(), scope).unwrap_or(false) {
-                    dst.presence.set(x.index(), scope, true);
-                    self.copy_subtree(dst, node.children()[0], scope)?;
-                }
-                Ok(())
-            }
-            NodeType::Repetition(_) | NodeType::Tabular => {
-                let n = self.counts.get(x.index(), scope).unwrap_or(0);
-                dst.counts.set(x.index(), scope, n);
-                let child = node.children()[0];
-                for i in 0..n {
-                    scope.push(i as u32);
-                    self.copy_subtree(dst, child, scope)?;
-                    scope.pop();
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Marks presence/counts for every optional / repetition / tabular
     /// ancestor of `x` under the given scope.
-    fn mark_ancestors(&mut self, x: NodeId, scope: &[u32]) {
+    pub(crate) fn mark_ancestors(&mut self, x: NodeId, scope: &[u32]) {
         let plain = self.graph.plain();
         let mut d = scope.len();
         let mut cur = plain.node(x).parent();
@@ -951,23 +844,7 @@ impl<'c> Message<'c> {
         Some(&self.ev.buf[s..s + l])
     }
 
-    /// **Reference** form of [`Message::value_at`] through the graph-walk
-    /// runtime ([`runtime::recover`]); only the reference interpreters
-    /// (the walk serializer and [`Message::transcode_into_walk`]) read
-    /// through it.
-    pub(crate) fn value_at_walk(&self, x: NodeId, scope: &[u32]) -> Option<Value> {
-        let holder = self.graph.holder_of(x)?;
-        let recovered = runtime::recover(self.graph, holder, scope, &|id, sc| {
-            self.wires.get(id.index(), sc).map(|b| Value::from_bytes(b.to_vec()))
-        });
-        if recovered.is_some() {
-            return recovered;
-        }
-        // Auto fields can be computed from structure before serialization.
-        self.auto_value(x, scope)
-    }
-
-    fn auto_value(&self, x: NodeId, scope: &[u32]) -> Option<Value> {
+    pub(crate) fn auto_value(&self, x: NodeId, scope: &[u32]) -> Option<Value> {
         let plain = self.graph.plain();
         let node = plain.node(x);
         let (width, endian) = match node.terminal_kind() {
@@ -1371,6 +1248,7 @@ mod tests {
     use super::*;
     use crate::graph::{Condition, FormatGraph, GraphBuilder, Predicate};
     use crate::obf::ObfKind;
+    use crate::reference;
     use crate::transform::{apply, TransformKind};
 
     fn sample_graph() -> crate::graph::FormatGraph {
@@ -1626,7 +1504,7 @@ mod tests {
             let (mut compiled, mut walked) =
                 (Message::with_seed(obf, 2), Message::with_seed(obf, 2));
             let got = src.transcode_into(&mut compiled).unwrap_err();
-            let want = src.transcode_into_walk(&mut walked).unwrap_err();
+            let want = reference::transcode_into(&src, &mut walked).unwrap_err();
             assert!(expect(&got), "{field}: {got:?}");
             assert_eq!(got, want, "{field}");
             // The failed store leaves the destination as the walk does.
@@ -1708,13 +1586,13 @@ mod tests {
         let src = source(&[("key", 12, b"\x00\x00\x00\x0c")]);
         let (mut compiled, mut walked) = fresh();
         src.transcode_into(&mut compiled).unwrap();
-        src.transcode_into_walk(&mut walked).unwrap();
+        reference::transcode_into(&src, &mut walked).unwrap();
         assert!(compiled.wires.iter().eq(walked.wires.iter()));
         // A bad `flags` at element 5 and a bad `key` at element 7: the key
         // column fails first, but the loop stops at element 5's flags.
         let src = source(&[("flags", 5, b"\x01\x02\x03"), ("key", 7, b"\x01")]);
         let got = src.transcode_into(&mut compiled).unwrap_err();
-        let want = src.transcode_into_walk(&mut walked).unwrap_err();
+        let want = reference::transcode_into(&src, &mut walked).unwrap_err();
         assert_eq!(got, want);
         assert!(
             matches!(&got, BuildError::BadValueLength { expected: 2, found: 3, .. }),

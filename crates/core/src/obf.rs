@@ -594,49 +594,6 @@ impl ObfGraph {
         self.preorder().into_iter().filter(|&id| self.node(id).is_terminal()).collect()
     }
 
-    /// The plain terminals whose values the parser needs *during*
-    /// structural parsing: `Length` reference targets, tabular counters,
-    /// optional-condition subjects, and the plain-length sources of
-    /// `PlainLen` boundaries.
-    pub fn structurally_needed(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let push = |x: NodeId, out: &mut Vec<NodeId>| {
-            if !out.contains(&x) {
-                out.push(x);
-            }
-        };
-        for id in self.preorder() {
-            match &self.node(id).kind {
-                ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, .. }, .. } => {
-                    if let Some(r) = self.plain.node(*source).boundary().reference() {
-                        push(r, &mut out);
-                    }
-                }
-                ObfKind::Sequence { boundary: SeqBoundary::PlainLen(p) } => {
-                    if let Some(r) = self.plain.node(*p).boundary().reference() {
-                        push(r, &mut out);
-                    }
-                }
-                ObfKind::Optional { condition } => push(condition.subject, &mut out),
-                ObfKind::Tabular { counter } => push(*counter, &mut out),
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// The obf terminals whose wire values are needed to recover the plain
-    /// value of `x` (the recovery closure: every terminal inside the
-    /// holder's subtree).
-    pub fn recovery_deps(&self, x: NodeId) -> Vec<ObfId> {
-        match self.holder_of(x) {
-            Some(h) => {
-                self.subtree(h).into_iter().filter(|&id| self.node(id).is_terminal()).collect()
-            }
-            None => Vec::new(),
-        }
-    }
-
     /// Structural feasibility check run after each transformation: every
     /// value the parser needs eagerly must be fully recoverable before its
     /// first structural use, and every rest-of-window node must sit in
@@ -770,17 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn structurally_needed_lists_refs_and_subjects() {
-        let p = plain();
-        let g = ObfGraph::from_plain(&p);
-        let needed = g.structurally_needed();
-        let len = p.resolve_names(&["len"]).unwrap();
-        let flag = p.resolve_names(&["flag"]).unwrap();
-        assert!(needed.contains(&len));
-        assert!(needed.contains(&flag));
-    }
-
-    #[test]
     fn check_parse_order_accepts_identity() {
         let g = ObfGraph::from_plain(&plain());
         assert!(g.check_parse_order().is_ok());
@@ -810,15 +756,6 @@ mod tests {
         let root = g.root();
         assert!(g.node(root).children().contains(&wrapper));
         assert!(!g.node(root).children().contains(&flag));
-    }
-
-    #[test]
-    fn recovery_deps_cover_holder_subtree() {
-        let p = plain();
-        let g = ObfGraph::from_plain(&p);
-        let data = p.resolve_names(&["data"]).unwrap();
-        let deps = g.recovery_deps(data);
-        assert_eq!(deps.len(), 1); // un-transformed: just the carrier itself
     }
 
     #[test]

@@ -1,17 +1,11 @@
 //! The deobfuscating parser.
 //!
-//! Two implementations share the same semantics:
-//!
-//! * [`ParseSession`] — the production path: an interpreter over the
-//!   compiled [`CodecPlan`]. Wire values go into
-//!   slot-backed dense stores, structurally needed references are
-//!   recovered through compiled [`RecStep`](crate::plan) programs with
-//!   reusable scratch buffers, and the session's message is reused across
-//!   calls — steady-state parsing performs no hashing and no per-message
-//!   heap allocation.
-//! * [`parse`] — the **reference interpreter**: a direct recursive walk of
-//!   the obfuscation graph, kept as the executable specification the plan
-//!   path is differentially tested against.
+//! [`ParseSession`] interprets the compiled [`CodecPlan`]. Wire values go
+//! into slot-backed dense stores, structurally needed references are
+//! recovered through compiled [`RecStep`](crate::plan) programs with
+//! reusable scratch buffers, and the session's message is reused across
+//! calls — steady-state parsing performs no hashing and no per-message
+//! heap allocation.
 //!
 //! Parsing undoes the ordering transformations structurally (windows,
 //! mirrors, length prefixes, split repetitions) and collects the wire
@@ -20,29 +14,23 @@
 //! repetition counts — are recovered eagerly by inverting the aggregation
 //! transformations (paper §V-C).
 
-use std::collections::HashMap;
-
 use crate::error::ParseError;
 use crate::graph::NodeId;
 use crate::message::{Message, MessageState, MetaStore, ScopeKey, WireStore};
-use crate::obf::{LenStep, ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
+use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, PlanOp, RecEval, RepStopC, SeqB, TermB,
     NONE,
 };
-use crate::runtime::{self, Scope};
-use crate::value::{Endian, TerminalKind, Value};
+use crate::runtime;
+use crate::value::{Endian, Value};
 
 /// Upper bound on zero-length tabular elements per container instance.
 /// Zero-size elements are legitimate under obfuscation (a `TabSplit` half
 /// whose pieces are empty), but they consume no input, so a hostile
 /// counter could otherwise drive unbounded work and memory. No real
 /// protocol carries more than a u16's worth of empty elements.
-const MAX_EMPTY_ELEMENTS: usize = 1 << 16;
-
-// ---------------------------------------------------------------------------
-// plan interpreter
-// ---------------------------------------------------------------------------
+pub(crate) const MAX_EMPTY_ELEMENTS: usize = 1 << 16;
 
 /// A reusable parse session over a compiled codec plan.
 ///
@@ -774,594 +762,13 @@ impl<'c> ParseSession<'c> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// reference graph-walk interpreter
-// ---------------------------------------------------------------------------
-
-/// Parses an obfuscated message by directly interpreting the obfuscation
-/// graph — the **reference implementation** the compiled-plan path is
-/// differentially tested against. Production code should use
-/// [`crate::codec::Codec::parse`] (plan-based, cached).
-///
-/// # Errors
-///
-/// [`ParseError`] when the bytes do not form a valid message under this
-/// obfuscation graph (truncation, missing delimiters, inconsistent
-/// lengths/counts, trailing bytes).
-pub fn parse<'c>(g: &'c ObfGraph, bytes: &[u8]) -> Result<Message<'c>, ParseError> {
-    let mut ctx = Ctx {
-        g,
-        wires: HashMap::new(),
-        presence: HashMap::new(),
-        counts: HashMap::new(),
-        rep_counts: HashMap::new(),
-        plain_memo: HashMap::new(),
-    };
-    let mut pos = 0usize;
-    let mut scope: Scope = Vec::new();
-    ctx.parse_node(g.root(), bytes, &mut pos, bytes.len(), true, &mut scope)?;
-    if pos != bytes.len() {
-        return Err(ParseError::TrailingBytes {
-            node: g.node(g.root()).name().to_string(),
-            remaining: bytes.len() - pos,
-        });
-    }
-    ctx.verify_auto_fields()?;
-    Ok(Message::from_parts(g, ctx.wires, ctx.presence, ctx.counts))
-}
-
-struct Ctx<'g> {
-    g: &'g ObfGraph,
-    wires: HashMap<(ObfId, Scope), Value>,
-    presence: HashMap<(NodeId, Scope), bool>,
-    counts: HashMap<(NodeId, Scope), usize>,
-    rep_counts: HashMap<(ObfId, Scope), usize>,
-    plain_memo: HashMap<(NodeId, Scope), Value>,
-}
-
-impl<'g> Ctx<'g> {
-    /// Parses `node` starting at `*pos`, never reading past `end`. `tail`
-    /// means the node's window extends exactly to `end` with nothing
-    /// following inside it.
-    fn parse_node(
-        &mut self,
-        id: ObfId,
-        buf: &[u8],
-        pos: &mut usize,
-        end: usize,
-        tail: bool,
-        scope: &mut Scope,
-    ) -> Result<(), ParseError> {
-        let node = self.g.node(id).clone();
-        match &node.kind {
-            ObfKind::Terminal { boundary, .. } => {
-                let value = match boundary {
-                    TermBoundary::Fixed(k) => self.take(id, buf, pos, end, *k)?,
-                    TermBoundary::PlainLen { source, steps } => {
-                        let k = self.plain_len_extent(*source, steps, scope)?;
-                        self.take(id, buf, pos, end, k)?
-                    }
-                    TermBoundary::Delimited(d) => match runtime::find(buf, d, *pos, end) {
-                        Some(f) => {
-                            let v = buf[*pos..f].to_vec();
-                            *pos = f + d.len();
-                            Value::from_bytes(v)
-                        }
-                        None => {
-                            return Err(ParseError::DelimiterNotFound {
-                                node: node.name().to_string(),
-                            })
-                        }
-                    },
-                    TermBoundary::End => {
-                        let v = buf[*pos..end].to_vec();
-                        *pos = end;
-                        Value::from_bytes(v)
-                    }
-                };
-                self.wires.insert((id, scope.clone()), value);
-                Ok(())
-            }
-            ObfKind::SplitSeq { .. } => {
-                let n = node.children().len();
-                for (i, &c) in node.children().iter().enumerate() {
-                    self.parse_node(c, buf, pos, end, tail && i + 1 == n, scope)?;
-                }
-                Ok(())
-            }
-            ObfKind::Sequence { boundary } => {
-                let window = match boundary {
-                    SeqBoundary::Fixed(k) => Some(*k),
-                    SeqBoundary::PlainLen(p) => {
-                        let r = self
-                            .g
-                            .plain()
-                            .node(*p)
-                            .boundary()
-                            .reference()
-                            .expect("validated PlainLen sequences carry Length boundaries");
-                        Some(self.recover_uint(r, scope)? as usize)
-                    }
-                    SeqBoundary::Delegated | SeqBoundary::End => None,
-                };
-                let (sub_end, sub_tail) = match window {
-                    Some(k) => {
-                        if k > end - *pos {
-                            return Err(ParseError::UnexpectedEnd {
-                                node: node.name().to_string(),
-                                needed: k,
-                                available: end - *pos,
-                            });
-                        }
-                        (*pos + k, true)
-                    }
-                    None => (end, tail),
-                };
-                let n = node.children().len();
-                for (i, &c) in node.children().iter().enumerate() {
-                    self.parse_node(c, buf, pos, sub_end, sub_tail && i + 1 == n, scope)?;
-                }
-                if window.is_some() && *pos != sub_end {
-                    return Err(ParseError::TrailingBytes {
-                        node: node.name().to_string(),
-                        remaining: sub_end - *pos,
-                    });
-                }
-                Ok(())
-            }
-            ObfKind::Optional { condition } => {
-                let subject_scope = runtime::scoped(self.g.plain(), condition.subject, scope);
-                let subject = self.recover_plain(condition.subject, &subject_scope)?;
-                let present = condition.predicate.eval(&subject);
-                let origin = node.origin().expect("optionals always have plain origins");
-                let oscope = runtime::scoped(self.g.plain(), origin, scope);
-                self.presence.insert((origin, oscope), present);
-                if present {
-                    self.parse_node(node.children()[0], buf, pos, end, tail, scope)?;
-                }
-                Ok(())
-            }
-            ObfKind::Repetition { stop } => {
-                let elem = node.children()[0];
-                let mut i = 0usize;
-                match stop {
-                    RepStop::Terminator(t) => loop {
-                        if *pos + t.len() <= end && &buf[*pos..*pos + t.len()] == t.as_slice() {
-                            *pos += t.len();
-                            break;
-                        }
-                        if *pos >= end {
-                            return Err(ParseError::DelimiterNotFound {
-                                node: node.name().to_string(),
-                            });
-                        }
-                        let before = *pos;
-                        scope.push(i as u32);
-                        let r = self.parse_node(elem, buf, pos, end, false, scope);
-                        scope.pop();
-                        r?;
-                        if *pos == before {
-                            return Err(ParseError::Malformed {
-                                node: node.name().to_string(),
-                                detail: "zero-length repetition element".into(),
-                            });
-                        }
-                        i += 1;
-                    },
-                    RepStop::Exhausted => {
-                        while *pos < end {
-                            let before = *pos;
-                            scope.push(i as u32);
-                            let r = self.parse_node(elem, buf, pos, end, false, scope);
-                            scope.pop();
-                            r?;
-                            if *pos == before {
-                                return Err(ParseError::Malformed {
-                                    node: node.name().to_string(),
-                                    detail: "zero-length repetition element".into(),
-                                });
-                            }
-                            i += 1;
-                        }
-                    }
-                    RepStop::CountOf(first) => {
-                        let m = self.resolve_count(*first, scope).ok_or_else(|| {
-                            ParseError::UnresolvedReference {
-                                node: node.name().to_string(),
-                                referenced: self.g.node(*first).name().to_string(),
-                            }
-                        })?;
-                        for j in 0..m {
-                            scope.push(j as u32);
-                            let r = self.parse_node(elem, buf, pos, end, false, scope);
-                            scope.pop();
-                            r?;
-                        }
-                        i = m;
-                    }
-                }
-                self.rep_counts.insert((id, scope.clone()), i);
-                if let Some(origin) = node.origin() {
-                    let oscope = runtime::scoped(self.g.plain(), origin, scope);
-                    if let Some(prev) = self.counts.get(&(origin, oscope.clone())) {
-                        if *prev != i {
-                            return Err(ParseError::CountMismatch {
-                                node: node.name().to_string(),
-                                left: *prev,
-                                right: i,
-                            });
-                        }
-                    }
-                    self.counts.insert((origin, oscope), i);
-                }
-                Ok(())
-            }
-            ObfKind::Tabular { counter } => {
-                let cscope = runtime::scoped(self.g.plain(), *counter, scope);
-                let m = self.recover_uint_at(*counter, &cscope)? as usize;
-                let elem = node.children()[0];
-                let mut empties = 0usize;
-                for j in 0..m {
-                    let before = *pos;
-                    scope.push(j as u32);
-                    let r = self.parse_node(elem, buf, pos, end, false, scope);
-                    scope.pop();
-                    r?;
-                    if *pos == before {
-                        empties += 1;
-                        if empties > MAX_EMPTY_ELEMENTS {
-                            return Err(ParseError::Malformed {
-                                node: node.name().to_string(),
-                                detail: "counter drives too many zero-length elements".into(),
-                            });
-                        }
-                    }
-                }
-                if let Some(origin) = node.origin() {
-                    let oscope = runtime::scoped(self.g.plain(), origin, scope);
-                    self.counts.insert((origin, oscope), m);
-                }
-                Ok(())
-            }
-            ObfKind::Mirror => {
-                let child = node.children()[0];
-                let e = match self.extent(child, scope)? {
-                    Some(e) => e,
-                    None if tail => end - *pos,
-                    None => {
-                        return Err(ParseError::Malformed {
-                            node: node.name().to_string(),
-                            detail: "cannot determine mirrored extent".into(),
-                        })
-                    }
-                };
-                if e > end - *pos {
-                    return Err(ParseError::UnexpectedEnd {
-                        node: node.name().to_string(),
-                        needed: e,
-                        available: end - *pos,
-                    });
-                }
-                let mut temp = buf[*pos..*pos + e].to_vec();
-                temp.reverse();
-                let mut ipos = 0usize;
-                self.parse_node(child, &temp, &mut ipos, e, true, scope)?;
-                if ipos != e {
-                    return Err(ParseError::TrailingBytes {
-                        node: node.name().to_string(),
-                        remaining: e - ipos,
-                    });
-                }
-                *pos += e;
-                Ok(())
-            }
-            ObfKind::Prefixed { width, endian } => {
-                if *pos + *width > end {
-                    return Err(ParseError::UnexpectedEnd {
-                        node: node.name().to_string(),
-                        needed: *width,
-                        available: end - *pos,
-                    });
-                }
-                let n = Value::from_bytes(buf[*pos..*pos + *width].to_vec())
-                    .to_uint(*endian)
-                    .expect("prefix width <= 8") as usize;
-                *pos += *width;
-                if n > end - *pos {
-                    return Err(ParseError::Malformed {
-                        node: node.name().to_string(),
-                        detail: format!("length prefix {n} overflows the window"),
-                    });
-                }
-                let sub_end = *pos + n;
-                self.parse_node(node.children()[0], buf, pos, sub_end, true, scope)?;
-                if *pos != sub_end {
-                    return Err(ParseError::TrailingBytes {
-                        node: node.name().to_string(),
-                        remaining: sub_end - *pos,
-                    });
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn take(
-        &mut self,
-        id: ObfId,
-        buf: &[u8],
-        pos: &mut usize,
-        end: usize,
-        k: usize,
-    ) -> Result<Value, ParseError> {
-        if k > end - *pos {
-            return Err(ParseError::UnexpectedEnd {
-                node: self.g.node(id).name().to_string(),
-                needed: k,
-                available: end - *pos,
-            });
-        }
-        let v = buf[*pos..*pos + k].to_vec();
-        *pos += k;
-        Ok(Value::from_bytes(v))
-    }
-
-    /// Extent of a terminal whose plain length is carried by a `Length`
-    /// reference, with split derivation steps applied.
-    fn plain_len_extent(
-        &mut self,
-        source: NodeId,
-        steps: &[LenStep],
-        scope: &[u32],
-    ) -> Result<usize, ParseError> {
-        let r = self
-            .g
-            .plain()
-            .node(source)
-            .boundary()
-            .reference()
-            .expect("PlainLen terminals have Length boundaries");
-        let mut len = self.recover_uint(r, scope)? as usize;
-        for s in steps {
-            len = s.apply(len);
-        }
-        Ok(len)
-    }
-
-    /// Recovers the plain value of terminal `x`, inverting aggregation
-    /// transformations over the wires parsed so far.
-    fn recover_plain(&mut self, x: NodeId, scope: &[u32]) -> Result<Value, ParseError> {
-        if let Some(v) = self.plain_memo.get(&(x, scope.to_vec())) {
-            return Ok(v.clone());
-        }
-        let holder = self.g.holder_of(x).ok_or_else(|| ParseError::UnresolvedReference {
-            node: self.g.plain().node(x).name().to_string(),
-            referenced: "holder".to_string(),
-        })?;
-        let v = runtime::recover(self.g, holder, scope, &|id, sc| {
-            self.wires.get(&(id, sc.to_vec())).cloned()
-        })
-        .ok_or_else(|| ParseError::UnresolvedReference {
-            node: self.g.plain().node(x).name().to_string(),
-            referenced: self.g.node(holder).name().to_string(),
-        })?;
-        self.plain_memo.insert((x, scope.to_vec()), v.clone());
-        Ok(v)
-    }
-
-    /// Recovers a referenced numeric field, truncating the scope to the
-    /// reference's own container depth.
-    fn recover_uint(&mut self, x: NodeId, scope: &[u32]) -> Result<u64, ParseError> {
-        let xscope = runtime::scoped(self.g.plain(), x, scope);
-        self.recover_uint_at(x, &xscope)
-    }
-
-    fn recover_uint_at(&mut self, x: NodeId, xscope: &[u32]) -> Result<u64, ParseError> {
-        let v = self.recover_plain(x, xscope)?;
-        let endian = match self.g.plain().node(x).terminal_kind() {
-            Some(TerminalKind::UInt { endian, .. }) => *endian,
-            _ => Endian::Big,
-        };
-        v.to_uint(endian).ok_or_else(|| ParseError::Malformed {
-            node: self.g.plain().node(x).name().to_string(),
-            detail: "numeric field wider than 8 bytes".into(),
-        })
-    }
-
-    /// Pre-parse extent of a subtree: `Ok(Some(n))` when computable from
-    /// already-recovered values, `Ok(None)` when only forward parsing can
-    /// delimit it.
-    fn extent(&mut self, id: ObfId, scope: &[u32]) -> Result<Option<usize>, ParseError> {
-        let node = self.g.node(id).clone();
-        match &node.kind {
-            ObfKind::Terminal { boundary, .. } => match boundary {
-                TermBoundary::Fixed(k) => Ok(Some(*k)),
-                TermBoundary::PlainLen { source, steps } => {
-                    Ok(Some(self.plain_len_extent(*source, steps, scope)?))
-                }
-                TermBoundary::Delimited(_) | TermBoundary::End => Ok(None),
-            },
-            ObfKind::SplitSeq { .. } | ObfKind::Sequence { boundary: SeqBoundary::Delegated } => {
-                self.sum_extents(node.children(), scope)
-            }
-            ObfKind::Sequence { boundary } => match boundary {
-                SeqBoundary::Fixed(k) => Ok(Some(*k)),
-                SeqBoundary::PlainLen(p) => {
-                    let r = self
-                        .g
-                        .plain()
-                        .node(*p)
-                        .boundary()
-                        .reference()
-                        .expect("validated PlainLen sequences carry Length boundaries");
-                    Ok(Some(self.recover_uint(r, scope)? as usize))
-                }
-                SeqBoundary::End => Ok(None),
-                SeqBoundary::Delegated => unreachable!("handled above"),
-            },
-            ObfKind::Optional { condition } => {
-                let sscope = runtime::scoped(self.g.plain(), condition.subject, scope);
-                let subject = self.recover_plain(condition.subject, &sscope)?;
-                if condition.predicate.eval(&subject) {
-                    self.extent(node.children()[0], scope)
-                } else {
-                    Ok(Some(0))
-                }
-            }
-            ObfKind::Repetition { stop } => match stop {
-                RepStop::Terminator(_) | RepStop::Exhausted => Ok(None),
-                RepStop::CountOf(first) => {
-                    let m = match self.resolve_count(*first, scope) {
-                        Some(m) => m,
-                        None => return Ok(None),
-                    };
-                    self.times_element(node.children()[0], m, scope)
-                }
-            },
-            ObfKind::Tabular { counter } => {
-                let m = self.recover_uint(*counter, scope)? as usize;
-                self.times_element(node.children()[0], m, scope)
-            }
-            ObfKind::Mirror => self.extent(node.children()[0], scope),
-            ObfKind::Prefixed { .. } => Ok(None),
-        }
-    }
-
-    /// Resolves the element count of a repetition, chasing `CountOf` chains
-    /// when the linked half has not parsed yet (it may sit inside the same
-    /// mirrored region whose extent is being computed).
-    fn resolve_count(&self, rep: ObfId, scope: &[u32]) -> Option<usize> {
-        if let Some(m) = self.rep_counts.get(&(rep, scope.to_vec())) {
-            return Some(*m);
-        }
-        match self.g.node(rep).kind() {
-            ObfKind::Repetition { stop: RepStop::CountOf(first) } => {
-                self.resolve_count(*first, scope)
-            }
-            _ => None,
-        }
-    }
-
-    fn sum_extents(
-        &mut self,
-        children: &[ObfId],
-        scope: &[u32],
-    ) -> Result<Option<usize>, ParseError> {
-        let mut total = 0usize;
-        for &c in children {
-            match self.extent(c, scope)? {
-                Some(e) => total = total.saturating_add(e),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(total))
-    }
-
-    fn times_element(
-        &mut self,
-        elem: ObfId,
-        m: usize,
-        scope: &[u32],
-    ) -> Result<Option<usize>, ParseError> {
-        if m == 0 {
-            return Ok(Some(0));
-        }
-        let mut sc = scope.to_vec();
-        sc.push(0);
-        match self.extent(elem, &sc)? {
-            Some(e) => Ok(Some(e.saturating_mul(m))),
-            None => Ok(None),
-        }
-    }
-
-    /// Post-parse sanity checks: recovered auto length/counter fields must
-    /// match the recomputed plain quantities (paper: "sanity checks" in the
-    /// generated library). Catches corrupted or inconsistent messages that
-    /// parsed structurally.
-    fn verify_auto_fields(&mut self) -> Result<(), ParseError> {
-        let plain = self.g.plain();
-        let message = Message::from_parts(
-            self.g,
-            self.wires.clone(),
-            self.presence.clone(),
-            self.counts.clone(),
-        );
-        // Collect (auto field, instances) — instances are all scopes at
-        // which the field was recovered.
-        for x in plain.ids() {
-            let node = plain.node(x);
-            if !node.auto().is_auto() {
-                continue;
-            }
-            let holder = match self.g.holder_of(x) {
-                Some(h) => h,
-                None => continue,
-            };
-            // Find every scope at which this field's holder subtree has a
-            // first terminal wire.
-            let first_term =
-                self.g.subtree(holder).into_iter().find(|&n| self.g.node(n).is_terminal());
-            let first_term = match first_term {
-                Some(t) => t,
-                None => continue,
-            };
-            let scopes: Vec<Scope> = self
-                .wires
-                .keys()
-                .filter(|(id, _)| *id == first_term)
-                .map(|(_, sc)| sc.clone())
-                .collect();
-            // Constant fields: the recovered bytes must equal the literal.
-            if let crate::graph::AutoValue::Literal(expected) = node.auto() {
-                for sc in scopes {
-                    let recovered = self.recover_plain(x, &sc)?;
-                    if &recovered != expected {
-                        return Err(ParseError::Malformed {
-                            node: node.name().to_string(),
-                            detail: format!(
-                                "constant field holds {recovered:?}, expected {expected:?}"
-                            ),
-                        });
-                    }
-                }
-                continue;
-            }
-            let target = match node.auto().target() {
-                Some(t) => t,
-                None => continue,
-            };
-            for sc in scopes {
-                let stored = self.recover_uint_at(x, &sc)?;
-                let tscope = runtime::scoped(plain, target, &sc);
-                let computed = match node.auto() {
-                    crate::graph::AutoValue::LengthOf(_) => {
-                        message.plain_len(target, &tscope).unwrap_or(usize::MAX) as u64
-                    }
-                    crate::graph::AutoValue::CounterOf(_) => {
-                        message.count_of(target, &tscope) as u64
-                    }
-                    crate::graph::AutoValue::None | crate::graph::AutoValue::Literal(_) => continue,
-                };
-                if stored != computed {
-                    return Err(ParseError::AutoMismatch {
-                        node: node.name().to_string(),
-                        stored,
-                        computed,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{AutoValue, Boundary, Condition, GraphBuilder, Predicate};
     use crate::message::Message;
     use crate::plan::CodecPlan;
-    use crate::serialize::serialize_seeded;
+    use crate::reference;
 
     fn modbus_mini() -> ObfGraph {
         let mut b = GraphBuilder::new("mb");
@@ -1390,8 +797,8 @@ mod tests {
         m.set_uint("pdu.func", 6).unwrap();
         m.set_uint("pdu.write.addr", 0x0010).unwrap();
         m.set_uint("pdu.write.value", 0xBEEF).unwrap();
-        let wire = serialize_seeded(&g, &m, 9).unwrap();
-        let back = parse(&g, &wire).unwrap();
+        let wire = reference::serialize(&g, &m, 9).unwrap();
+        let back = reference::parse(&g, &wire).unwrap();
         assert_eq!(back.get_uint("tid").unwrap(), 0x0102);
         assert_eq!(back.get_uint("pdu.func").unwrap(), 6);
         assert_eq!(back.get_uint("pdu.write.addr").unwrap(), 0x0010);
@@ -1409,7 +816,7 @@ mod tests {
         m.set_uint("pdu.func", 6).unwrap();
         m.set_uint("pdu.write.addr", 16).unwrap();
         m.set_uint("pdu.write.value", 48879).unwrap();
-        let wire = serialize_seeded(&g, &m, 9).unwrap();
+        let wire = reference::serialize(&g, &m, 9).unwrap();
         let mut s = ParseSession::new(&g, &plan);
         for _ in 0..3 {
             let back = s.parse_in_place(&wire).unwrap();
@@ -1427,10 +834,10 @@ mod tests {
         let mut m = Message::with_seed(&g, 1);
         m.set_uint("tid", 1).unwrap();
         m.set_uint("pdu.func", 3).unwrap();
-        let wire = serialize_seeded(&g, &m, 9).unwrap();
+        let wire = reference::serialize(&g, &m, 9).unwrap();
         let mut s = ParseSession::new(&g, &plan);
         for cut in 0..wire.len() {
-            assert!(parse(&g, &wire[..cut]).is_err(), "truncation at {cut} must fail");
+            assert!(reference::parse(&g, &wire[..cut]).is_err(), "truncation at {cut} must fail");
             assert!(s.parse_in_place(&wire[..cut]).is_err(), "session truncation at {cut}");
         }
     }
@@ -1442,10 +849,10 @@ mod tests {
         let mut m = Message::with_seed(&g, 1);
         m.set_uint("tid", 1).unwrap();
         m.set_uint("pdu.func", 3).unwrap();
-        let mut wire = serialize_seeded(&g, &m, 9).unwrap();
+        let mut wire = reference::serialize(&g, &m, 9).unwrap();
         // Corrupt the auto length field (bytes 2..4): parse must notice.
         wire[3] = wire[3].wrapping_add(1);
-        assert!(parse(&g, &wire).is_err());
+        assert!(reference::parse(&g, &wire).is_err());
         assert!(ParseSession::new(&g, &plan).parse_in_place(&wire).is_err());
     }
 
@@ -1455,8 +862,8 @@ mod tests {
         let mut m = Message::with_seed(&g, 1);
         m.set_uint("tid", 7).unwrap();
         m.set_uint("pdu.func", 1).unwrap();
-        let wire = serialize_seeded(&g, &m, 9).unwrap();
-        let back = parse(&g, &wire).unwrap();
+        let wire = reference::serialize(&g, &m, 9).unwrap();
+        let back = reference::parse(&g, &wire).unwrap();
         assert!(!back.is_present("pdu.write"));
         assert!(back.get("pdu.write.addr").is_err());
     }
@@ -1473,7 +880,7 @@ mod tests {
         let plan = CodecPlan::compile(&g);
         let mut wire = vec![0xFF; 8]; // len = u64::MAX
         wire.extend_from_slice(b"short");
-        assert!(parse(&g, &wire).is_err());
+        assert!(reference::parse(&g, &wire).is_err());
         assert!(ParseSession::new(&g, &plan).parse_in_place(&wire).is_err());
     }
 
@@ -1498,7 +905,7 @@ mod tests {
         // flag=0 (optional absent ⇒ zero-size elements), count=100M.
         let wire = [&[0u8][..], &100_000_000u32.to_be_bytes(), &[7u8]].concat();
         let t = std::time::Instant::now();
-        assert!(parse(&g, &wire).is_err());
+        assert!(reference::parse(&g, &wire).is_err());
         assert!(ParseSession::new(&g, &plan).parse_in_place(&wire).is_err());
         assert!(t.elapsed() < std::time::Duration::from_secs(5), "must fail fast");
     }
@@ -1510,11 +917,11 @@ mod tests {
         let mut m = Message::with_seed(&g, 1);
         m.set_uint("tid", 7).unwrap();
         m.set_uint("pdu.func", 1).unwrap();
-        let mut wire = serialize_seeded(&g, &m, 9).unwrap();
+        let mut wire = reference::serialize(&g, &m, 9).unwrap();
         // The root is End-bounded, so extra bytes extend the pdu and break
         // the auto-length sanity check instead of going unnoticed.
         wire.push(0xAA);
-        assert!(parse(&g, &wire).is_err());
+        assert!(reference::parse(&g, &wire).is_err());
         assert!(ParseSession::new(&g, &plan).parse_in_place(&wire).is_err());
     }
 }

@@ -14,7 +14,7 @@
 //! * every plain-graph lookup the interpreters used to perform per message
 //!   (reference targets, container depths, byte orders, auto-field
 //!   encodings) is resolved to plain `u32` indices at compile time;
-//! * the reference aggregation walks ([`crate::runtime`]) are lowered per
+//! * the reference aggregation walks ([`crate::reference`]) are lowered per
 //!   holder into a post-order `RecStep` recovery program and a
 //!   pre-order `DistStep` distribution program: stack-machine byte
 //!   programs evaluated by `RecEval` / `DistEval` against reusable
@@ -573,7 +573,7 @@ pub(crate) fn is_column_body(body: &[CopyStep]) -> bool {
 }
 
 /// Emits the copy steps of the plain subtree rooted at `x` (pre-order,
-/// the traversal of the reference walk `Message::transcode_into_walk`).
+/// the traversal of the reference transcode walk in [`crate::reference`]).
 fn lower_copy(
     plain: &crate::graph::FormatGraph,
     x: NodeId,
@@ -1793,7 +1793,7 @@ impl RecEval {
                     let (a, al) = self.stack.pop()?;
                     // combined ⟨inv⟩ share, share cycled (an empty share
                     // leaves it unchanged, like the inert zero operand of
-                    // `runtime::pad_one`).
+                    // the reference walk's `pad_one`).
                     let (left, right) = self.buf.split_at_mut(b);
                     apply_cycled(op.inverse(), &mut right[..bl], &left[a..a + al]);
                     // Compact: move the result down over the share so the
@@ -2012,7 +2012,7 @@ mod tests {
         // Distribute a value, then recover it through the compiled program.
         let mut store: std::collections::HashMap<(ObfId, Vec<u32>), Value> =
             std::collections::HashMap::new();
-        runtime::distribute(
+        crate::reference::distribute(
             &g,
             h,
             Value::from_bytes(b"plan layer".to_vec()),
@@ -2058,7 +2058,7 @@ mod tests {
 
         let mut reference: Vec<(u32, Vec<u8>)> = Vec::new();
         let mut walk_rng = StdRng::seed_from_u64(77);
-        runtime::distribute(
+        crate::reference::distribute(
             &g,
             h,
             Value::from_bytes(b"dist layer".to_vec()),
@@ -2266,11 +2266,11 @@ mod tests {
         crate::serialize::SerializeSession::new(&g, &plan)
             .serialize_into_seeded(&m, &mut wire, 9)
             .unwrap();
-        assert_eq!(wire, crate::serialize::serialize_seeded(&g, &m, 9).unwrap());
+        assert_eq!(wire, crate::reference::serialize(&g, &m, 9).unwrap());
         let mut parser = crate::parse::ParseSession::new(&g, &plan);
         let parsed = parser.parse_in_place(&wire).unwrap();
         assert_eq!(parsed.get("marks[3].mb").unwrap().as_bytes(), [3; 3]);
-        assert!(parsed.wires.iter().eq(crate::parse::parse(&g, &wire).unwrap().wires.iter()));
+        assert!(parsed.wires.iter().eq(crate::reference::parse(&g, &wire).unwrap().wires.iter()));
     }
 
     #[test]
@@ -2349,11 +2349,11 @@ mod tests {
             crate::serialize::SerializeSession::new(&g, &plan)
                 .serialize_into_seeded(&m, &mut wire, 9)
                 .unwrap();
-            let walk = crate::serialize::serialize_seeded(&g, &m, 9).unwrap();
+            let walk = crate::reference::serialize(&g, &m, 9).unwrap();
             assert_eq!(wire, walk, "case {case}");
             let mut parser = crate::parse::ParseSession::new(&g, &plan);
             let parsed = parser.parse_in_place(&wire).unwrap();
-            let walked = crate::parse::parse(&g, &wire).unwrap();
+            let walked = crate::reference::parse(&g, &wire).unwrap();
             assert!(parsed.wires.iter().eq(walked.wires.iter()), "case {case}");
             assert_eq!(parsed.get_uint("items[4].key").unwrap(), 0x0102_0304 * 4);
         }

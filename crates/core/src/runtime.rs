@@ -1,23 +1,7 @@
-//! Shared runtime machinery: scope helpers, byte-string search, and the
-//! **reference** graph walks of top-down value *distribution* (the forward
-//! aggregation transformations, τ) and bottom-up value *recovery* (their
-//! inverses, τ⁻¹).
-//!
-//! Production code never runs the two walks: the accessors, the plan
-//! sessions and the transcode copy programs all execute the compiled
-//! distribution/recovery programs of [`crate::plan::CodecPlan`]. The walks
-//! serve only the reference interpreters the compiled paths are
-//! differentially tested against — the walk serializer
-//! ([`crate::serialize::serialize_seeded`]), the walk parser
-//! ([`crate::parse::parse`]) and
-//! [`crate::message::Message::transcode_into_walk`].
+//! Shared runtime machinery: scope helpers, the structural identity check
+//! of two plain specifications, and byte-string search.
 
-use rand::Rng;
-
-use crate::error::BuildError;
 use crate::graph::{FormatGraph, NodeId, NodeType};
-use crate::obf::{ObfGraph, ObfId, ObfKind, Recombine};
-use crate::value::{apply_op, Value};
 
 /// Element-index scope of a node instance: one index per
 /// repetition/tabular crossed, outermost first.
@@ -45,151 +29,14 @@ pub fn scoped(plain: &FormatGraph, x: NodeId, scope: &[u32]) -> Scope {
     scope[..d.min(scope.len())].to_vec()
 }
 
-/// Applies a terminal's constant-op stack (forward direction).
-fn apply_ops(ops: &[crate::obf::ConstOp], v: Value) -> Value {
-    let mut bytes = v.into_bytes();
-    for op in ops {
-        bytes = apply_op(op.op, &bytes, &op.k);
-    }
-    Value::from_bytes(bytes)
-}
-
-/// Undoes a terminal's constant-op stack (reverse order, inverse ops).
-fn undo_ops(ops: &[crate::obf::ConstOp], v: Value) -> Value {
-    let mut bytes = v.into_bytes();
-    for op in ops.iter().rev() {
-        bytes = apply_op(op.op.inverse(), &bytes, &op.k);
-    }
-    Value::from_bytes(bytes)
-}
-
-/// Distributes `input` through the holder subtree rooted at `node`,
-/// emitting the wire value of every terminal instance into `sink`.
-///
-/// This is the forward aggregation pass the paper runs inside the
-/// generated setters: constant ops are applied, split sequences cut the
-/// value into pieces or into a random share plus a combined share.
-///
-/// # Errors
-///
-/// [`BuildError::BadValueLength`] / [`BuildError::ValueContainsDelimiter`]
-/// when the input violates a boundary of the subtree.
-pub(crate) fn distribute<R: Rng + ?Sized>(
-    g: &ObfGraph,
-    node: ObfId,
-    input: Value,
-    scope: &[u32],
-    rng: &mut R,
-    sink: &mut dyn FnMut(ObfId, &[u32], Value),
-) -> Result<(), BuildError> {
-    let n = g.node(node);
-    match &n.kind {
-        ObfKind::Terminal { ops, boundary, .. } => {
-            use crate::obf::TermBoundary;
-            match boundary {
-                TermBoundary::Fixed(k) => {
-                    if input.len() != *k {
-                        return Err(BuildError::BadValueLength {
-                            path: n.name().to_string(),
-                            expected: *k,
-                            found: input.len(),
-                        });
-                    }
-                }
-                TermBoundary::Delimited(d) => {
-                    if contains(input.as_bytes(), d) {
-                        return Err(BuildError::ValueContainsDelimiter {
-                            path: n.name().to_string(),
-                        });
-                    }
-                }
-                TermBoundary::PlainLen { .. } | TermBoundary::End => {}
-            }
-            sink(node, scope, apply_ops(ops, input));
-            Ok(())
-        }
-        ObfKind::SplitSeq { expr, recombine } => {
-            let v = apply_ops(&expr.ops, input);
-            let bytes = v.into_bytes();
-            let (left, right) = match recombine {
-                Recombine::Concat(at) => {
-                    let p = at.position(bytes.len());
-                    (bytes[..p].to_vec(), bytes[p..].to_vec())
-                }
-                Recombine::Op(op) => {
-                    let share: Vec<u8> = (0..bytes.len()).map(|_| rng.gen()).collect();
-                    let combined = apply_op(*op, &bytes, pad_one(&share));
-                    (share, combined)
-                }
-            };
-            distribute(g, n.children()[0], Value::from_bytes(left), scope, rng, sink)?;
-            distribute(g, n.children()[1], Value::from_bytes(right), scope, rng, sink)
-        }
-        ObfKind::Mirror | ObfKind::Prefixed { .. } => {
-            distribute(g, n.children()[0], input, scope, rng, sink)
-        }
-        other => unreachable!(
-            "holder subtrees contain only terminals, split sequences and wrappers, found {}",
-            other.tag()
-        ),
-    }
-}
-
-/// `apply_op` requires a non-empty right operand; an empty share only
-/// occurs together with an empty value, where any 1-byte operand is inert.
-fn pad_one(share: &[u8]) -> &[u8] {
-    if share.is_empty() {
-        &[0]
-    } else {
-        share
-    }
-}
-
-/// Recovers the base value of the holder subtree rooted at `node` from
-/// terminal wire values (the inverse aggregation pass, run by getters and
-/// by the parser for structurally needed references).
-///
-/// Returns `None` when a required wire value is missing from `lookup`.
-pub(crate) fn recover(
-    g: &ObfGraph,
-    node: ObfId,
-    scope: &[u32],
-    lookup: &dyn Fn(ObfId, &[u32]) -> Option<Value>,
-) -> Option<Value> {
-    let n = g.node(node);
-    match &n.kind {
-        ObfKind::Terminal { ops, .. } => {
-            let wire = lookup(node, scope)?;
-            Some(undo_ops(ops, wire))
-        }
-        ObfKind::SplitSeq { expr, recombine } => {
-            let a = recover(g, n.children()[0], scope, lookup)?;
-            let b = recover(g, n.children()[1], scope, lookup)?;
-            let v = match recombine {
-                Recombine::Concat(_) => {
-                    let mut bytes = a.into_bytes();
-                    bytes.extend_from_slice(b.as_bytes());
-                    Value::from_bytes(bytes)
-                }
-                Recombine::Op(op) => {
-                    Value::from_bytes(apply_op(op.inverse(), b.as_bytes(), pad_one(a.as_bytes())))
-                }
-            };
-            Some(undo_ops(&expr.ops, v))
-        }
-        ObfKind::Mirror | ObfKind::Prefixed { .. } => recover(g, n.children()[0], scope, lookup),
-        _ => None,
-    }
-}
-
 /// Structural identity of two plain specifications — the precondition of
-/// [`crate::message::Message::transcode_into`] and of
-/// [`crate::plan::CopyProgram::compile`], both of which copy values by
-/// raw node index. A name/size fingerprint alone would let two
-/// coincidentally same-sized specs silently mis-map fields, so every node
-/// is compared (name, type, boundary, auto rule, topology). Specs are
-/// small (tens of nodes), so the per-call cost is a short scan with early
-/// exit — and both callers cache the verdict per graph pairing anyway.
+/// [`crate::plan::CopyProgram::compile`] and of the reference transcode
+/// in [`crate::reference`], both of which copy values by raw node index.
+/// A name/size fingerprint alone would let two coincidentally same-sized
+/// specs silently mis-map fields, so every node is compared (name, type,
+/// boundary, auto rule, topology). Specs are small (tens of nodes), so the
+/// per-call cost is a short scan with early exit — and the compiled path
+/// caches its verdict per graph pairing anyway.
 pub(crate) fn plains_match(a: &FormatGraph, b: &FormatGraph) -> bool {
     a.name() == b.name()
         && a.len() == b.len()
@@ -223,9 +70,12 @@ pub fn find(haystack: &[u8], needle: &[u8], from: usize, to: usize) -> Option<us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BuildError;
     use crate::graph::{AutoValue, Boundary, GraphBuilder};
+    use crate::obf::{ObfGraph, ObfId};
+    use crate::reference::{distribute, recover};
     use crate::transform::{apply, TransformKind};
-    use crate::value::TerminalKind;
+    use crate::value::{TerminalKind, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;

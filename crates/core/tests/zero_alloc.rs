@@ -4,7 +4,7 @@
 //! `parse_in_place` perform **no heap allocation** — including
 //! [`SerializeSession::materialize`], which since the compiled
 //! distribution programs no longer routes through the allocating
-//! `runtime::distribute`. This test pins that property with a counting
+//! graph-walk `distribute` of `core::reference`. This test pins that property with a counting
 //! global allocator: any future regression (a stray `Vec`, `format!`, or
 //! `Value` clone on the hot path) fails loudly.
 //!

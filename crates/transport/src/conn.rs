@@ -1,7 +1,7 @@
 //! The sans-io connection state machine.
 //!
 //! A [`Conn`] owns no socket: the transport (event loop, test harness,
-//! in-memory [`crate::duplex`] pipes) moves raw bytes in and out, and the
+//! in-memory test pipes) moves raw bytes in and out, and the
 //! `Conn` turns them into codec messages:
 //!
 //! ```text

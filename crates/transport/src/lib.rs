@@ -17,7 +17,7 @@
 //!   ([`conn::Conn::poll_inbound`]), queue outbound messages
 //!   ([`conn::Conn::send`]) and drain the encoded bytes
 //!   ([`conn::Conn::poll_outbound`]). It owns no socket: any transport —
-//!   TCP, the in-memory [`duplex`] pipes, a fuzzer — can drive it. Each
+//!   TCP, in-memory test pipes, a fuzzer — can drive it. Each
 //!   `Conn` holds one pooled parser and one pooled serializer checked out
 //!   of a shared [`protoobf_core::CodecService`] for its whole lifetime,
 //!   so one compiled plan serves every connection and steady-state
@@ -46,8 +46,7 @@
 //! [`metrics::Metrics`] instruments all of it — counters plus a
 //! lock-free log-bucketed wake-latency histogram
 //! ([`metrics::LatencyHistogram`], p50/p95/p99) and edge-detected
-//! backpressure stall counts; [`duplex`] provides the in-memory
-//! transport used by the differential tests.
+//! backpressure stall counts.
 //!
 //! Deployments configure the whole stack through a
 //! [`protoobf_core::profile::Profile`]: [`gateway::Gateway::from_endpoint`]
@@ -67,7 +66,6 @@
 
 pub mod admin;
 pub mod conn;
-pub mod duplex;
 pub mod error;
 pub mod evloop;
 pub mod gateway;

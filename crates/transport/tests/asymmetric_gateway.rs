@@ -21,11 +21,11 @@ use protoobf_core::framing::{FrameBuffer, FrameReader, FrameWriter};
 use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::sample::{random_message, sample_into};
 use protoobf_core::FormatGraph;
-use protoobf_transport::{
-    duplex, evloop, Conn, Gateway, GatewayMode, LoopConfig, Metrics, Responder,
-};
+use protoobf_transport::{evloop, Conn, Gateway, GatewayMode, LoopConfig, Metrics, Responder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
 
 /// The builtin half of the facade's standard resolver (transport cannot
 /// depend on the facade).
@@ -275,13 +275,13 @@ fn native_endpoint_conns_speak_asymmetric_profiles() {
     for round in 0..8usize {
         let request = random_message(a.tx_service().codec(), &mut rng);
         initiator.send(&request).unwrap();
-        duplex::shuttle(&mut initiator, &mut responder, |i| if round % 2 == 0 { 1 } else { i + 7 })
+        common::shuttle(&mut initiator, &mut responder, |i| if round % 2 == 0 { 1 } else { i + 7 })
             .unwrap();
         assert!(responder.poll_inbound().unwrap().is_some(), "round {round}: request arrives");
 
         let reply = random_message(b.rx_service().codec(), &mut rng);
         responder.send(&reply).unwrap();
-        duplex::shuttle(&mut initiator, &mut responder, |_| 3).unwrap();
+        common::shuttle(&mut initiator, &mut responder, |_| 3).unwrap();
         assert!(initiator.poll_inbound().unwrap().is_some(), "round {round}: reply arrives");
     }
     assert_eq!(initiator.messages_out(), 8);

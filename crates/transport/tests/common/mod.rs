@@ -1,14 +1,17 @@
-//! In-memory duplex transport for tests: socket-free byte pipes with
-//! non-blocking semantics, plus a shuttle that pumps two sans-io
-//! [`Conn`]s against each other under arbitrary chunking patterns
-//! (1-byte trickle, pipelined bursts, mid-stream cuts).
+//! Test support shared by the transport suites: an in-memory duplex
+//! transport (socket-free byte pipes with non-blocking semantics), plus a
+//! shuttle that pumps two sans-io [`Conn`]s against each other under
+//! arbitrary chunking patterns (1-byte trickle, pipelined bursts,
+//! mid-stream cuts).
+
+// Each suite that includes this module uses only part of it.
+#![allow(dead_code)]
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
 
-use crate::conn::Conn;
-use crate::error::TransportError;
+use protoobf_transport::{Conn, TransportError};
 
 #[derive(Debug, Default)]
 struct Shared {

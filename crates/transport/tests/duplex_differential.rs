@@ -7,10 +7,12 @@
 
 use protoobf_core::service::CodecService;
 use protoobf_core::{Codec, FormatGraph, Message, Obfuscator};
-use protoobf_transport::duplex::shuttle;
 use protoobf_transport::{Conn, ConnState, TransportError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::shuttle;
 
 struct Fixture {
     clear: CodecService,
@@ -209,7 +211,7 @@ fn mem_duplex_streams_carry_framed_traffic() {
     let graph = graph_for("modbus-request");
     let codec = Codec::identity(&graph);
     let mut rng = StdRng::seed_from_u64(21);
-    let (client, server) = protoobf_transport::duplex::mem_duplex(1); // 1-byte reads
+    let (client, server) = common::mem_duplex(1); // 1-byte reads
     let mut writer = FrameWriter::new(&codec, client);
     let mut reader = FrameReader::new(&codec, server);
     let mut sent = Vec::new();

@@ -36,6 +36,8 @@
 //! protoobf resilience [--samples N] [--max-level N] [-o FILE]
 //!                                            PRE attack trajectory over the
 //!                                            builtin protocols × levels
+//! protoobf list-builtins                     the builtin protocol names,
+//!                                            one per line
 //! ```
 //!
 //! `<target>` is either a positional spec — a DSL file, or `builtin:NAME`
@@ -120,7 +122,8 @@ fn usage(msg: &str) -> String {
          \x20      [--mode encode|decode] [--workers N] [--accept-limit N] [--count N]\n\
          \x20      [--accept-burst N] [--backpressure BYTES]\n\
          \x20      [--admin HOST:PORT] [--quiet] [--exit-on-eof] [--deny-warnings]\n\
-         \x20      [--cases N] [--corpus DIR] [--samples N] [--max-level N]"
+         \x20      [--cases N] [--corpus DIR] [--samples N] [--max-level N]\n\
+         \x20      protoobf list-builtins"
     )
 }
 
@@ -287,6 +290,9 @@ fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, rest) =
         args.split_first().ok_or_else(|| CliError::Usage("missing command".into()))?;
+    if command == "list-builtins" {
+        return list_builtins(rest);
+    }
     let opts = parse_options(rest, command != "resilience").map_err(CliError::Usage)?;
     match command.as_str() {
         "check" => check(&opts),
@@ -303,6 +309,18 @@ fn run() -> Result<(), CliError> {
         "resilience" => resilience(&opts),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     }
+}
+
+/// Prints the builtin protocol names, one per line, so scripts iterate
+/// over the same table the `builtin:NAME` resolver reads.
+fn list_builtins(rest: &[String]) -> Result<(), CliError> {
+    if let Some(arg) = rest.first() {
+        return Err(CliError::Usage(format!("list-builtins takes no arguments, got {arg:?}")));
+    }
+    for name in protoobf::protocols::BUILTIN_NAMES {
+        println!("{name}");
+    }
+    Ok(())
 }
 
 fn check(opts: &Options) -> Result<(), CliError> {

@@ -441,6 +441,21 @@ fn resilience_rejects_a_spec_argument() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
 
+/// `list-builtins` prints exactly the builtin table, in order, one name a
+/// line (CI iterates over it), and takes no arguments.
+#[test]
+fn list_builtins_prints_the_builtin_table() {
+    let out = cli().arg("list-builtins").output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), protoobf::protocols::BUILTIN_NAMES);
+
+    let out = cli().args(["list-builtins", "builtin:dns-query"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("builtin:dns-query") && stderr.contains("usage:"), "{stderr}");
+}
+
 /// `lint` over a clean builtin: zero diagnostics, exit 0.
 #[test]
 fn lint_passes_a_clean_builtin() {

@@ -3,7 +3,7 @@
 //! Valid wires are sampled per spec × obfuscation plan, then mutated
 //! (byte flips, truncations, insertions, deletions). For every input —
 //! valid or hostile — the compiled-plan session (`parse_in_place`) and
-//! the reference graph-walk parser (`core::parse::parse`) must **agree**:
+//! the reference graph-walk parser (`core::reference::parse`) must **agree**:
 //! both fail, or both succeed with structurally equal messages. Neither
 //! may panic, hang, or overflow.
 //!
@@ -13,8 +13,8 @@
 //! regressions, exercised by `corpus_agreement` on every run.
 
 use proptest::prelude::*;
+use protoobf::core::reference;
 use protoobf::core::sample::random_message;
-use protoobf::core::{parse as parse_mod, serialize as serialize_mod};
 use protoobf::protocols::{builtin, builtin_named, BUILTIN_TAGS};
 use protoobf::{Codec, FormatGraph, Obfuscator};
 use rand::rngs::StdRng;
@@ -36,13 +36,13 @@ fn codec_for(graph: &FormatGraph, level: u32, seed: u64) -> Codec {
 
 /// Normalized bytes of a message: reference-serialized with a fixed seed.
 fn normalize(codec: &Codec, msg: &protoobf::Message<'_>) -> Vec<u8> {
-    serialize_mod::serialize_seeded(codec.obf_graph(), msg, 0).expect("normalization serializes")
+    reference::serialize(codec.obf_graph(), msg, 0).expect("normalization serializes")
 }
 
 /// Runs both parsers over `bytes` and checks they agree. Returns an error
 /// description on disagreement.
 fn check_agreement(codec: &Codec, bytes: &[u8]) -> Result<(), String> {
-    let walk = parse_mod::parse(codec.obf_graph(), bytes);
+    let walk = reference::parse(codec.obf_graph(), bytes);
     let mut session = codec.parser();
     let plan = session.parse_in_place(bytes);
     match (walk, plan) {
@@ -114,12 +114,12 @@ proptest! {
         let codec = codec_for(&graph, level, plan_seed);
         let mut rng = StdRng::seed_from_u64(msg_seed);
         let msg = random_message(&codec, &mut rng);
-        let mut wire = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, msg_seed ^ 0x5EED)
+        let mut wire = reference::serialize(codec.obf_graph(), &msg, msg_seed ^ 0x5EED)
             .expect("sampled messages serialize");
 
         // The pristine wire must parse identically (and successfully).
         prop_assert!(
-            parse_mod::parse(codec.obf_graph(), &wire).is_ok(),
+            reference::parse(codec.obf_graph(), &wire).is_ok(),
             "valid wire must parse"
         );
         if let Err(e) = check_agreement(&codec, &wire) {
@@ -236,7 +236,7 @@ fn regen_corpus() {
         let codec = codec_for(&graph, level, plan_seed);
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         let msg = random_message(&codec, &mut rng);
-        let wire = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, 0xC0FFEE).unwrap();
+        let wire = reference::serialize(codec.obf_graph(), &msg, 0xC0FFEE).unwrap();
         let stem = format!("{proto}-l{level}-p{plan_seed}");
         let write = |desc: &str, bytes: &[u8]| {
             std::fs::write(dir.join(format!("{stem}-{desc}.bin")), bytes).unwrap();

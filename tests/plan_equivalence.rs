@@ -3,14 +3,14 @@
 //!
 //! `Codec::serialize`/`Codec::parse` run compiled-plan sessions
 //! ([`protoobf::core::plan::CodecPlan`]); the free functions
-//! `core::serialize::serialize_seeded` / `core::parse::parse` interpret
+//! `core::reference::serialize` / `core::reference::parse` interpret
 //! the obfuscation graph directly. For every spec × obfuscation plan ×
 //! message the two must produce **byte-identical** wire output and
 //! messages that round-trip to the same values. Sessions are reused
 //! across messages to also catch stale scratch-state bugs.
 
+use protoobf::core::reference;
 use protoobf::core::sample::random_message;
-use protoobf::core::{parse as parse_mod, serialize as serialize_mod};
 use protoobf::protocols::{dns, http, modbus};
 use protoobf::{Codec, FormatGraph, Message, Obfuscator};
 use rand::rngs::StdRng;
@@ -31,20 +31,20 @@ fn codec_for(graph: &FormatGraph, level: u32, seed: u64) -> Codec {
 /// Two messages carrying the same wires/presence/counts normalize
 /// identically, so this is a structural equality check.
 fn normalize(codec: &Codec, msg: &Message<'_>) -> Vec<u8> {
-    serialize_mod::serialize_seeded(codec.obf_graph(), msg, 0).expect("normalization serializes")
+    reference::serialize(codec.obf_graph(), msg, 0).expect("normalization serializes")
 }
 
 /// Serializes through both paths (same seed) and parses through both
 /// paths, asserting byte and structural equality at every step.
 fn assert_equivalent(codec: &Codec, msg: &Message<'_>, seed: u64, what: &str) {
-    let reference = serialize_mod::serialize_seeded(codec.obf_graph(), msg, seed)
+    let reference = reference::serialize(codec.obf_graph(), msg, seed)
         .unwrap_or_else(|e| panic!("{what}: reference serialize failed: {e}"));
     let planned = codec
         .serialize_seeded(msg, seed)
         .unwrap_or_else(|e| panic!("{what}: plan serialize failed: {e}"));
     assert_eq!(planned, reference, "{what}: plan and graph-walk wires differ");
 
-    let ref_parsed = parse_mod::parse(codec.obf_graph(), &reference)
+    let ref_parsed = reference::parse(codec.obf_graph(), &reference)
         .unwrap_or_else(|e| panic!("{what}: reference parse failed: {e}"));
     let plan_parsed =
         codec.parse(&planned).unwrap_or_else(|e| panic!("{what}: plan parse failed: {e}"));
@@ -97,17 +97,17 @@ fn reused_sessions_agree_with_fresh_ones() {
             serializer
                 .serialize_into_seeded(&msg, &mut out, seed)
                 .unwrap_or_else(|e| panic!("level {level} round {round}: serialize: {e}"));
-            let reference = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, seed)
+            let reference = reference::serialize(codec.obf_graph(), &msg, seed)
                 .unwrap_or_else(|e| panic!("level {level} round {round}: reference: {e}"));
             assert_eq!(out, reference, "level {level} round {round}: session wire diverged");
 
             let parsed = parser
                 .parse_in_place(&out)
                 .unwrap_or_else(|e| panic!("level {level} round {round}: parse: {e}"));
-            let ref_parsed = parse_mod::parse(codec.obf_graph(), &reference).unwrap();
+            let ref_parsed = reference::parse(codec.obf_graph(), &reference).unwrap();
             assert_eq!(
-                serialize_mod::serialize_seeded(codec.obf_graph(), parsed, 0).unwrap(),
-                serialize_mod::serialize_seeded(codec.obf_graph(), &ref_parsed, 0).unwrap(),
+                reference::serialize(codec.obf_graph(), parsed, 0).unwrap(),
+                reference::serialize(codec.obf_graph(), &ref_parsed, 0).unwrap(),
                 "level {level} round {round}: session parse diverged"
             );
         }
@@ -347,7 +347,7 @@ fn out_of_order_stores_serialize_like_in_order_ones() {
                 for msg in [build(&codec, fields, plan_seed), build(&codec, &shuffled, plan_seed)] {
                     let mut wire = Vec::new();
                     session.serialize_into_seeded(&msg, &mut wire, seed).unwrap();
-                    let walk = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, seed)
+                    let walk = reference::serialize(codec.obf_graph(), &msg, seed)
                         .unwrap_or_else(|e| panic!("{what}: reference serialize failed: {e}"));
                     assert_eq!(wire, walk, "{what}: session and graph walk differ");
                     wires.push(wire);
@@ -483,7 +483,7 @@ fn truncated_mirrored_columns_fail_at_the_walks_mirror() {
         for cut in 0..wire.len() {
             // (A cut inside the trailing `rest` field still parses.)
             let got = codec.parser().parse_in_place(&wire[..cut]).map(|_| ());
-            let walk = parse_mod::parse(g, &wire[..cut]).map(|_| ());
+            let walk = reference::parse(g, &wire[..cut]).map(|_| ());
             assert_eq!(got, walk, "derivation {d}, cut at {cut}");
             if let Err(protoobf::core::ParseError::UnexpectedEnd { node, .. }) = &got {
                 let id = g.preorder().into_iter().find(|&id| g.node(id).name() == node).unwrap();
@@ -525,7 +525,7 @@ fn hostile_counters_fail_at_the_walks_terminal() {
             let mut hostile = wire.clone();
             hostile[..width].copy_from_slice(&counter.to_be_bytes()[8 - width..]);
             let got = codec.parser().parse_in_place(&hostile).map(|_| ()).unwrap_err();
-            let walk = parse_mod::parse(codec.obf_graph(), &hostile).map(|_| ()).unwrap_err();
+            let walk = reference::parse(codec.obf_graph(), &hostile).map(|_| ()).unwrap_err();
             assert_eq!(got, walk, "counter {counter:#x}");
             // Record 48 reads its key and flags from the tail's first 6
             // bytes; its payload needs 24 with 4 left.
@@ -540,7 +540,7 @@ fn hostile_counters_fail_at_the_walks_terminal() {
         // as the walk, at every cut.
         for cut in (width..width + 48 * 30).step_by(7) {
             let got = codec.parser().parse_in_place(&wire[..cut]).map(|_| ()).unwrap_err();
-            let walk = parse_mod::parse(codec.obf_graph(), &wire[..cut]).map(|_| ()).unwrap_err();
+            let walk = reference::parse(codec.obf_graph(), &wire[..cut]).map(|_| ()).unwrap_err();
             assert_eq!(got, walk, "cut at {cut}");
         }
     }
@@ -573,8 +573,7 @@ fn missing_field_mid_table_fails_like_the_walk() {
                         .serializer()
                         .serialize_into_seeded(&msg, &mut Vec::new(), 5)
                         .unwrap_err();
-                    let walk =
-                        serialize_mod::serialize_seeded(codec.obf_graph(), &msg, 5).unwrap_err();
+                    let walk = reference::serialize(codec.obf_graph(), &msg, 5).unwrap_err();
                     assert_eq!(got, walk, "{missing:?} level {level} plan {plan_seed}");
                 }
             }

@@ -123,16 +123,16 @@ proptest! {
         m.set("tail", b"t".as_slice()).unwrap();
 
         let reference =
-            protoobf::core::serialize::serialize_seeded(codec.obf_graph(), &m, ser_seed).unwrap();
+            protoobf::core::reference::serialize(codec.obf_graph(), &m, ser_seed).unwrap();
         let planned = codec.serialize_seeded(&m, ser_seed).unwrap();
         prop_assert_eq!(&planned, &reference, "plan and graph-walk wires differ");
 
-        let walk_back = protoobf::core::parse::parse(codec.obf_graph(), &reference).unwrap();
+        let walk_back = protoobf::core::reference::parse(codec.obf_graph(), &reference).unwrap();
         let plan_back = codec.parse(&planned).unwrap();
         // Structural equality via normalized re-serialization.
-        let n1 = protoobf::core::serialize::serialize_seeded(codec.obf_graph(), &plan_back, 0)
+        let n1 = protoobf::core::reference::serialize(codec.obf_graph(), &plan_back, 0)
             .unwrap();
-        let n2 = protoobf::core::serialize::serialize_seeded(codec.obf_graph(), &walk_back, 0)
+        let n2 = protoobf::core::reference::serialize(codec.obf_graph(), &walk_back, 0)
             .unwrap();
         prop_assert_eq!(n1, n2, "plan and graph-walk parses recovered different messages");
         prop_assert_eq!(plan_back.get_uint("id").unwrap(), id);

@@ -11,13 +11,13 @@
 //!
 //! Message identity across threads relies on the deterministic builders:
 //! `Message::with_seed(s)` + `serialize_into_seeded(seed)` reproduce the
-//! exact wire of the reference `serialize_seeded` walk for the same
+//! exact wire of the reference `reference::serialize` walk for the same
 //! `(s, seed)` pair.
 
 use std::sync::Arc;
 
+use protoobf::core::reference;
 use protoobf::core::sample::random_message;
-use protoobf::core::{parse as parse_mod, serialize as serialize_mod};
 use protoobf::protocols::{dns, http, modbus};
 use protoobf::{Codec, CodecService, FormatGraph, Obfuscator};
 use rand::rngs::StdRng;
@@ -59,7 +59,7 @@ fn shared_service_matches_single_threaded_reference() {
                 for r in 0..ROUNDS_PER_THREAD {
                     let mut rng = StdRng::seed_from_u64(seed_of(t, r));
                     let msg = random_message(service.codec(), &mut rng);
-                    let wire = serialize_mod::serialize_seeded(
+                    let wire = reference::serialize(
                         service.codec().obf_graph(),
                         &msg,
                         seed_of(t, r) ^ 0xA5,
@@ -101,20 +101,11 @@ fn shared_service_matches_single_threaded_reference() {
                             // sides carry the same parsed wires, so pads
                             // and shares normalize identically).
                             let ref_parsed =
-                                parse_mod::parse(service.codec().obf_graph(), &wire).unwrap();
+                                reference::parse(service.codec().obf_graph(), &wire).unwrap();
                             assert_eq!(
-                                serialize_mod::serialize_seeded(
-                                    service.codec().obf_graph(),
-                                    back,
-                                    0
-                                )
-                                .unwrap(),
-                                serialize_mod::serialize_seeded(
-                                    service.codec().obf_graph(),
-                                    &ref_parsed,
-                                    0
-                                )
-                                .unwrap(),
+                                reference::serialize(service.codec().obf_graph(), back, 0).unwrap(),
+                                reference::serialize(service.codec().obf_graph(), &ref_parsed, 0)
+                                    .unwrap(),
                                 "{name} level={level} t={t} r={r}: parse diverged"
                             );
                         }

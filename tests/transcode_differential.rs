@@ -3,7 +3,7 @@
 //! The relay re-expresses every parsed message under the other leg's
 //! codec. Two implementations exist: the compiled copy-program path
 //! (`Message::transcode_into`, the production hot path) and the
-//! graph-walk reference (`Message::transcode_into_walk`). For every
+//! graph-walk reference (`reference::transcode_into`). For every
 //! input the proptest mutation harness can produce — pristine wires,
 //! mutated wires the parser still accepts, and the pinned corpus under
 //! `tests/corpus/` — the two must **agree**: identical destination
@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use protoobf::core::sample::random_message;
-use protoobf::core::{parse as parse_mod, serialize as serialize_mod, BuildError};
+use protoobf::core::{reference, BuildError};
 use protoobf::protocols::{builtin, builtin_named, dns, modbus, BUILTIN_TAGS};
 use protoobf::{Codec, FormatGraph, Message, Obfuscator};
 use rand::rngs::StdRng;
@@ -43,13 +43,11 @@ fn check_transcode_agreement(src: &Message<'_>, dst: &Codec, seed: u64) -> Resul
     let mut compiled = dst.message_seeded(seed);
     let mut walked = dst.message_seeded(seed);
     let ra = src.transcode_into(&mut compiled);
-    let rb = src.transcode_into_walk(&mut walked);
+    let rb = reference::transcode_into(src, &mut walked);
     match (ra, rb) {
         (Ok(()), Ok(())) => {
-            let sa = serialize_mod::serialize_seeded(dst.obf_graph(), &compiled, 0)
-                .map_err(|e| e.to_string());
-            let sb = serialize_mod::serialize_seeded(dst.obf_graph(), &walked, 0)
-                .map_err(|e| e.to_string());
+            let sa = reference::serialize(dst.obf_graph(), &compiled, 0).map_err(|e| e.to_string());
+            let sb = reference::serialize(dst.obf_graph(), &walked, 0).map_err(|e| e.to_string());
             if sa != sb {
                 return Err(format!(
                     "transcode paths diverged onto {}\n  compiled: {sa:02x?}\n  walk:     {sb:02x?}",
@@ -140,7 +138,7 @@ proptest! {
         let other = codec_for(&graph, 2, plan_seed + 17);
         let mut rng = StdRng::seed_from_u64(msg_seed);
         let msg = random_message(&codec, &mut rng);
-        let mut wire = serialize_mod::serialize_seeded(codec.obf_graph(), &msg, msg_seed ^ 0x5EED)
+        let mut wire = reference::serialize(codec.obf_graph(), &msg, msg_seed ^ 0x5EED)
             .expect("sampled messages serialize");
 
         // The pristine wire parses, so the relay step definitely runs.
@@ -220,7 +218,7 @@ fn corpus_transcode_agreement() {
                 // Hostile frame: the graph-walk parser must reject it
                 // with the same typed error — the relay tears the
                 // connection down identically no matter the parser.
-                match parse_mod::parse(codec.obf_graph(), &bytes) {
+                match reference::parse(codec.obf_graph(), &bytes) {
                     Err(walk_err) => assert_eq!(
                         std::mem::discriminant(&plan_err),
                         std::mem::discriminant(&walk_err),
@@ -247,7 +245,10 @@ fn foreign_spec_rejected_identically() {
     let mut compiled = modbus.message_seeded(1);
     let mut walked = modbus.message_seeded(1);
     assert!(matches!(msg.transcode_into(&mut compiled), Err(BuildError::GraphMismatch { .. })));
-    assert!(matches!(msg.transcode_into_walk(&mut walked), Err(BuildError::GraphMismatch { .. })));
+    assert!(matches!(
+        reference::transcode_into(&msg, &mut walked),
+        Err(BuildError::GraphMismatch { .. })
+    ));
 }
 
 mod kernel;
