@@ -1,8 +1,14 @@
 //! Criterion microbenchmark of the generation-time cost metric (paper
 //! Tables III/IV "Generation time"): specification parse + random
 //! transformation selection + C library generation.
+//!
+//! The `derive/<grammar>` rows time the obfuscation engine alone
+//! (`Obfuscator::obfuscate`, no parse and no codegen) on the grammars
+//! and key of the end-to-end benchmark's `modbus-rr` and `bulk-64k`
+//! workloads at their level 2: the layer behind most of their set-up
+//! time. Filter with `-- derive`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use protoobf_codegen::generate;
 use protoobf_core::Obfuscator;
 use protoobf_protocols::{http, modbus};
@@ -27,5 +33,31 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_generation);
+/// Key and level of the end-to-end benchmark's workloads.
+const E2E_KEY: &str = "e2ebench shared secret";
+const E2E_LEVEL: u32 = 2;
+
+fn bench_derive(c: &mut Criterion) {
+    let mut group = c.benchmark_group("derive");
+    let bulk = include_str!("../../../e2ebench/specs/bulk.spec");
+    for (name, spec) in [
+        ("modbus-request", modbus::REQUEST_SPEC),
+        ("modbus-response", modbus::RESPONSE_SPEC),
+        ("bulk", bulk),
+    ] {
+        let graph = protoobf_spec::parse_spec(spec).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                Obfuscator::new(black_box(&graph))
+                    .key(E2E_KEY)
+                    .max_per_node(E2E_LEVEL)
+                    .obfuscate()
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_generation, bench_derive);
 criterion_main!(benches);

@@ -11,6 +11,15 @@
 //! `target + 1` and participate in later passes. Candidate rewrites that
 //! fail the global soundness checks ([`crate::transform::post_check`]) are
 //! rolled back and another transformation is tried.
+//!
+//! Each candidate runs inside a journaled rewrite
+//! ([`crate::obf::ObfGraph`]'s `begin`/`commit`/`rollback`): the graph's
+//! mutators save only what they overwrite, so a rejected candidate costs
+//! the nodes it touched, not a copy of the graph. Rollback truncates the
+//! nodes the candidate allocated, so node names (which embed the
+//! allocation count) are the same as if it had never run. Constant-op
+//! rewrites (`ConstAdd`/`ConstSub`/`ConstXor`) of a graph that passes the
+//! checks skip them: they write nothing the checks read.
 
 use rand::rngs::StdRng;
 
@@ -113,6 +122,10 @@ impl<'g> Obfuscator<'g> {
             return Ok(Codec::from_parts(g, records));
         }
 
+        // Whether `g` passes `post_check`. Every accepted rewrite leaves it
+        // true; only an op-only rewrite of a sound graph skips the check.
+        let mut sound = transform::post_check(&g).is_ok();
+
         // One pass per level: every node existing at the start of a pass
         // receives at most one randomly chosen applicable transformation;
         // nodes created by a rewrite participate in later passes only.
@@ -137,18 +150,21 @@ impl<'g> Obfuscator<'g> {
                     .collect();
                 weighted_shuffle(&mut kinds, &mut rng);
                 for kind in kinds {
-                    let backup = g.clone();
-                    match transform::apply(&mut g, id, kind, &mut rng) {
-                        Ok(record) => {
-                            if transform::post_check(&g).is_ok() {
-                                records.push(record);
-                                break;
-                            }
-                            g = backup; // sound rollback: try the next kind
+                    g.begin();
+                    let applied = transform::apply(&mut g, id, kind, &mut rng);
+                    let skip_check = sound && kind.op_only();
+                    debug_assert!(
+                        !skip_check || applied.is_err() || transform::post_check(&g).is_ok(),
+                        "{kind} broke a sound graph"
+                    );
+                    match applied {
+                        Ok(record) if skip_check || transform::post_check(&g).is_ok() => {
+                            g.commit();
+                            sound = true;
+                            records.push(record);
+                            break;
                         }
-                        Err(_) => {
-                            g = backup;
-                        }
+                        _ => g.rollback(), // try the next kind
                     }
                 }
             }
@@ -178,13 +194,13 @@ fn weighted_shuffle<R: rand::Rng + ?Sized>(kinds: &mut Vec<TransformKind>, rng: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::{AutoValue, Boundary, Condition, GraphBuilder, Predicate, StopRule};
     use crate::transform::post_check;
     use crate::value::{TerminalKind, Value};
 
-    fn rich_graph() -> FormatGraph {
+    pub(crate) fn rich_graph() -> FormatGraph {
         let mut b = GraphBuilder::new("rich");
         let root = b.root_sequence("m", Boundary::End);
         let tid = b.uint_be(root, "tid", 2);

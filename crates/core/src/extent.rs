@@ -18,9 +18,13 @@
 //! plain references used in that computation must live *outside* the
 //! mirrored subtree. These are exactly the checks
 //! [`mirror_applicable`] performs.
+//!
+//! Classes are computed bottom-up over a pre-order layout of a subtree
+//! in one pass; [`crate::transform::post_check`] lays out the whole
+//! graph once and runs every check against that one table.
 
 use crate::graph::NodeId;
-use crate::obf::{ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
+use crate::obf::{ObfGraph, ObfId, ObfKind, ObfNode, RepStop, SeqBoundary, TermBoundary};
 
 /// How a node's wire extent can be determined. Ordered from most to least
 /// predictable.
@@ -78,37 +82,122 @@ fn combine(classes: impl IntoIterator<Item = ExtentClass>) -> ExtentClass {
     }
 }
 
-/// Classifies the wire extent of `id`.
-pub fn classify(g: &ObfGraph, id: ObfId) -> ExtentClass {
-    let node = g.node(id);
-    match &node.kind {
+/// Position of nodes outside a [`Layout`]'s subtree.
+const ABSENT: u32 = u32::MAX;
+
+/// The pre-order layout of one subtree and the extent class of each of
+/// its nodes, built in one pass.
+///
+/// A subtree occupies the contiguous positions `pos(id)..end(id)` of the
+/// pre-order, so "is `d` inside `a`'s subtree" is an interval test and
+/// the subtree itself is a slice of [`Layout::order`].
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// Pre-order of the subtree (wire order).
+    order: Vec<ObfId>,
+    /// Pre-order position by node index; [`ABSENT`] outside the subtree.
+    pos: Vec<u32>,
+    /// One past the last position of each node's subtree, by position.
+    end: Vec<u32>,
+    /// Extent class of each node, by position.
+    class: Vec<ExtentClass>,
+}
+
+impl Layout {
+    /// Lays out the subtree rooted at `top` and classifies it bottom-up.
+    pub(crate) fn of(g: &ObfGraph, top: ObfId) -> Layout {
+        let mut order = Vec::new();
+        let mut pos = vec![ABSENT; g.allocated()];
+        let mut stack = vec![top];
+        while let Some(id) = stack.pop() {
+            pos[id.index()] = order.len() as u32;
+            order.push(id);
+            stack.extend(g.node(id).children().iter().rev());
+        }
+        // Children follow their parent in pre-order, so a reverse sweep
+        // sees every child's span and class before the parent's.
+        let mut end = vec![0u32; order.len()];
+        let mut class = vec![ExtentClass::Static(0); order.len()];
+        for (i, &id) in order.iter().enumerate().rev() {
+            let node = g.node(id);
+            end[i] = node.children().last().map_or(i as u32 + 1, |c| end[pos[c.index()] as usize]);
+            class[i] = class_of(node, |c| class[pos[c.index()] as usize]);
+        }
+        Layout { order, pos, end, class }
+    }
+
+    /// The pre-order of the laid-out subtree.
+    pub(crate) fn order(&self) -> &[ObfId] {
+        &self.order
+    }
+
+    /// Pre-order position of `id`, `None` outside the subtree.
+    pub(crate) fn position(&self, id: ObfId) -> Option<usize> {
+        match self.pos.get(id.index()) {
+            Some(&p) if p != ABSENT => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    /// One past the last pre-order position of `id`'s subtree.
+    pub(crate) fn span_end(&self, id: ObfId) -> usize {
+        self.end[self.at(id)] as usize
+    }
+
+    /// The subtree rooted at `id`, pre-order.
+    pub(crate) fn subtree(&self, id: ObfId) -> &[ObfId] {
+        let at = self.at(id);
+        &self.order[at..self.end[at] as usize]
+    }
+
+    /// True if `descendant` is inside the subtree rooted at `ancestor`
+    /// (`ancestor` itself included).
+    pub(crate) fn contains(&self, ancestor: ObfId, descendant: ObfId) -> bool {
+        let at = self.at(ancestor);
+        self.position(descendant).is_some_and(|p| at <= p && p < self.end[at] as usize)
+    }
+
+    /// The extent class of `id`.
+    pub(crate) fn class(&self, id: ObfId) -> ExtentClass {
+        self.class[self.at(id)]
+    }
+
+    fn at(&self, id: ObfId) -> usize {
+        self.position(id).expect("node outside the laid-out subtree")
+    }
+}
+
+/// The extent class of `node`, given its children's classes.
+fn class_of(node: &ObfNode, child: impl Fn(ObfId) -> ExtentClass) -> ExtentClass {
+    let first = || child(node.children()[0]);
+    match node.kind() {
         ObfKind::Terminal { boundary, .. } => match boundary {
             TermBoundary::Fixed(n) => ExtentClass::Static(*n),
             TermBoundary::Delimited(_) => ExtentClass::SelfDelim,
             TermBoundary::PlainLen { .. } => ExtentClass::PlainDep,
             TermBoundary::End => ExtentClass::WindowNeeded,
         },
-        ObfKind::SplitSeq { .. } => combine(node.children.iter().map(|&c| classify(g, c))),
+        ObfKind::SplitSeq { .. } => combine(node.children().iter().map(|&c| child(c))),
         ObfKind::Sequence { boundary } => match boundary {
             SeqBoundary::Fixed(n) => ExtentClass::Static(*n),
             SeqBoundary::PlainLen(_) => ExtentClass::PlainDep,
             SeqBoundary::End => ExtentClass::WindowNeeded,
-            SeqBoundary::Delegated => combine(node.children.iter().map(|&c| classify(g, c))),
+            SeqBoundary::Delegated => combine(node.children().iter().map(|&c| child(c))),
         },
         ObfKind::Optional { .. } => {
             // Presence is runtime information: never better than PlainDep.
-            match classify(g, node.children[0]) {
+            match first() {
                 ExtentClass::Static(_) | ExtentClass::PlainDep => ExtentClass::PlainDep,
                 other => other,
             }
         }
         ObfKind::Repetition { stop } => match stop {
-            RepStop::Terminator(_) => match classify(g, node.children[0]) {
+            RepStop::Terminator(_) => match first() {
                 ExtentClass::WindowNeeded => ExtentClass::WindowNeeded,
                 _ => ExtentClass::SelfDelim,
             },
             RepStop::Exhausted => ExtentClass::WindowNeeded,
-            RepStop::CountOf(_) => match classify(g, node.children[0]) {
+            RepStop::CountOf(_) => match first() {
                 // The linked count is known once the first half parsed, so a
                 // statically sized element makes the whole extent
                 // precomputable at that point.
@@ -117,46 +206,30 @@ pub fn classify(g: &ObfGraph, id: ObfId) -> ExtentClass {
                 _ => ExtentClass::SelfDelim,
             },
         },
-        ObfKind::Tabular { .. } => match classify(g, node.children[0]) {
+        ObfKind::Tabular { .. } => match first() {
             ExtentClass::Static(_) => ExtentClass::PlainDep,
             ExtentClass::WindowNeeded => ExtentClass::WindowNeeded,
             _ => ExtentClass::SelfDelim,
         },
-        ObfKind::Mirror => classify(g, node.children[0]),
+        ObfKind::Mirror => first(),
         ObfKind::Prefixed { .. } => ExtentClass::SelfDelim,
     }
 }
 
-/// The plain terminals whose recovered values the extent computation of
-/// `id`'s subtree will read at parse time.
-pub fn extent_refs(g: &ObfGraph, id: ObfId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for n in g.subtree(id) {
-        match &g.node(n).kind {
-            ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, .. }, .. } => {
-                if let Some(r) = g.plain().node(*source).boundary().reference() {
-                    if !out.contains(&r) {
-                        out.push(r);
-                    }
-                }
-            }
-            ObfKind::Sequence { boundary: SeqBoundary::PlainLen(p) } => {
-                if let Some(r) = g.plain().node(*p).boundary().reference() {
-                    if !out.contains(&r) {
-                        out.push(r);
-                    }
-                }
-            }
-            ObfKind::Optional { condition } if !out.contains(&condition.subject) => {
-                out.push(condition.subject);
-            }
-            ObfKind::Tabular { counter } if !out.contains(counter) => {
-                out.push(*counter);
-            }
-            _ => {}
+/// The plain terminal whose recovered value the extent computation of
+/// node `n` reads at parse time, if any.
+fn extent_ref(g: &ObfGraph, n: ObfId) -> Option<NodeId> {
+    match &g.node(n).kind {
+        ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, .. }, .. } => {
+            g.plain().node(*source).boundary().reference()
         }
+        ObfKind::Sequence { boundary: SeqBoundary::PlainLen(p) } => {
+            g.plain().node(*p).boundary().reference()
+        }
+        ObfKind::Optional { condition } => Some(condition.subject),
+        ObfKind::Tabular { counter } => Some(*counter),
+        _ => None,
     }
-    out
 }
 
 /// Checks whether a `ReadFromEnd` (Mirror) wrapper can be applied around
@@ -164,11 +237,17 @@ pub fn extent_refs(g: &ObfGraph, id: ObfId) -> Vec<NodeId> {
 /// computation needs must be held *outside* the mirrored subtree (otherwise
 /// the value would only become available after un-mirroring — a cycle).
 pub fn mirror_applicable(g: &ObfGraph, id: ObfId) -> Result<(), String> {
-    let class = classify(g, id);
+    mirror_check(g, &Layout::of(g, id), id)
+}
+
+/// [`mirror_applicable`] on a layout of any subtree that contains `id`.
+pub(crate) fn mirror_check(g: &ObfGraph, layout: &Layout, id: ObfId) -> Result<(), String> {
+    let class = layout.class(id);
     if !class.precomputable() {
         return Err(format!("subtree extent is {class:?}; ReadFromEnd needs Static or PlainDep"));
     }
-    for r in extent_refs(g, id) {
+    let subtree = layout.subtree(id);
+    for r in subtree.iter().filter_map(|&n| extent_ref(g, n)) {
         let holder = match g.holder_of(r) {
             Some(h) => h,
             None => {
@@ -178,7 +257,7 @@ pub fn mirror_applicable(g: &ObfGraph, id: ObfId) -> Result<(), String> {
                 ))
             }
         };
-        if g.is_descendant(holder, id) {
+        if layout.contains(id, holder) {
             return Err(format!(
                 "reference {} is held inside the mirrored subtree",
                 g.plain().node(r).name()
@@ -188,11 +267,11 @@ pub fn mirror_applicable(g: &ObfGraph, id: ObfId) -> Result<(), String> {
     // Count-linked repetitions inside the subtree must resolve their count
     // from a repetition *outside* it (chasing CountOf chains), otherwise
     // the extent depends on parsing the mirrored bytes themselves.
-    for n in g.subtree(id) {
+    for &n in subtree {
         if let ObfKind::Repetition { stop: RepStop::CountOf(first) } = g.node(n).kind() {
             let mut cur = *first;
             loop {
-                if !g.is_descendant(cur, id) {
+                if !layout.contains(id, cur) {
                     break; // escapes the subtree: count known before the mirror
                 }
                 match g.node(cur).kind() {
@@ -213,9 +292,10 @@ pub fn mirror_applicable(g: &ObfGraph, id: ObfId) -> Result<(), String> {
 /// Checks that every rest-of-window node sits in tail position under a
 /// window-providing ancestor — i.e. that `End` boundaries and exhausted
 /// repetitions will actually receive a bounded window at parse time.
-pub fn check_windows(g: &ObfGraph) -> Result<(), String> {
-    for id in g.preorder() {
-        if classify(g, id) != ExtentClass::WindowNeeded {
+/// `layout` covers the whole graph.
+pub(crate) fn check_windows(g: &ObfGraph, layout: &Layout) -> Result<(), String> {
+    for (&id, &class) in layout.order.iter().zip(&layout.class) {
+        if class != ExtentClass::WindowNeeded {
             continue;
         }
         // Walk up: `id` must be the last child at every level until a
@@ -277,6 +357,15 @@ mod tests {
         g.preorder().into_iter().find(|&id| g.node(id).name() == name).unwrap()
     }
 
+    fn classify(g: &ObfGraph, id: ObfId) -> ExtentClass {
+        Layout::of(g, id).class(id)
+    }
+
+    /// The plain references the extent computation of `id`'s subtree reads.
+    fn extent_refs(g: &ObfGraph, id: ObfId) -> Vec<NodeId> {
+        Layout::of(g, id).subtree(id).iter().filter_map(|&n| extent_ref(g, n)).collect()
+    }
+
     #[test]
     fn fixed_terminals_are_static() {
         let g = build(|b| {
@@ -328,7 +417,7 @@ mod tests {
             b.terminal(root, "body", TerminalKind::Bytes, Boundary::End);
         });
         assert_eq!(classify(&g, find(&g, "body")), ExtentClass::WindowNeeded);
-        assert!(check_windows(&g).is_ok()); // tail position under root
+        assert!(check_windows(&g, &Layout::of(&g, g.root())).is_ok()); // tail position under root
     }
 
     #[test]
@@ -343,7 +432,7 @@ mod tests {
         });
         let root = g.root();
         g.node_mut(root).children.reverse();
-        assert!(check_windows(&g).is_err());
+        assert!(check_windows(&g, &Layout::of(&g, root)).is_err());
     }
 
     #[test]
@@ -434,9 +523,56 @@ mod tests {
             let data = b.terminal(root, "data", TerminalKind::Bytes, Boundary::Length(len));
             b.set_auto(len, AutoValue::LengthOf(data));
         });
-        let refs = extent_refs(&g, g.root());
         let len_plain = g.plain().resolve_names(&["len"]).unwrap();
-        assert_eq!(refs, vec![len_plain]);
+        assert_eq!(extent_refs(&g, g.root()), vec![len_plain]);
+        assert_eq!(extent_refs(&g, find(&g, "data")), vec![len_plain]);
+        assert_eq!(extent_refs(&g, find(&g, "len")), vec![]);
+    }
+
+    #[test]
+    fn extent_refs_reports_optional_subjects_and_counters() {
+        let g = build(|b| {
+            let root = b.root_sequence("m", Boundary::End);
+            let f = b.uint_be(root, "flag", 1);
+            let o = b.optional(
+                root,
+                "extra",
+                Condition { subject: f, predicate: Predicate::Equals(Value::from_bytes(vec![1])) },
+            );
+            b.uint_be(o, "v", 4);
+            let c = b.uint_be(root, "count", 1);
+            let t = b.tabular(root, "items", c);
+            b.set_auto(c, AutoValue::CounterOf(t));
+            b.uint_be(t, "item", 2);
+        });
+        let flag = g.plain().resolve_names(&["flag"]).unwrap();
+        let count = g.plain().resolve_names(&["count"]).unwrap();
+        assert_eq!(extent_refs(&g, find(&g, "extra")), vec![flag]);
+        assert_eq!(extent_refs(&g, find(&g, "items")), vec![count]);
+        assert_eq!(extent_refs(&g, g.root()), vec![flag, count]);
+    }
+
+    #[test]
+    fn layout_spans_are_preorder_intervals() {
+        let g = build(|b| {
+            let root = b.root_sequence("m", Boundary::End);
+            let s = b.sequence(root, "s", Boundary::Delegated);
+            b.uint_be(s, "a", 2);
+            b.uint_be(s, "b", 4);
+            b.uint_be(root, "c", 1);
+        });
+        let (s, a, c) = (find(&g, "s"), find(&g, "a"), find(&g, "c"));
+        let whole = Layout::of(&g, g.root());
+        assert_eq!(whole.order(), g.preorder());
+        assert_eq!(whole.subtree(s), g.subtree(s));
+        assert_eq!(whole.span_end(s), 4);
+        assert!(whole.contains(s, s) && whole.contains(s, a) && !whole.contains(s, c));
+        assert_eq!(whole.class(s), ExtentClass::Static(6));
+        // A subtree layout knows nothing outside its subtree.
+        let inner = Layout::of(&g, s);
+        assert_eq!(inner.position(c), None);
+        assert_eq!(inner.position(a), Some(1));
+        assert!(!inner.contains(s, c));
     }
 
     #[test]

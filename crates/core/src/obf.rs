@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
+use crate::extent::Layout;
 use crate::graph::{AutoValue, Boundary, Condition, FormatGraph, NodeId, NodeType, StopRule};
 use crate::value::{ByteOp, Endian, SplitAt, TerminalKind};
 
@@ -33,8 +34,8 @@ use crate::value::{ByteOp, Endian, SplitAt, TerminalKind};
 pub struct ObfId(pub(crate) u32);
 
 impl ObfId {
-    /// Raw index value (stable within one graph; nodes are never removed,
-    /// only detached).
+    /// Raw index value (stable within one graph; committed nodes are never
+    /// removed, only detached).
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -311,15 +312,33 @@ pub struct ObfGraph {
     /// ([`ObfGraph::touch`]). Never reused across graphs, so caches keyed
     /// on it (e.g. the transcode validation of
     /// [`crate::message::Message`]) cannot be fooled by allocator address
-    /// reuse. Clones keep the uid: a clone is structurally identical
-    /// until its next mutation.
+    /// reuse. [`ObfGraph::rollback`] restores it: the graph is then
+    /// structurally identical to the one the uid was issued for.
     uid: u64,
+    /// Undo journal of the open rewrite ([`ObfGraph::begin`]), if any.
+    journal: Option<Journal>,
     /// Lazily compiled execution plan (see [`crate::plan::CodecPlan`]),
     /// shared by the codec, the sessions and the transcode copy programs.
     /// Invalidated by [`ObfGraph::touch`] on every rewrite, so a cached
     /// plan always describes the current graph. Cloning clones the cached
     /// plan (a clone is structurally identical until its next mutation).
     plan: OnceLock<crate::plan::CodecPlan>,
+}
+
+/// What [`ObfGraph::rollback`] needs to undo one rewrite: the shape of
+/// the graph at [`ObfGraph::begin`] plus the prior contents of everything
+/// the graph's mutators wrote since.
+#[derive(Debug, Clone)]
+struct Journal {
+    /// `nodes.len()` at `begin`: nodes pushed since are truncated away.
+    len: usize,
+    root: ObfId,
+    uid: u64,
+    /// Prior contents of the nodes that existed at `begin`, saved on
+    /// their first write.
+    nodes: Vec<(ObfId, ObfNode)>,
+    /// Prior holder entries, in write order.
+    holders: Vec<(NodeId, Option<ObfId>)>,
 }
 
 /// Source of [`ObfGraph::uid`] values; starts at 1 so 0 can mean "none".
@@ -334,6 +353,7 @@ impl ObfGraph {
             root: ObfId(0),
             holders: HashMap::new(),
             uid: NEXT_GRAPH_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            journal: None,
             plan: OnceLock::new(),
         };
         let root = g.import(plain, plain.root(), None);
@@ -352,6 +372,55 @@ impl ObfGraph {
     pub(crate) fn touch(&mut self) {
         self.uid = NEXT_GRAPH_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.plan = OnceLock::new();
+    }
+
+    /// Opens a rewrite: from here on the graph's mutators journal what
+    /// they overwrite, until [`Self::commit`] keeps the rewrite or
+    /// [`Self::rollback`] undoes it.
+    pub(crate) fn begin(&mut self) {
+        debug_assert!(self.journal.is_none(), "a rewrite is already open");
+        self.journal = Some(Journal {
+            len: self.nodes.len(),
+            root: self.root,
+            uid: self.uid,
+            nodes: Vec::new(),
+            holders: Vec::new(),
+        });
+    }
+
+    /// Keeps the open rewrite and drops its journal.
+    pub(crate) fn commit(&mut self) {
+        debug_assert!(self.journal.is_some(), "commit without begin");
+        self.journal = None;
+    }
+
+    /// Undoes the open rewrite: nodes, root, holders, [`Self::allocated`]
+    /// and the uid are as they were at [`Self::begin`]. The cached plan is
+    /// not restored; it is compiled again on next use.
+    pub(crate) fn rollback(&mut self) {
+        let journal = self.journal.take().expect("rollback without begin");
+        self.nodes.truncate(journal.len);
+        for (id, node) in journal.nodes {
+            self.nodes[id.index()] = node;
+        }
+        for (x, prior) in journal.holders.into_iter().rev() {
+            match prior {
+                Some(h) => self.holders.insert(x, h),
+                None => self.holders.remove(&x),
+            };
+        }
+        self.root = journal.root;
+        self.uid = journal.uid;
+    }
+
+    /// Journals the prior contents of node `id` before its first write in
+    /// the open rewrite. Nodes pushed since `begin` need no entry.
+    fn save(&mut self, id: ObfId) {
+        if let Some(journal) = &mut self.journal {
+            if id.index() < journal.len && journal.nodes.iter().all(|&(n, _)| n != id) {
+                journal.nodes.push((id, self.nodes[id.index()].clone()));
+            }
+        }
     }
 
     /// The compiled execution plan of this graph, built on first use and
@@ -458,6 +527,7 @@ impl ObfGraph {
     }
 
     pub(crate) fn node_mut(&mut self, id: ObfId) -> &mut ObfNode {
+        self.save(id);
         &mut self.nodes[id.index()]
     }
 
@@ -562,6 +632,11 @@ impl ObfGraph {
     /// If `old` is the root, `new` becomes the root.
     pub(crate) fn replace_child(&mut self, old: ObfId, new: ObfId) {
         let parent = self.nodes[old.index()].parent;
+        self.save(old);
+        self.save(new);
+        if let Some(p) = parent {
+            self.save(p);
+        }
         self.nodes[new.index()].parent = parent;
         self.nodes[old.index()].parent = None;
         match parent {
@@ -579,6 +654,8 @@ impl ObfGraph {
 
     /// Re-parents `child` under `parent` at `index` in its child list.
     pub(crate) fn attach(&mut self, parent: ObfId, index: usize, child: ObfId) {
+        self.save(parent);
+        self.save(child);
         self.nodes[child.index()].parent = Some(parent);
         self.nodes[parent.index()].children.insert(index, child);
     }
@@ -586,7 +663,10 @@ impl ObfGraph {
     /// Moves the `Source` holder index entry when a rewrite relocates the
     /// carrier of a plain terminal.
     pub(crate) fn move_holder(&mut self, x: NodeId, to: ObfId) {
-        self.holders.insert(x, to);
+        let prior = self.holders.insert(x, to);
+        if let Some(journal) = &mut self.journal {
+            journal.holders.push((x, prior));
+        }
     }
 
     /// All live terminals, in wire order.
@@ -598,18 +678,12 @@ impl ObfGraph {
     /// value the parser needs eagerly must be fully recoverable before its
     /// first structural use, and every rest-of-window node must sit in
     /// tail position. Violations mean the candidate rewrite must be rolled
-    /// back.
-    pub fn check_parse_order(&self) -> Result<(), String> {
-        let order = self.preorder();
-        let pos: HashMap<ObfId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let span_end = |id: ObfId| -> usize {
-            self.subtree(id).iter().map(|n| pos[n]).max().unwrap_or(pos[&id]) + 1
-        };
-
-        let check_before = |x: NodeId, user: ObfId| -> Result<(), String> {
+    /// back. `layout` covers the whole graph.
+    pub(crate) fn check_parse_order(&self, layout: &Layout) -> Result<(), String> {
+        let check_before = |x: NodeId, user: ObfId, at: usize| -> Result<(), String> {
             let holder =
                 self.holder_of(x).ok_or_else(|| format!("no holder for plain source {x}"))?;
-            if span_end(holder) > pos[&user] {
+            if layout.position(holder).is_none() || layout.span_end(holder) > at {
                 return Err(format!(
                     "plain value of {} (held by {}) is not recovered before {} parses",
                     self.plain.node(x).name(),
@@ -620,25 +694,25 @@ impl ObfGraph {
             Ok(())
         };
 
-        for &id in &order {
+        for (at, &id) in layout.order().iter().enumerate() {
             match &self.node(id).kind {
                 ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, .. }, .. } => {
                     if let Some(r) = self.plain.node(*source).boundary().reference() {
-                        check_before(r, id)?;
+                        check_before(r, id, at)?;
                     }
                 }
                 ObfKind::Sequence { boundary: SeqBoundary::PlainLen(p) } => {
                     if let Some(r) = self.plain.node(*p).boundary().reference() {
-                        check_before(r, id)?;
+                        check_before(r, id, at)?;
                     }
                 }
-                ObfKind::Optional { condition } => check_before(condition.subject, id)?,
-                ObfKind::Tabular { counter } => check_before(*counter, id)?,
+                ObfKind::Optional { condition } => check_before(condition.subject, id, at)?,
+                ObfKind::Tabular { counter } => check_before(*counter, id, at)?,
                 ObfKind::Repetition { stop: RepStop::CountOf(first) } => {
-                    if !pos.contains_key(first) {
+                    if layout.position(*first).is_none() {
                         return Err("count-linked repetition lost its first half".into());
                     }
-                    if span_end(*first) > pos[&id] {
+                    if layout.span_end(*first) > at {
                         return Err(format!(
                             "count-linked repetition {} parses before its first half",
                             self.node(id).name()
@@ -729,7 +803,7 @@ mod tests {
     #[test]
     fn check_parse_order_accepts_identity() {
         let g = ObfGraph::from_plain(&plain());
-        assert!(g.check_parse_order().is_ok());
+        assert!(g.check_parse_order(&Layout::of(&g, g.root())).is_ok());
     }
 
     #[test]
@@ -756,6 +830,110 @@ mod tests {
         let root = g.root();
         assert!(g.node(root).children().contains(&wrapper));
         assert!(!g.node(root).children().contains(&flag));
+    }
+
+    /// Field-by-field equality of two graphs' shapes and versions.
+    fn assert_same(got: &ObfGraph, want: &ObfGraph, what: &str) {
+        assert_eq!(got.nodes, want.nodes, "{what}: nodes");
+        assert_eq!(got.root, want.root, "{what}: root");
+        assert_eq!(got.holders, want.holders, "{what}: holders");
+        assert_eq!(got.allocated(), want.allocated(), "{what}: allocated");
+        assert_eq!(got.uid, want.uid, "{what}: uid");
+    }
+
+    /// Plain images of the engine's and the transformations' test grammars,
+    /// plus an obfuscated graph (moved holders, splits, wrappers).
+    fn rollback_graphs() -> Vec<ObfGraph> {
+        let rich = crate::engine::tests::rich_graph();
+        let obfuscated = crate::Obfuscator::new(&rich).seed(3).max_per_node(2).obfuscate().unwrap();
+        vec![
+            ObfGraph::from_plain(&rich),
+            crate::transform::tests::sample(),
+            obfuscated.obf_graph().clone(),
+        ]
+    }
+
+    #[test]
+    fn rollback_restores_every_rewrite_exactly() {
+        use crate::transform::{apply, TransformKind};
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let mut applied = 0;
+        for before in rollback_graphs() {
+            for id in before.preorder() {
+                for kind in TransformKind::ALL {
+                    let mut g = before.clone();
+                    g.begin();
+                    if apply(&mut g, id, kind, &mut rng).is_ok() {
+                        applied += 1;
+                        assert_ne!(g.uid, before.uid, "{kind} on {id} must touch the graph");
+                    }
+                    g.rollback();
+                    assert_same(&g, &before, &format!("{kind} on {}", before.node(id).name()));
+                }
+            }
+        }
+        assert!(applied > 100, "only {applied} rewrites applied");
+    }
+
+    #[test]
+    fn commit_keeps_the_rewrite() {
+        use crate::transform::{apply, TransformKind};
+        let seeded = || <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
+        for before in rollback_graphs() {
+            for id in before.preorder() {
+                for kind in TransformKind::ALL {
+                    let mut plain = before.clone();
+                    let Ok(want) = apply(&mut plain, id, kind, &mut seeded()) else { continue };
+                    let mut g = before.clone();
+                    g.begin();
+                    assert_eq!(apply(&mut g, id, kind, &mut seeded()).unwrap(), want);
+                    g.commit();
+                    let what = format!("{kind} on {}", before.node(id).name());
+                    assert!(g.journal.is_none(), "{what}: journal left open");
+                    plain.uid = g.uid;
+                    assert_same(&g, &plain, &what);
+                    // A later rewrite rolls back to the committed graph.
+                    let committed = g.clone();
+                    let root = g.root();
+                    g.begin();
+                    let _ = apply(&mut g, root, TransformKind::PadInsert, &mut seeded());
+                    g.rollback();
+                    assert_same(&g, &committed, &format!("{what}, then PadInsert"));
+                }
+            }
+        }
+    }
+
+    /// Each mutator journals every pre-existing node it writes: every
+    /// write below is the first one to its node.
+    #[test]
+    fn rollback_undoes_each_mutator() {
+        let before = ObfGraph::from_plain(&plain());
+        let mut g = before.clone();
+        let [root, len, flag, extra_val] =
+            ["m", "len", "flag", "extra_val"].map(|name| find_named(&g, name));
+        let data = g.plain().resolve_names(&["data"]).unwrap();
+        g.begin();
+        g.touch();
+        let pad = g.push(ObfNode {
+            name: "pad".into(),
+            kind: ObfKind::Mirror,
+            children: Vec::new(),
+            parent: None,
+            origin: None,
+            obf_count: 1,
+        });
+        g.attach(root, 0, pad); // parent first
+        g.attach(pad, 0, flag); // child first
+        g.replace_child(extra_val, len); // old, new and parent first
+        g.move_holder(data, pad);
+        g.node_mut(pad).obf_count = 7;
+        g.rollback();
+        assert_same(&g, &before, "hand-made rewrite");
+    }
+
+    fn find_named(g: &ObfGraph, name: &str) -> ObfId {
+        g.preorder().into_iter().find(|&id| g.node(id).name() == name).unwrap()
     }
 
     #[test]

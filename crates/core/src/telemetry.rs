@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::profile::Fingerprint;
 use crate::service::{CodecService, ServiceStats};
 
 /// Log-bucketed bucket count of [`LatencyHistogram`]: bucket `i` holds
@@ -673,6 +674,14 @@ impl std::fmt::Display for MetricsSnapshot {
     }
 }
 
+/// The derivation a process runs, as [`Telemetry`] exposes it.
+#[derive(Debug)]
+struct BuildInfo {
+    fingerprint: Fingerprint,
+    level: u32,
+    mode: &'static str,
+}
+
 /// The unified observability registry behind the admin endpoint: one
 /// [`Metrics`] (transport counters + stage timers + flight recorder)
 /// plus any number of named [`CodecService`]s whose
@@ -684,6 +693,8 @@ impl std::fmt::Display for MetricsSnapshot {
 pub struct Telemetry {
     metrics: Arc<Metrics>,
     services: Vec<(String, Arc<CodecService>)>,
+    /// The running derivation, once [`Telemetry::set_build`] named it.
+    build: Option<BuildInfo>,
     started: Instant,
     /// Previous scrape's snapshot: `/metrics` reports *interval*
     /// percentiles (this scrape minus the last) next to cumulative
@@ -697,6 +708,7 @@ impl Telemetry {
         Telemetry {
             metrics,
             services: Vec::new(),
+            build: None,
             started: Instant::now(),
             last_scrape: Mutex::new(None),
         }
@@ -709,6 +721,14 @@ impl Telemetry {
         if !self.services.iter().any(|(_, s)| Arc::ptr_eq(s, service)) {
             self.services.push((name.to_string(), Arc::clone(service)));
         }
+    }
+
+    /// Names the derivation this process runs: `/health` reports its
+    /// fingerprint and `/metrics` renders
+    /// `protoobf_build_info{fingerprint,level,mode} 1`. `mode` is the
+    /// process's role (`encode`, `decode`, `recv`, …).
+    pub fn set_build(&mut self, fingerprint: Fingerprint, level: u32, mode: &'static str) {
+        self.build = Some(BuildInfo { fingerprint, level, mode });
     }
 
     /// The shared metrics block.
@@ -829,11 +849,30 @@ impl Telemetry {
             }
         }
 
+        if let Some(b) = &self.build {
+            let _ = writeln!(out, "# HELP protoobf_build_info The derivation this process runs");
+            type_line(&mut out, "protoobf_build_info", "gauge");
+            let _ = writeln!(
+                out,
+                "protoobf_build_info{{fingerprint=\"{}\",level=\"{}\",mode=\"{}\"}} 1",
+                b.fingerprint, b.level, b.mode
+            );
+        }
+
         type_line(&mut out, "protoobf_flight_events_total", "counter");
         let _ = writeln!(out, "protoobf_flight_events_total {}", self.metrics.recorder.recorded());
         type_line(&mut out, "protoobf_uptime_seconds", "gauge");
         let _ = writeln!(out, "protoobf_uptime_seconds {}", self.started.elapsed().as_secs());
         out
+    }
+
+    /// The `/health` body: `ok`, then the `fingerprint` line of the
+    /// running derivation when [`Telemetry::set_build`] named one.
+    pub fn render_health(&self) -> String {
+        match &self.build {
+            Some(b) => format!("ok\nfingerprint {}\n", b.fingerprint),
+            None => "ok\n".to_string(),
+        }
     }
 
     /// The `/events` body: the flight-recorder dump, oldest first, one

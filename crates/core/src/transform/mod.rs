@@ -150,6 +150,14 @@ impl TransformKind {
         }
     }
 
+    /// True for the rewrites that only push a constant op onto a terminal
+    /// (`ConstAdd`/`ConstSub`/`ConstXor`). They write a terminal's ops and
+    /// transformation count and nothing [`post_check`] reads, so a graph
+    /// that passed it still does.
+    pub(crate) fn op_only(self) -> bool {
+        matches!(self, TransformKind::ConstAdd | TransformKind::ConstSub | TransformKind::ConstXor)
+    }
+
     /// True if the rewrite changes the serialized byte count of the
     /// subtree, which is forbidden under exactly-windowed ancestors.
     pub fn size_changing(self) -> bool {
@@ -359,15 +367,22 @@ pub fn apply<R: Rng + ?Sized>(
 /// Global soundness checks run after every rewrite. A failure means the
 /// candidate transformation must be rolled back (the engine retries with
 /// another one).
+///
+/// Linear in the graph: one pre-order layout pass supplies the parse
+/// order, the extent classes and the subtree intervals all three checks
+/// read. None of them reads a terminal's constant-op stack or a node's
+/// transformation count, which is why constant-op rewrites of a sound
+/// graph need no check.
 pub fn post_check(g: &ObfGraph) -> Result<(), String> {
-    g.check_parse_order()?;
-    extent::check_windows(g)?;
+    let layout = extent::Layout::of(g, g.root());
+    g.check_parse_order(&layout)?;
+    extent::check_windows(g, &layout)?;
     // Every Mirror introduced earlier must still have a precomputable
     // child extent with outside references.
-    for id in g.preorder() {
+    for &id in layout.order() {
         if matches!(g.node(id).kind(), ObfKind::Mirror) {
             let child = g.node(id).children()[0];
-            extent::mirror_applicable(g, child)
+            extent::mirror_check(g, &layout, child)
                 .map_err(|e| format!("mirror {} invalidated: {e}", g.node(id).name()))?;
         }
     }
@@ -455,7 +470,7 @@ fn composite_element(g: &ObfGraph, id: ObfId) -> Result<(), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::{AutoValue, Boundary, GraphBuilder, StopRule};
     use crate::value::TerminalKind;
@@ -464,7 +479,7 @@ mod tests {
         g.preorder().into_iter().find(|&id| g.node(id).name() == name).unwrap()
     }
 
-    fn sample() -> ObfGraph {
+    pub(crate) fn sample() -> ObfGraph {
         let mut b = GraphBuilder::new("s");
         let root = b.root_sequence("m", Boundary::End);
         let len = b.uint_be(root, "len", 2);

@@ -493,8 +493,9 @@ pub(super) fn leading_sensitive(g: &ObfGraph, id: ObfId) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::sample;
     use super::super::{applicable, apply, post_check, TransformKind};
-    use crate::graph::{AutoValue, Boundary, GraphBuilder, StopRule};
+    use crate::graph::{AutoValue, Boundary, GraphBuilder};
     use crate::obf::{ObfGraph, ObfId, ObfKind, Recombine, RepStop, TermBoundary};
     use crate::value::TerminalKind;
     use rand::rngs::StdRng;
@@ -502,32 +503,6 @@ mod tests {
 
     fn find(g: &ObfGraph, name: &str) -> ObfId {
         g.preorder().into_iter().find(|&id| g.node(id).name() == name).unwrap()
-    }
-
-    fn sample() -> ObfGraph {
-        let mut b = GraphBuilder::new("s");
-        let root = b.root_sequence("m", Boundary::End);
-        let len = b.uint_be(root, "len", 2);
-        let data = b.terminal(root, "data", TerminalKind::Bytes, Boundary::Length(len));
-        b.set_auto(len, AutoValue::LengthOf(data));
-        b.terminal(root, "uri", TerminalKind::Ascii, Boundary::Delimited(b" ".to_vec()));
-        let count = b.uint_be(root, "count", 1);
-        let tab = b.tabular(root, "regs", count);
-        b.set_auto(count, AutoValue::CounterOf(tab));
-        let item = b.sequence(tab, "reg", Boundary::Delegated);
-        b.uint_be(item, "addr", 2);
-        b.uint_be(item, "value", 2);
-        let rep = b.repetition(
-            root,
-            "headers",
-            StopRule::Terminator(b"\r\n".to_vec()),
-            Boundary::Delegated,
-        );
-        let h = b.sequence(rep, "header", Boundary::Delegated);
-        b.terminal(h, "name", TerminalKind::Ascii, Boundary::Delimited(b":".to_vec()));
-        b.terminal(h, "hv", TerminalKind::Ascii, Boundary::Delimited(b"\r\n".to_vec()));
-        b.terminal(root, "body", TerminalKind::Bytes, Boundary::End);
-        ObfGraph::from_plain(&b.build().unwrap())
     }
 
     fn rng() -> StdRng {

@@ -88,7 +88,9 @@ impl AdminConn {
                 "/events" => {
                     http_response(200, "OK", "text/plain", &self.telemetry.render_events())
                 }
-                "/health" => http_response(200, "OK", "text/plain", "ok\n"),
+                "/health" => {
+                    http_response(200, "OK", "text/plain", &self.telemetry.render_health())
+                }
                 _ => http_response(
                     404,
                     "Not Found",

@@ -490,6 +490,8 @@ pub struct Gateway {
     outbound_cap: usize,
     /// The derivation fingerprint of the profile endpoint.
     fingerprint: Fingerprint,
+    /// The profile's obfuscation level.
+    level: u32,
 }
 
 impl Gateway {
@@ -537,6 +539,7 @@ impl Gateway {
             metrics: Arc::new(Metrics::new()),
             outbound_cap: DEFAULT_OUTBOUND_CAP,
             fingerprint: endpoint.fingerprint(),
+            level: endpoint.profile().obf().level,
         })
     }
 
@@ -557,15 +560,21 @@ impl Gateway {
     /// The gateway's whole observable state as a [`Telemetry`] registry:
     /// the shared metrics block plus every distinct codec service of the
     /// two relay legs (symmetric gateways collapse to their two unique
-    /// services via the registry's `Arc`-identity dedup). This is what
-    /// the admin endpoint serves; it stays live while the gateway runs —
-    /// scrapes see current counters, not a snapshot.
+    /// services via the registry's `Arc`-identity dedup), named by the
+    /// gateway's derivation and mode ([`Telemetry::set_build`]). This is
+    /// what the admin endpoint serves; it stays live while the gateway
+    /// runs — scrapes see current counters, not a snapshot.
     pub fn telemetry(&self) -> Telemetry {
         let mut t = Telemetry::new(Arc::clone(&self.metrics));
         t.register_service("down_rx", &self.down_rx);
         t.register_service("down_tx", &self.down_tx);
         t.register_service("up_rx", &self.up_rx);
         t.register_service("up_tx", &self.up_tx);
+        let mode = match self.mode {
+            GatewayMode::Encode => "encode",
+            GatewayMode::Decode => "decode",
+        };
+        t.set_build(self.fingerprint, self.level, mode);
         t
     }
 

@@ -90,10 +90,12 @@ fn admin_endpoint_serves_scrapes_while_the_gateway_relays() {
             scope.spawn(|| serve_admin(admin_listener, Arc::clone(&telemetry), &shutdown)),
         ];
 
-        // /health answers before any data-plane traffic exists.
+        // /health answers before any data-plane traffic exists, and names
+        // the running derivation.
+        let fingerprint = encode_gw.fingerprint();
         let health = http_get(admin_addr, "GET /health HTTP/1.0\r\n\r\n");
         assert!(health.starts_with("HTTP/1.0 200"), "{health}");
-        assert!(health.ends_with("ok\n"), "{health}");
+        assert!(health.ends_with(&format!("\r\n\r\nok\nfingerprint {fingerprint}\n")), "{health}");
 
         // Relay real traffic and keep the connection open across the
         // scrapes: the registry must report a *live* chain, not a
@@ -128,6 +130,10 @@ fn admin_endpoint_serves_scrapes_while_the_gateway_relays() {
         assert!(metrics.contains("protoobf_frame_bytes_bucket"), "{metrics}");
         assert!(metrics.contains("service=\"down_rx\""), "{metrics}");
         assert!(metrics.contains("protoobf_stage_calls_total{stage=\"transcode\"}"), "{metrics}");
+        let build_info = format!(
+            "protoobf_build_info{{fingerprint=\"{fingerprint}\",level=\"2\",mode=\"encode\"}}"
+        );
+        assert_eq!(sample(&metrics, &build_info), Some(1), "{metrics}");
 
         // A second scrape additionally exposes the per-interval series
         // (delta since the scrape above).
@@ -183,6 +189,8 @@ fn oversized_request_heads_get_431_and_the_plane_survives() {
 
         let ok = http_get(admin_addr, "GET /health HTTP/1.0\r\n\r\n");
         assert!(ok.starts_with("HTTP/1.0 200"), "{ok}");
+        // A registry that names no derivation reports bare health.
+        assert!(ok.ends_with("\r\n\r\nok\n"), "{ok}");
 
         shutdown.store(true, Ordering::Relaxed);
         admin.join().unwrap().unwrap();

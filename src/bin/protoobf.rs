@@ -530,7 +530,7 @@ fn recv(opts: &Options) -> Result<(), CliError> {
         opts.listen.as_deref().ok_or(CliError::Usage("recv needs --listen ADDR".into()))?;
     let endpoint = endpoint_for(opts)?;
     let (request_svc, reply_svc) = (endpoint.clear_tx_service(), endpoint.clear_rx_service());
-    let telemetry = clear_telemetry(&endpoint, ["request", "reply"]);
+    let telemetry = clear_telemetry(&endpoint, "recv", ["request", "reply"]);
     let metrics = telemetry.metrics();
     let cfg = loop_config(opts);
     let symmetric = endpoint.is_symmetric();
@@ -569,7 +569,7 @@ fn send(opts: &Options) -> Result<(), CliError> {
     let endpoint = endpoint_for(opts)?;
     let tx_clear = endpoint.clear_tx_service().codec();
     let rx_clear = endpoint.clear_rx_service().codec();
-    let telemetry = clear_telemetry(&endpoint, ["tx_clear", "rx_clear"]);
+    let telemetry = clear_telemetry(&endpoint, "send", ["tx_clear", "rx_clear"]);
     let metrics = telemetry.metrics();
     let stream =
         std::net::TcpStream::connect(connect).map_err(|e| format!("connect {connect}: {e}"))?;
@@ -635,7 +635,7 @@ fn send(opts: &Options) -> Result<(), CliError> {
 fn tunnel(opts: &Options) -> Result<(), CliError> {
     let endpoint = endpoint_for(opts)?;
     let (tx_svc, rx_svc) = (endpoint.clear_tx_service(), endpoint.clear_rx_service());
-    let telemetry = clear_telemetry(&endpoint, ["tx_clear", "rx_clear"]);
+    let telemetry = clear_telemetry(&endpoint, "tunnel", ["tx_clear", "rx_clear"]);
     let metrics = telemetry.metrics();
     // Stdin feeds a bounded payload buffer from a detached thread; the
     // wake pipe turns payload arrival into socket readiness so the epoll
@@ -815,12 +815,14 @@ fn pin_reproducer(
 }
 
 /// The telemetry registry of a clear-framed endpoint process (`recv`,
-/// `send`, `tunnel`): a fresh metrics block plus the endpoint's clear
-/// tx and rx services, registered under `names`.
-fn clear_telemetry(endpoint: &Endpoint, names: [&str; 2]) -> Arc<Telemetry> {
+/// `send`, `tunnel`, named by `mode`): a fresh metrics block plus the
+/// endpoint's clear tx and rx services, registered under `names`, and
+/// the endpoint's derivation.
+fn clear_telemetry(endpoint: &Endpoint, mode: &'static str, names: [&str; 2]) -> Arc<Telemetry> {
     let mut registry = Telemetry::new(Arc::new(Metrics::new()));
     registry.register_service(names[0], endpoint.clear_tx_service());
     registry.register_service(names[1], endpoint.clear_rx_service());
+    registry.set_build(endpoint.fingerprint(), endpoint.profile().obf().level, mode);
     Arc::new(registry)
 }
 

@@ -11,7 +11,9 @@
 //!    bytes exactly (plain values, shares, pads and all).
 
 use protoobf::core::graph::{AutoValue, Boundary, Condition, GraphBuilder, Predicate, StopRule};
+use protoobf::core::obf::ObfGraph;
 use protoobf::core::sample::random_message;
+use protoobf::core::transform::post_check;
 use protoobf::protocols;
 use protoobf::{Codec, FormatGraph, Obfuscator};
 use protoobf::{TerminalKind, Value};
@@ -247,6 +249,31 @@ fn random_specs_roundtrip_and_reserialize_identically() {
         }
     }
     assert!(failures.is_empty(), "{} failures:\n{}", failures.len(), failures.join("\n"));
+}
+
+/// The engine skips `post_check` after a constant-op rewrite of a graph
+/// that passes it, since such a rewrite writes nothing the check reads;
+/// debug builds assert that the graph still passes. The skip starts from
+/// the plain image, so every valid spec's image must pass, and deriving
+/// random grammars runs the debug assertion on shapes no builtin has.
+#[test]
+fn random_spec_images_pass_post_check() {
+    for seed in 0..240u64 {
+        let graph = random_graph(seed);
+        if let Err(e) = post_check(&ObfGraph::from_plain(&graph)) {
+            panic!("seed {seed}: plain image fails post_check: {e}");
+        }
+        for level in 1..=3u32 {
+            let codec = Obfuscator::new(&graph)
+                .seed(seed ^ 0x5EED)
+                .max_per_node(level)
+                .obfuscate()
+                .unwrap();
+            if let Err(e) = post_check(codec.obf_graph()) {
+                panic!("seed {seed} level {level}: derived graph fails post_check: {e}");
+            }
+        }
+    }
 }
 
 #[test]
