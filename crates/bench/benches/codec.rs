@@ -17,6 +17,7 @@
 //! small protocol PDUs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use protoobf_bench::export_trajectory;
 use protoobf_core::graph::{AutoValue, Boundary, GraphBuilder};
 use protoobf_core::reference;
 use protoobf_core::telemetry::Metrics;
@@ -590,20 +591,6 @@ fn bench_tunnel(c: &mut Criterion) {
         group.finish();
     }
     export_trajectory(c, "tunnel");
-}
-
-/// Writes `group`'s results to `BENCH_<group>.json` at the workspace
-/// root (`cargo bench` runs with this package as its working directory,
-/// so the path is anchored on the manifest, not the cwd). A run that
-/// filtered the group out writes nothing: `export_json` skips prefixes
-/// with no recorded results.
-fn export_trajectory(c: &Criterion, group: &str) {
-    let path = format!("{}/../../BENCH_{group}.json", env!("CARGO_MANIFEST_DIR"));
-    match c.export_json(&path, &format!("{group}/")) {
-        Ok(true) => eprintln!("{group} trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
 }
 
 criterion_group!(

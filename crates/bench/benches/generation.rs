@@ -6,9 +6,11 @@
 //! (`Obfuscator::obfuscate`, no parse and no codegen) on the grammars
 //! and key of the end-to-end benchmark's `modbus-rr` and `bulk-64k`
 //! workloads at their level 2: the layer behind most of their set-up
-//! time. Filter with `-- derive`.
+//! time. Filter with `-- derive`; the group's results are written to
+//! `BENCH_derive.json` at the workspace root.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use protoobf_bench::export_trajectory;
 use protoobf_codegen::generate;
 use protoobf_core::Obfuscator;
 use protoobf_protocols::{http, modbus};
@@ -57,6 +59,7 @@ fn bench_derive(c: &mut Criterion) {
         });
     }
     group.finish();
+    export_trajectory(c, "derive");
 }
 
 criterion_group!(benches, bench_generation, bench_derive);

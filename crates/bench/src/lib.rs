@@ -25,3 +25,17 @@ pub mod runner;
 pub mod stats;
 
 pub use runner::{run_experiment, run_once, ExperimentConfig, Protocol};
+
+/// Writes `group`'s results to `BENCH_<group>.json` at the workspace
+/// root (`cargo bench` runs with this package as its working directory,
+/// so the path is anchored on the manifest, not the cwd). A run that
+/// filtered the group out writes nothing: `export_json` skips prefixes
+/// with no recorded results.
+pub fn export_trajectory(c: &criterion::Criterion, group: &str) {
+    let path = format!("{}/../../BENCH_{group}.json", env!("CARGO_MANIFEST_DIR"));
+    match c.export_json(&path, &format!("{group}/")) {
+        Ok(true) => eprintln!("{group} trajectory written to {path}"),
+        Ok(false) => {}
+        Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+}

@@ -12,6 +12,12 @@
 //! fail the global soundness checks ([`crate::transform::post_check`]) are
 //! rolled back and another transformation is tried.
 //!
+//! Each node's ancestors are walked once, into a constraint context
+//! (`transform::Context`): it filters the allowed kinds, and each
+//! kind tried is rewritten without a second applicability check. A
+//! rejected rewrite is rolled back exactly, so the context stays true for
+//! the next kind.
+//!
 //! Each candidate runs inside a journaled rewrite
 //! ([`crate::obf::ObfGraph`]'s `begin`/`commit`/`rollback`): the graph's
 //! mutators save only what they overwrite, so a rejected candidate costs
@@ -29,7 +35,7 @@ use crate::codec::Codec;
 use crate::error::SpecError;
 use crate::graph::FormatGraph;
 use crate::obf::ObfGraph;
-use crate::transform::{self, TransformKind, TransformRecord};
+use crate::transform::{self, Context, TransformKind, TransformRecord};
 
 /// Builder for obfuscated codecs.
 ///
@@ -135,37 +141,29 @@ impl<'g> Obfuscator<'g> {
         for _pass in 0..self.max_per_node {
             let snapshot = g.preorder();
             for id in snapshot {
-                if g.get(id).is_none() {
-                    continue;
-                }
+                let ctx = Context::of(&g, id);
                 // Skip nodes detached during this pass (replaced targets).
-                if !g.is_descendant(id, g.root()) {
+                if !ctx.live {
                     continue;
                 }
-                let mut kinds: Vec<TransformKind> = self
-                    .allowed
-                    .iter()
-                    .copied()
-                    .filter(|&k| transform::applicable(&g, id, k).is_ok())
-                    .collect();
+                let mut kinds: Vec<TransformKind> =
+                    self.allowed.iter().copied().filter(|&k| ctx.admits(&g, k).is_ok()).collect();
                 weighted_shuffle(&mut kinds, &mut rng);
                 for kind in kinds {
                     g.begin();
-                    let applied = transform::apply(&mut g, id, kind, &mut rng);
+                    let record = transform::rewrite(&mut g, &ctx, kind, &mut rng);
                     let skip_check = sound && kind.op_only();
                     debug_assert!(
-                        !skip_check || applied.is_err() || transform::post_check(&g).is_ok(),
+                        !skip_check || transform::post_check(&g).is_ok(),
                         "{kind} broke a sound graph"
                     );
-                    match applied {
-                        Ok(record) if skip_check || transform::post_check(&g).is_ok() => {
-                            g.commit();
-                            sound = true;
-                            records.push(record);
-                            break;
-                        }
-                        _ => g.rollback(), // try the next kind
+                    if skip_check || transform::post_check(&g).is_ok() {
+                        g.commit();
+                        sound = true;
+                        records.push(record);
+                        break;
                     }
+                    g.rollback(); // try the next kind
                 }
             }
         }

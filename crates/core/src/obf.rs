@@ -262,6 +262,12 @@ pub struct ObfNode {
 }
 
 impl ObfNode {
+    /// A detached node: no children and no parent until a rewrite wires it
+    /// into the tree.
+    pub(crate) fn new(name: String, kind: ObfKind, origin: Option<NodeId>, obf_count: u32) -> Self {
+        ObfNode { name, kind, children: Vec::new(), parent: None, origin, obf_count }
+    }
+
     /// Node name.
     pub fn name(&self) -> &str {
         &self.name
@@ -489,14 +495,8 @@ impl ObfGraph {
                 ObfKind::Tabular { counter }
             }
         };
-        let oid = self.push(ObfNode {
-            name: node.name().to_string(),
-            kind,
-            children: Vec::new(),
-            parent,
-            origin: Some(id),
-            obf_count: 0,
-        });
+        let oid = self
+            .push(ObfNode { parent, ..ObfNode::new(node.name().to_string(), kind, Some(id), 0) });
         if self.nodes[oid.index()].is_terminal() {
             self.holders.insert(id, oid);
         }
@@ -575,6 +575,15 @@ impl ObfGraph {
             }
         }
         out
+    }
+
+    /// The first terminal of the subtree rooted at `id`, in wire order.
+    pub(crate) fn first_terminal(&self, id: ObfId) -> Option<ObfId> {
+        let node = self.node(id);
+        if node.is_terminal() {
+            return Some(id);
+        }
+        node.children.iter().find_map(|&c| self.first_terminal(c))
     }
 
     /// True if `descendant` is inside the subtree rooted at `ancestor`.

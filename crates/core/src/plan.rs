@@ -1459,12 +1459,7 @@ impl<'g> Compiler<'g> {
     }
 
     fn first_term(&self, id: ObfId) -> u32 {
-        self.g
-            .subtree(id)
-            .into_iter()
-            .find(|&n| self.g.node(n).is_terminal())
-            .map(|t| t.0)
-            .unwrap_or(NONE)
+        self.g.first_terminal(id).map_or(NONE, |t| t.0)
     }
 
     fn compile_node(&mut self, id: ObfId) -> PlanNode {

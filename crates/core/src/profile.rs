@@ -275,10 +275,6 @@ impl Profile {
     }
 
     fn obfuscate(&self, graph: &FormatGraph) -> Result<Codec, ProfileError> {
-        if self.obf.level == 0 {
-            graph.validate().map_err(ProfileError::Spec)?;
-            return Ok(Codec::identity(graph));
-        }
         crate::engine::Obfuscator::new(graph)
             .config(&self.obf)
             .obfuscate()

@@ -16,6 +16,13 @@
 //! | `TabSplit` | ordering | `(AB)^m` → `A^m B^m` (context-free shape) |
 //! | `RepSplit` | ordering | `(AB)*` → `A^m B^m` with the count checked at parse (copy language) |
 //! | `ChildMove` | ordering | permutation of two sequence children |
+//!
+//! The constraints read one walk over the target's ancestors: the nearest
+//! size-pinning sequence and the terminated repetition whose element the
+//! target leads, if any (`Context`). [`applicable`] and [`apply`] compute
+//! it per call; the engine computes it once per node, filters the allowed
+//! kinds with it, and then rewrites each kind it tries without checking
+//! again.
 
 mod rewrites;
 
@@ -25,7 +32,8 @@ use rand::Rng;
 
 use crate::error::TransformError;
 use crate::extent;
-use crate::obf::{ObfGraph, ObfId, ObfKind, RepStop, SeqBoundary, TermBoundary};
+use crate::obf::{ObfGraph, ObfId, ObfKind, ObfNode, RepStop, SeqBoundary, TermBoundary};
+use crate::value::ByteOp;
 
 /// The thirteen generic transformations of the paper's Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,6 +212,169 @@ impl fmt::Display for TransformRecord {
     }
 }
 
+/// What the constraints of Table II read off a node's ancestors, gathered
+/// in one walk up its parent chain. The engine computes it once per
+/// candidate node and reuses it for every kind it filters and tries: a
+/// rejected rewrite rolls the graph back exactly, so the context stays
+/// true.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Context {
+    id: ObfId,
+    /// The nearest `Fixed`/`PlainLen` sequence ancestor. It pins the byte
+    /// count, so size-changing rewrites are forbidden below it (the
+    /// paper's "Boundary of parent nodes must be either Delegated or End").
+    pinned_by: Option<ObfId>,
+    /// The nearest terminator-delimited repetition whose element starts
+    /// with this node's first terminal. The parser tells "one more
+    /// element" from "terminator" by those bytes, so they must keep their
+    /// plain-protocol determinism and position (the paper's "Boundary of
+    /// parent nodes can be anything but Delimited").
+    leads: Option<ObfId>,
+    /// True when the walk ends at the root: the node is in the live tree.
+    pub(crate) live: bool,
+}
+
+impl Context {
+    /// Walks `id`'s ancestors once.
+    pub(crate) fn of(g: &ObfGraph, id: ObfId) -> Context {
+        let first = g.first_terminal(id);
+        let mut ctx = Context { id, pinned_by: None, leads: None, live: false };
+        let (mut top, mut cur) = (id, g.node(id).parent());
+        while let Some(a) = cur {
+            match g.node(a).kind() {
+                ObfKind::Sequence {
+                    boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_),
+                } => {
+                    ctx.pinned_by = ctx.pinned_by.or(Some(a));
+                }
+                // A repetition has one child, its element, and `id` lies
+                // inside it: the element starts with `first` exactly when
+                // `id`'s subtree holds the element's first terminal.
+                ObfKind::Repetition { stop: RepStop::Terminator(_) }
+                    if ctx.leads.is_none()
+                        && first.is_some()
+                        && g.first_terminal(g.node(a).children()[0]) == first =>
+                {
+                    ctx.leads = Some(a);
+                }
+                _ => {}
+            }
+            (top, cur) = (a, g.node(a).parent());
+        }
+        ctx.live = top == g.root();
+        ctx
+    }
+
+    /// Checks the applicability constraints of `kind` on the context's
+    /// node (see [`applicable`]).
+    pub(crate) fn admits(&self, g: &ObfGraph, kind: TransformKind) -> Result<(), String> {
+        if let Some(a) = self.pinned_by.filter(|_| kind.size_changing()) {
+            let a = g.node(a);
+            return Err(match a.kind() {
+                ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) } => {
+                    format!("ancestor {} has a fixed boundary; sizes are pinned", a.name())
+                }
+                _ => format!("ancestor {} is length-bounded; sizes are pinned", a.name()),
+            });
+        }
+        let node = g.node(self.id);
+        let boundary = || match node.kind() {
+            ObfKind::Terminal { boundary, .. } => Ok(boundary),
+            _ => Err("target must be a terminal".to_string()),
+        };
+        let not_leading = || match self.leads {
+            Some(r) => Err(format!(
+                "would randomize the leading byte of terminated repetition {}",
+                g.node(r).name()
+            )),
+            None => Ok(()),
+        };
+        match kind {
+            TransformKind::SplitAdd | TransformKind::SplitSub | TransformKind::SplitXor => {
+                match boundary()? {
+                    TermBoundary::Fixed(_) | TermBoundary::PlainLen { .. } => not_leading(),
+                    TermBoundary::Delimited(_) => {
+                        Err("splitting a delimited value breaks delimiter scanning".into())
+                    }
+                    TermBoundary::End => {
+                        Err("the first share of an End-bounded field cannot be delimited".into())
+                    }
+                }
+            }
+            TransformKind::SplitCat => match boundary()? {
+                TermBoundary::Fixed(n) if *n < 2 => {
+                    Err("cannot cut a field shorter than 2 bytes".into())
+                }
+                // A plain-length field is cut at half its recoverable length.
+                TermBoundary::Fixed(_) | TermBoundary::PlainLen { .. } => Ok(()),
+                TermBoundary::Delimited(_) => {
+                    Err("cutting a delimited value breaks delimiter scanning".into())
+                }
+                TermBoundary::End => {
+                    Err("the first piece of an End-bounded field cannot be delimited".into())
+                }
+            },
+            TransformKind::ConstAdd | TransformKind::ConstSub | TransformKind::ConstXor => {
+                match boundary()? {
+                    TermBoundary::Delimited(_) => {
+                        Err("transforming a delimited value breaks delimiter scanning".into())
+                    }
+                    _ => not_leading(),
+                }
+            }
+            TransformKind::BoundaryChange => match node.kind() {
+                ObfKind::Terminal {
+                    boundary: TermBoundary::Delimited(_) | TermBoundary::End,
+                    ..
+                }
+                | ObfKind::Repetition { stop: RepStop::Terminator(_) } => not_leading(),
+                ObfKind::Terminal { .. } => Err("boundary is already length-determined".into()),
+                _ => {
+                    Err("target must be a delimited/end terminal or a terminated repetition".into())
+                }
+            },
+            TransformKind::PadInsert => match node.kind() {
+                // The pad grows the target sequence itself, so an exactly
+                // windowed target is as forbidden as an exactly windowed
+                // ancestor.
+                ObfKind::Sequence {
+                    boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_),
+                } => Err("target sequence has a pinned size".into()),
+                ObfKind::Sequence { .. } => Ok(()),
+                _ => Err("pads can only be inserted into sequences".into()),
+            },
+            TransformKind::ReadFromEnd => {
+                extent::mirror_applicable(g, self.id)?;
+                not_leading()
+            }
+            TransformKind::TabSplit => match node.kind() {
+                ObfKind::Tabular { .. } => composite_element(g, node),
+                _ => Err("target must be a tabular".into()),
+            },
+            TransformKind::RepSplit => match node.kind() {
+                ObfKind::Repetition { stop: RepStop::Terminator(_) | RepStop::CountOf(_) } => {
+                    composite_element(g, node)
+                }
+                ObfKind::Repetition { stop: RepStop::Exhausted } => {
+                    Err("splitting an exhausted repetition would be ambiguous".into())
+                }
+                _ => Err("target must be a repetition".into()),
+            },
+            TransformKind::ChildMove => match node.kind() {
+                // A leading child of a terminated repetition's element
+                // cannot move, so one more child is needed in that case.
+                ObfKind::Sequence { .. }
+                    if node.children().len() - usize::from(self.leads.is_some()) < 2 =>
+                {
+                    Err("need at least two movable children to permute".into())
+                }
+                ObfKind::Sequence { .. } => Ok(()),
+                _ => Err("target must be a sequence".into()),
+            },
+        }
+    }
+}
+
 /// Checks the applicability constraints of `kind` on node `id`
 /// (paper Table II "Constraints" rows, plus the structural soundness rules
 /// this implementation adds to guarantee invertibility).
@@ -215,111 +386,7 @@ pub fn applicable(g: &ObfGraph, id: ObfId, kind: TransformKind) -> Result<(), St
     if g.get(id).is_none() {
         return Err("unknown node".into());
     }
-    if kind.size_changing() {
-        exact_window_ancestors_forbidden(g, id)?;
-    }
-    match kind {
-        TransformKind::SplitAdd | TransformKind::SplitSub | TransformKind::SplitXor => {
-            let b = terminal_boundary(g, id)?;
-            match b {
-                TermBoundary::Fixed(_) | TermBoundary::PlainLen { .. } => {}
-                TermBoundary::Delimited(_) => {
-                    return Err("splitting a delimited value breaks delimiter scanning".into())
-                }
-                TermBoundary::End => {
-                    return Err("the first share of an End-bounded field cannot be delimited".into())
-                }
-            }
-            no_element_leading(g, id)
-        }
-        TransformKind::SplitCat => {
-            let b = terminal_boundary(g, id)?;
-            match b {
-                TermBoundary::Fixed(n) => {
-                    if *n < 2 {
-                        return Err("cannot cut a field shorter than 2 bytes".into());
-                    }
-                    Ok(())
-                }
-                // Cut at half of the (recoverable) plain length.
-                TermBoundary::PlainLen { .. } => Ok(()),
-                TermBoundary::Delimited(_) => {
-                    Err("cutting a delimited value breaks delimiter scanning".into())
-                }
-                TermBoundary::End => {
-                    Err("the first piece of an End-bounded field cannot be delimited".into())
-                }
-            }
-        }
-        TransformKind::ConstAdd | TransformKind::ConstSub | TransformKind::ConstXor => {
-            let b = terminal_boundary(g, id)?;
-            if matches!(b, TermBoundary::Delimited(_)) {
-                return Err("transforming a delimited value breaks delimiter scanning".into());
-            }
-            no_element_leading(g, id)
-        }
-        TransformKind::BoundaryChange => {
-            match &g.node(id).kind {
-                ObfKind::Terminal { boundary, .. } => match boundary {
-                    TermBoundary::Delimited(_) | TermBoundary::End => {}
-                    _ => return Err("boundary is already length-determined".into()),
-                },
-                ObfKind::Repetition { stop: RepStop::Terminator(_) } => {}
-                _ => {
-                    return Err(
-                        "target must be a delimited/end terminal or a terminated repetition".into(),
-                    )
-                }
-            }
-            no_element_leading(g, id)
-        }
-        TransformKind::PadInsert => match &g.node(id).kind {
-            // The pad grows the target sequence itself, so an exactly
-            // windowed target is as forbidden as an exactly windowed
-            // ancestor.
-            ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_) } => {
-                Err("target sequence has a pinned size".into())
-            }
-            ObfKind::Sequence { .. } => Ok(()),
-            _ => Err("pads can only be inserted into sequences".into()),
-        },
-        TransformKind::ReadFromEnd => {
-            extent::mirror_applicable(g, id)?;
-            no_element_leading(g, id)
-        }
-        TransformKind::TabSplit => {
-            let node = g.node(id);
-            if !matches!(node.kind(), ObfKind::Tabular { .. }) {
-                return Err("target must be a tabular".into());
-            }
-            composite_element(g, id)
-        }
-        TransformKind::RepSplit => {
-            let node = g.node(id);
-            match node.kind() {
-                ObfKind::Repetition { stop: RepStop::Terminator(_) | RepStop::CountOf(_) } => {}
-                ObfKind::Repetition { stop: RepStop::Exhausted } => {
-                    return Err("splitting an exhausted repetition would be ambiguous".into())
-                }
-                _ => return Err("target must be a repetition".into()),
-            }
-            composite_element(g, id)
-        }
-        TransformKind::ChildMove => {
-            let node = g.node(id);
-            match node.kind() {
-                ObfKind::Sequence { .. } => {}
-                _ => return Err("target must be a sequence".into()),
-            }
-            // A pinned leading child (terminator-repetition element head)
-            // cannot move, so one more child is needed in that case.
-            let movable = node.children().len() - usize::from(rewrites::leading_sensitive(g, id));
-            if movable < 2 {
-                return Err("need at least two movable children to permute".into());
-            }
-            Ok(())
-        }
-    }
+    Context::of(g, id).admits(g, kind)
 }
 
 /// Applies `kind` on `id`, drawing parameters from `rng`.
@@ -330,6 +397,7 @@ pub fn applicable(g: &ObfGraph, id: ObfId, kind: TransformKind) -> Result<(), St
 ///
 /// # Errors
 ///
+/// [`TransformError::UnknownNode`] when `id` is not a node of `g`,
 /// [`TransformError::NotApplicable`] when constraints are violated.
 pub fn apply<R: Rng + ?Sized>(
     g: &mut ObfGraph,
@@ -337,31 +405,43 @@ pub fn apply<R: Rng + ?Sized>(
     kind: TransformKind,
     rng: &mut R,
 ) -> Result<TransformRecord, TransformError> {
-    if let Err(reason) = applicable(g, id, kind) {
-        return Err(TransformError::NotApplicable {
-            transform: kind.name(),
-            node: g.get(id).map(|n| n.name().to_string()).unwrap_or_default(),
-            reason,
-        });
+    let Some(node) = g.get(id) else {
+        return Err(TransformError::UnknownNode(id.0));
+    };
+    let ctx = Context::of(g, id);
+    if let Err(reason) = ctx.admits(g, kind) {
+        let node = node.name().to_string();
+        return Err(TransformError::NotApplicable { transform: kind.name(), node, reason });
     }
+    Ok(rewrite(g, &ctx, kind, rng))
+}
+
+/// Rewrites the context's node with `kind`, which the context admits.
+pub(crate) fn rewrite<R: Rng + ?Sized>(
+    g: &mut ObfGraph,
+    ctx: &Context,
+    kind: TransformKind,
+    rng: &mut R,
+) -> TransformRecord {
+    let id = ctx.id;
     // The rewrite below mutates the graph's structure: refresh its uid so
     // caches keyed on the old version (transcode validation) miss.
     g.touch();
-    Ok(match kind {
-        TransformKind::SplitAdd => rewrites::split_op(g, id, crate::value::ByteOp::Add, kind),
-        TransformKind::SplitSub => rewrites::split_op(g, id, crate::value::ByteOp::Sub, kind),
-        TransformKind::SplitXor => rewrites::split_op(g, id, crate::value::ByteOp::Xor, kind),
+    match kind {
+        TransformKind::SplitAdd => rewrites::split_op(g, id, ByteOp::Add, kind),
+        TransformKind::SplitSub => rewrites::split_op(g, id, ByteOp::Sub, kind),
+        TransformKind::SplitXor => rewrites::split_op(g, id, ByteOp::Xor, kind),
         TransformKind::SplitCat => rewrites::split_cat(g, id, rng),
-        TransformKind::ConstAdd => rewrites::const_op(g, id, crate::value::ByteOp::Add, kind, rng),
-        TransformKind::ConstSub => rewrites::const_op(g, id, crate::value::ByteOp::Sub, kind, rng),
-        TransformKind::ConstXor => rewrites::const_op(g, id, crate::value::ByteOp::Xor, kind, rng),
+        TransformKind::ConstAdd => rewrites::const_op(g, id, ByteOp::Add, kind, rng),
+        TransformKind::ConstSub => rewrites::const_op(g, id, ByteOp::Sub, kind, rng),
+        TransformKind::ConstXor => rewrites::const_op(g, id, ByteOp::Xor, kind, rng),
         TransformKind::BoundaryChange => rewrites::boundary_change(g, id, rng),
-        TransformKind::PadInsert => rewrites::pad_insert(g, id, rng),
+        TransformKind::PadInsert => rewrites::pad_insert(g, id, ctx.leads.is_some(), rng),
         TransformKind::ReadFromEnd => rewrites::read_from_end(g, id),
         TransformKind::TabSplit => rewrites::tab_split(g, id, rng),
         TransformKind::RepSplit => rewrites::rep_split(g, id, rng),
-        TransformKind::ChildMove => rewrites::child_move(g, id, rng),
-    })
+        TransformKind::ChildMove => rewrites::child_move(g, id, ctx.leads.is_some(), rng),
+    }
 }
 
 /// Global soundness checks run after every rewrite. A failure means the
@@ -389,81 +469,15 @@ pub fn post_check(g: &ObfGraph) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// constraint helpers
-// ---------------------------------------------------------------------------
-
-fn terminal_boundary(g: &ObfGraph, id: ObfId) -> Result<&TermBoundary, String> {
-    match &g.node(id).kind {
-        ObfKind::Terminal { boundary, .. } => Ok(boundary),
-        _ => Err("target must be a terminal".into()),
-    }
-}
-
-/// Size-changing rewrites are forbidden under exactly-windowed ancestors
-/// (the paper's "Boundary of parent nodes must be either Delegated or
-/// End"): a Fixed or Length-bounded enclosing sequence pins the byte count.
-fn exact_window_ancestors_forbidden(g: &ObfGraph, id: ObfId) -> Result<(), String> {
-    for a in g.ancestors(id) {
-        match &g.node(a).kind {
-            ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) } => {
-                return Err(format!(
-                    "ancestor {} has a fixed boundary; sizes are pinned",
-                    g.node(a).name()
-                ))
-            }
-            ObfKind::Sequence { boundary: SeqBoundary::PlainLen(_) } => {
-                return Err(format!(
-                    "ancestor {} is length-bounded; sizes are pinned",
-                    g.node(a).name()
-                ))
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// The leftmost terminal of the subtree rooted at `id`, in parse order.
-fn leftmost_terminal(g: &ObfGraph, id: ObfId) -> Option<ObfId> {
-    g.subtree(id).into_iter().find(|&n| g.node(n).is_terminal())
-}
-
-/// Rejects rewrites that would randomize the first wire byte of a
-/// terminator-delimited repetition's element: the parser distinguishes
-/// "one more element" from "terminator" by looking at those bytes, so they
-/// must keep their plain-protocol determinism. This is the constraint the
-/// paper writes as "Boundary of parent nodes can be anything but
-/// Delimited".
-fn no_element_leading(g: &ObfGraph, target: ObfId) -> Result<(), String> {
-    for a in g.ancestors(target) {
-        if let ObfKind::Repetition { stop: RepStop::Terminator(_) } = g.node(a).kind() {
-            let elem = g.node(a).children()[0];
-            if let Some(first) = leftmost_terminal(g, elem) {
-                if g.is_descendant(first, target) {
-                    return Err(format!(
-                        "would randomize the leading byte of terminated repetition {}",
-                        g.node(a).name()
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// TabSplit/RepSplit need a composite element: a delegated sequence with at
 /// least two children (paper: "Boundary of X must be Delegated").
-fn composite_element(g: &ObfGraph, id: ObfId) -> Result<(), String> {
-    let elem = g.node(id).children()[0];
-    match &g.node(elem).kind {
-        ObfKind::Sequence { boundary: SeqBoundary::Delegated } => {
-            if g.node(elem).children().len() < 2 {
-                Err("element sequence needs at least two fields to split".into())
-            } else {
-                Ok(())
-            }
+fn composite_element(g: &ObfGraph, node: &ObfNode) -> Result<(), String> {
+    let elem = g.node(node.children()[0]);
+    match elem.kind() {
+        ObfKind::Sequence { boundary: SeqBoundary::Delegated } if elem.children().len() < 2 => {
+            Err("element sequence needs at least two fields to split".into())
         }
+        ObfKind::Sequence { boundary: SeqBoundary::Delegated } => Ok(()),
         ObfKind::Sequence { .. } => Err("element boundary must be Delegated".into()),
         _ => Err("element must be a sequence".into()),
     }
@@ -593,6 +607,16 @@ pub(crate) mod tests {
         assert!(applicable(&g, find(&g, "data"), TransformKind::ReadFromEnd).is_ok());
         assert!(applicable(&g, find(&g, "uri"), TransformKind::ReadFromEnd).is_err());
         assert!(applicable(&g, find(&g, "reg"), TransformKind::ReadFromEnd).is_ok());
+    }
+
+    #[test]
+    fn apply_rejects_unknown_node() {
+        let mut g = sample();
+        let past = ObfId(g.allocated() as u32);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let err = apply(&mut g, past, TransformKind::ConstXor, &mut rng).unwrap_err();
+        assert_eq!(err, TransformError::UnknownNode(past.0));
+        assert_eq!(applicable(&g, past, TransformKind::ConstXor), Err("unknown node".into()));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Graph rewrites for each generic transformation.
 //!
 //! These functions assume the local applicability constraints
-//! ([`super::applicable`]) already passed; the engine runs the global
-//! [`super::post_check`] afterwards and rolls back on failure.
+//! ([`super::Context::admits`]) already passed; the engine runs the global
+//! [`super::post_check`] afterwards and rolls back on failure. Each takes
+//! the name tag of the nodes it creates from [`ObfGraph::allocated`]
+//! before its first push.
 
 use rand::Rng;
 
 use crate::obf::{
-    Base, ConstOp, ObfGraph, ObfId, ObfKind, ObfNode, Recombine, RepStop, SeqBoundary, SplitExpr,
-    TermBoundary,
+    Base, ConstOp, LenStep, ObfGraph, ObfId, ObfKind, ObfNode, Recombine, RepStop, SeqBoundary,
+    SplitExpr, TermBoundary,
 };
 use crate::value::{ByteOp, Endian, SplitAt, TerminalKind};
 
@@ -16,14 +18,23 @@ use super::{TransformKind, TransformRecord};
 
 fn record(
     kind: TransformKind,
-    g: &ObfGraph,
     target: ObfId,
     target_name: String,
     created: Vec<ObfId>,
     detail: String,
 ) -> TransformRecord {
-    let _ = g;
     TransformRecord { kind, target, target_name, created, detail }
+}
+
+/// Counts one more rewrite of `id`; returns its name and new count.
+fn bump(g: &mut ObfGraph, id: ObfId) -> (String, u32) {
+    let node = g.node_mut(id);
+    node.obf_count += 1;
+    (node.name.clone(), node.obf_count)
+}
+
+fn delegated() -> ObfKind {
+    ObfKind::Sequence { boundary: SeqBoundary::Delegated }
 }
 
 /// Splits a terminal into a random share and the combined share
@@ -34,53 +45,12 @@ pub(super) fn split_op(
     op: ByteOp,
     kind: TransformKind,
 ) -> TransformRecord {
-    let t = g.node(id).clone();
-    let (t_kind, base, ops, boundary) = match t.kind {
-        ObfKind::Terminal { kind, base, ops, boundary } => (kind, base, ops, boundary),
+    let (t_kind, boundary) = match g.node(id).kind() {
+        ObfKind::Terminal { kind, boundary, .. } => (kind.clone(), boundary.clone()),
         _ => unreachable!("checked by applicable()"),
     };
-    let next = t.obf_count + 1;
-    let tag = g.allocated();
-
-    let split = g.push(ObfNode {
-        name: format!("{}_s{}", t.name, tag),
-        kind: ObfKind::SplitSeq { expr: SplitExpr { base, ops }, recombine: Recombine::Op(op) },
-        children: Vec::new(),
-        parent: None,
-        origin: t.origin,
-        obf_count: next,
-    });
-    let share = g.push(ObfNode {
-        name: format!("{}_r{}", t.name, tag),
-        kind: ObfKind::Terminal {
-            kind: TerminalKind::Bytes,
-            base: Base::Inherit,
-            ops: Vec::new(),
-            boundary: boundary.clone(),
-        },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-    let combined = g.push(ObfNode {
-        name: format!("{}_v{}", t.name, tag),
-        kind: ObfKind::Terminal { kind: t_kind, base: Base::Inherit, ops: Vec::new(), boundary },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-
-    g.replace_child(id, split);
-    g.attach(split, 0, share);
-    g.attach(split, 1, combined);
-    if let Some(x) = t.origin {
-        if g.holder_of(x) == Some(id) {
-            g.move_holder(x, split);
-        }
-    }
-    record(kind, g, id, t.name, vec![split, share, combined], format!("op={}", op.name()))
+    let pieces = [("r", TerminalKind::Bytes, boundary.clone()), ("v", t_kind, boundary)];
+    split_terminal(g, id, kind, ("s", Recombine::Op(op)), pieces, format!("op={}", op.name()))
 }
 
 /// Cuts a terminal into two concatenated pieces (`SplitCat`).
@@ -89,83 +59,60 @@ pub(super) fn split_cat<R: Rng + ?Sized>(
     id: ObfId,
     rng: &mut R,
 ) -> TransformRecord {
-    let t = g.node(id).clone();
-    let (base, ops, boundary) = match t.kind {
-        ObfKind::Terminal { base, ops, boundary, .. } => (base, ops, boundary),
-        _ => unreachable!("checked by applicable()"),
-    };
-    let next = t.obf_count + 1;
-    let tag = g.allocated();
-
-    let (at, b_left, b_right, detail) = match &boundary {
-        TermBoundary::Fixed(n) => {
+    let (at, left, right, detail) = match g.node(id).kind() {
+        ObfKind::Terminal { boundary: TermBoundary::Fixed(n), .. } => {
             let p = rng.gen_range(1..*n);
-            (
-                SplitAt::Byte(p),
-                TermBoundary::Fixed(p),
-                TermBoundary::Fixed(n - p),
-                format!("cut at byte {p}"),
-            )
+            let (left, right) = (TermBoundary::Fixed(p), TermBoundary::Fixed(n - p));
+            (SplitAt::Byte(p), left, right, format!("cut at byte {p}"))
         }
-        TermBoundary::PlainLen { source, steps } => {
-            let mut lo = steps.clone();
-            lo.push(crate::obf::LenStep::HalfLo);
-            let mut hi = steps.clone();
-            hi.push(crate::obf::LenStep::HalfHi);
-            (
-                SplitAt::Half,
-                TermBoundary::PlainLen { source: *source, steps: lo },
-                TermBoundary::PlainLen { source: *source, steps: hi },
-                "cut at half".to_string(),
-            )
+        ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, steps }, .. } => {
+            let half = |step| TermBoundary::PlainLen {
+                source: *source,
+                steps: steps.iter().copied().chain([step]).collect(),
+            };
+            (SplitAt::Half, half(LenStep::HalfLo), half(LenStep::HalfHi), "cut at half".into())
         }
         _ => unreachable!("checked by applicable()"),
     };
+    let pieces = [("l", TerminalKind::Bytes, left), ("h", TerminalKind::Bytes, right)];
+    split_terminal(g, id, TransformKind::SplitCat, ("c", Recombine::Concat(at)), pieces, detail)
+}
 
-    let split = g.push(ObfNode {
-        name: format!("{}_c{}", t.name, tag),
-        kind: ObfKind::SplitSeq { expr: SplitExpr { base, ops }, recombine: Recombine::Concat(at) },
-        children: Vec::new(),
-        parent: None,
-        origin: t.origin,
-        obf_count: next,
-    });
-    let left = g.push(ObfNode {
-        name: format!("{}_l{}", t.name, tag),
-        kind: ObfKind::Terminal {
-            kind: TerminalKind::Bytes,
-            base: Base::Inherit,
-            ops: Vec::new(),
-            boundary: b_left,
-        },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-    let right = g.push(ObfNode {
-        name: format!("{}_h{}", t.name, tag),
-        kind: ObfKind::Terminal {
-            kind: TerminalKind::Bytes,
-            base: Base::Inherit,
-            ops: Vec::new(),
-            boundary: b_right,
-        },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-
-    g.replace_child(id, split);
-    g.attach(split, 0, left);
-    g.attach(split, 1, right);
-    if let Some(x) = t.origin {
-        if g.holder_of(x) == Some(id) {
-            g.move_holder(x, split);
-        }
+/// The skeleton of the split family: a [`ObfKind::SplitSeq`] that takes
+/// over the terminal's base and ops replaces it, with the two `pieces` as
+/// terminal children inheriting their bytes from it, and takes over the
+/// terminal's value channel if it held one. Each new node is named after
+/// the terminal plus its suffix and the name tag.
+fn split_terminal(
+    g: &mut ObfGraph,
+    id: ObfId,
+    kind: TransformKind,
+    (suffix, recombine): (&str, Recombine),
+    pieces: [(&str, TerminalKind, TermBoundary); 2],
+    detail: String,
+) -> TransformRecord {
+    let t = g.node(id);
+    let (name, origin, next) = (t.name.clone(), t.origin, t.obf_count + 1);
+    let expr = match &t.kind {
+        ObfKind::Terminal { base, ops, .. } => SplitExpr { base: base.clone(), ops: ops.clone() },
+        _ => unreachable!("checked by applicable()"),
+    };
+    let tag = g.allocated();
+    let split = ObfKind::SplitSeq { expr, recombine };
+    let split = g.push(ObfNode::new(format!("{name}_{suffix}{tag}"), split, origin, next));
+    let mut created = vec![split];
+    for (i, (suffix, t_kind, boundary)) in pieces.into_iter().enumerate() {
+        let piece =
+            ObfKind::Terminal { kind: t_kind, base: Base::Inherit, ops: Vec::new(), boundary };
+        let piece = g.push(ObfNode::new(format!("{name}_{suffix}{tag}"), piece, None, next));
+        g.attach(split, i, piece);
+        created.push(piece);
     }
-    record(TransformKind::SplitCat, g, id, t.name, vec![split, left, right], detail)
+    g.replace_child(id, split);
+    if let Some(x) = origin.filter(|&x| g.holder_of(x) == Some(id)) {
+        g.move_holder(x, split);
+    }
+    record(kind, id, name, created, detail)
 }
 
 /// Pushes a constant byte operation onto a terminal
@@ -182,14 +129,13 @@ pub(super) fn const_op<R: Rng + ?Sized>(
     if k.iter().all(|&b| b == 0) {
         k[0] = rng.gen_range(1..=255);
     }
-    let name = g.node(id).name().to_string();
     let detail = format!("op={} k={:02x?}", op.name(), k);
     match &mut g.node_mut(id).kind {
         ObfKind::Terminal { ops, .. } => ops.push(ConstOp { op, k }),
         _ => unreachable!("checked by applicable()"),
     }
-    g.node_mut(id).obf_count += 1;
-    record(kind, g, id, name, vec![], detail)
+    let (name, _) = bump(g, id);
+    record(kind, id, name, vec![], detail)
 }
 
 /// Replaces a delimiter with a length prefix (`BoundaryChange`). The
@@ -202,102 +148,70 @@ pub(super) fn boundary_change<R: Rng + ?Sized>(
 ) -> TransformRecord {
     let width = if rng.gen_bool(0.5) { 2 } else { 4 };
     let endian = if rng.gen_bool(0.5) { Endian::Big } else { Endian::Little };
-    let name = g.node(id).name().to_string();
     let prior = match &mut g.node_mut(id).kind {
-        ObfKind::Terminal { boundary, .. } => match boundary {
-            TermBoundary::Delimited(d) => {
-                let old = format!("delimited {d:02x?}");
-                *boundary = TermBoundary::End;
-                old
+        ObfKind::Terminal { boundary: TermBoundary::End, .. } => "end".to_string(),
+        ObfKind::Terminal { boundary, .. } => {
+            match std::mem::replace(boundary, TermBoundary::End) {
+                TermBoundary::Delimited(d) => format!("delimited {d:02x?}"),
+                _ => unreachable!("checked by applicable()"),
             }
-            TermBoundary::End => "end".to_string(),
-            _ => unreachable!("checked by applicable()"),
-        },
-        ObfKind::Repetition { stop } => match stop {
-            RepStop::Terminator(t) => {
-                let old = format!("terminated {t:02x?}");
-                *stop = RepStop::Exhausted;
-                old
-            }
+        }
+        ObfKind::Repetition { stop } => match std::mem::replace(stop, RepStop::Exhausted) {
+            RepStop::Terminator(t) => format!("terminated {t:02x?}"),
             _ => unreachable!("checked by applicable()"),
         },
         _ => unreachable!("checked by applicable()"),
     };
-    let next = g.node(id).obf_count + 1;
-    g.node_mut(id).obf_count = next;
-    let wrapper = g.push(ObfNode {
-        name: format!("{}_len{}", name, g.allocated()),
-        kind: ObfKind::Prefixed { width, endian },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-    g.replace_child(id, wrapper);
-    g.attach(wrapper, 0, id);
-    record(
-        TransformKind::BoundaryChange,
-        g,
-        id,
-        name,
-        vec![wrapper],
-        format!("{prior} -> {width}-byte {endian:?} prefix"),
-    )
-}
-
-/// Inserts a random pad terminal into a sequence (`PadInsert`).
-pub(super) fn pad_insert<R: Rng + ?Sized>(
-    g: &mut ObfGraph,
-    id: ObfId,
-    rng: &mut R,
-) -> TransformRecord {
-    let len = rng.gen_range(1..=8usize);
-    let n_children = g.node(id).children().len();
-    let min_idx = usize::from(leading_sensitive(g, id));
-    let idx = rng.gen_range(min_idx..=n_children.max(min_idx));
-    let name = g.node(id).name().to_string();
-    let next = g.node(id).obf_count + 1;
-    g.node_mut(id).obf_count = next;
-    let pad = g.push(ObfNode {
-        name: format!("pad{}", g.allocated()),
-        kind: ObfKind::Terminal {
-            kind: TerminalKind::Bytes,
-            base: Base::Pad(len),
-            ops: Vec::new(),
-            boundary: TermBoundary::Fixed(len),
-        },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-    g.attach(id, idx.min(n_children), pad);
-    record(
-        TransformKind::PadInsert,
-        g,
-        id,
-        name,
-        vec![pad],
-        format!("{len} byte(s) at index {idx}"),
-    )
+    let detail = format!("{prior} -> {width}-byte {endian:?} prefix");
+    wrap(g, id, TransformKind::BoundaryChange, ("len", ObfKind::Prefixed { width, endian }), detail)
 }
 
 /// Wraps a subtree so its bytes are emitted right-to-left (`ReadFromEnd`).
 pub(super) fn read_from_end(g: &mut ObfGraph, id: ObfId) -> TransformRecord {
-    let name = g.node(id).name().to_string();
-    let next = g.node(id).obf_count + 1;
-    g.node_mut(id).obf_count = next;
-    let wrapper = g.push(ObfNode {
-        name: format!("{}_rev{}", name, g.allocated()),
-        kind: ObfKind::Mirror,
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
+    wrap(g, id, TransformKind::ReadFromEnd, ("rev", ObfKind::Mirror), String::new())
+}
+
+/// The skeleton of the wrapping rewrites: a new one-child node of the
+/// given kind, named after `id` plus its suffix and the name tag, takes
+/// `id`'s place and holds it.
+fn wrap(
+    g: &mut ObfGraph,
+    id: ObfId,
+    kind: TransformKind,
+    (suffix, wrapper): (&str, ObfKind),
+    detail: String,
+) -> TransformRecord {
+    let (name, next) = bump(g, id);
+    let tag = g.allocated();
+    let wrapper = g.push(ObfNode::new(format!("{name}_{suffix}{tag}"), wrapper, None, next));
     g.replace_child(id, wrapper);
     g.attach(wrapper, 0, id);
-    record(TransformKind::ReadFromEnd, g, id, name, vec![wrapper], String::new())
+    record(kind, id, name, vec![wrapper], detail)
+}
+
+/// Inserts a random pad terminal into a sequence (`PadInsert`). A sequence
+/// that `leads` a terminated repetition's element keeps its first child
+/// first.
+pub(super) fn pad_insert<R: Rng + ?Sized>(
+    g: &mut ObfGraph,
+    id: ObfId,
+    leads: bool,
+    rng: &mut R,
+) -> TransformRecord {
+    let len = rng.gen_range(1..=8usize);
+    let n_children = g.node(id).children().len();
+    let min_idx = usize::from(leads);
+    let idx = rng.gen_range(min_idx..=n_children.max(min_idx));
+    let (name, next) = bump(g, id);
+    let pad = ObfKind::Terminal {
+        kind: TerminalKind::Bytes,
+        base: Base::Pad(len),
+        ops: Vec::new(),
+        boundary: TermBoundary::Fixed(len),
+    };
+    let pad = g.push(ObfNode::new(format!("pad{}", g.allocated()), pad, None, next));
+    g.attach(id, idx.min(n_children), pad);
+    record(TransformKind::PadInsert, id, name, vec![pad], format!("{len} byte(s) at index {idx}"))
 }
 
 /// `(AB)^m` → `A^m B^m` (`TabSplit`, paper Table II).
@@ -306,71 +220,12 @@ pub(super) fn tab_split<R: Rng + ?Sized>(
     id: ObfId,
     rng: &mut R,
 ) -> TransformRecord {
-    let t = g.node(id).clone();
-    let counter = match t.kind {
-        ObfKind::Tabular { counter } => counter,
+    let counter = match g.node(id).kind() {
+        ObfKind::Tabular { counter } => *counter,
         _ => unreachable!("checked by applicable()"),
     };
-    let elem = t.children[0];
-    let fields = g.node(elem).children().to_vec();
-    let j = rng.gen_range(1..fields.len());
-    let next = t.obf_count + 1;
-    let tag = g.allocated();
-    let elem_name = g.node(elem).name().to_string();
-
-    let make_elem = |g: &mut ObfGraph, suffix: &str| {
-        g.push(ObfNode {
-            name: format!("{elem_name}_{suffix}{tag}"),
-            kind: ObfKind::Sequence { boundary: SeqBoundary::Delegated },
-            children: Vec::new(),
-            parent: None,
-            origin: None,
-            obf_count: next,
-        })
-    };
-    let e1 = make_elem(g, "a");
-    let e2 = make_elem(g, "b");
-    for (i, &f) in fields.iter().enumerate() {
-        let target = if i < j { e1 } else { e2 };
-        let pos = g.node(target).children().len();
-        g.node_mut(f).parent = None;
-        g.attach(target, pos, f);
-    }
-    g.node_mut(elem).children.clear();
-
-    let make_tab = |g: &mut ObfGraph, suffix: &str, child: ObfId| {
-        let tab = g.push(ObfNode {
-            name: format!("{}_{suffix}{tag}", t.name),
-            kind: ObfKind::Tabular { counter },
-            children: Vec::new(),
-            parent: None,
-            origin: t.origin,
-            obf_count: next,
-        });
-        g.attach(tab, 0, child);
-        tab
-    };
-    let tab1 = make_tab(g, "a", e1);
-    let tab2 = make_tab(g, "b", e2);
-    let seq = g.push(ObfNode {
-        name: format!("{}_sp{tag}", t.name),
-        kind: ObfKind::Sequence { boundary: SeqBoundary::Delegated },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-    g.replace_child(id, seq);
-    g.attach(seq, 0, tab1);
-    g.attach(seq, 1, tab2);
-    record(
-        TransformKind::TabSplit,
-        g,
-        id,
-        t.name,
-        vec![seq, tab1, tab2, e1, e2],
-        format!("element split after field {j}"),
-    )
+    let halves = (ObfKind::Tabular { counter }, |_| ObfKind::Tabular { counter });
+    split_element(g, id, TransformKind::TabSplit, rng, halves)
 }
 
 /// `(AB)*` → `A^m B^m` with `m` checked at parse time (`RepSplit`).
@@ -379,116 +234,69 @@ pub(super) fn rep_split<R: Rng + ?Sized>(
     id: ObfId,
     rng: &mut R,
 ) -> TransformRecord {
-    let r = g.node(id).clone();
-    let stop = match r.kind {
-        ObfKind::Repetition { stop } => stop,
+    let stop = match g.node(id).kind() {
+        ObfKind::Repetition { stop } => stop.clone(),
         _ => unreachable!("checked by applicable()"),
     };
-    let elem = r.children[0];
-    let fields = g.node(elem).children().to_vec();
-    let j = rng.gen_range(1..fields.len());
-    let next = r.obf_count + 1;
-    let tag = g.allocated();
-    let elem_name = g.node(elem).name().to_string();
-
-    let make_elem = |g: &mut ObfGraph, suffix: &str| {
-        g.push(ObfNode {
-            name: format!("{elem_name}_{suffix}{tag}"),
-            kind: ObfKind::Sequence { boundary: SeqBoundary::Delegated },
-            children: Vec::new(),
-            parent: None,
-            origin: None,
-            obf_count: next,
-        })
-    };
-    let e1 = make_elem(g, "a");
-    let e2 = make_elem(g, "b");
-    for (i, &f) in fields.iter().enumerate() {
-        let target = if i < j { e1 } else { e2 };
-        let pos = g.node(target).children().len();
-        g.node_mut(f).parent = None;
-        g.attach(target, pos, f);
-    }
-    g.node_mut(elem).children.clear();
-
-    let rep_a = g.push(ObfNode {
-        name: format!("{}_a{tag}", r.name),
-        kind: ObfKind::Repetition { stop },
-        children: Vec::new(),
-        parent: None,
-        origin: r.origin,
-        obf_count: next,
-    });
-    g.attach(rep_a, 0, e1);
-    let rep_b = g.push(ObfNode {
-        name: format!("{}_b{tag}", r.name),
-        kind: ObfKind::Repetition { stop: RepStop::CountOf(rep_a) },
-        children: Vec::new(),
-        parent: None,
-        origin: r.origin,
-        obf_count: next,
-    });
-    g.attach(rep_b, 0, e2);
-    let seq = g.push(ObfNode {
-        name: format!("{}_sp{tag}", r.name),
-        kind: ObfKind::Sequence { boundary: SeqBoundary::Delegated },
-        children: Vec::new(),
-        parent: None,
-        origin: None,
-        obf_count: next,
-    });
-    g.replace_child(id, seq);
-    g.attach(seq, 0, rep_a);
-    g.attach(seq, 1, rep_b);
-    record(
-        TransformKind::RepSplit,
-        g,
-        id,
-        r.name,
-        vec![seq, rep_a, rep_b, e1, e2],
-        format!("element split after field {j}"),
-    )
+    let halves =
+        (ObfKind::Repetition { stop }, |a| ObfKind::Repetition { stop: RepStop::CountOf(a) });
+    split_element(g, id, TransformKind::RepSplit, rng, halves)
 }
 
-/// Swaps two children of a sequence (`ChildMove`).
+/// The skeleton of the element splits: the loop's composite element is cut
+/// after a random field into two delegated element sequences, each goes
+/// into one of two new loops (`halves`: the first loop's kind, and the
+/// second's as a function of the first loop's id, which it may count), and
+/// a delegated sequence of the two loops takes the loop's place.
+fn split_element<R: Rng + ?Sized>(
+    g: &mut ObfGraph,
+    id: ObfId,
+    kind: TransformKind,
+    rng: &mut R,
+    (first, second): (ObfKind, impl FnOnce(ObfId) -> ObfKind),
+) -> TransformRecord {
+    let l = g.node(id);
+    let (name, origin, next, elem) = (l.name.clone(), l.origin, l.obf_count + 1, l.children[0]);
+    let fields = g.node(elem).children().to_vec();
+    let j = rng.gen_range(1..fields.len());
+    let tag = g.allocated();
+    let elem_name = g.node(elem).name().to_string();
+    let [e1, e2] = ["a", "b"]
+        .map(|s| g.push(ObfNode::new(format!("{elem_name}_{s}{tag}"), delegated(), None, next)));
+    for (i, &f) in fields.iter().enumerate() {
+        let (half, pos) = if i < j { (e1, i) } else { (e2, i - j) };
+        g.attach(half, pos, f);
+    }
+    g.node_mut(elem).children.clear();
+    let a = g.push(ObfNode::new(format!("{name}_a{tag}"), first, origin, next));
+    g.attach(a, 0, e1);
+    let b = g.push(ObfNode::new(format!("{name}_b{tag}"), second(a), origin, next));
+    g.attach(b, 0, e2);
+    let seq = g.push(ObfNode::new(format!("{name}_sp{tag}"), delegated(), None, next));
+    g.replace_child(id, seq);
+    g.attach(seq, 0, a);
+    g.attach(seq, 1, b);
+    record(kind, id, name, vec![seq, a, b, e1, e2], format!("element split after field {j}"))
+}
+
+/// Swaps two children of a sequence (`ChildMove`). A sequence that `leads`
+/// a terminated repetition's element keeps its first child first.
 pub(super) fn child_move<R: Rng + ?Sized>(
     g: &mut ObfGraph,
     id: ObfId,
+    leads: bool,
     rng: &mut R,
 ) -> TransformRecord {
     let n = g.node(id).children().len();
-    let lo = usize::from(leading_sensitive(g, id));
+    let lo = usize::from(leads);
     let i = rng.gen_range(lo..n);
     let mut j = rng.gen_range(lo..n - 1);
     if j >= i {
         j += 1;
     }
-    let name = g.node(id).name().to_string();
     g.node_mut(id).children.swap(i, j);
-    g.node_mut(id).obf_count += 1;
-    record(TransformKind::ChildMove, g, id, name, vec![], format!("swapped children {i} and {j}"))
-}
-
-/// True when the first wire byte of `id`'s subtree is also the first byte a
-/// terminator-delimited repetition uses to detect its end: transformations
-/// must not move or randomize it.
-pub(super) fn leading_sensitive(g: &ObfGraph, id: ObfId) -> bool {
-    let my_first = g.subtree(id).into_iter().find(|&n| g.node(n).is_terminal());
-    let my_first = match my_first {
-        Some(f) => f,
-        None => return false,
-    };
-    for a in g.ancestors(id) {
-        if let ObfKind::Repetition { stop: RepStop::Terminator(_) } = g.node(a).kind() {
-            let elem = g.node(a).children()[0];
-            if let Some(first) = g.subtree(elem).into_iter().find(|&n| g.node(n).is_terminal()) {
-                if first == my_first {
-                    return true;
-                }
-            }
-        }
-    }
-    false
+    let (name, _) = bump(g, id);
+    record(TransformKind::ChildMove, id, name, vec![], format!("swapped children {i} and {j}"))
 }
 
 #[cfg(test)]
