@@ -586,18 +586,6 @@ impl ObfGraph {
         node.children.iter().find_map(|&c| self.first_terminal(c))
     }
 
-    /// True if `descendant` is inside the subtree rooted at `ancestor`.
-    pub fn is_descendant(&self, descendant: ObfId, ancestor: ObfId) -> bool {
-        let mut cur = Some(descendant);
-        while let Some(id) = cur {
-            if id == ancestor {
-                return true;
-            }
-            cur = self.node(id).parent;
-        }
-        false
-    }
-
     /// Depth of `id` (root is 0).
     pub fn depth(&self, id: ObfId) -> usize {
         let mut d = 0;

@@ -579,6 +579,27 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn size_changes_rejected_under_pinned_sequences() {
+        let mut b = GraphBuilder::new("p");
+        let root = b.root_sequence("m", Boundary::End);
+        let len = b.uint_be(root, "len", 2);
+        let outer = b.sequence(root, "outer", Boundary::Length(len));
+        b.set_auto(len, AutoValue::LengthOf(outer));
+        let inner = b.sequence(outer, "inner", Boundary::Fixed(2));
+        b.uint_be(inner, "x", 2);
+        let g = ObfGraph::from_plain(&b.build().unwrap());
+        let (x, inner) = (find(&g, "x"), find(&g, "inner"));
+        // The nearest pinning ancestor is named.
+        let fixed = "ancestor inner has a fixed boundary; sizes are pinned";
+        assert_eq!(applicable(&g, x, TransformKind::SplitAdd), Err(fixed.into()));
+        let length = "ancestor outer is length-bounded; sizes are pinned";
+        assert_eq!(applicable(&g, inner, TransformKind::PadInsert), Err(length.into()));
+        // Size-preserving rewrites stay allowed.
+        assert!(applicable(&g, x, TransformKind::ConstXor).is_ok());
+        assert!(applicable(&g, x, TransformKind::SplitCat).is_ok());
+    }
+
+    #[test]
     fn tab_and_rep_split_constraints() {
         let g = sample();
         assert!(applicable(&g, find(&g, "regs"), TransformKind::TabSplit).is_ok());
