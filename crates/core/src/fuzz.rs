@@ -266,7 +266,7 @@ pub fn coverage_signature(codec: &Codec, wire: &[u8]) -> u64 {
             let msg = session.take_message();
             for (slot, scope, bytes) in msg.populated_wires() {
                 slot.hash(&mut h);
-                scope.hash(&mut h);
+                scope.as_slice().hash(&mut h);
                 bytes.len().hash(&mut h);
             }
         }

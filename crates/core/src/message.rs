@@ -13,13 +13,25 @@
 //!
 //! Values live in **slot-backed dense stores** (`WireStore` /
 //! `MetaStore`), indexed by the raw node index (the plan's *slot*) with
-//! per-instance element scopes as inline `ScopeKey`s and value bytes in
-//! one shared arena. Lookups are an index plus a binary search over the
-//! slot's sorted scopes, or one comparison for readers that visit them in
-//! order through a cursor — no hashing — and clearing a store keeps its
-//! capacity, which is what lets the codec sessions
-//! ([`crate::serialize::SerializeSession`], [`crate::parse::ParseSession`])
-//! run without steady-state allocation.
+//! per-instance element scopes as inline `ScopeKey`s — no hashing.
+//!
+//! A `WireStore` keeps value bytes in one shared arena, and each slot a
+//! sorted list of disjoint **runs**: `n` values of one width, end to end
+//! in the arena, under `n` consecutive element keys of one container
+//! instance. The element kernels move a whole column as one run per
+//! container instance: the parser gathers it from the wire, the
+//! transcode copies it as one block, and the serializer scatters it into
+//! the elements' places. The setters, the sampler and the per-element
+//! walks store single values (runs of one). A single write never joins an
+//! earlier entry, so rolling a slot back to an entry count is exact;
+//! replacing one value inside a longer run splits the run.
+//!
+//! A lookup is an index plus a binary search for the run that covers the
+//! key, or one check of the entry under a cursor for a reader that visits
+//! the keys in order (the cursor stays on a run until its last element).
+//! Clearing a store keeps its capacity, which is what lets the codec
+//! sessions ([`crate::serialize::SerializeSession`],
+//! [`crate::parse::ParseSession`]) run without steady-state allocation.
 
 use std::sync::Arc;
 
@@ -68,8 +80,7 @@ impl ScopeKey {
     }
 
     /// The key of element `i` of a container at `scope`: `scope`
-    /// followed by `i`. Loop kernels build it once per container and
-    /// move it along with [`ScopeKey::set_last`].
+    /// followed by `i`.
     pub(crate) fn element(scope: &[u32], i: u32) -> ScopeKey {
         assert!(
             scope.len() < MAX_SCOPE,
@@ -82,17 +93,111 @@ impl ScopeKey {
     }
 
     /// Replaces the innermost element index.
-    pub(crate) fn set_last(&mut self, i: u32) {
+    fn set_last(&mut self, i: u32) {
         self.idx[self.len as usize - 1] = i;
+    }
+
+    /// This key with its innermost element index replaced.
+    fn with_last(mut self, i: u32) -> ScopeKey {
+        self.set_last(i);
+        self
+    }
+
+    /// The innermost element index.
+    fn last(&self) -> u32 {
+        self.idx[self.len as usize - 1]
     }
 }
 
-/// Dense per-slot wire-value storage: value bytes live in one arena,
-/// instances are `(scope, range)` entries per slot.
+/// One [`WireStore`] entry: `n` values of `width` bytes each, end to end
+/// in the arena from `start`, under `first` and the `n - 1` element keys
+/// after it — consecutive elements of one container instance. A single
+/// value is a run of one, of any width.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    first: ScopeKey,
+    start: u32,
+    width: u32,
+    n: u32,
+}
+
+impl Entry {
+    /// The element offset of `key` in this run, if the run covers it.
+    #[inline]
+    fn offset(&self, key: &ScopeKey) -> Option<u32> {
+        if self.first == *key {
+            return Some(0);
+        }
+        if self.n == 1 || key.len == 0 {
+            return None;
+        }
+        let mut aligned = *key;
+        aligned.set_last(self.first.last());
+        let o = key.last().wrapping_sub(self.first.last());
+        (aligned == self.first && o < self.n).then_some(o)
+    }
+
+    /// Whether every key of this run sorts before `key`.
+    #[inline]
+    fn before(&self, key: &ScopeKey) -> bool {
+        if self.n == 1 {
+            self.first < *key
+        } else {
+            self.key_at(self.n - 1) < *key
+        }
+    }
+
+    /// The key of the value at element offset `o`.
+    #[inline]
+    fn key_at(&self, o: u32) -> ScopeKey {
+        let mut key = self.first;
+        if o > 0 {
+            key.set_last(self.first.last() + o);
+        }
+        key
+    }
+
+    /// How many of this run's values are elements below `n` (a run may
+    /// reach past a loop's last element), for a run that starts below it.
+    #[inline]
+    fn values_below(&self, n: usize) -> usize {
+        (self.n as usize).min(n - self.first.last() as usize)
+    }
+
+    /// The arena range of the value at element offset `o`.
+    #[inline]
+    fn range(&self, o: u32) -> std::ops::Range<usize> {
+        let start = self.start as usize + o as usize * self.width as usize;
+        start..start + self.width as usize
+    }
+}
+
+/// Dense per-slot wire-value storage: value bytes live in one arena, and
+/// each slot keeps its entries (runs of element values, see the module's
+/// `# Storage`) sorted and disjoint by key.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WireStore {
-    per_slot: Vec<Vec<(ScopeKey, u32, u32)>>,
+    per_slot: Vec<Vec<Entry>>,
     data: Vec<u8>,
+}
+
+/// The entries of one slot that hold elements `0..n` of one container
+/// instance ([`WireStore::column`]): one run after a parse or a
+/// transcode, single values after the setters, none for a column nothing
+/// was stored in.
+pub(crate) struct Column<'a> {
+    entries: &'a [Entry],
+    data: &'a [u8],
+    n: usize,
+    /// The slot's read cursor after the `n` elements.
+    pub(crate) next: u32,
+}
+
+impl Column<'_> {
+    /// Whether no element holds a value.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 impl WireStore {
@@ -109,14 +214,9 @@ impl WireStore {
     }
 
     pub(crate) fn get(&self, slot: usize, scope: &[u32]) -> Option<&[u8]> {
-        let key = ScopeKey::from_slice(scope);
         let entries = self.per_slot.get(slot)?;
-        let i = entries.binary_search_by(|(k, _, _)| k.cmp(&key)).ok()?;
-        Some(self.bytes(entries[i]))
-    }
-
-    fn bytes(&self, (_, start, end): (ScopeKey, u32, u32)) -> &[u8] {
-        &self.data[start as usize..end as usize]
+        let (i, o) = find(entries, &ScopeKey::from_slice(scope))?;
+        Some(&self.data[entries[i].range(o)])
     }
 
     pub(crate) fn contains(&self, slot: usize, scope: &[u32]) -> bool {
@@ -125,23 +225,13 @@ impl WireStore {
 
     /// Inserts or replaces the value at `(slot, scope)`. Bytes are appended
     /// to the arena; a replaced value's old bytes are reclaimed on the next
-    /// [`WireStore::clear`]. Entries stay sorted by scope — message walks
-    /// insert in order, so the common case is an O(1) tail push (checked
-    /// before falling back to a binary search).
+    /// [`WireStore::clear`]. Message walks insert in order, so the common
+    /// case is an O(1) tail push (checked before falling back to a binary
+    /// search).
     pub(crate) fn set(&mut self, slot: usize, scope: &[u32], bytes: &[u8]) {
-        self.set_key(slot, &ScopeKey::from_slice(scope), bytes, false);
-    }
-
-    /// [`WireStore::set`] under an already-built key, storing `bytes`
-    /// reversed when `rev` (an un-mirrored element-run column).
-    pub(crate) fn set_key(&mut self, slot: usize, key: &ScopeKey, bytes: &[u8], rev: bool) {
         let start = self.data.len();
-        if rev {
-            self.data.extend(bytes.iter().rev());
-        } else {
-            self.data.extend_from_slice(bytes);
-        }
-        self.index(slot, key, start);
+        self.data.extend_from_slice(bytes);
+        self.index(slot, ScopeKey::from_slice(scope), start, bytes.len());
     }
 
     /// [`WireStore::set`] that hands the stored bytes to `edit` before
@@ -162,63 +252,127 @@ impl WireStore {
             self.data.truncate(start);
             return Err(e);
         }
-        self.index(slot, &ScopeKey::from_slice(scope), start);
+        self.index(slot, ScopeKey::from_slice(scope), start, bytes.len());
         Ok(())
     }
 
-    /// Points `(slot, key)` at the arena bytes from `start` to the end.
-    fn index(&mut self, slot: usize, key: &ScopeKey, start: usize) {
-        let (start, end) = (start as u32, self.data.len() as u32);
-        let key = *key;
-        let entries = &mut self.per_slot[slot];
-        match entries.last_mut() {
-            Some(last) if last.0 < key => entries.push((key, start, end)),
-            Some(last) if last.0 == key => {
-                last.1 = start;
-                last.2 = end;
-            }
-            None => entries.push((key, start, end)),
-            Some(_) => match entries.binary_search_by(|(k, _, _)| k.cmp(&key)) {
-                Ok(i) => {
-                    entries[i].1 = start;
-                    entries[i].2 = end;
-                }
-                Err(i) => entries.insert(i, (key, start, end)),
-            },
+    /// Stores one column of a container instance: `n` values of `width`
+    /// bytes under `first` and the element keys after it, which `fill`
+    /// writes end to end into one new arena block. The column is one
+    /// entry when it sorts after the slot's entries, as a parser's
+    /// in-order writes do; otherwise each value is stored like
+    /// [`WireStore::set`].
+    pub(crate) fn set_column(
+        &mut self,
+        slot: usize,
+        first: &ScopeKey,
+        width: usize,
+        n: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        if n == 0 {
+            return;
         }
+        debug_assert!(n == 1 || first.len > 0, "a run of several values needs an element key");
+        let start = self.data.len();
+        self.data.resize(start + n * width, 0);
+        fill(&mut self.data[start..]);
+        let run = Entry { first: *first, start: start as u32, width: width as u32, n: n as u32 };
+        let entries = &mut self.per_slot[slot];
+        if entries.last().is_none_or(|last| last.before(first)) {
+            entries.push(run);
+            return;
+        }
+        for o in 0..run.n {
+            self.index(slot, run.key_at(o), run.range(o).start, width);
+        }
+    }
+
+    /// Points `(slot, key)` at the `len` arena bytes from `start`: a new
+    /// entry of one value, or a replaced one. Replacing one value of a
+    /// longer run splits the run around it.
+    fn index(&mut self, slot: usize, key: ScopeKey, start: usize, len: usize) {
+        let single = Entry { first: key, start: start as u32, width: len as u32, n: 1 };
+        let entries = &mut self.per_slot[slot];
+        if entries.last().is_none_or(|last| last.before(&key)) {
+            entries.push(single);
+            return;
+        }
+        let i = entries.partition_point(|e| e.first <= key);
+        let Some((j, o)) = i.checked_sub(1).and_then(|j| Some((j, entries[j].offset(&key)?)))
+        else {
+            entries.insert(i, single);
+            return;
+        };
+        let run = entries[j];
+        if run.n == 1 {
+            entries[j] = single;
+            return;
+        }
+        let before = Entry { n: o, ..run };
+        let after = Entry {
+            first: run.key_at(o + 1),
+            start: run.range(o + 1).start as u32,
+            n: run.n - o - 1,
+            ..run
+        };
+        entries.splice(j..=j, [before, single, after].into_iter().filter(|e| e.n > 0));
     }
 
     /// [`WireStore::get`] with a **sequential cursor**: when the caller
     /// visits a slot's instances in scope order (the transcode copy
     /// programs and the serializer do — plain pre-order is exactly the
-    /// stores' sort order), each lookup is one equality check instead of a
-    /// binary search. A cursor miss falls back to the search and
-    /// re-synchronizes the cursor, so out-of-order access is merely
-    /// slower, never wrong.
+    /// stores' sort order), each lookup is one check of the entry under
+    /// the cursor instead of a binary search. The cursor stays on a run
+    /// until its last element is read. A cursor miss falls back to the
+    /// search and re-synchronizes the cursor, so out-of-order access is
+    /// merely slower, never wrong.
     pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<&[u8]> {
-        self.get_seq_key(slot, &ScopeKey::from_slice(scope), cursor)
+        let entries = self.per_slot.get(slot)?;
+        let (i, o) = seek(entries, &ScopeKey::from_slice(scope), cursor)?;
+        let e = &entries[i];
+        if o + 1 == e.n {
+            *cursor += 1;
+        }
+        Some(&self.data[e.range(o)])
     }
 
-    /// [`WireStore::get_seq`] under an already-built key.
-    pub(crate) fn get_seq_key(
+    /// The entries of `slot` whose first key lies from `first` (the key
+    /// of a container instance's element 0) up to element `n`; no
+    /// earlier entry covers element 0. `cursor` is the slot's read
+    /// cursor, tried before a search and left as it is. `None` when `n`
+    /// is not a `u32` element index.
+    pub(crate) fn column(
         &self,
         slot: usize,
-        key: &ScopeKey,
-        cursor: &mut u32,
-    ) -> Option<&[u8]> {
-        let entries = self.per_slot.get(slot)?;
-        let i = seek(entries, key, cursor, |e| &e.0)?;
-        *cursor += 1;
-        Some(self.bytes(entries[i]))
+        first: &ScopeKey,
+        n: usize,
+        cursor: u32,
+    ) -> Option<Column<'_>> {
+        let entries = &self.per_slot[slot];
+        let end = first.with_last(u32::try_from(n).ok()?);
+        let lo = match entries.get(cursor as usize) {
+            Some(e) if e.first == *first => cursor as usize,
+            _ => entries.partition_point(|e| e.first < *first),
+        };
+        let hi = match entries.get(lo) {
+            Some(e) if n > 0 && e.first == *first && e.n as usize >= n => lo + 1,
+            _ => lo + entries[lo..].partition_point(|e| e.first < end),
+        };
+        let entries = &entries[lo..hi];
+        // The cursor stays on a run that reaches past element `n - 1`.
+        let overhang = entries.last().is_some_and(|e| e.values_below(n) < e.n as usize);
+        Some(Column { entries, data: &self.data, n, next: (hi - usize::from(overhang)) as u32 })
     }
 
-    /// The column copy of one slot: appends every entry of `src`'s
+    /// The column copy of one slot: appends every value of `src`'s
     /// `src_slot` whose key is `scope` followed by an element index below
-    /// `n` — the entries a loop over `n` elements would read, in order —
-    /// to `slot` under the same key, each value handed to `edit` in the
-    /// arena first. Returns `false`, with whatever was appended left in
-    /// place, when `edit` rejects a value or a key would not sort after
-    /// the slot's last entry; the caller rolls back with
+    /// `n` — the values a loop over `n` elements would read, in order —
+    /// to `slot` under the same keys, one entry per source entry copied as
+    /// one block. `edit` gets each copied block in the arena first, with
+    /// its values' width and count. Returns `false`, with whatever was
+    /// appended left in place, when `edit` rejects a block or a key would
+    /// not sort after the slot's last entry; the caller rolls back with
     /// [`WireStore::truncate`].
     pub(crate) fn copy_column(
         &mut self,
@@ -227,33 +381,33 @@ impl WireStore {
         src_slot: usize,
         scope: &[u32],
         n: usize,
-        mut edit: impl FnMut(&mut [u8]) -> bool,
+        mut edit: impl FnMut(&mut [u8], usize, usize) -> bool,
     ) -> bool {
-        // Keys sort by depth, then index by index: the column is the
-        // entries from `scope`'s element 0 up to (not including) element
-        // `n`, and they sort after everything already under `slot` when
-        // their first one does.
-        let entries = &src.per_slot[src_slot];
-        let lo = entries.partition_point(|e| e.0 < ScopeKey::element(scope, 0));
-        let hi = match u32::try_from(n) {
-            Ok(n) => entries.partition_point(|e| e.0 < ScopeKey::element(scope, n)),
-            Err(_) => entries.partition_point(|e| e.0 <= ScopeKey::element(scope, u32::MAX)),
+        // The column sorts after everything already under `slot` when its
+        // first entry does. (A count past `u32::MAX` is left to the
+        // per-element copy.)
+        let Some(Column { entries: column, .. }) =
+            src.column(src_slot, &ScopeKey::element(scope, 0), n, 0)
+        else {
+            return false;
         };
-        let column = &entries[lo..hi.max(lo)];
-        let dst = &mut self.per_slot[slot];
+        let WireStore { per_slot, data } = self;
+        let dst = &mut per_slot[slot];
         if let (Some(last), Some(first)) = (dst.last(), column.first()) {
-            if last.0 >= first.0 {
+            if !last.before(&first.first) {
                 return false;
             }
         }
         dst.reserve(column.len());
-        for &(key, s, e) in column {
-            let start = self.data.len();
-            self.data.extend_from_slice(&src.data[s as usize..e as usize]);
-            if !edit(&mut self.data[start..]) {
+        for e in column {
+            let k = e.values_below(n);
+            let w = e.width as usize;
+            let start = data.len();
+            data.extend_from_slice(&src.data[e.start as usize..][..k * w]);
+            if !edit(&mut data[start..], w, k) {
                 return false;
             }
-            dst.push((key, start as u32, self.data.len() as u32));
+            dst.push(Entry { start: start as u32, n: k as u32, ..*e });
         }
         true
     }
@@ -282,18 +436,19 @@ impl WireStore {
     }
 
     /// Whether `(slot, scope)` holds a value, looked up like
-    /// [`WireStore::get_seq`] but without consuming the entry: a hit
-    /// leaves the cursor on it, so the read that follows is a hit too.
+    /// [`WireStore::get_seq`] but without consuming the value: a hit
+    /// leaves the cursor on its entry, so the read that follows is a hit
+    /// too.
     pub(crate) fn contains_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> bool {
         self.per_slot
             .get(slot)
-            .and_then(|entries| seek(entries, &ScopeKey::from_slice(scope), cursor, |e| &e.0))
+            .and_then(|entries| seek(entries, &ScopeKey::from_slice(scope), cursor))
             .is_some()
     }
 
-    /// The scopes at which `slot` holds a value.
-    pub(crate) fn scopes_of(&self, slot: usize) -> impl Iterator<Item = &[u32]> + '_ {
-        self.per_slot[slot].iter().map(|(k, _, _)| k.as_slice())
+    /// The scopes at which `slot` holds a value, in order, one per value.
+    pub(crate) fn scopes_of(&self, slot: usize) -> impl Iterator<Item = ScopeKey> + '_ {
+        self.per_slot[slot].iter().flat_map(|e| (0..e.n).map(|o| e.key_at(o)))
     }
 
     /// Number of slots this store was sized for.
@@ -301,34 +456,157 @@ impl WireStore {
         self.per_slot.len()
     }
 
-    /// All stored values, in slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[u32], &[u8])> + '_ {
+    /// All stored values, in slot order, one item per value.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, ScopeKey, &[u8])> + '_ {
         self.per_slot.iter().enumerate().flat_map(move |(slot, entries)| {
-            entries.iter().map(move |&(ref k, start, end)| {
-                (slot, k.as_slice(), &self.data[start as usize..end as usize])
+            entries.iter().flat_map(move |e| {
+                (0..e.n).map(move |o| (slot, e.key_at(o), &self.data[e.range(o)]))
             })
         })
     }
 }
 
-/// Finds `key` in one slot's sorted entries, trying the entry under
-/// `cursor` first and leaving the cursor on the match. Only a cursor miss
-/// pays for a search, and a key past the last entry (the miss of a reader
-/// that runs ahead of an in-order writer) costs one comparison.
-fn seek<E>(
-    entries: &[E],
-    key: &ScopeKey,
-    cursor: &mut u32,
-    key_of: impl Fn(&E) -> &ScopeKey,
-) -> Option<usize> {
+/// The entry of one slot's sorted entries that covers `key`, and the
+/// key's element offset in it.
+#[inline]
+fn find(entries: &[Entry], key: &ScopeKey) -> Option<(usize, u32)> {
+    match entries.binary_search_by(|e| e.first.cmp(key)) {
+        Ok(i) => Some((i, 0)),
+        // Only a run that starts before `key` can cover it.
+        Err(i) => {
+            let j = i.checked_sub(1)?;
+            Some((j, entries[j].offset(key)?))
+        }
+    }
+}
+
+/// [`find`] trying the entry under `cursor` first and leaving the cursor
+/// on the match. Only a cursor miss pays for a search, and a key past the
+/// last entry (the miss of a reader that runs ahead of an in-order
+/// writer) costs one comparison.
+#[inline]
+fn seek(entries: &[Entry], key: &ScopeKey, cursor: &mut u32) -> Option<(usize, u32)> {
     let c = *cursor as usize;
-    let i = match entries.get(c) {
-        Some(e) if key_of(e) == key => c,
-        _ if entries.last().is_some_and(|e| key_of(e) < key) => return None,
-        _ => entries.binary_search_by(|e| key_of(e).cmp(key)).ok()?,
-    };
+    if let Some(o) = entries.get(c).and_then(|e| e.offset(key)) {
+        return Some((c, o));
+    }
+    if entries.last().is_some_and(|e| e.before(key)) {
+        return None;
+    }
+    let (i, o) = find(entries, key)?;
     *cursor = i as u32;
-    Some(i)
+    Some((i, o))
+}
+
+/// Runs `$f::<W>(args)` with `W` the width `$w` for the common field
+/// widths, so the element kernels' copies are a few register moves
+/// rather than a call into `memcpy` per value, and `$f::<0>` (any width)
+/// otherwise.
+macro_rules! by_width {
+    ($w:expr, $f:ident($($arg:expr),*)) => {
+        match $w {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            12 => $f::<12>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            24 => $f::<24>($($arg),*),
+            32 => $f::<32>($($arg),*),
+            _ => $f::<0>($($arg),*),
+        }
+    };
+}
+
+/// The parser's column gather: fills `dst` with `width`-byte values,
+/// value `j` the first `width` bytes of `src[j * stride..]`, each
+/// reversed when `rev`.
+pub(crate) fn gather(dst: &mut [u8], width: usize, src: &[u8], stride: usize, rev: bool) {
+    fn each<const W: usize>(dst: &mut [u8], w: usize, src: &[u8], stride: usize, rev: bool) {
+        let w = if W > 0 { W } else { w };
+        for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks(stride)) {
+            d.copy_from_slice(&s[..w]);
+            if rev {
+                d.reverse();
+            }
+        }
+    }
+    if stride == width && !rev {
+        dst.copy_from_slice(&src[..dst.len()]);
+    } else if width > 0 {
+        by_width!(width, each(dst, width, src, stride, rev));
+    }
+}
+
+/// The serializer's column scatter: copies the `n` values of `column`,
+/// `width` bytes each, into the `stride`-byte elements of `dst` at offset
+/// `at`, value `j` into element `j`, each reversed when `rev`. Returns
+/// `false`, with `dst` partly written, unless the column holds every one
+/// of its `n` elements at that width (its entries are disjoint, so they
+/// do when their values number `n`).
+pub(crate) fn scatter(
+    dst: &mut [u8],
+    stride: usize,
+    at: usize,
+    width: usize,
+    column: Column<'_>,
+    rev: bool,
+) -> bool {
+    fn each<const W: usize>(
+        dst: &mut [u8],
+        stride: usize,
+        at: usize,
+        w: usize,
+        column: Column<'_>,
+        rev: bool,
+    ) -> bool {
+        let w = if W > 0 { W } else { w };
+        let Column { entries, data, n, .. } = column;
+        let put = |v: &[u8], element: &mut [u8]| {
+            let d = &mut element[at..at + w];
+            d.copy_from_slice(&v[..w]);
+            if rev {
+                d.reverse();
+            }
+        };
+        if entries.len() == n {
+            // One value per entry: a store built value by value.
+            for (e, element) in entries.iter().zip(dst.chunks_exact_mut(stride)) {
+                if e.width as usize != w {
+                    return false;
+                }
+                put(&data[e.start as usize..], element);
+            }
+            return true;
+        }
+        let mut left = n;
+        let mut values_of = |e: &Entry| {
+            let k = e.values_below(n);
+            left -= k;
+            (e.width as usize == w).then(|| &data[e.start as usize..][..k * w])
+        };
+        if stride == w && !rev {
+            // Values end to end in the output too: one copy per entry.
+            for e in entries {
+                let Some(values) = values_of(e) else { return false };
+                let start = e.first.last() as usize * w;
+                dst[start..start + values.len()].copy_from_slice(values);
+            }
+        } else {
+            let mut elements = dst.chunks_exact_mut(stride);
+            for e in entries {
+                let Some(values) = values_of(e) else { return false };
+                // Values first: `zip` stops before taking an element.
+                for (v, element) in values.chunks_exact(w).zip(elements.by_ref()) {
+                    put(v, element);
+                }
+            }
+        }
+        left == 0
+    }
+    width > 0 && by_width!(width, each(dst, stride, at, width, column, rev))
 }
 
 /// Dense per-slot metadata storage (presence flags, element counts).
@@ -359,8 +637,14 @@ impl<T: Copy> MetaStore<T> {
     /// [`WireStore::get_seq`]).
     pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<T> {
         let entries = self.per_slot.get(slot)?;
-        let i = seek(entries, &ScopeKey::from_slice(scope), cursor, |e| &e.0)?;
-        *cursor += 1;
+        let key = ScopeKey::from_slice(scope);
+        let c = *cursor as usize;
+        let i = match entries.get(c) {
+            Some(e) if e.0 == key => c,
+            _ if entries.last().is_some_and(|e| e.0 < key) => return None,
+            _ => entries.binary_search_by(|(k, _)| k.cmp(&key)).ok()?,
+        };
+        *cursor = i as u32 + 1;
         Some(entries[i].1)
     }
 
@@ -524,7 +808,7 @@ impl<'c> Message<'c> {
 
     /// Every populated wire value: `(slot, scope, bytes)` in slot order.
     /// Feeds the fuzzer's plan-slot coverage signatures ([`crate::fuzz`]).
-    pub(crate) fn populated_wires(&self) -> impl Iterator<Item = (usize, &[u32], &[u8])> + '_ {
+    pub(crate) fn populated_wires(&self) -> impl Iterator<Item = (usize, ScopeKey, &[u8])> + '_ {
         self.wires.iter()
     }
 
@@ -1112,15 +1396,15 @@ impl CopyRun<'_, '_> {
     }
 
     /// Runs a [`CopyStep::Column`] body: each `Direct` step copies its
-    /// whole column ([`WireStore::copy_column`]) with the fused copy's
-    /// in-place rewrite. A fixed-width column's values land end to end,
-    /// so after their lengths are checked one by one its op stacks run
-    /// once over the whole column ([`undo_ops_column`],
-    /// [`apply_ops_column`]); ops preserve length, so that is the
-    /// per-value rewrite's check. When a column fails, every column of
-    /// the body is truncated back to its pre-loop length and the body
-    /// reruns per element, which stops at the failing element and step
-    /// exactly like the loop it replaces.
+    /// whole column ([`WireStore::copy_column`], one block per source
+    /// entry) with the fused copy's in-place rewrite. A fixed-width
+    /// column's values land end to end, so after each block's width is
+    /// checked its op stacks run once over the whole column
+    /// ([`undo_ops_column`], [`apply_ops_column`]); ops preserve length,
+    /// so that is the per-value rewrite's check. When a column fails,
+    /// every column of the body is truncated back to its pre-loop length
+    /// and the body reruns per element, which stops at the failing
+    /// element and step exactly like the loop it replaces.
     fn column(&mut self, body: &[CopyStep], n: usize, depth: usize) -> Result<(), BuildError> {
         let dst_slot = |step: &CopyStep| match *step {
             CopyStep::Direct { dst_obf, .. } => dst_obf as usize,
@@ -1137,12 +1421,15 @@ impl CopyRun<'_, '_> {
             };
             let (src, dst, from) = (&self.src.wires, dst_obf as usize, src_obf as usize);
             let DistCheck::Fixed(w) = check else {
-                return self.wires.copy_column(dst, src, from, sc, n, |v| {
-                    rewrite(sp, src_ops, dp, dst_obf, dst_ops, check, v).is_ok()
+                return self.wires.copy_column(dst, src, from, sc, n, |values, width, k| {
+                    (0..k).all(|o| {
+                        let v = &mut values[o * width..][..width];
+                        rewrite(sp, src_ops, dp, dst_obf, dst_ops, check, v).is_ok()
+                    })
                 });
             };
             let (w, start) = (w as usize, self.wires.arena_len());
-            let copied = self.wires.copy_column(dst, src, from, sc, n, |v| v.len() == w);
+            let copied = self.wires.copy_column(dst, src, from, sc, n, |_, width, _| width == w);
             if copied {
                 let column = self.wires.arena_from(start);
                 undo_ops_column(sp.ops(src_ops), column, w);
@@ -1245,6 +1532,8 @@ impl CopyRun<'_, '_> {
 
 #[cfg(test)]
 mod tests {
+    use rand::Rng;
+
     use super::*;
     use crate::graph::{Condition, FormatGraph, GraphBuilder, Predicate};
     use crate::obf::ObfKind;
@@ -1676,6 +1965,294 @@ mod tests {
         assert_eq!(m.get_seq(0, &[2], &mut cursor), Some(true));
         assert_eq!(m.get_seq(0, &[0], &mut cursor), Some(false));
         assert_eq!(m.get_seq(0, &[1], &mut cursor), None);
+    }
+
+    /// Each element-run column of `msg` holds one store entry per
+    /// container instance: every column after a parse, the source columns
+    /// after a transcode (which leaves pads to the serializer).
+    fn assert_one_entry_per_column(msg: &Message<'_>, transcoded: bool, what: &str) {
+        let plan = msg.graph().plan();
+        let cols: Vec<_> = plan.runs.iter().flatten().flat_map(|run| &run.cols).collect();
+        assert!(!cols.is_empty(), "{what}: no element run");
+        for col in cols {
+            let pad = matches!(col.base, crate::plan::BaseOp::Pad { .. });
+            let want = usize::from(!(pad && transcoded));
+            let got = msg.wires.entries_len(col.slot as usize);
+            assert_eq!(got, want, "{what}: entries of column {}", col.slot);
+        }
+    }
+
+    #[test]
+    fn bulk_table_columns_are_one_entry_each() {
+        use crate::profile::{Profile, SpecSource};
+        let plain = crate::plan::tests::bulk_shaped();
+        let resolve = |_: &SpecSource| -> Result<FormatGraph, String> { Ok(plain.clone()) };
+        for level in [0, 2] {
+            let endpoint = Profile::symmetric(SpecSource::File("bulk.spec".into()))
+                .key("e2ebench shared secret")
+                .level(level)
+                .build_with(&resolve)
+                .unwrap();
+            let (clear, obf) = (endpoint.clear_tx_service().codec(), endpoint.tx_service().codec());
+            let mut msg = clear.message_seeded(1);
+            for i in 0..2048u64 {
+                msg.set_uint(&format!("records[{i}].key"), i).unwrap();
+                msg.set_uint(&format!("records[{i}].flags"), i & 0xFFFF).unwrap();
+                msg.set(&format!("records[{i}].payload"), vec![i as u8; 24]).unwrap();
+            }
+            msg.set("tail", vec![0xAB; 4096]).unwrap();
+            let wire = clear.serialize_seeded(&msg, 1).unwrap();
+            let what = |step: &str| format!("level {level}: {step}");
+
+            let parsed = clear.parse(&wire).unwrap();
+            assert_one_entry_per_column(&parsed, false, &what("parse clear"));
+            let to_obf = parsed.transcode(obf.obf_graph()).unwrap();
+            assert_one_entry_per_column(&to_obf, true, &what("transcode clear to obf"));
+            let obf_wire = obf.serialize_seeded(&to_obf, 2).unwrap();
+            let parsed_obf = obf.parse(&obf_wire).unwrap();
+            assert_one_entry_per_column(&parsed_obf, false, &what("parse obf"));
+            let back = parsed_obf.transcode(clear.obf_graph()).unwrap();
+            assert_one_entry_per_column(&back, true, &what("transcode obf to clear"));
+            for (src, graph, step) in [
+                (&parsed, clear.obf_graph(), "self-transcode clear"),
+                (&parsed_obf, obf.obf_graph(), "self-transcode obf"),
+            ] {
+                assert_one_entry_per_column(&src.transcode(graph).unwrap(), true, &what(step));
+            }
+            assert_eq!(clear.serialize_seeded(&back, 3).unwrap(), wire, "{}", what("round trip"));
+        }
+    }
+
+    /// The reference the store is checked against: every value under its
+    /// `(slot, depth, indices)` key, in the store's key order.
+    type Model = std::collections::BTreeMap<(usize, usize, Vec<u32>), Vec<u8>>;
+
+    fn model_key(slot: usize, key: &ScopeKey) -> (usize, usize, Vec<u32>) {
+        (slot, key.as_slice().len(), key.as_slice().to_vec())
+    }
+
+    /// A random scope of depth 0, 1 or 2, indices drawn small so keys
+    /// collide, and runs meet and overlap.
+    fn random_scope(rng: &mut StdRng) -> Vec<u32> {
+        let depth = rng.gen_range(0..3usize);
+        (0..depth)
+            .map(|d| if d + 1 == depth { rng.gen_range(0..8) } else { rng.gen_range(0..2) })
+            .collect()
+    }
+
+    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.gen_range(0..4u8) * 0x55).collect()
+    }
+
+    /// Checks a store against its model: the same values in the same
+    /// order through `iter` and `scopes_of`, every modelled key found by
+    /// `get`, and each slot's entries sorted, disjoint and non-empty.
+    fn check_store(s: &WireStore, model: &Model, what: &str) {
+        let got: Vec<_> = s.iter().map(|(slot, k, b)| (model_key(slot, &k), b.to_vec())).collect();
+        let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(got, want, "{what}: iter");
+        for slot in 0..s.slots() {
+            let scopes: Vec<_> = s.scopes_of(slot).map(|k| model_key(slot, &k)).collect();
+            let want: Vec<_> = model.keys().filter(|k| k.0 == slot).cloned().collect();
+            assert_eq!(scopes, want, "{what}: scopes_of({slot})");
+            let entries = &s.per_slot[slot];
+            assert!(entries.iter().all(|e| e.n > 0), "{what}: empty entry");
+            for pair in entries.windows(2) {
+                assert!(pair[0].key_at(pair[0].n - 1) < pair[1].first, "{what}: {pair:?}");
+            }
+        }
+        for ((slot, _, idx), v) in model {
+            assert_eq!(s.get(*slot, idx), Some(v.as_slice()), "{what}: get {slot} {idx:?}");
+        }
+    }
+
+    /// Reads every value of every slot in key order through one cursor
+    /// per slot, starting from `cursors` (stale values included): each
+    /// read hits, and leaves the cursor past exactly the entries whose
+    /// last key has been read. A `contains_seq` before each read leaves
+    /// the cursor on the entry it hit.
+    fn check_cursor_sweep(s: &WireStore, model: &Model, cursors: &mut [u32], what: &str) {
+        for ((slot, _, idx), v) in model {
+            let key = ScopeKey::from_slice(idx);
+            let entries = &s.per_slot[*slot];
+            let before = |k: &ScopeKey| entries.iter().filter(|e| e.key_at(e.n - 1) < *k).count();
+            let through = |k: &ScopeKey| entries.iter().filter(|e| e.key_at(e.n - 1) <= *k).count();
+            let c = &mut cursors[*slot];
+            assert!(s.contains_seq(*slot, idx, c), "{what}: contains_seq {slot} {idx:?}");
+            assert_eq!(*c as usize, before(&key), "{what}: contains_seq cursor {slot} {idx:?}");
+            assert_eq!(s.get_seq(*slot, idx, c), Some(v.as_slice()), "{what}: get_seq {idx:?}");
+            assert_eq!(*c as usize, through(&key), "{what}: get_seq cursor {slot} {idx:?}");
+        }
+    }
+
+    /// A column copy from `src` into `slot` of `dst`, kept or rolled
+    /// back to the entry count and arena length read first.
+    fn copy_step(
+        rng: &mut StdRng,
+        (s, m): (&mut WireStore, &mut Model),
+        (src, src_model): (&WireStore, &Model),
+        slot: usize,
+        what: &str,
+    ) {
+        let mut scope = random_scope(rng);
+        scope.truncate(1);
+        let (from, n) = (rng.gen_range(0..src.slots()), rng.gen_range(0..9usize));
+        let copied: Vec<_> = src_model
+            .range(model_key(from, &ScopeKey::element(&scope, 0))..)
+            .take_while(|(k, _)| {
+                k.0 == from
+                    && k.2.len() == scope.len() + 1
+                    && k.2[..scope.len()] == scope[..]
+                    && (k.2[scope.len()] as usize) < n
+            })
+            .map(|(k, v)| (k.2.clone(), v.clone()))
+            .collect();
+        let last = m.range(..(slot + 1, 0, Vec::new())).next_back().filter(|(k, _)| k.0 == slot);
+        let in_order = match (last, copied.first()) {
+            (Some((k, _)), Some((first, _))) => {
+                ScopeKey::from_slice(&k.2) < ScopeKey::from_slice(first)
+            }
+            _ => true,
+        };
+        let rejects = copied.iter().any(|(_, v)| v.first() == Some(&0xFF));
+        let (marks, arena) = (s.entries_len(slot), s.arena_len());
+        let ok = s.copy_column(slot, src, from, &scope, n, |values, width, k| {
+            (0..k).all(|o| {
+                let v = &mut values[o * width..][..width];
+                v.iter_mut().for_each(|b| *b ^= 0x33);
+                v.first() != Some(&(0xFF ^ 0x33))
+            })
+        });
+        assert_eq!(ok, in_order && !rejects, "{what}: copy_column");
+        if !ok || rng.gen() {
+            s.truncate(slot, marks, arena);
+        } else {
+            for (idx, v) in copied {
+                let v = v.iter().map(|b| b ^ 0x33).collect();
+                m.insert((slot, idx.len(), idx), v);
+            }
+        }
+    }
+
+    /// Reads the elements `0..n` of one container instance as the
+    /// serializer's element kernel does ([`WireStore::column`], then
+    /// [`scatter`] into elements as wide as the value or one byte wider,
+    /// at offset 1): the scatter succeeds exactly when every element holds
+    /// a value of the width asked for, and then places each one.
+    fn check_column(s: &WireStore, model: &Model, rng: &mut StdRng, what: &str) {
+        let slot = rng.gen_range(0..s.slots());
+        let mut scope = random_scope(rng);
+        scope.truncate(1);
+        let (n, w, rev) = (rng.gen_range(1..7usize), rng.gen_range(1..4usize), rng.gen());
+        let values: Vec<Option<&Vec<u8>>> = (0..n as u32)
+            .map(|i| model.get(&model_key(slot, &ScopeKey::element(&scope, i))))
+            .collect();
+        let first = ScopeKey::element(&scope, 0);
+        let column = s.column(slot, &first, n, rng.gen_range(0..8)).unwrap();
+        assert_eq!(column.is_empty(), values.iter().all(Option::is_none), "{what}: column");
+        let at = rng.gen_range(0..2);
+        let mut dst = vec![0xEE; n * (w + at)];
+        let whole = values.iter().all(|v| v.is_some_and(|v| v.len() == w));
+        assert_eq!(scatter(&mut dst, w + at, at, w, column, rev), whole, "{what}: scatter");
+        for (element, v) in dst.chunks(w + at).zip(values).filter(|_| whole) {
+            let mut v = v.unwrap().clone();
+            if rev {
+                v.reverse();
+            }
+            assert!(element[..at].iter().all(|&b| b == 0xEE), "{what}: scattered");
+            assert_eq!(&element[at..], v.as_slice(), "{what}: scattered");
+        }
+    }
+
+    #[test]
+    fn wire_store_matches_a_model_under_random_operations() {
+        const SLOTS: usize = 3;
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut store, mut model) = (WireStore::with_slots(SLOTS), Model::new());
+            // A second store, the source of column copies.
+            let (mut src, mut src_model) = (WireStore::with_slots(SLOTS), Model::new());
+            let mut cursors = [0u32; SLOTS];
+            for step in 0..60 {
+                let what = format!("seed {seed} step {step}");
+                let to_src = rng.gen_range(0..4) == 0;
+                let slot = rng.gen_range(0..SLOTS);
+                let op = rng.gen_range(0..6);
+                if op == 4 {
+                    // A column copy from the source store.
+                    copy_step(&mut rng, (&mut store, &mut model), (&src, &src_model), slot, &what);
+                }
+                let (s, m) =
+                    if to_src { (&mut src, &mut src_model) } else { (&mut store, &mut model) };
+                match op {
+                    // A single value, in or out of order, new or replacing
+                    // one (inside a run, at an equal or another width).
+                    0 | 1 => {
+                        let scope = random_scope(&mut rng);
+                        let len = rng.gen_range(0..4);
+                        let bytes = random_bytes(&mut rng, len);
+                        s.set(slot, &scope, &bytes);
+                        m.insert(model_key(slot, &ScopeKey::from_slice(&scope)), bytes);
+                    }
+                    // `set_with`, its edit failing on some values.
+                    2 => {
+                        let scope = random_scope(&mut rng);
+                        let len = rng.gen_range(1..4);
+                        let bytes = random_bytes(&mut rng, len);
+                        let fails = bytes[0] == 0xFF;
+                        let r = s.set_with(slot, &scope, &bytes, |v| {
+                            v.iter_mut().for_each(|b| *b ^= 0x0F);
+                            if v[0] == 0xF0 {
+                                Err(())
+                            } else {
+                                Ok(())
+                            }
+                        });
+                        assert_eq!(r.is_err(), fails, "{what}");
+                        if !fails {
+                            let edited = bytes.iter().map(|b| b ^ 0x0F).collect();
+                            m.insert(model_key(slot, &ScopeKey::from_slice(&scope)), edited);
+                        }
+                    }
+                    // A column write, with and without `rev`.
+                    3 => {
+                        let mut scope = random_scope(&mut rng);
+                        scope.truncate(1);
+                        let (f, n, w) =
+                            (rng.gen_range(0..4), rng.gen_range(1..6), rng.gen_range(0..4));
+                        let rev = rng.gen();
+                        let values = random_bytes(&mut rng, n * w);
+                        let first = ScopeKey::element(&scope, f);
+                        s.set_column(slot, &first, w, n, |column| {
+                            gather(column, w, &values, w, rev);
+                        });
+                        for o in 0..n {
+                            let mut v = values[o * w..][..w].to_vec();
+                            if rev {
+                                v.reverse();
+                            }
+                            m.insert(model_key(slot, &ScopeKey::element(&scope, f + o as u32)), v);
+                        }
+                    }
+                    4 => {}
+                    // A stale cursor.
+                    _ => cursors[slot] = rng.gen_range(0..8),
+                }
+                check_store(&store, &model, &what);
+                check_store(&src, &src_model, &what);
+                let mut probe = cursors;
+                check_cursor_sweep(&store, &model, &mut probe, &what);
+                check_column(&store, &model, &mut rng, &what);
+                // Lookups of absent keys miss, through a cursor too.
+                let scope = random_scope(&mut rng);
+                let slot = rng.gen_range(0..SLOTS);
+                if !model.contains_key(&model_key(slot, &ScopeKey::from_slice(&scope))) {
+                    assert_eq!(store.get(slot, &scope), None, "{what}");
+                    assert!(!store.contains_seq(slot, &scope, &mut cursors[slot]), "{what}");
+                    assert_eq!(store.get_seq(slot, &scope, &mut cursors[slot]), None, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

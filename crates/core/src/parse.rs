@@ -16,7 +16,7 @@
 
 use crate::error::ParseError;
 use crate::graph::NodeId;
-use crate::message::{Message, MessageState, MetaStore, ScopeKey, WireStore};
+use crate::message::{gather, Message, MessageState, MetaStore, ScopeKey, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, PlanOp, RecEval, RepStopC, SeqB, TermB,
@@ -473,12 +473,13 @@ impl<'c> ParseSession<'c> {
 
     /// The element kernel of counted container `idx`: when the container
     /// has an element run and all `m` elements fit the window (one
-    /// `checked_mul`, one bounds check), stores every column of every
-    /// element under one moving scope key, a mirrored column reversed as
-    /// the walk stores it after un-mirroring. Returns the element indices
-    /// left for the per-element walk: none after the kernel ran, all `m`
-    /// otherwise, so a window overrun fails at the exact element and
-    /// terminal it always did.
+    /// `checked_mul`, one bounds check), gathers each column of the `m`
+    /// elements straight from the wire into one store entry, a mirrored
+    /// column's values reversed as the walk stores them after
+    /// un-mirroring. Returns the element indices left for the
+    /// per-element walk: none after the kernel ran, all `m` otherwise,
+    /// so a window overrun fails at the exact element and terminal it
+    /// always did.
     fn parse_run(
         &mut self,
         idx: u32,
@@ -491,20 +492,21 @@ impl<'c> ParseSession<'c> {
         let Some(run) = &plan.runs[idx as usize] else {
             return 0..m;
         };
-        if m.checked_mul(run.width as usize).is_none_or(|total| total > end - *pos) {
+        let width = run.width as usize;
+        let Some(total) = m.checked_mul(width).filter(|&total| total <= end - *pos) else {
             return 0..m;
+        };
+        let first = ScopeKey::element(&self.scope, 0);
+        let elements = &buf[*pos..*pos + total];
+        let mut at = 0;
+        for col in &run.cols {
+            let w = col.width as usize;
+            self.msg.wires.set_column(col.slot as usize, &first, w, m, |column| {
+                gather(column, w, &elements[at..], width, col.rev);
+            });
+            at += w;
         }
-        let mut key = ScopeKey::element(&self.scope, 0);
-        let mut p = *pos;
-        for j in 0..m {
-            key.set_last(j as u32);
-            for col in &run.cols {
-                let w = col.width as usize;
-                self.msg.wires.set_key(col.slot as usize, &key, &buf[p..p + w], col.rev);
-                p += w;
-            }
-        }
-        *pos = p;
+        *pos += total;
         0..0
     }
 
@@ -704,7 +706,7 @@ impl<'c> ParseSession<'c> {
             // first terminal wire is one recovered instance.
             self.keys.clear();
             let Self { keys, msg, .. } = self;
-            keys.extend(msg.wires.scopes_of(check.first_term as usize).map(ScopeKey::from_slice));
+            keys.extend(msg.wires.scopes_of(check.first_term as usize));
             for ki in 0..self.keys.len() {
                 let key = self.keys[ki];
                 match check.kind {

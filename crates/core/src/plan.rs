@@ -1931,7 +1931,7 @@ pub(crate) fn pred_eval(pred: &Predicate, bytes: &[u8]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::{AutoValue, Boundary, Condition, GraphBuilder, Predicate};
     use crate::transform::{apply, TransformKind};
@@ -2163,7 +2163,7 @@ mod tests {
     }
 
     /// The e2ebench `bulk.spec` grammar, built the way the DSL lowers it.
-    fn bulk_shaped() -> crate::graph::FormatGraph {
+    pub(crate) fn bulk_shaped() -> crate::graph::FormatGraph {
         let mut b = GraphBuilder::new("Bulk");
         let root = b.root_sequence("Bulk", Boundary::End);
         let count = b.uint_be(root, "count", 2);

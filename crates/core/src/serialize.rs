@@ -20,11 +20,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::BuildError;
 use crate::graph::NodeId;
-use crate::message::{Message, ScopeKey, WireStore};
+use crate::message::{scatter, Message, ScopeKey, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, ElemRun, PlanOp, RecEval, RepStopC,
-    SeqB, TermB, NONE,
+    RunCol, SeqB, TermB, NONE,
 };
 
 /// The byte range a plan slot produced during one traced serialization
@@ -104,6 +104,9 @@ pub(crate) struct SerializeScratch {
     dist: DistEval,
     rng: StdRng,
     cursors: ReadCursors,
+    /// The absent pad columns of a column-major element kernel: offset in
+    /// the element, width, mirrored.
+    pads: Vec<(usize, usize, bool)>,
     /// Per-slot byte ranges recorded while `tracing` is set; stays empty
     /// (and costs one branch per node) on the production path.
     trace: Vec<SlotSpan>,
@@ -145,6 +148,7 @@ impl SerializeScratch {
                 overlay: vec![0; plan.slots()],
                 presence: vec![0; plan.plain_len()],
             },
+            pads: Vec::new(),
             trace: Vec::new(),
             tracing: false,
         }
@@ -417,10 +421,11 @@ impl<'c> SerializeSession<'c> {
         }
     }
 
-    /// Emits the `m` elements of container `idx`: the element kernel
-    /// ([`Self::emit_run`]) first when the container has an element run
-    /// (except while tracing, which records spans through the walk), then
-    /// the per-element walk over whatever elements the kernel left.
+    /// Emits the `m` elements of container `idx`: through the element
+    /// kernel ([`Self::emit_run`]) when the container has an element run
+    /// and the kernel takes the store's shape (never while tracing, which
+    /// records spans through the walk), otherwise through the per-element
+    /// walk.
     fn emit_elements(
         &mut self,
         idx: u32,
@@ -429,12 +434,13 @@ impl<'c> SerializeSession<'c> {
         out: &mut Vec<u8>,
     ) -> Result<(), BuildError> {
         let plan = self.plan;
-        let walked = match plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing) {
-            Some(run) => self.emit_run(run, m, msg, out),
-            None => 0..m,
-        };
+        if let Some(run) = plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing) {
+            if self.emit_run(run, m, msg, out) {
+                return Ok(());
+            }
+        }
         let child = plan.kids(&plan.nodes[idx as usize])[0];
-        for i in walked {
+        for i in 0..m {
             self.scratch.scope.push(i as u32);
             let piece = self.emit(child, msg, out);
             self.scratch.scope.pop();
@@ -443,42 +449,73 @@ impl<'c> SerializeSession<'c> {
         Ok(())
     }
 
-    /// The element kernel: one scope key per element, and per column the
-    /// message wire read through its cursor or fresh pad bytes — what the
-    /// walk's terminal read does, since no overlay write reaches a run
-    /// slot (verifier code P013) — reversed for a mirrored column. Pads
-    /// draw from the RNG in the walk's order. A missing source field
-    /// stops the kernel at its element, with that element's bytes taken
-    /// back, and returns the elements left for the walk, which names the
-    /// field the walk meets first (a mirror may reverse the wire order).
-    fn emit_run(
-        &mut self,
-        run: &ElemRun,
-        m: usize,
-        msg: &Message<'_>,
-        out: &mut Vec<u8>,
-    ) -> std::ops::Range<usize> {
+    /// The element kernel, for when every column of the `m` elements is
+    /// stored whole ([`WireStore::column`]: one run entry after a parse or
+    /// transcode, single values after the setters) or is an absent pad.
+    /// It sizes the output once, scatters each stored column into its
+    /// place in every element, one store entry at a time (a mirrored
+    /// column's values reversed), then draws the absent pads element by
+    /// element, the walk's RNG order: what the walk's terminal reads would
+    /// emit, since no overlay write reaches a run slot (verifier code
+    /// P013). Returns `false`, with the output and the RNG as they were,
+    /// for any other store shape (a field left unset, a value of another
+    /// width, pads stored for some elements only): the walk then emits the
+    /// elements or names the missing field.
+    fn emit_run(&mut self, run: &ElemRun, m: usize, msg: &Message<'_>, out: &mut Vec<u8>) -> bool {
         let s = &mut self.scratch;
-        let mut key = ScopeKey::element(&s.scope, 0);
-        for i in 0..m {
-            key.set_last(i as u32);
-            let start = out.len();
-            for col in &run.cols {
-                let (c, from) = (col.slot as usize, out.len());
-                match (msg.wires.get_seq_key(c, &key, &mut s.cursors.wire[c]), &col.base) {
-                    (Some(b), _) => out.extend_from_slice(b),
-                    (None, BaseOp::Pad { k }) => out.extend((0..*k).map(|_| s.rng.gen::<u8>())),
-                    (None, _) => {
-                        out.truncate(start);
-                        return i..m;
-                    }
+        let first = ScopeKey::element(&s.scope, 0);
+        let column = |col: &RunCol, cursors: &[u32]| {
+            let c = col.slot as usize;
+            msg.wires.column(c, &first, m, cursors[c])
+        };
+        // Before sizing the output: an empty column must be a pad, and
+        // the arena must be able to hold `m` values of a stored one (the
+        // scatter checks they are there; a zero-width column is left to
+        // the walk).
+        let arena = msg.wires.arena_len();
+        let sized = run.cols.iter().all(|col| match column(col, &s.cursors.wire) {
+            Some(c) if c.is_empty() => matches!(col.base, BaseOp::Pad { k } if k == col.width),
+            Some(_) => {
+                col.width > 0 && m.checked_mul(col.width as usize).is_some_and(|b| b <= arena)
+            }
+            None => false,
+        });
+        let width = run.width as usize;
+        let Some(size) = m.checked_mul(width).filter(|_| sized) else {
+            return false;
+        };
+        let base = out.len();
+        out.resize(base + size, 0);
+        let block = &mut out[base..];
+        s.pads.clear();
+        let mut at = 0;
+        for col in &run.cols {
+            let w = col.width as usize;
+            let c = column(col, &s.cursors.wire).expect("checked above");
+            if c.is_empty() {
+                s.pads.push((at, w, col.rev));
+            } else {
+                let next = c.next;
+                if !scatter(block, width, at, w, c, col.rev) {
+                    out.truncate(base);
+                    return false;
                 }
-                if col.rev {
-                    out[from..].reverse();
+                s.cursors.wire[col.slot as usize] = next;
+            }
+            at += w;
+        }
+        if !s.pads.is_empty() {
+            for element in block.chunks_exact_mut(width) {
+                for &(at, k, rev) in &s.pads {
+                    let pad = &mut element[at..at + k];
+                    pad.fill_with(|| s.rng.gen::<u8>());
+                    if rev {
+                        pad.reverse();
+                    }
                 }
             }
         }
-        m..m
+        true
     }
 
     /// Appends the wire bytes of a terminal: serialization overlay first

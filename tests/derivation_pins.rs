@@ -1,7 +1,8 @@
-//! Pinned derivations: for every builtin protocol and the benchmark's
-//! bulk spec, the endpoint fingerprint, the number of applied
-//! transformations and a digest of names and records, at level 0 under
-//! one key and at levels 1–4 under two keys.
+//! Pinned derivations: for every builtin protocol, the benchmark's bulk
+//! spec and a spec with a size-pinned sequence, the endpoint
+//! fingerprint, the number of applied transformations and a digest of
+//! names and records, at level 0 under one key and at levels 1–4 under
+//! two keys.
 //!
 //! The fingerprint digests both directions' compiled plans (ops, children,
 //! pools), so it moves whenever the obfuscation engine draws a different
@@ -17,6 +18,18 @@ use protoobf::{Codec, Endpoint, FormatGraph, Profile, ProfileExt};
 
 /// The benchmark's bulk record table (`e2ebench/specs/bulk.spec`).
 const BULK_SPEC: &str = include_str!("../e2ebench/specs/bulk.spec");
+/// A sequence whose size a length field pins: the rewrites inside it must
+/// keep its plain size (Table II's Delegated-or-End parent boundary).
+const SIZED_SPEC: &str = "message Sized {
+    u8 kind;
+    u16 len = len(body);
+    seq body sized_by len {
+        u16 a;
+        u32 b;
+        bytes(6) c;
+    }
+    u8 trailer;
+}";
 /// The benchmark's key, and one other.
 const KEYS: [&str; 2] = ["e2ebench shared secret", "pinned key 2"];
 
@@ -31,6 +44,7 @@ const PINS: &[(&str, &str, u32, &str, usize, &str)] = &[
     ("builtin:modbus-request", "e2ebench shared secret", 0, "d4069fadd695136c2472f5bfced5f35c", 0, "d36bbe0329a004dd"),
     ("builtin:modbus-response", "e2ebench shared secret", 0, "1a71ac61779689e2fe2bafaa4535c112", 0, "9032a59c7f61131d"),
     ("bulk", "e2ebench shared secret", 0, "dbe6c9cfdfee843a2994d1748c72b12a", 0, "f7cbe3015c3c9ba9"),
+    ("sized", "e2ebench shared secret", 0, "29ea31462c08985a70e5be85d8a6350a", 0, "8c9f76d5aa51cacd"),
     ("builtin:dns-query", "e2ebench shared secret", 1, "fe058cf4f986f2e66ac3543b2bc9f516", 14, "384915293d80b759"),
     ("builtin:dns-query", "e2ebench shared secret", 2, "3ec98b45d44c0cb25abc4ba16a8e0c22", 40, "802a5f26ed200f61"),
     ("builtin:dns-query", "e2ebench shared secret", 3, "b82723598b5ce32ac482f9ba87be88da", 84, "1085bd5be6994ce5"),
@@ -87,6 +101,14 @@ const PINS: &[(&str, &str, u32, &str, usize, &str)] = &[
     ("bulk", "pinned key 2", 2, "90d2c0738ed9410673f60909197c8976", 16, "6d399db6418e6e4d"),
     ("bulk", "pinned key 2", 3, "fb0cc9ff72107b166faa677e66044986", 30, "a78da153561d2ecd"),
     ("bulk", "pinned key 2", 4, "02b89651924f8d3aa530017b414396ea", 53, "ed59cca487f5f3f1"),
+    ("sized", "e2ebench shared secret", 1, "f01f185378e79ace65d9163db23f61be", 8, "154b08b90196357d"),
+    ("sized", "e2ebench shared secret", 2, "4bfa59a3f73ee586a283ab68630ca476", 19, "3e59bc39b88dd9dd"),
+    ("sized", "e2ebench shared secret", 3, "1f796d5982d1af9e35462e9fd01ba84e", 33, "252c9a60269488c3"),
+    ("sized", "e2ebench shared secret", 4, "b57f0a69503fb0662bef70078f50f316", 58, "9b89fc05753584a9"),
+    ("sized", "pinned key 2", 1, "ec54ed65e619b056150f5bb68843f386", 8, "ce5d867d23c4ff05"),
+    ("sized", "pinned key 2", 2, "dee59453a9c7860e2a02750187c451fe", 16, "fd70dee7a2ceb72d"),
+    ("sized", "pinned key 2", 3, "c61fbba7b704b8f28b2c872c834b1962", 25, "4044fed153bc98c5"),
+    ("sized", "pinned key 2", 4, "ea66f0284f5c15f6ebb108b7647d7626", 37, "728d710a3a5d620d"),
 ];
 
 fn derive(spec: &str, key: &str, level: u32) -> Endpoint {
@@ -95,14 +117,15 @@ fn derive(spec: &str, key: &str, level: u32) -> Endpoint {
         None => SpecSource::File(spec.to_string()),
     };
     let profile = Profile::symmetric(source).key(key).level(level);
-    if spec == "bulk" {
-        let resolve = |_: &SpecSource| -> Result<FormatGraph, String> {
-            protoobf::spec::parse_spec(BULK_SPEC).map_err(|e| e.to_string())
-        };
-        profile.build_with(&resolve).expect("bulk spec derives")
-    } else {
-        profile.build().expect("builtin derives")
-    }
+    let text = match spec {
+        "bulk" => BULK_SPEC,
+        "sized" => SIZED_SPEC,
+        _ => return profile.build().expect("builtin derives"),
+    };
+    let resolve = |_: &SpecSource| -> Result<FormatGraph, String> {
+        protoobf::spec::parse_spec(text).map_err(|e| e.to_string())
+    };
+    profile.build_with(&resolve).expect("spec file derives")
 }
 
 /// 64-bit FNV-1a over both directions' records and pre-order node names.
@@ -135,7 +158,7 @@ fn derivations_are_pinned() {
     let specs: Vec<String> = protoobf::protocols::BUILTIN_NAMES
         .iter()
         .map(|name| format!("builtin:{name}"))
-        .chain(std::iter::once("bulk".to_string()))
+        .chain(["bulk", "sized"].map(String::from))
         .collect();
     let runs = specs.iter().map(|spec| (spec, KEYS[0], 0)).chain(specs.iter().flat_map(|spec| {
         KEYS.into_iter().flat_map(move |key| (1..=4u32).map(move |level| (spec, key, level)))
