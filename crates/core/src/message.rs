@@ -498,23 +498,18 @@ fn seek(entries: &[Entry], key: &ScopeKey, cursor: &mut u32) -> Option<(usize, u
     Some((i, o))
 }
 
-/// Runs `$f::<W>(args)` with `W` the width `$w` for the common field
-/// widths, so the element kernels' copies are a few register moves
-/// rather than a call into `memcpy` per value, and `$f::<0>` (any width)
+/// Runs `$f::<W>(args)` with `W` the width `$w` for the element-column
+/// widths the bulk and modbus derivations give their kernels at levels
+/// 0–3 (1, 2, 4 and 24 bytes), so each value's copy is a few register
+/// moves rather than a call into `memcpy`, and `$f::<0>` (any width)
 /// otherwise.
 macro_rules! by_width {
     ($w:expr, $f:ident($($arg:expr),*)) => {
         match $w {
             1 => $f::<1>($($arg),*),
             2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
             4 => $f::<4>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            8 => $f::<8>($($arg),*),
-            12 => $f::<12>($($arg),*),
-            16 => $f::<16>($($arg),*),
             24 => $f::<24>($($arg),*),
-            32 => $f::<32>($($arg),*),
             _ => $f::<0>($($arg),*),
         }
     };
@@ -534,6 +529,7 @@ pub(crate) fn gather(dst: &mut [u8], width: usize, src: &[u8], stride: usize, re
         }
     }
     if stride == width && !rev {
+        // A single-column element: the column is the wire, one copy.
         dst.copy_from_slice(&src[..dst.len()]);
     } else if width > 0 {
         by_width!(width, each(dst, width, src, stride, rev));
@@ -564,43 +560,36 @@ pub(crate) fn scatter(
     ) -> bool {
         let w = if W > 0 { W } else { w };
         let Column { entries, data, n, .. } = column;
-        let put = |v: &[u8], element: &mut [u8]| {
-            let d = &mut element[at..at + w];
-            d.copy_from_slice(&v[..w]);
-            if rev {
-                d.reverse();
-            }
-        };
         if entries.len() == n {
-            // One value per entry: a store built value by value.
+            // One value per entry (a store built value by value): no run
+            // bookkeeping per value.
             for (e, element) in entries.iter().zip(dst.chunks_exact_mut(stride)) {
                 if e.width as usize != w {
                     return false;
                 }
-                put(&data[e.start as usize..], element);
+                let d = &mut element[at..at + w];
+                d.copy_from_slice(&data[e.start as usize..][..w]);
+                if rev {
+                    d.reverse();
+                }
             }
             return true;
         }
         let mut left = n;
-        let mut values_of = |e: &Entry| {
+        let mut elements = dst.chunks_exact_mut(stride);
+        for e in entries {
+            if e.width as usize != w {
+                return false;
+            }
             let k = e.values_below(n);
             left -= k;
-            (e.width as usize == w).then(|| &data[e.start as usize..][..k * w])
-        };
-        if stride == w && !rev {
-            // Values end to end in the output too: one copy per entry.
-            for e in entries {
-                let Some(values) = values_of(e) else { return false };
-                let start = e.first.last() as usize * w;
-                dst[start..start + values.len()].copy_from_slice(values);
-            }
-        } else {
-            let mut elements = dst.chunks_exact_mut(stride);
-            for e in entries {
-                let Some(values) = values_of(e) else { return false };
-                // Values first: `zip` stops before taking an element.
-                for (v, element) in values.chunks_exact(w).zip(elements.by_ref()) {
-                    put(v, element);
+            let values = &data[e.start as usize..][..k * w];
+            // Values first: `zip` stops before taking an element.
+            for (v, element) in values.chunks_exact(w).zip(elements.by_ref()) {
+                let d = &mut element[at..at + w];
+                d.copy_from_slice(v);
+                if rev {
+                    d.reverse();
                 }
             }
         }

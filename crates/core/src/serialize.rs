@@ -24,7 +24,7 @@ use crate::message::{scatter, Message, ScopeKey, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, ElemRun, PlanOp, RecEval, RepStopC,
-    RunCol, SeqB, TermB, NONE,
+    SeqB, TermB, NONE,
 };
 
 /// The byte range a plan slot produced during one traced serialization
@@ -452,60 +452,57 @@ impl<'c> SerializeSession<'c> {
     /// The element kernel, for when every column of the `m` elements is
     /// stored whole ([`WireStore::column`]: one run entry after a parse or
     /// transcode, single values after the setters) or is an absent pad.
-    /// It sizes the output once, scatters each stored column into its
-    /// place in every element, one store entry at a time (a mirrored
-    /// column's values reversed), then draws the absent pads element by
-    /// element, the walk's RNG order: what the walk's terminal reads would
-    /// emit, since no overlay write reaches a run slot (verifier code
-    /// P013). Returns `false`, with the output and the RNG as they were,
-    /// for any other store shape (a field left unset, a value of another
-    /// width, pads stored for some elements only): the walk then emits the
-    /// elements or names the missing field.
+    /// It scatters each stored column into its place in every element, one
+    /// store entry at a time (a mirrored column's values reversed), then
+    /// draws the absent pads element by element, the walk's RNG order:
+    /// what the walk's terminal reads would emit, since no overlay write
+    /// reaches a run slot (verifier code P013). Returns `false`, with the
+    /// output and the RNG as they were, for any other store shape (a field
+    /// left unset, a value of another width, pads stored for some elements
+    /// only): the walk then emits the elements or names the missing field.
     fn emit_run(&mut self, run: &ElemRun, m: usize, msg: &Message<'_>, out: &mut Vec<u8>) -> bool {
         let s = &mut self.scratch;
         let first = ScopeKey::element(&s.scope, 0);
-        let column = |col: &RunCol, cursors: &[u32]| {
-            let c = col.slot as usize;
-            msg.wires.column(c, &first, m, cursors[c])
-        };
-        // Before sizing the output: an empty column must be a pad, and
-        // the arena must be able to hold `m` values of a stored one (the
-        // scatter checks they are there; a zero-width column is left to
-        // the walk).
-        let arena = msg.wires.arena_len();
-        let sized = run.cols.iter().all(|col| match column(col, &s.cursors.wire) {
-            Some(c) if c.is_empty() => matches!(col.base, BaseOp::Pad { k } if k == col.width),
-            Some(_) => {
-                col.width > 0 && m.checked_mul(col.width as usize).is_some_and(|b| b <= arena)
-            }
-            None => false,
-        });
         let width = run.width as usize;
-        let Some(size) = m.checked_mul(width).filter(|_| sized) else {
+        let Some(size) = m.checked_mul(width) else {
             return false;
         };
         let base = out.len();
-        out.resize(base + size, 0);
-        let block = &mut out[base..];
+        let arena = msg.wires.arena_len();
         s.pads.clear();
         let mut at = 0;
         for col in &run.cols {
             let w = col.width as usize;
-            let c = column(col, &s.cursors.wire).expect("checked above");
-            if c.is_empty() {
-                s.pads.push((at, w, col.rev));
-            } else {
-                let next = c.next;
-                if !scatter(block, width, at, w, c, col.rev) {
-                    out.truncate(base);
-                    return false;
+            let c = col.slot as usize;
+            let stored = match msg.wires.column(c, &first, m, s.cursors.wire[c]) {
+                Some(column) if column.is_empty() => {
+                    s.pads.push((at, w, col.rev));
+                    matches!(col.base, BaseOp::Pad { k } if k == col.width)
                 }
-                s.cursors.wire[col.slot as usize] = next;
+                // The output is sized only once the arena is seen to be
+                // able to hold `m` values of a stored column (the scatter
+                // checks they are there; a zero-width column is left to
+                // the walk).
+                Some(column) if w > 0 && m.checked_mul(w).is_some_and(|b| b <= arena) => {
+                    out.resize(base + size, 0);
+                    let next = column.next;
+                    let whole = scatter(&mut out[base..], width, at, w, column, col.rev);
+                    if whole {
+                        s.cursors.wire[c] = next;
+                    }
+                    whole
+                }
+                _ => false,
+            };
+            if !stored {
+                out.truncate(base);
+                return false;
             }
             at += w;
         }
+        out.resize(base + size, 0);
         if !s.pads.is_empty() {
-            for element in block.chunks_exact_mut(width) {
+            for element in out[base..].chunks_exact_mut(width) {
                 for &(at, k, rev) in &s.pads {
                     let pad = &mut element[at..at + k];
                     pad.fill_with(|| s.rng.gen::<u8>());
