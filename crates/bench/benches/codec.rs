@@ -279,8 +279,11 @@ fn e2ebench_codec(graph: &FormatGraph) -> Codec {
 /// serializing costs at most twice as much as parsing. The
 /// `*/e2ebench-l2` rows repeat the transcode and obfuscated session steps
 /// on the benchmark's own derivation, and the group asserts that each
-/// obfuscated session row costs at most twice its clear row. The
-/// `modbus-*` rows time one small request at levels 0 and 2.
+/// obfuscated session row costs at most twice its clear row.
+/// `transcode-clear-clear/e2ebench-l2` is the echo server's op-free
+/// self-transcode, and the group asserts that each `transcode-*` row of
+/// the derivation costs at most five times it. The `modbus-*` rows time
+/// one small request at levels 0 and 2.
 fn bench_relay(c: &mut Criterion) {
     let graph = bulk_graph();
     let clear = Codec::identity(&graph);
@@ -379,6 +382,14 @@ fn bench_relay(c: &mut Criterion) {
             &0u32,
             |b, _| b.iter(|| e2e_src.transcode_into(&mut from_e2e).unwrap()),
         );
+        // The echo server's self-transcode: the same column copies with
+        // no constant ops, the floor the two rows above are held to.
+        let mut to_self = clear.transcode_target(&clear).unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("transcode-clear-clear", "e2ebench-l2"),
+            &0u32,
+            |b, _| b.iter(|| src.transcode_into(&mut to_self).unwrap()),
+        );
 
         // Small messages: one modbus request, where the plan's per-node
         // work rather than the bytes sets the cost (levels 0 and 2 under
@@ -447,6 +458,26 @@ fn bench_relay(c: &mut Criterion) {
                 ratio <= 2.0,
                 "{obf} must cost at most 2x {clear} ({o:.0} ns vs {c:.0} ns, ratio {ratio:.2}x)"
             );
+        }
+    }
+    // Op-kernel guard: the benchmark's derivation runs a constant-op stack
+    // on every column of both transcodes, which vector-width tiles keep
+    // within 5x the op-free self-transcode (about 3-4x). A tile whose
+    // length leaves the vectorized loop a scalar tail (48 bytes for the
+    // 24-byte payload column) reads 6-10x and fails here.
+    if let Some(floor) = median("relay/transcode-clear-clear/e2ebench-l2") {
+        for row in
+            ["relay/transcode-clear-obf/e2ebench-l2", "relay/transcode-obf-clear/e2ebench-l2"]
+        {
+            if let Some(t) = median(row) {
+                let ratio = t / floor.max(f64::MIN_POSITIVE);
+                eprintln!("{row} / relay/transcode-clear-clear/e2ebench-l2 = {ratio:.2}x");
+                assert!(
+                    ratio <= 5.0,
+                    "{row} must cost at most 5x the op-free self-transcode \
+                     ({t:.0} ns vs {floor:.0} ns, ratio {ratio:.2}x)"
+                );
+            }
         }
     }
     export_trajectory(c, "relay");

@@ -418,11 +418,6 @@ impl WireStore {
         self.data.len()
     }
 
-    /// The arena bytes appended since it was `start` long.
-    pub(crate) fn arena_from(&mut self, start: usize) -> &mut [u8] {
-        &mut self.data[start..]
-    }
-
     /// Number of entries under `slot`.
     pub(crate) fn entries_len(&self, slot: usize) -> usize {
         self.per_slot[slot].len()
@@ -515,33 +510,77 @@ macro_rules! by_width {
     };
 }
 
+/// Copies one value of `W` bytes (any width when `W` is 0), reversed
+/// when `rev`. A fixed width reverses in registers: a multiple of 8 bytes
+/// as byte-swapped 64-bit words in reverse order, any other width through
+/// an array; a 1-byte value is a plain copy.
+#[inline(always)]
+fn put<const W: usize>(d: &mut [u8], s: &[u8], rev: bool) {
+    if !rev || W == 1 {
+        d.copy_from_slice(s);
+    } else if W > 0 && W.is_multiple_of(8) {
+        for (d, s) in d.chunks_exact_mut(8).zip(s.rchunks_exact(8)) {
+            let word: [u8; 8] = s.try_into().expect("8-byte chunk");
+            d.copy_from_slice(&u64::from_be_bytes(word).to_le_bytes());
+        }
+    } else if W > 0 {
+        let mut a = [0u8; W];
+        a.copy_from_slice(s);
+        a.reverse();
+        d.copy_from_slice(&a);
+    } else {
+        d.copy_from_slice(s);
+        d.reverse();
+    }
+}
+
 /// The parser's column gather: fills `dst` with `width`-byte values,
-/// value `j` the first `width` bytes of `src[j * stride..]`, each
-/// reversed when `rev`.
-pub(crate) fn gather(dst: &mut [u8], width: usize, src: &[u8], stride: usize, rev: bool) {
-    fn each<const W: usize>(dst: &mut [u8], w: usize, src: &[u8], stride: usize, rev: bool) {
+/// value `j` the `width` bytes at offset `at` of the `j`-th `stride`-byte
+/// element of `src` (of the `j`-th from the end when `backwards`: the
+/// walk's element `j` of a table behind a folded mirror), each reversed
+/// when `rev`.
+pub(crate) fn gather(
+    dst: &mut [u8],
+    width: usize,
+    src: &[u8],
+    stride: usize,
+    at: usize,
+    rev: bool,
+    backwards: bool,
+) {
+    fn each<'s, const W: usize>(
+        dst: &mut [u8],
+        w: usize,
+        elements: impl Iterator<Item = &'s [u8]>,
+        at: usize,
+        rev: bool,
+    ) {
         let w = if W > 0 { W } else { w };
-        for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks(stride)) {
-            d.copy_from_slice(&s[..w]);
-            if rev {
-                d.reverse();
-            }
+        for (d, e) in dst.chunks_exact_mut(w).zip(elements) {
+            put::<W>(d, &e[at..at + w], rev);
         }
     }
-    if stride == width && !rev {
+    if width == 0 {
+        return;
+    }
+    let elements = src.chunks_exact(stride);
+    if stride == width && !rev && !backwards {
         // A single-column element: the column is the wire, one copy.
         dst.copy_from_slice(&src[..dst.len()]);
-    } else if width > 0 {
-        by_width!(width, each(dst, width, src, stride, rev));
+    } else if backwards {
+        by_width!(width, each(dst, width, elements.rev(), at, rev));
+    } else {
+        by_width!(width, each(dst, width, elements, at, rev));
     }
 }
 
 /// The serializer's column scatter: copies the `n` values of `column`,
 /// `width` bytes each, into the `stride`-byte elements of `dst` at offset
-/// `at`, value `j` into element `j`, each reversed when `rev`. Returns
-/// `false`, with `dst` partly written, unless the column holds every one
-/// of its `n` elements at that width (its entries are disjoint, so they
-/// do when their values number `n`).
+/// `at`, value `j` into element `j` (into the `j`-th element from the end
+/// when `backwards`), each reversed when `rev`. Returns `false`, with
+/// `dst` partly written, unless the column holds every one of its `n`
+/// elements at that width (its entries are disjoint, so they do when
+/// their values number `n`).
 pub(crate) fn scatter(
     dst: &mut [u8],
     stride: usize,
@@ -549,34 +588,49 @@ pub(crate) fn scatter(
     width: usize,
     column: Column<'_>,
     rev: bool,
+    backwards: bool,
 ) -> bool {
     fn each<const W: usize>(
         dst: &mut [u8],
-        stride: usize,
+        (stride, at, w): (usize, usize, usize),
+        column: Column<'_>,
+        rev: bool,
+    ) -> bool {
+        let w = if W > 0 { W } else { w };
+        let Column { entries, n, .. } = column;
+        if entries.len() != n {
+            return runs::<W>(dst.chunks_exact_mut(stride), at, w, column, rev);
+        }
+        // One value per entry (a store built value by value): no run
+        // bookkeeping per value.
+        for (e, element) in entries.iter().zip(dst.chunks_exact_mut(stride)) {
+            if e.width as usize != w {
+                return false;
+            }
+            put::<W>(&mut element[at..at + w], &column.data[e.start as usize..][..w], rev);
+        }
+        true
+    }
+    fn back<const W: usize>(
+        dst: &mut [u8],
+        (stride, at, w): (usize, usize, usize),
+        column: Column<'_>,
+        rev: bool,
+    ) -> bool {
+        let w = if W > 0 { W } else { w };
+        runs::<W>(dst.chunks_exact_mut(stride).rev(), at, w, column, rev)
+    }
+    /// Any store shape, entry by entry, into `elements` in turn.
+    #[inline(always)]
+    fn runs<'d, const W: usize>(
+        mut elements: impl Iterator<Item = &'d mut [u8]>,
         at: usize,
         w: usize,
         column: Column<'_>,
         rev: bool,
     ) -> bool {
-        let w = if W > 0 { W } else { w };
         let Column { entries, data, n, .. } = column;
-        if entries.len() == n {
-            // One value per entry (a store built value by value): no run
-            // bookkeeping per value.
-            for (e, element) in entries.iter().zip(dst.chunks_exact_mut(stride)) {
-                if e.width as usize != w {
-                    return false;
-                }
-                let d = &mut element[at..at + w];
-                d.copy_from_slice(&data[e.start as usize..][..w]);
-                if rev {
-                    d.reverse();
-                }
-            }
-            return true;
-        }
         let mut left = n;
-        let mut elements = dst.chunks_exact_mut(stride);
         for e in entries {
             if e.width as usize != w {
                 return false;
@@ -586,16 +640,18 @@ pub(crate) fn scatter(
             let values = &data[e.start as usize..][..k * w];
             // Values first: `zip` stops before taking an element.
             for (v, element) in values.chunks_exact(w).zip(elements.by_ref()) {
-                let d = &mut element[at..at + w];
-                d.copy_from_slice(v);
-                if rev {
-                    d.reverse();
-                }
+                put::<W>(&mut element[at..at + w], v, rev);
             }
         }
         left == 0
     }
-    width > 0 && by_width!(width, each(dst, stride, at, width, column, rev))
+    let geometry = (stride, at, width);
+    width > 0
+        && if backwards {
+            by_width!(width, back(dst, geometry, column, rev))
+        } else {
+            by_width!(width, each(dst, geometry, column, rev))
+        }
 }
 
 /// Dense per-slot metadata storage (presence flags, element counts).
@@ -1387,8 +1443,8 @@ impl CopyRun<'_, '_> {
     /// Runs a [`CopyStep::Column`] body: each `Direct` step copies its
     /// whole column ([`WireStore::copy_column`], one block per source
     /// entry) with the fused copy's in-place rewrite. A fixed-width
-    /// column's values land end to end, so after each block's width is
-    /// checked its op stacks run once over the whole column
+    /// column's values land end to end, so once a block's width is
+    /// checked its op stacks run over the block just copied
     /// ([`undo_ops_column`], [`apply_ops_column`]); ops preserve length,
     /// so that is the per-value rewrite's check. When a column fails,
     /// every column of the body is truncated back to its pre-loop length
@@ -1417,14 +1473,15 @@ impl CopyRun<'_, '_> {
                     })
                 });
             };
-            let (w, start) = (w as usize, self.wires.arena_len());
-            let copied = self.wires.copy_column(dst, src, from, sc, n, |_, width, _| width == w);
-            if copied {
-                let column = self.wires.arena_from(start);
-                undo_ops_column(sp.ops(src_ops), column, w);
-                apply_ops_column(dp.ops(dst_ops), column, w);
-            }
-            copied
+            let w = w as usize;
+            self.wires.copy_column(dst, src, from, sc, n, |values, width, _| {
+                if width != w {
+                    return false;
+                }
+                undo_ops_column(sp.ops(src_ops), values, w);
+                apply_ops_column(dp.ops(dst_ops), values, w);
+                true
+            })
         });
         if copied {
             return Ok(());
@@ -2126,13 +2183,15 @@ mod tests {
     /// Reads the elements `0..n` of one container instance as the
     /// serializer's element kernel does ([`WireStore::column`], then
     /// [`scatter`] into elements as wide as the value or one byte wider,
-    /// at offset 1): the scatter succeeds exactly when every element holds
-    /// a value of the width asked for, and then places each one.
+    /// at offset 1, in order or backwards): the scatter succeeds exactly
+    /// when every element holds a value of the width asked for, and then
+    /// places each one.
     fn check_column(s: &WireStore, model: &Model, rng: &mut StdRng, what: &str) {
         let slot = rng.gen_range(0..s.slots());
         let mut scope = random_scope(rng);
         scope.truncate(1);
         let (n, w, rev) = (rng.gen_range(1..7usize), rng.gen_range(1..4usize), rng.gen());
+        let backwards = rng.gen();
         let values: Vec<Option<&Vec<u8>>> = (0..n as u32)
             .map(|i| model.get(&model_key(slot, &ScopeKey::element(&scope, i))))
             .collect();
@@ -2142,7 +2201,12 @@ mod tests {
         let at = rng.gen_range(0..2);
         let mut dst = vec![0xEE; n * (w + at)];
         let whole = values.iter().all(|v| v.is_some_and(|v| v.len() == w));
-        assert_eq!(scatter(&mut dst, w + at, at, w, column, rev), whole, "{what}: scatter");
+        let scattered = scatter(&mut dst, w + at, at, w, column, rev, backwards);
+        assert_eq!(scattered, whole, "{what}: scatter");
+        if backwards {
+            // Element order as the walk's element index counts it.
+            dst = dst.chunks(w + at).rev().flatten().copied().collect();
+        }
         for (element, v) in dst.chunks(w + at).zip(values).filter(|_| whole) {
             let mut v = v.unwrap().clone();
             if rev {
@@ -2203,20 +2267,22 @@ mod tests {
                             m.insert(model_key(slot, &ScopeKey::from_slice(&scope)), edited);
                         }
                     }
-                    // A column write, with and without `rev`.
+                    // A column write, with and without `rev`, its elements
+                    // in order or backwards.
                     3 => {
                         let mut scope = random_scope(&mut rng);
                         scope.truncate(1);
                         let (f, n, w) =
                             (rng.gen_range(0..4), rng.gen_range(1..6), rng.gen_range(0..4));
-                        let rev = rng.gen();
+                        let (rev, backwards) = (rng.gen(), rng.gen());
                         let values = random_bytes(&mut rng, n * w);
                         let first = ScopeKey::element(&scope, f);
                         s.set_column(slot, &first, w, n, |column| {
-                            gather(column, w, &values, w, rev);
+                            gather(column, w, &values, w, 0, rev, backwards);
                         });
                         for o in 0..n {
-                            let mut v = values[o * w..][..w].to_vec();
+                            let e = if backwards { n - 1 - o } else { o };
+                            let mut v = values[e * w..][..w].to_vec();
                             if rev {
                                 v.reverse();
                             }
@@ -2239,6 +2305,49 @@ mod tests {
                     assert_eq!(store.get(slot, &scope), None, "{what}");
                     assert!(!store.contains_seq(slot, &scope, &mut cursors[slot]), "{what}");
                     assert_eq!(store.get_seq(slot, &scope, &mut cursors[slot]), None, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_and_scatter_reverse_at_every_width() {
+        // Every specialized width (1, 2, 4, 24) and the generic loop, each
+        // value reversed or not, the elements in order or backwards: the
+        // gather reads what a per-value reference reads, and the scatter
+        // of the gathered column writes the elements back.
+        let mut rng = StdRng::seed_from_u64(41);
+        for w in 1..=33usize {
+            for n in [0usize, 1, 5] {
+                let (at, stride) = (2, w + 5);
+                let elements = random_bytes(&mut rng, n * stride);
+                for (rev, backwards) in [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let what = format!("{n} × {w}, rev {rev}, backwards {backwards}");
+                    let mut want = Vec::new();
+                    for j in 0..n {
+                        let e = if backwards { n - 1 - j } else { j };
+                        let mut v = elements[e * stride + at..][..w].to_vec();
+                        if rev {
+                            v.reverse();
+                        }
+                        want.extend(v);
+                    }
+                    let mut column = vec![0; n * w];
+                    gather(&mut column, w, &elements, stride, at, rev, backwards);
+                    assert_eq!(column, want, "{what}: gather");
+                    let mut store = WireStore::with_slots(1);
+                    let first = ScopeKey::element(&[], 0);
+                    store.set_column(0, &first, w, n, |c| c.copy_from_slice(&column));
+                    let mut out = elements.clone();
+                    out.iter_mut().enumerate().for_each(|(i, b)| *b ^= u8::from(i % stride >= at));
+                    let stored = store.column(0, &first, n, 0).unwrap();
+                    assert!(scatter(&mut out, stride, at, w, stored, rev, backwards), "{what}");
+                    for (i, (&got, &was)) in out.iter().zip(&elements).enumerate() {
+                        let inside = (at..at + w).contains(&(i % stride));
+                        let want = if inside || i % stride < at { was } else { was ^ 1 };
+                        assert_eq!(got, want, "{what}: scatter, byte {i}");
+                    }
                 }
             }
         }

@@ -19,8 +19,8 @@ use crate::graph::NodeId;
 use crate::message::{gather, Message, MessageState, MetaStore, ScopeKey, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
-    bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, PlanOp, RecEval, RepStopC, SeqB, TermB,
-    NONE,
+    bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, ElemRun, MirrorFold, PlanOp, RecEval,
+    RepStopC, SeqB, TermB, NONE,
 };
 use crate::runtime;
 use crate::value::{Endian, Value};
@@ -69,6 +69,9 @@ pub struct ParseSession<'c> {
     /// Reversed-window scratch, one buffer per mirror nesting level.
     mirror_pool: Vec<Vec<u8>>,
     mirror_depth: usize,
+    /// The fold of the mirror being parsed, set for the element kernel of
+    /// its child container ([`ParseSession::parse_run`]) to take.
+    fold: Option<&'c MirrorFold>,
     /// Scratch for auto-verification scope collection.
     keys: Vec<ScopeKey>,
 }
@@ -100,6 +103,7 @@ impl<'c> ParseSession<'c> {
             scope: Vec::new(),
             mirror_pool: Vec::new(),
             mirror_depth: 0,
+            fold: None,
             keys: Vec::new(),
         }
     }
@@ -121,6 +125,7 @@ impl<'c> ParseSession<'c> {
             scope: scratch.scope,
             mirror_pool: scratch.mirror_pool,
             mirror_depth: 0,
+            fold: None,
             keys: scratch.keys,
         }
     }
@@ -401,7 +406,9 @@ impl<'c> ParseSession<'c> {
             }
             PlanOp::Mirror => {
                 let child = plan.kids(node)[0];
-                let e = match self.extent(child)? {
+                let extent = self.extent(child)?;
+                let known = extent.is_some();
+                let e = match extent {
                     Some(e) => e,
                     None if tail => end - *pos,
                     None => {
@@ -417,6 +424,17 @@ impl<'c> ParseSession<'c> {
                         needed: e,
                         available: end - *pos,
                     });
+                }
+                if let Some(fold) = plan.folds[idx as usize].as_ref().filter(|_| known) {
+                    // The child's element kernel gathers straight from the
+                    // mirrored wire: its `m` elements fill the `e` bytes
+                    // exactly (`e` is `m` times their width).
+                    let start = *pos;
+                    self.fold = Some(fold);
+                    let r = self.parse_node(child, buf, pos, start + e, true);
+                    self.fold = None;
+                    debug_assert!(r.is_err() || *pos == start + e, "the fold fills the mirror");
+                    return r;
                 }
                 let d = self.mirror_depth;
                 if self.mirror_pool.len() <= d {
@@ -476,10 +494,12 @@ impl<'c> ParseSession<'c> {
     /// `checked_mul`, one bounds check), gathers each column of the `m`
     /// elements straight from the wire into one store entry, a mirrored
     /// column's values reversed as the walk stores them after
-    /// un-mirroring. Returns the element indices left for the
-    /// per-element walk: none after the kernel ran, all `m` otherwise,
-    /// so a window overrun fails at the exact element and terminal it
-    /// always did.
+    /// un-mirroring. Under a folded mirror ([`ParseSession::fold`]) it
+    /// reads the fold's columns, the elements backwards; the mirror has
+    /// already checked that they fill its window. Returns the element
+    /// indices left for the per-element walk: none after the kernel ran,
+    /// all `m` otherwise, so a window overrun fails at the exact element
+    /// and terminal it always did.
     fn parse_run(
         &mut self,
         idx: u32,
@@ -489,11 +509,19 @@ impl<'c> ParseSession<'c> {
         end: usize,
     ) -> std::ops::Range<usize> {
         let plan = self.plan;
-        let Some(run) = &plan.runs[idx as usize] else {
-            return 0..m;
+        let (run, backwards): (&ElemRun, bool) = match self.fold.take() {
+            Some(fold) => {
+                debug_assert_eq!(fold.container, idx, "a fold is taken by its own container");
+                (&fold.run, true)
+            }
+            None => match &plan.runs[idx as usize] {
+                Some(run) => (run, false),
+                None => return 0..m,
+            },
         };
         let width = run.width as usize;
         let Some(total) = m.checked_mul(width).filter(|&total| total <= end - *pos) else {
+            debug_assert!(!backwards, "a folded mirror's window holds its elements");
             return 0..m;
         };
         let first = ScopeKey::element(&self.scope, 0);
@@ -502,7 +530,7 @@ impl<'c> ParseSession<'c> {
         for col in &run.cols {
             let w = col.width as usize;
             self.msg.wires.set_column(col.slot as usize, &first, w, m, |column| {
-                gather(column, w, &elements[at..], width, col.rev);
+                gather(column, w, elements, width, at, col.rev, backwards);
             });
             at += w;
         }

@@ -260,6 +260,24 @@ pub(crate) struct ElemRun {
     pub(crate) width: u32,
 }
 
+/// A whole-table mirror folded into the element kernel of the counted
+/// container it wraps: the sessions read and write the container's
+/// elements straight from and into the mirrored wire, with no reversed
+/// copy of the table. The mirror's wire is the elements' bytes reversed,
+/// so the elements lie on it in reverse order, and each element's columns
+/// in reverse order, each mirrored once more. Derived from the node table
+/// ([`CodecPlan::derive_fold`]), so it stays out of
+/// [`CodecPlan::digest`]; verifier code P013 pins it to the mirror and
+/// the container.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MirrorFold {
+    /// The counted container the mirror wraps.
+    pub(crate) container: u32,
+    /// The container's element run as the mirrored wire holds each
+    /// element: its columns reversed, each [`RunCol::rev`] toggled.
+    pub(crate) run: ElemRun,
+}
+
 /// How many of a program's loops run a specialized kernel: element runs
 /// of a compiled plan ([`CodecPlan::element_kernels`]) or column copies of
 /// a transcode program ([`CopyProgram::column_copies`]).
@@ -715,6 +733,9 @@ pub struct CodecPlan {
     /// slot → element run of a counted container whose element is a run
     /// of fixed-width terminals ([`ElemRun`]; derived, not digested).
     pub(crate) runs: Vec<Option<ElemRun>>,
+    /// slot → the fold of a mirror whose child is a counted container
+    /// with an element run ([`MirrorFold`]; derived, not digested).
+    pub(crate) folds: Vec<Option<MirrorFold>>,
 }
 
 impl CodecPlan {
@@ -777,6 +798,21 @@ impl CodecPlan {
         c
     }
 
+    /// How many mirrors whose child is a counted container (mirrored
+    /// counted loops) fold into the container's element kernel.
+    pub fn mirror_folds(&self) -> KernelCoverage {
+        let mut c = KernelCoverage::default();
+        for (node, fold) in self.nodes.iter().zip(&self.folds) {
+            let counted = matches!(node.op, PlanOp::Mirror)
+                && self.kids(node).first().is_some_and(|&k| is_counted(&self.nodes[k as usize].op));
+            if counted {
+                c.loops += 1;
+                c.kernels += usize::from(fold.is_some());
+            }
+        }
+        c
+    }
+
     /// Whether node `id` is a counted container that runs an element
     /// kernel.
     pub fn runs_kernel(&self, id: ObfId) -> bool {
@@ -795,6 +831,21 @@ impl CodecPlan {
         self.flatten(*self.kids(node).first()?, false, &mut cols)?;
         let width = cols.iter().try_fold(0u32, |w, c| w.checked_add(c.width))?;
         (width > 0).then_some(ElemRun { cols, width })
+    }
+
+    /// The fold of mirror `slot` into its child's element kernel: the
+    /// child is a counted container with an element run, whose columns
+    /// the fold lists reversed and mirrored once more. `None` for every
+    /// other slot.
+    pub(crate) fn derive_fold(&self, slot: u32) -> Option<MirrorFold> {
+        let node = &self.nodes[slot as usize];
+        if !matches!(node.op, PlanOp::Mirror) {
+            return None;
+        }
+        let container = *self.kids(node).first()?;
+        let ElemRun { cols, width } = self.derive_run(container)?;
+        let cols = cols.into_iter().rev().map(|c| RunCol { rev: !c.rev, ..c }).collect();
+        Some(MirrorFold { container, run: ElemRun { cols, width } })
     }
 
     /// Appends the columns of subtree `n` in wire order, each mirrored
@@ -1317,6 +1368,7 @@ impl<'g> Compiler<'g> {
                 steps: Vec::new(),
                 autos: Vec::new(),
                 runs: Vec::new(),
+                folds: Vec::new(),
             },
         }
     }
@@ -1361,8 +1413,9 @@ impl<'g> Compiler<'g> {
             }
         }
         self.compile_autos();
-        self.plan.runs =
-            (0..self.plan.nodes.len() as u32).map(|i| self.plan.derive_run(i)).collect();
+        let slots = 0..self.plan.nodes.len() as u32;
+        self.plan.runs = slots.clone().map(|i| self.plan.derive_run(i)).collect();
+        self.plan.folds = slots.map(|i| self.plan.derive_fold(i)).collect();
         self.plan
     }
 
@@ -1672,16 +1725,47 @@ fn apply_cycled(op: ByteOp, bytes: &mut [u8], k: &[u8]) {
     }
 }
 
-/// Undoes a constant-op stack in place (reverse order, inverse operators).
-pub(crate) fn undo_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
-    for op in ops.iter().rev() {
-        apply_cycled(op.op.inverse(), bytes, &op.k);
+/// One constant op over one value: [`apply_cycled`] for a short value,
+/// the tiled loop of [`apply_column`] (one period per key cycle) for a
+/// long one.
+#[inline]
+fn apply_value(op: ByteOp, bytes: &mut [u8], k: &[u8]) {
+    if bytes.len() < SHORT {
+        apply_cycled(op, bytes, k);
+    } else {
+        apply_column(op, bytes, k, k.len());
     }
 }
 
-/// The stack tile the column kernels cycle a constant through: a whole
-/// number of `w`-byte periods fits it for every `w` up to this.
-const TILE: usize = 64;
+/// Undoes a constant-op stack in place (reverse order, inverse operators).
+pub(crate) fn undo_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
+    for op in ops.iter().rev() {
+        apply_value(op.op.inverse(), bytes, &op.k);
+    }
+}
+
+/// The vector width the tiled loops are shaped for: a tile is a whole
+/// number of these, so the compiler's unrolled loop over it leaves no
+/// scalar tail.
+const VEC: usize = 64;
+
+/// The stack tile's size: `lcm(p, VEC)` fits it for every key period
+/// `p` whose odd part is 1 or 3 — every 1–4-byte key cycled whole, and
+/// the value widths 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48 and 64.
+const MAX_TILE: usize = 4 * VEC;
+
+/// Values shorter than this keep [`apply_cycled`]'s per-byte loop:
+/// building a tile costs more than it saves on them.
+const SHORT: usize = 256;
+
+/// Greatest common divisor.
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
 
 /// [`undo_ops_in_place`] over a column of `w`-byte values laid end to end
 /// (`column.len()` a multiple of `w`): each value restarts the key cycle,
@@ -1700,24 +1784,38 @@ pub(crate) fn apply_ops_column(ops: &[ConstOp], column: &mut [u8], w: usize) {
     }
 }
 
-/// One constant op over a column: the key's first `w` cycled bytes are
-/// repeated into a stack tile of whole periods, which then zips along the
-/// column in one monomorphic (vectorizable) loop per operator. A value
-/// wider than the tile runs [`apply_cycled`] per value.
+/// One constant op over a column of `w`-byte values, each restarting the
+/// key's cycle (a last partial value takes the op as far as it goes). The
+/// key's pattern repeats every `p` bytes — the key's length when each
+/// value is a whole number of key cycles, else `w` — so one period is
+/// repeated into a stack tile as many whole `lcm(p, VEC)` bytes long as
+/// fit [`MAX_TILE`], which then zips along the column in one monomorphic
+/// (vectorizable) loop per operator, with no scalar tail. When
+/// `lcm(p, VEC)` itself is larger than [`MAX_TILE`], each value runs
+/// [`apply_cycled`].
 fn apply_column(op: ByteOp, column: &mut [u8], k: &[u8], w: usize) {
     if k.is_empty() || w == 0 {
         return;
     }
-    if w > TILE {
+    let period = if w.is_multiple_of(k.len()) { k.len() } else { w };
+    let lcm = period / gcd(period, VEC) * VEC;
+    if lcm > MAX_TILE {
         for v in column.chunks_mut(w) {
             apply_cycled(op, v, k);
         }
         return;
     }
-    let mut tile = [0u8; TILE];
-    let tile = &mut tile[..TILE / w * w];
-    for (t, &b) in tile.iter_mut().zip(k.iter().cycle().take(w).cycle()) {
+    let len = MAX_TILE / lcm * lcm;
+    let mut tile = [0u8; MAX_TILE];
+    let tile = &mut tile[..len];
+    for (t, &b) in tile[..period].iter_mut().zip(k.iter().cycle()) {
         *t = b;
+    }
+    let mut filled = period;
+    while filled < len {
+        let n = filled.min(len - filled);
+        tile.copy_within(..n, filled);
+        filled += n;
     }
     match op {
         ByteOp::Add => zip_tile(column, tile, u8::wrapping_add),
@@ -1808,7 +1906,7 @@ impl RecEval {
 /// cycled — the compiled form of the reference walk's `apply_ops`).
 pub(crate) fn apply_ops_in_place(ops: &[ConstOp], bytes: &mut [u8]) {
     for op in ops {
-        apply_cycled(op.op, bytes, &op.k);
+        apply_value(op.op, bytes, &op.k);
     }
 }
 
@@ -2354,6 +2452,139 @@ pub(crate) mod tests {
         }
     }
 
+    /// Serializes `m` through the compiled plan and the reference walk
+    /// (same seed, so the same pad draws), then parses the wire and every
+    /// truncation of it both ways: identical wires, stores and errors.
+    /// Returns the compiled parse of the whole wire.
+    fn assert_matches_the_walk<'g>(
+        g: &'g ObfGraph,
+        plan: &'g CodecPlan,
+        m: &crate::message::Message<'_>,
+        what: &str,
+    ) -> crate::message::Message<'g> {
+        let mut wire = Vec::new();
+        let compiled = crate::serialize::SerializeSession::new(g, plan)
+            .serialize_into_seeded(m, &mut wire, 9)
+            .map(|()| wire.clone());
+        assert_eq!(compiled, crate::reference::serialize(g, m, 9), "{what}: serialize");
+        let Ok(wire) = compiled else { return crate::message::Message::new(g) };
+        let mut parser = crate::parse::ParseSession::new(g, plan);
+        for cut in 0..wire.len() {
+            let got = parser.parse_in_place(&wire[..cut]).map(|_| ());
+            let want = crate::reference::parse(g, &wire[..cut]).map(|_| ());
+            assert_eq!(got, want, "{what}: parse of {cut} of {} bytes", wire.len());
+        }
+        let walked = crate::reference::parse(g, &wire).unwrap();
+        let parsed = parser.parse_in_place(&wire).unwrap();
+        assert!(parsed.wires.iter().eq(walked.wires.iter()), "{what}: parse");
+        parser.take_message()
+    }
+
+    #[test]
+    fn mirror_folds_match_the_walk() {
+        use TransformKind::{PadInsert, ReadFromEnd, RepSplit};
+        let node_of = |g: &ObfGraph, name: &str| {
+            g.preorder().into_iter().find(|&i| g.node(i).name() == name).unwrap()
+        };
+        // A mirror over a table whose element holds two pads and a
+        // mirrored key, with a field after it.
+        let mut b = GraphBuilder::new("t");
+        let root = b.root_sequence("m", Boundary::End);
+        let count = b.uint_be(root, "count", 1);
+        let items = b.tabular(root, "items", count);
+        b.set_auto(count, AutoValue::CounterOf(items));
+        let item = b.sequence(items, "item", Boundary::Delegated);
+        b.uint_be(item, "key", 4);
+        b.uint_be(item, "flags", 2);
+        b.terminal(item, "payload", TerminalKind::Bytes, Boundary::Fixed(3));
+        b.uint_be(root, "after", 2);
+        let mut tab = ObfGraph::from_plain(&b.build().unwrap());
+        let mut rng = StdRng::seed_from_u64(5);
+        let edits = [
+            ("key", ReadFromEnd),
+            ("item", PadInsert),
+            ("item", PadInsert),
+            ("items", ReadFromEnd),
+        ];
+        for (name, kind) in edits {
+            let id = node_of(&tab, name);
+            apply(&mut tab, id, kind, &mut rng).unwrap();
+        }
+        // A mirror over the count-linked half of a split repetition.
+        let mut b = GraphBuilder::new("marks");
+        let root = b.root_sequence("m", Boundary::End);
+        let rep = b.repetition(
+            root,
+            "marks",
+            crate::graph::StopRule::Terminator(vec![0xff]),
+            Boundary::Delegated,
+        );
+        let mark = b.sequence(rep, "mark", Boundary::Delegated);
+        b.uint_be(mark, "tag", 1);
+        b.uint_be(mark, "mv", 2);
+        b.terminal(mark, "mb", TerminalKind::Bytes, Boundary::Fixed(3));
+        let mut rep = ObfGraph::from_plain(&b.build().unwrap());
+        let mut rng = StdRng::seed_from_u64(3);
+        let marks = node_of(&rep, "marks");
+        apply(&mut rep, marks, RepSplit, &mut rng).unwrap();
+        let plan = CodecPlan::compile(&rep);
+        let linked = plan
+            .nodes
+            .iter()
+            .position(|n| matches!(n.op, PlanOp::Rep { stop: RepStopC::CountOf(_), .. }))
+            .expect("the split leaves a count-linked half");
+        let element = plan.kids(&plan.nodes[linked])[0];
+        apply(&mut rep, ObfId(element), PadInsert, &mut rng).unwrap();
+        let mb = node_of(&rep, "mb");
+        apply(&mut rep, mb, ReadFromEnd, &mut rng).unwrap();
+        apply(&mut rep, ObfId(linked as u32), ReadFromEnd, &mut rng).unwrap();
+
+        // Fills elements `0..n`, element 0's last field only when `all`.
+        type Fill = fn(&mut crate::message::Message<'_>, u64, bool);
+        let cases: [(&ObfGraph, &str, Fill); 2] = [
+            (&tab, "items[0].payload", |m, n, all| {
+                m.set_uint("after", 0x0708).unwrap();
+                for i in 0..n {
+                    m.set_uint(&format!("items[{i}].key"), 0x0102_0304 * i).unwrap();
+                    m.set_uint(&format!("items[{i}].flags"), 0x0506 + i).unwrap();
+                    if all || i > 0 {
+                        m.set(&format!("items[{i}].payload"), vec![i as u8, 2, 3]).unwrap();
+                    }
+                }
+            }),
+            (&rep, "marks[0].mb", |m, n, all| {
+                for i in 0..n {
+                    m.set_uint(&format!("marks[{i}].tag"), i).unwrap();
+                    m.set_uint(&format!("marks[{i}].mv"), 0x100 + i).unwrap();
+                    if all || i > 0 {
+                        m.set(&format!("marks[{i}].mb"), vec![i as u8; 3]).unwrap();
+                    }
+                }
+            }),
+        ];
+        for (g, unset, fill) in cases {
+            let plan = CodecPlan::compile(g);
+            assert_eq!(plan.mirror_folds(), KernelCoverage { loops: 1, kernels: 1 }, "{unset}");
+            let cols = &plan.folds.iter().flatten().next().unwrap().run.cols;
+            assert!(cols.iter().any(|c| matches!(c.base, BaseOp::Pad { .. })), "{cols:?}");
+            assert!(cols.iter().any(|c| c.rev) && cols.iter().any(|c| !c.rev), "{cols:?}");
+            for n in [0u64, 1, 3] {
+                let what = format!("{unset}, {n} elements");
+                let mut m = crate::message::Message::with_seed(g, 1);
+                fill(&mut m, n, true);
+                let parsed = assert_matches_the_walk(g, &plan, &m, &what);
+                // A parsed message stores each column as one run.
+                assert_matches_the_walk(g, &plan, &parsed, &format!("{what}, parsed"));
+                // A field left unset: the same error both ways.
+                if n > 0 {
+                    let mut m = crate::message::Message::with_seed(g, 1);
+                    fill(&mut m, n, false);
+                    assert_matches_the_walk(g, &plan, &m, &format!("{what}, {unset} unset"));
+                }
+            }
+        }
+    }
+
     /// Every `ByteOp`, for building kernel test cases.
     const BYTE_OPS: [ByteOp; 3] = [ByteOp::Add, ByteOp::Sub, ByteOp::Xor];
 
@@ -2378,26 +2609,65 @@ pub(crate) mod tests {
                     assert_eq!(v, value, "undo after apply, key {klen}, value {vlen}");
                 }
             }
-            // The column kernels against the per-value ones: `n` values of
-            // width `w` end to end, `w` up to past the tile.
-            for w in 1..=TILE + 3 {
-                for n in 0..=9usize {
-                    let column: Vec<u8> = (0..n * w).map(|_| rng.gen()).collect();
-                    let ops: Vec<ConstOp> = BYTE_OPS
-                        .iter()
-                        .map(|&op| ConstOp { op, k: (0..klen).map(|_| rng.gen()).collect() })
-                        .collect();
-                    for stack in [&ops[..1], &ops[1..2], &ops[2..], &ops[..]] {
-                        let mut want = column.clone();
-                        want.chunks_mut(w).for_each(|v| apply_ops_in_place(stack, v));
+        }
+    }
+
+    /// `bytes` as `w`-byte values end to end (a last partial value
+    /// included), each value restarting the key: the per-byte definition
+    /// every op kernel must match.
+    fn per_byte(op: ByteOp, bytes: &[u8], k: &[u8], w: usize) -> Vec<u8> {
+        if k.is_empty() {
+            return bytes.to_vec();
+        }
+        bytes.iter().enumerate().map(|(i, &b)| apply1(op, b, k[i % w % k.len()])).collect()
+    }
+
+    #[test]
+    fn op_kernels_match_a_per_byte_reference() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut bytes = |n: usize| -> Vec<u8> { (0..n).map(|_| rng.gen()).collect() };
+        let keys: Vec<Vec<u8>> = (0..=4).map(&mut bytes).collect();
+        // Columns: every width up to the vector width, and widths past
+        // the largest tile; value counts whose columns are shorter than a
+        // tile, not a whole number of tiles, and several tiles long.
+        for w in (1..=VEC).chain([VEC + 1, MAX_TILE + 1]) {
+            for n in [0, 1, 2, 5, 3 * MAX_TILE / w + 1] {
+                let column = bytes(n * w);
+                for k in &keys {
+                    for op in BYTE_OPS {
                         let mut got = column.clone();
-                        apply_ops_column(stack, &mut got, w);
-                        assert_eq!(got, want, "apply: key {klen}, {n} × {w}, {stack:?}");
-                        want.chunks_mut(w).for_each(|v| undo_ops_in_place(stack, v));
-                        undo_ops_column(stack, &mut got, w);
-                        assert_eq!(got, want, "undo: key {klen}, {n} × {w}, {stack:?}");
-                        assert_eq!(got, column, "undo after apply: key {klen}, {n} × {w}");
+                        apply_column(op, &mut got, k, w);
+                        let want = per_byte(op, &column, k, w);
+                        assert_eq!(got, want, "{op:?}, key {}, {n} × {w}", k.len());
                     }
+                }
+                // Whole stacks: one op per key length and operator.
+                let stack: Vec<ConstOp> = keys[1..]
+                    .iter()
+                    .zip(BYTE_OPS.iter().cycle())
+                    .map(|(k, &op)| ConstOp { op, k: k.clone() })
+                    .collect();
+                let want = stack.iter().fold(column.clone(), |v, c| per_byte(c.op, &v, &c.k, w));
+                let mut got = column.clone();
+                apply_ops_column(&stack, &mut got, w);
+                assert_eq!(got, want, "stack over {n} × {w}");
+                undo_ops_column(&stack, &mut got, w);
+                assert_eq!(got, column, "undo after apply, {n} × {w}");
+            }
+        }
+        // Single values of 1 byte to 8 KiB: the short per-byte loop and
+        // the tiled one.
+        let lens = (1..=2 * SHORT).chain([1000, 4095, 4096, 4097, 8191, 8192]);
+        for len in lens {
+            let value = bytes(len);
+            for k in &keys[1..] {
+                for op in BYTE_OPS {
+                    let stack = [ConstOp { op, k: k.clone() }];
+                    let mut got = value.clone();
+                    apply_ops_in_place(&stack, &mut got);
+                    assert_eq!(got, per_byte(op, &value, k, len), "{op:?}, key {}, {len}", k.len());
+                    undo_ops_in_place(&stack, &mut got);
+                    assert_eq!(got, value, "undo after apply: {op:?}, key {}, {len}", k.len());
                 }
             }
         }

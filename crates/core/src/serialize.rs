@@ -373,33 +373,34 @@ impl<'c> SerializeSession<'c> {
                     Ok(())
                 }
             }
-            PlanOp::Rep { stop, origin, origin_depth } => {
-                assert_ne!(*origin, NONE, "repetitions always have plain origins");
-                let od = (*origin_depth as usize).min(self.scratch.scope.len());
-                let m = msg.count_of(NodeId(*origin), &self.scratch.scope[..od]);
+            PlanOp::Rep { stop, .. } => {
+                let m = self.element_count(idx, msg)?;
                 self.emit_elements(idx, m, msg, out)?;
                 if let RepStopC::Terminator(t) = stop {
                     out.extend_from_slice(&plan.bytes[*t as usize]);
                 }
                 Ok(())
             }
-            PlanOp::Tab { counter, counter_depth, counter_endian, origin, origin_depth } => {
-                assert_ne!(*origin, NONE, "tabulars always have plain origins");
-                let od = (*origin_depth as usize).min(self.scratch.scope.len());
-                let m = msg.count_of(NodeId(*origin), &self.scratch.scope[..od]);
-                let declared = self.msg_uint(*counter, *counter_depth, *counter_endian, msg)?;
-                if declared != m as u64 {
-                    return Err(BuildError::LengthInconsistent {
-                        path: self.obf_name(idx),
-                        declared,
-                        actual: m as u64,
-                    });
-                }
+            PlanOp::Tab { .. } => {
+                let m = self.element_count(idx, msg)?;
                 self.emit_elements(idx, m, msg, out)
             }
             PlanOp::Mirror => {
+                let child = plan.kids(node)[0];
+                // A folded mirror: the child's element kernel scatters
+                // straight into the mirrored wire (the child adds no bytes
+                // of its own around its elements). Never while tracing,
+                // which records the child's span through the walk.
+                if let Some(fold) =
+                    plan.folds[idx as usize].as_ref().filter(|_| !self.scratch.tracing)
+                {
+                    let m = self.element_count(child, msg)?;
+                    if self.emit_run(&fold.run, m, msg, out, true) {
+                        return Ok(());
+                    }
+                }
                 let start = out.len();
-                self.emit(plan.kids(node)[0], msg, out)?;
+                self.emit(child, msg, out)?;
                 out[start..].reverse();
                 Ok(())
             }
@@ -421,6 +422,33 @@ impl<'c> SerializeSession<'c> {
         }
     }
 
+    /// The element count of counted container or repetition `idx`: its
+    /// origin's count in the message, which a tabular's counter must
+    /// declare.
+    fn element_count(&mut self, idx: u32, msg: &Message<'_>) -> Result<usize, BuildError> {
+        let (origin, origin_depth) = match self.plan.nodes[idx as usize].op {
+            PlanOp::Rep { origin, origin_depth, .. } => (origin, origin_depth),
+            PlanOp::Tab { origin, origin_depth, .. } => (origin, origin_depth),
+            _ => unreachable!("only containers count elements"),
+        };
+        assert_ne!(origin, NONE, "repetitions and tabulars always have plain origins");
+        let od = (origin_depth as usize).min(self.scratch.scope.len());
+        let m = msg.count_of(NodeId(origin), &self.scratch.scope[..od]);
+        if let PlanOp::Tab { counter, counter_depth, counter_endian, .. } =
+            self.plan.nodes[idx as usize].op
+        {
+            let declared = self.msg_uint(counter, counter_depth, counter_endian, msg)?;
+            if declared != m as u64 {
+                return Err(BuildError::LengthInconsistent {
+                    path: self.obf_name(idx),
+                    declared,
+                    actual: m as u64,
+                });
+            }
+        }
+        Ok(m)
+    }
+
     /// Emits the `m` elements of container `idx`: through the element
     /// kernel ([`Self::emit_run`]) when the container has an element run
     /// and the kernel takes the store's shape (never while tracing, which
@@ -435,7 +463,7 @@ impl<'c> SerializeSession<'c> {
     ) -> Result<(), BuildError> {
         let plan = self.plan;
         if let Some(run) = plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing) {
-            if self.emit_run(run, m, msg, out) {
+            if self.emit_run(run, m, msg, out, false) {
                 return Ok(());
             }
         }
@@ -460,7 +488,18 @@ impl<'c> SerializeSession<'c> {
     /// output and the RNG as they were, for any other store shape (a field
     /// left unset, a value of another width, pads stored for some elements
     /// only): the walk then emits the elements or names the missing field.
-    fn emit_run(&mut self, run: &ElemRun, m: usize, msg: &Message<'_>, out: &mut Vec<u8>) -> bool {
+    /// When `backwards` (a folded mirror's run), element `j` goes to the
+    /// `j`-th element from the end of the output, and each element's pads
+    /// are drawn in the reverse of the run's column order: the walk's
+    /// order before the mirror reverses its bytes.
+    fn emit_run(
+        &mut self,
+        run: &ElemRun,
+        m: usize,
+        msg: &Message<'_>,
+        out: &mut Vec<u8>,
+        backwards: bool,
+    ) -> bool {
         let s = &mut self.scratch;
         let first = ScopeKey::element(&s.scope, 0);
         let width = run.width as usize;
@@ -486,7 +525,7 @@ impl<'c> SerializeSession<'c> {
                 Some(column) if w > 0 && m.checked_mul(w).is_some_and(|b| b <= arena) => {
                     out.resize(base + size, 0);
                     let next = column.next;
-                    let whole = scatter(&mut out[base..], width, at, w, column, col.rev);
+                    let whole = scatter(&mut out[base..], width, at, w, column, col.rev, backwards);
                     if whole {
                         s.cursors.wire[c] = next;
                     }
@@ -502,12 +541,18 @@ impl<'c> SerializeSession<'c> {
         }
         out.resize(base + size, 0);
         if !s.pads.is_empty() {
-            for element in out[base..].chunks_exact_mut(width) {
-                for &(at, k, rev) in &s.pads {
+            let mut elements = out[base..].chunks_exact_mut(width);
+            let pads = s.pads.len();
+            while let Some(element) = if backwards { elements.next_back() } else { elements.next() }
+            {
+                for i in 0..pads {
+                    let (at, k, rev) = s.pads[if backwards { pads - 1 - i } else { i }];
+                    // A mirrored pad takes its draws last byte first.
                     let pad = &mut element[at..at + k];
-                    pad.fill_with(|| s.rng.gen::<u8>());
                     if rev {
-                        pad.reverse();
+                        pad.iter_mut().rev().for_each(|b| *b = s.rng.gen::<u8>());
+                    } else {
+                        pad.fill_with(|| s.rng.gen::<u8>());
                     }
                 }
             }

@@ -354,7 +354,8 @@ fn check(opts: &Options) -> Result<(), CliError> {
 /// specification lints (L… warnings) — the offline form of the
 /// debug-build compile asserts, over every leg of the profile — and,
 /// per leg, how many loops run kernels: counted containers with element
-/// runs in both plans, column copies in both relay directions.
+/// runs in both plans, mirrors over counted containers folded into their
+/// element kernels, column copies in both relay directions.
 fn lint(opts: &Options) -> Result<(), CliError> {
     let endpoint = endpoint_for(opts)?;
     let mut errors = 0usize;
@@ -397,6 +398,11 @@ fn lint(opts: &Options) -> Result<(), CliError> {
             "kernels {leg} {name}: {} of {} counted loops run element kernels (obfuscated), \
              {} of {} (clear)",
             obf_runs.kernels, obf_runs.loops, clear_runs.kernels, clear_runs.loops
+        );
+        let folds = codec.plan().mirror_folds();
+        println!(
+            "kernels {leg} {name}: {} of {} mirrored counted loops fold into element kernels",
+            folds.kernels, folds.loops
         );
         if let [to_obf, to_clear] = columns[..] {
             println!(

@@ -565,6 +565,11 @@ fn lint_reports_loop_kernel_coverage() {
         ),
         "{stdout}"
     );
+    assert!(
+        stdout
+            .contains("kernels tx Table: 0 of 0 mirrored counted loops fold into element kernels"),
+        "{stdout}"
+    );
 }
 
 /// `lint` without a target is a usage error (exit 2).
