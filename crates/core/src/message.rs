@@ -16,15 +16,20 @@
 //! per-instance element scopes as inline `ScopeKey`s — no hashing.
 //!
 //! A `WireStore` keeps value bytes in one shared arena, and each slot a
-//! sorted list of disjoint **runs**: `n` values of one width, end to end
-//! in the arena, under `n` consecutive element keys of one container
-//! instance. The element kernels move a whole column as one run per
-//! container instance: the parser gathers it from the wire, the
-//! transcode copies it as one block, and the serializer scatters it into
-//! the elements' places. The setters, the sampler and the per-element
-//! walks store single values (runs of one). A single write never joins an
-//! earlier entry, so rolling a slot back to an entry count is exact;
-//! replacing one value inside a longer run splits the run.
+//! sorted list of disjoint **runs**: `n` values of one width, one stride
+//! apart in the arena, under `n` consecutive element keys of one
+//! container instance. The element kernels move a whole column as one run
+//! per container instance: the parser gathers it from the wire (its
+//! values end to end), the transcode copies it as one block, and the
+//! serializer scatters it into the elements' places (a column stored in
+//! pieces takes the per-element walk). The setters, the sampler and the
+//! per-element walks store single values; one that is the next element of
+//! the slot's last run, at its width and one stride on in the arena,
+//! extends that run, so a table set element by element, field by field,
+//! keeps one run per column, its stride the element's bytes. Rolling a
+//! slot back to an entry count and an arena length
+//! (`WireStore::truncate`) also trims the last run it keeps, so it is
+//! exact; replacing one value inside a longer run splits the run.
 //!
 //! A lookup is an index plus a binary search for the run that covers the
 //! key, or one check of the entry under a cursor for a reader that visits
@@ -109,16 +114,18 @@ impl ScopeKey {
     }
 }
 
-/// One [`WireStore`] entry: `n` values of `width` bytes each, end to end
-/// in the arena from `start`, under `first` and the `n - 1` element keys
-/// after it — consecutive elements of one container instance. A single
-/// value is a run of one, of any width.
+/// One [`WireStore`] entry: `n` values of `width` bytes each, `stride`
+/// bytes apart in the arena from `start` (end to end when `stride` is
+/// `width`), under `first` and the `n - 1` element keys after it —
+/// consecutive elements of one container instance. A single value is a
+/// run of one, of any width.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     first: ScopeKey,
     start: u32,
     width: u32,
     n: u32,
+    stride: u32,
 }
 
 impl Entry {
@@ -167,8 +174,40 @@ impl Entry {
     /// The arena range of the value at element offset `o`.
     #[inline]
     fn range(&self, o: u32) -> std::ops::Range<usize> {
-        let start = self.start as usize + o as usize * self.width as usize;
+        let start = self.start as usize + o as usize * self.stride as usize;
         start..start + self.width as usize
+    }
+
+    /// Extends this run by the value of `width` bytes at arena offset
+    /// `start` under `key`, when `key` is the element after the run's last
+    /// and the value lies one stride past it (any distance past a single
+    /// value, which sets the stride). Returns whether it did. Zero-width
+    /// values never join a run: they take no arena bytes, so a rollback
+    /// could not tell them from the values before it.
+    #[inline]
+    fn extend(&mut self, key: &ScopeKey, start: usize, width: usize) -> bool {
+        let len = key.len as usize;
+        if width == 0 || len == 0 || key.len != self.first.len || self.width as usize != width {
+            return false;
+        }
+        let Some(gap) = start.checked_sub(self.start as usize) else { return false };
+        let stride = if self.n == 1 { gap } else { self.n as usize * self.stride as usize };
+        let next = u64::from(self.first.last()) + u64::from(self.n);
+        if gap != stride
+            || gap < width
+            || u32::try_from(gap).is_err()
+            || u64::from(key.last()) != next
+        {
+            return false;
+        }
+        if key.idx[..len - 1] != self.first.idx[..len - 1] {
+            return false;
+        }
+        if self.n == 1 {
+            self.stride = gap as u32;
+        }
+        self.n += 1;
+        true
     }
 }
 
@@ -181,23 +220,22 @@ pub(crate) struct WireStore {
     data: Vec<u8>,
 }
 
-/// The entries of one slot that hold elements `0..n` of one container
-/// instance ([`WireStore::column`]): one run after a parse or a
-/// transcode, single values after the setters, none for a column nothing
-/// was stored in.
-pub(crate) struct Column<'a> {
-    entries: &'a [Entry],
-    data: &'a [u8],
-    n: usize,
-    /// The slot's read cursor after the `n` elements.
-    pub(crate) next: u32,
-}
-
-impl Column<'_> {
-    /// Whether no element holds a value.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
+/// How one slot holds the values of elements `0..n` of one container
+/// instance ([`WireStore::run`]), when the serializer's element kernel
+/// can read them.
+pub(crate) enum Stored {
+    /// No element holds a value.
+    Absent,
+    /// One run holds them all, as a parse, a transcode or the setters
+    /// (element by element) store a column: value `j` is the `width`
+    /// bytes at arena offset `start + j * stride` ([`WireStore::arena`]).
+    Run {
+        start: usize,
+        width: usize,
+        stride: usize,
+        /// The slot's read cursor after the `n` elements.
+        next: u32,
+    },
 }
 
 impl WireStore {
@@ -277,23 +315,29 @@ impl WireStore {
         let start = self.data.len();
         self.data.resize(start + n * width, 0);
         fill(&mut self.data[start..]);
-        let run = Entry { first: *first, start: start as u32, width: width as u32, n: n as u32 };
+        let (width, n) = (width as u32, n as u32);
+        let run = Entry { first: *first, start: start as u32, width, n, stride: width };
         let entries = &mut self.per_slot[slot];
         if entries.last().is_none_or(|last| last.before(first)) {
             entries.push(run);
             return;
         }
         for o in 0..run.n {
-            self.index(slot, run.key_at(o), run.range(o).start, width);
+            self.index(slot, run.key_at(o), run.range(o).start, width as usize);
         }
     }
 
-    /// Points `(slot, key)` at the `len` arena bytes from `start`: a new
-    /// entry of one value, or a replaced one. Replacing one value of a
-    /// longer run splits the run around it.
+    /// Points `(slot, key)` at the `len` arena bytes from `start`: the
+    /// next value of the slot's last run ([`Entry::extend`]), a new entry
+    /// of one value, or a replaced one. Replacing one value of a longer
+    /// run splits the run around it.
     fn index(&mut self, slot: usize, key: ScopeKey, start: usize, len: usize) {
-        let single = Entry { first: key, start: start as u32, width: len as u32, n: 1 };
+        let width = len as u32;
+        let single = Entry { first: key, start: start as u32, width, n: 1, stride: width };
         let entries = &mut self.per_slot[slot];
+        if entries.last_mut().is_some_and(|last| last.extend(&key, start, len)) {
+            return;
+        }
         if entries.last().is_none_or(|last| last.before(&key)) {
             entries.push(single);
             return;
@@ -338,17 +382,17 @@ impl WireStore {
     }
 
     /// The entries of `slot` whose first key lies from `first` (the key
-    /// of a container instance's element 0) up to element `n`; no
-    /// earlier entry covers element 0. `cursor` is the slot's read
-    /// cursor, tried before a search and left as it is. `None` when `n`
-    /// is not a `u32` element index.
-    pub(crate) fn column(
+    /// of a container instance's element 0) up to element `n` (no
+    /// earlier entry covers element 0), and the slot's read cursor after
+    /// them. `cursor` is the slot's read cursor, tried before a search
+    /// and left as it is. `None` when `n` is not a `u32` element index.
+    fn column(
         &self,
         slot: usize,
         first: &ScopeKey,
         n: usize,
         cursor: u32,
-    ) -> Option<Column<'_>> {
+    ) -> Option<(&[Entry], u32)> {
         let entries = &self.per_slot[slot];
         let end = first.with_last(u32::try_from(n).ok()?);
         let lo = match entries.get(cursor as usize) {
@@ -362,7 +406,30 @@ impl WireStore {
         let entries = &entries[lo..hi];
         // The cursor stays on a run that reaches past element `n - 1`.
         let overhang = entries.last().is_some_and(|e| e.values_below(n) < e.n as usize);
-        Some(Column { entries, data: &self.data, n, next: (hi - usize::from(overhang)) as u32 })
+        Some((entries, (hi - usize::from(overhang)) as u32))
+    }
+
+    /// How `slot` holds the values of elements `0..n` of the container
+    /// instance whose element 0 has key `first` ([`WireStore::column`]'s
+    /// lookup): `None` when neither absent nor one run of them all (some
+    /// missing, a value replaced since, values set out of order).
+    pub(crate) fn run(
+        &self,
+        slot: usize,
+        first: &ScopeKey,
+        n: usize,
+        cursor: u32,
+    ) -> Option<Stored> {
+        match self.column(slot, first, n, cursor)? {
+            ([], _) => Some(Stored::Absent),
+            ([e], next) if e.first == *first && e.values_below(n) == n => Some(Stored::Run {
+                start: e.start as usize,
+                width: e.width as usize,
+                stride: e.stride as usize,
+                next,
+            }),
+            _ => None,
+        }
     }
 
     /// The column copy of one slot: appends every value of `src`'s
@@ -386,9 +453,7 @@ impl WireStore {
         // The column sorts after everything already under `slot` when its
         // first entry does. (A count past `u32::MAX` is left to the
         // per-element copy.)
-        let Some(Column { entries: column, .. }) =
-            src.column(src_slot, &ScopeKey::element(scope, 0), n, 0)
-        else {
+        let Some((column, _)) = src.column(src_slot, &ScopeKey::element(scope, 0), n, 0) else {
             return false;
         };
         let WireStore { per_slot, data } = self;
@@ -401,15 +466,29 @@ impl WireStore {
         dst.reserve(column.len());
         for e in column {
             let k = e.values_below(n);
-            let w = e.width as usize;
+            let (w, stride) = (e.width as usize, e.stride as usize);
             let start = data.len();
-            data.extend_from_slice(&src.data[e.start as usize..][..k * w]);
+            let values = &src.data[e.start as usize..];
+            if stride == w || w == 0 {
+                data.extend_from_slice(&values[..k * w]);
+            } else {
+                // A setter-built run: its values gathered end to end.
+                data.resize(start + k * w, 0);
+                for (d, v) in data[start..].chunks_exact_mut(w).zip(values.chunks(stride)) {
+                    d.copy_from_slice(&v[..w]);
+                }
+            }
             if !edit(&mut data[start..], w, k) {
                 return false;
             }
-            dst.push(Entry { start: start as u32, n: k as u32, ..*e });
+            dst.push(Entry { start: start as u32, n: k as u32, stride: e.width, ..*e });
         }
         true
+    }
+
+    /// The arena every value lies in.
+    pub(crate) fn arena(&self) -> &[u8] {
+        &self.data
     }
 
     /// Arena length: with [`WireStore::entries_len`], the state
@@ -424,9 +503,17 @@ impl WireStore {
     }
 
     /// Drops `slot`'s entries past the first `entries` and the arena
-    /// bytes past `arena` (a rollback to lengths read before appending).
+    /// bytes past `arena` (a rollback to lengths read before appending),
+    /// and the values past `arena` of the last entry kept, which writes
+    /// since may have extended.
     pub(crate) fn truncate(&mut self, slot: usize, entries: usize, arena: usize) {
-        self.per_slot[slot].truncate(entries);
+        let kept = &mut self.per_slot[slot];
+        kept.truncate(entries);
+        if let Some(last) = kept.last_mut() {
+            while last.n > 1 && last.range(last.n - 1).end > arena {
+                last.n -= 1;
+            }
+        }
         self.data.truncate(arena);
     }
 
@@ -574,84 +661,57 @@ pub(crate) fn gather(
     }
 }
 
-/// The serializer's column scatter: copies the `n` values of `column`,
-/// `width` bytes each, into the `stride`-byte elements of `dst` at offset
-/// `at`, value `j` into element `j` (into the `j`-th element from the end
-/// when `backwards`), each reversed when `rev`. Returns `false`, with
-/// `dst` partly written, unless the column holds every one of its `n`
-/// elements at that width (its entries are disjoint, so they do when
-/// their values number `n`).
+/// The serializer's column scatter: copies value `j` of a run — the
+/// `width` bytes at `values[j * step..]` — into the `j`-th `stride`-byte
+/// element of `dst` at offset `at` (the `j`-th from the end when
+/// `backwards`: the walk's element `j` of a table behind a mirror), each
+/// reversed when `rev`, for every element of `dst`.
 pub(crate) fn scatter(
     dst: &mut [u8],
-    stride: usize,
-    at: usize,
-    width: usize,
-    column: Column<'_>,
+    (stride, at, width): (usize, usize, usize),
+    values: &[u8],
+    step: usize,
     rev: bool,
     backwards: bool,
-) -> bool {
-    fn each<const W: usize>(
-        dst: &mut [u8],
-        (stride, at, w): (usize, usize, usize),
-        column: Column<'_>,
-        rev: bool,
-    ) -> bool {
-        let w = if W > 0 { W } else { w };
-        let Column { entries, n, .. } = column;
-        if entries.len() != n {
-            return runs::<W>(dst.chunks_exact_mut(stride), at, w, column, rev);
-        }
-        // One value per entry (a store built value by value): no run
-        // bookkeeping per value.
-        for (e, element) in entries.iter().zip(dst.chunks_exact_mut(stride)) {
-            if e.width as usize != w {
-                return false;
-            }
-            put::<W>(&mut element[at..at + w], &column.data[e.start as usize..][..w], rev);
-        }
-        true
-    }
-    fn back<const W: usize>(
-        dst: &mut [u8],
-        (stride, at, w): (usize, usize, usize),
-        column: Column<'_>,
-        rev: bool,
-    ) -> bool {
-        let w = if W > 0 { W } else { w };
-        runs::<W>(dst.chunks_exact_mut(stride).rev(), at, w, column, rev)
-    }
-    /// Any store shape, entry by entry, into `elements` in turn.
-    #[inline(always)]
-    fn runs<'d, const W: usize>(
-        mut elements: impl Iterator<Item = &'d mut [u8]>,
+) {
+    fn each<'d, const W: usize>(
+        mut elements: impl ExactSizeIterator<Item = &'d mut [u8]>,
         at: usize,
         w: usize,
-        column: Column<'_>,
+        (values, step): (&[u8], usize),
         rev: bool,
-    ) -> bool {
-        let Column { entries, data, n, .. } = column;
-        let mut left = n;
-        for e in entries {
-            if e.width as usize != w {
-                return false;
-            }
-            let k = e.values_below(n);
-            left -= k;
-            let values = &data[e.start as usize..][..k * w];
-            // Values first: `zip` stops before taking an element.
-            for (v, element) in values.chunks_exact(w).zip(elements.by_ref()) {
+    ) {
+        let w = if W > 0 { W } else { w };
+        if step == w {
+            for (element, v) in elements.zip(values.chunks_exact(w)) {
                 put::<W>(&mut element[at..at + w], v, rev);
             }
+            return;
         }
-        left == 0
+        // Values a stride apart: all but the last a whole stride each (the
+        // values may end less than a stride before the arena does).
+        let last = elements.len().saturating_sub(1);
+        for (element, v) in elements.by_ref().take(last).zip(values.chunks_exact(step)) {
+            put::<W>(&mut element[at..at + w], &v[..w], rev);
+        }
+        if let Some(element) = elements.next() {
+            put::<W>(&mut element[at..at + w], &values[last * step..][..w], rev);
+        }
     }
-    let geometry = (stride, at, width);
-    width > 0
-        && if backwards {
-            by_width!(width, back(dst, geometry, column, rev))
-        } else {
-            by_width!(width, each(dst, geometry, column, rev))
-        }
+    if width == 0 {
+        return;
+    }
+    if stride == width && step == width && !rev && !backwards {
+        // A single-column element: the wire is the column, one copy.
+        dst.copy_from_slice(&values[..dst.len()]);
+        return;
+    }
+    let elements = dst.chunks_exact_mut(stride);
+    if backwards {
+        by_width!(width, each(elements.rev(), at, width, (values, step), rev));
+    } else {
+        by_width!(width, each(elements, at, width, (values, step), rev));
+    }
 }
 
 /// Dense per-slot metadata storage (presence flags, element counts).
@@ -1915,6 +1975,12 @@ mod tests {
             src
         };
         let fresh = || (Message::with_seed(dst_graph, 2), Message::with_seed(dst_graph, 2));
+        // The setters, record by record and field by field, store each
+        // column as one run (its stride the record's bytes).
+        let set = source(&[]);
+        for field in ["key", "flags", "payload"] {
+            assert_eq!(set.wires.entries_len(slot(field) as usize), 1, "{field}");
+        }
         // Clean: the columns land exactly where the walk puts them, and
         // an entry past the element count is skipped like the walk skips
         // it.
@@ -2181,34 +2247,33 @@ mod tests {
     }
 
     /// Reads the elements `0..n` of one container instance as the
-    /// serializer's element kernel does ([`WireStore::column`], then
-    /// [`scatter`] into elements as wide as the value or one byte wider,
-    /// at offset 1, in order or backwards): the scatter succeeds exactly
-    /// when every element holds a value of the width asked for, and then
-    /// places each one.
+    /// serializer's element kernel does ([`WireStore::run`], then
+    /// [`scatter`] into elements as wide as the values or one byte wider,
+    /// at offset 1, in order or backwards): absent exactly when no element
+    /// holds a value, one run only when every element holds one of its
+    /// width, and then the scatter places each one.
     fn check_column(s: &WireStore, model: &Model, rng: &mut StdRng, what: &str) {
         let slot = rng.gen_range(0..s.slots());
         let mut scope = random_scope(rng);
         scope.truncate(1);
-        let (n, w, rev) = (rng.gen_range(1..7usize), rng.gen_range(1..4usize), rng.gen());
-        let backwards = rng.gen();
+        let (n, rev, backwards) = (rng.gen_range(1..7usize), rng.gen(), rng.gen());
         let values: Vec<Option<&Vec<u8>>> = (0..n as u32)
             .map(|i| model.get(&model_key(slot, &ScopeKey::element(&scope, i))))
             .collect();
         let first = ScopeKey::element(&scope, 0);
-        let column = s.column(slot, &first, n, rng.gen_range(0..8)).unwrap();
-        assert_eq!(column.is_empty(), values.iter().all(Option::is_none), "{what}: column");
-        let at = rng.gen_range(0..2);
+        let stored = s.run(slot, &first, n, rng.gen_range(0..8));
+        let absent = values.iter().all(Option::is_none);
+        assert_eq!(matches!(stored, Some(Stored::Absent)), absent, "{what}: absent");
+        let Some(Stored::Run { start, width: w, stride, .. }) = stored else { return };
+        let at = rng.gen_range(usize::from(w == 0)..2);
         let mut dst = vec![0xEE; n * (w + at)];
-        let whole = values.iter().all(|v| v.is_some_and(|v| v.len() == w));
-        let scattered = scatter(&mut dst, w + at, at, w, column, rev, backwards);
-        assert_eq!(scattered, whole, "{what}: scatter");
+        scatter(&mut dst, (w + at, at, w), &s.arena()[start..], stride, rev, backwards);
         if backwards {
             // Element order as the walk's element index counts it.
             dst = dst.chunks(w + at).rev().flatten().copied().collect();
         }
-        for (element, v) in dst.chunks(w + at).zip(values).filter(|_| whole) {
-            let mut v = v.unwrap().clone();
+        for (element, v) in dst.chunks(w + at).zip(values) {
+            let mut v = v.expect("a run holds every element").clone();
             if rev {
                 v.reverse();
             }
@@ -2230,7 +2295,7 @@ mod tests {
                 let what = format!("seed {seed} step {step}");
                 let to_src = rng.gen_range(0..4) == 0;
                 let slot = rng.gen_range(0..SLOTS);
-                let op = rng.gen_range(0..6);
+                let op = rng.gen_range(0..7);
                 if op == 4 {
                     // A column copy from the source store.
                     copy_step(&mut rng, (&mut store, &mut model), (&src, &src_model), slot, &what);
@@ -2290,6 +2355,38 @@ mod tests {
                         }
                     }
                     4 => {}
+                    // Single values set element by element, interleaved
+                    // with a second slot's (a table built field by
+                    // field), kept or rolled back.
+                    5 => {
+                        let mut scope = random_scope(&mut rng);
+                        scope.truncate(1);
+                        let other = (slot + 1) % SLOTS;
+                        let (f, n) = (rng.gen_range(0..4u32), rng.gen_range(1..6u32));
+                        let (w, w2) = (rng.gen_range(0..3), rng.gen_range(0..3));
+                        let first = ScopeKey::element(&scope, f);
+                        let after = |slot: usize, m: &Model| {
+                            let last = m.range(..(slot + 1, 0, Vec::new())).next_back();
+                            last.filter(|(k, _)| k.0 == slot)
+                                .is_none_or(|(k, _)| ScopeKey::from_slice(&k.2) < first)
+                        };
+                        let appends = after(slot, m) && after(other, m);
+                        let marks = (s.entries_len(slot), s.entries_len(other), s.arena_len());
+                        let before = m.clone();
+                        for i in f..f + n {
+                            let key = ScopeKey::element(&scope, i);
+                            for (sl, len) in [(slot, w), (other, w2)] {
+                                let bytes = random_bytes(&mut rng, len);
+                                s.set(sl, key.as_slice(), &bytes);
+                                m.insert(model_key(sl, &key), bytes);
+                            }
+                        }
+                        if appends && rng.gen() {
+                            s.truncate(slot, marks.0, marks.2);
+                            s.truncate(other, marks.1, marks.2);
+                            *m = before;
+                        }
+                    }
                     // A stale cursor.
                     _ => cursors[slot] = rng.gen_range(0..8),
                 }
@@ -2315,7 +2412,8 @@ mod tests {
         // Every specialized width (1, 2, 4, 24) and the generic loop, each
         // value reversed or not, the elements in order or backwards: the
         // gather reads what a per-value reference reads, and the scatter
-        // of the gathered column writes the elements back.
+        // of the gathered column writes the elements back. A scatter from
+        // values a stride apart (a setter-built run) copies the column.
         let mut rng = StdRng::seed_from_u64(41);
         for w in 1..=33usize {
             for n in [0usize, 1, 5] {
@@ -2341,12 +2439,23 @@ mod tests {
                     store.set_column(0, &first, w, n, |c| c.copy_from_slice(&column));
                     let mut out = elements.clone();
                     out.iter_mut().enumerate().for_each(|(i, b)| *b ^= u8::from(i % stride >= at));
-                    let stored = store.column(0, &first, n, 0).unwrap();
-                    assert!(scatter(&mut out, stride, at, w, stored, rev, backwards), "{what}");
+                    if let Some(Stored::Run { start, stride: step, .. }) =
+                        store.run(0, &first, n, 0)
+                    {
+                        let values = &store.arena()[start..];
+                        scatter(&mut out, (stride, at, w), values, step, rev, backwards);
+                    }
                     for (i, (&got, &was)) in out.iter().zip(&elements).enumerate() {
                         let inside = (at..at + w).contains(&(i % stride));
                         let want = if inside || i % stride < at { was } else { was ^ 1 };
                         assert_eq!(got, want, "{what}: scatter, byte {i}");
+                    }
+                    let mut copy = vec![0; n * stride];
+                    let strided = elements.get(at..).unwrap_or_default();
+                    scatter(&mut copy, (stride, at, w), strided, stride, false, false);
+                    for (i, (&got, &was)) in copy.iter().zip(&elements).enumerate() {
+                        let inside = (at..at + w).contains(&(i % stride));
+                        assert_eq!(got, if inside { was } else { 0 }, "{what}: strided, byte {i}");
                     }
                 }
             }

@@ -19,8 +19,8 @@ use crate::graph::NodeId;
 use crate::message::{gather, Message, MessageState, MetaStore, ScopeKey, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
-    bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, ElemRun, MirrorFold, PlanOp, RecEval,
-    RepStopC, SeqB, TermB, NONE,
+    bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, PlanOp, RecEval, RepStopC, SeqB, TermB,
+    NONE,
 };
 use crate::runtime;
 use crate::value::{Endian, Value};
@@ -69,9 +69,6 @@ pub struct ParseSession<'c> {
     /// Reversed-window scratch, one buffer per mirror nesting level.
     mirror_pool: Vec<Vec<u8>>,
     mirror_depth: usize,
-    /// The fold of the mirror being parsed, set for the element kernel of
-    /// its child container ([`ParseSession::parse_run`]) to take.
-    fold: Option<&'c MirrorFold>,
     /// Scratch for auto-verification scope collection.
     keys: Vec<ScopeKey>,
 }
@@ -103,7 +100,6 @@ impl<'c> ParseSession<'c> {
             scope: Vec::new(),
             mirror_pool: Vec::new(),
             mirror_depth: 0,
-            fold: None,
             keys: Vec::new(),
         }
     }
@@ -125,7 +121,6 @@ impl<'c> ParseSession<'c> {
             scope: scratch.scope,
             mirror_pool: scratch.mirror_pool,
             mirror_depth: 0,
-            fold: None,
             keys: scratch.keys,
         }
     }
@@ -300,109 +295,8 @@ impl<'c> ParseSession<'c> {
                 }
                 Ok(())
             }
-            PlanOp::Rep { stop, origin, origin_depth } => {
-                let elem = plan.kids(node)[0];
-                let mut i = 0usize;
-                match stop {
-                    RepStopC::Terminator(t) => loop {
-                        let term = &plan.bytes[*t as usize];
-                        if *pos + term.len() <= end
-                            && &buf[*pos..*pos + term.len()] == term.as_slice()
-                        {
-                            *pos += term.len();
-                            break;
-                        }
-                        if *pos >= end {
-                            return Err(ParseError::DelimiterNotFound { node: self.obf_name(idx) });
-                        }
-                        let before = *pos;
-                        self.scope.push(i as u32);
-                        let r = self.parse_node(elem, buf, pos, end, false);
-                        self.scope.pop();
-                        r?;
-                        if *pos == before {
-                            return Err(ParseError::Malformed {
-                                node: self.obf_name(idx),
-                                detail: "zero-length repetition element".into(),
-                            });
-                        }
-                        i += 1;
-                    },
-                    RepStopC::Exhausted => {
-                        while *pos < end {
-                            let before = *pos;
-                            self.scope.push(i as u32);
-                            let r = self.parse_node(elem, buf, pos, end, false);
-                            self.scope.pop();
-                            r?;
-                            if *pos == before {
-                                return Err(ParseError::Malformed {
-                                    node: self.obf_name(idx),
-                                    detail: "zero-length repetition element".into(),
-                                });
-                            }
-                            i += 1;
-                        }
-                    }
-                    RepStopC::CountOf(first) => {
-                        let m = self.resolve_count(*first).ok_or_else(|| {
-                            ParseError::UnresolvedReference {
-                                node: self.obf_name(idx),
-                                referenced: self.obf_name(*first),
-                            }
-                        })?;
-                        for j in self.parse_run(idx, m, buf, pos, end) {
-                            self.scope.push(j as u32);
-                            let r = self.parse_node(elem, buf, pos, end, false);
-                            self.scope.pop();
-                            r?;
-                        }
-                        i = m;
-                    }
-                }
-                self.rep_counts.set(idx as usize, &self.scope, i);
-                if *origin != NONE {
-                    let od = (*origin_depth as usize).min(self.scope.len());
-                    let okey = ScopeKey::from_slice(&self.scope[..od]);
-                    if let Some(prev) = self.msg.counts.get(*origin as usize, okey.as_slice()) {
-                        if prev != i {
-                            return Err(ParseError::CountMismatch {
-                                node: self.obf_name(idx),
-                                left: prev,
-                                right: i,
-                            });
-                        }
-                    }
-                    self.msg.counts.set(*origin as usize, okey.as_slice(), i);
-                }
-                Ok(())
-            }
-            PlanOp::Tab { counter, counter_depth, counter_endian, origin, origin_depth } => {
-                let m = self.recover_uint(*counter, *counter_depth, *counter_endian)? as usize;
-                let elem = plan.kids(node)[0];
-                let mut empties = 0usize;
-                for j in self.parse_run(idx, m, buf, pos, end) {
-                    let before = *pos;
-                    self.scope.push(j as u32);
-                    let r = self.parse_node(elem, buf, pos, end, false);
-                    self.scope.pop();
-                    r?;
-                    if *pos == before {
-                        empties += 1;
-                        if empties > MAX_EMPTY_ELEMENTS {
-                            return Err(ParseError::Malformed {
-                                node: self.obf_name(idx),
-                                detail: "counter drives too many zero-length elements".into(),
-                            });
-                        }
-                    }
-                }
-                if *origin != NONE {
-                    let od = (*origin_depth as usize).min(self.scope.len());
-                    let okey = ScopeKey::from_slice(&self.scope[..od]);
-                    self.msg.counts.set(*origin as usize, okey.as_slice(), m);
-                }
-                Ok(())
+            PlanOp::Rep { .. } | PlanOp::Tab { .. } => {
+                self.parse_container(idx, buf, pos, end, false)
             }
             PlanOp::Mirror => {
                 let child = plan.kids(node)[0];
@@ -425,15 +319,14 @@ impl<'c> ParseSession<'c> {
                         available: end - *pos,
                     });
                 }
-                if let Some(fold) = plan.folds[idx as usize].as_ref().filter(|_| known) {
-                    // The child's element kernel gathers straight from the
-                    // mirrored wire: its `m` elements fill the `e` bytes
-                    // exactly (`e` is `m` times their width).
+                if known && plan.runs[child as usize].is_some() {
+                    // A counted child with an element run: its kernel
+                    // gathers straight from the mirrored wire, backwards,
+                    // and its `m` elements fill the `e` bytes exactly (`e`
+                    // is `m` times their width).
                     let start = *pos;
-                    self.fold = Some(fold);
-                    let r = self.parse_node(child, buf, pos, start + e, true);
-                    self.fold = None;
-                    debug_assert!(r.is_err() || *pos == start + e, "the fold fills the mirror");
+                    let r = self.parse_container(child, buf, pos, start + e, true);
+                    debug_assert!(r.is_err() || *pos == start + e, "the run fills the mirror");
                     return r;
                 }
                 let d = self.mirror_depth;
@@ -489,14 +382,138 @@ impl<'c> ParseSession<'c> {
         }
     }
 
+    /// Parses repetition or tabular `idx`, its elements behind a mirror
+    /// the element kernel reads backwards when `backwards`
+    /// ([`ParseSession::parse_run`]).
+    fn parse_container(
+        &mut self,
+        idx: u32,
+        buf: &[u8],
+        pos: &mut usize,
+        end: usize,
+        backwards: bool,
+    ) -> Result<(), ParseError> {
+        let plan = self.plan;
+        let node = &plan.nodes[idx as usize];
+        match &node.op {
+            PlanOp::Rep { stop, origin, origin_depth } => {
+                let elem = plan.kids(node)[0];
+                let mut i = 0usize;
+                match stop {
+                    RepStopC::Terminator(t) => loop {
+                        let term = &plan.bytes[*t as usize];
+                        if *pos + term.len() <= end
+                            && &buf[*pos..*pos + term.len()] == term.as_slice()
+                        {
+                            *pos += term.len();
+                            break;
+                        }
+                        if *pos >= end {
+                            return Err(ParseError::DelimiterNotFound { node: self.obf_name(idx) });
+                        }
+                        let before = *pos;
+                        self.scope.push(i as u32);
+                        let r = self.parse_node(elem, buf, pos, end, false);
+                        self.scope.pop();
+                        r?;
+                        if *pos == before {
+                            return Err(ParseError::Malformed {
+                                node: self.obf_name(idx),
+                                detail: "zero-length repetition element".into(),
+                            });
+                        }
+                        i += 1;
+                    },
+                    RepStopC::Exhausted => {
+                        while *pos < end {
+                            let before = *pos;
+                            self.scope.push(i as u32);
+                            let r = self.parse_node(elem, buf, pos, end, false);
+                            self.scope.pop();
+                            r?;
+                            if *pos == before {
+                                return Err(ParseError::Malformed {
+                                    node: self.obf_name(idx),
+                                    detail: "zero-length repetition element".into(),
+                                });
+                            }
+                            i += 1;
+                        }
+                    }
+                    RepStopC::CountOf(first) => {
+                        let m = self.resolve_count(*first).ok_or_else(|| {
+                            ParseError::UnresolvedReference {
+                                node: self.obf_name(idx),
+                                referenced: self.obf_name(*first),
+                            }
+                        })?;
+                        for j in self.parse_run(idx, m, buf, pos, end, backwards) {
+                            self.scope.push(j as u32);
+                            let r = self.parse_node(elem, buf, pos, end, false);
+                            self.scope.pop();
+                            r?;
+                        }
+                        i = m;
+                    }
+                }
+                self.rep_counts.set(idx as usize, &self.scope, i);
+                if *origin != NONE {
+                    let od = (*origin_depth as usize).min(self.scope.len());
+                    let okey = ScopeKey::from_slice(&self.scope[..od]);
+                    if let Some(prev) = self.msg.counts.get(*origin as usize, okey.as_slice()) {
+                        if prev != i {
+                            return Err(ParseError::CountMismatch {
+                                node: self.obf_name(idx),
+                                left: prev,
+                                right: i,
+                            });
+                        }
+                    }
+                    self.msg.counts.set(*origin as usize, okey.as_slice(), i);
+                }
+                Ok(())
+            }
+            PlanOp::Tab { counter, counter_depth, counter_endian, origin, origin_depth } => {
+                let m = self.recover_uint(*counter, *counter_depth, *counter_endian)? as usize;
+                let elem = plan.kids(node)[0];
+                let mut empties = 0usize;
+                for j in self.parse_run(idx, m, buf, pos, end, backwards) {
+                    let before = *pos;
+                    self.scope.push(j as u32);
+                    let r = self.parse_node(elem, buf, pos, end, false);
+                    self.scope.pop();
+                    r?;
+                    if *pos == before {
+                        empties += 1;
+                        if empties > MAX_EMPTY_ELEMENTS {
+                            return Err(ParseError::Malformed {
+                                node: self.obf_name(idx),
+                                detail: "counter drives too many zero-length elements".into(),
+                            });
+                        }
+                    }
+                }
+                if *origin != NONE {
+                    let od = (*origin_depth as usize).min(self.scope.len());
+                    let okey = ScopeKey::from_slice(&self.scope[..od]);
+                    self.msg.counts.set(*origin as usize, okey.as_slice(), m);
+                }
+                Ok(())
+            }
+            _ => unreachable!("only repetitions and tabulars are containers"),
+        }
+    }
+
     /// The element kernel of counted container `idx`: when the container
     /// has an element run and all `m` elements fit the window (one
     /// `checked_mul`, one bounds check), gathers each column of the `m`
     /// elements straight from the wire into one store entry, a mirrored
     /// column's values reversed as the walk stores them after
-    /// un-mirroring. Under a folded mirror ([`ParseSession::fold`]) it
-    /// reads the fold's columns, the elements backwards; the mirror has
-    /// already checked that they fill its window. Returns the element
+    /// un-mirroring. When `backwards`, the container sits under a mirror
+    /// that has already checked that its elements fill its window: the
+    /// kernel reads that window as the mirror's walk would after reversing
+    /// it, element `j` the `j`-th from the end, each column at its
+    /// mirrored offset, reversed once more. Returns the element
     /// indices left for the per-element walk: none after the kernel ran,
     /// all `m` otherwise, so a window overrun fails at the exact element
     /// and terminal it always did.
@@ -507,21 +524,14 @@ impl<'c> ParseSession<'c> {
         buf: &[u8],
         pos: &mut usize,
         end: usize,
+        backwards: bool,
     ) -> std::ops::Range<usize> {
-        let plan = self.plan;
-        let (run, backwards): (&ElemRun, bool) = match self.fold.take() {
-            Some(fold) => {
-                debug_assert_eq!(fold.container, idx, "a fold is taken by its own container");
-                (&fold.run, true)
-            }
-            None => match &plan.runs[idx as usize] {
-                Some(run) => (run, false),
-                None => return 0..m,
-            },
+        let Some(run) = &self.plan.runs[idx as usize] else {
+            return 0..m;
         };
         let width = run.width as usize;
         let Some(total) = m.checked_mul(width).filter(|&total| total <= end - *pos) else {
-            debug_assert!(!backwards, "a folded mirror's window holds its elements");
+            debug_assert!(!backwards, "the mirror's window holds its elements");
             return 0..m;
         };
         let first = ScopeKey::element(&self.scope, 0);
@@ -529,8 +539,9 @@ impl<'c> ParseSession<'c> {
         let mut at = 0;
         for col in &run.cols {
             let w = col.width as usize;
+            let (off, rev) = if backwards { (width - at - w, !col.rev) } else { (at, col.rev) };
             self.msg.wires.set_column(col.slot as usize, &first, w, m, |column| {
-                gather(column, w, elements, width, at, col.rev, backwards);
+                gather(column, w, elements, width, off, rev, backwards);
             });
             at += w;
         }

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::BuildError;
 use crate::graph::NodeId;
-use crate::message::{scatter, Message, ScopeKey, WireStore};
+use crate::message::{scatter, Message, ScopeKey, Stored, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, ElemRun, PlanOp, RecEval, RepStopC,
@@ -104,14 +104,38 @@ pub(crate) struct SerializeScratch {
     dist: DistEval,
     rng: StdRng,
     cursors: ReadCursors,
-    /// The absent pad columns of a column-major element kernel: offset in
-    /// the element, width, mirrored.
+    /// The absent pad columns of the element kernel's run: offset in the
+    /// element, width, mirrored.
     pads: Vec<(usize, usize, bool)>,
+    /// The stored columns of the element kernel's run.
+    cols: Vec<ColRun>,
+    /// The pad draws of one block of the element kernel.
+    draws: Vec<u8>,
     /// Per-slot byte ranges recorded while `tracing` is set; stays empty
     /// (and costs one branch per node) on the production path.
     trace: Vec<SlotSpan>,
     tracing: bool,
 }
+
+/// A stored column of the element kernel's run: its slot, its place in
+/// the element (offset, width, mirrored), its values' arena offset and
+/// stride, and the slot's read cursor after them.
+#[derive(Debug, Clone, Copy)]
+struct ColRun {
+    slot: usize,
+    at: usize,
+    w: usize,
+    rev: bool,
+    start: usize,
+    stride: usize,
+    next: u32,
+}
+
+/// The element kernel writes its output in blocks of about this many
+/// bytes, so that a block stays in the first-level cache while every
+/// column scatters into it: its lines are fetched once, not once per
+/// column.
+const BLOCK: usize = 8 * 1024;
 
 /// Sequential read cursors (see [`WireStore::get_seq`]) of the emit walk.
 /// Child permutations, split tabulars and mirrors reorder slots or bytes,
@@ -137,6 +161,12 @@ impl ReadCursors {
 
 impl SerializeScratch {
     pub(crate) fn for_plan(plan: &CodecPlan) -> Self {
+        // The element kernel's scratch is sized from the plan's runs, so
+        // serializing never grows it (a block's pad draws fit `BLOCK`
+        // bytes unless one element is wider).
+        let runs = || plan.runs.iter().flatten();
+        let cols = runs().map(|run| run.cols.len()).max().unwrap_or(0);
+        let pads = runs().flat_map(|run| &run.cols).any(|c| matches!(c.base, BaseOp::Pad { .. }));
         SerializeScratch {
             overlay: WireStore::with_slots(plan.slots()),
             scope: Vec::new(),
@@ -149,6 +179,8 @@ impl SerializeScratch {
                 presence: vec![0; plan.plain_len()],
             },
             pads: Vec::new(),
+            cols: Vec::with_capacity(cols),
+            draws: Vec::with_capacity(if pads { BLOCK } else { 0 }),
             trace: Vec::new(),
             tracing: false,
         }
@@ -387,15 +419,16 @@ impl<'c> SerializeSession<'c> {
             }
             PlanOp::Mirror => {
                 let child = plan.kids(node)[0];
-                // A folded mirror: the child's element kernel scatters
-                // straight into the mirrored wire (the child adds no bytes
-                // of its own around its elements). Never while tracing,
-                // which records the child's span through the walk.
-                if let Some(fold) =
-                    plan.folds[idx as usize].as_ref().filter(|_| !self.scratch.tracing)
+                // A counted child with an element run: its kernel scatters
+                // backwards straight into the mirrored wire (the child
+                // adds no bytes of its own around its elements). Never
+                // while tracing, which records the child's span through
+                // the walk.
+                if let Some(run) =
+                    plan.runs[child as usize].as_ref().filter(|_| !self.scratch.tracing)
                 {
                     let m = self.element_count(child, msg)?;
-                    if self.emit_run(&fold.run, m, msg, out, true) {
+                    if self.emit_run(run, m, msg, out, true) {
                         return Ok(());
                     }
                 }
@@ -478,20 +511,21 @@ impl<'c> SerializeSession<'c> {
     }
 
     /// The element kernel, for when every column of the `m` elements is
-    /// stored whole ([`WireStore::column`]: one run entry after a parse or
-    /// transcode, single values after the setters) or is an absent pad.
-    /// It scatters each stored column into its place in every element, one
-    /// store entry at a time (a mirrored column's values reversed), then
-    /// draws the absent pads element by element, the walk's RNG order:
-    /// what the walk's terminal reads would emit, since no overlay write
-    /// reaches a run slot (verifier code P013). Returns `false`, with the
-    /// output and the RNG as they were, for any other store shape (a field
-    /// left unset, a value of another width, pads stored for some elements
-    /// only): the walk then emits the elements or names the missing field.
-    /// When `backwards` (a folded mirror's run), element `j` goes to the
-    /// `j`-th element from the end of the output, and each element's pads
-    /// are drawn in the reverse of the run's column order: the walk's
-    /// order before the mirror reverses its bytes.
+    /// stored as one run ([`WireStore::run`]) or is an absent pad. It
+    /// writes the elements in blocks of about [`BLOCK`] bytes: into each
+    /// block, every stored column scatters its values (a mirrored column's
+    /// reversed), then the block's absent pads are drawn in the walk's RNG
+    /// order, element by element, and scattered the same way. That is what
+    /// the walk's terminal reads would emit, since no overlay write reaches
+    /// a run slot (verifier code P013). Returns `false`, with the output
+    /// and the RNG as they were, for any other store shape (a field left
+    /// unset, a value of another width, a column stored in pieces, pads
+    /// stored for some elements only): the walk then emits the elements or
+    /// names the missing field. When `backwards` (the run of a mirror's
+    /// child), the output is what the walk emits before the mirror reverses
+    /// it, reversed: element `j` is the `j`-th from the end, each column at
+    /// its mirrored offset and reversed once more, and the pads are drawn
+    /// from the last element of the output back, in the run's column order.
     fn emit_run(
         &mut self,
         run: &ElemRun,
@@ -506,56 +540,58 @@ impl<'c> SerializeSession<'c> {
         let Some(size) = m.checked_mul(width) else {
             return false;
         };
-        let base = out.len();
-        let arena = msg.wires.arena_len();
         s.pads.clear();
+        s.cols.clear();
         let mut at = 0;
         for col in &run.cols {
-            let w = col.width as usize;
-            let c = col.slot as usize;
-            let stored = match msg.wires.column(c, &first, m, s.cursors.wire[c]) {
-                Some(column) if column.is_empty() => {
-                    s.pads.push((at, w, col.rev));
-                    matches!(col.base, BaseOp::Pad { k } if k == col.width)
+            let (w, slot) = (col.width as usize, col.slot as usize);
+            let (off, rev) = if backwards { (width - at - w, !col.rev) } else { (at, col.rev) };
+            match msg.wires.run(slot, &first, m, s.cursors.wire[slot]) {
+                Some(Stored::Absent) if matches!(col.base, BaseOp::Pad { k } if k == col.width) => {
+                    s.pads.push((off, w, rev));
                 }
-                // The output is sized only once the arena is seen to be
-                // able to hold `m` values of a stored column (the scatter
-                // checks they are there; a zero-width column is left to
-                // the walk).
-                Some(column) if w > 0 && m.checked_mul(w).is_some_and(|b| b <= arena) => {
-                    out.resize(base + size, 0);
-                    let next = column.next;
-                    let whole = scatter(&mut out[base..], width, at, w, column, col.rev, backwards);
-                    if whole {
-                        s.cursors.wire[c] = next;
-                    }
-                    whole
+                Some(Stored::Run { start, width, stride, next }) if width == w && w > 0 => {
+                    s.cols.push(ColRun { slot, at: off, w, rev, start, stride, next });
                 }
-                _ => false,
-            };
-            if !stored {
-                out.truncate(base);
-                return false;
+                _ => return false,
             }
             at += w;
         }
+        let base = out.len();
         out.resize(base + size, 0);
-        if !s.pads.is_empty() {
-            let mut elements = out[base..].chunks_exact_mut(width);
-            let pads = s.pads.len();
-            while let Some(element) = if backwards { elements.next_back() } else { elements.next() }
-            {
-                for i in 0..pads {
-                    let (at, k, rev) = s.pads[if backwards { pads - 1 - i } else { i }];
-                    // A mirrored pad takes its draws last byte first.
-                    let pad = &mut element[at..at + k];
-                    if rev {
-                        pad.iter_mut().rev().for_each(|b| *b = s.rng.gen::<u8>());
-                    } else {
-                        pad.fill_with(|| s.rng.gen::<u8>());
-                    }
+        let arena = msg.wires.arena();
+        let pad_bytes: usize = s.pads.iter().map(|&(_, k, _)| k).sum();
+        let per_block = (BLOCK / width).max(1);
+        let mut b = 0;
+        while b < m {
+            let e = (b + per_block).min(m);
+            let block = if backwards {
+                &mut out[base + (m - e) * width..base + (m - b) * width]
+            } else {
+                &mut out[base + b * width..base + e * width]
+            };
+            for c in &s.cols {
+                let values = &arena[c.start + b * c.stride..];
+                scatter(block, (width, c.at, c.w), values, c.stride, c.rev, backwards);
+            }
+            if pad_bytes > 0 {
+                // The block's pad draws in the walk's order (element by
+                // element, pad by pad), each pad's scattered into place
+                // like a column: a mirrored pad takes its draws last byte
+                // first.
+                s.draws.clear();
+                s.draws.resize((e - b) * pad_bytes, 0);
+                s.draws.iter_mut().for_each(|d| *d = s.rng.gen::<u8>());
+                let mut q = 0;
+                for &(at, k, rev) in &s.pads {
+                    scatter(block, (width, at, k), &s.draws[q..], pad_bytes, rev, backwards);
+                    q += k;
                 }
             }
+            b = e;
+        }
+        for c in &s.cols {
+            s.cursors.wire[c.slot] = c.next;
         }
         true
     }

@@ -108,10 +108,9 @@ pub const CARRIER_SPAN_OUT_OF_EXTENT: &str = "P011";
 /// recovery program and single-`Store` distribution program it replaces.
 pub const DIRECT_COPY_MISMATCH: &str = "P012";
 /// `P013` — a loop kernel disagrees with the loop it replaces: an element
-/// run differs from its container's element, a mirror fold from its
-/// mirror's counted child (or a serializer overlay write could reach one
-/// of their slots), or a column copy's body is not only direct copies
-/// with pairwise-distinct slots.
+/// run differs from its container's element (or a serializer overlay
+/// write could reach one of its slots), or a column copy's body is not
+/// only direct copies with pairwise-distinct slots.
 pub const LOOP_KERNEL_MISMATCH: &str = "P013";
 
 fn diag(code: &'static str, message: String) -> Diagnostic {
@@ -626,13 +625,10 @@ impl Verifier<'_> {
     /// derives ([`CodecPlan::derive_run`]) — its `Term{Fixed}` columns with
     /// `Source`/`Pad` bases in wire order, through any delegated
     /// sequences and mirrors, their widths, their `rev` flags (odd mirror
-    /// depth), their sum, and at most one pad under each mirror. Each
-    /// mirror fold must be exactly the fold its mirror derives
-    /// ([`CodecPlan::derive_fold`]): the mirror's child as its container,
-    /// the container's element run with its columns reversed and each
-    /// `rev` toggled. No distribution program the serializer materializes
-    /// into its overlay may store into a run or fold slot, since the
-    /// element kernel reads only the message wires.
+    /// depth), their sum, and at most one pad under each mirror — and no
+    /// distribution program the serializer materializes into its overlay
+    /// may store into a run slot, since the element kernel reads only the
+    /// message wires.
     fn elem_runs(&mut self, dist_ok: &[bool]) {
         if self.plan.runs.len() != self.slots() {
             self.push(
@@ -667,39 +663,6 @@ impl Verifier<'_> {
                 continue;
             }
             for c in &run.cols {
-                in_run[c.slot as usize] = true;
-            }
-        }
-        if self.plan.folds.len() != self.slots() {
-            self.push(
-                LOOP_KERNEL_MISMATCH,
-                format!(
-                    "mirror-fold table covers {} slots, the plan has {}",
-                    self.plan.folds.len(),
-                    self.slots()
-                ),
-            );
-            return;
-        }
-        for s in 0..self.slots() as u32 {
-            let Some(fold) = &self.plan.folds[s as usize] else { continue };
-            let first_kid = |slot: u32| self.kids_of(slot).and_then(|kids| kids.first().copied());
-            let sound = first_kid(s).and_then(first_kid).is_some_and(|e| self.kids_of(e).is_some());
-            if !sound || self.plan.derive_fold(s).as_ref() != Some(fold) {
-                let cols: Vec<(u32, u32, bool)> =
-                    fold.run.cols.iter().map(|c| (c.slot, c.width, c.rev)).collect();
-                self.push(
-                    LOOP_KERNEL_MISMATCH,
-                    format!(
-                        "slot {s}: mirror fold over slot {} with columns {cols:?} (slot, width, \
-                         reversed) of width {} is not the mirror's counted child's element run, \
-                         reversed and mirrored",
-                        fold.container, fold.run.width
-                    ),
-                );
-                continue;
-            }
-            for c in &fold.run.cols {
                 in_run[c.slot as usize] = true;
             }
         }
@@ -1726,35 +1689,32 @@ mod tests {
     }
 
     #[test]
-    fn p013_mirror_fold_mismatch_fires() {
+    fn p013_mirrored_container_run_mismatch_fires() {
         use TransformKind::{PadInsert, ReadFromEnd};
+        // A mirror over the whole table, whose element kernel the sessions
+        // walk backwards: its run must still be the container's own.
         let g = edited_table(&[("key", ReadFromEnd), ("item", PadInsert), ("items", ReadFromEnd)]);
         assert_eq!(verify_tampered(&g, |_| {}), vec![], "clean plan");
-        let fold_slot = |p: &CodecPlan| p.folds.iter().position(Option::is_some).expect("a fold");
-        // The columns in the container's order instead of the wire's.
+        // The columns in the mirrored wire's order instead of the
+        // element's.
         let d = verify_tampered(&g, |p| {
-            let s = fold_slot(p);
-            p.folds[s].as_mut().unwrap().run.cols.reverse();
+            let s = run_slot(p);
+            p.runs[s].as_mut().unwrap().cols.reverse();
         });
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
-        // One column's `rev` not toggled.
+        // Every column's `rev` toggled, as the mirrored wire holds them.
         let d = verify_tampered(&g, |p| {
-            let s = fold_slot(p);
-            let col = &mut p.folds[s].as_mut().unwrap().run.cols[0];
-            col.rev = !col.rev;
+            let s = run_slot(p);
+            p.runs[s].as_mut().unwrap().cols.iter_mut().for_each(|c| c.rev = !c.rev);
         });
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
-        // A container other than the mirror's child (the root).
+        // The run on the mirror instead of the container it wraps.
         let d = verify_tampered(&g, |p| {
-            let s = fold_slot(p);
-            p.folds[s].as_mut().unwrap().container = p.root;
-        });
-        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
-        // A fold on a slot that is no mirror (the container itself).
-        let d = verify_tampered(&g, |p| {
-            let s = fold_slot(p);
-            let container = p.folds[s].as_ref().unwrap().container as usize;
-            p.folds[container] = p.folds[s].clone();
+            let s = run_slot(p);
+            let wraps = |n: &crate::plan::PlanNode| p.kids(n).first() == Some(&(s as u32));
+            let mirror =
+                p.nodes.iter().position(|n| matches!(n.op, PlanOp::Mirror) && wraps(n)).unwrap();
+            p.runs[mirror] = p.runs[s].take();
         });
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
     }
