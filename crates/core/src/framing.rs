@@ -159,9 +159,21 @@ pub fn append_frame(
     out: &mut Vec<u8>,
     max_frame: usize,
 ) -> Result<(), FrameError> {
+    append_wired_frame(session, msg, &[], out, max_frame)
+}
+
+/// [`append_frame`] of a relay hop's target, whose wired runs lie in
+/// the inbound `frame` ([`WireHop`]).
+fn append_wired_frame(
+    session: &mut SerializeSession<'_>,
+    msg: &Message<'_>,
+    frame: &[u8],
+    out: &mut Vec<u8>,
+    max_frame: usize,
+) -> Result<(), FrameError> {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    if let Err(e) = session.serialize_append(msg, out) {
+    if let Err(e) = session.serialize_wired(msg, frame, out) {
         out.truncate(start);
         return Err(FrameError::Build(e));
     }
@@ -173,6 +185,87 @@ pub fn append_frame(
         Err(e) => {
             out.truncate(start);
             Err(e)
+        }
+    }
+}
+
+/// One relay hop of an inbound frame: parse it, transcode the message
+/// into a relay target, and append the target to an outbound queue as
+/// one frame, with the column copies of the target's copy program that
+/// are block copies ([`crate::plan::CopyProgram::wire_copies`]: one
+/// element layout at both ends, no ops, no pads, as in the echo server's
+/// self-transcode) run **frame to frame**. The parse window-checks each
+/// element run such a copy reads and leaves it in the frame, the
+/// transcode records where it lies, and the serializer's element kernel
+/// copies that window into the outbound frame as it is: the table is not
+/// gathered into a store, copied into another and scattered back out.
+/// Everything else takes the parse → [`Message::transcode_into`] →
+/// [`append_frame`] path, and the hop's wire, RNG draws and errors are
+/// that path's.
+///
+/// The hop borrows the frame from parse to send. The two messages it
+/// writes hold columns left on the wire only while it lives: dropping it
+/// clears them, so no other reader ever sees one.
+#[derive(Debug)]
+pub struct WireHop<'a, 'c, 'd> {
+    parser: &'a mut ParseSession<'c>,
+    frame: &'a [u8],
+    target: &'a mut Message<'d>,
+}
+
+impl<'a, 'c, 'd> WireHop<'a, 'c, 'd> {
+    /// Parses `frame` with `parser`, in relay mode for the copy program
+    /// `target` is armed with for `parser`'s graph (a plain parse when it
+    /// is armed for none).
+    ///
+    /// # Errors
+    ///
+    /// The [`ParseError`] of [`ParseSession::parse_in_place`].
+    pub fn parse(
+        parser: &'a mut ParseSession<'c>,
+        frame: &'a [u8],
+        target: &'a mut Message<'d>,
+    ) -> Result<Self, ParseError> {
+        let src_uid = parser.message().graph().uid();
+        match parser.parse_wired(frame, target.wire_program(src_uid)) {
+            Ok(()) => Ok(WireHop { parser, frame, target }),
+            Err(e) => {
+                parser.release_wired();
+                Err(e)
+            }
+        }
+    }
+
+    /// Transcodes the parsed message into the target.
+    ///
+    /// # Errors
+    ///
+    /// The [`BuildError`] of [`Message::transcode_into`].
+    pub fn transcode(&mut self) -> Result<(), BuildError> {
+        self.parser.message().transcode_into(self.target)
+    }
+
+    /// Appends the transcoded target to `out` as one frame, through
+    /// `session` (bound to the target's codec).
+    ///
+    /// # Errors
+    ///
+    /// The [`FrameError`] of [`append_frame`].
+    pub fn send(
+        &mut self,
+        session: &mut SerializeSession<'_>,
+        out: &mut Vec<u8>,
+        max_frame: usize,
+    ) -> Result<(), FrameError> {
+        append_wired_frame(session, self.target, self.frame, out, max_frame)
+    }
+}
+
+impl Drop for WireHop<'_, '_, '_> {
+    fn drop(&mut self) {
+        self.parser.release_wired();
+        if !self.target.wired.is_empty() {
+            self.target.clear();
         }
     }
 }

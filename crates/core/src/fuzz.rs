@@ -23,6 +23,10 @@
 //!    ([`Message::transcode_into`] vs [`crate::reference::transcode_into`])
 //!    onto the clear codec *and* onto a second obfuscation of the same
 //!    spec: the two gateway relay directions.
+//! 3. **Wire-hop agreement** — in both directions, every input relayed
+//!    frame to frame ([`WireHop`]) must give the bytes or the error of
+//!    the staged parse → transcode → serialize, from identically seeded
+//!    targets and serializers.
 //!
 //! Any disagreement is a **divergence**: the engine shrinks it to a
 //! smallest reproducer with a deterministic ddmin-style loop
@@ -33,8 +37,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use std::sync::Arc;
+
 use crate::codec::Codec;
 use crate::engine::Obfuscator;
+use crate::framing::{append_frame, WireHop, MAX_FRAME};
 use crate::message::Message;
 use crate::reference;
 use crate::sample::random_message;
@@ -94,6 +101,11 @@ impl<'a> DiffOracle<'a> {
     /// divergence found.
     pub fn check(&self, wire: &[u8]) -> Option<String> {
         let codec = self.codec;
+        let hop = hop_divergence(codec, self.clear, wire, self.seed)
+            .or_else(|| hop_divergence(codec, self.other, wire, self.seed));
+        if hop.is_some() {
+            return hop;
+        }
         let walk = reference::parse(codec.obf_graph(), wire);
         let mut session = codec.parser();
         let plan = session.parse_in_place(wire).map(|_| ()).map_err(|e| e.to_string());
@@ -164,6 +176,48 @@ fn transcode_divergence(src: &Message<'_>, dst: &Codec, seed: u64) -> Option<Str
         }
         (ra, rb) => Some(format!("transcode outcomes diverged: compiled {ra:?} vs walk {rb:?}")),
     }
+}
+
+/// Relays `wire` from `src` onto `dst` frame to frame ([`WireHop`]) and
+/// through the staged parse → transcode → serialize, from identically
+/// seeded targets and serializers, and reports any disagreement.
+fn hop_divergence(src: &Codec, dst: &Codec, wire: &[u8], seed: u64) -> Option<String> {
+    let prog = dst.copy_program_from(src).ok()?;
+    let target = || {
+        let mut t = dst.message_seeded(seed);
+        t.arm_transcode(src.obf_graph().uid(), Arc::clone(&prog));
+        t
+    };
+    let (mut staged_target, mut hop_target) = (target(), target());
+    let (mut staged_ser, mut hop_ser) = (dst.serializer(), dst.serializer());
+    staged_ser.reseed(seed);
+    hop_ser.reseed(seed);
+    let (mut staged_out, mut hop_out) = (Vec::new(), Vec::new());
+    let mut parser = src.parser();
+    let staged = match parser.parse_in_place(wire) {
+        Err(e) => Err(format!("parse: {e}")),
+        Ok(msg) => match msg.transcode_into(&mut staged_target) {
+            Err(e) => Err(format!("transcode: {e}")),
+            Ok(()) => append_frame(&mut staged_ser, &staged_target, &mut staged_out, MAX_FRAME)
+                .map_err(|e| format!("send: {e}")),
+        },
+    };
+    let hopped = match WireHop::parse(&mut parser, wire, &mut hop_target) {
+        Err(e) => Err(format!("parse: {e}")),
+        Ok(mut hop) => match hop.transcode() {
+            Err(e) => Err(format!("transcode: {e}")),
+            Ok(()) => {
+                hop.send(&mut hop_ser, &mut hop_out, MAX_FRAME).map_err(|e| format!("send: {e}"))
+            }
+        },
+    };
+    (staged != hopped || staged_out != hop_out).then(|| {
+        format!(
+            "wire hop onto {} diverged from the staged relay\n  staged: {staged:?} \
+             {staged_out:02x?}\n  hop:    {hopped:?} {hop_out:02x?}",
+            dst.plain().name()
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ use crate::path::{self, Path};
 use crate::plan::{
     apply_ops_column, apply_ops_in_place, undo_ops_column, undo_ops_in_place, CodecPlan,
     CopyProgram, CopyStep, DistCheck, DistErr, DistEval, DistProg, PoolRange, RecEval, RecProg,
+    WireRun,
 };
 use crate::runtime::{self, Scope};
 use crate::value::{Endian, TerminalKind, Value};
@@ -805,6 +806,38 @@ pub struct Message<'c> {
     /// until the first [`Message::transcode_into`] (or until armed by
     /// [`crate::service::CodecService::transcode_target`]).
     transcode: Option<TranscodeCache>,
+    /// Element runs left on the wire by a relay hop
+    /// ([`crate::framing::WireHop`]), sorted by container and key: empty
+    /// outside one.
+    pub(crate) wired: Vec<Wired>,
+}
+
+/// An element run a relay hop left in the inbound frame: the `m`
+/// elements of source container `slot`'s instance whose element 0 has
+/// key `first` lie from frame offset `off` (backwards when the container
+/// is a folded mirror's child). A parsed source records its runs; a copy
+/// program's destination records those of each column copy it left on
+/// the wire ([`crate::plan::WireRun`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wired {
+    pub(crate) slot: u32,
+    pub(crate) first: ScopeKey,
+    pub(crate) off: usize,
+    pub(crate) m: usize,
+}
+
+/// The run of `wired` (sorted) for container `slot` at `first`.
+pub(crate) fn find_wired<'w>(wired: &'w [Wired], slot: u32, first: &ScopeKey) -> Option<&'w Wired> {
+    let i = wired.binary_search_by(|w| (w.slot, w.first).cmp(&(slot, *first))).ok()?;
+    Some(&wired[i])
+}
+
+/// Sorts `wired` for [`find_wired`] (already sorted in the common case
+/// of one run per slot visited in order).
+pub(crate) fn sort_wired(wired: &mut [Wired]) {
+    if !wired.is_sorted_by_key(|w| (w.slot, w.first)) {
+        wired.sort_unstable_by_key(|w| (w.slot, w.first));
+    }
 }
 
 /// The compiled-transcode state a destination [`Message`] caches across
@@ -835,6 +868,7 @@ pub(crate) struct MessageState {
     ev: RecEval,
     dist: DistEval,
     transcode: Option<TranscodeCache>,
+    wired: Vec<Wired>,
 }
 
 impl<'c> Message<'c> {
@@ -858,6 +892,7 @@ impl<'c> Message<'c> {
             ev: RecEval::default(),
             dist: DistEval::default(),
             transcode: None,
+            wired: Vec::new(),
         }
     }
 
@@ -869,6 +904,7 @@ impl<'c> Message<'c> {
         self.wires.clear();
         self.presence.clear();
         self.counts.clear();
+        self.wired.clear();
     }
 
     /// Rebinds pooled message state to the graph it was created for,
@@ -886,6 +922,7 @@ impl<'c> Message<'c> {
             ev: state.ev,
             dist: state.dist,
             transcode: state.transcode,
+            wired: state.wired,
         };
         m.clear();
         m
@@ -903,6 +940,7 @@ impl<'c> Message<'c> {
             ev: self.ev,
             dist: self.dist,
             transcode: self.transcode,
+            wired: self.wired,
         }
     }
 
@@ -1126,7 +1164,7 @@ impl<'c> Message<'c> {
         }
         dst.clear();
         // Run the armed program with the destination's own scratch.
-        let Message { graph, wires, presence, counts, rng, ev, dist, transcode, .. } = dst;
+        let Message { graph, wires, presence, counts, rng, ev, dist, transcode, wired } = dst;
         let graph: &ObfGraph = graph;
         let TranscodeCache { prog, cursors, marks, .. } = transcode.as_mut().expect("armed above");
         let sp = self.graph.plan();
@@ -1145,9 +1183,39 @@ impl<'c> Message<'c> {
             dist,
             cursors,
             marks,
+            wire: &prog.wire,
+            wired,
             scope: [0; MAX_SCOPE],
         };
-        run.exec(&prog.steps, 0)
+        run.exec(&prog.steps, 0)?;
+        sort_wired(wired);
+        Ok(())
+    }
+
+    /// The inbound `frame`'s bytes that a relay hop's block copy
+    /// ([`WireRun`]) left on the wire for the `m` elements of destination
+    /// container `slot` from element key `first` (its run read backwards
+    /// when `back`): the destination's elements as they are.
+    pub(crate) fn wired_block<'f>(
+        &self,
+        frame: &'f [u8],
+        (slot, back): (u32, bool),
+        first: &ScopeKey,
+        m: usize,
+    ) -> Option<&'f [u8]> {
+        let wire = &self.transcode.as_ref()?.prog.wire;
+        let run = wire.iter().find(|r| (r.dst.slot, r.dst.back) == (slot, back))?;
+        let w = find_wired(&self.wired, run.src.slot, first).filter(|w| w.m == m)?;
+        frame.get(w.off..w.off.checked_add(m.checked_mul(run.src.width as usize)?)?)
+    }
+
+    /// The wire program of the copy program armed for sources of
+    /// `src_uid` (empty when none is armed for them).
+    pub(crate) fn wire_program(&self, src_uid: u64) -> &[WireRun] {
+        match &self.transcode {
+            Some(c) if c.src_uid == src_uid => &c.prog.wire,
+            _ => &[],
+        }
     }
 
     pub(crate) fn transcode_mismatch(&self, dst: &Message<'_>) -> BuildError {
@@ -1433,6 +1501,10 @@ struct CopyRun<'a, 'c> {
     cursors: &'a mut [u32],
     /// Rollback scratch of [`CopyRun::column`].
     marks: &'a mut Vec<usize>,
+    /// The program's wire runs, and the destination's record of the
+    /// runs it leaves on the wire.
+    wire: &'a [WireRun],
+    wired: &'a mut Vec<Wired>,
     scope: [u32; MAX_SCOPE],
 }
 
@@ -1472,7 +1544,9 @@ impl CopyRun<'_, '_> {
                 }
                 CopyStep::Column { plain, body } => {
                     let n = self.count(plain, depth);
-                    self.column(&steps[i + 1..i + 1 + body as usize], n, depth)?;
+                    if !self.wired_column(plain, n, depth) {
+                        self.column(&steps[i + 1..i + 1 + body as usize], n, depth)?;
+                    }
                     i += 1 + body as usize;
                 }
             }
@@ -1498,6 +1572,21 @@ impl CopyRun<'_, '_> {
             self.exec(body, depth + 1)?;
         }
         Ok(())
+    }
+
+    /// The column copy of container `plain` when a relay hop left the
+    /// source's run on the wire: the destination records where it lies
+    /// for its serializer ([`Wired`]). Returns whether it did.
+    fn wired_column(&mut self, plain: u32, n: usize, depth: usize) -> bool {
+        if self.src.wired.is_empty() {
+            return false;
+        }
+        let Some(run) = self.wire.iter().find(|r| r.plain == plain) else { return false };
+        let first = ScopeKey::element(&self.scope[..depth], 0);
+        let Some(&w) = find_wired(&self.src.wired, run.src.slot, &first) else { return false };
+        debug_assert_eq!(w.m, n, "the parse counted the elements it left on the wire");
+        self.wired.push(w);
+        true
     }
 
     /// Runs a [`CopyStep::Column`] body: each `Direct` step copies its

@@ -16,11 +16,13 @@
 
 use crate::error::ParseError;
 use crate::graph::NodeId;
-use crate::message::{gather, Message, MessageState, MetaStore, ScopeKey, WireStore};
+use crate::message::{
+    gather, sort_wired, Message, MessageState, MetaStore, ScopeKey, WireStore, Wired,
+};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, PlanOp, RecEval, RepStopC, SeqB, TermB,
-    NONE,
+    WireRun, NONE,
 };
 use crate::runtime;
 use crate::value::{Endian, Value};
@@ -71,6 +73,9 @@ pub struct ParseSession<'c> {
     mirror_depth: usize,
     /// Scratch for auto-verification scope collection.
     keys: Vec<ScopeKey>,
+    /// During [`ParseSession::parse_wired`]: the containers whose runs
+    /// stay on the wire (slot, and whether a mirror's child).
+    wire: Vec<(u32, bool)>,
 }
 
 /// The lifetime-free scratch state of a [`ParseSession`]: everything the
@@ -86,6 +91,7 @@ pub(crate) struct ParseScratch {
     scope: Vec<u32>,
     mirror_pool: Vec<Vec<u8>>,
     keys: Vec<ScopeKey>,
+    wire: Vec<(u32, bool)>,
 }
 
 impl<'c> ParseSession<'c> {
@@ -101,6 +107,7 @@ impl<'c> ParseSession<'c> {
             mirror_pool: Vec::new(),
             mirror_depth: 0,
             keys: Vec::new(),
+            wire: Vec::new(),
         }
     }
 
@@ -122,6 +129,7 @@ impl<'c> ParseSession<'c> {
             mirror_pool: scratch.mirror_pool,
             mirror_depth: 0,
             keys: scratch.keys,
+            wire: scratch.wire,
         }
     }
 
@@ -135,6 +143,7 @@ impl<'c> ParseSession<'c> {
             scope: self.scope,
             mirror_pool: self.mirror_pool,
             keys: self.keys,
+            wire: self.wire,
         }
     }
 
@@ -163,6 +172,31 @@ impl<'c> ParseSession<'c> {
         }
         self.verify_autos()?;
         Ok(&self.msg)
+    }
+
+    /// The relay-mode parse of a wire hop ([`crate::framing::WireHop`]):
+    /// [`ParseSession::parse_in_place`], except that the element run of
+    /// each source container of `wire` is window-checked and left in
+    /// `bytes`, its place recorded in the message ([`Wired`]), instead of
+    /// gathered into the stores (a run parsed from a mirror's reversed
+    /// copy is gathered as before). Only the copy program `wire` belongs
+    /// to reads those columns; every other result, errors included, is
+    /// the plain parse's.
+    pub(crate) fn parse_wired(&mut self, bytes: &[u8], wire: &[WireRun]) -> Result<(), ParseError> {
+        self.wire.clear();
+        self.wire.extend(wire.iter().map(|r| (r.src.slot, r.src.back)));
+        let r = self.parse_in_place(bytes).map(|_| ());
+        self.wire.clear();
+        sort_wired(&mut self.msg.wired);
+        r
+    }
+
+    /// Clears the message when a relay-mode parse left columns on the
+    /// wire, so no reader sees it without them.
+    pub(crate) fn release_wired(&mut self) {
+        if !self.msg.wired.is_empty() {
+            self.msg.clear();
+        }
     }
 
     /// Borrows the session's internal message — the result of the last
@@ -535,6 +569,13 @@ impl<'c> ParseSession<'c> {
             return 0..m;
         };
         let first = ScopeKey::element(&self.scope, 0);
+        // In a relay hop, a run the wire program copies stays in the
+        // frame (never a mirror's reversed copy of it).
+        if self.mirror_depth == 0 && self.wire.contains(&(idx, backwards)) {
+            self.msg.wired.push(Wired { slot: idx, first, off: *pos, m });
+            *pos += total;
+            return 0..0;
+        }
         let elements = &buf[*pos..*pos + total];
         let mut at = 0;
         for col in &run.cols {

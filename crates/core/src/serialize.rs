@@ -23,8 +23,8 @@ use crate::graph::NodeId;
 use crate::message::{scatter, Message, ScopeKey, Stored, WireStore};
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
-    bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, ElemRun, PlanOp, RecEval, RepStopC,
-    SeqB, TermB, NONE,
+    bytes_to_uint, pred_eval, BaseOp, CodecPlan, DistEval, PlanOp, RecEval, RepStopC, SeqB, TermB,
+    NONE,
 };
 
 /// The byte range a plan slot produced during one traced serialization
@@ -250,11 +250,24 @@ impl<'c> SerializeSession<'c> {
         msg: &Message<'_>,
         out: &mut Vec<u8>,
     ) -> Result<(), BuildError> {
+        self.serialize_wired(msg, &[], out)
+    }
+
+    /// [`SerializeSession::serialize_append`] of a relay hop's target
+    /// ([`crate::framing::WireHop`]): the element runs its copy program
+    /// left on the wire ([`crate::message::Wired`]) are read from the
+    /// inbound `frame`.
+    pub(crate) fn serialize_wired(
+        &mut self,
+        msg: &Message<'_>,
+        frame: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), BuildError> {
         self.scratch.overlay.clear();
         self.scratch.scope.clear();
         self.scratch.cursors.reset();
         let start = out.len();
-        let r = self.emit(self.plan.root, msg, out);
+        let r = self.emit(self.plan.root, msg, frame, out);
         if r.is_err() {
             out.truncate(start);
         }
@@ -312,15 +325,21 @@ impl<'c> SerializeSession<'c> {
         self.g.plain().node(NodeId(idx)).name().to_string()
     }
 
-    fn emit(&mut self, idx: u32, msg: &Message<'_>, out: &mut Vec<u8>) -> Result<(), BuildError> {
+    fn emit(
+        &mut self,
+        idx: u32,
+        msg: &Message<'_>,
+        frame: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), BuildError> {
         if !self.scratch.tracing {
-            return self.emit_inner(idx, msg, out);
+            return self.emit_inner(idx, msg, frame, out);
         }
         let at = self.scratch.trace.len();
         let start = out.len() as u32;
         let depth = self.scratch.scope.len() as u8;
         self.scratch.trace.push(SlotSpan { slot: idx, start, end: start, depth });
-        let r = self.emit_inner(idx, msg, out);
+        let r = self.emit_inner(idx, msg, frame, out);
         self.scratch.trace[at].end = out.len() as u32;
         r
     }
@@ -329,6 +348,7 @@ impl<'c> SerializeSession<'c> {
         &mut self,
         idx: u32,
         msg: &Message<'_>,
+        frame: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), BuildError> {
         let plan = self.plan;
@@ -345,14 +365,14 @@ impl<'c> SerializeSession<'c> {
             PlanOp::Split { base, first_term } => {
                 self.materialize_if_needed(idx, base, *first_term, msg)?;
                 for &c in plan.kids(node) {
-                    self.emit(c, msg, out)?;
+                    self.emit(c, msg, frame, out)?;
                 }
                 Ok(())
             }
             PlanOp::Seq { boundary } => {
                 let start = out.len();
                 for &c in plan.kids(node) {
-                    self.emit(c, msg, out)?;
+                    self.emit(c, msg, frame, out)?;
                 }
                 let emitted = (out.len() - start) as u64;
                 match *boundary {
@@ -400,14 +420,14 @@ impl<'c> SerializeSession<'c> {
                     });
                 }
                 if present {
-                    self.emit(plan.kids(node)[0], msg, out)
+                    self.emit(plan.kids(node)[0], msg, frame, out)
                 } else {
                     Ok(())
                 }
             }
             PlanOp::Rep { stop, .. } => {
                 let m = self.element_count(idx, msg)?;
-                self.emit_elements(idx, m, msg, out)?;
+                self.emit_elements(idx, m, msg, frame, out)?;
                 if let RepStopC::Terminator(t) = stop {
                     out.extend_from_slice(&plan.bytes[*t as usize]);
                 }
@@ -415,7 +435,7 @@ impl<'c> SerializeSession<'c> {
             }
             PlanOp::Tab { .. } => {
                 let m = self.element_count(idx, msg)?;
-                self.emit_elements(idx, m, msg, out)
+                self.emit_elements(idx, m, msg, frame, out)
             }
             PlanOp::Mirror => {
                 let child = plan.kids(node)[0];
@@ -424,16 +444,14 @@ impl<'c> SerializeSession<'c> {
                 // adds no bytes of its own around its elements). Never
                 // while tracing, which records the child's span through
                 // the walk.
-                if let Some(run) =
-                    plan.runs[child as usize].as_ref().filter(|_| !self.scratch.tracing)
-                {
+                if plan.runs[child as usize].is_some() && !self.scratch.tracing {
                     let m = self.element_count(child, msg)?;
-                    if self.emit_run(run, m, msg, out, true) {
+                    if self.emit_run(child, m, msg, frame, out, true) {
                         return Ok(());
                     }
                 }
                 let start = out.len();
-                self.emit(child, msg, out)?;
+                self.emit(child, msg, frame, out)?;
                 out[start..].reverse();
                 Ok(())
             }
@@ -441,7 +459,7 @@ impl<'c> SerializeSession<'c> {
                 let w = *width as usize;
                 let pstart = out.len();
                 out.resize(pstart + w, 0);
-                self.emit(plan.kids(node)[0], msg, out)?;
+                self.emit(plan.kids(node)[0], msg, frame, out)?;
                 let blen = out.len() - pstart - w;
                 if !fill_uint(&mut out[pstart..pstart + w], blen as u64, *endian) {
                     return Err(BuildError::DerivedOverflow {
@@ -492,54 +510,68 @@ impl<'c> SerializeSession<'c> {
         idx: u32,
         m: usize,
         msg: &Message<'_>,
+        frame: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), BuildError> {
         let plan = self.plan;
-        if let Some(run) = plan.runs[idx as usize].as_ref().filter(|_| !self.scratch.tracing) {
-            if self.emit_run(run, m, msg, out, false) {
-                return Ok(());
-            }
+        if plan.runs[idx as usize].is_some()
+            && !self.scratch.tracing
+            && self.emit_run(idx, m, msg, frame, out, false)
+        {
+            return Ok(());
         }
         let child = plan.kids(&plan.nodes[idx as usize])[0];
         for i in 0..m {
             self.scratch.scope.push(i as u32);
-            let piece = self.emit(child, msg, out);
+            let piece = self.emit(child, msg, frame, out);
             self.scratch.scope.pop();
             piece?;
         }
         Ok(())
     }
 
-    /// The element kernel, for when every column of the `m` elements is
-    /// stored as one run ([`WireStore::run`]) or is an absent pad. It
-    /// writes the elements in blocks of about [`BLOCK`] bytes: into each
-    /// block, every stored column scatters its values (a mirrored column's
-    /// reversed), then the block's absent pads are drawn in the walk's RNG
-    /// order, element by element, and scattered the same way. That is what
-    /// the walk's terminal reads would emit, since no overlay write reaches
-    /// a run slot (verifier code P013). Returns `false`, with the output
-    /// and the RNG as they were, for any other store shape (a field left
-    /// unset, a value of another width, a column stored in pieces, pads
-    /// stored for some elements only): the walk then emits the elements or
-    /// names the missing field. When `backwards` (the run of a mirror's
-    /// child), the output is what the walk emits before the mirror reverses
-    /// it, reversed: element `j` is the `j`-th from the end, each column at
-    /// its mirrored offset and reversed once more, and the pads are drawn
-    /// from the last element of the output back, in the run's column order.
+    /// The element kernel of counted container `slot`, for when every
+    /// column of the `m` elements is stored as one run
+    /// ([`WireStore::run`]) or is an absent pad. It writes the elements in
+    /// blocks of about [`BLOCK`] bytes: into each block, every stored
+    /// column scatters its values (a mirrored column's reversed), then the
+    /// block's absent pads are drawn in the walk's RNG order, element by
+    /// element, and scattered the same way. That is what the walk's
+    /// terminal reads would emit, since no overlay write reaches a run
+    /// slot (verifier code P013). In a relay hop, elements a block copy
+    /// left on the wire ([`Message::wired_block`]) are the inbound
+    /// `frame`'s window, copied as they are (what the copy program would
+    /// have stored, P014). Returns `false`, with the output and the RNG as
+    /// they were, for any other store shape (a field left unset, a value
+    /// of another width, a column stored in pieces, pads stored for some
+    /// elements only): the walk then emits the elements or names the
+    /// missing field. When `backwards` (the run of a mirror's child), the
+    /// output is what the walk emits before the mirror reverses it,
+    /// reversed: element `j` is the `j`-th from the end, each column at its
+    /// mirrored offset and reversed once more, and the pads are drawn from
+    /// the last element of the output back, in the run's column order.
     fn emit_run(
         &mut self,
-        run: &ElemRun,
+        slot: u32,
         m: usize,
         msg: &Message<'_>,
+        frame: &[u8],
         out: &mut Vec<u8>,
         backwards: bool,
     ) -> bool {
+        let run = self.plan.runs[slot as usize].as_ref().expect("a container with a run");
         let s = &mut self.scratch;
         let first = ScopeKey::element(&s.scope, 0);
         let width = run.width as usize;
         let Some(size) = m.checked_mul(width) else {
             return false;
         };
+        if !msg.wired.is_empty() {
+            if let Some(window) = msg.wired_block(frame, (slot, backwards), &first, m) {
+                out.extend_from_slice(window);
+                return true;
+            }
+        }
         s.pads.clear();
         s.cols.clear();
         let mut at = 0;
@@ -734,7 +766,8 @@ impl<'c> SerializeSession<'c> {
     /// The one reader of referenced plain values (optional subjects,
     /// length and counter references): runs `x`'s compiled recovery
     /// program at its container depth over the serialization overlay
-    /// (materialized auto subtrees) and then the message wires, and hands
+    /// (materialized auto subtrees) and then the message wires, read
+    /// through the per-slot cursors ([`WireStore::get_seq`]), and hands
     /// the value to `f`. Auto fields that were never materialized fall
     /// back to [`Message::value_at`].
     fn read_ref<T>(
@@ -745,18 +778,17 @@ impl<'c> SerializeSession<'c> {
         f: impl FnOnce(&[u8]) -> T,
     ) -> Result<T, BuildError> {
         let plan = self.plan;
-        let SerializeScratch { ev, overlay, scope, .. } = &mut self.scratch;
+        let SerializeScratch { ev, overlay, scope, cursors, .. } = &mut self.scratch;
         let xscope = &scope[..(depth as usize).min(scope.len())];
         if let Some(prog) = plan.rec[x as usize] {
-            let load = &mut |obf: u32, sc: &[u32], buf: &mut Vec<u8>| match overlay
-                .get(obf as usize, sc)
-                .or_else(|| msg.wire(ObfId(obf), sc))
-            {
-                Some(b) => {
-                    buf.extend_from_slice(b);
-                    true
-                }
-                None => false,
+            // Through the emit walk's sequential cursors: a reference
+            // read in walk order is one check, any other a search.
+            let load = &mut |obf: u32, sc: &[u32], buf: &mut Vec<u8>| {
+                let o = obf as usize;
+                let value = overlay
+                    .get_seq(o, sc, &mut cursors.overlay[o])
+                    .or_else(|| msg.wires.get_seq(o, sc, &mut cursors.wire[o]));
+                value.map(|b| buf.extend_from_slice(b)).is_some()
             };
             if let Some((s, l)) = ev.eval(plan, prog, xscope, load) {
                 return Ok(f(&ev.buf[s..s + l]));

@@ -51,8 +51,9 @@ use crate::graph::{FormatGraph, NodeId, NodeType};
 use crate::message::MAX_SCOPE;
 use crate::obf::ObfGraph;
 use crate::plan::{
-    is_column_body, AutoCheckKind, BaseOp, CodecPlan, CopyProgram, CopyStep, DistCheck, DistProg,
-    DistStep, PlanOp, PoolRange, RecProg, RecStep, SeqB, SplitRuleC, TermB, NONE,
+    is_column_body, lower_wire_run, AutoCheckKind, BaseOp, CodecPlan, CopyProgram, CopyStep,
+    DistCheck, DistProg, DistStep, PlanOp, PoolRange, RecProg, RecStep, SeqB, SplitRuleC, TermB,
+    NONE,
 };
 use crate::runtime;
 use crate::serialize::SlotSpan;
@@ -112,6 +113,11 @@ pub const DIRECT_COPY_MISMATCH: &str = "P012";
 /// write could reach one of its slots), or a column copy's body is not
 /// only direct copies with pairwise-distinct slots.
 pub const LOOP_KERNEL_MISMATCH: &str = "P013";
+/// `P014` — a wire run differs from the column copy and element runs it
+/// is lowered from: its containers, their element width or mirror
+/// folds, or a column copy that does not lower to one (a column paired
+/// at another offset, width or orientation, an op stack, a pad).
+pub const WIRE_RUN_MISMATCH: &str = "P014";
 
 fn diag(code: &'static str, message: String) -> Diagnostic {
     Diagnostic { code, message }
@@ -1114,7 +1120,48 @@ pub fn verify_copy_program(src: &ObfGraph, dst: &ObfGraph, prog: &CopyProgram) -
             }
         }
     }
+    check_wire_runs(plain, sp, dp, prog, &mut diags);
     diags
+}
+
+/// P014: every wire run is the one its column copy and the two plans'
+/// element runs lower to ([`lower_wire_run`]).
+fn check_wire_runs(
+    plain: &FormatGraph,
+    sp: &CodecPlan,
+    dp: &CodecPlan,
+    prog: &CopyProgram,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let read = [sp.read_plains(), dp.read_plains()];
+    for (r, run) in prog.wire.iter().enumerate() {
+        let column = prog.steps.iter().enumerate().find_map(|(i, s)| match *s {
+            CopyStep::Column { plain: p, body } if p == run.plain => {
+                prog.steps.get(i + 1..i + 1 + body as usize)
+            }
+            _ => None,
+        });
+        let mut mismatch = |what: String| {
+            diags.push(diag(
+                WIRE_RUN_MISMATCH,
+                format!("wire run {r} (plain {}): {what}", run.plain),
+            ))
+        };
+        let Some(body) = column else {
+            mismatch("no column copy of its container".into());
+            continue;
+        };
+        if !is_column_body(body) {
+            continue; // P013 reports the column copy itself.
+        }
+        let Some(want) = lower_wire_run(plain, [sp, dp], run.plain, body, &read) else {
+            mismatch("its column copy does not run wire to wire".into());
+            continue;
+        };
+        if *run != want {
+            mismatch(format!("{run:?}, lowered {want:?}"));
+        }
+    }
 }
 
 /// Bounds of one wire end of a direct copy step: `obf` must be a terminal
@@ -1762,6 +1809,28 @@ mod tests {
         empty.steps[column] = CopyStep::Column { plain, body: 0 };
         let d = verify_copy_program(&src, &dst, &empty);
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+    }
+
+    #[test]
+    fn p014_wire_run_mismatch_fires() {
+        let (src, dst) = (table(), table());
+        let prog = CopyProgram::compile(&src, &dst).expect("same plain spec");
+        assert_eq!(verify_copy_program(&src, &dst, &prog), vec![], "clean program");
+        assert_eq!(prog.wire_copies().kernels, 1, "the table's column copy runs wire to wire");
+        let tampered = |edit: &dyn Fn(&mut crate::plan::WireRun)| {
+            let mut prog = prog.clone();
+            edit(&mut prog.wire[0]);
+            codes(&verify_copy_program(&src, &dst, &prog))
+        };
+        let only_p014 = |c: Vec<&str>| !c.is_empty() && c.iter().all(|&c| c == WIRE_RUN_MISMATCH);
+        let back = tampered(&|r| r.src.back ^= true);
+        assert!(only_p014(back.clone()), "backwards: {back:?}");
+        let width = tampered(&|r| r.dst.width += 1);
+        assert!(only_p014(width.clone()), "element width: {width:?}");
+        let pairing = tampered(&|r| r.dst.slot = r.src.slot + 1);
+        assert!(only_p014(pairing.clone()), "container pairing: {pairing:?}");
+        let plain = tampered(&|r| r.plain += 1);
+        assert!(only_p014(plain.clone()), "column copy: {plain:?}");
     }
 
     #[test]

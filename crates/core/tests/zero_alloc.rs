@@ -16,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use protoobf_core::framing::{WireHop, MAX_FRAME};
 use protoobf_core::graph::{AutoValue, Boundary, GraphBuilder};
 use protoobf_core::plan::CopyProgram;
 use protoobf_core::telemetry::{EventKind, Metrics};
@@ -285,6 +286,69 @@ fn bulk_loop_kernels_do_not_allocate() {
 
         let clear_msg = msg.transcode(clear.obf_graph()).unwrap();
         assert_eq!(relay_allocations(&clear, codec, &clear_msg), 0, "{what}: bulk relay allocated");
+    }
+}
+
+/// Relay hops ([`WireHop`]) on the bulk table at levels 0–3 under the
+/// benchmark's shared secret: clear → obfuscated → clear (block copies at
+/// level 0, the store path above it), and the echo's clear → clear (a
+/// block copy), allocate nothing once warm, and the round trip is
+/// lossless.
+#[test]
+fn bulk_wire_hops_do_not_allocate() {
+    let graph = bulk_graph();
+    let clear = Codec::identity(&graph);
+    let mut msg = clear.message_seeded(1);
+    for i in 0..300u64 {
+        msg.set_uint(&format!("records[{i}].key"), i * 7919).unwrap();
+        msg.set_uint(&format!("records[{i}].flags"), i).unwrap();
+        msg.set(&format!("records[{i}].payload"), vec![i as u8; 24]).unwrap();
+    }
+    msg.set("tail", vec![0xAB; 512]).unwrap();
+    let clear_wire = clear.serialize_seeded(&msg, 1).unwrap();
+    for level in 0..=3u32 {
+        let obf = Obfuscator::new(&graph)
+            .key("e2ebench shared secret")
+            .max_per_node(level)
+            .obfuscate()
+            .unwrap();
+        let echo = CopyProgram::compile(clear.obf_graph(), clear.obf_graph()).unwrap();
+        let wired = echo.wire_copies();
+        assert!(wired.loops > 0 && wired.kernels == wired.loops, "level {level}: {wired:?}");
+        let (mut clear_parser, mut obf_parser, mut echo_parser) =
+            (clear.parser(), obf.parser(), clear.parser());
+        let (mut clear_serializer, mut obf_serializer, mut echo_serializer) =
+            (clear.serializer(), obf.serializer(), clear.serializer());
+        let mut to_obf = obf.transcode_target(&clear).unwrap();
+        let mut to_clear = clear.transcode_target(&obf).unwrap();
+        let mut echo = clear.transcode_target(&clear).unwrap();
+        let (mut obf_wire, mut back_wire, mut echo_wire) = (Vec::new(), Vec::new(), Vec::new());
+        let mut round_trip = || {
+            obf_wire.clear();
+            let mut hop = WireHop::parse(&mut clear_parser, &clear_wire, &mut to_obf).unwrap();
+            hop.transcode().unwrap();
+            hop.send(&mut obf_serializer, &mut obf_wire, MAX_FRAME).unwrap();
+            drop(hop);
+            back_wire.clear();
+            let mut hop = WireHop::parse(&mut obf_parser, &obf_wire[4..], &mut to_clear).unwrap();
+            hop.transcode().unwrap();
+            hop.send(&mut clear_serializer, &mut back_wire, MAX_FRAME).unwrap();
+            drop(hop);
+            echo_wire.clear();
+            let mut hop = WireHop::parse(&mut echo_parser, &back_wire[4..], &mut echo).unwrap();
+            hop.transcode().unwrap();
+            hop.send(&mut echo_serializer, &mut echo_wire, MAX_FRAME).unwrap();
+        };
+        for _ in 0..5 {
+            round_trip();
+        }
+        let before = allocations();
+        for _ in 0..50 {
+            round_trip();
+        }
+        assert_eq!(allocations() - before, 0, "level {level}: wire hops allocated");
+        assert_eq!(back_wire[4..], clear_wire[..], "level {level}: lossy round trip");
+        assert_eq!(echo_wire[4..], clear_wire[..], "level {level}: lossy echo");
     }
 }
 

@@ -11,6 +11,12 @@
 //!            poll_outbound(buf)              send(&Message)
 //! ```
 //!
+//! A relay moves frames from one connection to another (or back onto the
+//! same one) with [`Conn::relay`]: one [`WireHop`] per frame, which
+//! parses, transcodes and serializes it with the tables the copy program
+//! block-copies going straight from the inbound frame to the outbound
+//! one, and keeps the frame borrowed from parse to send.
+//!
 //! Each connection checks **one** parser and **one** serializer out of its
 //! [`CodecService`]s at construction and holds them for its lifetime — the
 //! long-lived-checkout pattern: pool traffic happens per connection, not
@@ -32,12 +38,14 @@
 //! gateway relay does exactly that, turning a slow downstream into a
 //! closed TCP window for the upstream sender.
 
-use protoobf_core::framing::{FrameBuffer, FrameError};
+use protoobf_core::framing::{FrameBuffer, FrameError, WireHop};
 use protoobf_core::message::Message;
 use protoobf_core::profile::Endpoint;
+use protoobf_core::serialize::SerializeSession;
 use protoobf_core::service::{CodecService, PooledParser, PooledSerializer};
 
 use crate::error::TransportError;
+use crate::metrics::Metrics;
 
 /// Where a [`Conn`] is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,18 +71,62 @@ pub const DEFAULT_OUTBOUND_CAP: usize = 1 << 20;
 #[derive(Debug)]
 pub struct Conn<'s> {
     parser: PooledParser<'s>,
-    serializer: PooledSerializer<'s>,
     inbuf: FrameBuffer,
-    out: Vec<u8>,
-    out_start: usize,
-    out_cap: usize,
-    tx_max_frame: usize,
+    tx: Outbound<'s>,
     state: ConnState,
     closing: bool,
     msgs_in: u64,
-    msgs_out: u64,
     last_rx_frame: usize,
-    last_tx_frame: usize,
+}
+
+/// The outbound half of a [`Conn`]: its serializer and frame queue.
+#[derive(Debug)]
+struct Outbound<'s> {
+    serializer: PooledSerializer<'s>,
+    out: Vec<u8>,
+    out_start: usize,
+    out_cap: usize,
+    max_frame: usize,
+    msgs: u64,
+    last_frame: usize,
+}
+
+impl<'s> Outbound<'s> {
+    fn len(&self) -> usize {
+        self.out.len() - self.out_start
+    }
+
+    fn can_send(&self) -> bool {
+        self.len() < self.out_cap
+    }
+
+    /// Queues one frame that `append` writes through the serializer (the
+    /// queue, the frame limit), when the connection's state admits it:
+    /// `open` is false after [`Conn::close`] or on a terminal state.
+    fn push(
+        &mut self,
+        open: bool,
+        append: impl FnOnce(&mut SerializeSession<'s>, &mut Vec<u8>, usize) -> Result<(), FrameError>,
+    ) -> Result<(), TransportError> {
+        if !open {
+            return Err(TransportError::Closed);
+        }
+        if !self.can_send() {
+            return Err(TransportError::Backpressure { queued: self.len(), cap: self.out_cap });
+        }
+        let before = self.out.len();
+        match append(&mut self.serializer, &mut self.out, self.max_frame) {
+            Ok(()) => {
+                self.msgs += 1;
+                self.last_frame = self.out.len() - before;
+                Ok(())
+            }
+            // A build failure is the local caller's fault, not the wire's:
+            // the connection stays usable.
+            Err(FrameError::Build(e)) => Err(TransportError::Build(e)),
+            Err(e) => Err(TransportError::Frame(e)),
+        }
+    }
 }
 
 impl<'s> Conn<'s> {
@@ -86,18 +138,20 @@ impl<'s> Conn<'s> {
     pub fn new(rx: &'s CodecService, tx: &'s CodecService) -> Conn<'s> {
         Conn {
             parser: rx.parser(),
-            serializer: tx.serializer(),
             inbuf: FrameBuffer::new().max_frame(rx.frame_limit()),
-            out: Vec::new(),
-            out_start: 0,
-            out_cap: DEFAULT_OUTBOUND_CAP,
-            tx_max_frame: tx.frame_limit(),
+            tx: Outbound {
+                serializer: tx.serializer(),
+                out: Vec::new(),
+                out_start: 0,
+                out_cap: DEFAULT_OUTBOUND_CAP,
+                max_frame: tx.frame_limit(),
+                msgs: 0,
+                last_frame: 0,
+            },
             state: ConnState::Open,
             closing: false,
             msgs_in: 0,
-            msgs_out: 0,
             last_rx_frame: 0,
-            last_tx_frame: 0,
         }
     }
 
@@ -126,7 +180,7 @@ impl<'s> Conn<'s> {
 
     /// In-place form of [`Conn::outbound_cap`].
     pub fn set_outbound_cap(&mut self, cap: usize) {
-        self.out_cap = cap.max(1);
+        self.tx.out_cap = cap.max(1);
     }
 
     /// True when the outbound queue is below its cap, i.e. the next
@@ -134,13 +188,13 @@ impl<'s> Conn<'s> {
     /// [`TransportError::Backpressure`]. Cooperative producers (the
     /// gateway relay) poll this before decoding more inbound work.
     pub fn can_send(&self) -> bool {
-        self.outbound_len() < self.out_cap
+        self.tx.can_send()
     }
 
     /// Bytes currently queued outbound (not yet consumed by the
     /// transport).
     pub fn outbound_len(&self) -> usize {
-        self.out.len() - self.out_start
+        self.tx.len()
     }
 
     /// Current lifecycle state.
@@ -155,7 +209,7 @@ impl<'s> Conn<'s> {
 
     /// Messages queued on the outbound direction so far.
     pub fn messages_out(&self) -> u64 {
-        self.msgs_out
+        self.tx.msgs
     }
 
     /// Payload length in bytes of the most recent frame decoded by
@@ -170,7 +224,7 @@ impl<'s> Conn<'s> {
     /// recent frame queued by [`Conn::send`] (0 before the first) — the
     /// outbound mirror of [`Conn::last_inbound_frame_len`].
     pub fn last_outbound_frame_len(&self) -> usize {
-        self.last_tx_frame
+        self.tx.last_frame
     }
 
     /// Buffers raw transport bytes for decoding. Cheap: frames are only
@@ -211,23 +265,7 @@ impl<'s> Conn<'s> {
     /// [`ConnState::Failed`]. [`TransportError::Closed`] on a terminal
     /// connection.
     pub fn poll_inbound(&mut self) -> Result<Option<&Message<'s>>, TransportError> {
-        if matches!(self.state, ConnState::Failed | ConnState::Closed) {
-            return Err(TransportError::Closed);
-        }
-        let frame = match self.inbuf.peek() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => {
-                if self.state == ConnState::PeerClosed && self.inbuf.pending() > 0 {
-                    self.state = ConnState::Failed;
-                    return Err(TransportError::Frame(FrameError::Truncated));
-                }
-                return Ok(None);
-            }
-            Err(e) => {
-                self.state = ConnState::Failed;
-                return Err(TransportError::Frame(e));
-            }
-        };
+        let Some(frame) = next_frame(&self.inbuf, &mut self.state)? else { return Ok(None) };
         let frame_len = frame.len();
         match self.parser.parse_in_place(frame) {
             Ok(_) => {
@@ -243,6 +281,72 @@ impl<'s> Conn<'s> {
         }
     }
 
+    /// Whether the connection takes outbound messages ([`Conn::send`]).
+    fn sendable(&self) -> bool {
+        sendable(self.closing, self.state)
+    }
+
+    /// Relays the next complete inbound frame: parses it, transcodes it
+    /// into `target` (a relay target armed for this connection's inbound
+    /// codec, [`CodecService::transcode_target`]) and queues the target
+    /// as one frame on `to`, or back on this connection when `to` is
+    /// `None`. It is [`Conn::poll_inbound`], [`Message::transcode_into`]
+    /// and [`Conn::send`] in one [`WireHop`]: the tables the copy program
+    /// block-copies go straight from the inbound frame to the outbound
+    /// one, which stays borrowed from parse to send, and the bytes,
+    /// counters and errors are those three calls'. Each stage runs under
+    /// its sampled timer in `metrics`, which counts the message in, the
+    /// transcode and the message out, and records both frame sizes.
+    /// Returns whether a frame was relayed (`false`: none is complete).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Conn::poll_inbound`], of the transcode
+    /// ([`TransportError::Build`]), and of [`Conn::send`] on the
+    /// destination.
+    pub fn relay(
+        &mut self,
+        to: Option<&mut Conn<'s>>,
+        target: &mut Message<'s>,
+        metrics: &Metrics,
+    ) -> Result<bool, TransportError> {
+        let parse_t = metrics.stages.parse.start();
+        let Conn { parser, inbuf, tx, state, closing, msgs_in, last_rx_frame } = self;
+        let Some(frame) = next_frame(inbuf, state)? else { return Ok(false) };
+        let frame_len = frame.len();
+        let mut hop = match WireHop::parse(parser, frame, target) {
+            Ok(hop) => hop,
+            Err(e) => {
+                *state = ConnState::Failed;
+                return Err(TransportError::Frame(FrameError::Parse(e)));
+            }
+        };
+        *msgs_in += 1;
+        *last_rx_frame = frame_len;
+        metrics.stages.parse.finish(parse_t);
+        Metrics::add(&metrics.messages_in, 1);
+        let sent = (|| {
+            let transcode_t = metrics.stages.transcode.start();
+            hop.transcode()?;
+            metrics.stages.transcode.finish(transcode_t);
+            Metrics::add(&metrics.transcodes, 1);
+            metrics.frame_bytes_in.record(frame_len as u64);
+            let serialize_t = metrics.stages.serialize.start();
+            let (tx, open) = match to {
+                Some(to) => (&mut to.tx, sendable(to.closing, to.state)),
+                None => (tx, sendable(*closing, *state)),
+            };
+            tx.push(open, |ser, out, max| hop.send(ser, out, max))?;
+            metrics.stages.serialize.finish(serialize_t);
+            Metrics::add(&metrics.messages_out, 1);
+            metrics.frame_bytes_out.record(tx.last_frame as u64);
+            Ok(())
+        })();
+        drop(hop);
+        inbuf.consume();
+        sent.map(|()| true)
+    }
+
     /// Serializes `msg` (which must be bound to the `tx` codec's graph)
     /// into the outbound queue as one length-prefixed frame.
     ///
@@ -256,55 +360,32 @@ impl<'s> Conn<'s> {
     /// [`TransportError::Closed`] after [`Conn::close`] or on a terminal
     /// connection.
     pub fn send(&mut self, msg: &Message<'_>) -> Result<(), TransportError> {
-        if self.closing || matches!(self.state, ConnState::Failed | ConnState::Closed) {
-            return Err(TransportError::Closed);
-        }
-        if !self.can_send() {
-            return Err(TransportError::Backpressure {
-                queued: self.outbound_len(),
-                cap: self.out_cap,
-            });
-        }
-        let before = self.out.len();
-        match protoobf_core::framing::append_frame(
-            &mut self.serializer,
-            msg,
-            &mut self.out,
-            self.tx_max_frame,
-        ) {
-            Ok(()) => {
-                self.msgs_out += 1;
-                self.last_tx_frame = self.out.len() - before;
-                Ok(())
-            }
-            // A build failure is the local caller's fault, not the wire's:
-            // the connection stays usable.
-            Err(FrameError::Build(e)) => Err(TransportError::Build(e)),
-            Err(e) => Err(TransportError::Frame(e)),
-        }
+        let open = self.sendable();
+        self.tx.push(open, |ser, out, max| protoobf_core::framing::append_frame(ser, msg, out, max))
     }
 
     /// The encoded bytes waiting for the transport to write.
     pub fn outbound(&self) -> &[u8] {
-        &self.out[self.out_start..]
+        &self.tx.out[self.tx.out_start..]
     }
 
     /// True when encoded bytes are waiting to be written.
     pub fn has_outbound(&self) -> bool {
-        self.out_start < self.out.len()
+        self.tx.len() > 0
     }
 
     /// Marks `n` outbound bytes as written by the transport (a partial
     /// write advances a cursor; the buffer compacts itself).
     pub fn consume_outbound(&mut self, n: usize) {
-        self.out_start = (self.out_start + n).min(self.out.len());
-        if self.out_start == self.out.len() {
-            self.out.clear();
-            self.out_start = 0;
-        } else if self.out_start >= self.out.len() - self.out_start {
-            self.out.copy_within(self.out_start.., 0);
-            self.out.truncate(self.out.len() - self.out_start);
-            self.out_start = 0;
+        let tx = &mut self.tx;
+        tx.out_start = (tx.out_start + n).min(tx.out.len());
+        if tx.out_start == tx.out.len() {
+            tx.out.clear();
+            tx.out_start = 0;
+        } else if tx.out_start >= tx.out.len() - tx.out_start {
+            tx.out.copy_within(tx.out_start.., 0);
+            tx.out.truncate(tx.out.len() - tx.out_start);
+            tx.out_start = 0;
         }
         self.finish_close_if_drained();
     }
@@ -333,4 +414,39 @@ impl<'s> Conn<'s> {
             self.state = ConnState::Closed;
         }
     }
+}
+
+/// The next complete frame buffered in `inbuf`, or `None`; a hostile or
+/// truncated stream fails the connection (`state`).
+///
+/// # Errors
+///
+/// Those of [`Conn::poll_inbound`] before it parses.
+fn next_frame<'b>(
+    inbuf: &'b FrameBuffer,
+    state: &mut ConnState,
+) -> Result<Option<&'b [u8]>, TransportError> {
+    if matches!(*state, ConnState::Failed | ConnState::Closed) {
+        return Err(TransportError::Closed);
+    }
+    match inbuf.peek() {
+        Ok(Some(frame)) => Ok(Some(frame)),
+        Ok(None) => {
+            if *state == ConnState::PeerClosed && inbuf.pending() > 0 {
+                *state = ConnState::Failed;
+                return Err(TransportError::Frame(FrameError::Truncated));
+            }
+            Ok(None)
+        }
+        Err(e) => {
+            *state = ConnState::Failed;
+            Err(TransportError::Frame(e))
+        }
+    }
+}
+
+/// Whether a connection in `state`, closing or not, takes outbound
+/// messages.
+fn sendable(closing: bool, state: ConnState) -> bool {
+    !closing && !matches!(state, ConnState::Failed | ConnState::Closed)
 }

@@ -186,37 +186,38 @@ mod step {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    use crate::conn::Conn;
     use crate::error::TransportError;
     use crate::metrics::Metrics;
 
     /// What a pump sends for each decoded message.
     pub trait Step<'s> {
-        /// The message to send on direction `dir`'s destination leg in
-        /// answer to `msg`, just decoded from its source leg.
-        fn step(
+        /// Decodes the next complete frame of direction `dir` from `src`
+        /// and sends the message it answers with on `dst` (back on `src`
+        /// when `None`), with the stage timers, counters and frame sizes
+        /// recorded in `metrics`. Returns whether a message moved.
+        fn forward(
             &mut self,
             dir: usize,
-            msg: &Message<'_>,
+            src: &mut Conn<'s>,
+            dst: Option<&mut Conn<'s>>,
             metrics: &Metrics,
-        ) -> Result<&Message<'s>, TransportError>;
+        ) -> Result<bool, TransportError>;
     }
 
     /// Transcodes direction `dir`'s messages into its armed target: the
     /// compiled copy program shared per leg pairing
-    /// ([`CodecService::transcode_target`]), allocation-free.
+    /// ([`CodecService::transcode_target`]), one relay hop per frame
+    /// ([`Conn::relay`]), allocation-free.
     impl<'s, const N: usize> Step<'s> for [Message<'s>; N] {
-        fn step(
+        fn forward(
             &mut self,
             dir: usize,
-            msg: &Message<'_>,
+            src: &mut Conn<'s>,
+            dst: Option<&mut Conn<'s>>,
             metrics: &Metrics,
-        ) -> Result<&Message<'s>, TransportError> {
-            let target = &mut self[dir];
-            let transcode_t = metrics.stages.transcode.start();
-            msg.transcode_into(target)?;
-            metrics.stages.transcode.finish(transcode_t);
-            Metrics::add(&metrics.transcodes, 1);
-            Ok(target)
+        ) -> Result<bool, TransportError> {
+            src.relay(dst, &mut self[dir], metrics)
         }
     }
 
@@ -243,14 +244,28 @@ mod step {
     }
 
     impl<'s> Step<'s> for Sample<'s> {
-        fn step(
+        fn forward(
             &mut self,
             _dir: usize,
-            _msg: &Message<'_>,
-            _metrics: &Metrics,
-        ) -> Result<&Message<'s>, TransportError> {
+            src: &mut Conn<'s>,
+            dst: Option<&mut Conn<'s>>,
+            metrics: &Metrics,
+        ) -> Result<bool, TransportError> {
+            let parse_t = metrics.stages.parse.start();
+            if src.poll_inbound()?.is_none() {
+                return Ok(false);
+            }
+            metrics.stages.parse.finish(parse_t);
+            Metrics::add(&metrics.messages_in, 1);
             sample_into(self.svc.codec(), &mut self.reply, &mut self.rng, &[]);
-            Ok(&self.reply)
+            metrics.frame_bytes_in.record(src.last_inbound_frame_len() as u64);
+            let dst = dst.unwrap_or(src);
+            let serialize_t = metrics.stages.serialize.start();
+            dst.send(&self.reply)?;
+            metrics.stages.serialize.finish(serialize_t);
+            Metrics::add(&metrics.messages_out, 1);
+            metrics.frame_bytes_out.record(dst.last_outbound_frame_len() as u64);
+            Ok(true)
         }
     }
 }
@@ -309,13 +324,12 @@ impl<'s, S, const N: usize> Pump<'s, S, N> {
     }
 }
 
-/// Pumps direction `src` once: socket bytes → frames → decoded messages →
-/// `step` → destination frames → destination socket, then the
-/// backpressure edge and the half-close. Each codec stage runs under a
-/// sampled timer (an armed sample on an empty poll is dropped —
-/// under-sampling, never skew) and frame sizes feed the traffic-shape
-/// histograms; all of it relaxed atomics, allocation-free. Returns
-/// whether any byte or message moved.
+/// Pumps direction `src` once: socket bytes → frames → `step` (decode,
+/// answer, encode) → destination socket, then the backpressure edge and
+/// the half-close. Each codec stage runs under a sampled timer (an armed
+/// sample on an empty poll is dropped — under-sampling, never skew) and
+/// frame sizes feed the traffic-shape histograms; all of it relaxed
+/// atomics, allocation-free. Returns whether any byte or message moved.
 fn pump<'s, const N: usize>(
     legs: &mut [Leg<'s>; N],
     src: usize,
@@ -329,19 +343,10 @@ fn pump<'s, const N: usize>(
     let engaged = if legs[dst].conn.can_send() {
         progress |= legs[src].read_into(read_buf, metrics)?;
         while legs[dst].conn.can_send() {
-            let parse_t = metrics.stages.parse.start();
-            let Some(msg) = legs[src].conn.poll_inbound()? else { break };
-            metrics.stages.parse.finish(parse_t);
-            Metrics::add(&metrics.messages_in, 1);
-            let out = step.step(src, msg, metrics)?;
-            // Recorded after the step releases the decoded message's
-            // borrow of the connection.
-            metrics.frame_bytes_in.record(legs[src].conn.last_inbound_frame_len() as u64);
-            let serialize_t = metrics.stages.serialize.start();
-            legs[dst].conn.send(out)?;
-            metrics.stages.serialize.finish(serialize_t);
-            Metrics::add(&metrics.messages_out, 1);
-            metrics.frame_bytes_out.record(legs[dst].conn.last_outbound_frame_len() as u64);
+            let (from, to) = conns(legs, src, dst);
+            if !step.forward(src, from, to, metrics)? {
+                break;
+            }
             progress = true;
         }
         !legs[dst].conn.can_send()
@@ -352,6 +357,25 @@ fn pump<'s, const N: usize>(
     let peer_closed = legs[src].conn.state() == ConnState::PeerClosed;
     progress |= legs[dst].close_write(peer_closed);
     Ok(progress)
+}
+
+/// The connections of legs `src` and `dst`: `dst`'s is `None` when it is
+/// `src`'s own (a one-leg session).
+fn conns<'a, 's, const N: usize>(
+    legs: &'a mut [Leg<'s>; N],
+    src: usize,
+    dst: usize,
+) -> (&'a mut Conn<'s>, Option<&'a mut Conn<'s>>) {
+    if src == dst {
+        return (&mut legs[src].conn, None);
+    }
+    let (lo, hi) = legs.split_at_mut(src.max(dst));
+    let (a, b) = (&mut lo[src.min(dst)].conn, &mut hi[0].conn);
+    if src < dst {
+        (a, Some(b))
+    } else {
+        (b, Some(a))
+    }
 }
 
 impl<'s, S: Step<'s>, const N: usize> Session for Pump<'s, S, N> {
