@@ -283,12 +283,12 @@ fn e2ebench_codec(graph: &FormatGraph) -> Codec {
 /// obfuscated session row costs at most twice its clear row.
 /// `transcode-clear-clear/e2ebench-l2` is the echo server's op-free
 /// self-transcode, and the group asserts that each `transcode-*` row of
-/// the derivation costs at most five times it. The `relay-*` rows run
-/// one relay hop (`WireHop`) in each direction and in the echo; the
-/// group asserts that the echo's hop, whose table is one block copy from
-/// frame to frame, costs at most 0.3 times its three stage rows, and
-/// prints each direction's hop against its stage rows. The `modbus-*`
-/// rows time one small request at levels 0 and 2.
+/// the derivation costs at most five times it. The `relay-echo` row runs
+/// the echo server's hop (`WireHop`: parse, then send the parsed message
+/// back, its table one block copy from frame to frame), and the group
+/// asserts that it costs at most 0.3 times a staged echo's parse,
+/// self-transcode and serialize rows. The `modbus-*` rows time one small
+/// request at levels 0 and 2.
 fn bench_relay(c: &mut Criterion) {
     let graph = bulk_graph();
     let clear = Codec::identity(&graph);
@@ -396,30 +396,19 @@ fn bench_relay(c: &mut Criterion) {
             |b, _| b.iter(|| src.transcode_into(&mut to_self).unwrap()),
         );
 
-        // One relay hop of each direction and of the echo server
-        // ([`WireHop`]): the echo's table is copied frame to frame as one
-        // block; the directions' column copies run op stacks and draw
-        // pads, so they keep the store path.
-        let hops = [
-            ("relay-clear-obf", &clear, &e2e, &clear_wire),
-            ("relay-obf-clear", &e2e, &clear, &e2e_wire),
-            ("relay-echo", &clear, &clear, &clear_wire),
-        ];
-        for (row, src, dst, frame) in hops {
-            let mut parser = src.parser();
-            let mut target = dst.transcode_target(src).unwrap();
-            let mut serializer = dst.serializer();
-            let mut out = Vec::new();
-            group.bench_with_input(BenchmarkId::new(row, "e2ebench-l2"), &0u32, |b, _| {
-                b.iter(|| {
-                    out.clear();
-                    serializer.reseed(1);
-                    let mut hop = WireHop::parse(&mut parser, frame, &mut target).unwrap();
-                    hop.transcode().unwrap();
-                    hop.send(&mut serializer, &mut out, MAX_FRAME).unwrap();
-                })
-            });
-        }
+        // The echo server's hop ([`WireHop`]): the parsed message itself
+        // is sent back, its table copied frame to frame as one block.
+        let mut parser = clear.parser();
+        let mut serializer = clear.serializer();
+        let mut out = Vec::new();
+        group.bench_with_input(BenchmarkId::new("relay-echo", "e2ebench-l2"), &0u32, |b, _| {
+            b.iter(|| {
+                out.clear();
+                serializer.reseed(1);
+                let mut hop = WireHop::parse(&mut parser, &clear_wire).unwrap();
+                hop.send(&mut serializer, &mut out, MAX_FRAME).unwrap();
+            })
+        });
 
         // Small messages: one modbus request, where the plan's per-node
         // work rather than the bytes sets the cost (levels 0 and 2 under
@@ -510,53 +499,26 @@ fn bench_relay(c: &mut Criterion) {
             }
         }
     }
-    // Wire-program guard, as a ratio within one run (single rows swing
-    // per process): the echo's table is one block copy, so its hop costs
-    // at most 0.3x its parse, transcode and serialize rows (about 0.15x).
-    // The directions' hops keep the store path; their ratios are printed
-    // as the figure a frame-to-frame direction would have to bring to
-    // 0.7x or less (ROADMAP item 10).
-    let stages = |rows: [&str; 3]| rows.iter().map(|r| median(r)).sum::<Option<f64>>();
-    for (row, rows, bound) in [
-        (
-            "relay/relay-clear-obf/e2ebench-l2",
-            [
-                "relay/parse-session/64KiB",
-                "relay/transcode-clear-obf/e2ebench-l2",
-                "relay/serialize-session-obf/e2ebench-l2",
-            ],
-            None,
-        ),
-        (
-            "relay/relay-obf-clear/e2ebench-l2",
-            [
-                "relay/parse-session-obf/e2ebench-l2",
-                "relay/transcode-obf-clear/e2ebench-l2",
-                "relay/serialize-session/64KiB",
-            ],
-            None,
-        ),
-        (
-            "relay/relay-echo/e2ebench-l2",
-            [
-                "relay/parse-session/64KiB",
-                "relay/transcode-clear-clear/e2ebench-l2",
-                "relay/serialize-session/64KiB",
-            ],
-            Some(0.3),
-        ),
-    ] {
-        if let (Some(hop), Some(sum)) = (median(row), stages(rows)) {
-            let ratio = hop / sum.max(f64::MIN_POSITIVE);
-            eprintln!("{row} / its three stage rows = {ratio:.2}x");
-            if let Some(bound) = bound {
-                assert!(
-                    ratio <= bound,
-                    "{row} must cost at most {bound}x its stage rows \
-                     ({hop:.0} ns vs {sum:.0} ns, ratio {ratio:.2}x)"
-                );
-            }
-        }
+    // Echo guard, as a ratio within one run (single rows swing per
+    // process): the echo's table is one block copy and it runs no
+    // transcode, so its hop costs at most 0.3x a staged echo's parse,
+    // self-transcode and serialize rows.
+    let stages = [
+        "relay/parse-session/64KiB",
+        "relay/transcode-clear-clear/e2ebench-l2",
+        "relay/serialize-session/64KiB",
+    ];
+    let row = "relay/relay-echo/e2ebench-l2";
+    if let (Some(hop), Some(sum)) =
+        (median(row), stages.iter().map(|r| median(r)).sum::<Option<f64>>())
+    {
+        let ratio = hop / sum.max(f64::MIN_POSITIVE);
+        eprintln!("{row} / its three stage rows = {ratio:.2}x");
+        assert!(
+            ratio <= 0.3,
+            "{row} must cost at most 0.3x its stage rows \
+             ({hop:.0} ns vs {sum:.0} ns, ratio {ratio:.2}x)"
+        );
     }
     export_trajectory(c, "relay");
 }

@@ -162,8 +162,8 @@ pub fn append_frame(
     append_wired_frame(session, msg, &[], out, max_frame)
 }
 
-/// [`append_frame`] of a relay hop's target, whose wired runs lie in
-/// the inbound `frame` ([`WireHop`]).
+/// [`append_frame`] of an echo's parsed message, whose wired runs lie
+/// in the inbound `frame` ([`WireHop`]).
 fn append_wired_frame(
     session: &mut SerializeSession<'_>,
     msg: &Message<'_>,
@@ -189,46 +189,37 @@ fn append_wired_frame(
     }
 }
 
-/// One relay hop of an inbound frame: parse it, transcode the message
-/// into a relay target, and append the target to an outbound queue as
-/// one frame, with the column copies of the target's copy program that
-/// are block copies ([`crate::plan::CopyProgram::wire_copies`]: one
-/// element layout at both ends, no ops, no pads, as in the echo server's
-/// self-transcode) run **frame to frame**. The parse window-checks each
-/// element run such a copy reads and leaves it in the frame, the
-/// transcode records where it lies, and the serializer's element kernel
-/// copies that window into the outbound frame as it is: the table is not
-/// gathered into a store, copied into another and scattered back out.
-/// Everything else takes the parse → [`Message::transcode_into`] →
-/// [`append_frame`] path, and the hop's wire, RNG draws and errors are
-/// that path's.
+/// One echo of an inbound frame: parse it and append **the parsed
+/// message itself** to an outbound queue as one frame, on the same
+/// codec. The parse window-checks each element run the plan copies frame
+/// to frame ([`crate::plan::CodecPlan::frame_copies`]: plain terminals of
+/// a fixed plain width that nothing else reads) and leaves it in the
+/// frame, and the serializer's element kernel copies that window into
+/// the outbound frame as it is: the table is not gathered into a store
+/// and scattered back out. A message re-serialized on the plan that
+/// parsed it re-emits what was stored, so the hop's wire, RNG draws and
+/// errors are those of [`ParseSession::parse_in_place`] →
+/// [`append_frame`] of the parsed message.
 ///
-/// The hop borrows the frame from parse to send. The two messages it
-/// writes hold columns left on the wire only while it lives: dropping it
-/// clears them, so no other reader ever sees one.
+/// The hop borrows the frame from parse to send. The parsed message
+/// holds columns left in the frame only while it lives: dropping the hop
+/// clears it, so no other reader ever sees one.
 #[derive(Debug)]
-pub struct WireHop<'a, 'c, 'd> {
+pub struct WireHop<'a, 'c> {
     parser: &'a mut ParseSession<'c>,
     frame: &'a [u8],
-    target: &'a mut Message<'d>,
 }
 
-impl<'a, 'c, 'd> WireHop<'a, 'c, 'd> {
-    /// Parses `frame` with `parser`, in relay mode for the copy program
-    /// `target` is armed with for `parser`'s graph (a plain parse when it
-    /// is armed for none).
+impl<'a, 'c> WireHop<'a, 'c> {
+    /// Parses `frame` with `parser`, leaving the runs copied frame to
+    /// frame in it.
     ///
     /// # Errors
     ///
     /// The [`ParseError`] of [`ParseSession::parse_in_place`].
-    pub fn parse(
-        parser: &'a mut ParseSession<'c>,
-        frame: &'a [u8],
-        target: &'a mut Message<'d>,
-    ) -> Result<Self, ParseError> {
-        let src_uid = parser.message().graph().uid();
-        match parser.parse_wired(frame, target.wire_program(src_uid)) {
-            Ok(()) => Ok(WireHop { parser, frame, target }),
+    pub fn parse(parser: &'a mut ParseSession<'c>, frame: &'a [u8]) -> Result<Self, ParseError> {
+        match parser.parse_wired(frame) {
+            Ok(()) => Ok(WireHop { parser, frame }),
             Err(e) => {
                 parser.release_wired();
                 Err(e)
@@ -236,17 +227,8 @@ impl<'a, 'c, 'd> WireHop<'a, 'c, 'd> {
         }
     }
 
-    /// Transcodes the parsed message into the target.
-    ///
-    /// # Errors
-    ///
-    /// The [`BuildError`] of [`Message::transcode_into`].
-    pub fn transcode(&mut self) -> Result<(), BuildError> {
-        self.parser.message().transcode_into(self.target)
-    }
-
-    /// Appends the transcoded target to `out` as one frame, through
-    /// `session` (bound to the target's codec).
+    /// Appends the parsed message to `out` as one frame, through
+    /// `session` (bound to the parser's codec).
     ///
     /// # Errors
     ///
@@ -257,16 +239,13 @@ impl<'a, 'c, 'd> WireHop<'a, 'c, 'd> {
         out: &mut Vec<u8>,
         max_frame: usize,
     ) -> Result<(), FrameError> {
-        append_wired_frame(session, self.target, self.frame, out, max_frame)
+        append_wired_frame(session, self.parser.message(), self.frame, out, max_frame)
     }
 }
 
-impl Drop for WireHop<'_, '_, '_> {
+impl Drop for WireHop<'_, '_> {
     fn drop(&mut self) {
         self.parser.release_wired();
-        if !self.target.wired.is_empty() {
-            self.target.clear();
-        }
     }
 }
 

@@ -23,10 +23,10 @@
 //!    ([`Message::transcode_into`] vs [`crate::reference::transcode_into`])
 //!    onto the clear codec *and* onto a second obfuscation of the same
 //!    spec: the two gateway relay directions.
-//! 3. **Wire-hop agreement** — in both directions, every input relayed
-//!    frame to frame ([`WireHop`]) must give the bytes or the error of
-//!    the staged parse → transcode → serialize, from identically seeded
-//!    targets and serializers.
+//! 3. **Echo agreement** — on each of the three codecs, every input
+//!    echoed with its element runs copied frame to frame ([`WireHop`])
+//!    must give the bytes or the error of parse → [`append_frame`] of the
+//!    parsed message, from identically seeded serializers.
 //!
 //! Any disagreement is a **divergence**: the engine shrinks it to a
 //! smallest reproducer with a deterministic ddmin-style loop
@@ -36,8 +36,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use std::sync::Arc;
 
 use crate::codec::Codec;
 use crate::engine::Obfuscator;
@@ -101,10 +99,11 @@ impl<'a> DiffOracle<'a> {
     /// divergence found.
     pub fn check(&self, wire: &[u8]) -> Option<String> {
         let codec = self.codec;
-        let hop = hop_divergence(codec, self.clear, wire, self.seed)
-            .or_else(|| hop_divergence(codec, self.other, wire, self.seed));
-        if hop.is_some() {
-            return hop;
+        let echo = [codec, self.clear, self.other]
+            .into_iter()
+            .find_map(|c| echo_divergence(c, wire, self.seed));
+        if echo.is_some() {
+            return echo;
         }
         let walk = reference::parse(codec.obf_graph(), wire);
         let mut session = codec.parser();
@@ -178,44 +177,31 @@ fn transcode_divergence(src: &Message<'_>, dst: &Codec, seed: u64) -> Option<Str
     }
 }
 
-/// Relays `wire` from `src` onto `dst` frame to frame ([`WireHop`]) and
-/// through the staged parse → transcode → serialize, from identically
-/// seeded targets and serializers, and reports any disagreement.
-fn hop_divergence(src: &Codec, dst: &Codec, wire: &[u8], seed: u64) -> Option<String> {
-    let prog = dst.copy_program_from(src).ok()?;
-    let target = || {
-        let mut t = dst.message_seeded(seed);
-        t.arm_transcode(src.obf_graph().uid(), Arc::clone(&prog));
-        t
-    };
-    let (mut staged_target, mut hop_target) = (target(), target());
-    let (mut staged_ser, mut hop_ser) = (dst.serializer(), dst.serializer());
+/// Echoes `wire` on `codec` through one [`WireHop`] and through parse →
+/// [`append_frame`] of the parsed message, from identically seeded
+/// serializers, and reports any disagreement.
+fn echo_divergence(codec: &Codec, wire: &[u8], seed: u64) -> Option<String> {
+    let (mut staged_ser, mut hop_ser) = (codec.serializer(), codec.serializer());
     staged_ser.reseed(seed);
     hop_ser.reseed(seed);
     let (mut staged_out, mut hop_out) = (Vec::new(), Vec::new());
-    let mut parser = src.parser();
+    let mut parser = codec.parser();
     let staged = match parser.parse_in_place(wire) {
         Err(e) => Err(format!("parse: {e}")),
-        Ok(msg) => match msg.transcode_into(&mut staged_target) {
-            Err(e) => Err(format!("transcode: {e}")),
-            Ok(()) => append_frame(&mut staged_ser, &staged_target, &mut staged_out, MAX_FRAME)
-                .map_err(|e| format!("send: {e}")),
-        },
+        Ok(msg) => append_frame(&mut staged_ser, msg, &mut staged_out, MAX_FRAME)
+            .map_err(|e| format!("send: {e}")),
     };
-    let hopped = match WireHop::parse(&mut parser, wire, &mut hop_target) {
+    let hopped = match WireHop::parse(&mut parser, wire) {
         Err(e) => Err(format!("parse: {e}")),
-        Ok(mut hop) => match hop.transcode() {
-            Err(e) => Err(format!("transcode: {e}")),
-            Ok(()) => {
-                hop.send(&mut hop_ser, &mut hop_out, MAX_FRAME).map_err(|e| format!("send: {e}"))
-            }
-        },
+        Ok(mut hop) => {
+            hop.send(&mut hop_ser, &mut hop_out, MAX_FRAME).map_err(|e| format!("send: {e}"))
+        }
     };
     (staged != hopped || staged_out != hop_out).then(|| {
         format!(
-            "wire hop onto {} diverged from the staged relay\n  staged: {staged:?} \
+            "echo on {} diverged from parse then serialize\n  staged: {staged:?} \
              {staged_out:02x?}\n  hop:    {hopped:?} {hop_out:02x?}",
-            dst.plain().name()
+            codec.plain().name()
         )
     })
 }

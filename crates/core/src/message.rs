@@ -50,7 +50,6 @@ use crate::path::{self, Path};
 use crate::plan::{
     apply_ops_column, apply_ops_in_place, undo_ops_column, undo_ops_in_place, CodecPlan,
     CopyProgram, CopyStep, DistCheck, DistErr, DistEval, DistProg, PoolRange, RecEval, RecProg,
-    WireRun,
 };
 use crate::runtime::{self, Scope};
 use crate::value::{Endian, TerminalKind, Value};
@@ -806,18 +805,17 @@ pub struct Message<'c> {
     /// until the first [`Message::transcode_into`] (or until armed by
     /// [`crate::service::CodecService::transcode_target`]).
     transcode: Option<TranscodeCache>,
-    /// Element runs left on the wire by a relay hop
+    /// Element runs an echo's parse left in the frame
     /// ([`crate::framing::WireHop`]), sorted by container and key: empty
     /// outside one.
     pub(crate) wired: Vec<Wired>,
 }
 
-/// An element run a relay hop left in the inbound frame: the `m`
-/// elements of source container `slot`'s instance whose element 0 has
-/// key `first` lie from frame offset `off` (backwards when the container
-/// is a folded mirror's child). A parsed source records its runs; a copy
-/// program's destination records those of each column copy it left on
-/// the wire ([`crate::plan::WireRun`]).
+/// An element run an echo's parse left in the inbound frame
+/// ([`crate::plan::ElemRun::frame_copy`]): the `m` elements of container
+/// `slot`'s instance whose element 0 has key `first` lie from frame
+/// offset `off` (backwards when the container is a folded mirror's
+/// child), as the serializer of the same plan would write them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Wired {
     pub(crate) slot: u32,
@@ -826,14 +824,8 @@ pub(crate) struct Wired {
     pub(crate) m: usize,
 }
 
-/// The run of `wired` (sorted) for container `slot` at `first`.
-pub(crate) fn find_wired<'w>(wired: &'w [Wired], slot: u32, first: &ScopeKey) -> Option<&'w Wired> {
-    let i = wired.binary_search_by(|w| (w.slot, w.first).cmp(&(slot, *first))).ok()?;
-    Some(&wired[i])
-}
-
-/// Sorts `wired` for [`find_wired`] (already sorted in the common case
-/// of one run per slot visited in order).
+/// Sorts `wired` for [`Message::wired_block`] (already sorted in the
+/// common case of one run per slot visited in order).
 pub(crate) fn sort_wired(wired: &mut [Wired]) {
     if !wired.is_sorted_by_key(|w| (w.slot, w.first)) {
         wired.sort_unstable_by_key(|w| (w.slot, w.first));
@@ -1164,7 +1156,7 @@ impl<'c> Message<'c> {
         }
         dst.clear();
         // Run the armed program with the destination's own scratch.
-        let Message { graph, wires, presence, counts, rng, ev, dist, transcode, wired } = dst;
+        let Message { graph, wires, presence, counts, rng, ev, dist, transcode, .. } = dst;
         let graph: &ObfGraph = graph;
         let TranscodeCache { prog, cursors, marks, .. } = transcode.as_mut().expect("armed above");
         let sp = self.graph.plan();
@@ -1183,39 +1175,25 @@ impl<'c> Message<'c> {
             dist,
             cursors,
             marks,
-            wire: &prog.wire,
-            wired,
             scope: [0; MAX_SCOPE],
         };
-        run.exec(&prog.steps, 0)?;
-        sort_wired(wired);
-        Ok(())
+        run.exec(&prog.steps, 0)
     }
 
-    /// The inbound `frame`'s bytes that a relay hop's block copy
-    /// ([`WireRun`]) left on the wire for the `m` elements of destination
-    /// container `slot` from element key `first` (its run read backwards
-    /// when `back`): the destination's elements as they are.
+    /// The inbound `frame`'s `size` bytes an echo's parse left there for
+    /// the `m` elements of container `slot` from element key `first`
+    /// ([`Wired`]): those elements as the serializer writes them.
     pub(crate) fn wired_block<'f>(
         &self,
         frame: &'f [u8],
-        (slot, back): (u32, bool),
+        slot: u32,
         first: &ScopeKey,
         m: usize,
+        size: usize,
     ) -> Option<&'f [u8]> {
-        let wire = &self.transcode.as_ref()?.prog.wire;
-        let run = wire.iter().find(|r| (r.dst.slot, r.dst.back) == (slot, back))?;
-        let w = find_wired(&self.wired, run.src.slot, first).filter(|w| w.m == m)?;
-        frame.get(w.off..w.off.checked_add(m.checked_mul(run.src.width as usize)?)?)
-    }
-
-    /// The wire program of the copy program armed for sources of
-    /// `src_uid` (empty when none is armed for them).
-    pub(crate) fn wire_program(&self, src_uid: u64) -> &[WireRun] {
-        match &self.transcode {
-            Some(c) if c.src_uid == src_uid => &c.prog.wire,
-            _ => &[],
-        }
+        let i = self.wired.binary_search_by(|w| (w.slot, w.first).cmp(&(slot, *first))).ok()?;
+        let w = self.wired[i];
+        frame.get(w.off..w.off.checked_add(size)?).filter(|_| w.m == m)
     }
 
     pub(crate) fn transcode_mismatch(&self, dst: &Message<'_>) -> BuildError {
@@ -1501,10 +1479,6 @@ struct CopyRun<'a, 'c> {
     cursors: &'a mut [u32],
     /// Rollback scratch of [`CopyRun::column`].
     marks: &'a mut Vec<usize>,
-    /// The program's wire runs, and the destination's record of the
-    /// runs it leaves on the wire.
-    wire: &'a [WireRun],
-    wired: &'a mut Vec<Wired>,
     scope: [u32; MAX_SCOPE],
 }
 
@@ -1544,9 +1518,7 @@ impl CopyRun<'_, '_> {
                 }
                 CopyStep::Column { plain, body } => {
                     let n = self.count(plain, depth);
-                    if !self.wired_column(plain, n, depth) {
-                        self.column(&steps[i + 1..i + 1 + body as usize], n, depth)?;
-                    }
+                    self.column(&steps[i + 1..i + 1 + body as usize], n, depth)?;
                     i += 1 + body as usize;
                 }
             }
@@ -1572,21 +1544,6 @@ impl CopyRun<'_, '_> {
             self.exec(body, depth + 1)?;
         }
         Ok(())
-    }
-
-    /// The column copy of container `plain` when a relay hop left the
-    /// source's run on the wire: the destination records where it lies
-    /// for its serializer ([`Wired`]). Returns whether it did.
-    fn wired_column(&mut self, plain: u32, n: usize, depth: usize) -> bool {
-        if self.src.wired.is_empty() {
-            return false;
-        }
-        let Some(run) = self.wire.iter().find(|r| r.plain == plain) else { return false };
-        let first = ScopeKey::element(&self.scope[..depth], 0);
-        let Some(&w) = find_wired(&self.src.wired, run.src.slot, &first) else { return false };
-        debug_assert_eq!(w.m, n, "the parse counted the elements it left on the wire");
-        self.wired.push(w);
-        true
     }
 
     /// Runs a [`CopyStep::Column`] body: each `Direct` step copies its

@@ -22,7 +22,7 @@ use crate::message::{
 use crate::obf::{ObfGraph, ObfId};
 use crate::plan::{
     bytes_to_uint, pred_eval, AutoCheckKind, CodecPlan, PlanOp, RecEval, RepStopC, SeqB, TermB,
-    WireRun, NONE,
+    NONE,
 };
 use crate::runtime;
 use crate::value::{Endian, Value};
@@ -73,9 +73,9 @@ pub struct ParseSession<'c> {
     mirror_depth: usize,
     /// Scratch for auto-verification scope collection.
     keys: Vec<ScopeKey>,
-    /// During [`ParseSession::parse_wired`]: the containers whose runs
-    /// stay on the wire (slot, and whether a mirror's child).
-    wire: Vec<(u32, bool)>,
+    /// During [`ParseSession::parse_wired`]: element runs an echo copies
+    /// frame to frame stay in the frame.
+    wired: bool,
 }
 
 /// The lifetime-free scratch state of a [`ParseSession`]: everything the
@@ -91,7 +91,6 @@ pub(crate) struct ParseScratch {
     scope: Vec<u32>,
     mirror_pool: Vec<Vec<u8>>,
     keys: Vec<ScopeKey>,
-    wire: Vec<(u32, bool)>,
 }
 
 impl<'c> ParseSession<'c> {
@@ -107,7 +106,7 @@ impl<'c> ParseSession<'c> {
             mirror_pool: Vec::new(),
             mirror_depth: 0,
             keys: Vec::new(),
-            wire: Vec::new(),
+            wired: false,
         }
     }
 
@@ -129,7 +128,7 @@ impl<'c> ParseSession<'c> {
             mirror_pool: scratch.mirror_pool,
             mirror_depth: 0,
             keys: scratch.keys,
-            wire: scratch.wire,
+            wired: false,
         }
     }
 
@@ -143,7 +142,6 @@ impl<'c> ParseSession<'c> {
             scope: self.scope,
             mirror_pool: self.mirror_pool,
             keys: self.keys,
-            wire: self.wire,
         }
     }
 
@@ -174,25 +172,24 @@ impl<'c> ParseSession<'c> {
         Ok(&self.msg)
     }
 
-    /// The relay-mode parse of a wire hop ([`crate::framing::WireHop`]):
-    /// [`ParseSession::parse_in_place`], except that the element run of
-    /// each source container of `wire` is window-checked and left in
-    /// `bytes`, its place recorded in the message ([`Wired`]), instead of
-    /// gathered into the stores (a run parsed from a mirror's reversed
-    /// copy is gathered as before). Only the copy program `wire` belongs
-    /// to reads those columns; every other result, errors included, is
-    /// the plain parse's.
-    pub(crate) fn parse_wired(&mut self, bytes: &[u8], wire: &[WireRun]) -> Result<(), ParseError> {
-        self.wire.clear();
-        self.wire.extend(wire.iter().map(|r| (r.src.slot, r.src.back)));
+    /// The parse of an echo ([`crate::framing::WireHop`]):
+    /// [`ParseSession::parse_in_place`], except that each element run an
+    /// echo copies frame to frame ([`crate::plan::ElemRun::frame_copy`])
+    /// is window-checked and left in `bytes`, its place recorded in the
+    /// message ([`Wired`]), instead of gathered into the stores (a run
+    /// parsed from a mirror's reversed copy is gathered as before). Only
+    /// the serializer of this plan reads those columns, from the frame;
+    /// every other result, errors included, is the plain parse's.
+    pub(crate) fn parse_wired(&mut self, bytes: &[u8]) -> Result<(), ParseError> {
+        self.wired = true;
         let r = self.parse_in_place(bytes).map(|_| ());
-        self.wire.clear();
+        self.wired = false;
         sort_wired(&mut self.msg.wired);
         r
     }
 
-    /// Clears the message when a relay-mode parse left columns on the
-    /// wire, so no reader sees it without them.
+    /// Clears the message when an echo's parse left columns in the
+    /// frame, so no reader sees it without them.
     pub(crate) fn release_wired(&mut self) {
         if !self.msg.wired.is_empty() {
             self.msg.clear();
@@ -569,9 +566,9 @@ impl<'c> ParseSession<'c> {
             return 0..m;
         };
         let first = ScopeKey::element(&self.scope, 0);
-        // In a relay hop, a run the wire program copies stays in the
-        // frame (never a mirror's reversed copy of it).
-        if self.mirror_depth == 0 && self.wire.contains(&(idx, backwards)) {
+        // In an echo, a run copied frame to frame stays in the frame
+        // (never a mirror's reversed copy of it).
+        if self.wired && run.frame_copy && self.mirror_depth == 0 {
             self.msg.wired.push(Wired { slot: idx, first, off: *pos, m });
             *pos += total;
             return 0..0;

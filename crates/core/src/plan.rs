@@ -29,7 +29,7 @@
 
 use rand::Rng;
 
-use crate::graph::{NodeId, Predicate};
+use crate::graph::{Boundary, FormatGraph, NodeId, Predicate};
 use crate::obf::{
     Base, ConstOp, LenStep, ObfGraph, ObfId, ObfKind, Recombine, RepStop, SeqBoundary, TermBoundary,
 };
@@ -133,11 +133,6 @@ impl BaseOp {
     /// set).
     pub(crate) fn is_materialized(&self) -> bool {
         matches!(self, BaseOp::AutoLen { .. } | BaseOp::AutoCount { .. } | BaseOp::Const { .. })
-    }
-
-    /// True for an application-set plain field.
-    pub(crate) fn is_source(&self) -> bool {
-        matches!(self, BaseOp::Source { .. })
     }
 }
 
@@ -263,25 +258,21 @@ pub(crate) struct ElemRun {
     /// Sum of the columns' widths (never zero: zero-width elements keep
     /// the walk's empty-element bound).
     pub(crate) width: u32,
-}
-
-impl ElemRun {
-    /// The column of terminal `slot` and its offset in the element.
-    pub(crate) fn column(&self, slot: u32) -> Option<(u32, &RunCol)> {
-        let mut at = 0;
-        for c in &self.cols {
-            if c.slot == slot {
-                return Some((at, c));
-            }
-            at += c.width;
-        }
-        None
-    }
+    /// Whether an echo ([`crate::framing::WireHop`]) leaves the run in the
+    /// frame and copies it back as one block: every source column's plain
+    /// terminal has a fixed plain width and nothing else reads it (no
+    /// optional subject, counter or length reference), so no check of the
+    /// parse and no reference of the serializer reads its values. A
+    /// message re-serialized on the plan that parsed it re-emits what was
+    /// stored, so ops, pads, `rev` columns and mirror folds need no
+    /// further condition.
+    pub(crate) frame_copy: bool,
 }
 
 /// How many of a program's loops run a specialized kernel: element runs
-/// of a compiled plan ([`CodecPlan::element_kernels`]) or column copies of
-/// a transcode program ([`CopyProgram::column_copies`]).
+/// of a compiled plan ([`CodecPlan::element_kernels`]), those an echo
+/// copies frame to frame ([`CodecPlan::frame_copies`]), or column copies
+/// of a transcode program ([`CopyProgram::column_copies`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelCoverage {
     /// Loops eligible in kind: counted containers, or copy-program loops.
@@ -535,44 +526,6 @@ pub(crate) enum CopyStep {
 #[derive(Debug, Clone)]
 pub struct CopyProgram {
     pub(crate) steps: Vec<CopyStep>,
-    /// The wire program: the column copies a relay runs frame to frame
-    /// ([`WireRun`]), lowered from `steps` and both plans' element runs.
-    pub(crate) wire: Vec<WireRun>,
-}
-
-/// A counted container of one side of a [`WireRun`]: its slot, its
-/// element width, and whether it is a mirror's child (its run read or
-/// written backwards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WireEnd {
-    pub(crate) slot: u32,
-    pub(crate) width: u32,
-    pub(crate) back: bool,
-}
-
-/// A column copy a relay runs **wire to wire**, as one block copy: the
-/// relay-mode parse leaves the source container's element run in the
-/// inbound frame, the copy program records where it lies, and the
-/// destination's element kernel copies that window into the outbound
-/// frame as it is. Lowered by [`CopyProgram::compile`] for a
-/// [`CopyStep::Column`] whose plain container has one counted container
-/// with an [`ElemRun`] on each side, of one element width and folded
-/// alike (both mirrors' children or neither), whose body pairs every
-/// column of the two runs at one offset, width and orientation with no
-/// ops (so neither run has pads), and whose plain terminals have a fixed
-/// plain width and are read by nothing else (no subject, counter or
-/// length reference), so leaving them on the wire changes no other
-/// result. That is the echo server's self-transcode and a level-0 relay;
-/// a column copy with ops or pads keeps the store path. Outside
-/// [`CodecPlan::digest`]; verifier code P014 pins it to the copy program
-/// and runs it was lowered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WireRun {
-    /// The plain container of the column copy.
-    pub(crate) plain: u32,
-    /// Its counted container on each side.
-    pub(crate) src: WireEnd,
-    pub(crate) dst: WireEnd,
 }
 
 impl CopyProgram {
@@ -587,15 +540,7 @@ impl CopyProgram {
         let (sp, dp) = (src.plan(), dst.plan());
         let mut steps = Vec::new();
         lower_copy(src.plain(), src.plain().root(), sp, dp, &mut steps);
-        let wire = lower_wire(src.plain(), sp, dp, &steps);
-        Some(CopyProgram { steps, wire })
-    }
-
-    /// How many of the program's column copies a relay runs wire to wire
-    /// ([`crate::framing::WireHop`]): `loops` counts the column copies,
-    /// `kernels` those with a wire run.
-    pub fn wire_copies(&self) -> KernelCoverage {
-        KernelCoverage { loops: self.column_copies().kernels, kernels: self.wire.len() }
+        Some(CopyProgram { steps })
     }
 
     /// Number of compiled copy steps.
@@ -697,67 +642,6 @@ fn lower_copy(
             };
         }
     }
-}
-
-/// Lowers the wire program of the copy program `steps` of `sp` into `dp`
-/// (see [`WireRun`]): one run per column copy that qualifies.
-fn lower_wire(
-    plain: &crate::graph::FormatGraph,
-    sp: &CodecPlan,
-    dp: &CodecPlan,
-    steps: &[CopyStep],
-) -> Vec<WireRun> {
-    let read = [sp.read_plains(), dp.read_plains()];
-    let mut runs = Vec::new();
-    for (i, step) in steps.iter().enumerate() {
-        if let CopyStep::Column { plain: p, body } = *step {
-            let body = &steps[i + 1..i + 1 + body as usize];
-            runs.extend(lower_wire_run(plain, [sp, dp], p, body, &read));
-        }
-    }
-    runs
-}
-
-/// The [`WireRun`] of column copy `body` of plain container `p`, when it
-/// qualifies.
-pub(crate) fn lower_wire_run(
-    plain: &crate::graph::FormatGraph,
-    [sp, dp]: [&CodecPlan; 2],
-    p: u32,
-    body: &[CopyStep],
-    read: &[Vec<bool>; 2],
-) -> Option<WireRun> {
-    let (src, dst) = (sp.wire_end(p)?, dp.wire_end(p)?);
-    let (sr, dr) = (sp.runs[src.slot as usize].as_ref()?, dp.runs[dst.slot as usize].as_ref()?);
-    let layout = (src.width, src.back) == (dst.width, dst.back);
-    if !layout || body.len() != sr.cols.len() || body.len() != dr.cols.len() {
-        return None;
-    }
-    for step in body {
-        let CopyStep::Direct { src_obf, src_ops, dst_obf, dst_ops, check: DistCheck::Fixed(w) } =
-            *step
-        else {
-            return None;
-        };
-        let ((src_at, s), (dst_at, d)) = (sr.column(src_obf)?, dr.column(dst_obf)?);
-        let (&BaseOp::Source { plain: x }, true) = (&s.base, d.base.is_source()) else {
-            return None;
-        };
-        let node = plain.node(NodeId(x));
-        let plain_width = match node.boundary() {
-            crate::graph::Boundary::Fixed(k) => Some(*k),
-            _ => node.terminal_kind().and_then(TerminalKind::implied_width),
-        };
-        let read = read[0][x as usize] || read[1][x as usize];
-        let ops = !sp.ops(src_ops).is_empty() || !dp.ops(dst_ops).is_empty();
-        if read || ops || plain_width != Some(w as usize) {
-            return None;
-        }
-        if (src_at, s.width, s.rev) != (dst_at, w, d.rev) || d.width != w {
-            return None;
-        }
-    }
-    Some(WireRun { plain: p, src, dst })
 }
 
 /// A compiled auto-field sanity check (run after parsing).
@@ -903,6 +787,17 @@ impl CodecPlan {
         c
     }
 
+    /// How many element runs an echo copies frame to frame
+    /// ([`crate::framing::WireHop`]): `loops` counts the element runs,
+    /// `kernels` those it leaves in the frame.
+    pub fn frame_copies(&self) -> KernelCoverage {
+        let runs = self.runs.iter().flatten();
+        KernelCoverage {
+            loops: runs.clone().count(),
+            kernels: runs.filter(|r| r.frame_copy).count(),
+        }
+    }
+
     /// How many mirrors whose child is a counted container (mirrored
     /// counted loops) fold into the container's element kernel: those
     /// whose child has an element run, which the sessions then walk
@@ -925,45 +820,11 @@ impl CodecPlan {
         self.runs.get(id.index()).is_some_and(Option::is_some)
     }
 
-    /// The counted container of plain container `p`, when it has one
-    /// (a split may divide its table into several) and that one has an
-    /// element run: slot, element width, and whether it is a mirror's
-    /// child (its run then reads and writes the mirrored wire backwards).
-    pub(crate) fn wire_end(&self, p: u32) -> Option<WireEnd> {
-        let counted = |n: &&PlanNode| matches!(n.op, PlanOp::Tab { origin, .. } | PlanOp::Rep { origin, .. } if origin == p);
-        let mut containers = self.nodes.iter().enumerate().filter(|(_, n)| counted(n));
-        let ((i, _), None) = (containers.next()?, containers.next()) else { return None };
-        let run = self.runs[i].as_ref()?;
-        let slot = i as u32;
-        let back = self
-            .nodes
-            .iter()
-            .any(|n| matches!(n.op, PlanOp::Mirror) && self.kids(n).first() == Some(&slot));
-        Some(WireEnd { slot, width: run.width, back })
-    }
-
-    /// Per plain node, whether the plan reads its value other than to
-    /// emit or copy it: as an optional's subject, a tabular's counter or
-    /// a length reference.
-    pub(crate) fn read_plains(&self) -> Vec<bool> {
-        let mut read = vec![false; self.plain_len()];
-        for n in &self.nodes {
-            let r = match n.op {
-                PlanOp::Opt { subject, .. } => subject,
-                PlanOp::Tab { counter, .. } => counter,
-                PlanOp::Term { boundary: TermB::PlainLen { r, .. }, .. } => r,
-                PlanOp::Seq { boundary: SeqB::PlainLen { r, .. } } => r,
-                _ => continue,
-            };
-            read[r as usize] = true;
-        }
-        read
-    }
-
     /// The element run of counted container `slot`: its element
-    /// flattens to columns ([`ElemRun`]) of non-zero total width. `None`
-    /// for every other slot.
-    pub(crate) fn derive_run(&self, slot: u32) -> Option<ElemRun> {
+    /// flattens to columns ([`ElemRun`]) of non-zero total width, and
+    /// whether an echo copies it frame to frame follows from its columns'
+    /// plain terminals in `plain`. `None` for every other slot.
+    pub(crate) fn derive_run(&self, plain: &FormatGraph, slot: u32) -> Option<ElemRun> {
         let node = &self.nodes[slot as usize];
         if !is_counted(&node.op) {
             return None;
@@ -971,7 +832,32 @@ impl CodecPlan {
         let mut cols = Vec::new();
         self.flatten(*self.kids(node).first()?, false, &mut cols)?;
         let width = cols.iter().try_fold(0u32, |w, c| w.checked_add(c.width))?;
-        (width > 0).then_some(ElemRun { cols, width })
+        let frame_copy = self.frame_copy(plain, &cols);
+        (width > 0).then_some(ElemRun { cols, width, frame_copy })
+    }
+
+    /// [`ElemRun::frame_copy`] of a run of `cols`: each source column's
+    /// plain terminal has a fixed plain width, so a length check over a
+    /// container holding it needs no stored value (`Message::plain_len`),
+    /// and no node of the plan reads its value (an optional's subject, a
+    /// tabular's counter, a length reference).
+    fn frame_copy(&self, plain: &FormatGraph, cols: &[RunCol]) -> bool {
+        let read = |x: u32| {
+            self.nodes.iter().any(|n| match n.op {
+                PlanOp::Opt { subject: r, .. }
+                | PlanOp::Tab { counter: r, .. }
+                | PlanOp::Term { boundary: TermB::PlainLen { r, .. }, .. }
+                | PlanOp::Seq { boundary: SeqB::PlainLen { r, .. } } => r == x,
+                _ => false,
+            })
+        };
+        cols.iter().all(|c| {
+            let BaseOp::Source { plain: x } = c.base else { return true };
+            let Some(node) = plain.get(NodeId(x)) else { return false };
+            let fixed = matches!(node.boundary(), Boundary::Fixed(_))
+                || node.terminal_kind().and_then(TerminalKind::implied_width).is_some();
+            fixed && !read(x)
+        })
     }
 
     /// Appends the columns of subtree `n` in wire order, each mirrored
@@ -1539,7 +1425,7 @@ impl<'g> Compiler<'g> {
         }
         self.compile_autos();
         self.plan.runs =
-            (0..self.plan.nodes.len() as u32).map(|i| self.plan.derive_run(i)).collect();
+            (0..self.plan.nodes.len() as u32).map(|i| self.plan.derive_run(plain, i)).collect();
         self.plan
     }
 

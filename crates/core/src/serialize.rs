@@ -253,10 +253,10 @@ impl<'c> SerializeSession<'c> {
         self.serialize_wired(msg, &[], out)
     }
 
-    /// [`SerializeSession::serialize_append`] of a relay hop's target
-    /// ([`crate::framing::WireHop`]): the element runs its copy program
-    /// left on the wire ([`crate::message::Wired`]) are read from the
-    /// inbound `frame`.
+    /// [`SerializeSession::serialize_append`] of an echo's parsed message
+    /// ([`crate::framing::WireHop`]): the element runs its parse left in
+    /// the inbound `frame` ([`crate::message::Wired`]) are copied from
+    /// there.
     pub(crate) fn serialize_wired(
         &mut self,
         msg: &Message<'_>,
@@ -266,6 +266,8 @@ impl<'c> SerializeSession<'c> {
         self.scratch.overlay.clear();
         self.scratch.scope.clear();
         self.scratch.cursors.reset();
+        // Wired runs are slots of the plan whose parse left them.
+        let frame = if std::ptr::eq(msg.graph(), self.g) { frame } else { &[] };
         let start = out.len();
         let r = self.emit(self.plan.root, msg, frame, out);
         if r.is_err() {
@@ -538,13 +540,13 @@ impl<'c> SerializeSession<'c> {
     /// block's absent pads are drawn in the walk's RNG order, element by
     /// element, and scattered the same way. That is what the walk's
     /// terminal reads would emit, since no overlay write reaches a run
-    /// slot (verifier code P013). In a relay hop, elements a block copy
-    /// left on the wire ([`Message::wired_block`]) are the inbound
-    /// `frame`'s window, copied as they are (what the copy program would
-    /// have stored, P014). Returns `false`, with the output and the RNG as
-    /// they were, for any other store shape (a field left unset, a value
-    /// of another width, a column stored in pieces, pads stored for some
-    /// elements only): the walk then emits the elements or names the
+    /// slot (verifier code P013). In an echo, elements its parse left in
+    /// the inbound `frame` ([`Message::wired_block`]) are that window,
+    /// copied as it is: what the kernel would write from the stores the
+    /// parse would have filled. Returns `false`, with the output and the
+    /// RNG as they were, for any other store shape (a field left unset, a
+    /// value of another width, a column stored in pieces, pads stored for
+    /// some elements only): the walk then emits the elements or names the
     /// missing field. When `backwards` (the run of a mirror's child), the
     /// output is what the walk emits before the mirror reverses it,
     /// reversed: element `j` is the `j`-th from the end, each column at its
@@ -567,7 +569,7 @@ impl<'c> SerializeSession<'c> {
             return false;
         };
         if !msg.wired.is_empty() {
-            if let Some(window) = msg.wired_block(frame, (slot, backwards), &first, m) {
+            if let Some(window) = msg.wired_block(frame, slot, &first, m, size) {
                 out.extend_from_slice(window);
                 return true;
             }

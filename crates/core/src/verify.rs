@@ -24,7 +24,8 @@
 //! * the auto-field dependency graph is acyclic;
 //! * every element run (the loop kernel of a counted container) is
 //!   exactly its container's element of fixed-width source/pad
-//!   terminals, and no overlay write of the serializer reaches one.
+//!   terminals, with the echo's frame-to-frame copy rule derived from
+//!   them, and no overlay write of the serializer reaches one.
 //!
 //! [`verify_copy_program`] applies the same discipline to compiled
 //! transcode programs (relative jumps in bounds and properly nested,
@@ -51,9 +52,8 @@ use crate::graph::{FormatGraph, NodeId, NodeType};
 use crate::message::MAX_SCOPE;
 use crate::obf::ObfGraph;
 use crate::plan::{
-    is_column_body, lower_wire_run, AutoCheckKind, BaseOp, CodecPlan, CopyProgram, CopyStep,
-    DistCheck, DistProg, DistStep, PlanOp, PoolRange, RecProg, RecStep, SeqB, SplitRuleC, TermB,
-    NONE,
+    is_column_body, AutoCheckKind, BaseOp, CodecPlan, CopyProgram, CopyStep, DistCheck, DistProg,
+    DistStep, PlanOp, PoolRange, RecProg, RecStep, SeqB, SplitRuleC, TermB, NONE,
 };
 use crate::runtime;
 use crate::serialize::SlotSpan;
@@ -109,15 +109,14 @@ pub const CARRIER_SPAN_OUT_OF_EXTENT: &str = "P011";
 /// recovery program and single-`Store` distribution program it replaces.
 pub const DIRECT_COPY_MISMATCH: &str = "P012";
 /// `P013` — a loop kernel disagrees with the loop it replaces: an element
-/// run differs from its container's element (or a serializer overlay
-/// write could reach one of its slots), or a column copy's body is not
-/// only direct copies with pairwise-distinct slots.
+/// run differs from its container's element, or from the echo's
+/// frame-to-frame copy rule for it (or a serializer overlay write could
+/// reach one of its slots), or a column copy's body is not only direct
+/// copies with pairwise-distinct slots.
 pub const LOOP_KERNEL_MISMATCH: &str = "P013";
-/// `P014` — a wire run differs from the column copy and element runs it
-/// is lowered from: its containers, their element width or mirror
-/// folds, or a column copy that does not lower to one (a column paired
-/// at another offset, width or orientation, an op stack, a pad).
-pub const WIRE_RUN_MISMATCH: &str = "P014";
+// `P014` is retired: it pinned a cross-plan relay wire program that no
+// longer exists (an echo's frame-to-frame copy is a rule of one plan,
+// pinned with its element run by P013). The code is not reused.
 
 fn diag(code: &'static str, message: String) -> Diagnostic {
     Diagnostic { code, message }
@@ -631,10 +630,10 @@ impl Verifier<'_> {
     /// derives ([`CodecPlan::derive_run`]) — its `Term{Fixed}` columns with
     /// `Source`/`Pad` bases in wire order, through any delegated
     /// sequences and mirrors, their widths, their `rev` flags (odd mirror
-    /// depth), their sum, and at most one pad under each mirror — and no
-    /// distribution program the serializer materializes into its overlay
-    /// may store into a run slot, since the element kernel reads only the
-    /// message wires.
+    /// depth), their sum, at most one pad under each mirror, and whether
+    /// an echo copies the run frame to frame — and no distribution program
+    /// the serializer materializes into its overlay may store into a run
+    /// slot, since the element kernel reads only the message wires.
     fn elem_runs(&mut self, dist_ok: &[bool]) {
         if self.plan.runs.len() != self.slots() {
             self.push(
@@ -654,16 +653,16 @@ impl Verifier<'_> {
                 .kids_of(s)
                 .and_then(|kids| kids.first())
                 .is_some_and(|&elem| self.kids_of(elem).is_some());
-            if !sound || self.plan.derive_run(s).as_ref() != Some(run) {
+            if !sound || self.plan.derive_run(self.g.plain(), s).as_ref() != Some(run) {
                 let cols: Vec<(u32, u32, bool)> =
                     run.cols.iter().map(|c| (c.slot, c.width, c.rev)).collect();
                 self.push(
                     LOOP_KERNEL_MISMATCH,
                     format!(
-                        "slot {s}: element run {cols:?} (slot, width, reversed) of width {} is \
-                         not its counted container's element flattened to fixed-width \
-                         source/pad columns",
-                        run.width
+                        "slot {s}: element run {cols:?} (slot, width, reversed) of width {} \
+                         (frame copy {}) is not its counted container's element flattened to \
+                         fixed-width source/pad columns",
+                        run.width, run.frame_copy
                     ),
                 );
                 continue;
@@ -1120,48 +1119,7 @@ pub fn verify_copy_program(src: &ObfGraph, dst: &ObfGraph, prog: &CopyProgram) -
             }
         }
     }
-    check_wire_runs(plain, sp, dp, prog, &mut diags);
     diags
-}
-
-/// P014: every wire run is the one its column copy and the two plans'
-/// element runs lower to ([`lower_wire_run`]).
-fn check_wire_runs(
-    plain: &FormatGraph,
-    sp: &CodecPlan,
-    dp: &CodecPlan,
-    prog: &CopyProgram,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let read = [sp.read_plains(), dp.read_plains()];
-    for (r, run) in prog.wire.iter().enumerate() {
-        let column = prog.steps.iter().enumerate().find_map(|(i, s)| match *s {
-            CopyStep::Column { plain: p, body } if p == run.plain => {
-                prog.steps.get(i + 1..i + 1 + body as usize)
-            }
-            _ => None,
-        });
-        let mut mismatch = |what: String| {
-            diags.push(diag(
-                WIRE_RUN_MISMATCH,
-                format!("wire run {r} (plain {}): {what}", run.plain),
-            ))
-        };
-        let Some(body) = column else {
-            mismatch("no column copy of its container".into());
-            continue;
-        };
-        if !is_column_body(body) {
-            continue; // P013 reports the column copy itself.
-        }
-        let Some(want) = lower_wire_run(plain, [sp, dp], run.plain, body, &read) else {
-            mismatch("its column copy does not run wire to wire".into());
-            continue;
-        };
-        if *run != want {
-            mismatch(format!("{run:?}, lowered {want:?}"));
-        }
-    }
 }
 
 /// Bounds of one wire end of a direct copy step: `obf` must be a terminal
@@ -1661,6 +1619,14 @@ mod tests {
             p.runs[p.root as usize] = p.runs[s].clone();
         });
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
+        // An echo's frame-to-frame copy the run's columns do not allow,
+        // or withheld where they do.
+        let d = verify_tampered(&g, |p| {
+            let s = run_slot(p);
+            let run = p.runs[s].as_mut().unwrap();
+            run.frame_copy = !run.frame_copy;
+        });
+        assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
     }
 
     /// [`table`] with each `(name, kind)` transformation applied in turn
@@ -1730,7 +1696,7 @@ mod tests {
                 .collect();
             assert_eq!(cols.iter().filter(|c| matches!(c.base, BaseOp::Pad { .. })).count(), 2);
             let width = cols.iter().map(|c| c.width).sum();
-            p.runs[tab] = Some(ElemRun { cols, width });
+            p.runs[tab] = Some(ElemRun { cols, width, frame_copy: true });
         });
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
     }
@@ -1809,28 +1775,6 @@ mod tests {
         empty.steps[column] = CopyStep::Column { plain, body: 0 };
         let d = verify_copy_program(&src, &dst, &empty);
         assert_eq!(codes(&d), vec![LOOP_KERNEL_MISMATCH], "{d:?}");
-    }
-
-    #[test]
-    fn p014_wire_run_mismatch_fires() {
-        let (src, dst) = (table(), table());
-        let prog = CopyProgram::compile(&src, &dst).expect("same plain spec");
-        assert_eq!(verify_copy_program(&src, &dst, &prog), vec![], "clean program");
-        assert_eq!(prog.wire_copies().kernels, 1, "the table's column copy runs wire to wire");
-        let tampered = |edit: &dyn Fn(&mut crate::plan::WireRun)| {
-            let mut prog = prog.clone();
-            edit(&mut prog.wire[0]);
-            codes(&verify_copy_program(&src, &dst, &prog))
-        };
-        let only_p014 = |c: Vec<&str>| !c.is_empty() && c.iter().all(|&c| c == WIRE_RUN_MISMATCH);
-        let back = tampered(&|r| r.src.back ^= true);
-        assert!(only_p014(back.clone()), "backwards: {back:?}");
-        let width = tampered(&|r| r.dst.width += 1);
-        assert!(only_p014(width.clone()), "element width: {width:?}");
-        let pairing = tampered(&|r| r.dst.slot = r.src.slot + 1);
-        assert!(only_p014(pairing.clone()), "container pairing: {pairing:?}");
-        let plain = tampered(&|r| r.plain += 1);
-        assert!(only_p014(plain.clone()), "column copy: {plain:?}");
     }
 
     #[test]

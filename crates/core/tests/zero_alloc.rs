@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use protoobf_core::framing::{WireHop, MAX_FRAME};
+use protoobf_core::framing::{append_frame, WireHop, MAX_FRAME};
 use protoobf_core::graph::{AutoValue, Boundary, GraphBuilder};
 use protoobf_core::plan::CopyProgram;
 use protoobf_core::telemetry::{EventKind, Metrics};
@@ -289,11 +289,12 @@ fn bulk_loop_kernels_do_not_allocate() {
     }
 }
 
-/// Relay hops ([`WireHop`]) on the bulk table at levels 0–3 under the
-/// benchmark's shared secret: clear → obfuscated → clear (block copies at
-/// level 0, the store path above it), and the echo's clear → clear (a
-/// block copy), allocate nothing once warm, and the round trip is
-/// lossless.
+/// The echo hop ([`WireHop`]) on the bulk table at levels 0–3 under the
+/// benchmark's shared secret, on the clear and the obfuscated codec, and
+/// the staged relay loop (parse → transcode → serialize) clear →
+/// obfuscated → clear between them, allocate nothing once warm; the round
+/// trip through the obfuscated echo is lossless and the clear echo sends
+/// its frame back as it came.
 #[test]
 fn bulk_wire_hops_do_not_allocate() {
     let graph = bulk_graph();
@@ -312,32 +313,37 @@ fn bulk_wire_hops_do_not_allocate() {
             .max_per_node(level)
             .obfuscate()
             .unwrap();
-        let echo = CopyProgram::compile(clear.obf_graph(), clear.obf_graph()).unwrap();
-        let wired = echo.wire_copies();
-        assert!(wired.loops > 0 && wired.kernels == wired.loops, "level {level}: {wired:?}");
-        let (mut clear_parser, mut obf_parser, mut echo_parser) =
-            (clear.parser(), obf.parser(), clear.parser());
-        let (mut clear_serializer, mut obf_serializer, mut echo_serializer) =
-            (clear.serializer(), obf.serializer(), clear.serializer());
+        for codec in [&clear, &obf] {
+            let copies = codec.plan().frame_copies();
+            assert!(
+                copies.loops > 0 && copies.kernels == copies.loops,
+                "level {level}: {copies:?}"
+            );
+        }
+        let (mut clear_parser, mut obf_parser) = (clear.parser(), obf.parser());
+        let (mut clear_serializer, mut obf_serializer) = (clear.serializer(), obf.serializer());
         let mut to_obf = obf.transcode_target(&clear).unwrap();
         let mut to_clear = clear.transcode_target(&obf).unwrap();
-        let mut echo = clear.transcode_target(&clear).unwrap();
-        let (mut obf_wire, mut back_wire, mut echo_wire) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut obf_wire, mut obf_echo) = (Vec::new(), Vec::new());
+        let (mut back_wire, mut echo_wire) = (Vec::new(), Vec::new());
         let mut round_trip = || {
             obf_wire.clear();
-            let mut hop = WireHop::parse(&mut clear_parser, &clear_wire, &mut to_obf).unwrap();
-            hop.transcode().unwrap();
-            hop.send(&mut obf_serializer, &mut obf_wire, MAX_FRAME).unwrap();
+            clear_parser.parse_in_place(&clear_wire).unwrap().transcode_into(&mut to_obf).unwrap();
+            append_frame(&mut obf_serializer, &to_obf, &mut obf_wire, MAX_FRAME).unwrap();
+            obf_echo.clear();
+            let mut hop = WireHop::parse(&mut obf_parser, &obf_wire[4..]).unwrap();
+            hop.send(&mut obf_serializer, &mut obf_echo, MAX_FRAME).unwrap();
             drop(hop);
             back_wire.clear();
-            let mut hop = WireHop::parse(&mut obf_parser, &obf_wire[4..], &mut to_clear).unwrap();
-            hop.transcode().unwrap();
-            hop.send(&mut clear_serializer, &mut back_wire, MAX_FRAME).unwrap();
-            drop(hop);
+            obf_parser
+                .parse_in_place(&obf_echo[4..])
+                .unwrap()
+                .transcode_into(&mut to_clear)
+                .unwrap();
+            append_frame(&mut clear_serializer, &to_clear, &mut back_wire, MAX_FRAME).unwrap();
             echo_wire.clear();
-            let mut hop = WireHop::parse(&mut echo_parser, &back_wire[4..], &mut echo).unwrap();
-            hop.transcode().unwrap();
-            hop.send(&mut echo_serializer, &mut echo_wire, MAX_FRAME).unwrap();
+            let mut hop = WireHop::parse(&mut clear_parser, &back_wire[4..]).unwrap();
+            hop.send(&mut clear_serializer, &mut echo_wire, MAX_FRAME).unwrap();
         };
         for _ in 0..5 {
             round_trip();
@@ -346,7 +352,7 @@ fn bulk_wire_hops_do_not_allocate() {
         for _ in 0..50 {
             round_trip();
         }
-        assert_eq!(allocations() - before, 0, "level {level}: wire hops allocated");
+        assert_eq!(allocations() - before, 0, "level {level}: hops allocated");
         assert_eq!(back_wire[4..], clear_wire[..], "level {level}: lossy round trip");
         assert_eq!(echo_wire[4..], clear_wire[..], "level {level}: lossy echo");
     }

@@ -11,11 +11,12 @@
 //!            poll_outbound(buf)              send(&Message)
 //! ```
 //!
-//! A relay moves frames from one connection to another (or back onto the
-//! same one) with [`Conn::relay`]: one [`WireHop`] per frame, which
-//! parses, transcodes and serializes it with the tables the copy program
-//! block-copies going straight from the inbound frame to the outbound
-//! one, and keeps the frame borrowed from parse to send.
+//! The gateway's pumps move each message from one connection to another
+//! (or back onto the same one) with one `Conn::forward` per frame: parse,
+//! the pump's reply (a transcode into a relay target, a fixed message, or
+//! the parsed message itself for an echo, whose tables go from the
+//! inbound frame to the outbound one as blocks through a [`WireHop`]),
+//! and send, with the pump's timers and counters.
 //!
 //! Each connection checks **one** parser and **one** serializer out of its
 //! [`CodecService`]s at construction and holds them for its lifetime — the
@@ -38,13 +39,15 @@
 //! gateway relay does exactly that, turning a slow downstream into a
 //! closed TCP window for the upstream sender.
 
-use protoobf_core::framing::{FrameBuffer, FrameError, WireHop};
+use protoobf_core::framing::{append_frame, FrameBuffer, FrameError, WireHop};
 use protoobf_core::message::Message;
 use protoobf_core::profile::Endpoint;
+use protoobf_core::sample::sample_into;
 use protoobf_core::serialize::SerializeSession;
 use protoobf_core::service::{CodecService, PooledParser, PooledSerializer};
 
 use crate::error::TransportError;
+use crate::gateway::Reply;
 use crate::metrics::Metrics;
 
 /// Where a [`Conn`] is in its lifecycle.
@@ -286,63 +289,78 @@ impl<'s> Conn<'s> {
         sendable(self.closing, self.state)
     }
 
-    /// Relays the next complete inbound frame: parses it, transcodes it
-    /// into `target` (a relay target armed for this connection's inbound
-    /// codec, [`CodecService::transcode_target`]) and queues the target
-    /// as one frame on `to`, or back on this connection when `to` is
-    /// `None`. It is [`Conn::poll_inbound`], [`Message::transcode_into`]
-    /// and [`Conn::send`] in one [`WireHop`]: the tables the copy program
-    /// block-copies go straight from the inbound frame to the outbound
-    /// one, which stays borrowed from parse to send, and the bytes,
-    /// counters and errors are those three calls'. Each stage runs under
-    /// its sampled timer in `metrics`, which counts the message in, the
-    /// transcode and the message out, and records both frame sizes.
-    /// Returns whether a frame was relayed (`false`: none is complete).
+    /// Moves the next complete inbound frame through one pump step:
+    /// parses it, answers it with `reply` and queues the answer as one
+    /// frame on `to`, or back on this connection when `to` is `None`. It
+    /// is [`Conn::poll_inbound`], the reply and [`Conn::send`], with the
+    /// frame borrowed from parse to send, and the pump's bookkeeping in
+    /// `metrics`: the parse and serialize stages under their sampled
+    /// timers, the transcode's too where one runs, the message counted in
+    /// and out (and the transcode), and both frame sizes recorded.
+    /// Returns whether a frame moved (`false`: none is complete).
     ///
     /// # Errors
     ///
-    /// Those of [`Conn::poll_inbound`], of the transcode
+    /// Those of [`Conn::poll_inbound`], of a transcode
     /// ([`TransportError::Build`]), and of [`Conn::send`] on the
     /// destination.
-    pub fn relay(
+    pub(crate) fn forward(
         &mut self,
         to: Option<&mut Conn<'s>>,
-        target: &mut Message<'s>,
+        mut reply: Reply<'_, 's>,
         metrics: &Metrics,
     ) -> Result<bool, TransportError> {
+        /// A parsed frame: an echo's hop, or the message.
+        enum Parsed<'a, 's> {
+            Hop(WireHop<'a, 's>),
+            Message(&'a Message<'s>),
+        }
         let parse_t = metrics.stages.parse.start();
         let Conn { parser, inbuf, tx, state, closing, msgs_in, last_rx_frame } = self;
         let Some(frame) = next_frame(inbuf, state)? else { return Ok(false) };
-        let frame_len = frame.len();
-        let mut hop = match WireHop::parse(parser, frame, target) {
-            Ok(hop) => hop,
-            Err(e) => {
-                *state = ConnState::Failed;
-                return Err(TransportError::Frame(FrameError::Parse(e)));
-            }
+        let parsed = match reply {
+            Reply::Parsed => WireHop::parse(parser, frame).map(Parsed::Hop),
+            _ => parser.parse_in_place(frame).map(Parsed::Message),
         };
+        let mut parsed = parsed.map_err(|e| {
+            *state = ConnState::Failed;
+            TransportError::Frame(FrameError::Parse(e))
+        })?;
         *msgs_in += 1;
-        *last_rx_frame = frame_len;
+        *last_rx_frame = frame.len();
         metrics.stages.parse.finish(parse_t);
         Metrics::add(&metrics.messages_in, 1);
         let sent = (|| {
-            let transcode_t = metrics.stages.transcode.start();
-            hop.transcode()?;
-            metrics.stages.transcode.finish(transcode_t);
-            Metrics::add(&metrics.transcodes, 1);
-            metrics.frame_bytes_in.record(frame_len as u64);
+            match (&mut reply, &parsed) {
+                (Reply::Transcode(target), Parsed::Message(msg)) => {
+                    let transcode_t = metrics.stages.transcode.start();
+                    msg.transcode_into(target)?;
+                    metrics.stages.transcode.finish(transcode_t);
+                    Metrics::add(&metrics.transcodes, 1);
+                }
+                (Reply::Sample(codec, msg, rng), _) => sample_into(codec, msg, &mut **rng, &[]),
+                _ => {}
+            }
+            metrics.frame_bytes_in.record(frame.len() as u64);
             let serialize_t = metrics.stages.serialize.start();
             let (tx, open) = match to {
                 Some(to) => (&mut to.tx, sendable(to.closing, to.state)),
                 None => (tx, sendable(*closing, *state)),
             };
-            tx.push(open, |ser, out, max| hop.send(ser, out, max))?;
+            let answer = match &reply {
+                Reply::Parsed => None,
+                Reply::Transcode(msg) | Reply::Sample(_, msg, _) => Some(&**msg),
+            };
+            tx.push(open, |ser, out, max| match &mut parsed {
+                Parsed::Hop(hop) => hop.send(ser, out, max),
+                Parsed::Message(msg) => append_frame(ser, answer.unwrap_or(msg), out, max),
+            })?;
             metrics.stages.serialize.finish(serialize_t);
             Metrics::add(&metrics.messages_out, 1);
             metrics.frame_bytes_out.record(tx.last_frame as u64);
             Ok(())
         })();
-        drop(hop);
+        drop(parsed);
         inbuf.consume();
         sent.map(|()| true)
     }
@@ -361,7 +379,7 @@ impl<'s> Conn<'s> {
     /// connection.
     pub fn send(&mut self, msg: &Message<'_>) -> Result<(), TransportError> {
         let open = self.sendable();
-        self.tx.push(open, |ser, out, max| protoobf_core::framing::append_frame(ser, msg, out, max))
+        self.tx.push(open, |ser, out, max| append_frame(ser, msg, out, max))
     }
 
     /// The encoded bytes waiting for the transport to write.

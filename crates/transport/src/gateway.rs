@@ -180,50 +180,59 @@ impl<'s> Leg<'s> {
 /// module: [`Relay`], [`Echo`] and [`Responder`] are the pump's only
 /// instances.
 mod step {
+    use protoobf_core::codec::Codec;
     use protoobf_core::message::Message;
-    use protoobf_core::sample::sample_into;
     use protoobf_core::service::CodecService;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    use crate::conn::Conn;
-    use crate::error::TransportError;
-    use crate::metrics::Metrics;
+    /// What a pump answers each decoded message with (`Conn::forward`).
+    #[derive(Debug)]
+    pub enum Reply<'a, 's> {
+        /// The parsed message itself, on the codec that parsed it (an
+        /// echo): the parse leaves the element runs its plan copies frame
+        /// to frame in the frame, and the serializer copies them back as
+        /// blocks ([`protoobf_core::framing::WireHop`]).
+        Parsed,
+        /// The parsed message transcoded into this relay target, armed for
+        /// the connection's inbound codec
+        /// ([`CodecService::transcode_target`]).
+        Transcode(&'a mut Message<'s>),
+        /// A fresh sample of this codec's grammar, drawn from the RNG into
+        /// the pooled message ([`protoobf_core::sample::sample_into`]),
+        /// whatever the parsed message holds.
+        Sample(&'a Codec, &'a mut Message<'s>, &'a mut StdRng),
+    }
 
-    /// What a pump sends for each decoded message.
+    /// A pump's per-message step: the [`Reply`] to direction `dir`'s next
+    /// decoded message.
     pub trait Step<'s> {
-        /// Decodes the next complete frame of direction `dir` from `src`
-        /// and sends the message it answers with on `dst` (back on `src`
-        /// when `None`), with the stage timers, counters and frame sizes
-        /// recorded in `metrics`. Returns whether a message moved.
-        fn forward(
-            &mut self,
-            dir: usize,
-            src: &mut Conn<'s>,
-            dst: Option<&mut Conn<'s>>,
-            metrics: &Metrics,
-        ) -> Result<bool, TransportError>;
+        fn reply(&mut self, dir: usize) -> Reply<'_, 's>;
     }
 
     /// Transcodes direction `dir`'s messages into its armed target: the
     /// compiled copy program shared per leg pairing
-    /// ([`CodecService::transcode_target`]), one relay hop per frame
-    /// ([`Conn::relay`]), allocation-free.
+    /// ([`CodecService::transcode_target`]), allocation-free.
     impl<'s, const N: usize> Step<'s> for [Message<'s>; N] {
-        fn forward(
-            &mut self,
-            dir: usize,
-            src: &mut Conn<'s>,
-            dst: Option<&mut Conn<'s>>,
-            metrics: &Metrics,
-        ) -> Result<bool, TransportError> {
-            src.relay(dst, &mut self[dir], metrics)
+        fn reply(&mut self, dir: usize) -> Reply<'_, 's> {
+            Reply::Transcode(&mut self[dir])
+        }
+    }
+
+    /// The echo's step: sends every parsed message itself back, on the
+    /// codec that parsed it, with no transcode.
+    #[derive(Debug)]
+    pub struct SendBack;
+
+    impl<'s> Step<'s> for SendBack {
+        fn reply(&mut self, _dir: usize) -> Reply<'_, 's> {
+            Reply::Parsed
         }
     }
 
     /// The responder's step: answers every request, whatever its content,
     /// with a fresh sample of the reply grammar drawn into one pooled
-    /// message ([`sample_into`]: stores reused across replies; only the
+    /// message ([`Reply::Sample`]: stores reused across replies; only the
     /// sampled values themselves still allocate).
     #[derive(Debug)]
     pub struct Sample<'s> {
@@ -244,33 +253,14 @@ mod step {
     }
 
     impl<'s> Step<'s> for Sample<'s> {
-        fn forward(
-            &mut self,
-            _dir: usize,
-            src: &mut Conn<'s>,
-            dst: Option<&mut Conn<'s>>,
-            metrics: &Metrics,
-        ) -> Result<bool, TransportError> {
-            let parse_t = metrics.stages.parse.start();
-            if src.poll_inbound()?.is_none() {
-                return Ok(false);
-            }
-            metrics.stages.parse.finish(parse_t);
-            Metrics::add(&metrics.messages_in, 1);
-            sample_into(self.svc.codec(), &mut self.reply, &mut self.rng, &[]);
-            metrics.frame_bytes_in.record(src.last_inbound_frame_len() as u64);
-            let dst = dst.unwrap_or(src);
-            let serialize_t = metrics.stages.serialize.start();
-            dst.send(&self.reply)?;
-            metrics.stages.serialize.finish(serialize_t);
-            Metrics::add(&metrics.messages_out, 1);
-            metrics.frame_bytes_out.record(dst.last_outbound_frame_len() as u64);
-            Ok(true)
+        fn reply(&mut self, _dir: usize) -> Reply<'_, 's> {
+            Reply::Sample(self.svc.codec(), &mut self.reply, &mut self.rng)
         }
     }
 }
 
-use step::{Sample, Step};
+pub(crate) use step::Reply;
+use step::{Sample, SendBack, Step};
 
 /// A socket session over `N` legs that decodes every inbound message,
 /// runs it through the session's step and sends the result: direction `i` reads
@@ -344,7 +334,7 @@ fn pump<'s, const N: usize>(
         progress |= legs[src].read_into(read_buf, metrics)?;
         while legs[dst].conn.can_send() {
             let (from, to) = conns(legs, src, dst);
-            if !step.forward(src, from, to, metrics)? {
+            if !from.forward(to, step.reply(src), metrics)? {
                 break;
             }
             progress = true;
@@ -455,20 +445,24 @@ impl<'s> Relay<'s> {
     }
 }
 
-/// A framed echo session: parses every inbound message and sends it
-/// straight back on the same codec — the stand-in "real server" for
-/// gateway smoke tests and the `protoobf recv` subcommand. Done once the
-/// peer has closed and every reply is delivered.
-pub type Echo<'s> = Pump<'s, [Message<'s>; 1], 1>;
+/// A framed echo session: parses every inbound message and sends **the
+/// parsed message itself** back on the same codec, with no transcode —
+/// the stand-in "real server" for gateway smoke tests and the `protoobf
+/// recv` subcommand. Element runs the plan copies frame to frame stay in
+/// the inbound frame and are copied into the reply as blocks
+/// ([`protoobf_core::framing::WireHop`]). The reply is the parsed message
+/// re-serialized: on an identity codec that is the request byte for
+/// byte; on an obfuscated codec the pads and field shares the parse
+/// stored are sent again, not redrawn (auto-computed and constant fields
+/// are recomputed, as on every serialize). Done once the peer has closed
+/// and every reply is delivered.
+pub type Echo<'s> = Pump<'s, SendBack, 1>;
 
 impl<'s> Echo<'s> {
     /// Wraps an accepted (non-blocking) socket speaking `svc`'s codec in
     /// both directions.
     pub fn new(stream: TcpStream, svc: &'s CodecService, metrics: &'s Metrics) -> Echo<'s> {
-        // A codec always structurally matches itself, so the armed
-        // self-pair target cannot fail to build.
-        let reply = svc.transcode_target(svc).expect("self-pair transcode target");
-        Pump::with_legs([Leg::new(stream, Conn::new(svc, svc))], [reply], metrics)
+        Pump::with_legs([Leg::new(stream, Conn::new(svc, svc))], SendBack, metrics)
     }
 }
 

@@ -174,14 +174,16 @@ fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSn
             evloop::serve(listener, &cfg, &shutdown, &server_metrics, |s, _| {
                 // One frame's worth of cap: pressure engages immediately.
                 Ok(match server {
-                    Server::Echo => {
-                        Either::Echo(Echo::new(s, &requests, &server_metrics).outbound_cap(1))
+                    Server::Echo => Either::Echo(Box::new(
+                        Echo::new(s, &requests, &server_metrics).outbound_cap(1),
+                    )),
+                    Server::RelayChain => {
+                        Either::Echo(Box::new(Echo::new(s, &requests, &server_metrics)))
                     }
-                    Server::RelayChain => Either::Echo(Echo::new(s, &requests, &server_metrics)),
-                    Server::Responder => Either::Responder(
+                    Server::Responder => Either::Responder(Box::new(
                         Responder::new(s, &requests, &replies, RESPONDER_SEED, &server_metrics)
                             .outbound_cap(1),
-                    ),
+                    )),
                 })
             })
         })];
@@ -218,11 +220,12 @@ fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSn
     (expected, received, stats)
 }
 
-/// Either server session, so one factory can return both.
+/// Either server session, so one factory can return both (boxed: the
+/// two differ in size).
 #[derive(Debug)]
 enum Either<'s> {
-    Echo(Echo<'s>),
-    Responder(Responder<'s>),
+    Echo(Box<Echo<'s>>),
+    Responder(Box<Responder<'s>>),
 }
 
 impl Session for Either<'_> {

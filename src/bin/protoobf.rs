@@ -355,8 +355,8 @@ fn check(opts: &Options) -> Result<(), CliError> {
 /// debug-build compile asserts, over every leg of the profile — and,
 /// per leg, how many loops run kernels: counted containers with element
 /// runs in both plans, mirrors over counted containers folded into their
-/// element kernels, column copies in both relay directions, and the column
-/// copies a relay (or an echo server) runs wire to wire.
+/// element kernels, column copies in both relay directions, and the
+/// element runs an echo server copies frame to frame in both plans.
 fn lint(opts: &Options) -> Result<(), CliError> {
     let endpoint = endpoint_for(opts)?;
     let mut errors = 0usize;
@@ -375,17 +375,16 @@ fn lint(opts: &Options) -> Result<(), CliError> {
         for d in verify::verify_codec(codec) {
             emit(d.code, &d.message);
         }
-        // The pairings this leg runs in production: the endpoint's
-        // clear↔obfuscated transcode programs, both directions, and an
-        // echo server's clear self-transcode.
+        // The gateway pairing this leg runs in production: the endpoint's
+        // clear↔obfuscated transcode programs, both directions.
         let mut columns = Vec::new();
-        for (src, dst) in [(clear, codec), (codec, clear), (clear, clear)] {
+        for (src, dst) in [(clear, codec), (codec, clear)] {
             match CopyProgram::compile(src.obf_graph(), dst.obf_graph()) {
                 Some(prog) => {
                     for d in verify::verify_copy_program(src.obf_graph(), dst.obf_graph(), &prog) {
                         emit(d.code, &d.message);
                     }
-                    columns.push((prog.column_copies(), prog.wire_copies()));
+                    columns.push(prog.column_copies());
                 }
                 None => emit(
                     verify::COPY_TYPE_MISMATCH,
@@ -406,23 +405,19 @@ fn lint(opts: &Options) -> Result<(), CliError> {
             "kernels {leg} {name}: {} of {} mirrored counted loops fold into element kernels",
             folds.kernels, folds.loops
         );
-        if let [(to_obf, wire_to_obf), (to_clear, wire_to_clear), (_, wire_echo)] = columns[..] {
+        if let [to_obf, to_clear] = columns[..] {
             println!(
                 "kernels {leg} {name}: {} of {} copy-program loops are column copies \
                  (clear→obfuscated), {} of {} (obfuscated→clear)",
                 to_obf.kernels, to_obf.loops, to_clear.kernels, to_clear.loops
             );
-            println!(
-                "kernels {leg} {name}: {} of {} column copies relay wire to wire \
-                 (clear→obfuscated), {} of {} (obfuscated→clear), {} of {} (clear→clear echo)",
-                wire_to_obf.kernels,
-                wire_to_obf.loops,
-                wire_to_clear.kernels,
-                wire_to_clear.loops,
-                wire_echo.kernels,
-                wire_echo.loops
-            );
         }
+        let (obf_echo, clear_echo) = (codec.plan().frame_copies(), clear.plan().frame_copies());
+        println!(
+            "kernels {leg} {name}: {} of {} element runs an echo copies frame to frame \
+             (obfuscated), {} of {} (clear)",
+            obf_echo.kernels, obf_echo.loops, clear_echo.kernels, clear_echo.loops
+        );
         for l in protoobf::spec::lint::lint_graph(codec.plain()) {
             emit(l.code, &l.message);
         }

@@ -1,19 +1,23 @@
-//! Differential testing of the relay's wire programs.
+//! Differential testing of the echo's frame-to-frame copy.
 //!
-//! A relay hop ([`WireHop`]) runs the column copies of its copy program
-//! that are block copies (one element layout at both ends, no ops, no
-//! pads) frame to frame: the parse leaves the element run in the inbound
-//! frame and the serializer copies that window into the outbound frame.
-//! Everything else is parse → transcode → serialize. For every frame below, the hop must equal that path run
-//! from the same serializer seed: the same outbound bytes and the same
-//! RNG state after, or the same error at the same stage. The frames are
-//! sampled messages, every truncation of the small ones (a stride of cuts
-//! through the large one) and byte flips at both ends, where the counts
-//! lie.
+//! An echo ([`WireHop`]) sends the message it parsed back on the same
+//! codec. Its parse leaves each element run the plan copies frame to
+//! frame ([`CodecPlan::frame_copies`]) in the inbound frame, and its
+//! serializer copies that window into the outbound frame as one block.
+//! For every frame below, the hop must equal parse → [`append_frame`] of
+//! the parsed message from the same serializer seed: the same outbound
+//! bytes and the same RNG state after, or the same error at the same
+//! stage. On an identity codec it must also equal the staged relay the
+//! echo server ran before: parse → self-transcode → serialize. The frames
+//! are sampled messages, every truncation of the small ones (a stride of
+//! cuts through the large one) and byte flips at both ends, where the
+//! counts lie.
+//!
+//! [`CodecPlan::frame_copies`]: protoobf::core::plan::CodecPlan::frame_copies
 
 use protoobf::core::framing::{append_frame, WireHop, MAX_FRAME};
-use protoobf::core::plan::CopyProgram;
 use protoobf::core::sample::random_message;
+use protoobf::core::serialize::SerializeSession;
 use protoobf::core::{BuildError, ParseError};
 use protoobf::protocols::modbus;
 use protoobf::{Codec, FormatGraph, Message, Obfuscator, TransformKind};
@@ -39,80 +43,85 @@ enum Outcome {
     Send(String),
 }
 
-/// One hop of `frame` from `src` onto `dst` through the stages a relay
-/// ran before wire programs: parse, transcode, serialize.
-fn staged(src: &Codec, dst: &Codec, frame: &[u8], seed: u64) -> (Outcome, Vec<u8>) {
-    let mut parser = src.parser();
-    let mut target = armed_target(src, dst, seed);
-    let mut ser = dst.serializer();
+/// Appends `msg` as one frame through `ser`.
+fn sent(ser: &mut SerializeSession<'_>, msg: &Message<'_>) -> Outcome {
+    let mut out = Vec::new();
+    match append_frame(ser, msg, &mut out, MAX_FRAME) {
+        Ok(()) => Outcome::Sent(out),
+        Err(e) => Outcome::Send(e.to_string()),
+    }
+}
+
+/// Parse → [`append_frame`] of the parsed message.
+fn staged(codec: &Codec, frame: &[u8], seed: u64) -> (Outcome, Vec<u8>) {
+    let mut parser = codec.parser();
+    let mut ser = codec.serializer();
+    ser.reseed(seed);
+    let outcome = match parser.parse_in_place(frame) {
+        Err(e) => Outcome::Parse(e),
+        Ok(msg) => sent(&mut ser, msg),
+    };
+    (outcome, next_draws(&mut ser, codec))
+}
+
+/// The same echo through [`WireHop`].
+fn echoed(codec: &Codec, frame: &[u8], seed: u64) -> (Outcome, Vec<u8>) {
+    let mut parser = codec.parser();
+    let mut ser = codec.serializer();
+    ser.reseed(seed);
+    let outcome = match WireHop::parse(&mut parser, frame) {
+        Err(e) => Outcome::Parse(e),
+        Ok(mut hop) => {
+            let mut out = Vec::new();
+            match hop.send(&mut ser, &mut out, MAX_FRAME) {
+                Ok(()) => Outcome::Sent(out),
+                Err(e) => Outcome::Send(e.to_string()),
+            }
+        }
+    };
+    (outcome, next_draws(&mut ser, codec))
+}
+
+/// The echo server's staged relay before it sent the parsed message
+/// back: parse, transcode into a seeded self-pair target, serialize.
+fn self_transcoded(codec: &Codec, frame: &[u8], seed: u64) -> (Outcome, Vec<u8>) {
+    let mut parser = codec.parser();
+    let mut target = codec.message_seeded(seed);
+    let mut ser = codec.serializer();
     ser.reseed(seed);
     let outcome = match parser.parse_in_place(frame) {
         Err(e) => Outcome::Parse(e),
         Ok(msg) => match msg.transcode_into(&mut target) {
             Err(e) => Outcome::Transcode(e),
-            Ok(()) => {
-                let mut out = Vec::new();
-                match append_frame(&mut ser, &target, &mut out, MAX_FRAME) {
-                    Ok(()) => Outcome::Sent(out),
-                    Err(e) => Outcome::Send(e.to_string()),
-                }
-            }
+            Ok(()) => sent(&mut ser, &target),
         },
     };
-    (outcome, next_draws(&mut ser, dst))
+    (outcome, next_draws(&mut ser, codec))
 }
 
-/// The same hop through [`WireHop`].
-fn hopped(src: &Codec, dst: &Codec, frame: &[u8], seed: u64) -> (Outcome, Vec<u8>) {
-    let mut parser = src.parser();
-    let mut target = armed_target(src, dst, seed);
-    let mut ser = dst.serializer();
-    ser.reseed(seed);
-    let outcome = match WireHop::parse(&mut parser, frame, &mut target) {
-        Err(e) => Outcome::Parse(e),
-        Ok(mut hop) => match hop.transcode() {
-            Err(e) => Outcome::Transcode(e),
-            Ok(()) => {
-                let mut out = Vec::new();
-                match hop.send(&mut ser, &mut out, MAX_FRAME) {
-                    Ok(()) => Outcome::Sent(out),
-                    Err(e) => Outcome::Send(e.to_string()),
-                }
-            }
-        },
-    };
-    (outcome, next_draws(&mut ser, dst))
-}
-
-/// A relay target of `dst` for messages of `src` with a seeded RNG (the
-/// copy program draws split shares from it), armed with the pairing's
-/// copy program by transcoding an empty message.
-fn armed_target<'d>(src: &Codec, dst: &'d Codec, seed: u64) -> Message<'d> {
-    let mut target = dst.message_seeded(seed);
-    let _ = src.message_seeded(0).transcode_into(&mut target);
-    target
-}
-
-/// What the serializer writes next for a sampled message of `dst`, which
-/// draws pads and split shares: equal output means equal RNG states after
-/// the hop.
-fn next_draws(ser: &mut protoobf::core::serialize::SerializeSession<'_>, dst: &Codec) -> Vec<u8> {
-    let probe = random_message(dst, &mut StdRng::seed_from_u64(99));
+/// What the serializer writes next for a sampled message of `codec`,
+/// which draws pads and split shares: equal output means equal RNG states
+/// after the hop.
+fn next_draws(ser: &mut SerializeSession<'_>, codec: &Codec) -> Vec<u8> {
+    let probe = random_message(codec, &mut StdRng::seed_from_u64(99));
     let mut out = Vec::new();
     ser.serialize_into(&probe, &mut out).unwrap();
     out
 }
 
-/// Checks the hop against the staged path on `frame` and on its
-/// truncations and byte flips. Returns how many frames went out.
-fn check_frame(src: &Codec, dst: &Codec, frame: &[u8], every_cut: bool, what: &str) -> usize {
+/// Checks the echo against parse then serialize on `frame` and on its
+/// truncations and byte flips, and against the self-transcode when
+/// `codec` is an identity codec. Returns how many frames went out.
+fn check_frame(codec: &Codec, identity: bool, frame: &[u8], every_cut: bool, what: &str) -> usize {
     let mut sent = 0;
     let mut check = |f: &[u8], how: &str| {
         let seed = f.len() as u64 ^ 0x5eed;
-        let a = staged(src, dst, f, seed);
-        let b = hopped(src, dst, f, seed);
-        assert_eq!(a, b, "{what}: {how}");
-        sent += usize::from(matches!(a.0, Outcome::Sent(_)));
+        let echo = echoed(codec, f, seed);
+        assert_eq!(staged(codec, f, seed), echo, "{what}: {how}");
+        if identity {
+            assert_eq!(self_transcoded(codec, f, seed), echo, "{what}: {how}, self-transcode");
+        }
+        sent += usize::from(matches!(echo.0, Outcome::Sent(_)));
     };
     check(frame, "whole frame");
     let step = if every_cut { 1 } else { 97 };
@@ -144,125 +153,121 @@ fn bulk_message<'c>(codec: &'c Codec, n: u32, seed: u64) -> Message<'c> {
     msg
 }
 
-/// Every direction a relay chain runs over `codecs` (the clear codec
-/// first): each codec into every other, and into itself (the echo).
-fn pairs(codecs: &[Codec]) -> impl Iterator<Item = (&Codec, &Codec)> {
-    codecs.iter().flat_map(move |a| codecs.iter().map(move |b| (a, b)))
-}
-
-fn bulk_codecs(graph: &FormatGraph, key: &str) -> Vec<Codec> {
+/// The identity codec of `graph`, then its obfuscations at levels 1–3
+/// under `derive` (a configured obfuscator per level).
+fn leveled(graph: &FormatGraph, derive: impl Fn(Obfuscator) -> Obfuscator) -> Vec<Codec> {
     let mut codecs = vec![Codec::identity(graph)];
     for level in 1..=3 {
-        codecs.push(Obfuscator::new(graph).key(key).max_per_node(level).obfuscate().unwrap());
+        codecs.push(derive(Obfuscator::new(graph).max_per_node(level)).obfuscate().unwrap());
     }
     codecs
 }
 
-/// The bulk spec at levels 0–3 under both keys, every direction, with
-/// 0, 1, 3 and 300 records (300 × 30 bytes spans two serializer blocks).
-/// The clear codec's self-transcode (the echo) runs its column copy wire
-/// to wire.
+/// The bulk spec at levels 0–3 under both keys, clear and obfuscated,
+/// with 0, 1, 3 and 300 records (300 × 30 bytes spans two serializer
+/// blocks). Every codec's echo copies every element run frame to frame:
+/// ops, pads, reversed columns and folded mirrors included.
 #[test]
 fn bulk_hops_match_the_staged_relay() {
     let graph = protoobf::spec::parse_spec(BULK_SPEC).unwrap();
     for key in KEYS {
-        let codecs = bulk_codecs(&graph, key);
-        for (src, dst) in pairs(&codecs) {
-            let prog = CopyProgram::compile(src.obf_graph(), dst.obf_graph()).unwrap();
-            let wired = prog.wire_copies();
-            if std::ptr::eq(src, &codecs[0]) && std::ptr::eq(dst, &codecs[0]) {
-                assert!(wired.kernels == wired.loops && wired.loops > 0, "{key}: {wired:?}");
-            }
+        let codecs = leveled(&graph, |o| o.key(key));
+        for (level, codec) in codecs.iter().enumerate() {
+            let copies = codec.plan().frame_copies();
+            assert!(copies.kernels == copies.loops && copies.loops > 0, "{key}, L{level}");
             for n in [0, 1, 3, 300] {
-                let msg = bulk_message(src, n, u64::from(n));
-                let frame = src.serialize_seeded(&msg, 7).unwrap();
-                let sent = check_frame(src, dst, &frame, n <= 3, &format!("{key}, {n} records"));
-                assert!(sent > 0);
+                let msg = bulk_message(codec, n, u64::from(n));
+                let frame = codec.serialize_seeded(&msg, 7).unwrap();
+                let what = format!("{key}, L{level}, {n} records");
+                assert!(check_frame(codec, level == 0, &frame, n <= 3, &what) > 0);
             }
         }
     }
 }
 
-/// Mirror-only derivations: folded mirrors and reversed columns on
-/// either side of a hop.
+/// Mirror-only derivations: folded mirrors and reversed columns, echoed
+/// frame to frame.
 #[test]
 fn mirrored_bulk_hops_match_the_staged_relay() {
     let graph = protoobf::spec::parse_spec(BULK_SPEC).unwrap();
-    let mut codecs = vec![Codec::identity(&graph)];
+    let mut folded = 0;
     for seed in 0..4 {
-        codecs.push(
-            Obfuscator::new(&graph)
-                .seed(seed)
-                .max_per_node(2)
-                .allowed([TransformKind::ReadFromEnd])
-                .obfuscate()
-                .unwrap(),
-        );
-    }
-    let folds: usize = codecs.iter().map(|c| c.plan().mirror_folds().kernels).sum();
-    assert!(folds > 0, "no derivation folds a mirror");
-    let mut wired = 0;
-    for (src, dst) in pairs(&codecs) {
-        let prog = CopyProgram::compile(src.obf_graph(), dst.obf_graph()).unwrap();
-        let folded = src.plan().mirror_folds().kernels > 0 && dst.plan().mirror_folds().kernels > 0;
-        wired += usize::from(folded) * prog.wire_copies().kernels;
-        for n in [1, 3] {
-            let frame = src.serialize_seeded(&bulk_message(src, n, 5), 3).unwrap();
-            check_frame(src, dst, &frame, true, &format!("mirrored, {n} records"));
-        }
-    }
-    assert!(wired > 0, "no block copy between two folded derivations");
-}
-
-/// The kernel grammar (a `Tab` and a `Rep{CountOf}`, nested tables, a
-/// one-column table, an element with an optional) at levels 0–3 under
-/// several seeds, on sampled messages.
-#[test]
-fn kernel_grammar_hops_match_the_staged_relay() {
-    let graph = protoobf::spec::parse_spec(KERNEL_SPEC).unwrap();
-    let mut wired = 0;
-    for seed in 0..3u64 {
-        let mut codecs = vec![Codec::identity(&graph)];
-        for level in 1..=3 {
-            codecs
-                .push(Obfuscator::new(&graph).seed(seed).max_per_node(level).obfuscate().unwrap());
-        }
-        for (src, dst) in pairs(&codecs) {
-            wired += CopyProgram::compile(src.obf_graph(), dst.obf_graph())
-                .unwrap()
-                .wire_copies()
-                .kernels;
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..3 {
-                let msg = kernel_message(src, &mut rng);
-                let frame = src.serialize_seeded(&msg, rng.gen()).unwrap();
-                check_frame(src, dst, &frame, frame.len() < 200, "kernel grammar");
+        let codecs = leveled(&graph, |o| o.seed(seed).allowed([TransformKind::ReadFromEnd]));
+        for (level, codec) in codecs.iter().enumerate() {
+            let copies = codec.plan().frame_copies().kernels;
+            folded += usize::from(codec.plan().mirror_folds().kernels > 0 && copies > 0);
+            for n in [1, 3] {
+                let frame = codec.serialize_seeded(&bulk_message(codec, n, 5), 3).unwrap();
+                let what = format!("mirrored, seed {seed}, L{level}, {n} records");
+                check_frame(codec, level == 0, &frame, true, &what);
             }
         }
     }
-    assert!(wired > 0, "no kernel-grammar column copy runs wire to wire");
+    assert!(folded > 0, "no folded mirror is copied frame to frame");
 }
 
-/// `modbus-request` at levels 0–1, whose register table is a column
-/// copy (a block copy between the level-0 codecs), on sampled requests.
+/// Tables that hold the counter of a nested table (and a length
+/// reference): an obfuscation that splits such a table puts the counter
+/// in an element run of its own, which the echo must gather, since the
+/// nested table's parse reads it.
+const COUNTED_SPEC: &str = r#"
+message Counted {
+    u8 n = count(groups);
+    tabular groups count_by n {
+        u8 k;
+        u16 tag;
+        tabular items count_by k {
+            u16 v;
+        }
+    }
+    u8 m = count(rows);
+    tabular rows count_by m {
+        u8 len;
+        u16 id;
+        bytes data sized_by len;
+    }
+}
+"#;
+
+/// The kernel grammar (a `Tab` and a `Rep{CountOf}`, nested tables, a
+/// one-column table, an element with an optional) and [`COUNTED_SPEC`]
+/// at levels 0–3 under several seeds, on sampled messages.
+#[test]
+fn kernel_grammar_hops_match_the_staged_relay() {
+    let mut copies = 0;
+    for spec in [KERNEL_SPEC, COUNTED_SPEC] {
+        let graph = protoobf::spec::parse_spec(spec).unwrap();
+        for seed in 0..3u64 {
+            for (level, codec) in leveled(&graph, |o| o.seed(seed)).iter().enumerate() {
+                copies += codec.plan().frame_copies().kernels;
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..3 {
+                    let msg = if spec == KERNEL_SPEC {
+                        kernel_message(codec, &mut rng)
+                    } else {
+                        random_message(codec, &mut rng)
+                    };
+                    let frame = codec.serialize_seeded(&msg, rng.gen()).unwrap();
+                    let what = format!("{}, seed {seed}, L{level}", graph.name());
+                    check_frame(codec, level == 0, &frame, frame.len() < 200, &what);
+                }
+            }
+        }
+    }
+    assert!(copies > 0, "no kernel-grammar element run is copied frame to frame");
+}
+
+/// `modbus-request` at levels 0–3, whose register table is an element
+/// run, on sampled requests.
 #[test]
 fn modbus_hops_match_the_staged_relay() {
     let graph = modbus::request_graph();
-    let codecs: Vec<Codec> = (0..=1)
-        .map(|level| {
-            if level == 0 {
-                Codec::identity(&graph)
-            } else {
-                Obfuscator::new(&graph).key(KEYS[0]).max_per_node(level).obfuscate().unwrap()
-            }
-        })
-        .collect();
     let mut rng = StdRng::seed_from_u64(3);
-    for (src, dst) in pairs(&codecs) {
+    for (level, codec) in leveled(&graph, |o| o.key(KEYS[0])).iter().enumerate() {
         for _ in 0..8 {
-            let msg = random_message(src, &mut rng);
-            let frame = src.serialize_seeded(&msg, rng.gen()).unwrap();
-            check_frame(src, dst, &frame, true, "modbus-request");
+            let msg = random_message(codec, &mut rng);
+            let frame = codec.serialize_seeded(&msg, rng.gen()).unwrap();
+            check_frame(codec, level == 0, &frame, true, &format!("modbus-request, L{level}"));
         }
     }
 }
