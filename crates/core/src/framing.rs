@@ -262,7 +262,8 @@ fn frame_len(body_len: usize, max_frame: usize) -> Result<[u8; 4], FrameError> {
 }
 
 /// Reads length-framed obfuscated messages from a byte stream, reusing one
-/// parse session, one [`FrameBuffer`] and one read chunk across messages.
+/// parse session and one [`FrameBuffer`] across messages: the stream is
+/// read straight into the buffer ([`FrameBuffer::read_from`]).
 ///
 /// The reader is **resumable**: every byte read stays in its
 /// [`FrameBuffer`] until the frame it belongs to is complete, so partial
@@ -278,21 +279,12 @@ pub struct FrameReader<'c, R> {
     session: ParseSession<'c>,
     inner: R,
     frames: FrameBuffer,
-    chunk: Vec<u8>,
 }
-
-/// Bytes a [`FrameReader`] asks its stream for per `read` call.
-const READ_CHUNK: usize = 16 * 1024;
 
 impl<'c, R: Read> FrameReader<'c, R> {
     /// Wraps a reader.
     pub fn new(codec: &'c Codec, inner: R) -> Self {
-        FrameReader {
-            session: codec.parser(),
-            inner,
-            frames: FrameBuffer::new(),
-            chunk: Vec::new(),
-        }
+        FrameReader { session: codec.parser(), inner, frames: FrameBuffer::new() }
     }
 
     /// Sets the maximum accepted frame size (default [`MAX_FRAME`]).
@@ -354,13 +346,12 @@ impl<'c, R: Read> FrameReader<'c, R> {
     /// exactly at a frame boundary).
     fn fill(&mut self) -> Result<bool, FrameError> {
         while self.frames.peek()?.is_none() {
-            self.chunk.resize(READ_CHUNK, 0);
-            match self.inner.read(&mut self.chunk) {
+            match self.frames.read_from(&mut self.inner) {
                 Ok(0) if self.frames.pending() == 0 => return Ok(false),
                 Ok(0) => return Err(FrameError::Truncated),
-                Ok(n) => self.frames.feed(&self.chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FrameError::Io(e)),
+                Ok(_) => {}
+                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(true)
@@ -374,15 +365,30 @@ impl<'c, R: Read> FrameReader<'c, R> {
 /// cannot pin megabytes per connection forever.
 pub const FRAME_BUFFER_RETAIN: usize = 256 * 1024;
 
-/// Incremental frame reassembly for event-driven code: feed arbitrary
-/// chunks, then peek at and consume complete frames.
+/// The least room a [`FrameBuffer::read_from`] offers its `read`, and the
+/// most a buffer grows by on the strength of bytes it has not received: a
+/// read may grow the buffer to at most `max(READ_MIN, 2 × bytes buffered)`.
+pub const READ_MIN: usize = 8 * 1024;
+
+/// Incremental frame reassembly for event-driven code: read a stream
+/// straight into the buffer ([`FrameBuffer::read_from`]) or feed it
+/// arbitrary chunks ([`FrameBuffer::feed`]), then peek at and consume
+/// complete frames.
 ///
-/// Consumed frames advance a read cursor instead of memmoving the whole
-/// buffer, so draining a burst of pipelined frames is linear in the bytes
-/// fed, not quadratic; the buffer compacts itself once the drained prefix
-/// dominates the live bytes. Capacity is **bounded over time**: a peer
-/// that trickles one maximum-size frame grows the buffer to the frame
-/// limit, but once that backlog is consumed the buffer shrinks back to
+/// The backing vector is initialized storage split by two cursors:
+/// `buf[start..end]` holds the received bytes not yet consumed and
+/// `buf[end..]` is room kept for the next read. Consumed frames advance
+/// `start` instead of memmoving the whole buffer, so draining a burst of
+/// pipelined frames is linear in the bytes received, not quadratic; the
+/// buffer compacts itself once the drained prefix dominates the live
+/// bytes. A read offers all the room the buffer keeps, so once a
+/// connection's frames have grown it, each frame lands with no zero fill
+/// and no second copy. Capacity is **bounded by what the peer sent**: a
+/// read grows the buffer only towards the end of the frame whose length
+/// prefix is buffered, at most to twice the bytes buffered (or
+/// [`READ_MIN`]), so a hostile prefix alone reserves nothing. A peer that
+/// trickles one maximum-size frame grows the buffer to the frame limit,
+/// but once that backlog is consumed the buffer shrinks back to
 /// [`FRAME_BUFFER_RETAIN`] instead of holding the high-water allocation
 /// for the rest of a long-lived gateway connection.
 #[derive(Debug)]
@@ -390,12 +396,14 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor: bytes before it were consumed and await compaction.
     start: usize,
+    /// Fill cursor: bytes from it on are room for the next read.
+    end: usize,
     max_frame: usize,
 }
 
 impl Default for FrameBuffer {
     fn default() -> Self {
-        FrameBuffer { buf: Vec::new(), start: 0, max_frame: MAX_FRAME }
+        FrameBuffer { buf: Vec::new(), start: 0, end: 0, max_frame: MAX_FRAME }
     }
 }
 
@@ -416,33 +424,89 @@ impl FrameBuffer {
         self.buf.capacity()
     }
 
+    /// Room kept behind the buffered bytes: the least the next
+    /// [`FrameBuffer::read_from`] offers. Zero right after a read means
+    /// that read filled all the room it was offered.
+    pub fn spare(&self) -> usize {
+        self.buf.len() - self.end
+    }
+
+    /// Moves the live bytes to the front of the buffer.
+    fn compact(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+    }
+
+    /// Compacts when the drained prefix is at least as large as the live
+    /// tail: amortized O(1) per byte over the buffer's lifetime.
+    fn compact_if_drained(&mut self) {
+        if self.start > 0 && self.start >= self.end - self.start {
+            self.compact();
+        }
+    }
+
     /// Appends received bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
-        // Compact when the drained prefix is at least as large as the live
-        // tail: amortized O(1) per byte over the buffer's lifetime.
-        if self.start > 0 && self.start >= self.buf.len() - self.start {
-            self.buf.copy_within(self.start.., 0);
-            self.buf.truncate(self.buf.len() - self.start);
-            self.start = 0;
+        self.compact_if_drained();
+        let (fits, rest) = chunk.split_at(self.spare().min(chunk.len()));
+        self.buf[self.end..self.end + fits.len()].copy_from_slice(fits);
+        self.buf.extend_from_slice(rest);
+        self.end += chunk.len();
+    }
+
+    /// Makes **one** `read` call on `src` straight into the buffer's room
+    /// and returns the bytes it delivered (0: end of stream). The read is
+    /// offered all the room the buffer keeps. The buffer grows first only
+    /// when that room is short of the rest of the frame whose length
+    /// prefix is buffered (or of [`READ_MIN`] when no frame is under way),
+    /// and then to at most `max(READ_MIN, 2 × bytes buffered)`.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::TooLarge`] when the buffered length prefix exceeds
+    /// the limit (checked before reading; the buffer does not grow), and
+    /// [`FrameError::Io`] with the `read`'s own error, `WouldBlock` and
+    /// `Interrupted` included: the buffered bytes stay, so the caller
+    /// retries the same frame.
+    pub fn read_from<R: Read + ?Sized>(&mut self, src: &mut R) -> Result<usize, FrameError> {
+        let live = self.end - self.start;
+        let want = match self.prefix()? {
+            Some(len) if 4 + len > live => 4 + len,
+            _ => live + READ_MIN,
+        };
+        let region = want.min(READ_MIN.max(2 * live));
+        if self.start > 0 && (self.start >= live || self.buf.len() - self.start < region) {
+            self.compact();
         }
-        self.buf.extend_from_slice(chunk);
+        if self.buf.len() - self.start < region {
+            let len = self.start + region;
+            self.buf.reserve_exact(len - self.buf.len());
+            self.buf.resize(len, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Body length announced by the buffered length prefix, if all four
+    /// of its bytes are buffered.
+    fn prefix(&self) -> Result<Option<usize>, FrameError> {
+        let Some(&[a, b, c, d]) = self.buf.get(self.start..self.end).and_then(|l| l.first_chunk())
+        else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes([a, b, c, d]) as usize;
+        if len > self.max_frame {
+            return Err(FrameError::TooLarge { limit: self.max_frame, got: len });
+        }
+        Ok(Some(len))
     }
 
     /// Length of the next complete frame's body, or `None` if the buffered
     /// bytes do not yet hold a full frame.
     fn next_len(&self) -> Result<Option<usize>, FrameError> {
-        let live = &self.buf[self.start..];
-        if live.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([live[0], live[1], live[2], live[3]]) as usize;
-        if len > self.max_frame {
-            return Err(FrameError::TooLarge { limit: self.max_frame, got: len });
-        }
-        if live.len() < 4 + len {
-            return Ok(None);
-        }
-        Ok(Some(len))
+        Ok(self.prefix()?.filter(|len| self.end - self.start >= 4 + len))
     }
 
     /// Borrows the next complete frame body without consuming it — the
@@ -462,9 +526,9 @@ impl FrameBuffer {
     pub fn consume(&mut self) {
         if let Ok(Some(len)) = self.next_len() {
             self.start += 4 + len;
-            if self.start == self.buf.len() {
-                self.buf.clear();
+            if self.start == self.end {
                 self.start = 0;
+                self.end = 0;
             }
             self.bound_capacity(4 + len);
         }
@@ -479,21 +543,18 @@ impl FrameBuffer {
     /// a drained backlog — is returned, at one realloc per episode.
     fn bound_capacity(&mut self, consumed: usize) {
         let threshold = FRAME_BUFFER_RETAIN.max(4 * consumed);
-        if self.buf.capacity() <= threshold || self.buf.len() - self.start > FRAME_BUFFER_RETAIN {
+        if self.buf.capacity() <= threshold || self.pending() > FRAME_BUFFER_RETAIN {
             return;
         }
-        if self.start > 0 {
-            self.buf.copy_within(self.start.., 0);
-            self.buf.truncate(self.buf.len() - self.start);
-            self.start = 0;
-        }
+        self.compact();
+        self.buf.truncate(FRAME_BUFFER_RETAIN);
         self.buf.shrink_to(FRAME_BUFFER_RETAIN);
     }
 
     /// Bytes currently buffered and not yet consumed (complete or partial
     /// frame data).
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 }
 
@@ -855,6 +916,96 @@ mod tests {
             assert!(fb.capacity() > FRAME_BUFFER_RETAIN, "working set kept");
         }
         assert_eq!(fb.capacity(), high_water, "no shrink/regrow churn");
+    }
+
+    /// Delivers at most `per_read` bytes of `data` per `read` call.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        per_read: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.per_read).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_grows_only_with_the_bytes_received() {
+        // A peer announces a frame of the full limit and then trickles
+        // it, one byte and then 1 KiB per read: the buffer may grow to
+        // at most max(READ_MIN, 2 × bytes received), never towards the
+        // announced length on the strength of the prefix alone.
+        let limit = 1 << 20;
+        let body: Vec<u8> = (0..limit).map(|i| (i % 251) as u8).collect();
+        let mut wire = (limit as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        let mut fb = FrameBuffer::new().max_frame(limit);
+        let before = fb.capacity();
+        let mut received = 0;
+        for per_read in [1, 1024] {
+            let stop = if per_read == 1 { 64 } else { wire.len() };
+            while received < stop {
+                let mut src = Trickle { data: &wire[received..stop], per_read };
+                received += fb.read_from(&mut src).unwrap();
+                let bound = READ_MIN.max(2 * received) + before;
+                assert!(fb.capacity() <= bound, "{} over {bound} at {received}", fb.capacity());
+            }
+        }
+        assert_eq!(pop(&mut fb).unwrap(), Some(body));
+        // The next (small) frame returns the backlog's allocation.
+        let small = [9u8; 4];
+        let mut next = 4u32.to_be_bytes().to_vec();
+        next.extend_from_slice(&small);
+        fb.read_from(&mut next.as_slice()).unwrap();
+        assert_eq!(pop(&mut fb).unwrap(), Some(small.to_vec()));
+        assert!(fb.capacity() <= FRAME_BUFFER_RETAIN, "{} kept", fb.capacity());
+    }
+
+    #[test]
+    fn read_from_rejects_an_oversized_prefix_without_growing() {
+        let mut fb = FrameBuffer::new().max_frame(1000);
+        let wire = [1001u32.to_be_bytes().as_slice(), &[0; 64]].concat();
+        let mut src = Trickle { data: &wire, per_read: 1 };
+        for _ in 0..4 {
+            assert_eq!(fb.read_from(&mut src).unwrap(), 1);
+        }
+        let held = fb.capacity();
+        assert!(held <= READ_MIN);
+        for _ in 0..3 {
+            match fb.read_from(&mut src) {
+                Err(FrameError::TooLarge { limit: 1000, got: 1001 }) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+            assert_eq!(fb.capacity(), held, "no growth for a rejected prefix");
+            assert_eq!(fb.pending(), 4, "nothing read past the prefix");
+        }
+    }
+
+    #[test]
+    fn read_from_lands_steady_frames_in_one_read() {
+        // Once a connection's first frame has grown the buffer, every
+        // frame of that size arrives in one read, into kept room.
+        let body = vec![0xC3; 64 * 1024];
+        let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        let mut fb = FrameBuffer::new();
+        let mut src = wire.as_slice();
+        while fb.peek().unwrap().is_none() {
+            fb.read_from(&mut src).unwrap();
+        }
+        fb.consume();
+        let grown = fb.capacity();
+        for _ in 0..3 {
+            let mut src = wire.as_slice();
+            assert_eq!(fb.read_from(&mut src).unwrap(), wire.len(), "one read per frame");
+            assert_eq!(fb.peek().unwrap(), Some(body.as_slice()));
+            fb.consume();
+            assert_eq!(fb.capacity(), grown, "no regrowth");
+        }
     }
 
     #[test]

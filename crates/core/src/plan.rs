@@ -1777,46 +1777,120 @@ const MAX_TILE: usize = 4 * VEC;
 /// (`column.len()` a multiple of `w`): each value restarts the key cycle,
 /// so every key runs tiled to period `w`.
 pub(crate) fn undo_ops_column(ops: &[ConstOp], column: &mut [u8], w: usize) {
-    for op in ops.iter().rev() {
-        apply_column(op.op.inverse(), column, &op.k, w);
-    }
+    stack_column(ops.iter().rev().map(|op| (op.op.inverse(), &op.k[..])), column, w);
 }
 
 /// [`apply_ops_in_place`] over a column of `w`-byte values laid end to
 /// end, like [`undo_ops_column`].
 pub(crate) fn apply_ops_column(ops: &[ConstOp], column: &mut [u8], w: usize) {
-    for op in ops {
-        apply_column(op.op, column, &op.k, w);
+    stack_column(ops.iter().map(|op| (op.op, &op.k[..])), column, w);
+}
+
+/// The most ops of one stack [`stack_column`] runs in one pass.
+const FUSED: usize = 4;
+
+/// The span a fused stack runs all its ops over before it moves on: small
+/// enough to stay in the first-level cache between ops.
+const CHUNK: usize = 4096;
+
+/// Runs a stack of constant ops over a column of `w`-byte values (see
+/// [`apply_column`]): in one pass ([`fused_pass`]) when the column is
+/// longer than a [`CHUNK`] and the stack has several ops, else one pass
+/// per op.
+fn stack_column<'k>(
+    ops: impl ExactSizeIterator<Item = (ByteOp, &'k [u8])> + Clone,
+    column: &mut [u8],
+    w: usize,
+) {
+    if column.len() <= CHUNK || ops.len() < 2 || !fused_pass(ops.clone(), column, w) {
+        for (op, k) in ops {
+            apply_column(op, column, k, w);
+        }
     }
 }
 
+/// Runs the whole stack over one cache-resident chunk of the column after
+/// another, every op's tile built first and each chunk a whole number of
+/// every tile. Returns `false`, the column untouched, for a stack of more
+/// than [`FUSED`] ops (or of fewer than two with a key), or with a tile
+/// that does not fit.
+fn fused_pass<'k>(
+    ops: impl Iterator<Item = (ByteOp, &'k [u8])>,
+    column: &mut [u8],
+    w: usize,
+) -> bool {
+    let mut tiles = [[0u8; MAX_TILE]; FUSED];
+    let mut stack = [(ByteOp::Xor, 0usize); FUSED];
+    let (mut n, mut period) = (0, 1);
+    for (op, k) in ops.filter(|(_, k)| !k.is_empty()) {
+        let Some(len) = tiles.get_mut(n).and_then(|tile| column_tile(tile, k, w)) else {
+            return false;
+        };
+        stack[n] = (op, len);
+        n += 1;
+        period = period / gcd(period, len) * len;
+        if period > CHUNK {
+            return false;
+        }
+    }
+    if n < 2 {
+        return false;
+    }
+    for part in column.chunks_mut(CHUNK / period * period) {
+        for (tile, &(op, len)) in tiles.iter().zip(&stack[..n]) {
+            zip_op(op, part, &tile[..len]);
+        }
+    }
+    true
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 /// One constant op over a column of `w`-byte values, each restarting the
-/// key's cycle (a last partial value takes the op as far as it goes). The
-/// key's pattern repeats every `p` bytes — the key's length when each
-/// value is a whole number of key cycles, else `w` — so one period is
-/// repeated into a stack tile as many whole `lcm(p, VEC)` bytes long as
-/// fit [`MAX_TILE`], which then zips along the column in one monomorphic
-/// (vectorizable) loop per operator, with no scalar tail. When
-/// `lcm(p, VEC)` itself is larger, the tile is as many whole periods as
-/// fit [`MAX_TILE`] (the loop then has a scalar tail); a period wider
-/// than that runs [`apply_cycled`] per value.
+/// key's cycle (a last partial value takes the op as far as it goes):
+/// the op's tile ([`column_tile`]) zipped along the column, or
+/// [`apply_cycled`] per value when the key's period is wider than
+/// [`MAX_TILE`].
 fn apply_column(op: ByteOp, column: &mut [u8], k: &[u8], w: usize) {
     if k.is_empty() || w == 0 {
         return;
     }
+    let mut tile = [0u8; MAX_TILE];
+    match column_tile(&mut tile, k, w) {
+        Some(len) => zip_op(op, column, &tile[..len]),
+        None => {
+            for v in column.chunks_mut(w) {
+                apply_cycled(op, v, k);
+            }
+        }
+    }
+}
+
+/// Fills `tile` with the pattern a non-empty key `k` makes over a column
+/// of `w`-byte values and returns its length, or `None` when the
+/// pattern's period is wider than [`MAX_TILE`]. The key's pattern repeats
+/// every `p` bytes — the key's length when each value is a whole number
+/// of key cycles, else `w` — so one period is repeated into a tile as
+/// many whole `lcm(p, VEC)` bytes long as fit [`MAX_TILE`], which then
+/// zips along the column in one monomorphic (vectorizable) loop per
+/// operator, with no scalar tail. When `lcm(p, VEC)` itself is larger,
+/// the tile is as many whole periods as fit (the loop then has a scalar
+/// tail).
+fn column_tile(tile: &mut [u8; MAX_TILE], k: &[u8], w: usize) -> Option<usize> {
     let period = if w.is_multiple_of(k.len()) { k.len() } else { w };
     if period > MAX_TILE {
-        for v in column.chunks_mut(w) {
-            apply_cycled(op, v, k);
-        }
-        return;
+        return None;
     }
     // `VEC` is a power of two: `lcm(p, VEC)` is `p` times the factors of
     // two `VEC` has and `p` lacks.
     let lcm = period << VEC.trailing_zeros().saturating_sub(period.trailing_zeros());
     let whole = if lcm <= MAX_TILE { lcm } else { period };
     let len = MAX_TILE / whole * whole;
-    let mut tile = [0u8; MAX_TILE];
     let tile = &mut tile[..len];
     for (t, &b) in tile[..period].iter_mut().zip(k.iter().cycle()) {
         *t = b;
@@ -1827,6 +1901,11 @@ fn apply_column(op: ByteOp, column: &mut [u8], k: &[u8], w: usize) {
         tile.copy_within(..n, filled);
         filled += n;
     }
+    Some(len)
+}
+
+/// `column ⟨op⟩= tile`, the tile repeated from the column's start.
+fn zip_op(op: ByteOp, column: &mut [u8], tile: &[u8]) {
     match op {
         ByteOp::Add => zip_tile(column, tile, u8::wrapping_add),
         ByteOp::Sub => zip_tile(column, tile, u8::wrapping_sub),
@@ -2666,9 +2745,9 @@ pub(crate) mod tests {
         // Columns: every width up to the vector width, and widths past
         // it and past the largest tile; value counts whose columns are
         // shorter than a tile, not a whole number of tiles, and several
-        // tiles long.
+        // tiles long, and (for a fused stack) several chunks long.
         for w in (1..=VEC).chain([VEC + 1, MAX_TILE + 1]) {
-            for n in (0..=9).chain([3 * MAX_TILE / w + 1]) {
+            for n in (0..=9).chain([3 * MAX_TILE / w + 1, 2 * CHUNK / w + 1]) {
                 let column = bytes(n * w);
                 for k in &keys {
                     for op in BYTE_OPS {
@@ -2678,18 +2757,22 @@ pub(crate) mod tests {
                         assert_eq!(got, want, "{op:?}, key {}, {n} × {w}", k.len());
                     }
                 }
-                // Whole stacks: one op per key length and operator.
-                let stack: Vec<ConstOp> = keys[1..]
-                    .iter()
-                    .zip(BYTE_OPS.iter().cycle())
-                    .map(|(k, &op)| ConstOp { op, k: k.clone() })
-                    .collect();
-                let want = stack.iter().fold(column.clone(), |v, c| per_byte(c.op, &v, &c.k, w));
-                let mut got = column.clone();
-                apply_ops_column(&stack, &mut got, w);
-                assert_eq!(got, want, "stack over {n} × {w}");
-                undo_ops_column(&stack, &mut got, w);
-                assert_eq!(got, column, "undo after apply, {n} × {w}");
+                // Whole stacks of 1 to 5 ops (one pass each past
+                // `FUSED`): one op per key length and operator.
+                for depth in 1..=5 {
+                    let stack: Vec<ConstOp> = keys[1..=depth]
+                        .iter()
+                        .zip(BYTE_OPS.iter().cycle())
+                        .map(|(k, &op)| ConstOp { op, k: k.clone() })
+                        .collect();
+                    let want =
+                        stack.iter().fold(column.clone(), |v, c| per_byte(c.op, &v, &c.k, w));
+                    let mut got = column.clone();
+                    apply_ops_column(&stack, &mut got, w);
+                    assert_eq!(got, want, "stack of {depth} over {n} × {w}");
+                    undo_ops_column(&stack, &mut got, w);
+                    assert_eq!(got, column, "undo after apply, {depth} over {n} × {w}");
+                }
             }
         }
         // Single values of 1 byte to 8 KiB: the per-byte loop and the

@@ -591,8 +591,14 @@ impl<'c> SerializeSession<'c> {
             }
             at += w;
         }
+        // A forward run zeroes each block just before scattering into it,
+        // while its lines are in cache; a backwards one fills from the end
+        // and is sized once.
         let base = out.len();
-        out.resize(base + size, 0);
+        out.reserve(size);
+        if backwards {
+            out.resize(base + size, 0);
+        }
         let arena = msg.wires.arena();
         let pad_bytes: usize = s.pads.iter().map(|&(_, k, _)| k).sum();
         let per_block = (BLOCK / width).max(1);
@@ -602,6 +608,7 @@ impl<'c> SerializeSession<'c> {
             let block = if backwards {
                 &mut out[base + (m - e) * width..base + (m - b) * width]
             } else {
+                out.resize(base + e * width, 0);
                 &mut out[base + b * width..base + e * width]
             };
             for c in &s.cols {

@@ -5,11 +5,15 @@
 //! `Conn` turns them into codec messages:
 //!
 //! ```text
-//!            feed_inbound(bytes)            poll_inbound() -> &Message
+//!      read_inbound(socket) / feed_inbound(bytes)    poll_inbound() -> &Message
 //!   wire ──────────────▶ [FrameBuffer ▶ pooled ParseSession] ──────────▶ app
 //!   wire ◀────────────── [pooled SerializeSession ▶ frames]  ◀────────── app
 //!            poll_outbound(buf)              send(&Message)
 //! ```
+//!
+//! A socket is read straight into the inbound [`FrameBuffer`]
+//! ([`Conn::read_inbound`]): each inbound byte is copied once, kernel to
+//! frame buffer, and parsed where it lands.
 //!
 //! The gateway's pumps move each message from one connection to another
 //! (or back onto the same one) with one `Conn::forward` per frame: parse,
@@ -38,6 +42,8 @@
 //! [`Conn::can_send`] first and pause their inbound side instead — the
 //! gateway relay does exactly that, turning a slow downstream into a
 //! closed TCP window for the upstream sender.
+
+use std::io::Read;
 
 use protoobf_core::framing::{append_frame, FrameBuffer, FrameError, WireHop};
 use protoobf_core::message::Message;
@@ -244,6 +250,42 @@ impl<'s> Conn<'s> {
                 Ok(())
             }
         }
+    }
+
+    /// Makes one `read` call on `src` straight into the inbound frame
+    /// buffer ([`FrameBuffer::read_from`]) and returns the bytes it
+    /// delivered. Zero is the end of the stream, fed to the connection as
+    /// [`Conn::feed_eof`].
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Io`] with the `read`'s own error (`WouldBlock`
+    /// and `Interrupted` included: nothing is lost, read again later);
+    /// [`TransportError::Frame`] ([`FrameError::TooLarge`]) when the
+    /// buffered length prefix exceeds the rx limit, which fails the
+    /// connection; [`TransportError::Closed`] on a terminal connection.
+    pub fn read_inbound<R: Read + ?Sized>(&mut self, src: &mut R) -> Result<usize, TransportError> {
+        if matches!(self.state, ConnState::Closed | ConnState::Failed) {
+            return Err(TransportError::Closed);
+        }
+        match self.inbuf.read_from(src) {
+            Ok(0) => {
+                self.feed_eof();
+                Ok(0)
+            }
+            Ok(n) => Ok(n),
+            Err(FrameError::Io(e)) => Err(TransportError::Io(e)),
+            Err(e) => {
+                self.state = ConnState::Failed;
+                Err(TransportError::Frame(e))
+            }
+        }
+    }
+
+    /// Whether the last [`Conn::read_inbound`] filled all the room it was
+    /// offered without completing a frame: the source may hold the rest.
+    pub(crate) fn read_again(&self) -> bool {
+        self.inbuf.spare() == 0 && matches!(self.inbuf.peek(), Ok(None))
     }
 
     /// Signals a clean end of the inbound byte stream (the transport saw

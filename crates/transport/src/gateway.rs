@@ -26,7 +26,7 @@
 //! distinct `tx`/`rx` specs run **asymmetric** request/response chains —
 //! each relay leg carries a different grammar per direction.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -94,38 +94,34 @@ impl<'s> Leg<'s> {
         Leg { stream, conn, gated: false, write_closed: false }
     }
 
-    /// Drains the socket's ready bytes into the connection (non-blocking).
-    /// Returns whether any byte moved; clean EOF is fed to the connection.
-    pub(crate) fn read_into(
-        &mut self,
-        buf: &mut [u8],
-        metrics: &Metrics,
-    ) -> Result<bool, TransportError> {
+    /// Reads the socket's ready bytes straight into the connection's frame
+    /// buffer (non-blocking; [`Conn::read_inbound`]). Reads again only
+    /// after a read that filled all its room short of a whole frame; a
+    /// short read drained the socket, and a whole frame is the pump's to
+    /// move first (a drive that read is driven again). Returns whether
+    /// any byte moved; clean EOF is fed to the connection.
+    pub(crate) fn read_into(&mut self, metrics: &Metrics) -> Result<bool, TransportError> {
         if self.conn.state() != ConnState::Open {
             return Ok(false);
         }
         let mut progress = false;
         loop {
-            match self.stream.read(buf) {
-                Ok(0) => {
-                    self.conn.feed_eof();
-                    progress = true;
-                    break;
-                }
+            match self.conn.read_inbound(&mut self.stream) {
+                Ok(0) => return Ok(true),
                 Ok(n) => {
-                    self.conn.feed_inbound(&buf[..n])?;
                     Metrics::add(&metrics.bytes_in, n as u64);
                     progress = true;
-                    if n < buf.len() {
-                        break; // drained the socket's ready bytes
+                    if !self.conn.read_again() {
+                        return Ok(true);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TransportError::Io(e)),
+                Err(TransportError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Ok(progress)
+                }
+                Err(TransportError::Io(e)) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
-        Ok(progress)
     }
 
     /// Writes the queued outbound bytes until the socket would block or
@@ -284,14 +280,13 @@ use step::{Sample, SendBack, Step};
 pub struct Pump<'s, S, const N: usize> {
     legs: [Leg<'s>; N],
     step: S,
-    read_buf: Vec<u8>,
     metrics: &'s Metrics,
     token: u64,
 }
 
 impl<'s, S, const N: usize> Pump<'s, S, N> {
     fn with_legs(legs: [Leg<'s>; N], step: S, metrics: &'s Metrics) -> Pump<'s, S, N> {
-        Pump { legs, step, read_buf: vec![0u8; 16 * 1024], metrics, token: 0 }
+        Pump { legs, step, metrics, token: 0 }
     }
 
     /// Sets the flight-recorder token for this session's lifecycle events
@@ -324,14 +319,13 @@ fn pump<'s, const N: usize>(
     legs: &mut [Leg<'s>; N],
     src: usize,
     step: &mut impl Step<'s>,
-    read_buf: &mut [u8],
     metrics: &Metrics,
     token: u64,
 ) -> Result<bool, TransportError> {
     let dst = (src + 1) % N;
     let mut progress = false;
     let engaged = if legs[dst].conn.can_send() {
-        progress |= legs[src].read_into(read_buf, metrics)?;
+        progress |= legs[src].read_into(metrics)?;
         while legs[dst].conn.can_send() {
             let (from, to) = conns(legs, src, dst);
             if !from.forward(to, step.reply(src), metrics)? {
@@ -372,14 +366,7 @@ impl<'s, S: Step<'s>, const N: usize> Session for Pump<'s, S, N> {
     fn drive(&mut self) -> Result<Drive, TransportError> {
         let mut progress = false;
         for src in 0..N {
-            progress |= pump(
-                &mut self.legs,
-                src,
-                &mut self.step,
-                &mut self.read_buf,
-                self.metrics,
-                self.token,
-            )?;
+            progress |= pump(&mut self.legs, src, &mut self.step, self.metrics, self.token)?;
         }
         if self.legs.iter().all(|leg| leg.write_closed) {
             return Ok(Drive::Done);

@@ -12,8 +12,9 @@
 //!
 //! The crate is built from three layers, each usable on its own:
 //!
-//! * [`conn::Conn`] — a **sans-io connection state machine**: feed it raw
-//!   transport bytes ([`conn::Conn::feed_inbound`]), poll decoded messages
+//! * [`conn::Conn`] — a **sans-io connection state machine**: let it read
+//!   a stream straight into its frame buffer ([`conn::Conn::read_inbound`])
+//!   or feed it raw transport bytes ([`conn::Conn::feed_inbound`]), poll decoded messages
 //!   ([`conn::Conn::poll_inbound`]), queue outbound messages
 //!   ([`conn::Conn::send`]) and drain the encoded bytes
 //!   ([`conn::Conn::poll_outbound`]). It owns no socket: any transport —

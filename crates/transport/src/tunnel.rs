@@ -182,7 +182,6 @@ pub struct TunnelSession<'s, W: Write + Send> {
     dec: TunnelDecoder<'s>,
     source: Arc<PayloadBuf>,
     sink: W,
-    read_buf: Vec<u8>,
     scratch: Vec<u8>,
     source_finished: bool,
     exit_on_eof: bool,
@@ -231,7 +230,6 @@ impl<'s, W: Write + Send> TunnelSession<'s, W> {
             dec,
             source,
             sink,
-            read_buf: vec![0u8; 16 * 1024],
             scratch: Vec::new(),
             source_finished: false,
             exit_on_eof: false,
@@ -302,7 +300,7 @@ impl<W: Write + Send> Session for TunnelSession<'_, W> {
         let mut progress = self.drain_wake();
 
         // Inbound: socket bytes → frames → decoder → local sink.
-        progress |= self.leg.read_into(&mut self.read_buf, self.metrics)?;
+        progress |= self.leg.read_into(self.metrics)?;
         loop {
             let parse_t = self.metrics.stages.parse.start();
             let Some(msg) = self.leg.conn.poll_inbound()? else { break };

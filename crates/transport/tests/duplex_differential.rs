@@ -234,3 +234,58 @@ fn mem_duplex_streams_carry_framed_traffic() {
     }
     assert_eq!(got, sent);
 }
+
+#[test]
+fn read_inbound_end_of_stream_inside_a_frame_is_truncated() {
+    let mut rng = StdRng::seed_from_u64(4);
+    let graph = graph_for("dns-query");
+    let fx = Fixture::new(&graph, 2);
+    let msg = protoobf_protocols::dns::build_query(fx.clear.codec(), &mut rng);
+    let mut obf_msg = fx.obf.codec().message();
+    msg.transcode_into(&mut obf_msg).unwrap();
+    let mut sender = Conn::new(&fx.obf, &fx.obf);
+    sender.send(&obf_msg).unwrap();
+    let wire = sender.outbound().to_vec();
+
+    // The whole frame, read straight from the stream, decodes.
+    let mut conn = Conn::new(&fx.obf, &fx.obf);
+    let mut src = wire.as_slice();
+    assert_eq!(conn.read_inbound(&mut src).unwrap(), wire.len());
+    assert_eq!(conn.read_inbound(&mut src).unwrap(), 0, "end of stream");
+    assert_eq!(conn.state(), ConnState::PeerClosed);
+    assert!(conn.poll_inbound().unwrap().is_some());
+    assert!(conn.poll_inbound().unwrap().is_none(), "clean end at a frame boundary");
+
+    for cut in 1..wire.len() {
+        let mut conn = Conn::new(&fx.obf, &fx.obf);
+        let mut src = &wire[..cut];
+        while conn.read_inbound(&mut src).unwrap() > 0 {}
+        assert_eq!(conn.state(), ConnState::PeerClosed, "cut {cut}");
+        match conn.poll_inbound() {
+            Err(TransportError::Frame(protoobf_core::framing::FrameError::Truncated)) => {}
+            other => panic!("cut {cut}: unexpected {other:?}"),
+        }
+        assert_eq!(conn.state(), ConnState::Failed, "cut {cut}");
+        assert!(matches!(conn.read_inbound(&mut src), Err(TransportError::Closed)));
+    }
+}
+
+#[test]
+fn read_inbound_oversized_prefix_fails_connection() {
+    let graph = graph_for("modbus-request");
+    let fx = Fixture::new(&graph, 1);
+    let mut conn = Conn::new(&fx.obf, &fx.obf);
+    let limit = fx.obf.frame_limit();
+    let wire = [((limit as u32) + 1).to_be_bytes().as_slice(), &[0; 16]].concat();
+    let mut src = &wire[..4];
+    assert_eq!(conn.read_inbound(&mut src).unwrap(), 4);
+    let mut rest = &wire[4..];
+    match conn.read_inbound(&mut rest) {
+        Err(TransportError::Frame(protoobf_core::framing::FrameError::TooLarge {
+            got, ..
+        })) => assert_eq!(got, limit + 1),
+        other => panic!("oversized prefix must be rejected, got {other:?}"),
+    }
+    assert_eq!(rest.len(), 16, "nothing read past the rejected prefix");
+    assert_eq!(conn.state(), ConnState::Failed);
+}
