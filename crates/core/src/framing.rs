@@ -492,8 +492,7 @@ impl FrameBuffer {
     /// Body length announced by the buffered length prefix, if all four
     /// of its bytes are buffered.
     fn prefix(&self) -> Result<Option<usize>, FrameError> {
-        let Some(&[a, b, c, d]) = self.buf.get(self.start..self.end).and_then(|l| l.first_chunk())
-        else {
+        let Some(&[a, b, c, d]) = self.buf[self.start..self.end].first_chunk() else {
             return Ok(None);
         };
         let len = u32::from_be_bytes([a, b, c, d]) as usize;
