@@ -6,26 +6,24 @@
 //! length prefix — which leaks nothing beyond what the transport already
 //! reveals through segment sizes.
 //!
-//! [`FrameWriter`]/[`FrameReader`] wrap any [`std::io::Write`]/[`Read`];
-//! [`FrameBuffer`] supports feed-as-you-go reassembly for event-driven
-//! code. Writers and readers each hold **one codec session**
-//! ([`crate::serialize::SerializeSession`] /
-//! [`crate::parse::ParseSession`]) plus reusable frame buffers, so
-//! steady-state streaming does not allocate per message. The frame-size
-//! sanity bound defaults to [`MAX_FRAME`] and is configurable per reader /
-//! buffer via `max_frame`.
+//! [`append_frame`] serializes a message through the caller's session
+//! straight into an outbound buffer as one length-prefixed frame, and
+//! [`FrameBuffer`] reassembles inbound frames read straight into it
+//! ([`FrameBuffer::read_from`]) or fed in chunks, for parsing in place.
+//! With one codec session per direction, steady-state streaming does not
+//! allocate per message. The frame-size bound defaults to [`MAX_FRAME`];
+//! a buffer sets its own ([`FrameBuffer::max_frame`]) and
+//! [`append_frame`] takes it per call.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
-use crate::codec::Codec;
 use crate::error::{BuildError, ParseError};
 use crate::message::Message;
 use crate::parse::ParseSession;
 use crate::serialize::SerializeSession;
 
-/// Default maximum frame size accepted by readers (sanity bound against
-/// corrupted or hostile length prefixes). Override per reader/buffer with
-/// [`FrameReader::max_frame`] / [`FrameBuffer::max_frame`].
+/// Default maximum frame size (sanity bound against corrupted or hostile
+/// length prefixes). Override per buffer with [`FrameBuffer::max_frame`].
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Errors produced by the framing layer.
@@ -39,7 +37,7 @@ pub enum FrameError {
     Parse(ParseError),
     /// A frame exceeded the configured size limit.
     TooLarge {
-        /// The configured limit of the rejecting reader/writer/buffer.
+        /// The limit of the rejecting buffer or [`append_frame`] call.
         limit: usize,
         /// The offending frame size.
         got: usize,
@@ -79,75 +77,11 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes length-framed obfuscated messages to a byte stream, reusing one
-/// serialization session and one frame buffer across messages. Each frame
-/// (prefix and body) reaches the stream in one `write_all`, so a socket
-/// with `TCP_NODELAY` sends it as one segment rather than two.
-#[derive(Debug)]
-pub struct FrameWriter<'c, W> {
-    session: SerializeSession<'c>,
-    inner: W,
-    frame: Vec<u8>,
-    max_frame: usize,
-}
-
-impl<'c, W: Write> FrameWriter<'c, W> {
-    /// Wraps a writer.
-    pub fn new(codec: &'c Codec, inner: W) -> Self {
-        FrameWriter { session: codec.serializer(), inner, frame: Vec::new(), max_frame: MAX_FRAME }
-    }
-
-    /// Sets the maximum frame size this writer will emit (default
-    /// [`MAX_FRAME`]).
-    pub fn max_frame(mut self, limit: usize) -> Self {
-        self.max_frame = limit;
-        self
-    }
-
-    /// Serializes and sends one message. The serialization session and the
-    /// frame buffer are reused: steady-state sends do not allocate.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Build`] for serialization failures, [`FrameError::Io`]
-    /// for transport failures.
-    pub fn send(&mut self, msg: &Message<'_>) -> Result<(), FrameError> {
-        self.frame.clear();
-        append_frame(&mut self.session, msg, &mut self.frame, self.max_frame)?;
-        self.write_frame()
-    }
-
-    /// Sends already-serialized bytes as one frame.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::TooLarge`] / [`FrameError::Io`].
-    pub fn send_raw(&mut self, body: &[u8]) -> Result<(), FrameError> {
-        let len = frame_len(body.len(), self.max_frame)?;
-        self.frame.clear();
-        self.frame.extend_from_slice(&len);
-        self.frame.extend_from_slice(body);
-        self.write_frame()
-    }
-
-    fn write_frame(&mut self) -> Result<(), FrameError> {
-        self.inner.write_all(&self.frame)?;
-        self.inner.flush()?;
-        Ok(())
-    }
-
-    /// Consumes the writer, returning the underlying stream.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
 /// Serializes `msg` through an existing session and appends it to `out`
 /// as one length-prefixed frame: the body is written straight into `out`
 /// after a backfilled 4-byte prefix — no intermediate copy. On error,
-/// `out` is left exactly as it was. This is the one framing routine
-/// shared by [`FrameWriter::send`] and the transport layer's
-/// per-connection encoders.
+/// `out` is left exactly as it was. This is the one framing routine of
+/// every outbound frame.
 ///
 /// # Errors
 ///
@@ -259,103 +193,6 @@ fn frame_len(body_len: usize, max_frame: usize) -> Result<[u8; 4], FrameError> {
         return Err(FrameError::TooLarge { limit, got: body_len });
     }
     Ok((body_len as u32).to_be_bytes())
-}
-
-/// Reads length-framed obfuscated messages from a byte stream, reusing one
-/// parse session and one [`FrameBuffer`] across messages: the stream is
-/// read straight into the buffer ([`FrameBuffer::read_from`]).
-///
-/// The reader is **resumable**: every byte read stays in its
-/// [`FrameBuffer`] until the frame it belongs to is complete, so partial
-/// progress through a frame survives transient I/O errors. When the
-/// underlying stream is non-blocking and `read` fails with
-/// [`io::ErrorKind::WouldBlock`], the resulting [`FrameError::Io`] leaves
-/// the reader in a consistent state — call [`FrameReader::recv`] again when
-/// the stream is readable and the frame continues where it stopped.
-/// [`io::ErrorKind::Interrupted`] is retried internally. Reads may run past
-/// the end of a frame; the extra bytes stay buffered for the next call.
-#[derive(Debug)]
-pub struct FrameReader<'c, R> {
-    session: ParseSession<'c>,
-    inner: R,
-    frames: FrameBuffer,
-}
-
-impl<'c, R: Read> FrameReader<'c, R> {
-    /// Wraps a reader.
-    pub fn new(codec: &'c Codec, inner: R) -> Self {
-        FrameReader { session: codec.parser(), inner, frames: FrameBuffer::new() }
-    }
-
-    /// Sets the maximum accepted frame size (default [`MAX_FRAME`]).
-    pub fn max_frame(mut self, limit: usize) -> Self {
-        self.frames = self.frames.max_frame(limit);
-        self
-    }
-
-    /// Receives and parses one message. Returns `Ok(None)` on a clean end
-    /// of stream (EOF exactly at a frame boundary).
-    ///
-    /// The returned message is owned; for allocation-free steady-state
-    /// reading use [`FrameReader::recv_borrowed`].
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Truncated`] when the stream ends inside a frame,
-    /// [`FrameError::Parse`] when the frame does not decode,
-    /// [`FrameError::TooLarge`] when a length prefix exceeds the limit.
-    pub fn recv(&mut self) -> Result<Option<Message<'c>>, FrameError> {
-        if self.recv_borrowed()?.is_none() {
-            return Ok(None);
-        }
-        Ok(Some(self.session.take_message()))
-    }
-
-    /// Receives and parses one message, borrowing the session's internal
-    /// message (overwritten by the next call). Steady-state reads through
-    /// this entry point perform no per-message allocation.
-    ///
-    /// # Errors
-    ///
-    /// See [`FrameReader::recv`].
-    pub fn recv_borrowed(&mut self) -> Result<Option<&Message<'c>>, FrameError> {
-        if !self.fill()? {
-            return Ok(None);
-        }
-        let parsed = self.session.parse_in_place(self.frames.peek()?.unwrap_or_default());
-        self.frames.consume();
-        parsed.map(Some).map_err(FrameError::Parse)
-    }
-
-    /// Receives one raw frame body.
-    ///
-    /// # Errors
-    ///
-    /// See [`FrameReader::recv`].
-    pub fn recv_raw(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if !self.fill()? {
-            return Ok(None);
-        }
-        let body = self.frames.peek()?.map(<[u8]>::to_vec);
-        self.frames.consume();
-        Ok(body)
-    }
-
-    /// Reads until the buffer holds a complete frame, which the caller
-    /// peeks at and consumes. Returns `false` on clean EOF (stream end
-    /// exactly at a frame boundary).
-    fn fill(&mut self) -> Result<bool, FrameError> {
-        while self.frames.peek()?.is_none() {
-            match self.frames.read_from(&mut self.inner) {
-                Ok(0) if self.frames.pending() == 0 => return Ok(false),
-                Ok(0) => return Err(FrameError::Truncated),
-                Ok(_) => {}
-                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
 }
 
 /// Capacity (bytes) a long-lived [`FrameBuffer`] shrinks back to after an
@@ -560,6 +397,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use crate::engine::Obfuscator;
     use crate::graph::{Boundary, GraphBuilder};
 
@@ -573,15 +411,13 @@ mod tests {
     }
 
     fn sample_stream(codec: &Codec, ids: &[u64]) -> Vec<u8> {
+        let mut session = codec.serializer();
         let mut out = Vec::new();
-        {
-            let mut w = FrameWriter::new(codec, &mut out);
-            for &id in ids {
-                let mut m = codec.message_seeded(id);
-                m.set_uint("id", id).unwrap();
-                m.set("body", format!("payload {id}").into_bytes()).unwrap();
-                w.send(&m).unwrap();
-            }
+        for &id in ids {
+            let mut m = codec.message_seeded(id);
+            m.set_uint("id", id).unwrap();
+            m.set("body", format!("payload {id}").into_bytes()).unwrap();
+            append_frame(&mut session, &m, &mut out, MAX_FRAME).unwrap();
         }
         out
     }
@@ -594,189 +430,6 @@ mod tests {
             fb.consume();
         }
         Ok(body)
-    }
-
-    /// Counts `write` calls while collecting the bytes.
-    #[derive(Default)]
-    struct CountingWriter {
-        bytes: Vec<u8>,
-        writes: usize,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn writer_issues_one_write_per_frame() {
-        let c = codec();
-        let mut w = FrameWriter::new(&c, CountingWriter::default());
-        let mut reference = c.serializer();
-        let mut expected = Vec::new();
-        for id in [1u64, 2, 3] {
-            let mut m = c.message_seeded(id);
-            m.set_uint("id", id).unwrap();
-            m.set("body", format!("payload {id}").into_bytes()).unwrap();
-            w.session.reseed(id);
-            w.send(&m).unwrap();
-            let mut body = Vec::new();
-            reference.serialize_into_seeded(&m, &mut body, id).unwrap();
-            expected.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            expected.extend_from_slice(&body);
-        }
-        w.send_raw(b"raw body").unwrap();
-        expected.extend_from_slice(&8u32.to_be_bytes());
-        expected.extend_from_slice(b"raw body");
-        let out = w.into_inner();
-        assert_eq!(out.writes, 4, "one write per frame, prefix included");
-        assert_eq!(out.bytes, expected);
-    }
-
-    #[test]
-    fn write_then_read_roundtrips_multiple_messages() {
-        let c = codec();
-        let stream = sample_stream(&c, &[1, 2, 3]);
-        let mut r = FrameReader::new(&c, stream.as_slice());
-        for expect in [1u64, 2, 3] {
-            let m = r.recv().unwrap().expect("frame present");
-            assert_eq!(m.get_uint("id").unwrap(), expect);
-            assert_eq!(m.get_string("body").unwrap(), format!("payload {expect}"));
-        }
-        assert!(r.recv().unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn recv_borrowed_reuses_the_session_message() {
-        let c = codec();
-        let stream = sample_stream(&c, &[4, 5, 6]);
-        let mut r = FrameReader::new(&c, stream.as_slice());
-        for expect in [4u64, 5, 6] {
-            let m = r.recv_borrowed().unwrap().expect("frame present");
-            assert_eq!(m.get_uint("id").unwrap(), expect);
-        }
-        assert!(r.recv_borrowed().unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn truncated_stream_is_detected() {
-        let c = codec();
-        let stream = sample_stream(&c, &[7]);
-        for cut in 1..stream.len() {
-            let mut r = FrameReader::new(&c, &stream[..cut]);
-            match r.recv() {
-                Err(FrameError::Truncated) | Err(FrameError::Parse(_)) => {}
-                Ok(None) => panic!("cut {cut} looked like clean EOF"),
-                other => panic!("cut {cut}: unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_prefix_rejected() {
-        let c = codec();
-        let bogus = [(MAX_FRAME as u32 + 1).to_be_bytes().to_vec(), vec![0; 8]].concat();
-        let mut r = FrameReader::new(&c, bogus.as_slice());
-        match r.recv() {
-            Err(FrameError::TooLarge { limit, got }) => {
-                assert_eq!(limit, MAX_FRAME);
-                assert_eq!(got, MAX_FRAME + 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn custom_reader_limit_applies() {
-        let c = codec();
-        let stream = sample_stream(&c, &[1]); // frame body well over 4 bytes
-        let mut r = FrameReader::new(&c, stream.as_slice()).max_frame(4);
-        assert!(matches!(r.recv(), Err(FrameError::TooLarge { limit: 4, .. })));
-    }
-
-    #[test]
-    fn custom_writer_limit_applies() {
-        let c = codec();
-        let mut out = Vec::new();
-        let mut w = FrameWriter::new(&c, &mut out).max_frame(4);
-        match w.send_raw(&[0u8; 9]) {
-            Err(FrameError::TooLarge { limit: 4, got: 9 }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    /// Delivers at most one byte per `read` call: the hardest legal split
-    /// pattern a stream can produce (slow-loris trickle).
-    struct OneBytePer<R>(R);
-
-    impl<R: Read> Read for OneBytePer<R> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = buf.len().min(1);
-            self.0.read(&mut buf[..n])
-        }
-    }
-
-    /// Interleaves every delivered byte with a transient error: first
-    /// `WouldBlock` (non-blocking readiness miss), then `Interrupted`
-    /// (signal), then one real byte.
-    struct Hostile<R> {
-        inner: R,
-        phase: u8,
-    }
-
-    impl<R: Read> Read for Hostile<R> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.phase = (self.phase + 1) % 3;
-            match self.phase {
-                1 => Err(io::Error::from(io::ErrorKind::WouldBlock)),
-                2 => Err(io::Error::from(io::ErrorKind::Interrupted)),
-                _ => {
-                    let n = buf.len().min(1);
-                    self.inner.read(&mut buf[..n])
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reader_survives_one_byte_trickle() {
-        // 1-byte reads split both the 4-byte prefix and every body
-        // boundary: the reader must reassemble without loss.
-        let c = codec();
-        let stream = sample_stream(&c, &[40, 41, 42]);
-        let mut r = FrameReader::new(&c, OneBytePer(stream.as_slice()));
-        for expect in [40u64, 41, 42] {
-            let m = r.recv().unwrap().expect("frame present");
-            assert_eq!(m.get_uint("id").unwrap(), expect);
-        }
-        assert!(r.recv().unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn reader_resumes_across_would_block() {
-        // A non-blocking stream errors with WouldBlock mid-prefix and
-        // mid-body; partial progress must survive so the next recv resumes
-        // the same frame instead of desynchronizing.
-        let c = codec();
-        let stream = sample_stream(&c, &[50, 51]);
-        let mut r = FrameReader::new(&c, Hostile { inner: stream.as_slice(), phase: 0 });
-        let mut got = Vec::new();
-        loop {
-            match r.recv() {
-                Ok(Some(m)) => got.push(m.get_uint("id").unwrap()),
-                Ok(None) => break,
-                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("unexpected {e:?}"),
-            }
-        }
-        assert_eq!(got, [50, 51]);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!    the shared plain specification ([`message::Message::transcode_into`],
 //!    running a compiled [`plan::CopyProgram`] per codec pairing so the
 //!    steady-state relay loop is allocation-free; backed by this crate's
-//!    resumable [`framing::FrameReader`] and the cursor-based,
-//!    capacity-bounded [`framing::FrameBuffer`]);
+//!    [`framing::append_frame`] and the cursor-based, capacity-bounded
+//!    [`framing::FrameBuffer`]);
 //! 7. **Configure** — a [`profile::Profile`] bundles the whole endpoint
 //!    configuration into one serializable, shared-secret-keyed object:
 //!    spec sources (distinct per direction for asymmetric

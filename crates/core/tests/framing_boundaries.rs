@@ -2,7 +2,7 @@
 //! over `max_frame`, zero-length bodies, truncated length headers, and
 //! the edges of reading a stream straight into a `FrameBuffer`.
 
-use protoobf_core::framing::{FrameBuffer, FrameError, FrameReader, FrameWriter, READ_MIN};
+use protoobf_core::framing::{append_frame, FrameBuffer, FrameError, READ_MIN};
 use protoobf_core::graph::{Boundary, GraphBuilder};
 use protoobf_core::value::TerminalKind;
 use protoobf_core::Codec;
@@ -32,31 +32,21 @@ fn pop(fb: &mut FrameBuffer) -> Result<Option<Vec<u8>>, FrameError> {
 }
 
 #[test]
-fn writer_accepts_exactly_max_frame_and_rejects_one_more() {
+fn append_frame_accepts_exactly_max_frame_and_rejects_one_more() {
     let c = codec();
-    let mut out = Vec::new();
-    let mut w = FrameWriter::new(&c, &mut out).max_frame(8);
-    w.send_raw(&[0xAA; 8]).expect("a body of exactly max_frame is legal");
-    match w.send_raw(&[0xAA; 9]) {
+    let mut session = c.serializer();
+    let mut msg = c.message();
+    let mut out = frame(b"an earlier frame");
+    msg.set("body", vec![0xAA; 8]).unwrap();
+    append_frame(&mut session, &msg, &mut out, 8).expect("a body of exactly max_frame is legal");
+    let framed = [frame(b"an earlier frame"), frame(&[0xAA; 8])].concat();
+    assert_eq!(out, framed);
+    msg.set("body", vec![0xAA; 9]).unwrap();
+    match append_frame(&mut session, &msg, &mut out, 8) {
         Err(FrameError::TooLarge { limit: 8, got: 9 }) => {}
         other => panic!("one byte over the limit must be TooLarge, got {other:?}"),
     }
-}
-
-#[test]
-fn reader_accepts_exactly_max_frame_and_rejects_one_more() {
-    let c = codec();
-    let at_limit = frame(&[0x42; 8]);
-    let mut r = FrameReader::new(&c, at_limit.as_slice()).max_frame(8);
-    let m = r.recv().unwrap().expect("frame present");
-    assert_eq!(m.get("body").unwrap().as_bytes(), [0x42; 8]);
-
-    let over = frame(&[0x42; 9]);
-    let mut r = FrameReader::new(&c, over.as_slice()).max_frame(8);
-    match r.recv() {
-        Err(FrameError::TooLarge { limit: 8, got: 9 }) => {}
-        other => panic!("expected TooLarge, got {other:?}"),
-    }
+    assert_eq!(out, framed, "a rejected frame leaves `out` as it was");
 }
 
 #[test]
@@ -71,17 +61,21 @@ fn frame_buffer_boundary_at_and_over_limit() {
 #[test]
 fn zero_length_bodies_are_framed_and_recovered() {
     let c = codec();
-    // Writer side: a zero-length raw body is a legal frame.
+    // Writer side: an empty body is a legal frame.
+    let mut msg = c.message();
+    msg.set("body", Vec::new()).unwrap();
     let mut out = Vec::new();
-    FrameWriter::new(&c, &mut out).send_raw(&[]).unwrap();
+    append_frame(&mut c.serializer(), &msg, &mut out, 8).unwrap();
     assert_eq!(out, frame(&[]));
 
     // Reader side: the empty frame is delivered (here the codec accepts an
     // empty body because the spec is a single End-bounded field).
-    let mut r = FrameReader::new(&c, out.as_slice());
-    let m = r.recv().unwrap().expect("empty frame present");
+    let mut fb = FrameBuffer::new();
+    fb.feed(&out);
+    let m = c.parse(fb.peek().unwrap().expect("empty frame present")).unwrap();
     assert_eq!(m.get("body").unwrap().as_bytes(), b"");
-    assert!(r.recv().unwrap().is_none(), "clean EOF after the empty frame");
+    fb.consume();
+    assert_eq!(fb.pending(), 0);
 
     // Two adjacent empty frames do not desynchronize reassembly.
     let mut fb = FrameBuffer::new();
@@ -93,19 +87,9 @@ fn zero_length_bodies_are_framed_and_recovered() {
 
 #[test]
 fn truncated_header_regression() {
-    // Regression: a stream ending inside the 4-byte length prefix must be
-    // Truncated (EOF mid-header), never a clean EOF and never a hang —
-    // for every possible cut.
-    let c = codec();
+    // A partial header buffered in a FrameBuffer stays pending (a
+    // connection's end of stream turns it into `Truncated`).
     let full = frame(b"xyz");
-    for cut in 1..4 {
-        let mut r = FrameReader::new(&c, &full[..cut]);
-        match r.recv() {
-            Err(FrameError::Truncated) => {}
-            other => panic!("header cut at {cut}: expected Truncated, got {other:?}"),
-        }
-    }
-    // A partial header buffered in a FrameBuffer simply stays pending.
     let mut fb = FrameBuffer::new();
     fb.feed(&full[..3]);
     assert_eq!(pop(&mut fb).unwrap(), None);
@@ -221,19 +205,6 @@ fn read_from_takes_several_frames_and_a_partial_in_one_read() {
     assert_eq!(fb.pending(), 9);
     fb.feed(&partial[9..]);
     assert_eq!(pop(&mut fb).unwrap(), Some(b"the partial frame".to_vec()));
-}
-
-#[test]
-fn read_from_end_of_stream_inside_a_frame_is_truncated() {
-    let c = codec();
-    let full = frame(b"a body cut short");
-    for cut in 1..full.len() {
-        let mut r = FrameReader::new(&c, Scripted::new(full[..cut].to_vec(), vec![Ok(1); cut]));
-        match r.recv() {
-            Err(FrameError::Truncated) => {}
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-        }
-    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!      read_inbound(socket) / feed_inbound(bytes)    poll_inbound() -> &Message
 //!   wire ──────────────▶ [FrameBuffer ▶ pooled ParseSession] ──────────▶ app
 //!   wire ◀────────────── [pooled SerializeSession ▶ frames]  ◀────────── app
-//!            poll_outbound(buf)              send(&Message)
+//!      outbound() / consume_outbound(n)        send(&Message)
 //! ```
 //!
 //! A socket is read straight into the inbound [`FrameBuffer`]
@@ -448,17 +448,6 @@ impl<'s> Conn<'s> {
             tx.out_start = 0;
         }
         self.finish_close_if_drained();
-    }
-
-    /// Copies up to `buf.len()` pending outbound bytes into `buf` and
-    /// consumes them, returning how many were copied. Zero means the
-    /// outbound direction is idle.
-    pub fn poll_outbound(&mut self, buf: &mut [u8]) -> usize {
-        let pending = self.outbound();
-        let n = pending.len().min(buf.len());
-        buf[..n].copy_from_slice(&pending[..n]);
-        self.consume_outbound(n);
-        n
     }
 
     /// Requests a clean close of the outbound direction: no further

@@ -14,15 +14,15 @@
 //!
 //! * [`conn::Conn`] — a **sans-io connection state machine**: let it read
 //!   a stream straight into its frame buffer ([`conn::Conn::read_inbound`])
-//!   or feed it raw transport bytes ([`conn::Conn::feed_inbound`]), poll decoded messages
-//!   ([`conn::Conn::poll_inbound`]), queue outbound messages
-//!   ([`conn::Conn::send`]) and drain the encoded bytes
-//!   ([`conn::Conn::poll_outbound`]). It owns no socket: any transport —
-//!   TCP, in-memory test pipes, a fuzzer — can drive it. Each
-//!   `Conn` holds one pooled parser and one pooled serializer checked out
-//!   of a shared [`protoobf_core::CodecService`] for its whole lifetime,
-//!   so one compiled plan serves every connection and steady-state
-//!   per-message work is allocation-free.
+//!   or feed it raw transport bytes ([`conn::Conn::feed_inbound`]), poll
+//!   decoded messages ([`conn::Conn::poll_inbound`]), queue outbound
+//!   messages ([`conn::Conn::send`]) and drain the encoded bytes
+//!   ([`conn::Conn::outbound`], [`conn::Conn::consume_outbound`]). It owns
+//!   no socket: any transport — TCP, in-memory test pipes, a fuzzer — can
+//!   drive it. Each `Conn` holds one pooled parser and one pooled
+//!   serializer checked out of a shared [`protoobf_core::CodecService`]
+//!   for its whole lifetime, so one compiled plan serves every connection
+//!   and steady-state per-message work is allocation-free.
 //! * [`evloop`] — a **non-blocking event loop** over `std::net` sockets
 //!   (the build environment has no async runtime; none is needed):
 //!   thread-per-core workers each accept and drive their own set of

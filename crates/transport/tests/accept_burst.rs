@@ -3,7 +3,7 @@
 //! wake), and the cap must not lose connections — everyone still gets
 //! accepted, just a bounded burst at a time.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -15,21 +15,19 @@ use protoobf_transport::{evloop, Echo, LoopConfig, Metrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One framed request and its expected (identical) framed echo.
+mod common;
+use common::{framed, recv_frame};
+
+/// One request, framed, and its expected (identical) echo.
 fn framed_request(clear: &Codec, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let f = Function::ALL[seed as usize % Function::ALL.len()];
-    let body = clear.serialize(&modbus::build_request(clear, f, &mut rng)).unwrap();
-    let mut framed = (body.len() as u32).to_be_bytes().to_vec();
-    framed.extend_from_slice(&body);
-    framed
+    framed(&clear.serialize(&modbus::build_request(clear, f, &mut rng)).unwrap())
 }
 
 fn roundtrip(stream: &mut TcpStream, framed: &[u8]) {
     stream.write_all(framed).unwrap();
-    let mut echoed = vec![0u8; framed.len()];
-    stream.read_exact(&mut echoed).unwrap();
-    assert_eq!(echoed, framed, "echo diverged");
+    assert_eq!(recv_frame(&*stream).unwrap(), framed[4..], "echo diverged");
 }
 
 /// A tiny accept burst (2 per wake) against a 48-connection flood, on a

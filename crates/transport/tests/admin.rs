@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use protoobf_core::framing::{FrameReader, FrameWriter};
 use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::service::CodecService;
 use protoobf_core::Codec;
@@ -17,6 +16,9 @@ use protoobf_protocols::modbus::{self, Function};
 use protoobf_transport::{evloop, serve_admin, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
+use common::{framed, recv_frame};
 
 const PROFILE: &str = "profile protoobf/1\n\
                        spec builtin:modbus-request\n\
@@ -102,15 +104,13 @@ fn admin_endpoint_serves_scrapes_while_the_gateway_relays() {
         // drained one.
         let stream = TcpStream::connect(encode_addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        let mut writer = FrameWriter::new(&clear, &stream);
-        let mut reader = FrameReader::new(&clear, &stream);
         let mut rng = StdRng::seed_from_u64(7);
         for i in 0..MSGS {
             let f = Function::ALL[i % Function::ALL.len()];
             let msg = modbus::build_request(&clear, f, &mut rng);
             let reference = clear.serialize(&msg).unwrap();
-            writer.send_raw(&reference).unwrap();
-            let echoed = reader.recv_raw().unwrap().expect("echo before EOF");
+            (&stream).write_all(&framed(&reference)).unwrap();
+            let echoed = recv_frame(&stream).expect("echo before EOF");
             assert_eq!(echoed, reference, "message {i} diverged through the chain");
         }
 
@@ -156,8 +156,6 @@ fn admin_endpoint_serves_scrapes_while_the_gateway_relays() {
         let still = http_get(admin_addr, "GET /health HTTP/1.0\r\n\r\n");
         assert!(still.starts_with("HTTP/1.0 200"), "{still}");
 
-        drop(writer);
-        drop(reader);
         drop(stream);
         shutdown.store(true, Ordering::Relaxed);
         for l in loops {

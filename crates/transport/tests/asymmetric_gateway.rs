@@ -17,7 +17,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use protoobf_core::framing::{FrameBuffer, FrameReader, FrameWriter};
+use protoobf_core::framing::FrameBuffer;
 use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::sample::{random_message, sample_into};
 use protoobf_core::FormatGraph;
@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
+use common::{framed, recv_frame};
 
 /// The builtin half of the facade's standard resolver (transport cannot
 /// depend on the facade).
@@ -91,19 +92,17 @@ fn run_chain(profile_text: &str) {
         let server = scope.spawn(|| {
             let request_codec = decode_ep.clear_tx_service().codec();
             let response_codec = decode_ep.clear_rx_service().codec();
-            let (stream, _) = server_l.accept().unwrap();
-            let mut reader = FrameReader::new(request_codec, &stream);
-            let mut writer = FrameWriter::new(response_codec, &stream);
+            let (mut stream, _) = server_l.accept().unwrap();
             let mut rng = StdRng::seed_from_u64(11);
             let mut seen = Vec::new();
             let mut sent = Vec::new();
             for _ in 0..MSGS {
-                let request = reader.recv_raw().unwrap().expect("request frame");
+                let request = recv_frame(&stream).expect("request frame");
                 request_codec.parse(&request).expect("relayed request parses");
                 seen.push(request);
                 let wire =
                     response_codec.serialize(&random_message(response_codec, &mut rng)).unwrap();
-                writer.send_raw(&wire).unwrap();
+                stream.write_all(&framed(&wire)).unwrap();
                 sent.push(wire);
             }
             (seen, sent)
@@ -112,21 +111,18 @@ fn run_chain(profile_text: &str) {
         // Client: send request frames, record them and the responses.
         let request_codec = encode_ep.clear_tx_service().codec();
         let response_codec = encode_ep.clear_rx_service().codec();
-        let stream = TcpStream::connect(client_addr).unwrap();
-        let mut writer = FrameWriter::new(request_codec, &stream);
-        let mut reader = FrameReader::new(response_codec, &stream);
+        let mut stream = TcpStream::connect(client_addr).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let mut client_sent = Vec::new();
         let mut client_got = Vec::new();
         for _ in 0..MSGS {
             let wire = request_codec.serialize(&random_message(request_codec, &mut rng)).unwrap();
-            writer.send_raw(&wire).unwrap();
+            stream.write_all(&framed(&wire)).unwrap();
             client_sent.push(wire);
-            let response = reader.recv_raw().unwrap().expect("response frame");
+            let response = recv_frame(&stream).expect("response frame");
             response_codec.parse(&response).expect("relayed response parses");
             client_got.push(response);
         }
-        drop((reader, writer));
         drop(stream);
 
         let (server_seen, server_sent) = server.join().unwrap();
@@ -201,17 +197,14 @@ fn responder_answers_every_request_through_the_chain() {
         ];
 
         let request_codec = encode_ep.clear_tx_service().codec();
-        let stream = TcpStream::connect(client_addr).unwrap();
-        let mut writer = FrameWriter::new(request_codec, &stream);
-        let mut reader = FrameReader::new(encode_ep.clear_rx_service().codec(), &stream);
+        let mut stream = TcpStream::connect(client_addr).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         for (i, want) in expected.iter().enumerate() {
             let wire = request_codec.serialize(&random_message(request_codec, &mut rng)).unwrap();
-            writer.send_raw(&wire).unwrap();
-            let got = reader.recv_raw().unwrap().expect("reply frame");
+            stream.write_all(&framed(&wire)).unwrap();
+            let got = recv_frame(&stream).expect("reply frame");
             assert_eq!(&got, want, "reply {i} diverged from the seeded sample");
         }
-        drop((reader, writer));
         drop(stream);
 
         shutdown.store(true, Ordering::Relaxed);
@@ -322,16 +315,13 @@ fn obfuscated_leg_is_not_the_clear_grammar() {
 
         let clear = ep.clear_tx_service().codec();
         let mut stream = TcpStream::connect(client_addr).unwrap();
-        let mut writer = FrameWriter::new(clear, &stream);
         let mut rng = StdRng::seed_from_u64(2);
         let mut clear_wires = Vec::new();
         for _ in 0..4 {
             let wire = clear.serialize(&random_message(clear, &mut rng)).unwrap();
-            writer.send_raw(&wire).unwrap();
+            stream.write_all(&framed(&wire)).unwrap();
             clear_wires.push(wire);
         }
-        drop(writer);
-        stream.flush().unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
 
         let sniffed = sniffer.join().unwrap();

@@ -34,6 +34,8 @@ use protoobf_transport::{evloop, sys, Echo, Gateway, GatewayMode, LoopConfig, Me
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod common;
+
 const PROFILE: &str = "profile protoobf/1\n\
                        spec builtin:modbus-request\n\
                        key \"c10k secret\"\n\
@@ -172,9 +174,7 @@ fn c10k_chain_relays_byte_identical_with_bounded_wake_latency() {
             let mut rng = StdRng::seed_from_u64(i as u64);
             let f = Function::ALL[i % Function::ALL.len()];
             let msg = modbus::build_request(&clear, f, &mut rng);
-            let body = clear.serialize(&msg).unwrap();
-            let mut framed = (body.len() as u32).to_be_bytes().to_vec();
-            framed.extend_from_slice(&body);
+            let framed = common::framed(&clear.serialize(&msg).unwrap());
             clients.push(Client { stream, framed, sent: 0, echoed: Vec::new(), done: false });
         }
 

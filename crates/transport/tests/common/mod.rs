@@ -1,8 +1,8 @@
-//! Test support shared by the transport suites: an in-memory duplex
-//! transport (socket-free byte pipes with non-blocking semantics), plus a
-//! shuttle that pumps two sans-io [`Conn`]s against each other under
-//! arbitrary chunking patterns (1-byte trickle, pipelined bursts,
-//! mid-stream cuts).
+//! Test support shared by the transport suites: raw length-prefixed
+//! frames for blocking socket clients, an in-memory duplex transport
+//! (socket-free byte pipes with non-blocking semantics), plus a shuttle
+//! that pumps two sans-io [`Conn`]s against each other under arbitrary
+//! chunking patterns (1-byte trickle, pipelined bursts, mid-stream cuts).
 
 // Each suite that includes this module uses only part of it.
 #![allow(dead_code)]
@@ -12,6 +12,26 @@ use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
 
 use protoobf_transport::{Conn, TransportError};
+
+/// One raw frame: the 4-byte big-endian length prefix, then `body`.
+pub fn framed(body: &[u8]) -> Vec<u8> {
+    let mut out = (body.len() as u32).to_be_bytes().to_vec();
+    out.extend_from_slice(body);
+    out
+}
+
+/// Reads one raw frame body from a blocking stream.
+///
+/// # Errors
+///
+/// Those of `read_exact`: the stream ended or failed inside the frame.
+pub fn recv_frame(mut src: impl Read) -> io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    src.read_exact(&mut prefix)?;
+    let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+    src.read_exact(&mut body)?;
+    Ok(body)
+}
 
 #[derive(Debug, Default)]
 struct Shared {

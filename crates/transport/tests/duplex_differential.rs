@@ -198,40 +198,58 @@ fn close_drains_then_terminates() {
     conn.close();
     assert_eq!(conn.state(), ConnState::Open, "close waits for the transport to drain");
     assert!(matches!(conn.send(&obf_msg), Err(TransportError::Closed)));
-    let mut sink = [0u8; 16];
-    while conn.poll_outbound(&mut sink) > 0 {}
+    while conn.has_outbound() {
+        conn.consume_outbound(conn.outbound_len().min(16));
+    }
     assert_eq!(conn.state(), ConnState::Closed);
+}
+
+/// Reads `src` into `conn` until the stream would block or ends.
+fn read_until_blocked(conn: &mut Conn<'_>, src: &mut common::MemStream) {
+    loop {
+        match conn.read_inbound(src) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(TransportError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(e) => panic!("unexpected {e:?}"),
+        }
+    }
 }
 
 #[test]
 fn mem_duplex_streams_carry_framed_traffic() {
-    use protoobf_core::framing::{FrameError, FrameReader, FrameWriter};
-    use std::io::ErrorKind;
+    use std::io::Write;
 
     let graph = graph_for("modbus-request");
-    let codec = Codec::identity(&graph);
+    let svc = CodecService::new(Codec::identity(&graph));
+    let codec = svc.codec();
     let mut rng = StdRng::seed_from_u64(21);
-    let (client, server) = common::mem_duplex(1); // 1-byte reads
-    let mut writer = FrameWriter::new(&codec, client);
-    let mut reader = FrameReader::new(&codec, server);
-    let mut sent = Vec::new();
+    let (mut client, mut server) = common::mem_duplex(1); // 1-byte reads
+    let mut sender = Conn::new(&svc, &svc);
+    let mut receiver = Conn::new(&svc, &svc);
+    let (mut sent, mut got) = (Vec::new(), Vec::new());
     for f in protoobf_protocols::modbus::Function::ALL {
-        let msg = protoobf_protocols::modbus::build_request(&codec, f, &mut rng);
+        let msg = protoobf_protocols::modbus::build_request(codec, f, &mut rng);
         sent.push(codec.serialize_seeded(&msg, 0).unwrap());
-        writer.send(&msg).unwrap();
+        sender.send(&msg).unwrap();
+        let wire = sender.outbound().to_vec();
+        sender.consume_outbound(wire.len());
+        // Each frame arrives in two halves over non-blocking 1-byte
+        // reads: the read path stops on WouldBlock mid-frame and resumes
+        // the same frame once the rest is written.
+        let (head, tail) = wire.split_at(wire.len() / 2);
+        client.write_all(head).unwrap();
+        read_until_blocked(&mut receiver, &mut server);
+        assert!(receiver.poll_inbound().unwrap().is_none(), "half a frame is not a message");
+        client.write_all(tail).unwrap();
+        read_until_blocked(&mut receiver, &mut server);
+        let m = receiver.poll_inbound().unwrap().expect("the whole frame decodes");
+        got.push(codec.serialize_seeded(m, 0).unwrap());
     }
-    writer.into_inner().close();
-    // Non-blocking 1-byte reads: WouldBlock interleaves with progress and
-    // the resumable reader must reassemble every frame.
-    let mut got = Vec::new();
-    loop {
-        match reader.recv() {
-            Ok(Some(m)) => got.push(codec.serialize_seeded(&m, 0).unwrap()),
-            Ok(None) => break,
-            Err(FrameError::Io(e)) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(e) => panic!("unexpected {e:?}"),
-        }
-    }
+    client.close();
+    read_until_blocked(&mut receiver, &mut server);
+    assert_eq!(receiver.state(), ConnState::PeerClosed);
+    assert!(receiver.poll_inbound().unwrap().is_none(), "clean end at a frame boundary");
     assert_eq!(got, sent);
 }
 

@@ -5,7 +5,7 @@
 //! trips, accept caps, wake-latency recording, backpressure gating — so
 //! the compile-time backend split cannot silently rot.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -21,6 +21,9 @@ use protoobf_transport::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
+use common::{framed, recv_frame};
 
 /// Forces the scan worker for this whole test process. All tests set the
 /// same value, so the (process-global) write is race-free in effect.
@@ -68,9 +71,8 @@ fn scan_fallback_roundtrips_and_records_wake_latency() {
                     let framed = framed_request(clear, t as u64);
                     for _ in 0..4 {
                         stream.write_all(&framed).unwrap();
-                        let mut echoed = vec![0u8; framed.len()];
-                        stream.read_exact(&mut echoed).unwrap();
-                        assert_eq!(echoed, framed, "client {t}: echo diverged on scan path");
+                        let echoed = recv_frame(&stream).unwrap();
+                        assert_eq!(echoed, framed[4..], "client {t}: echo diverged on scan path");
                     }
                 });
             }
@@ -117,15 +119,9 @@ fn resolver(src: &SpecSource) -> Result<FormatGraph, String> {
     }
 }
 
-fn framed(body: &[u8]) -> Vec<u8> {
-    let mut framed = (body.len() as u32).to_be_bytes().to_vec();
-    framed.extend_from_slice(body);
-    framed
-}
-
 /// Floods `MSGS` requests at `server` without reading a reply, then
-/// drains. Returns the replies expected, the replies received and the
-/// metrics of every session in the path.
+/// drains. Returns the reply bodies expected, the reply bodies received
+/// and the metrics of every session in the path.
 fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSnapshot>) {
     let graph = modbus::request_graph();
     let clear = Codec::identity(&graph);
@@ -152,7 +148,7 @@ fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSn
 
     let request = framed_request(&clear, 3);
     let expected: Vec<Vec<u8>> = match server {
-        Server::Echo | Server::RelayChain => vec![request.clone(); MSGS],
+        Server::Echo | Server::RelayChain => vec![request[4..].to_vec(); MSGS],
         Server::Responder => {
             let codec = replies.codec();
             let mut reply = codec.message_seeded(RESPONDER_SEED);
@@ -160,7 +156,7 @@ fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSn
             (0..MSGS)
                 .map(|_| {
                     sample_into(codec, &mut reply, &mut rng, &[]);
-                    framed(&codec.serialize(&reply).unwrap())
+                    codec.serialize(&reply).unwrap()
                 })
                 .collect()
         }
@@ -199,9 +195,8 @@ fn flood_and_drain(server: Server) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<MetricsSn
             stream.write_all(&request).unwrap();
         }
         // Now drain: every reply must still arrive, in order, intact.
-        for (i, want) in expected.iter().enumerate() {
-            let mut reply = vec![0u8; want.len()];
-            stream.read_exact(&mut reply).unwrap_or_else(|e| panic!("{server:?} reply {i}: {e}"));
+        for i in 0..MSGS {
+            let reply = recv_frame(&stream).unwrap_or_else(|e| panic!("{server:?} reply {i}: {e}"));
             received.push(reply);
         }
         drop(stream);

@@ -9,11 +9,11 @@
 //! own (single-threaded, deterministic) reference serialization. A hostile
 //! client must take down only its own relay.
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use protoobf_core::framing::{FrameReader, FrameWriter};
 use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::service::CodecService;
 use protoobf_core::Codec;
@@ -23,6 +23,9 @@ use protoobf_transport::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
+use common::{framed, recv_frame};
 
 const PROFILE: &str = "profile protoobf/1\n\
                        spec builtin:modbus-request\n\
@@ -98,8 +101,6 @@ fn sixty_four_concurrent_connections_roundtrip_byte_identical() {
                 scope.spawn(move || {
                     let stream = TcpStream::connect(gateway_addr).unwrap();
                     stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-                    let mut writer = FrameWriter::new(clear, &stream);
-                    let mut reader = FrameReader::new(clear, &stream);
                     let mut rng = StdRng::seed_from_u64(t as u64);
                     for i in 0..MSGS_PER_CLIENT {
                         let f = Function::ALL[(t + i) % Function::ALL.len()];
@@ -107,8 +108,8 @@ fn sixty_four_concurrent_connections_roundtrip_byte_identical() {
                         // Identity codecs are deterministic: the bytes we
                         // send ARE the single-threaded reference.
                         let reference = clear.serialize(&msg).unwrap();
-                        writer.send_raw(&reference).unwrap();
-                        let echoed = reader.recv_raw().unwrap().expect("echo before EOF");
+                        (&stream).write_all(&framed(&reference)).unwrap();
+                        let echoed = recv_frame(&stream).expect("echo before EOF");
                         assert_eq!(
                             echoed, reference,
                             "client {t} message {i}: echoed wire diverged from reference"
@@ -152,27 +153,22 @@ fn hostile_client_fails_only_its_own_relay() {
         // body. Its relay must die with a typed error server-side; the
         // client observes EOF/reset, never a wedged gateway.
         {
-            use std::io::{Read, Write};
             let mut stream = TcpStream::connect(gateway_addr).unwrap();
             stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-            let mut junk = 32u32.to_be_bytes().to_vec();
-            junk.extend_from_slice(&[0xEE; 32]);
-            stream.write_all(&junk).unwrap();
+            stream.write_all(&framed(&[0xEE; 32])).unwrap();
             let mut sink = Vec::new();
             // Read until the gateway drops us (0 bytes) or resets.
             let _ = stream.read_to_end(&mut sink);
         }
 
         // A well-behaved client right after must still be served.
-        let stream = TcpStream::connect(gateway_addr).unwrap();
+        let mut stream = TcpStream::connect(gateway_addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        let mut writer = FrameWriter::new(&clear, &stream);
-        let mut reader = FrameReader::new(&clear, &stream);
         let mut rng = StdRng::seed_from_u64(5);
         let msg = modbus::build_request(&clear, Function::ReadHoldingRegisters, &mut rng);
         let reference = clear.serialize(&msg).unwrap();
-        writer.send_raw(&reference).unwrap();
-        assert_eq!(reader.recv_raw().unwrap().expect("echo"), reference);
+        stream.write_all(&framed(&reference)).unwrap();
+        assert_eq!(recv_frame(&stream).expect("echo"), reference);
     });
 
     assert!(encode_stats.failed >= 1, "hostile relay must be counted: {encode_stats}");

@@ -12,13 +12,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use protoobf_core::framing::{FrameReader, READ_MIN};
+use protoobf_core::framing::READ_MIN;
 use protoobf_core::graph::{Boundary, GraphBuilder};
 use protoobf_core::profile::{Endpoint, Profile, SpecSource};
 use protoobf_core::service::CodecService;
 use protoobf_core::value::TerminalKind;
 use protoobf_core::{Codec, FormatGraph};
 use protoobf_transport::{evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
+
+mod common;
+use common::{framed, recv_frame};
 
 /// One field that takes the whole frame: a clear frame's body is the
 /// message's bytes, so each case picks its frame size exactly.
@@ -41,12 +44,6 @@ fn endpoint() -> Endpoint {
 /// A deterministic body of `n` bytes.
 fn body(n: usize, salt: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 31 + salt * 7 + n) as u8).collect()
-}
-
-fn framed(body: &[u8]) -> Vec<u8> {
-    let mut out = (body.len() as u32).to_be_bytes().to_vec();
-    out.extend_from_slice(body);
-    out
 }
 
 /// Runs the chain, hands `client` the encode gateway's address, then
@@ -101,16 +98,14 @@ const SIZES: [usize; 8] = [0, 1, READ_MIN - 1, READ_MIN, READ_MIN + 1, 64 * 1024
 
 #[test]
 fn frames_at_the_read_edges_relay_byte_identical() {
-    let clear = Codec::identity(&blob_graph());
     with_chain(|addr| {
         let mut stream = connect(addr);
-        let mut reader = FrameReader::new(&clear, stream.try_clone().unwrap());
         // Twice over, so the second pass reads into the room the first
         // one grew.
         for (i, &n) in SIZES.iter().chain(SIZES.iter()).enumerate() {
             let sent = body(n, i);
             stream.write_all(&framed(&sent)).unwrap();
-            let echoed = reader.recv_raw().unwrap().expect("echo before EOF");
+            let echoed = recv_frame(&stream).expect("echo before EOF");
             assert!(echoed == sent, "frame {i} of {n} bytes came back different");
         }
     });
@@ -118,18 +113,16 @@ fn frames_at_the_read_edges_relay_byte_identical() {
 
 #[test]
 fn pipelined_burst_in_one_write_relays_byte_identical() {
-    let clear = Codec::identity(&blob_graph());
     with_chain(|addr| {
-        let mut stream = connect(addr);
-        let mut reader = FrameReader::new(&clear, stream.try_clone().unwrap());
+        let stream = connect(addr);
         let bodies: Vec<Vec<u8>> = (0..40).map(|i| body(SIZES[i % SIZES.len()], i)).collect();
         let burst: Vec<u8> = bodies.iter().flat_map(|b| framed(b)).collect();
         // Write from another thread: the burst is larger than the
         // socket buffers, so its echoes must be read while it is sent.
         std::thread::scope(|scope| {
-            scope.spawn(|| stream.write_all(&burst).unwrap());
+            scope.spawn(|| (&stream).write_all(&burst).unwrap());
             for (i, sent) in bodies.iter().enumerate() {
-                let echoed = reader.recv_raw().unwrap().expect("echo before EOF");
+                let echoed = recv_frame(&stream).expect("echo before EOF");
                 assert!(&echoed == sent, "burst frame {i} came back different");
             }
         });
@@ -138,10 +131,8 @@ fn pipelined_burst_in_one_write_relays_byte_identical() {
 
 #[test]
 fn dribbled_large_frame_relays_byte_identical() {
-    let clear = Codec::identity(&blob_graph());
     with_chain(|addr| {
         let mut stream = connect(addr);
-        let mut reader = FrameReader::new(&clear, stream.try_clone().unwrap());
         for (round, chunk) in [1usize, 3, 997, READ_MIN + 1].into_iter().enumerate() {
             let sent = body(64 * 1024, round);
             let wire = framed(&sent);
@@ -153,7 +144,7 @@ fn dribbled_large_frame_relays_byte_identical() {
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }
-            let echoed = reader.recv_raw().unwrap().expect("echo before EOF");
+            let echoed = recv_frame(&stream).expect("echo before EOF");
             assert!(echoed == sent, "dribbled frame in {chunk}-byte writes came back different");
         }
     });

@@ -19,10 +19,10 @@
 //! cargo run --example asymmetric_gateway
 //! ```
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use protoobf::core::framing::{FrameReader, FrameWriter};
 use protoobf::core::sample::random_message;
 use protoobf::transport::{Gateway, GatewayMode, LoopConfig};
 use protoobf::{Profile, ProfileExt};
@@ -41,6 +41,25 @@ const MSGS: usize = 32;
 
 /// Raw length-prefixed frame bodies, in order, as one side saw them.
 type Frames = Vec<Vec<u8>>;
+
+/// Sends `body` as one length-prefixed frame: a clear client frames
+/// with std alone, it does not need the library.
+fn send_frame(mut stream: &TcpStream, body: &[u8]) -> std::io::Result<()> {
+    stream.write_all(&[&(body.len() as u32).to_be_bytes()[..], body].concat())
+}
+
+/// Reads one length-prefixed frame body. The body buffer grows with the
+/// bytes that arrive, not with what the prefix announces.
+fn recv_frame(mut stream: &TcpStream) -> std::io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix)?;
+    let len = u64::from(u32::from_be_bytes(prefix));
+    let mut body = Vec::new();
+    if stream.take(len).read_to_end(&mut body)? as u64 != len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let encode_ep = Profile::parse(PROFILE_TEXT)?.build()?;
@@ -75,17 +94,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let query_codec = decode_ep.clear_tx_service().codec();
                 let response_codec = decode_ep.clear_rx_service().codec();
                 let (stream, _) = server_l.accept()?;
-                let mut reader = FrameReader::new(query_codec, &stream);
-                let mut writer = FrameWriter::new(response_codec, &stream);
                 let mut rng = StdRng::seed_from_u64(7);
                 let (mut received, mut sent) = (Vec::new(), Vec::new());
                 for _ in 0..MSGS {
-                    let query = reader.recv_raw().expect("frame").expect("query");
+                    let query = recv_frame(&stream)?;
                     query_codec.parse(&query).expect("query parses");
                     received.push(query);
                     let reply = random_message(response_codec, &mut rng);
                     let wire = response_codec.serialize(&reply).expect("serialize response");
-                    writer.send_raw(&wire).expect("send frame");
+                    send_frame(&stream, &wire)?;
                     sent.push(wire);
                 }
                 Ok((received, sent))
@@ -97,16 +114,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let query_codec = encode_ep.clear_tx_service().codec();
                 let response_codec = encode_ep.clear_rx_service().codec();
                 let stream = TcpStream::connect(client_addr)?;
-                let mut writer = FrameWriter::new(query_codec, &stream);
-                let mut reader = FrameReader::new(response_codec, &stream);
                 let mut rng = StdRng::seed_from_u64(3);
                 let (mut sent, mut received) = (Vec::new(), Vec::new());
                 for _ in 0..MSGS {
                     let query = random_message(query_codec, &mut rng);
                     let wire = query_codec.serialize(&query).expect("serialize query");
-                    writer.send_raw(&wire).expect("send frame");
+                    send_frame(&stream, &wire)?;
                     sent.push(wire);
-                    let response = reader.recv_raw().expect("frame").expect("response");
+                    let response = recv_frame(&stream)?;
                     response_codec.parse(&response).expect("response parses");
                     received.push(response);
                 }

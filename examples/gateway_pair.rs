@@ -17,10 +17,10 @@
 //! cargo run --example gateway_pair
 //! ```
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use protoobf::core::framing::{FrameReader, FrameWriter};
 use protoobf::protocols::modbus::{self, Function};
 use protoobf::transport::{evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
 use protoobf::{Profile, ProfileExt};
@@ -37,6 +37,25 @@ level 2
 
 const CLIENTS: usize = 8;
 const MSGS: usize = 8;
+
+/// Sends `body` as one length-prefixed frame: a clear client frames
+/// with std alone, it does not need the library.
+fn send_frame(mut stream: &TcpStream, body: &[u8]) -> std::io::Result<()> {
+    stream.write_all(&[&(body.len() as u32).to_be_bytes()[..], body].concat())
+}
+
+/// Reads one length-prefixed frame body. The body buffer grows with the
+/// bytes that arrive, not with what the prefix announces.
+fn recv_frame(mut stream: &TcpStream) -> std::io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix)?;
+    let len = u64::from(u32::from_be_bytes(prefix));
+    let mut body = Vec::new();
+    if stream.take(len).read_to_end(&mut body)? as u64 != len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each side parses and builds its *own copy* of the profile.
@@ -90,15 +109,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let clear = encode_ep.clear_tx_service().codec();
                 clients.spawn(move || {
                     let stream = TcpStream::connect(client_addr).expect("connect");
-                    let mut writer = FrameWriter::new(clear, &stream);
-                    let mut reader = FrameReader::new(clear, &stream);
                     let mut rng = StdRng::seed_from_u64(t as u64);
                     for i in 0..MSGS {
                         let f = Function::ALL[(t + i) % Function::ALL.len()];
                         let msg = modbus::build_request(clear, f, &mut rng);
                         let wire = clear.serialize(&msg).expect("serialize");
-                        writer.send_raw(&wire).expect("send");
-                        let echo = reader.recv_raw().expect("recv").expect("echo");
+                        send_frame(&stream, &wire).expect("send");
+                        let echo = recv_frame(&stream).expect("echo");
                         assert_eq!(echo, wire, "client {t}: echo must be byte-identical");
                     }
                 });

@@ -78,13 +78,14 @@
 //! format, `/events` for the connection flight recorder, `/health`),
 //! and prints one unified telemetry summary at exit unless `--quiet`.
 
+use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use protoobf::codegen::{generate, measure};
-use protoobf::core::framing::{FrameReader, FrameWriter};
+use protoobf::core::framing::{append_frame, FrameBuffer};
 use protoobf::core::fuzz::{fuzz_codec, FuzzConfig, Reproducer};
 use protoobf::core::plan::CopyProgram;
 use protoobf::core::sample::random_message;
@@ -580,15 +581,16 @@ fn send(opts: &Options) -> Result<(), CliError> {
     let connect =
         opts.connect.as_deref().ok_or(CliError::Usage("send needs --connect ADDR".into()))?;
     let endpoint = endpoint_for(opts)?;
-    let tx_clear = endpoint.clear_tx_service().codec();
-    let rx_clear = endpoint.clear_rx_service().codec();
+    let (tx_svc, rx_svc) = (endpoint.clear_tx_service(), endpoint.clear_rx_service());
+    let rx_clear = rx_svc.codec();
     let telemetry = clear_telemetry(&endpoint, "send", ["tx_clear", "rx_clear"]);
     let metrics = telemetry.metrics();
     let stream =
         std::net::TcpStream::connect(connect).map_err(|e| format!("connect {connect}: {e}"))?;
     stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).map_err(|e| e.to_string())?;
-    let mut writer = FrameWriter::new(tx_clear, &stream);
-    let mut reader = FrameReader::new(rx_clear, &stream);
+    let mut serializer = tx_svc.serializer();
+    let mut frame = Vec::new();
+    let mut inbuf = FrameBuffer::new().max_frame(rx_svc.frame_limit());
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let symmetric = endpoint.is_symmetric();
@@ -596,25 +598,30 @@ fn send(opts: &Options) -> Result<(), CliError> {
     eprintln!("fingerprint {}", endpoint.fingerprint());
     with_telemetry(opts, &telemetry, "client done", |_shutdown| {
         for i in 0..opts.count {
-            let msg = random_message(tx_clear, &mut rng);
-            // Identity serialization is deterministic: the bytes sent are
+            let msg = random_message(tx_svc.codec(), &mut rng);
+            // Identity serialization is deterministic: the body sent is
             // the reference a symmetric echo must match byte-for-byte.
             let serialize_t = metrics.stages.serialize.start();
-            let reference = tx_clear.serialize(&msg).map_err(|e| e.to_string())?;
+            frame.clear();
+            append_frame(&mut serializer, &msg, &mut frame, tx_svc.frame_limit())
+                .map_err(|e| e.to_string())?;
             metrics.stages.serialize.finish(serialize_t);
-            writer.send_raw(&reference).map_err(|e| e.to_string())?;
+            (&stream).write_all(&frame).map_err(|e| e.to_string())?;
             Metrics::add(&metrics.messages_out, 1);
-            Metrics::add(&metrics.bytes_out, (reference.len() + 4) as u64);
-            metrics.frame_bytes_out.record((reference.len() + 4) as u64);
-            let echoed = reader
-                .recv_raw()
-                .map_err(|e| e.to_string())?
-                .ok_or_else(|| format!("stream ended after {i} messages"))?;
+            Metrics::add(&metrics.bytes_out, frame.len() as u64);
+            metrics.frame_bytes_out.record(frame.len() as u64);
+            while inbuf.peek().map_err(|e| e.to_string())?.is_none() {
+                if inbuf.read_from(&mut &stream).map_err(|e| e.to_string())? == 0 {
+                    let at = if inbuf.pending() == 0 { "" } else { ", inside a frame" };
+                    return Err(format!("stream ended after {i} messages{at}").into());
+                }
+            }
+            let echoed = inbuf.peek().ok().flatten().expect("a complete frame is buffered");
             Metrics::add(&metrics.messages_in, 1);
             Metrics::add(&metrics.bytes_in, (echoed.len() + 4) as u64);
             metrics.frame_bytes_in.record(echoed.len() as u64);
             if symmetric {
-                if echoed != reference {
+                if echoed != &frame[4..] {
                     return Err(CliError::Run(format!(
                         "message {i}: echoed wire differs from reference"
                     )));
@@ -624,11 +631,12 @@ fn send(opts: &Options) -> Result<(), CliError> {
                 // response parses as such.
                 let parse_t = metrics.stages.parse.start();
                 rx_clear
-                    .parse(&echoed)
+                    .parse(echoed)
                     .map_err(|e| format!("message {i}: response does not parse: {e}"))?;
                 metrics.stages.parse.finish(parse_t);
             }
-            bytes += reference.len() + 4;
+            inbuf.consume();
+            bytes += frame.len();
         }
         println!(
             "{} messages ({} bytes framed) round-tripped {} through {connect}",

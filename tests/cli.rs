@@ -347,6 +347,32 @@ fn hostnames_pass_flag_parsing_and_fail_at_runtime() {
     assert!(!String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
 
+/// `send` frames with the profile's `max-frame`, not the library default:
+/// every clear DNS query is over 16 bytes, so the first send fails with
+/// the framing error before any echo is awaited.
+#[test]
+fn send_honours_the_profile_frame_limit() {
+    let path = write_profile(
+        "max-frame",
+        "profile protoobf/1\nspec builtin:dns-query\nkey \"frame limit\"\nlevel 2\nmax-frame 16\n",
+    );
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let listen = listener.local_addr().unwrap().to_string();
+    // Accept and hang up: a client that sent anyway sees the stream end.
+    let server = std::thread::spawn(move || drop(listener.accept()));
+    let out = cli()
+        .args(["send", "--profile"])
+        .arg(&path)
+        .args(["--connect", &listen, "--count", "1"])
+        .output()
+        .unwrap();
+    server.join().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("exceeds the limit of 16"), "{stderr}");
+    assert!(!stderr.contains("stream ended"), "{stderr}");
+}
+
 #[test]
 fn demo_accepts_profile_and_key() {
     let path = write_profile("demo", ASYM_PROFILE);
