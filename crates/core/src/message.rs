@@ -2515,4 +2515,67 @@ mod tests {
         s.update(0, &[], 0, |n| n.max(2));
         assert_eq!(s.get(0, &[]), Some(3));
     }
+
+    #[test]
+    fn meta_store_matches_a_model_under_random_operations() {
+        const SLOTS: usize = 3;
+        type MetaModel = std::collections::BTreeMap<(usize, usize, Vec<u32>), usize>;
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut store, mut model) = (MetaStore::<usize>::with_slots(SLOTS), MetaModel::new());
+            let mut cursors = [0u32; SLOTS];
+            for step in 0..60 {
+                let what = format!("seed {seed} step {step}");
+                let slot = rng.gen_range(0..SLOTS);
+                let scope = random_scope(&mut rng);
+                let key = model_key(slot, &ScopeKey::from_slice(&scope));
+                match rng.gen_range(0..8) {
+                    // A value, in or out of order, new or replacing one.
+                    0..=2 => {
+                        let v: usize = rng.gen_range(0..16);
+                        store.set(slot, &scope, v);
+                        model.insert(key, v);
+                    }
+                    // A read-modify-write of a present or an absent key.
+                    3 | 4 => {
+                        let (default, v): (usize, usize) =
+                            (rng.gen_range(0..4), rng.gen_range(0..16));
+                        store.update(slot, &scope, default, |n| (n * 3 + v) % 64);
+                        let n = model.get(&key).copied().unwrap_or(default);
+                        model.insert(key, (n * 3 + v) % 64);
+                    }
+                    // One key read through its slot's (maybe stale) cursor.
+                    5 | 6 => {
+                        let want = model.get(&key).copied();
+                        assert_eq!(store.get(slot, &scope), want, "{what}: get {scope:?}");
+                        let got = store.get_seq(slot, &scope, &mut cursors[slot]);
+                        assert_eq!(got, want, "{what}: get_seq {scope:?}");
+                    }
+                    _ if rng.gen_range(0..4) == 0 => {
+                        store.clear();
+                        model.clear();
+                    }
+                    // A stale cursor.
+                    _ => cursors[slot] = rng.gen_range(0..8),
+                }
+                // Every value, by lookup and in key order through fresh
+                // cursors and through the kept ones.
+                let (mut fresh, mut kept) = ([0u32; SLOTS], cursors);
+                for ((slot, _, idx), &v) in &model {
+                    assert_eq!(store.get(*slot, idx), Some(v), "{what}: get {slot} {idx:?}");
+                    for c in [&mut fresh[*slot], &mut kept[*slot]] {
+                        let got = store.get_seq(*slot, idx, c);
+                        assert_eq!(got, Some(v), "{what}: get_seq {slot} {idx:?}");
+                    }
+                }
+                // Lookups of absent keys miss, through a cursor too.
+                let scope = random_scope(&mut rng);
+                let slot = rng.gen_range(0..SLOTS);
+                if !model.contains_key(&model_key(slot, &ScopeKey::from_slice(&scope))) {
+                    assert_eq!(store.get(slot, &scope), None, "{what}: absent {scope:?}");
+                    assert_eq!(store.get_seq(slot, &scope, &mut cursors[slot]), None, "{what}");
+                }
+            }
+        }
+    }
 }
