@@ -15,6 +15,13 @@
 //! `MetaStore`), indexed by the raw node index (the plan's *slot*) with
 //! per-instance element scopes as inline `ScopeKey`s — no hashing.
 //!
+//! Each slot first holds a **root cell**: its value at the empty scope
+//! (outside every repetition and tabular, as all of a Modbus request's
+//! fields are), or an absent marker. A read or a write at the empty scope
+//! is one indexed load or store: no key is built, compared or searched.
+//! Values inside containers go to the slot's runs; a slot may hold both,
+//! and its root value sorts first.
+//!
 //! A `WireStore` keeps value bytes in one shared arena, and each slot a
 //! sorted list of disjoint **runs**: `n` values of one width, one stride
 //! apart in the arena, under `n` consecutive element keys of one
@@ -27,13 +34,14 @@
 //! the slot's last run, at its width and one stride on in the arena,
 //! extends that run, so a table set element by element, field by field,
 //! keeps one run per column, its stride the element's bytes. Rolling a
-//! slot back to an entry count and an arena length
+//! slot's runs back to an entry count and an arena length
 //! (`WireStore::truncate`) also trims the last run it keeps, so it is
 //! exact; replacing one value inside a longer run splits the run.
 //!
-//! A lookup is an index plus a binary search for the run that covers the
-//! key, or one check of the entry under a cursor for a reader that visits
-//! the keys in order (the cursor stays on a run until its last element).
+//! A scoped lookup is an index plus a binary search for the run that
+//! covers the key, or one check of the entry under a cursor for a reader
+//! that visits the keys in order (the cursor stays on a run until its last
+//! element; a root read leaves it as it is).
 //! Clearing a store keeps its capacity, which is what lets the codec
 //! sessions ([`crate::serialize::SerializeSession`],
 //! [`crate::parse::ParseSession`]) run without steady-state allocation.
@@ -118,7 +126,8 @@ impl ScopeKey {
 /// bytes apart in the arena from `start` (end to end when `stride` is
 /// `width`), under `first` and the `n - 1` element keys after it —
 /// consecutive elements of one container instance. A single value is a
-/// run of one, of any width.
+/// run of one, of any width. Every key of a run is an element key: the
+/// empty scope's value sits in the slot's root cell.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     first: ScopeKey,
@@ -135,7 +144,7 @@ impl Entry {
         if self.first == *key {
             return Some(0);
         }
-        if self.n == 1 || key.len == 0 {
+        if self.n == 1 {
             return None;
         }
         let mut aligned = *key;
@@ -187,7 +196,7 @@ impl Entry {
     #[inline]
     fn extend(&mut self, key: &ScopeKey, start: usize, width: usize) -> bool {
         let len = key.len as usize;
-        if width == 0 || len == 0 || key.len != self.first.len || self.width as usize != width {
+        if width == 0 || key.len != self.first.len || self.width as usize != width {
             return false;
         }
         let Some(gap) = start.checked_sub(self.start as usize) else { return false };
@@ -212,12 +221,33 @@ impl Entry {
 }
 
 /// Dense per-slot wire-value storage: value bytes live in one arena, and
-/// each slot keeps its entries (runs of element values, see the module's
-/// `# Storage`) sorted and disjoint by key.
+/// each slot keeps its root cell and its entries (runs of element values,
+/// see the module's `# Storage`) sorted and disjoint by key.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WireStore {
-    per_slot: Vec<Vec<Entry>>,
+    slots: Vec<WireSlot>,
     data: Vec<u8>,
+}
+
+/// One [`WireStore`] slot: the arena span of its value at the empty scope
+/// (`start` [`ABSENT`] when it holds none), then its runs.
+#[derive(Debug, Clone)]
+struct WireSlot {
+    start: u32,
+    len: u32,
+    runs: Vec<Entry>,
+}
+
+/// The root cell of a slot that holds no value at the empty scope.
+const ABSENT: u32 = u32::MAX;
+
+impl WireSlot {
+    /// The arena range of the root value, if any.
+    #[inline]
+    fn root(&self) -> Option<std::ops::Range<usize>> {
+        let start = self.start as usize;
+        (self.start != ABSENT).then(|| start..start + self.len as usize)
+    }
 }
 
 /// How one slot holds the values of elements `0..n` of one container
@@ -240,21 +270,26 @@ pub(crate) enum Stored {
 
 impl WireStore {
     pub(crate) fn with_slots(n: usize) -> WireStore {
-        WireStore { per_slot: vec![Vec::new(); n], data: Vec::new() }
+        let slot = WireSlot { start: ABSENT, len: 0, runs: Vec::new() };
+        WireStore { slots: vec![slot; n], data: Vec::new() }
     }
 
-    /// Clears all entries, keeping every capacity (session reuse).
+    /// Clears all values, keeping every capacity (session reuse).
     pub(crate) fn clear(&mut self) {
-        for v in &mut self.per_slot {
-            v.clear();
+        for s in &mut self.slots {
+            s.start = ABSENT;
+            s.runs.clear();
         }
         self.data.clear();
     }
 
     pub(crate) fn get(&self, slot: usize, scope: &[u32]) -> Option<&[u8]> {
-        let entries = self.per_slot.get(slot)?;
-        let (i, o) = find(entries, &ScopeKey::from_slice(scope))?;
-        Some(&self.data[entries[i].range(o)])
+        let s = self.slots.get(slot)?;
+        if scope.is_empty() {
+            return Some(&self.data[s.root()?]);
+        }
+        let (i, o) = find(&s.runs, &ScopeKey::from_slice(scope))?;
+        Some(&self.data[s.runs[i].range(o)])
     }
 
     pub(crate) fn contains(&self, slot: usize, scope: &[u32]) -> bool {
@@ -263,13 +298,13 @@ impl WireStore {
 
     /// Inserts or replaces the value at `(slot, scope)`. Bytes are appended
     /// to the arena; a replaced value's old bytes are reclaimed on the next
-    /// [`WireStore::clear`]. Message walks insert in order, so the common
-    /// case is an O(1) tail push (checked before falling back to a binary
-    /// search).
+    /// [`WireStore::clear`]. A root value is one store into its cell;
+    /// message walks insert scoped values in order, so the common case is
+    /// an O(1) tail push (checked before falling back to a binary search).
     pub(crate) fn set(&mut self, slot: usize, scope: &[u32], bytes: &[u8]) {
         let start = self.data.len();
         self.data.extend_from_slice(bytes);
-        self.index(slot, ScopeKey::from_slice(scope), start, bytes.len());
+        self.index(slot, scope, start, bytes.len());
     }
 
     /// [`WireStore::set`] that hands the stored bytes to `edit` before
@@ -290,7 +325,7 @@ impl WireStore {
             self.data.truncate(start);
             return Err(e);
         }
-        self.index(slot, ScopeKey::from_slice(scope), start, bytes.len());
+        self.index(slot, scope, start, bytes.len());
         Ok(())
     }
 
@@ -317,24 +352,36 @@ impl WireStore {
         fill(&mut self.data[start..]);
         let (width, n) = (width as u32, n as u32);
         let run = Entry { first: *first, start: start as u32, width, n, stride: width };
-        let entries = &mut self.per_slot[slot];
-        if entries.last().is_none_or(|last| last.before(first)) {
+        let entries = &mut self.slots[slot].runs;
+        if first.len > 0 && entries.last().is_none_or(|last| last.before(first)) {
             entries.push(run);
             return;
         }
         for o in 0..run.n {
-            self.index(slot, run.key_at(o), run.range(o).start, width as usize);
+            self.index(slot, run.key_at(o).as_slice(), run.range(o).start, width as usize);
         }
     }
 
-    /// Points `(slot, key)` at the `len` arena bytes from `start`: the
-    /// next value of the slot's last run ([`Entry::extend`]), a new entry
-    /// of one value, or a replaced one. Replacing one value of a longer
-    /// run splits the run around it.
-    fn index(&mut self, slot: usize, key: ScopeKey, start: usize, len: usize) {
+    /// Points `(slot, scope)` at the `len` arena bytes from `start`: the
+    /// root cell at the empty scope, else [`WireStore::index_run`].
+    #[inline]
+    fn index(&mut self, slot: usize, scope: &[u32], start: usize, len: usize) {
+        if scope.is_empty() {
+            let s = &mut self.slots[slot];
+            (s.start, s.len) = (start as u32, len as u32);
+        } else {
+            self.index_run(slot, ScopeKey::from_slice(scope), start, len);
+        }
+    }
+
+    /// Points element key `(slot, key)` at the `len` arena bytes from
+    /// `start`: the next value of the slot's last run ([`Entry::extend`]),
+    /// a new entry of one value, or a replaced one. Replacing one value of
+    /// a longer run splits the run around it.
+    fn index_run(&mut self, slot: usize, key: ScopeKey, start: usize, len: usize) {
         let width = len as u32;
         let single = Entry { first: key, start: start as u32, width, n: 1, stride: width };
-        let entries = &mut self.per_slot[slot];
+        let entries = &mut self.slots[slot].runs;
         if entries.last_mut().is_some_and(|last| last.extend(&key, start, len)) {
             return;
         }
@@ -370,11 +417,15 @@ impl WireStore {
     /// the cursor instead of a binary search. The cursor stays on a run
     /// until its last element is read. A cursor miss falls back to the
     /// search and re-synchronizes the cursor, so out-of-order access is
-    /// merely slower, never wrong.
+    /// merely slower, never wrong. A root read is one load and leaves the
+    /// cursor as it is.
     pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<&[u8]> {
-        let entries = self.per_slot.get(slot)?;
-        let (i, o) = seek(entries, &ScopeKey::from_slice(scope), cursor)?;
-        let e = &entries[i];
+        let s = self.slots.get(slot)?;
+        if scope.is_empty() {
+            return Some(&self.data[s.root()?]);
+        }
+        let (i, o) = seek(&s.runs, &ScopeKey::from_slice(scope), cursor)?;
+        let e = &s.runs[i];
         if o + 1 == e.n {
             *cursor += 1;
         }
@@ -393,7 +444,7 @@ impl WireStore {
         n: usize,
         cursor: u32,
     ) -> Option<(&[Entry], u32)> {
-        let entries = &self.per_slot[slot];
+        let entries = &self.slots[slot].runs;
         let end = first.with_last(u32::try_from(n).ok()?);
         let lo = match entries.get(cursor as usize) {
             Some(e) if e.first == *first => cursor as usize,
@@ -456,8 +507,8 @@ impl WireStore {
         let Some((column, _)) = src.column(src_slot, &ScopeKey::element(scope, 0), n, 0) else {
             return false;
         };
-        let WireStore { per_slot, data } = self;
-        let dst = &mut per_slot[slot];
+        let WireStore { slots, data } = self;
+        let dst = &mut slots[slot].runs;
         if let (Some(last), Some(first)) = (dst.last(), column.first()) {
             if !last.before(&first.first) {
                 return false;
@@ -497,17 +548,18 @@ impl WireStore {
         self.data.len()
     }
 
-    /// Number of entries under `slot`.
+    /// Number of runs under `slot` (its root value not counted).
     pub(crate) fn entries_len(&self, slot: usize) -> usize {
-        self.per_slot[slot].len()
+        self.slots[slot].runs.len()
     }
 
-    /// Drops `slot`'s entries past the first `entries` and the arena
-    /// bytes past `arena` (a rollback to lengths read before appending),
-    /// and the values past `arena` of the last entry kept, which writes
-    /// since may have extended.
+    /// Drops `slot`'s runs past the first `entries` and the arena bytes
+    /// past `arena` (a rollback to lengths read before appending), and
+    /// the values past `arena` of the last run kept, which writes since
+    /// may have extended. The column copies it undoes write no root
+    /// value, and the root cell is left as it is.
     pub(crate) fn truncate(&mut self, slot: usize, entries: usize, arena: usize) {
-        let kept = &mut self.per_slot[slot];
+        let kept = &mut self.slots[slot].runs;
         kept.truncate(entries);
         if let Some(last) = kept.last_mut() {
             while last.n > 1 && last.range(last.n - 1).end > arena {
@@ -522,28 +574,34 @@ impl WireStore {
     /// leaves the cursor on its entry, so the read that follows is a hit
     /// too.
     pub(crate) fn contains_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> bool {
-        self.per_slot
-            .get(slot)
-            .and_then(|entries| seek(entries, &ScopeKey::from_slice(scope), cursor))
-            .is_some()
+        let Some(s) = self.slots.get(slot) else { return false };
+        if scope.is_empty() {
+            return s.start != ABSENT;
+        }
+        seek(&s.runs, &ScopeKey::from_slice(scope), cursor).is_some()
     }
 
-    /// The scopes at which `slot` holds a value, in order, one per value.
+    /// The scopes at which `slot` holds a value, in order (the root
+    /// first), one per value.
     pub(crate) fn scopes_of(&self, slot: usize) -> impl Iterator<Item = ScopeKey> + '_ {
-        self.per_slot[slot].iter().flat_map(|e| (0..e.n).map(|o| e.key_at(o)))
+        let s = &self.slots[slot];
+        let root = s.root().map(|_| ScopeKey::default());
+        root.into_iter().chain(s.runs.iter().flat_map(|e| (0..e.n).map(|o| e.key_at(o))))
     }
 
     /// Number of slots this store was sized for.
     pub(crate) fn slots(&self) -> usize {
-        self.per_slot.len()
+        self.slots.len()
     }
 
-    /// All stored values, in slot order, one item per value.
+    /// All stored values, in slot order, then key order, one item per
+    /// value.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, ScopeKey, &[u8])> + '_ {
-        self.per_slot.iter().enumerate().flat_map(move |(slot, entries)| {
-            entries.iter().flat_map(move |e| {
+        self.slots.iter().enumerate().flat_map(move |(slot, s)| {
+            let root = s.root().map(|r| (slot, ScopeKey::default(), &self.data[r]));
+            root.into_iter().chain(s.runs.iter().flat_map(move |e| {
                 (0..e.n).map(move |o| (slot, e.key_at(o), &self.data[e.range(o)]))
-            })
+            }))
         })
     }
 }
@@ -714,35 +772,50 @@ pub(crate) fn scatter(
     }
 }
 
-/// Dense per-slot metadata storage (presence flags, element counts).
+/// Dense per-slot metadata storage (presence flags, element counts): each
+/// slot's value at the empty scope in its root cell, then its scoped
+/// values sorted by key.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MetaStore<T: Copy> {
-    per_slot: Vec<Vec<(ScopeKey, T)>>,
+    slots: Vec<MetaSlot<T>>,
+}
+
+#[derive(Debug, Clone)]
+struct MetaSlot<T> {
+    root: Option<T>,
+    scoped: Vec<(ScopeKey, T)>,
 }
 
 impl<T: Copy> MetaStore<T> {
     pub(crate) fn with_slots(n: usize) -> MetaStore<T> {
-        MetaStore { per_slot: vec![Vec::new(); n] }
+        MetaStore { slots: vec![MetaSlot { root: None, scoped: Vec::new() }; n] }
     }
 
     pub(crate) fn clear(&mut self) {
-        for v in &mut self.per_slot {
-            v.clear();
+        for s in &mut self.slots {
+            s.root = None;
+            s.scoped.clear();
         }
     }
 
     pub(crate) fn get(&self, slot: usize, scope: &[u32]) -> Option<T> {
+        let s = self.slots.get(slot)?;
+        if scope.is_empty() {
+            return s.root;
+        }
         let key = ScopeKey::from_slice(scope);
-        let entries = self.per_slot.get(slot)?;
-        let i = entries.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
-        Some(entries[i].1)
+        let i = s.scoped.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+        Some(s.scoped[i].1)
     }
 
     /// [`MetaStore::get`] through a sequential cursor (see
     /// [`WireStore::get_seq`]).
     pub(crate) fn get_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> Option<T> {
-        let entries = self.per_slot.get(slot)?;
-        let key = ScopeKey::from_slice(scope);
+        let s = self.slots.get(slot)?;
+        if scope.is_empty() {
+            return s.root;
+        }
+        let (entries, key) = (&s.scoped, ScopeKey::from_slice(scope));
         let c = *cursor as usize;
         let i = match entries.get(c) {
             Some(e) if e.0 == key => c,
@@ -754,8 +827,12 @@ impl<T: Copy> MetaStore<T> {
     }
 
     pub(crate) fn set(&mut self, slot: usize, scope: &[u32], value: T) {
-        let key = ScopeKey::from_slice(scope);
-        let entries = &mut self.per_slot[slot];
+        let s = &mut self.slots[slot];
+        if scope.is_empty() {
+            s.root = Some(value);
+            return;
+        }
+        let (entries, key) = (&mut s.scoped, ScopeKey::from_slice(scope));
         match entries.last_mut() {
             // In-order inserts (message walks) are an O(1) tail push.
             Some(last) if last.0 < key => entries.push((key, value)),
@@ -776,8 +853,12 @@ impl<T: Copy> MetaStore<T> {
         default: T,
         f: impl FnOnce(T) -> T,
     ) {
-        let key = ScopeKey::from_slice(scope);
-        let entries = &mut self.per_slot[slot];
+        let s = &mut self.slots[slot];
+        if scope.is_empty() {
+            s.root = Some(f(s.root.unwrap_or(default)));
+            return;
+        }
+        let (entries, key) = (&mut s.scoped, ScopeKey::from_slice(scope));
         match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
             Ok(i) => entries[i].1 = f(entries[i].1),
             Err(i) => entries.insert(i, (key, f(default))),
@@ -2204,7 +2285,8 @@ mod tests {
 
     /// Checks a store against its model: the same values in the same
     /// order through `iter` and `scopes_of`, every modelled key found by
-    /// `get`, and each slot's entries sorted, disjoint and non-empty.
+    /// `get`, and each slot's entries sorted, disjoint, non-empty and
+    /// under element keys (a root value sits in its cell).
     fn check_store(s: &WireStore, model: &Model, what: &str) {
         let got: Vec<_> = s.iter().map(|(slot, k, b)| (model_key(slot, &k), b.to_vec())).collect();
         let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
@@ -2213,8 +2295,9 @@ mod tests {
             let scopes: Vec<_> = s.scopes_of(slot).map(|k| model_key(slot, &k)).collect();
             let want: Vec<_> = model.keys().filter(|k| k.0 == slot).cloned().collect();
             assert_eq!(scopes, want, "{what}: scopes_of({slot})");
-            let entries = &s.per_slot[slot];
+            let entries = &s.slots[slot].runs;
             assert!(entries.iter().all(|e| e.n > 0), "{what}: empty entry");
+            assert!(entries.iter().all(|e| e.first.len > 0), "{what}: a root key in a run");
             for pair in entries.windows(2) {
                 assert!(pair[0].key_at(pair[0].n - 1) < pair[1].first, "{what}: {pair:?}");
             }
@@ -2228,18 +2311,22 @@ mod tests {
     /// per slot, starting from `cursors` (stale values included): each
     /// read hits, and leaves the cursor past exactly the entries whose
     /// last key has been read. A `contains_seq` before each read leaves
-    /// the cursor on the entry it hit.
+    /// the cursor on the entry it hit. A root value is read from its cell
+    /// and leaves the cursor as it was.
     fn check_cursor_sweep(s: &WireStore, model: &Model, cursors: &mut [u32], what: &str) {
         for ((slot, _, idx), v) in model {
             let key = ScopeKey::from_slice(idx);
-            let entries = &s.per_slot[*slot];
+            let entries = &s.slots[*slot].runs;
             let before = |k: &ScopeKey| entries.iter().filter(|e| e.key_at(e.n - 1) < *k).count();
             let through = |k: &ScopeKey| entries.iter().filter(|e| e.key_at(e.n - 1) <= *k).count();
             let c = &mut cursors[*slot];
+            let was = *c as usize;
+            let (before, through) =
+                if idx.is_empty() { (was, was) } else { (before(&key), through(&key)) };
             assert!(s.contains_seq(*slot, idx, c), "{what}: contains_seq {slot} {idx:?}");
-            assert_eq!(*c as usize, before(&key), "{what}: contains_seq cursor {slot} {idx:?}");
+            assert_eq!(*c as usize, before, "{what}: contains_seq cursor {slot} {idx:?}");
             assert_eq!(s.get_seq(*slot, idx, c), Some(v.as_slice()), "{what}: get_seq {idx:?}");
-            assert_eq!(*c as usize, through(&key), "{what}: get_seq cursor {slot} {idx:?}");
+            assert_eq!(*c as usize, through, "{what}: get_seq cursor {slot} {idx:?}");
         }
     }
 
