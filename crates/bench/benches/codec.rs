@@ -288,7 +288,8 @@ fn e2ebench_codec(graph: &FormatGraph) -> Codec {
 /// back, its table one block copy from frame to frame), and the group
 /// asserts that it costs at most 0.3 times a staged echo's parse,
 /// self-transcode and serialize rows. The `modbus-*` rows time one small
-/// request at levels 0 and 2.
+/// request: its sessions at levels 0 and 2, its two transcodes on the
+/// benchmark's derivation, and its build on the clear codec.
 fn bench_relay(c: &mut Criterion) {
     let graph = bulk_graph();
     let clear = Codec::identity(&graph);
@@ -443,6 +444,30 @@ fn bench_relay(c: &mut Criterion) {
                 },
             );
         }
+        // The small request's two relay transcodes on the benchmark's
+        // derivation (the copy programs of modbus-rr's two gateways), and
+        // the client's build of it on the clear codec, path resolution
+        // included.
+        let (clear, e2e) = (Codec::identity(&modbus), e2ebench_codec(&modbus));
+        let function = protoobf_protocols::modbus::Function::WriteMultipleRegisters;
+        let rng = StdRng::seed_from_u64(7);
+        let msg = protoobf_protocols::modbus::build_request(&clear, function, &mut rng.clone());
+        let wire = clear.serialize_seeded(&msg, 1).unwrap();
+        group.throughput(Throughput::Bytes(wire.len() as u64));
+        let src = clear.parse(&wire).unwrap();
+        let mut to_e2e = e2e.transcode_target(&clear).unwrap();
+        src.transcode_into(&mut to_e2e).unwrap();
+        let e2e_src = e2e.parse(&e2e.serialize_seeded(&to_e2e, 1).unwrap()).unwrap();
+        let mut from_e2e = clear.transcode_target(&e2e).unwrap();
+        group.bench_with_input(BenchmarkId::new("modbus-transcode-clear-obf", 2), &2u32, |b, _| {
+            b.iter(|| src.transcode_into(&mut to_e2e).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("modbus-transcode-obf-clear", 2), &2u32, |b, _| {
+            b.iter(|| e2e_src.transcode_into(&mut from_e2e).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("modbus-build", 0), &0u32, |b, _| {
+            b.iter(|| protoobf_protocols::modbus::build_request(&clear, function, &mut rng.clone()))
+        });
         group.finish();
     }
     // Serializer guard: the emit walk reads every store in order through
