@@ -346,19 +346,19 @@ impl WireStore {
         if n == 0 {
             return;
         }
-        debug_assert!(n == 1 || first.len > 0, "a run of several values needs an element key");
+        debug_assert!(first.len > 0, "a column lies under element keys");
         let start = self.data.len();
         self.data.resize(start + n * width, 0);
         fill(&mut self.data[start..]);
         let (width, n) = (width as u32, n as u32);
         let run = Entry { first: *first, start: start as u32, width, n, stride: width };
         let entries = &mut self.slots[slot].runs;
-        if first.len > 0 && entries.last().is_none_or(|last| last.before(first)) {
+        if entries.last().is_none_or(|last| last.before(first)) {
             entries.push(run);
             return;
         }
         for o in 0..run.n {
-            self.index(slot, run.key_at(o).as_slice(), run.range(o).start, width as usize);
+            self.index_run(slot, run.key_at(o), run.range(o).start, width as usize);
         }
     }
 
