@@ -83,8 +83,10 @@ impl ScopeKey {
             scope.len() <= MAX_SCOPE,
             "element scope deeper than the supported nesting of {MAX_SCOPE}"
         );
-        let mut idx = [0u32; MAX_SCOPE];
-        idx[..scope.len()].copy_from_slice(scope);
+        // Element by element, not a `copy_from_slice`: a length-dependent
+        // copy compiles to calls into `memset` and `memcpy` on every
+        // lookup.
+        let idx = std::array::from_fn(|d| scope.get(d).copied().unwrap_or(0));
         ScopeKey { len: scope.len() as u8, idx }
     }
 
@@ -139,7 +141,7 @@ struct Entry {
 
 impl Entry {
     /// The element offset of `key` in this run, if the run covers it.
-    #[inline]
+    #[inline(always)]
     fn offset(&self, key: &ScopeKey) -> Option<u32> {
         if self.first == *key {
             return Some(0);
@@ -154,7 +156,7 @@ impl Entry {
     }
 
     /// Whether every key of this run sorts before `key`.
-    #[inline]
+    #[inline(always)]
     fn before(&self, key: &ScopeKey) -> bool {
         if self.n == 1 {
             self.first < *key
