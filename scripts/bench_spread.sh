@@ -11,7 +11,8 @@
 # (for example `relay/modbus`). `--no-aslr` runs each process under
 # `setarch -R`, which turns address-space randomization off for that
 # process only. The report goes to stdout; each process's own output is
-# kept under the temporary directory the script names on stderr. The
+# written under a temporary directory, removed afterwards unless a
+# process failed. The
 # BENCH_*.json trajectories at the repository root are restored
 # afterwards, so a filtered run never replaces them with a partial one.
 set -euo pipefail
@@ -48,13 +49,16 @@ restore() {
         [ -e "$runs/saved/$f" ] || rm -f "$f"
     done
     cp "$runs/saved/"*.json . 2>/dev/null || true
+    [ -n "$failed" ] || rm -rf "$runs"
 }
+failed=
 trap restore EXIT
-echo "[spread] $n processes of $(basename "$bin") on '$filter'${wrap:+ (no ASLR)}; output in $runs" >&2
+echo "[spread] $n processes of $(basename "$bin") on '$filter'${wrap:+ (no ASLR)}" >&2
 
 for i in $(seq 1 "$n"); do
     # As `cargo bench` runs it: from the bench package's directory.
     (cd crates/bench && "${wrap[@]}" "$bin" --bench "$filter") >"$runs/run.$i" 2>&1 || {
+        failed=1
         echo "$0: process $i failed, see $runs/run.$i" >&2
         exit 1
     }
