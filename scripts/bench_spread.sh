@@ -12,9 +12,9 @@
 # `setarch -R`, which turns address-space randomization off for that
 # process only. The report goes to stdout; each process's own output is
 # written under a temporary directory, removed afterwards unless a
-# process failed. The
-# BENCH_*.json trajectories at the repository root are restored
-# afterwards, so a filtered run never replaces them with a partial one.
+# process failed. The BENCH_*.json trajectories at the repository root
+# are restored afterwards, so a filtered run never replaces them with a
+# partial one.
 set -euo pipefail
 
 usage() {
