@@ -578,7 +578,7 @@ impl WireStore {
     pub(crate) fn contains_seq(&self, slot: usize, scope: &[u32], cursor: &mut u32) -> bool {
         let Some(s) = self.slots.get(slot) else { return false };
         if scope.is_empty() {
-            return s.start != ABSENT;
+            return s.root().is_some();
         }
         seek(&s.runs, &ScopeKey::from_slice(scope), cursor).is_some()
     }
