@@ -6,13 +6,16 @@
 //! (`Obfuscator::obfuscate`, no parse and no codegen) on the grammars
 //! and key of the end-to-end benchmark's `modbus-rr` and `bulk-64k`
 //! workloads at their level 2: the layer behind most of their set-up
-//! time. Filter with `-- derive`; the group's results are written to
-//! `BENCH_derive.json` at the workspace root.
+//! time. `derive/endpoint-modbus` times a whole `modbus-rr` endpoint
+//! build from its profile (resolve both builtins, derive both
+//! directions, fingerprint). Filter with `-- derive`; the group's
+//! results are written to `BENCH_derive.json` at the workspace root.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use protoobf_bench::export_trajectory;
 use protoobf_codegen::generate;
-use protoobf_core::Obfuscator;
+use protoobf_core::profile::{Profile, SpecResolver, SpecSource};
+use protoobf_core::{FormatGraph, Obfuscator};
 use protoobf_protocols::{http, modbus};
 
 fn bench_generation(c: &mut Criterion) {
@@ -39,6 +42,26 @@ fn bench_generation(c: &mut Criterion) {
 const E2E_KEY: &str = "e2ebench shared secret";
 const E2E_LEVEL: u32 = 2;
 
+/// The end-to-end benchmark's `modbus-rr` profile.
+const MODBUS_RR_PROFILE: &str = "profile protoobf/1
+tx builtin:modbus-request
+rx builtin:modbus-response
+key \"e2ebench shared secret\"
+level 2
+";
+
+/// Resolves `builtin:` sources as the standard resolver does.
+struct Builtins;
+
+impl SpecResolver for Builtins {
+    fn resolve(&self, src: &SpecSource) -> Result<FormatGraph, String> {
+        match src {
+            SpecSource::Builtin(name) => protoobf_protocols::builtin(name).ok_or(name.clone()),
+            SpecSource::File(path) => Err(format!("{path}: builtins only")),
+        }
+    }
+}
+
 fn bench_derive(c: &mut Criterion) {
     let mut group = c.benchmark_group("derive");
     let bulk = include_str!("../../../e2ebench/specs/bulk.spec");
@@ -58,6 +81,10 @@ fn bench_derive(c: &mut Criterion) {
             })
         });
     }
+    let profile = Profile::parse(MODBUS_RR_PROFILE).unwrap();
+    group.bench_function("endpoint-modbus", |b| {
+        b.iter(|| black_box(&profile).build_with(&Builtins).unwrap())
+    });
     group.finish();
     export_trajectory(c, "derive");
 }

@@ -12,6 +12,16 @@
 //! fail the global soundness checks ([`crate::transform::post_check`]) are
 //! rolled back and another transformation is tried.
 //!
+//! A derivation keeps one pre-order layout of the graph (positions,
+//! subtree ends, extent classes), built once from the plain image.
+//! `ReadFromEnd`'s applicability reads it, and after each structural
+//! rewrite, and after each rollback of one, the rewritten slot's subtree
+//! is spliced into it. The checks then run only where a rewrite at that
+//! slot can change their verdict (`transform::check_slot` gives the
+//! argument for each); while the graph is not known to pass them, they
+//! run in full. Debug builds assert that each verdict equals
+//! `post_check`'s and that the layout equals a fresh one.
+//!
 //! Each node's ancestors are walked once, into a constraint context
 //! (`transform::Context`): it filters the allowed kinds, and each
 //! kind tried is rewritten without a second applicability check. A
@@ -25,7 +35,8 @@
 //! nodes the candidate allocated, so node names (which embed the
 //! allocation count) are the same as if it had never run. Constant-op
 //! rewrites (`ConstAdd`/`ConstSub`/`ConstXor`) of a graph that passes the
-//! checks skip them: they write nothing the checks read.
+//! checks skip them and leave the layout as it is: they write nothing
+//! either reads.
 
 use rand::rngs::StdRng;
 
@@ -33,9 +44,10 @@ use rand::SeedableRng;
 
 use crate::codec::Codec;
 use crate::error::SpecError;
+use crate::extent::Layout;
 use crate::graph::FormatGraph;
 use crate::obf::ObfGraph;
-use crate::transform::{self, Context, TransformKind, TransformRecord};
+use crate::transform::{self, Context, Slot, TransformKind, TransformRecord};
 
 /// Builder for obfuscated codecs.
 ///
@@ -117,9 +129,10 @@ impl<'g> Obfuscator<'g> {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] if the input graph fails validation.
+    /// None: a [`FormatGraph`] is validated by construction
+    /// ([`crate::graph::GraphBuilder::build`] is its only constructor and
+    /// nothing mutates one), so the graph is not validated again here.
     pub fn obfuscate(&self) -> Result<Codec, SpecError> {
-        self.graph.validate()?;
         let mut g = ObfGraph::from_plain(self.graph);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut records: Vec<TransformRecord> = Vec::new();
@@ -128,9 +141,13 @@ impl<'g> Obfuscator<'g> {
             return Ok(Codec::from_parts(g, records));
         }
 
+        // The layout of `g`, spliced after every structural rewrite and
+        // every rollback of one.
+        let mut layout = Layout::of(&g, g.root());
         // Whether `g` passes `post_check`. Every accepted rewrite leaves it
-        // true; only an op-only rewrite of a sound graph skips the check.
-        let mut sound = transform::post_check(&g).is_ok();
+        // true; while it is, a rewrite is checked only where it can change
+        // the verdict.
+        let mut sound = transform::check(&g, &layout).is_ok();
 
         // One pass per level: every node existing at the start of a pass
         // receives at most one randomly chosen applicable transformation;
@@ -139,31 +156,56 @@ impl<'g> Obfuscator<'g> {
         // transformations grows superlinearly with the level because the
         // graph itself grows between passes, Tables III/IV).
         for _pass in 0..self.max_per_node {
-            let snapshot = g.preorder();
+            let snapshot = layout.order().to_vec();
             for id in snapshot {
                 let ctx = Context::of(&g, id);
                 // Skip nodes detached during this pass (replaced targets).
                 if !ctx.live {
                     continue;
                 }
-                let mut kinds: Vec<TransformKind> =
-                    self.allowed.iter().copied().filter(|&k| ctx.admits(&g, k).is_ok()).collect();
+                let mut kinds: Vec<TransformKind> = self
+                    .allowed
+                    .iter()
+                    .copied()
+                    .filter(|&k| ctx.admits(&g, Some(&layout), k).is_ok())
+                    .collect();
                 weighted_shuffle(&mut kinds, &mut rng);
+                let slot = Slot::of(&g, &layout, id);
                 for kind in kinds {
                     g.begin();
                     let record = transform::rewrite(&mut g, &ctx, kind, &mut rng);
-                    let skip_check = sound && kind.op_only();
-                    debug_assert!(
-                        !skip_check || transform::post_check(&g).is_ok(),
-                        "{kind} broke a sound graph"
+                    let structural = !kind.op_only();
+                    if structural {
+                        slot.relayout(&g, &mut layout);
+                    }
+                    let verdict = match (sound, structural) {
+                        (true, false) => Ok(()),
+                        (true, true) => transform::check_slot(&g, &layout, &slot),
+                        (false, _) => transform::check(&g, &layout),
+                    };
+                    debug_assert_eq!(
+                        verdict.is_ok(),
+                        transform::post_check(&g).is_ok(),
+                        "{kind} on {id}: scoped verdict {verdict:?} disagrees with post_check"
                     );
-                    if skip_check || transform::post_check(&g).is_ok() {
+                    let accepted = verdict.is_ok();
+                    if accepted {
                         g.commit();
                         sound = true;
                         records.push(record);
+                    } else {
+                        g.rollback();
+                        if structural {
+                            slot.relayout(&g, &mut layout);
+                        }
+                    }
+                    debug_assert!(
+                        layout == Layout::of(&g, g.root()),
+                        "the maintained layout differs from a fresh one after {kind} on {id}"
+                    );
+                    if accepted {
                         break;
                     }
-                    g.rollback(); // try the next kind
                 }
             }
         }

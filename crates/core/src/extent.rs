@@ -21,7 +21,9 @@
 //!
 //! Classes are computed bottom-up over a pre-order layout of a subtree
 //! in one pass; [`crate::transform::post_check`] lays out the whole
-//! graph once and runs every check against that one table.
+//! graph once and runs every check against that one table. The
+//! obfuscation engine keeps one whole-graph layout for a derivation and
+//! splices each rewritten slot into it ([`Layout::splice`]).
 
 use crate::graph::NodeId;
 use crate::obf::{ObfGraph, ObfId, ObfKind, ObfNode, RepStop, SeqBoundary, TermBoundary};
@@ -91,39 +93,101 @@ const ABSENT: u32 = u32::MAX;
 /// A subtree occupies the contiguous positions `pos(id)..end(id)` of the
 /// pre-order, so "is `d` inside `a`'s subtree" is an interval test and
 /// the subtree itself is a slice of [`Layout::order`].
-#[derive(Debug)]
+///
+/// A whole-graph layout can follow a rewrite instead of being built
+/// again: [`Layout::splice`] lays out the rewritten slot in place.
+#[derive(Debug, Default)]
 pub(crate) struct Layout {
     /// Pre-order of the subtree (wire order).
     order: Vec<ObfId>,
     /// Pre-order position by node index; [`ABSENT`] outside the subtree.
+    /// One entry per allocated node.
     pos: Vec<u32>,
     /// One past the last position of each node's subtree, by position.
     end: Vec<u32>,
     /// Extent class of each node, by position.
     class: Vec<ExtentClass>,
+    /// Traversal scratch, empty between calls.
+    stack: Vec<ObfId>,
+}
+
+/// Layouts are equal when they lay out the same nodes alike; the
+/// traversal scratch is not part of the layout.
+impl PartialEq for Layout {
+    fn eq(&self, other: &Layout) -> bool {
+        (&self.order, &self.pos, &self.end, &self.class)
+            == (&other.order, &other.pos, &other.end, &other.class)
+    }
 }
 
 impl Layout {
     /// Lays out the subtree rooted at `top` and classifies it bottom-up.
     pub(crate) fn of(g: &ObfGraph, top: ObfId) -> Layout {
-        let mut order = Vec::new();
-        let mut pos = vec![ABSENT; g.allocated()];
-        let mut stack = vec![top];
-        while let Some(id) = stack.pop() {
-            pos[id.index()] = order.len() as u32;
-            order.push(id);
+        let mut layout = Layout { pos: vec![ABSENT; g.allocated()], ..Layout::default() };
+        layout.fill(g, 0..0, top);
+        layout
+    }
+
+    /// Lays out, in place of the subtree at position `at`, the subtree now
+    /// rooted at `top`: after a rewrite of the node at `at`, `top` is the
+    /// node that took its place in its parent (or as the root), and after
+    /// a rollback it is that node again. Positions after the slot shift by
+    /// the change in its size; the ends and extent classes of the slot's
+    /// ancestors are recomputed along its parent chain. Nothing else
+    /// changes: no other subtree's nodes or kinds are touched by a rewrite.
+    pub(crate) fn splice(&mut self, g: &ObfGraph, at: usize, top: ObfId) {
+        let old = at..self.end[at] as usize;
+        for &id in &self.order[old.clone()] {
+            self.pos[id.index()] = ABSENT;
+        }
+        // A rollback truncates the nodes the rewrite allocated.
+        self.pos.resize(g.allocated(), ABSENT);
+        let end = self.fill(g, old.clone(), top);
+        let delta = end as isize - old.end as isize;
+        for i in end..self.order.len() {
+            self.pos[self.order[i].index()] = i as u32;
+            self.end[i] = (self.end[i] as isize + delta) as u32;
+        }
+        let mut cur = g.node(top).parent();
+        while let Some(a) = cur {
+            let node = g.node(a);
+            let i = self.pos[a.index()] as usize;
+            self.end[i] = (self.end[i] as isize + delta) as u32;
+            self.class[i] = class_of(node, |c| self.class[self.pos[c.index()] as usize]);
+            cur = node.parent();
+        }
+    }
+
+    /// Lays out the subtree rooted at `top` over the positions `range`,
+    /// classifies it bottom-up and returns one past its last position.
+    /// Positions after `range` are moved but not renumbered.
+    fn fill(&mut self, g: &ObfGraph, range: std::ops::Range<usize>, top: ObfId) -> usize {
+        let (at, rest) = (range.start, self.order.len() - range.len());
+        let stack = &mut self.stack;
+        stack.push(top);
+        let preorder = std::iter::from_fn(|| {
+            let id = stack.pop()?;
             stack.extend(g.node(id).children().iter().rev());
+            Some(id)
+        });
+        self.order.splice(range.clone(), preorder);
+        let end = at + self.order.len() - rest;
+        self.end.splice(range.clone(), std::iter::repeat_n(0, end - at));
+        self.class.splice(range, std::iter::repeat_n(ExtentClass::Static(0), end - at));
+        for i in at..end {
+            self.pos[self.order[i].index()] = i as u32;
         }
         // Children follow their parent in pre-order, so a reverse sweep
         // sees every child's span and class before the parent's.
-        let mut end = vec![0u32; order.len()];
-        let mut class = vec![ExtentClass::Static(0); order.len()];
-        for (i, &id) in order.iter().enumerate().rev() {
-            let node = g.node(id);
-            end[i] = node.children().last().map_or(i as u32 + 1, |c| end[pos[c.index()] as usize]);
-            class[i] = class_of(node, |c| class[pos[c.index()] as usize]);
+        for i in (at..end).rev() {
+            let node = g.node(self.order[i]);
+            self.end[i] = node
+                .children()
+                .last()
+                .map_or(i as u32 + 1, |c| self.end[self.pos[c.index()] as usize]);
+            self.class[i] = class_of(node, |c| self.class[self.pos[c.index()] as usize]);
         }
-        Layout { order, pos, end, class }
+        end
     }
 
     /// The pre-order of the laid-out subtree.
@@ -242,12 +306,25 @@ pub fn mirror_applicable(g: &ObfGraph, id: ObfId) -> Result<(), String> {
 
 /// [`mirror_applicable`] on a layout of any subtree that contains `id`.
 pub(crate) fn mirror_check(g: &ObfGraph, layout: &Layout, id: ObfId) -> Result<(), String> {
+    mirror_check_within(g, layout, id, layout.subtree(id))
+}
+
+/// [`mirror_check`] reading the references and count links of `nodes`
+/// only, a part of `id`'s subtree. A rewrite inside the subtree of a
+/// graph that passed the check changes no reference, holder or count
+/// link outside the slot it rewrote, nor which side of the subtree's
+/// bounds they lie on, so the slot's nodes decide the verdict.
+pub(crate) fn mirror_check_within(
+    g: &ObfGraph,
+    layout: &Layout,
+    id: ObfId,
+    nodes: &[ObfId],
+) -> Result<(), String> {
     let class = layout.class(id);
     if !class.precomputable() {
         return Err(format!("subtree extent is {class:?}; ReadFromEnd needs Static or PlainDep"));
     }
-    let subtree = layout.subtree(id);
-    for r in subtree.iter().filter_map(|&n| extent_ref(g, n)) {
+    for r in nodes.iter().filter_map(|&n| extent_ref(g, n)) {
         let holder = match g.holder_of(r) {
             Some(h) => h,
             None => {
@@ -267,7 +344,7 @@ pub(crate) fn mirror_check(g: &ObfGraph, layout: &Layout, id: ObfId) -> Result<(
     // Count-linked repetitions inside the subtree must resolve their count
     // from a repetition *outside* it (chasing CountOf chains), otherwise
     // the extent depends on parsing the mirrored bytes themselves.
-    for &n in subtree {
+    for &n in nodes {
         if let ObfKind::Repetition { stop: RepStop::CountOf(first) } = g.node(n).kind() {
             let mut cur = *first;
             loop {
@@ -295,49 +372,49 @@ pub(crate) fn mirror_check(g: &ObfGraph, layout: &Layout, id: ObfId) -> Result<(
 /// `layout` covers the whole graph.
 pub(crate) fn check_windows(g: &ObfGraph, layout: &Layout) -> Result<(), String> {
     for (&id, &class) in layout.order.iter().zip(&layout.class) {
-        if class != ExtentClass::WindowNeeded {
-            continue;
-        }
-        // Walk up: `id` must be the last child at every level until a
-        // window provider (root, Prefixed, Mirror, Fixed/PlainLen
-        // sequence) is reached.
-        let mut cur = id;
-        loop {
-            let parent = match g.node(cur).parent() {
-                None => break, // reached the root: whole-message window
-                Some(p) => p,
-            };
-            let pnode = g.node(parent);
-            let provides_window = matches!(
-                pnode.kind,
-                ObfKind::Prefixed { .. }
-                    | ObfKind::Mirror
-                    | ObfKind::Sequence {
-                        boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_)
-                    }
-            );
-            let is_last = pnode.children.last() == Some(&cur);
-            if !is_last {
-                return Err(format!(
-                    "rest-of-window node {} is not in tail position under {}",
-                    g.node(id).name(),
-                    pnode.name()
-                ));
-            }
-            if provides_window {
-                break;
-            }
-            // Repetition/tabular elements never receive exact windows.
-            if matches!(pnode.kind, ObfKind::Repetition { .. } | ObfKind::Tabular { .. }) {
-                return Err(format!(
-                    "rest-of-window node {} sits inside repeated element {}",
-                    g.node(id).name(),
-                    pnode.name()
-                ));
-            }
-            cur = parent;
+        if class == ExtentClass::WindowNeeded {
+            check_window(g, id)?;
         }
     }
+    Ok(())
+}
+
+/// [`check_windows`] for the one rest-of-window node `id`.
+pub(crate) fn check_window(g: &ObfGraph, id: ObfId) -> Result<(), String> {
+    // Walk up: `id` must be the last child at every level until a
+    // window provider (root, Prefixed, Mirror, Fixed/PlainLen
+    // sequence) is reached.
+    let mut cur = id;
+    while let Some(parent) = g.node(cur).parent() {
+        let pnode = g.node(parent);
+        let provides_window = matches!(
+            pnode.kind,
+            ObfKind::Prefixed { .. }
+                | ObfKind::Mirror
+                | ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_) }
+        );
+        let is_last = pnode.children.last() == Some(&cur);
+        if !is_last {
+            return Err(format!(
+                "rest-of-window node {} is not in tail position under {}",
+                g.node(id).name(),
+                pnode.name()
+            ));
+        }
+        if provides_window {
+            break;
+        }
+        // Repetition/tabular elements never receive exact windows.
+        if matches!(pnode.kind, ObfKind::Repetition { .. } | ObfKind::Tabular { .. }) {
+            return Err(format!(
+                "rest-of-window node {} sits inside repeated element {}",
+                g.node(id).name(),
+                pnode.name()
+            ));
+        }
+        cur = parent;
+    }
+    // Reached the root or a window provider.
     Ok(())
 }
 

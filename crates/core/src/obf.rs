@@ -673,11 +673,20 @@ impl ObfGraph {
 
     /// Structural feasibility check run after each transformation: every
     /// value the parser needs eagerly must be fully recoverable before its
-    /// first structural use, and every rest-of-window node must sit in
-    /// tail position. Violations mean the candidate rewrite must be rolled
-    /// back. `layout` covers the whole graph.
+    /// first structural use. Violations mean the candidate rewrite must be
+    /// rolled back. `layout` covers the whole graph.
     pub(crate) fn check_parse_order(&self, layout: &Layout) -> Result<(), String> {
-        let check_before = |x: NodeId, user: ObfId, at: usize| -> Result<(), String> {
+        for (at, &id) in layout.order().iter().enumerate() {
+            self.check_reads(layout, at, id)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::check_parse_order`] for the node `id` at position `at`:
+    /// the plain value it reads to bound or count itself, or the
+    /// repetition whose count it repeats, is recovered before it parses.
+    pub(crate) fn check_reads(&self, layout: &Layout, at: usize, id: ObfId) -> Result<(), String> {
+        let check_before = |x: NodeId| -> Result<(), String> {
             let holder =
                 self.holder_of(x).ok_or_else(|| format!("no holder for plain source {x}"))?;
             if layout.position(holder).is_none() || layout.span_end(holder) > at {
@@ -685,41 +694,34 @@ impl ObfGraph {
                     "plain value of {} (held by {}) is not recovered before {} parses",
                     self.plain.node(x).name(),
                     self.node(holder).name(),
-                    self.node(user).name()
+                    self.node(id).name()
                 ));
             }
             Ok(())
         };
-
-        for (at, &id) in layout.order().iter().enumerate() {
-            match &self.node(id).kind {
-                ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, .. }, .. } => {
-                    if let Some(r) = self.plain.node(*source).boundary().reference() {
-                        check_before(r, id, at)?;
-                    }
-                }
-                ObfKind::Sequence { boundary: SeqBoundary::PlainLen(p) } => {
-                    if let Some(r) = self.plain.node(*p).boundary().reference() {
-                        check_before(r, id, at)?;
-                    }
-                }
-                ObfKind::Optional { condition } => check_before(condition.subject, id, at)?,
-                ObfKind::Tabular { counter } => check_before(*counter, id, at)?,
-                ObfKind::Repetition { stop: RepStop::CountOf(first) } => {
-                    if layout.position(*first).is_none() {
-                        return Err("count-linked repetition lost its first half".into());
-                    }
-                    if layout.span_end(*first) > at {
-                        return Err(format!(
-                            "count-linked repetition {} parses before its first half",
-                            self.node(id).name()
-                        ));
-                    }
-                }
-                _ => {}
+        match &self.node(id).kind {
+            ObfKind::Terminal { boundary: TermBoundary::PlainLen { source, .. }, .. } => {
+                self.plain.node(*source).boundary().reference().map_or(Ok(()), check_before)
             }
+            ObfKind::Sequence { boundary: SeqBoundary::PlainLen(p) } => {
+                self.plain.node(*p).boundary().reference().map_or(Ok(()), check_before)
+            }
+            ObfKind::Optional { condition } => check_before(condition.subject),
+            ObfKind::Tabular { counter } => check_before(*counter),
+            ObfKind::Repetition { stop: RepStop::CountOf(first) } => {
+                if layout.position(*first).is_none() {
+                    return Err("count-linked repetition lost its first half".into());
+                }
+                if layout.span_end(*first) > at {
+                    return Err(format!(
+                        "count-linked repetition {} parses before its first half",
+                        self.node(id).name()
+                    ));
+                }
+                Ok(())
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -23,6 +23,12 @@
 //! it per call; the engine computes it once per node, filters the allowed
 //! kinds with it, and then rewrites each kind it tries without checking
 //! again.
+//!
+//! [`post_check`] lays out and checks the whole graph. The engine instead
+//! keeps a layout of the graph across its rewrites and checks only the
+//! rewritten slot and its ancestors (`check_slot`); the public
+//! [`post_check`], [`applicable`] and [`apply`] stay whole-graph and are
+//! the oracle for that scoped path.
 
 mod rewrites;
 
@@ -31,7 +37,7 @@ use std::fmt;
 use rand::Rng;
 
 use crate::error::TransformError;
-use crate::extent;
+use crate::extent::{self, ExtentClass, Layout};
 use crate::obf::{ObfGraph, ObfId, ObfKind, ObfNode, RepStop, SeqBoundary, TermBoundary};
 use crate::value::ByteOp;
 
@@ -266,8 +272,15 @@ impl Context {
     }
 
     /// Checks the applicability constraints of `kind` on the context's
-    /// node (see [`applicable`]).
-    pub(crate) fn admits(&self, g: &ObfGraph, kind: TransformKind) -> Result<(), String> {
+    /// node (see [`applicable`]). `ReadFromEnd` reads the extent classes
+    /// of `layout`, a layout of the whole graph, or lays out the node's
+    /// subtree when there is none.
+    pub(crate) fn admits(
+        &self,
+        g: &ObfGraph,
+        layout: Option<&Layout>,
+        kind: TransformKind,
+    ) -> Result<(), String> {
         if let Some(a) = self.pinned_by.filter(|_| kind.size_changing()) {
             let a = g.node(a);
             return Err(match a.kind() {
@@ -344,7 +357,10 @@ impl Context {
                 _ => Err("pads can only be inserted into sequences".into()),
             },
             TransformKind::ReadFromEnd => {
-                extent::mirror_applicable(g, self.id)?;
+                match layout {
+                    Some(layout) => extent::mirror_check(g, layout, self.id)?,
+                    None => extent::mirror_applicable(g, self.id)?,
+                }
                 not_leading()
             }
             TransformKind::TabSplit => match node.kind() {
@@ -386,7 +402,7 @@ pub fn applicable(g: &ObfGraph, id: ObfId, kind: TransformKind) -> Result<(), St
     if g.get(id).is_none() {
         return Err("unknown node".into());
     }
-    Context::of(g, id).admits(g, kind)
+    Context::of(g, id).admits(g, None, kind)
 }
 
 /// Applies `kind` on `id`, drawing parameters from `rng`.
@@ -409,7 +425,7 @@ pub fn apply<R: Rng + ?Sized>(
         return Err(TransformError::UnknownNode(id.0));
     };
     let ctx = Context::of(g, id);
-    if let Err(reason) = ctx.admits(g, kind) {
+    if let Err(reason) = ctx.admits(g, None, kind) {
         let node = node.name().to_string();
         return Err(TransformError::NotApplicable { transform: kind.name(), node, reason });
     }
@@ -453,18 +469,131 @@ pub(crate) fn rewrite<R: Rng + ?Sized>(
 /// read. None of them reads a terminal's constant-op stack or a node's
 /// transformation count, which is why constant-op rewrites of a sound
 /// graph need no check.
+///
+/// The engine runs the same checks on the layout it maintains, scoped to
+/// the slot each rewrite changed; this whole-graph form is their oracle.
 pub fn post_check(g: &ObfGraph) -> Result<(), String> {
-    let layout = extent::Layout::of(g, g.root());
-    g.check_parse_order(&layout)?;
-    extent::check_windows(g, &layout)?;
+    check(g, &Layout::of(g, g.root()))
+}
+
+/// [`post_check`] on `layout`, a layout of the whole graph.
+pub(crate) fn check(g: &ObfGraph, layout: &Layout) -> Result<(), String> {
+    g.check_parse_order(layout)?;
+    extent::check_windows(g, layout)?;
     // Every Mirror introduced earlier must still have a precomputable
     // child extent with outside references.
     for &id in layout.order() {
-        if matches!(g.node(id).kind(), ObfKind::Mirror) {
-            let child = g.node(id).children()[0];
-            extent::mirror_check(g, &layout, child)
-                .map_err(|e| format!("mirror {} invalidated: {e}", g.node(id).name()))?;
+        check_mirror(g, layout, id, None)?;
+    }
+    Ok(())
+}
+
+/// The mirror check of `id` if it is a mirror: in full, or reading only
+/// the references and count links of `within` (see
+/// [`extent::mirror_check_within`]).
+fn check_mirror(
+    g: &ObfGraph,
+    layout: &Layout,
+    id: ObfId,
+    within: Option<&[ObfId]>,
+) -> Result<(), String> {
+    if !matches!(g.node(id).kind(), ObfKind::Mirror) {
+        return Ok(());
+    }
+    let child = g.node(id).children()[0];
+    match within {
+        None => extent::mirror_check(g, layout, child),
+        Some(nodes) => extent::mirror_check_within(g, layout, child, nodes),
+    }
+    .map_err(|e| format!("mirror {} invalidated: {e}", g.node(id).name()))
+}
+
+/// Where a rewrite happens: the target, the child slot of its parent it
+/// fills (or the root), and the pre-order position of its subtree in the
+/// engine's layout. A structural rewrite changes the subtree in that slot
+/// (possibly putting a new node there) and nothing outside it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    target: ObfId,
+    parent: Option<ObfId>,
+    index: usize,
+    at: usize,
+}
+
+impl Slot {
+    /// The slot of the live node `target` in `layout`, a layout of the
+    /// whole graph.
+    pub(crate) fn of(g: &ObfGraph, layout: &Layout, target: ObfId) -> Slot {
+        let parent = g.node(target).parent();
+        let index = parent.map_or(0, |p| {
+            g.node(p).children().iter().position(|&c| c == target).expect("a child of its parent")
+        });
+        let at = layout.position(target).expect("target outside the layout");
+        Slot { target, parent, index, at }
+    }
+
+    /// The node now in the slot: the target, or the node that replaced it.
+    fn top(&self, g: &ObfGraph) -> ObfId {
+        match self.parent {
+            Some(p) => g.node(p).children()[self.index],
+            None => g.root(),
         }
+    }
+
+    /// Splices the slot's current subtree into `layout` after a rewrite
+    /// of the slot or its rollback.
+    pub(crate) fn relayout(&self, g: &ObfGraph, layout: &mut Layout) {
+        layout.splice(g, self.at, self.top(g));
+    }
+}
+
+/// [`post_check`]'s verdict after a structural rewrite at `slot` of a graph
+/// that passed it, `layout` following the rewrite ([`Slot::relayout`]).
+/// Each check runs only where the rewrite can change its verdict:
+///
+/// * Parse order: the users inside the slot. Positions before the slot
+///   stay, those after it shift together, and a rewrite moves a value
+///   channel only within the slot, so every user outside it reads a
+///   holder that still ends before it. The exception is a count link
+///   whose first half the rewrite took out of the tree (`RepSplit` of
+///   it): the links to a detached target repetition are checked wherever
+///   they are.
+/// * Windows: the rest-of-window nodes inside the slot or on its ancestor
+///   chain. Outside those, no extent class, node kind or last child on
+///   the walk up changed.
+/// * Mirrors: those inside the slot in full. A mirror above the slot
+///   checks its recomputed child class and the references and count
+///   links inside the slot; the others, and their holders, stay on the
+///   side of the mirrored subtree's bounds they were on.
+pub(crate) fn check_slot(g: &ObfGraph, layout: &Layout, slot: &Slot) -> Result<(), String> {
+    let top = slot.top(g);
+    let span = slot.at..layout.span_end(top);
+    let inside = &layout.order()[span.clone()];
+    let ancestors = || std::iter::successors(g.node(top).parent(), |&a| g.node(a).parent());
+    for (at, &id) in span.zip(inside) {
+        g.check_reads(layout, at, id)?;
+    }
+    let target = slot.target;
+    if layout.position(target).is_none()
+        && matches!(g.node(target).kind(), ObfKind::Repetition { .. })
+    {
+        for (at, &id) in layout.order().iter().enumerate() {
+            if matches!(g.node(id).kind(), ObfKind::Repetition { stop: RepStop::CountOf(f) } if *f == target)
+            {
+                g.check_reads(layout, at, id)?;
+            }
+        }
+    }
+    for id in inside.iter().copied().chain(ancestors()) {
+        if layout.class(id) == ExtentClass::WindowNeeded {
+            extent::check_window(g, id)?;
+        }
+    }
+    for &id in inside {
+        check_mirror(g, layout, id, None)?;
+    }
+    for id in ancestors() {
+        check_mirror(g, layout, id, Some(inside))?;
     }
     Ok(())
 }
@@ -644,6 +773,161 @@ pub(crate) mod tests {
     fn post_check_passes_on_identity() {
         let g = sample();
         assert!(post_check(&g).is_ok());
+    }
+
+    /// Rewrites `target` with `kind` as the engine does — on a layout of
+    /// the sound graph that follows the rewrite — and returns the scoped
+    /// verdict and [`post_check`]'s. The spliced layout must equal a fresh
+    /// one. The applicability constraints are not consulted, so a test can
+    /// hand the checks a rewrite the constraints would refuse.
+    fn verdicts(
+        g: &mut ObfGraph,
+        target: ObfId,
+        kind: TransformKind,
+        seed: u64,
+    ) -> (Result<(), String>, Result<(), String>) {
+        let mut layout = Layout::of(g, g.root());
+        assert_eq!(check(g, &layout), Ok(()), "the graph must start sound");
+        let ctx = Context::of(g, target);
+        let slot = Slot::of(g, &layout, target);
+        rewrite(g, &ctx, kind, &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed));
+        slot.relayout(g, &mut layout);
+        assert!(layout == Layout::of(g, g.root()), "{kind}: spliced layout differs");
+        (check_slot(g, &layout, &slot), post_check(g))
+    }
+
+    fn assert_both_reject(verdicts: (Result<(), String>, Result<(), String>), reason: &str) {
+        let (scoped, full) = verdicts;
+        assert!(scoped.as_ref().is_err_and(|e| e.contains(reason)), "scoped: {scoped:?}");
+        assert!(full.as_ref().is_err_and(|e| e.contains(reason)), "post_check: {full:?}");
+    }
+
+    #[test]
+    fn scoped_check_rejects_a_user_moved_ahead_of_its_holder() {
+        let mut b = GraphBuilder::new("order");
+        let root = b.root_sequence("m", Boundary::End);
+        b.uint_be(root, "kind", 1);
+        let s = b.sequence(root, "s", Boundary::Delegated);
+        let len = b.uint_be(s, "len", 2);
+        let data = b.terminal(s, "data", TerminalKind::Bytes, Boundary::Length(len));
+        b.set_auto(len, AutoValue::LengthOf(data));
+        b.uint_be(root, "tail", 1);
+        let mut g = ObfGraph::from_plain(&b.build().unwrap());
+        // Two children: the swap puts `data` ahead of `len`.
+        let s = find(&g, "s");
+        assert!(applicable(&g, s, TransformKind::ChildMove).is_ok());
+        let got = verdicts(&mut g, s, TransformKind::ChildMove, 1);
+        assert_both_reject(got, "is not recovered before data parses");
+    }
+
+    #[test]
+    fn scoped_check_rejects_a_pad_after_a_rest_of_window_node() {
+        let graph = {
+            let mut b = GraphBuilder::new("window");
+            let root = b.root_sequence("m", Boundary::End);
+            b.uint_be(root, "x", 1);
+            let s = b.sequence(root, "s", Boundary::End);
+            b.uint_be(s, "y", 1);
+            b.terminal(s, "body", TerminalKind::Bytes, Boundary::End);
+            b.build().unwrap()
+        };
+        let (mut last, mut inner) = (0, 0);
+        for seed in 0..32 {
+            let mut g = ObfGraph::from_plain(&graph);
+            let s = find(&g, "s");
+            assert!(applicable(&g, s, TransformKind::PadInsert).is_ok());
+            let got = verdicts(&mut g, s, TransformKind::PadInsert, seed);
+            let body = find(&g, "body");
+            if g.node(s).children().last() == Some(&body) {
+                assert_eq!(got, (Ok(()), Ok(())), "seed {seed}");
+                inner += 1;
+            } else {
+                assert_both_reject(got, "rest-of-window node body is not in tail position");
+                last += 1;
+            }
+        }
+        assert!(last > 0 && inner > 0, "{last} pads last, {inner} before the body");
+    }
+
+    #[test]
+    fn scoped_check_rejects_a_mirror_holding_a_reference_holder() {
+        let mut b = GraphBuilder::new("mirror");
+        let root = b.root_sequence("m", Boundary::End);
+        b.uint_be(root, "kind", 1);
+        let s = b.sequence(root, "s", Boundary::Delegated);
+        let len = b.uint_be(s, "len", 2);
+        let data = b.terminal(s, "data", TerminalKind::Bytes, Boundary::Length(len));
+        b.set_auto(len, AutoValue::LengthOf(data));
+        b.uint_be(root, "tail", 1);
+        let mut g = ObfGraph::from_plain(&b.build().unwrap());
+        // The constraints refuse it; the post-check is the last line.
+        let s = find(&g, "s");
+        assert!(applicable(&g, s, TransformKind::ReadFromEnd).is_err());
+        let got = verdicts(&mut g, s, TransformKind::ReadFromEnd, 1);
+        assert_both_reject(got, "reference len is held inside the mirrored subtree");
+    }
+
+    #[test]
+    fn scoped_check_rejects_splitting_the_first_half_of_a_count_link() {
+        let graph = {
+            let mut b = GraphBuilder::new("links");
+            let root = b.root_sequence("m", Boundary::End);
+            let rep = b.repetition(
+                root,
+                "headers",
+                StopRule::Terminator(b"\r\n".to_vec()),
+                Boundary::Delegated,
+            );
+            let h = b.sequence(rep, "header", Boundary::Delegated);
+            for (name, delim) in [("a", ":"), ("b", ","), ("c", ";")] {
+                b.terminal(h, name, TerminalKind::Ascii, Boundary::Delimited(delim.into()));
+            }
+            b.terminal(root, "body", TerminalKind::Bytes, Boundary::End);
+            b.build().unwrap()
+        };
+        // Find a first split that leaves two fields in the first half.
+        let (mut g, first) = (0..32)
+            .find_map(|seed| {
+                let mut g = ObfGraph::from_plain(&graph);
+                let headers = find(&g, "headers");
+                let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+                let rec = apply(&mut g, headers, TransformKind::RepSplit, &mut rng).unwrap();
+                let first = rec.created[1];
+                applicable(&g, first, TransformKind::RepSplit).is_ok().then_some((g, first))
+            })
+            .expect("a split after the second field");
+        assert_eq!(post_check(&g), Ok(()));
+        // Splitting the first half again strands the second half's count
+        // link, which lies outside the rewritten slot.
+        let got = verdicts(&mut g, first, TransformKind::RepSplit, 3);
+        assert_both_reject(got, "count-linked repetition lost its first half");
+    }
+
+    #[test]
+    fn scoped_check_rejects_a_count_link_inside_a_mirror_above() {
+        let mut b = GraphBuilder::new("mirrored");
+        let root = b.root_sequence("m", Boundary::End);
+        let len = b.uint_be(root, "len", 2);
+        let body = b.sequence(root, "body", Boundary::Length(len));
+        b.set_auto(len, AutoValue::LengthOf(body));
+        let rep =
+            b.repetition(body, "items", StopRule::Terminator(b"##".to_vec()), Boundary::Delegated);
+        let item = b.sequence(rep, "item", Boundary::Delegated);
+        b.terminal(item, "a", TerminalKind::Ascii, Boundary::Delimited(b":".to_vec()));
+        b.terminal(item, "b", TerminalKind::Ascii, Boundary::Delimited(b";".to_vec()));
+        b.uint_be(root, "tail", 1);
+        let mut g = ObfGraph::from_plain(&b.build().unwrap());
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        // The length-sized body has a precomputable extent, so it mirrors.
+        let body = find(&g, "body");
+        apply(&mut g, body, TransformKind::ReadFromEnd, &mut rng).unwrap();
+        // Splitting the loop inside links the second half's count to the
+        // first half, which is inside the mirror: its extent would depend
+        // on the mirrored bytes. The mirror is above the rewritten slot.
+        let items = find(&g, "items");
+        assert!(applicable(&g, items, TransformKind::RepSplit).is_ok());
+        let got = verdicts(&mut g, items, TransformKind::RepSplit, 1);
+        assert_both_reject(got, "resolves inside the mirrored subtree");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Graph rewrites for each generic transformation.
 //!
 //! These functions assume the local applicability constraints
-//! ([`super::Context::admits`]) already passed; the engine runs the global
-//! [`super::post_check`] afterwards and rolls back on failure. Each takes
+//! ([`super::Context::admits`]) already passed; the engine runs the
+//! soundness checks of [`super::post_check`] afterwards and rolls back on
+//! failure. Each takes
 //! the name tag of the nodes it creates from [`ObfGraph::allocated`]
 //! before its first push.
 

@@ -8,7 +8,7 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use protoobf_core::profile::{Profile, SpecSource};
 use protoobf_core::sample::sample_into;
@@ -77,8 +77,12 @@ fn scan_fallback_roundtrips_and_records_wake_latency() {
                 });
             }
         });
-        // Linger briefly so idle workers demonstrably back off.
-        std::thread::sleep(Duration::from_millis(50));
+        // Linger until an idle worker demonstrably backs off, or give up
+        // after 10 s and let the assertion below fail.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.snapshot().idle_naps == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         shutdown.store(true, Ordering::Relaxed);
         served.join().unwrap().unwrap();
     });

@@ -12,9 +12,9 @@
 # `setarch -R`, which turns address-space randomization off for that
 # process only. The report goes to stdout; each process's own output is
 # written under a temporary directory, removed afterwards unless a
-# process failed. The BENCH_*.json trajectories at the repository root
-# are restored afterwards, so a filtered run never replaces them with a
-# partial one.
+# process failed. A filter that skips some of a group's rows leaves that
+# group's BENCH_*.json trajectory alone (the harness writes whole groups
+# only); a filter that selects whole groups rewrites theirs.
 set -euo pipefail
 
 usage() {
@@ -42,17 +42,11 @@ bin=$(cargo bench --offline -p protoobf-bench --bench codec --no-run 2>&1 |
 case $bin in /*) ;; *) bin=$root/$bin ;; esac
 
 runs=$(mktemp -d)
-mkdir "$runs/saved"
-cp BENCH_*.json "$runs/saved/" 2>/dev/null || true
-restore() {
-    for f in BENCH_*.json; do
-        [ -e "$runs/saved/$f" ] || rm -f "$f"
-    done
-    cp "$runs/saved/"*.json . 2>/dev/null || true
+cleanup() {
     [ -n "$failed" ] || rm -rf "$runs"
 }
 failed=
-trap restore EXIT
+trap cleanup EXIT
 echo "[spread] $n processes of $(basename "$bin") on '$filter'${wrap:+ (no ASLR)}" >&2
 
 for i in $(seq 1 "$n"); do

@@ -308,3 +308,41 @@ fn shipped_specs_also_reserialize_identically() {
         }
     }
 }
+
+/// Debug builds assert inside the engine that each candidate's scoped
+/// soundness verdict equals `post_check`'s and that the layout it splices
+/// after every rewrite and rollback equals a fresh one. This runs those
+/// assertions over the builtins under the two pinned keys and over the
+/// random grammars, at levels 1–4; every derived graph must also pass
+/// `post_check`, which is all a release build checks.
+#[test]
+fn derivations_keep_the_scoped_checks_equal_to_post_check() {
+    let builtins = [
+        protocols::modbus::request_graph(),
+        protocols::modbus::response_graph(),
+        protocols::http::request_graph(),
+        protocols::http::response_graph(),
+        protocols::dns::query_graph(),
+        protocols::dns::response_graph(),
+    ];
+    let derive = |graph: &FormatGraph, obf: Obfuscator, what: &str| {
+        for level in 1..=4u32 {
+            let codec = obf.clone().max_per_node(level).obfuscate().unwrap();
+            if let Err(e) = post_check(codec.obf_graph()) {
+                panic!(
+                    "{what} ({}) level {level}: derived graph fails post_check: {e}",
+                    graph.name()
+                );
+            }
+        }
+    };
+    for graph in &builtins {
+        for key in ["e2ebench shared secret", "pinned key 2"] {
+            derive(graph, Obfuscator::new(graph).key(key), key);
+        }
+    }
+    for seed in 0..240u64 {
+        let graph = random_graph(seed);
+        derive(&graph, Obfuscator::new(&graph).seed(seed ^ 0x5EED), "random grammar");
+    }
+}
