@@ -8,8 +8,11 @@
 //! workloads at their level 2: the layer behind most of their set-up
 //! time. `derive/endpoint-modbus` times a whole `modbus-rr` endpoint
 //! build from its profile (resolve both builtins, derive both
-//! directions, fingerprint). Filter with `-- derive`; the group's
-//! results are written to `BENCH_derive.json` at the workspace root.
+//! directions, fingerprint). The `derive/spec-<grammar>` rows time the
+//! specification front end alone (`parse_spec`: lex, parse, lower,
+//! validate) on the modbus request and the bulk spec. Filter with
+//! `-- derive`; the group's results are written to `BENCH_derive.json` at
+//! the workspace root.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use protoobf_bench::export_trajectory;
@@ -79,6 +82,11 @@ fn bench_derive(c: &mut Criterion) {
                     .obfuscate()
                     .unwrap()
             })
+        });
+    }
+    for (name, spec) in [("spec-modbus-request", modbus::REQUEST_SPEC), ("spec-bulk", bulk)] {
+        group.bench_function(name, |b| {
+            b.iter(|| protoobf_spec::parse_spec(black_box(spec)).unwrap())
         });
     }
     let profile = Profile::parse(MODBUS_RR_PROFILE).unwrap();

@@ -51,6 +51,13 @@ impl Codec {
         Codec::from_parts(ObfGraph::from_plain(plain), Vec::new())
     }
 
+    /// [`Codec::identity`] of this codec's plain specification, sharing it
+    /// rather than copying it.
+    pub(crate) fn clear_twin(&self) -> Self {
+        let plain = std::sync::Arc::clone(self.graph.shared_plain());
+        Codec::from_parts(ObfGraph::from_shared(plain), Vec::new())
+    }
+
     /// The compiled execution plan (built on first use, then cached on the
     /// graph). Both the one-shot entry points and the session
     /// constructors share it.

@@ -5,12 +5,18 @@
 //! applied to the node. This routine is applied as many times as indicated
 //! by a parameter specified in the framework."
 //!
-//! The engine makes passes over the graph. In each pass, every node whose
-//! per-node budget is not exhausted receives one randomly chosen applicable
-//! transformation; nodes created by a transformation inherit budget
-//! `target + 1` and participate in later passes. Candidate rewrites that
-//! fail the global soundness checks ([`crate::transform::post_check`]) are
-//! rolled back and another transformation is tried.
+//! The engine makes one pass over the graph per level. In each pass, every
+//! node live at the start of the pass is offered one randomly chosen
+//! applicable transformation; nodes created during a pass are offered
+//! theirs from the next pass on. A node records how many transformations
+//! produced it ([`crate::obf::ObfNode::obf_count`]: a rewritten node's
+//! count goes up by one, a created node starts at its target's count plus
+//! one), and the loop does not read that count: a pass raises a count by
+//! at most one, so every node offered in pass `k` (from 1) has a count
+//! below `k`, and a per-node budget of `level` would never bind. Candidate
+//! rewrites that fail the global soundness checks
+//! ([`crate::transform::post_check`]) are rolled back and another
+//! transformation is tried.
 //!
 //! A derivation keeps one pre-order layout of the graph (positions,
 //! subtree ends, extent classes), built once from the plain image.
@@ -36,7 +42,13 @@
 //! allocation count) are the same as if it had never run. Constant-op
 //! rewrites (`ConstAdd`/`ConstSub`/`ConstXor`) of a graph that passes the
 //! checks skip them and leave the layout as it is: they write nothing
-//! either reads.
+//! either reads. Since nothing can reject them, they run unjournaled.
+//!
+//! A derivation builds no text: applicability and soundness verdicts are
+//! typed (`transform::Reason`, node ids and no names), and only the
+//! public calls that return a reason render it. The candidate kinds of a
+//! node, the pass's node list and the journal live in buffers reused
+//! across nodes, passes and rewrites.
 
 use rand::rngs::StdRng;
 
@@ -111,8 +123,11 @@ impl<'g> Obfuscator<'g> {
         self
     }
 
-    /// Maximum number of transformations per node (the paper's experiment
-    /// parameter, 0–4). Zero yields the identity codec.
+    /// The obfuscation level (the paper's experiment parameter, 0–4): the
+    /// number of passes, each offering every node live at its start one
+    /// transformation. Zero yields the identity codec. Each node's
+    /// [`crate::obf::ObfNode::obf_count`] is recorded, not read; it ends at
+    /// most `max`.
     pub fn max_per_node(mut self, max: u32) -> Self {
         self.max_per_node = max;
         self
@@ -133,12 +148,17 @@ impl<'g> Obfuscator<'g> {
     /// ([`crate::graph::GraphBuilder::build`] is its only constructor and
     /// nothing mutates one), so the graph is not validated again here.
     pub fn obfuscate(&self) -> Result<Codec, SpecError> {
-        let mut g = ObfGraph::from_plain(self.graph);
+        Ok(self.derive(ObfGraph::from_plain(self.graph)))
+    }
+
+    /// The selection loop of [`Obfuscator::obfuscate`], on `g`, the image
+    /// of this obfuscator's graph.
+    pub(crate) fn derive(&self, mut g: ObfGraph) -> Codec {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut records: Vec<TransformRecord> = Vec::new();
 
         if self.max_per_node == 0 || self.allowed.is_empty() {
-            return Ok(Codec::from_parts(g, records));
+            return Codec::from_parts(g, records);
         }
 
         // The layout of `g`, spliced after every structural rewrite and
@@ -155,26 +175,38 @@ impl<'g> Obfuscator<'g> {
         // This reproduces the paper's growth curve (the number of applied
         // transformations grows superlinearly with the level because the
         // graph itself grows between passes, Tables III/IV).
+        //
+        // The pass's nodes and a node's candidate kinds live in buffers
+        // kept across passes and nodes.
+        let mut snapshot = Vec::new();
+        let mut kinds = Vec::with_capacity(self.allowed.len());
         for _pass in 0..self.max_per_node {
-            let snapshot = layout.order().to_vec();
-            for id in snapshot {
+            snapshot.clear();
+            snapshot.extend_from_slice(layout.order());
+            for &id in &snapshot {
                 let ctx = Context::of(&g, id);
                 // Skip nodes detached during this pass (replaced targets).
                 if !ctx.live {
                     continue;
                 }
-                let mut kinds: Vec<TransformKind> = self
-                    .allowed
-                    .iter()
-                    .copied()
-                    .filter(|&k| ctx.admits(&g, Some(&layout), k).is_ok())
-                    .collect();
+                kinds.clear();
+                kinds.extend(
+                    self.allowed
+                        .iter()
+                        .copied()
+                        .filter(|&k| ctx.admits(&g, Some(&layout), k).is_ok()),
+                );
                 weighted_shuffle(&mut kinds, &mut rng);
                 let slot = Slot::of(&g, &layout, id);
-                for kind in kinds {
-                    g.begin();
-                    let record = transform::rewrite(&mut g, &ctx, kind, &mut rng);
+                for &kind in &kinds {
                     let structural = !kind.op_only();
+                    // An op-only rewrite of a sound graph is accepted
+                    // unchecked, so nothing needs journaling for it.
+                    let journaled = structural || !sound;
+                    if journaled {
+                        g.begin();
+                    }
+                    let record = transform::rewrite(&mut g, &ctx, kind, &mut rng);
                     if structural {
                         slot.relayout(&g, &mut layout);
                     }
@@ -190,7 +222,9 @@ impl<'g> Obfuscator<'g> {
                     );
                     let accepted = verdict.is_ok();
                     if accepted {
-                        g.commit();
+                        if journaled {
+                            g.commit();
+                        }
                         sound = true;
                         records.push(record);
                     } else {
@@ -209,28 +243,29 @@ impl<'g> Obfuscator<'g> {
                 }
             }
         }
-        Ok(Codec::from_parts(g, records))
+        Codec::from_parts(g, records)
     }
 }
 
 /// Orders candidates by repeated weighted draws (first element is a
-/// weighted random choice; the rest act as soundness-check fallbacks).
-fn weighted_shuffle<R: rand::Rng + ?Sized>(kinds: &mut Vec<TransformKind>, rng: &mut R) {
-    let mut ordered = Vec::with_capacity(kinds.len());
-    while !kinds.is_empty() {
-        let total: u32 = kinds.iter().map(|k| k.weight()).sum();
+/// weighted random choice; the rest act as soundness-check fallbacks). In
+/// place: each draw picks among the kinds not yet placed, which keep their
+/// order, and rotates the pick in front of them.
+fn weighted_shuffle<R: rand::Rng + ?Sized>(kinds: &mut [TransformKind], rng: &mut R) {
+    for placed in 0..kinds.len() {
+        let rest = &mut kinds[placed..];
+        let total: u32 = rest.iter().map(|k| k.weight()).sum();
         let mut pick = rng.gen_range(0..total);
         let mut chosen = 0usize;
-        for (i, k) in kinds.iter().enumerate() {
+        for (i, k) in rest.iter().enumerate() {
             if pick < k.weight() {
                 chosen = i;
                 break;
             }
             pick -= k.weight();
         }
-        ordered.push(kinds.remove(chosen));
+        rest[..=chosen].rotate_right(1);
     }
-    *kinds = ordered;
 }
 
 #[cfg(test)]
@@ -308,6 +343,17 @@ pub(crate) mod tests {
         // Level 4 should comfortably exceed 4x level 1 (new nodes also get
         // obfuscated), matching the paper's Tables III/IV shape.
         assert!(counts[3] > counts[0] * 3, "{counts:?}");
+    }
+
+    #[test]
+    fn counts_stay_within_the_level() {
+        let g = rich_graph();
+        for level in 1..=4 {
+            let codec = Obfuscator::new(&g).seed(7).max_per_node(level).obfuscate().unwrap();
+            let obf = codec.obf_graph();
+            let most = obf.preorder().into_iter().map(|id| obf.node(id).obf_count()).max();
+            assert!(most <= Some(level), "level {level}: a node counts {most:?}");
+        }
     }
 
     #[test]

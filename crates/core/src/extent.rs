@@ -23,10 +23,11 @@
 //! in one pass; [`crate::transform::post_check`] lays out the whole
 //! graph once and runs every check against that one table. The
 //! obfuscation engine keeps one whole-graph layout for a derivation and
-//! splices each rewritten slot into it ([`Layout::splice`]).
+//! splices each rewritten slot into it (`Layout::splice`).
 
 use crate::graph::NodeId;
 use crate::obf::{ObfGraph, ObfId, ObfKind, ObfNode, RepStop, SeqBoundary, TermBoundary};
+use crate::transform::Reason;
 
 /// How a node's wire extent can be determined. Ordered from most to least
 /// predictable.
@@ -296,16 +297,54 @@ fn extent_ref(g: &ObfGraph, n: ObfId) -> Option<NodeId> {
     }
 }
 
+/// Why a subtree cannot be mirrored ([`mirror_applicable`]): a verdict
+/// read without text, rendered by [`MirrorFault::render`] only where a
+/// public call returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MirrorFault {
+    /// The subtree's extent is of this class, not precomputable.
+    Extent(ExtentClass),
+    /// The extent reads this plain terminal, which has no holder.
+    NoHolder(NodeId),
+    /// The extent reads this plain terminal, held inside the subtree.
+    HeldInside(NodeId),
+    /// This count-linked repetition's count resolves inside the subtree.
+    CountInside(ObfId),
+}
+
+impl MirrorFault {
+    /// The fault's text, naming the nodes of `g` it holds.
+    pub(crate) fn render(self, g: &ObfGraph) -> String {
+        match self {
+            MirrorFault::Extent(class) => {
+                format!("subtree extent is {class:?}; ReadFromEnd needs Static or PlainDep")
+            }
+            MirrorFault::NoHolder(r) => {
+                format!("reference {} has no recoverable holder", g.plain().node(r).name())
+            }
+            MirrorFault::HeldInside(r) => {
+                format!(
+                    "reference {} is held inside the mirrored subtree",
+                    g.plain().node(r).name()
+                )
+            }
+            MirrorFault::CountInside(n) => {
+                format!("count link of {} resolves inside the mirrored subtree", g.node(n).name())
+            }
+        }
+    }
+}
+
 /// Checks whether a `ReadFromEnd` (Mirror) wrapper can be applied around
 /// `id`: the extent must be precomputable, and every plain reference that
 /// computation needs must be held *outside* the mirrored subtree (otherwise
 /// the value would only become available after un-mirroring — a cycle).
 pub fn mirror_applicable(g: &ObfGraph, id: ObfId) -> Result<(), String> {
-    mirror_check(g, &Layout::of(g, id), id)
+    mirror_check(g, &Layout::of(g, id), id).map_err(|fault| fault.render(g))
 }
 
 /// [`mirror_applicable`] on a layout of any subtree that contains `id`.
-pub(crate) fn mirror_check(g: &ObfGraph, layout: &Layout, id: ObfId) -> Result<(), String> {
+pub(crate) fn mirror_check(g: &ObfGraph, layout: &Layout, id: ObfId) -> Result<(), MirrorFault> {
     mirror_check_within(g, layout, id, layout.subtree(id))
 }
 
@@ -319,26 +358,15 @@ pub(crate) fn mirror_check_within(
     layout: &Layout,
     id: ObfId,
     nodes: &[ObfId],
-) -> Result<(), String> {
+) -> Result<(), MirrorFault> {
     let class = layout.class(id);
     if !class.precomputable() {
-        return Err(format!("subtree extent is {class:?}; ReadFromEnd needs Static or PlainDep"));
+        return Err(MirrorFault::Extent(class));
     }
     for r in nodes.iter().filter_map(|&n| extent_ref(g, n)) {
-        let holder = match g.holder_of(r) {
-            Some(h) => h,
-            None => {
-                return Err(format!(
-                    "reference {} has no recoverable holder",
-                    g.plain().node(r).name()
-                ))
-            }
-        };
+        let holder = g.holder_of(r).ok_or(MirrorFault::NoHolder(r))?;
         if layout.contains(id, holder) {
-            return Err(format!(
-                "reference {} is held inside the mirrored subtree",
-                g.plain().node(r).name()
-            ));
+            return Err(MirrorFault::HeldInside(r));
         }
     }
     // Count-linked repetitions inside the subtree must resolve their count
@@ -353,12 +381,7 @@ pub(crate) fn mirror_check_within(
                 }
                 match g.node(cur).kind() {
                     ObfKind::Repetition { stop: RepStop::CountOf(next) } => cur = *next,
-                    _ => {
-                        return Err(format!(
-                            "count link of {} resolves inside the mirrored subtree",
-                            g.node(n).name()
-                        ))
-                    }
+                    _ => return Err(MirrorFault::CountInside(n)),
                 }
             }
         }
@@ -370,7 +393,7 @@ pub(crate) fn mirror_check_within(
 /// window-providing ancestor — i.e. that `End` boundaries and exhausted
 /// repetitions will actually receive a bounded window at parse time.
 /// `layout` covers the whole graph.
-pub(crate) fn check_windows(g: &ObfGraph, layout: &Layout) -> Result<(), String> {
+pub(crate) fn check_windows(g: &ObfGraph, layout: &Layout) -> Result<(), Reason> {
     for (&id, &class) in layout.order.iter().zip(&layout.class) {
         if class == ExtentClass::WindowNeeded {
             check_window(g, id)?;
@@ -380,7 +403,7 @@ pub(crate) fn check_windows(g: &ObfGraph, layout: &Layout) -> Result<(), String>
 }
 
 /// [`check_windows`] for the one rest-of-window node `id`.
-pub(crate) fn check_window(g: &ObfGraph, id: ObfId) -> Result<(), String> {
+pub(crate) fn check_window(g: &ObfGraph, id: ObfId) -> Result<(), Reason> {
     // Walk up: `id` must be the last child at every level until a
     // window provider (root, Prefixed, Mirror, Fixed/PlainLen
     // sequence) is reached.
@@ -393,24 +416,15 @@ pub(crate) fn check_window(g: &ObfGraph, id: ObfId) -> Result<(), String> {
                 | ObfKind::Mirror
                 | ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_) }
         );
-        let is_last = pnode.children.last() == Some(&cur);
-        if !is_last {
-            return Err(format!(
-                "rest-of-window node {} is not in tail position under {}",
-                g.node(id).name(),
-                pnode.name()
-            ));
+        if pnode.children.last() != Some(&cur) {
+            return Err(Reason::NotTail { node: id, under: parent });
         }
         if provides_window {
             break;
         }
         // Repetition/tabular elements never receive exact windows.
         if matches!(pnode.kind, ObfKind::Repetition { .. } | ObfKind::Tabular { .. }) {
-            return Err(format!(
-                "rest-of-window node {} sits inside repeated element {}",
-                g.node(id).name(),
-                pnode.name()
-            ));
+            return Err(Reason::InRepeated { node: id, element: parent });
         }
         cur = parent;
     }

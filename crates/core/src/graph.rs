@@ -11,7 +11,6 @@
 //! paper's figure 3), which [`FormatGraph::validate`] checks are resolvable
 //! during a left-to-right parse.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::SpecError;
@@ -377,23 +376,6 @@ impl FormatGraph {
         }
     }
 
-    /// Pre-order indices: for each node, its position in [`preorder`] and
-    /// the position just after its subtree. Used for the backward-reference
-    /// rule.
-    ///
-    /// [`preorder`]: FormatGraph::preorder
-    fn preorder_spans(&self) -> HashMap<NodeId, (usize, usize)> {
-        let order = self.preorder();
-        let pos: HashMap<NodeId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut spans = HashMap::new();
-        for &id in &order {
-            let sub = self.subtree(id);
-            let end = sub.iter().map(|n| pos[n]).max().unwrap_or(pos[&id]) + 1;
-            spans.insert(id, (pos[&id], end));
-        }
-        spans
-    }
-
     /// Validates the structural invariants of the specification.
     ///
     /// # Errors
@@ -402,6 +384,10 @@ impl FormatGraph {
     /// uniqueness, type/boundary consistency, reference resolvability
     /// (backward references only), numeric reference targets, delimiter
     /// non-emptiness, and width consistency.
+    ///
+    /// Allocates nothing unless it fails: every check walks parent
+    /// pointers and child lists in place, and names are cloned only into
+    /// the error.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.nodes.is_empty() {
             return Err(SpecError::EmptyGraph);
@@ -421,7 +407,7 @@ impl FormatGraph {
     /// nesting is bounded instead of heap-spilled.
     fn check_nesting(&self) -> Result<(), SpecError> {
         for id in self.ids() {
-            let depth = self.container_chain(id).len();
+            let depth = self.containers(id).count();
             if depth > crate::message::MAX_SCOPE {
                 return Err(SpecError::NestingTooDeep {
                     node: self.node(id).name.clone(),
@@ -433,46 +419,63 @@ impl FormatGraph {
         Ok(())
     }
 
+    /// Every node reachable from the root exactly once, parents agreeing
+    /// with child lists: each listed child names its lister as parent, and
+    /// each other node climbs to the root through parents that list it
+    /// once, in fewer steps than there are nodes.
     fn check_tree(&self) -> Result<(), SpecError> {
-        // Every node reachable from the root exactly once; parents agree.
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            if id.index() >= self.nodes.len() {
-                return Err(SpecError::UnknownNode(id.0));
-            }
-            if seen[id.index()] {
-                return Err(SpecError::NotATree { node: self.node(id).name.clone() });
-            }
-            seen[id.index()] = true;
+        let n = self.nodes.len();
+        let not_a_tree = |id: NodeId| SpecError::NotATree { node: self.node(id).name.clone() };
+        if self.root.index() >= n {
+            return Err(SpecError::UnknownNode(self.root.0));
+        }
+        for id in self.ids() {
             for &c in &self.node(id).children {
-                if c.index() >= self.nodes.len() {
+                if c.index() >= n {
                     return Err(SpecError::UnknownNode(c.0));
                 }
                 if self.node(c).parent != Some(id) {
-                    return Err(SpecError::NotATree { node: self.node(c).name.clone() });
+                    return Err(not_a_tree(c));
                 }
-                stack.push(c);
             }
         }
-        if let Some(idx) = seen.iter().position(|s| !s) {
-            return Err(SpecError::NotATree { node: self.nodes[idx].name.clone() });
+        for id in self.ids() {
+            let mut cur = id;
+            for _ in 0..n {
+                if cur == self.root {
+                    break;
+                }
+                match self.node(cur).parent.filter(|p| p.index() < n) {
+                    Some(p) if self.node(p).children.iter().filter(|&&c| c == cur).count() == 1 => {
+                        cur = p;
+                    }
+                    _ => return Err(not_a_tree(id)),
+                }
+            }
+            if cur != self.root {
+                return Err(not_a_tree(id));
+            }
         }
         Ok(())
     }
 
+    /// Sibling names are unique. Of several duplicated names under one
+    /// parent, the first in byte order is reported.
     fn check_names(&self) -> Result<(), SpecError> {
-        for id in self.ids() {
-            let node = self.node(id);
-            let mut names: Vec<&str> = node.children.iter().map(|&c| self.node(c).name()).collect();
-            names.sort_unstable();
-            for w in names.windows(2) {
-                if w[0] == w[1] {
-                    return Err(SpecError::DuplicateSiblingName {
-                        parent: node.name.clone(),
-                        name: w[0].to_string(),
-                    });
+        for node in &self.nodes {
+            let mut duplicate: Option<&str> = None;
+            for (i, &a) in node.children.iter().enumerate() {
+                let a = self.node(a).name();
+                let repeated = node.children[i + 1..].iter().any(|&b| self.node(b).name() == a);
+                if repeated && duplicate.is_none_or(|d| a < d) {
+                    duplicate = Some(a);
                 }
+            }
+            if let Some(name) = duplicate {
+                return Err(SpecError::DuplicateSiblingName {
+                    parent: node.name.clone(),
+                    name: name.to_string(),
+                });
             }
         }
         Ok(())
@@ -480,18 +483,18 @@ impl FormatGraph {
 
     fn check_node(&self, id: NodeId) -> Result<(), SpecError> {
         let node = self.node(id);
-        let name = node.name.clone();
+        let name = || node.name.clone();
         match &node.ty {
             NodeType::Terminal(kind) => {
                 if !node.children.is_empty() {
-                    return Err(SpecError::TerminalWithChildren { node: name });
+                    return Err(SpecError::TerminalWithChildren { node: name() });
                 }
                 match &node.boundary {
                     Boundary::Fixed(n) => {
                         if let Some(w) = kind.implied_width() {
                             if w != *n {
                                 return Err(SpecError::WidthMismatch {
-                                    node: name,
+                                    node: name(),
                                     expected: w,
                                     found: *n,
                                 });
@@ -499,20 +502,20 @@ impl FormatGraph {
                         }
                         if *n == 0 {
                             return Err(SpecError::InconsistentBoundary {
-                                node: name,
+                                node: name(),
                                 detail: "fixed size must be > 0".into(),
                             });
                         }
                     }
                     Boundary::Delimited(d) => {
                         if d.is_empty() {
-                            return Err(SpecError::EmptyDelimiter { node: name });
+                            return Err(SpecError::EmptyDelimiter { node: name() });
                         }
                     }
                     Boundary::Length(_) | Boundary::End => {}
                     other => {
                         return Err(SpecError::InconsistentBoundary {
-                            node: name,
+                            node: name(),
                             detail: format!("terminal cannot have boundary {}", other.notation()),
                         });
                     }
@@ -523,7 +526,7 @@ impl FormatGraph {
                         let t = *t;
                         if !kind.is_numeric() {
                             return Err(SpecError::BadAutoTarget {
-                                node: name,
+                                node: name(),
                                 detail: "auto fields must be unsigned integers".into(),
                             });
                         }
@@ -534,7 +537,7 @@ impl FormatGraph {
                             let tt = &self.node(t).ty;
                             if !matches!(tt, NodeType::Tabular | NodeType::Repetition(_)) {
                                 return Err(SpecError::BadAutoTarget {
-                                    node: name,
+                                    node: name(),
                                     detail: "counter-of target must be tabular or repetition"
                                         .into(),
                                 });
@@ -545,7 +548,7 @@ impl FormatGraph {
                         if let Some(w) = kind.implied_width() {
                             if v.len() != w {
                                 return Err(SpecError::BadAutoTarget {
-                                    node: name,
+                                    node: name(),
                                     detail: format!(
                                         "literal is {} byte(s) but the field is {w}",
                                         v.len()
@@ -556,7 +559,7 @@ impl FormatGraph {
                         if let Boundary::Fixed(k) = &node.boundary {
                             if v.len() != *k {
                                 return Err(SpecError::BadAutoTarget {
-                                    node: name,
+                                    node: name(),
                                     detail: format!(
                                         "literal is {} byte(s) but the field is fixed at {k}",
                                         v.len()
@@ -567,7 +570,7 @@ impl FormatGraph {
                         if let Boundary::Delimited(d) = &node.boundary {
                             if crate::runtime::contains(v.as_bytes(), d) {
                                 return Err(SpecError::BadAutoTarget {
-                                    node: name,
+                                    node: name(),
                                     detail: "literal contains the field delimiter".into(),
                                 });
                             }
@@ -578,7 +581,7 @@ impl FormatGraph {
             NodeType::Sequence => {
                 if node.children.is_empty() {
                     return Err(SpecError::ChildArity {
-                        node: name,
+                        node: name(),
                         expected: "one or more",
                         found: 0,
                     });
@@ -590,7 +593,7 @@ impl FormatGraph {
                     | Boundary::Length(_) => {}
                     other => {
                         return Err(SpecError::InconsistentBoundary {
-                            node: name,
+                            node: name(),
                             detail: format!("sequence cannot have boundary {}", other.notation()),
                         });
                     }
@@ -599,7 +602,7 @@ impl FormatGraph {
             NodeType::Optional(cond) => {
                 if node.children.len() != 1 {
                     return Err(SpecError::ChildArity {
-                        node: name,
+                        node: name(),
                         expected: "exactly one",
                         found: node.children.len(),
                     });
@@ -609,7 +612,7 @@ impl FormatGraph {
                 }
                 if !matches!(node.boundary, Boundary::Delegated) {
                     return Err(SpecError::InconsistentBoundary {
-                        node: name,
+                        node: name(),
                         detail: "optional nodes delegate their boundary to the child".into(),
                     });
                 }
@@ -617,19 +620,19 @@ impl FormatGraph {
             NodeType::Repetition(stop) => {
                 if node.children.len() != 1 {
                     return Err(SpecError::ChildArity {
-                        node: name,
+                        node: name(),
                         expected: "exactly one",
                         found: node.children.len(),
                     });
                 }
                 if let StopRule::Terminator(t) = stop {
                     if t.is_empty() {
-                        return Err(SpecError::EmptyDelimiter { node: name });
+                        return Err(SpecError::EmptyDelimiter { node: name() });
                     }
                 }
                 if !matches!(node.boundary, Boundary::Delegated | Boundary::End) {
                     return Err(SpecError::InconsistentBoundary {
-                        node: name,
+                        node: name(),
                         detail: "repetition boundary must be Delegated or End".into(),
                     });
                 }
@@ -637,14 +640,14 @@ impl FormatGraph {
             NodeType::Tabular => {
                 if node.children.len() != 1 {
                     return Err(SpecError::ChildArity {
-                        node: name,
+                        node: name(),
                         expected: "exactly one",
                         found: node.children.len(),
                     });
                 }
                 if !matches!(node.boundary, Boundary::Counter(_)) {
                     return Err(SpecError::InconsistentBoundary {
-                        node: name,
+                        node: name(),
                         detail: "tabular boundary must be Counter(<node>)".into(),
                     });
                 }
@@ -653,68 +656,77 @@ impl FormatGraph {
         Ok(())
     }
 
-    /// Repetition/tabular ancestors of `id`, outermost first.
-    fn container_chain(&self, id: NodeId) -> Vec<NodeId> {
-        let mut chain = Vec::new();
-        let mut cur = self.node(id).parent;
-        while let Some(p) = cur {
-            if matches!(self.node(p).ty, NodeType::Repetition(_) | NodeType::Tabular) {
-                chain.push(p);
-            }
-            cur = self.node(p).parent;
-        }
-        chain.reverse();
-        chain
+    /// The strict ancestors of `id`, nearest first.
+    fn ancestors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.node(id).parent, |&p| self.node(p).parent)
     }
 
-    /// Optional ancestors of `id`.
-    fn optional_ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.node(id).parent;
-        while let Some(p) = cur {
-            if matches!(self.node(p).ty, NodeType::Optional(_)) {
-                out.push(p);
-            }
-            cur = self.node(p).parent;
+    /// The repetition/tabular ancestors of `id`, nearest first.
+    fn containers(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.ancestors(id)
+            .filter(|&p| matches!(self.node(p).ty, NodeType::Repetition(_) | NodeType::Tabular))
+    }
+
+    /// True if the whole subtree of `referenced` comes before `user` in
+    /// pre-order: neither is inside the other, and below their nearest
+    /// common ancestor `referenced`'s branch is the earlier child.
+    fn parsed_before(&self, referenced: NodeId, user: NodeId) -> bool {
+        if self.is_descendant(user, referenced) || self.is_descendant(referenced, user) {
+            return false;
         }
-        out
+        // Climb both to one depth, then together to just below their
+        // common ancestor.
+        let (mut r, mut u) = (referenced, user);
+        let (mut dr, mut du) = (self.depth(r), self.depth(u));
+        while dr > du {
+            (r, dr) = (self.node(r).parent.expect("deeper than the root"), dr - 1);
+        }
+        while du > dr {
+            (u, du) = (self.node(u).parent.expect("deeper than the root"), du - 1);
+        }
+        while self.node(r).parent != self.node(u).parent {
+            r = self.node(r).parent.expect("below the common ancestor");
+            u = self.node(u).parent.expect("below the common ancestor");
+        }
+        let parent = self.node(r).parent.expect("neither is the root");
+        let siblings = &self.node(parent).children;
+        let index = |c: NodeId| siblings.iter().position(|&s| s == c);
+        index(r) < index(u)
     }
 
     fn check_references(&self) -> Result<(), SpecError> {
-        let spans = self.preorder_spans();
         let check = |user: NodeId, referenced: NodeId| -> Result<(), SpecError> {
             if self.get(referenced).is_none() {
                 return Err(SpecError::UnknownNode(referenced.0));
             }
-            let (u_start, _) = spans[&user];
-            let (_, r_end) = spans[&referenced];
+            let forward = || SpecError::ForwardReference {
+                node: self.node(user).name.clone(),
+                referenced: self.node(referenced).name.clone(),
+            };
             // The referenced subtree must be completely parsed before the
             // user starts (strictly backward reference).
-            if r_end > u_start {
-                return Err(SpecError::ForwardReference {
-                    node: self.node(user).name.clone(),
-                    referenced: self.node(referenced).name.clone(),
-                });
+            if !self.parsed_before(referenced, user) {
+                return Err(forward());
             }
             // Scope visibility: the referenced node's repetition/tabular
             // chain must be a prefix of the user's — an out-of-scope
-            // reference has no well-defined element instance…
-            let rc = self.container_chain(referenced);
-            let uc = self.container_chain(user);
-            if rc.len() > uc.len() || rc.iter().zip(&uc).any(|(a, b)| a != b) {
-                return Err(SpecError::ForwardReference {
-                    node: self.node(user).name.clone(),
-                    referenced: self.node(referenced).name.clone(),
-                });
+            // reference has no well-defined element instance. Containers
+            // nest, so that holds when the referenced node's innermost
+            // container (if any) is an ancestor of the user…
+            if self
+                .containers(referenced)
+                .next()
+                .is_some_and(|c| !self.ancestors(user).any(|a| a == c))
+            {
+                return Err(forward());
             }
             // …and the referenced node must not sit inside an optional
             // subtree the user is outside of (the value may be absent).
-            for opt in self.optional_ancestors(referenced) {
-                if !self.is_descendant(user, opt) {
-                    return Err(SpecError::ForwardReference {
-                        node: self.node(user).name.clone(),
-                        referenced: self.node(referenced).name.clone(),
-                    });
+            for opt in self.ancestors(referenced) {
+                if matches!(self.node(opt).ty, NodeType::Optional(_))
+                    && !self.is_descendant(user, opt)
+                {
+                    return Err(forward());
                 }
             }
             Ok(())

@@ -23,10 +23,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::extent::Layout;
 use crate::graph::{AutoValue, Boundary, Condition, FormatGraph, NodeId, NodeType, StopRule};
+use crate::transform::Reason;
 use crate::value::{ByteOp, Endian, SplitAt, TerminalKind};
 
 /// Identifier of a node inside an [`ObfGraph`].
@@ -256,8 +257,10 @@ pub struct ObfNode {
     /// The plain node this one structurally stands for, if any. Used for
     /// presence/count bookkeeping and provenance reporting.
     pub(crate) origin: Option<NodeId>,
-    /// Number of transformations that have targeted this node (the paper's
-    /// per-node obfuscation budget).
+    /// Number of transformations behind this node: one more than its
+    /// target's for a node a rewrite created, plus one per rewrite that
+    /// targeted it in place. Recorded for provenance; the engine does not
+    /// read it (see [`crate::engine`]).
     pub(crate) obf_count: u32,
 }
 
@@ -307,7 +310,9 @@ impl ObfNode {
 /// The obfuscation graph: plain specification plus applied rewrites.
 #[derive(Debug, Clone)]
 pub struct ObfGraph {
-    plain: FormatGraph,
+    /// The plain specification, shared with the other codecs derived from
+    /// it (an endpoint's clear codec shares its obfuscated codec's).
+    plain: Arc<FormatGraph>,
     nodes: Vec<ObfNode>,
     root: ObfId,
     /// plain terminal → the obf node carrying its value channel. Auto
@@ -321,8 +326,9 @@ pub struct ObfGraph {
     /// reuse. [`ObfGraph::rollback`] restores it: the graph is then
     /// structurally identical to the one the uid was issued for.
     uid: u64,
-    /// Undo journal of the open rewrite ([`ObfGraph::begin`]), if any.
-    journal: Option<Journal>,
+    /// Undo journal of the open rewrite ([`ObfGraph::begin`]); its buffers
+    /// are kept from one rewrite to the next.
+    journal: Journal,
     /// Lazily compiled execution plan (see [`crate::plan::CodecPlan`]),
     /// shared by the codec, the sessions and the transcode copy programs.
     /// Invalidated by [`ObfGraph::touch`] on every rewrite, so a cached
@@ -332,19 +338,40 @@ pub struct ObfGraph {
 }
 
 /// What [`ObfGraph::rollback`] needs to undo one rewrite: the shape of
-/// the graph at [`ObfGraph::begin`] plus the prior contents of everything
-/// the graph's mutators wrote since.
+/// the graph at [`ObfGraph::begin`] plus one undo step per write since to
+/// a node that existed then.
 #[derive(Debug, Clone)]
 struct Journal {
+    /// True between `begin` and `commit`/`rollback`.
+    open: bool,
     /// `nodes.len()` at `begin`: nodes pushed since are truncated away.
     len: usize,
     root: ObfId,
     uid: u64,
-    /// Prior contents of the nodes that existed at `begin`, saved on
-    /// their first write.
-    nodes: Vec<(ObfId, ObfNode)>,
-    /// Prior holder entries, in write order.
-    holders: Vec<(NodeId, Option<ObfId>)>,
+    /// The undo steps, oldest first; rollback replays them newest first.
+    undo: Vec<Undo>,
+}
+
+/// One undo step. Pointer writes (`attach`, `replace_child`, holder
+/// moves) and counts record the one field they overwrite; a node handed
+/// out by `node_mut` is saved whole on its first such write, and later
+/// writes to it record nothing: restoring the copy undoes them, and the
+/// steps recorded before it are replayed after it.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// The node's prior contents but its name: rewrites never rename a
+    /// node, so rollback keeps the current one.
+    Node(ObfId, ObfNode),
+    /// The node's prior parent.
+    Parent(ObfId, Option<ObfId>),
+    /// `children[slot]` of the node held this child.
+    Child(ObfId, usize, ObfId),
+    /// A child was inserted at this index of the node's children.
+    Inserted(ObfId, usize),
+    /// The node's prior transformation count.
+    Count(ObfId, u32),
+    /// The plain terminal's prior holder.
+    Holder(NodeId, Option<ObfId>),
 }
 
 /// Source of [`ObfGraph::uid`] values; starts at 1 so 0 can mean "none".
@@ -353,16 +380,21 @@ static NEXT_GRAPH_UID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 impl ObfGraph {
     /// Builds `G_1`: the identity image of a validated plain graph.
     pub fn from_plain(plain: &FormatGraph) -> ObfGraph {
+        ObfGraph::from_shared(Arc::new(plain.clone()))
+    }
+
+    /// [`ObfGraph::from_plain`] of a plain graph this one shares.
+    pub(crate) fn from_shared(plain: Arc<FormatGraph>) -> ObfGraph {
         let mut g = ObfGraph {
-            plain: plain.clone(),
+            plain: Arc::clone(&plain),
             nodes: Vec::with_capacity(plain.len()),
             root: ObfId(0),
-            holders: HashMap::new(),
+            holders: HashMap::with_capacity(plain.len()),
             uid: NEXT_GRAPH_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            journal: None,
+            journal: Journal { open: false, len: 0, root: ObfId(0), uid: 0, undo: Vec::new() },
             plan: OnceLock::new(),
         };
-        let root = g.import(plain, plain.root(), None);
+        let root = g.import(&plain, plain.root(), None);
         g.root = root;
         g
     }
@@ -384,48 +416,65 @@ impl ObfGraph {
     /// they overwrite, until [`Self::commit`] keeps the rewrite or
     /// [`Self::rollback`] undoes it.
     pub(crate) fn begin(&mut self) {
-        debug_assert!(self.journal.is_none(), "a rewrite is already open");
-        self.journal = Some(Journal {
-            len: self.nodes.len(),
-            root: self.root,
-            uid: self.uid,
-            nodes: Vec::new(),
-            holders: Vec::new(),
-        });
+        debug_assert!(!self.journal.open, "a rewrite is already open");
+        let journal = &mut self.journal;
+        (journal.open, journal.len, journal.root, journal.uid) =
+            (true, self.nodes.len(), self.root, self.uid);
     }
 
-    /// Keeps the open rewrite and drops its journal.
+    /// Keeps the open rewrite and empties its journal.
     pub(crate) fn commit(&mut self) {
-        debug_assert!(self.journal.is_some(), "commit without begin");
-        self.journal = None;
+        debug_assert!(self.journal.open, "commit without begin");
+        self.journal.open = false;
+        self.journal.undo.clear();
     }
 
     /// Undoes the open rewrite: nodes, root, holders, [`Self::allocated`]
     /// and the uid are as they were at [`Self::begin`]. The cached plan is
     /// not restored; it is compiled again on next use.
     pub(crate) fn rollback(&mut self) {
-        let journal = self.journal.take().expect("rollback without begin");
+        let journal = &mut self.journal;
+        assert!(journal.open, "rollback without begin");
+        journal.open = false;
         self.nodes.truncate(journal.len);
-        for (id, node) in journal.nodes {
-            self.nodes[id.index()] = node;
-        }
-        for (x, prior) in journal.holders.into_iter().rev() {
-            match prior {
-                Some(h) => self.holders.insert(x, h),
-                None => self.holders.remove(&x),
-            };
+        for step in journal.undo.drain(..).rev() {
+            match step {
+                Undo::Node(id, saved) => {
+                    let node = &mut self.nodes[id.index()];
+                    *node = ObfNode { name: std::mem::take(&mut node.name), ..saved };
+                }
+                Undo::Parent(id, parent) => self.nodes[id.index()].parent = parent,
+                Undo::Child(id, slot, child) => self.nodes[id.index()].children[slot] = child,
+                Undo::Inserted(id, index) => {
+                    self.nodes[id.index()].children.remove(index);
+                }
+                Undo::Count(id, count) => self.nodes[id.index()].obf_count = count,
+                Undo::Holder(x, Some(h)) => {
+                    self.holders.insert(x, h);
+                }
+                Undo::Holder(x, None) => {
+                    self.holders.remove(&x);
+                }
+            }
         }
         self.root = journal.root;
         self.uid = journal.uid;
     }
 
-    /// Journals the prior contents of node `id` before its first write in
-    /// the open rewrite. Nodes pushed since `begin` need no entry.
-    fn save(&mut self, id: ObfId) {
-        if let Some(journal) = &mut self.journal {
-            if id.index() < journal.len && journal.nodes.iter().all(|&(n, _)| n != id) {
-                journal.nodes.push((id, self.nodes[id.index()].clone()));
-            }
+    /// True if a write to node `id` needs an undo step: a rewrite is open,
+    /// `id` existed at its `begin`, and `id` is not saved whole yet.
+    fn journals(&self, id: ObfId) -> bool {
+        let journal = &self.journal;
+        journal.open
+            && id.index() < journal.len
+            && !journal.undo.iter().any(|u| matches!(u, Undo::Node(n, _) if *n == id))
+    }
+
+    /// Records `step`, an undo of a write to node `id`, if it needs one.
+    fn record(&mut self, id: ObfId, step: impl FnOnce(&ObfNode) -> Undo) {
+        if self.journals(id) {
+            let step = step(&self.nodes[id.index()]);
+            self.journal.undo.push(step);
         }
     }
 
@@ -512,6 +561,11 @@ impl ObfGraph {
         &self.plain
     }
 
+    /// The plain specification, to share with another graph of it.
+    pub(crate) fn shared_plain(&self) -> &Arc<FormatGraph> {
+        &self.plain
+    }
+
     /// Root node id.
     pub fn root(&self) -> ObfId {
         self.root
@@ -527,7 +581,15 @@ impl ObfGraph {
     }
 
     pub(crate) fn node_mut(&mut self, id: ObfId) -> &mut ObfNode {
-        self.save(id);
+        self.record(id, |node| {
+            let saved = ObfNode {
+                name: String::new(),
+                kind: node.kind.clone(),
+                children: node.children.clone(),
+                ..*node
+            };
+            Undo::Node(id, saved)
+        });
         &mut self.nodes[id.index()]
     }
 
@@ -629,11 +691,8 @@ impl ObfGraph {
     /// If `old` is the root, `new` becomes the root.
     pub(crate) fn replace_child(&mut self, old: ObfId, new: ObfId) {
         let parent = self.nodes[old.index()].parent;
-        self.save(old);
-        self.save(new);
-        if let Some(p) = parent {
-            self.save(p);
-        }
+        self.record(old, |node| Undo::Parent(old, node.parent));
+        self.record(new, |node| Undo::Parent(new, node.parent));
         self.nodes[new.index()].parent = parent;
         self.nodes[old.index()].parent = None;
         match parent {
@@ -643,16 +702,25 @@ impl ObfGraph {
                     .iter()
                     .position(|&c| c == old)
                     .expect("old node must be a child of its parent");
+                self.record(p, |_| Undo::Child(p, slot, old));
                 self.nodes[p.index()].children[slot] = new;
             }
             None => self.root = new,
         }
     }
 
+    /// Counts one more rewrite targeting `id` and returns its new count.
+    pub(crate) fn count_rewrite(&mut self, id: ObfId) -> u32 {
+        self.record(id, |node| Undo::Count(id, node.obf_count));
+        let node = &mut self.nodes[id.index()];
+        node.obf_count += 1;
+        node.obf_count
+    }
+
     /// Re-parents `child` under `parent` at `index` in its child list.
     pub(crate) fn attach(&mut self, parent: ObfId, index: usize, child: ObfId) {
-        self.save(parent);
-        self.save(child);
+        self.record(parent, |_| Undo::Inserted(parent, index));
+        self.record(child, |node| Undo::Parent(child, node.parent));
         self.nodes[child.index()].parent = Some(parent);
         self.nodes[parent.index()].children.insert(index, child);
     }
@@ -661,8 +729,8 @@ impl ObfGraph {
     /// carrier of a plain terminal.
     pub(crate) fn move_holder(&mut self, x: NodeId, to: ObfId) {
         let prior = self.holders.insert(x, to);
-        if let Some(journal) = &mut self.journal {
-            journal.holders.push((x, prior));
+        if self.journal.open {
+            self.journal.undo.push(Undo::Holder(x, prior));
         }
     }
 
@@ -675,7 +743,7 @@ impl ObfGraph {
     /// value the parser needs eagerly must be fully recoverable before its
     /// first structural use. Violations mean the candidate rewrite must be
     /// rolled back. `layout` covers the whole graph.
-    pub(crate) fn check_parse_order(&self, layout: &Layout) -> Result<(), String> {
+    pub(crate) fn check_parse_order(&self, layout: &Layout) -> Result<(), Reason> {
         for (at, &id) in layout.order().iter().enumerate() {
             self.check_reads(layout, at, id)?;
         }
@@ -685,17 +753,11 @@ impl ObfGraph {
     /// [`Self::check_parse_order`] for the node `id` at position `at`:
     /// the plain value it reads to bound or count itself, or the
     /// repetition whose count it repeats, is recovered before it parses.
-    pub(crate) fn check_reads(&self, layout: &Layout, at: usize, id: ObfId) -> Result<(), String> {
-        let check_before = |x: NodeId| -> Result<(), String> {
-            let holder =
-                self.holder_of(x).ok_or_else(|| format!("no holder for plain source {x}"))?;
+    pub(crate) fn check_reads(&self, layout: &Layout, at: usize, id: ObfId) -> Result<(), Reason> {
+        let check_before = |source: NodeId| -> Result<(), Reason> {
+            let holder = self.holder_of(source).ok_or(Reason::NoHolder(source))?;
             if layout.position(holder).is_none() || layout.span_end(holder) > at {
-                return Err(format!(
-                    "plain value of {} (held by {}) is not recovered before {} parses",
-                    self.plain.node(x).name(),
-                    self.node(holder).name(),
-                    self.node(id).name()
-                ));
+                return Err(Reason::NotRecovered { source, holder, user: id });
             }
             Ok(())
         };
@@ -710,13 +772,10 @@ impl ObfGraph {
             ObfKind::Tabular { counter } => check_before(*counter),
             ObfKind::Repetition { stop: RepStop::CountOf(first) } => {
                 if layout.position(*first).is_none() {
-                    return Err("count-linked repetition lost its first half".into());
+                    return Err(Reason::LostFirstHalf);
                 }
                 if layout.span_end(*first) > at {
-                    return Err(format!(
-                        "count-linked repetition {} parses before its first half",
-                        self.node(id).name()
-                    ));
+                    return Err(Reason::BeforeFirstHalf(id));
                 }
                 Ok(())
             }
@@ -888,7 +947,7 @@ mod tests {
                     assert_eq!(apply(&mut g, id, kind, &mut seeded()).unwrap(), want);
                     g.commit();
                     let what = format!("{kind} on {}", before.node(id).name());
-                    assert!(g.journal.is_none(), "{what}: journal left open");
+                    assert!(!g.journal.open, "{what}: journal left open");
                     plain.uid = g.uid;
                     assert_same(&g, &plain, &what);
                     // A later rewrite rolls back to the committed graph.
@@ -903,8 +962,8 @@ mod tests {
         }
     }
 
-    /// Each mutator journals every pre-existing node it writes: every
-    /// write below is the first one to its node.
+    /// Each mutator journals every pre-existing node it writes, and
+    /// rollback replays the steps newest first.
     #[test]
     fn rollback_undoes_each_mutator() {
         let before = ObfGraph::from_plain(&plain());
@@ -926,6 +985,7 @@ mod tests {
         g.attach(pad, 0, flag); // child first
         g.replace_child(extra_val, len); // old, new and parent first
         g.move_holder(data, pad);
+        g.count_rewrite(flag); // a count after a parent write
         g.node_mut(pad).obf_count = 7;
         g.rollback();
         assert_same(&g, &before, "hand-made rewrite");

@@ -46,6 +46,7 @@ use crate::codec::Codec;
 use crate::error::SpecError;
 use crate::framing::MAX_FRAME;
 use crate::graph::FormatGraph;
+use crate::obf::ObfGraph;
 use crate::plan::StableHasher;
 use crate::service::CodecService;
 use crate::transform::TransformKind;
@@ -274,11 +275,12 @@ impl Profile {
         Parser::new(text).run()
     }
 
-    fn obfuscate(&self, graph: &FormatGraph) -> Result<Codec, ProfileError> {
-        crate::engine::Obfuscator::new(graph)
-            .config(&self.obf)
-            .obfuscate()
-            .map_err(ProfileError::Spec)
+    /// Derives the obfuscated codec of `graph` under this profile's
+    /// parameters; the codec keeps `graph` without copying it.
+    fn obfuscate(&self, graph: FormatGraph) -> Codec {
+        let plain = Arc::new(graph);
+        let image = ObfGraph::from_shared(Arc::clone(&plain));
+        crate::engine::Obfuscator::new(&plain).config(&self.obf).derive(image)
     }
 
     /// Compiles the whole endpoint: obfuscated and clear (identity) codec
@@ -300,21 +302,21 @@ impl Profile {
                 .resolve(src)
                 .map_err(|e| ProfileError::Resolve { source: src.to_string(), reason: e })
         };
-        let tx_codec = self.obfuscate(&resolve(&self.tx)?)?;
+        let tx_codec = self.obfuscate(resolve(&self.tx)?);
         let rx_codec =
-            if self.is_symmetric() { None } else { Some(self.obfuscate(&resolve(&self.rx)?)?) };
+            if self.is_symmetric() { None } else { Some(self.obfuscate(resolve(&self.rx)?)) };
         let fingerprint = Fingerprint::derive(
             self,
             tx_codec.plan(),
             rx_codec.as_ref().unwrap_or(&tx_codec).plan(),
         );
         let identity = self.obf.level == 0;
-        let clear_tx = self.service(Codec::identity(tx_codec.plain()));
+        let clear_tx = self.service(tx_codec.clear_twin());
         let tx = if identity { Arc::clone(&clear_tx) } else { self.service(tx_codec) };
         let (rx, clear_rx) = match rx_codec {
             None => (Arc::clone(&tx), Arc::clone(&clear_tx)),
             Some(codec) => {
-                let clear = self.service(Codec::identity(codec.plain()));
+                let clear = self.service(codec.clear_twin());
                 let obf = if identity { Arc::clone(&clear) } else { self.service(codec) };
                 (obf, clear)
             }

@@ -37,7 +37,8 @@ use std::fmt;
 use rand::Rng;
 
 use crate::error::TransformError;
-use crate::extent::{self, ExtentClass, Layout};
+use crate::extent::{self, ExtentClass, Layout, MirrorFault};
+use crate::graph::NodeId;
 use crate::obf::{ObfGraph, ObfId, ObfKind, ObfNode, RepStop, SeqBoundary, TermBoundary};
 use crate::value::ByteOp;
 
@@ -280,58 +281,37 @@ impl Context {
         g: &ObfGraph,
         layout: Option<&Layout>,
         kind: TransformKind,
-    ) -> Result<(), String> {
+    ) -> Result<(), Reason> {
         if let Some(a) = self.pinned_by.filter(|_| kind.size_changing()) {
-            let a = g.node(a);
-            return Err(match a.kind() {
-                ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) } => {
-                    format!("ancestor {} has a fixed boundary; sizes are pinned", a.name())
-                }
-                _ => format!("ancestor {} is length-bounded; sizes are pinned", a.name()),
+            return Err(match g.node(a).kind() {
+                ObfKind::Sequence { boundary: SeqBoundary::Fixed(_) } => Reason::FixedAncestor(a),
+                _ => Reason::LengthAncestor(a),
             });
         }
         let node = g.node(self.id);
         let boundary = || match node.kind() {
             ObfKind::Terminal { boundary, .. } => Ok(boundary),
-            _ => Err("target must be a terminal".to_string()),
+            _ => Err(Reason::NotTerminal),
         };
-        let not_leading = || match self.leads {
-            Some(r) => Err(format!(
-                "would randomize the leading byte of terminated repetition {}",
-                g.node(r).name()
-            )),
-            None => Ok(()),
-        };
+        let not_leading = || self.leads.map_or(Ok(()), |r| Err(Reason::Leading(r)));
         match kind {
             TransformKind::SplitAdd | TransformKind::SplitSub | TransformKind::SplitXor => {
                 match boundary()? {
                     TermBoundary::Fixed(_) | TermBoundary::PlainLen { .. } => not_leading(),
-                    TermBoundary::Delimited(_) => {
-                        Err("splitting a delimited value breaks delimiter scanning".into())
-                    }
-                    TermBoundary::End => {
-                        Err("the first share of an End-bounded field cannot be delimited".into())
-                    }
+                    TermBoundary::Delimited(_) => Err(Reason::SplitDelimited),
+                    TermBoundary::End => Err(Reason::SplitEnd),
                 }
             }
             TransformKind::SplitCat => match boundary()? {
-                TermBoundary::Fixed(n) if *n < 2 => {
-                    Err("cannot cut a field shorter than 2 bytes".into())
-                }
+                TermBoundary::Fixed(n) if *n < 2 => Err(Reason::CutShort),
                 // A plain-length field is cut at half its recoverable length.
                 TermBoundary::Fixed(_) | TermBoundary::PlainLen { .. } => Ok(()),
-                TermBoundary::Delimited(_) => {
-                    Err("cutting a delimited value breaks delimiter scanning".into())
-                }
-                TermBoundary::End => {
-                    Err("the first piece of an End-bounded field cannot be delimited".into())
-                }
+                TermBoundary::Delimited(_) => Err(Reason::CutDelimited),
+                TermBoundary::End => Err(Reason::CutEnd),
             },
             TransformKind::ConstAdd | TransformKind::ConstSub | TransformKind::ConstXor => {
                 match boundary()? {
-                    TermBoundary::Delimited(_) => {
-                        Err("transforming a delimited value breaks delimiter scanning".into())
-                    }
+                    TermBoundary::Delimited(_) => Err(Reason::ConstDelimited),
                     _ => not_leading(),
                 }
             }
@@ -341,10 +321,8 @@ impl Context {
                     ..
                 }
                 | ObfKind::Repetition { stop: RepStop::Terminator(_) } => not_leading(),
-                ObfKind::Terminal { .. } => Err("boundary is already length-determined".into()),
-                _ => {
-                    Err("target must be a delimited/end terminal or a terminated repetition".into())
-                }
+                ObfKind::Terminal { .. } => Err(Reason::LengthDetermined),
+                _ => Err(Reason::NotDelimited),
             },
             TransformKind::PadInsert => match node.kind() {
                 // The pad grows the target sequence itself, so an exactly
@@ -352,29 +330,28 @@ impl Context {
                 // ancestor.
                 ObfKind::Sequence {
                     boundary: SeqBoundary::Fixed(_) | SeqBoundary::PlainLen(_),
-                } => Err("target sequence has a pinned size".into()),
+                } => Err(Reason::PinnedTarget),
                 ObfKind::Sequence { .. } => Ok(()),
-                _ => Err("pads can only be inserted into sequences".into()),
+                _ => Err(Reason::PadOutsideSequence),
             },
             TransformKind::ReadFromEnd => {
                 match layout {
-                    Some(layout) => extent::mirror_check(g, layout, self.id)?,
-                    None => extent::mirror_applicable(g, self.id)?,
+                    Some(layout) => extent::mirror_check(g, layout, self.id),
+                    None => extent::mirror_check(g, &Layout::of(g, self.id), self.id),
                 }
+                .map_err(Reason::Mirror)?;
                 not_leading()
             }
             TransformKind::TabSplit => match node.kind() {
                 ObfKind::Tabular { .. } => composite_element(g, node),
-                _ => Err("target must be a tabular".into()),
+                _ => Err(Reason::NotTabular),
             },
             TransformKind::RepSplit => match node.kind() {
                 ObfKind::Repetition { stop: RepStop::Terminator(_) | RepStop::CountOf(_) } => {
                     composite_element(g, node)
                 }
-                ObfKind::Repetition { stop: RepStop::Exhausted } => {
-                    Err("splitting an exhausted repetition would be ambiguous".into())
-                }
-                _ => Err("target must be a repetition".into()),
+                ObfKind::Repetition { stop: RepStop::Exhausted } => Err(Reason::ExhaustedSplit),
+                _ => Err(Reason::NotRepetition),
             },
             TransformKind::ChildMove => match node.kind() {
                 // A leading child of a terminated repetition's element
@@ -382,11 +359,176 @@ impl Context {
                 ObfKind::Sequence { .. }
                     if node.children().len() - usize::from(self.leads.is_some()) < 2 =>
                 {
-                    Err("need at least two movable children to permute".into())
+                    Err(Reason::TooFewChildren)
                 }
                 ObfKind::Sequence { .. } => Ok(()),
-                _ => Err("target must be a sequence".into()),
+                _ => Err(Reason::NotSequence),
             },
+        }
+    }
+}
+
+/// Why a rewrite is refused (Table II's constraints) or a graph fails the
+/// soundness checks: a verdict the engine reads without text. It holds
+/// node ids, not names; [`Reason::render`] spells it out against the graph,
+/// only at the public calls that return text ([`applicable`], [`apply`],
+/// [`post_check`] and [`extent::mirror_applicable`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reason {
+    /// No such node.
+    UnknownNode,
+    /// A size-changing rewrite below this fixed-size sequence.
+    FixedAncestor(ObfId),
+    /// A size-changing rewrite below this length-bounded sequence.
+    LengthAncestor(ObfId),
+    /// A terminal rewrite on another kind of node.
+    NotTerminal,
+    /// A value-randomizing rewrite of the leading bytes of this terminated
+    /// repetition's element.
+    Leading(ObfId),
+    /// `Split{Add,Sub,Xor}` of a delimited terminal.
+    SplitDelimited,
+    /// `Split{Add,Sub,Xor}` of an `End`-bounded terminal.
+    SplitEnd,
+    /// `SplitCat` of a terminal shorter than 2 bytes.
+    CutShort,
+    /// `SplitCat` of a delimited terminal.
+    CutDelimited,
+    /// `SplitCat` of an `End`-bounded terminal.
+    CutEnd,
+    /// `Const{Add,Sub,Xor}` of a delimited terminal.
+    ConstDelimited,
+    /// `BoundaryChange` of a terminal whose length is already known.
+    LengthDetermined,
+    /// `BoundaryChange` of something else than a delimited or `End`
+    /// terminal or a terminated repetition.
+    NotDelimited,
+    /// `PadInsert` into a fixed-size or length-bounded sequence.
+    PinnedTarget,
+    /// `PadInsert` into something else than a sequence.
+    PadOutsideSequence,
+    /// `ReadFromEnd` of a subtree the mirror check refuses.
+    Mirror(MirrorFault),
+    /// `TabSplit` of something else than a tabular.
+    NotTabular,
+    /// `RepSplit` of something else than a repetition.
+    NotRepetition,
+    /// `RepSplit` of an exhausted repetition.
+    ExhaustedSplit,
+    /// An element split of a delegated element with fewer than two fields.
+    ElementTooSmall,
+    /// An element split of a sequence element that is not delegated.
+    ElementNotDelegated,
+    /// An element split of an element that is not a sequence.
+    ElementNotSequence,
+    /// `ChildMove` of a sequence with fewer than two movable children.
+    TooFewChildren,
+    /// `ChildMove` of something else than a sequence.
+    NotSequence,
+    /// Parse order: the plain terminal has no holder.
+    NoHolder(NodeId),
+    /// Parse order: `user` reads the plain value of `source`, which its
+    /// `holder` has not recovered yet.
+    NotRecovered {
+        /// The plain terminal read.
+        source: NodeId,
+        /// The node holding its value channel.
+        holder: ObfId,
+        /// The node that reads it.
+        user: ObfId,
+    },
+    /// Parse order: a count-linked repetition's first half left the tree.
+    LostFirstHalf,
+    /// Parse order: this count-linked repetition parses before its first
+    /// half.
+    BeforeFirstHalf(ObfId),
+    /// Windows: the rest-of-window `node` is not the last child of `under`.
+    NotTail {
+        /// The rest-of-window node.
+        node: ObfId,
+        /// The parent it is not last under.
+        under: ObfId,
+    },
+    /// Windows: the rest-of-window `node` is inside the repeated
+    /// `element`.
+    InRepeated {
+        /// The rest-of-window node.
+        node: ObfId,
+        /// The repetition or tabular around it.
+        element: ObfId,
+    },
+    /// Mirrors: this mirror's child fails the mirror check.
+    MirrorInvalidated(ObfId, MirrorFault),
+}
+
+impl Reason {
+    /// The reason's text, naming the nodes of `g` it holds.
+    pub(crate) fn render(self, g: &ObfGraph) -> String {
+        let name = |id: ObfId| g.node(id).name();
+        let plain = |x: NodeId| g.plain().node(x).name();
+        match self {
+            Reason::UnknownNode => "unknown node".into(),
+            Reason::FixedAncestor(a) => {
+                format!("ancestor {} has a fixed boundary; sizes are pinned", name(a))
+            }
+            Reason::LengthAncestor(a) => {
+                format!("ancestor {} is length-bounded; sizes are pinned", name(a))
+            }
+            Reason::NotTerminal => "target must be a terminal".into(),
+            Reason::Leading(r) => {
+                format!("would randomize the leading byte of terminated repetition {}", name(r))
+            }
+            Reason::SplitDelimited => {
+                "splitting a delimited value breaks delimiter scanning".into()
+            }
+            Reason::SplitEnd => {
+                "the first share of an End-bounded field cannot be delimited".into()
+            }
+            Reason::CutShort => "cannot cut a field shorter than 2 bytes".into(),
+            Reason::CutDelimited => "cutting a delimited value breaks delimiter scanning".into(),
+            Reason::CutEnd => "the first piece of an End-bounded field cannot be delimited".into(),
+            Reason::ConstDelimited => {
+                "transforming a delimited value breaks delimiter scanning".into()
+            }
+            Reason::LengthDetermined => "boundary is already length-determined".into(),
+            Reason::NotDelimited => {
+                "target must be a delimited/end terminal or a terminated repetition".into()
+            }
+            Reason::PinnedTarget => "target sequence has a pinned size".into(),
+            Reason::PadOutsideSequence => "pads can only be inserted into sequences".into(),
+            Reason::Mirror(fault) => fault.render(g),
+            Reason::NotTabular => "target must be a tabular".into(),
+            Reason::NotRepetition => "target must be a repetition".into(),
+            Reason::ExhaustedSplit => "splitting an exhausted repetition would be ambiguous".into(),
+            Reason::ElementTooSmall => "element sequence needs at least two fields to split".into(),
+            Reason::ElementNotDelegated => "element boundary must be Delegated".into(),
+            Reason::ElementNotSequence => "element must be a sequence".into(),
+            Reason::TooFewChildren => "need at least two movable children to permute".into(),
+            Reason::NotSequence => "target must be a sequence".into(),
+            Reason::NoHolder(x) => format!("no holder for plain source {x}"),
+            Reason::NotRecovered { source, holder, user } => format!(
+                "plain value of {} (held by {}) is not recovered before {} parses",
+                plain(source),
+                name(holder),
+                name(user)
+            ),
+            Reason::LostFirstHalf => "count-linked repetition lost its first half".into(),
+            Reason::BeforeFirstHalf(id) => {
+                format!("count-linked repetition {} parses before its first half", name(id))
+            }
+            Reason::NotTail { node, under } => format!(
+                "rest-of-window node {} is not in tail position under {}",
+                name(node),
+                name(under)
+            ),
+            Reason::InRepeated { node, element } => format!(
+                "rest-of-window node {} sits inside repeated element {}",
+                name(node),
+                name(element)
+            ),
+            Reason::MirrorInvalidated(mirror, fault) => {
+                format!("mirror {} invalidated: {}", name(mirror), fault.render(g))
+            }
         }
     }
 }
@@ -400,9 +542,9 @@ impl Context {
 /// Returns a human-readable reason when not applicable.
 pub fn applicable(g: &ObfGraph, id: ObfId, kind: TransformKind) -> Result<(), String> {
     if g.get(id).is_none() {
-        return Err("unknown node".into());
+        return Err(Reason::UnknownNode.render(g));
     }
-    Context::of(g, id).admits(g, None, kind)
+    Context::of(g, id).admits(g, None, kind).map_err(|r| r.render(g))
 }
 
 /// Applies `kind` on `id`, drawing parameters from `rng`.
@@ -426,7 +568,7 @@ pub fn apply<R: Rng + ?Sized>(
     };
     let ctx = Context::of(g, id);
     if let Err(reason) = ctx.admits(g, None, kind) {
-        let node = node.name().to_string();
+        let (node, reason) = (node.name().to_string(), reason.render(g));
         return Err(TransformError::NotApplicable { transform: kind.name(), node, reason });
     }
     Ok(rewrite(g, &ctx, kind, rng))
@@ -473,11 +615,11 @@ pub(crate) fn rewrite<R: Rng + ?Sized>(
 /// The engine runs the same checks on the layout it maintains, scoped to
 /// the slot each rewrite changed; this whole-graph form is their oracle.
 pub fn post_check(g: &ObfGraph) -> Result<(), String> {
-    check(g, &Layout::of(g, g.root()))
+    check(g, &Layout::of(g, g.root())).map_err(|r| r.render(g))
 }
 
 /// [`post_check`] on `layout`, a layout of the whole graph.
-pub(crate) fn check(g: &ObfGraph, layout: &Layout) -> Result<(), String> {
+pub(crate) fn check(g: &ObfGraph, layout: &Layout) -> Result<(), Reason> {
     g.check_parse_order(layout)?;
     extent::check_windows(g, layout)?;
     // Every Mirror introduced earlier must still have a precomputable
@@ -496,7 +638,7 @@ fn check_mirror(
     layout: &Layout,
     id: ObfId,
     within: Option<&[ObfId]>,
-) -> Result<(), String> {
+) -> Result<(), Reason> {
     if !matches!(g.node(id).kind(), ObfKind::Mirror) {
         return Ok(());
     }
@@ -505,7 +647,7 @@ fn check_mirror(
         None => extent::mirror_check(g, layout, child),
         Some(nodes) => extent::mirror_check_within(g, layout, child, nodes),
     }
-    .map_err(|e| format!("mirror {} invalidated: {e}", g.node(id).name()))
+    .map_err(|fault| Reason::MirrorInvalidated(id, fault))
 }
 
 /// Where a rewrite happens: the target, the child slot of its parent it
@@ -565,7 +707,7 @@ impl Slot {
 ///   checks its recomputed child class and the references and count
 ///   links inside the slot; the others, and their holders, stay on the
 ///   side of the mirrored subtree's bounds they were on.
-pub(crate) fn check_slot(g: &ObfGraph, layout: &Layout, slot: &Slot) -> Result<(), String> {
+pub(crate) fn check_slot(g: &ObfGraph, layout: &Layout, slot: &Slot) -> Result<(), Reason> {
     let top = slot.top(g);
     let span = slot.at..layout.span_end(top);
     let inside = &layout.order()[span.clone()];
@@ -600,15 +742,15 @@ pub(crate) fn check_slot(g: &ObfGraph, layout: &Layout, slot: &Slot) -> Result<(
 
 /// TabSplit/RepSplit need a composite element: a delegated sequence with at
 /// least two children (paper: "Boundary of X must be Delegated").
-fn composite_element(g: &ObfGraph, node: &ObfNode) -> Result<(), String> {
+fn composite_element(g: &ObfGraph, node: &ObfNode) -> Result<(), Reason> {
     let elem = g.node(node.children()[0]);
     match elem.kind() {
         ObfKind::Sequence { boundary: SeqBoundary::Delegated } if elem.children().len() < 2 => {
-            Err("element sequence needs at least two fields to split".into())
+            Err(Reason::ElementTooSmall)
         }
         ObfKind::Sequence { boundary: SeqBoundary::Delegated } => Ok(()),
-        ObfKind::Sequence { .. } => Err("element boundary must be Delegated".into()),
-        _ => Err("element must be a sequence".into()),
+        ObfKind::Sequence { .. } => Err(Reason::ElementNotDelegated),
+        _ => Err(Reason::ElementNotSequence),
     }
 }
 
@@ -793,7 +935,7 @@ pub(crate) mod tests {
         rewrite(g, &ctx, kind, &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed));
         slot.relayout(g, &mut layout);
         assert!(layout == Layout::of(g, g.root()), "{kind}: spliced layout differs");
-        (check_slot(g, &layout, &slot), post_check(g))
+        (check_slot(g, &layout, &slot).map_err(|r| r.render(g)), post_check(g))
     }
 
     fn assert_both_reject(verdicts: (Result<(), String>, Result<(), String>), reason: &str) {

@@ -29,9 +29,8 @@ fn record(
 
 /// Counts one more rewrite of `id`; returns its name and new count.
 fn bump(g: &mut ObfGraph, id: ObfId) -> (String, u32) {
-    let node = g.node_mut(id);
-    node.obf_count += 1;
-    (node.name.clone(), node.obf_count)
+    let count = g.count_rewrite(id);
+    (g.node(id).name.clone(), count)
 }
 
 fn delegated() -> ObfKind {

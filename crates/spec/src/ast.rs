@@ -1,5 +1,10 @@
 //! Syntax tree of the specification language, produced by
 //! [`crate::parser`] and consumed by [`crate::lower`].
+//!
+//! The tree borrows from the source text: names and reference segments
+//! are slices of it, and so are string literals without escapes.
+
+use std::borrow::Cow;
 
 use protoobf_core::Endian;
 
@@ -7,32 +12,32 @@ use crate::error::Pos;
 
 /// A parsed specification source: one or more message declarations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecAst {
+pub struct SpecAst<'a> {
     /// Message declarations in source order.
-    pub messages: Vec<MessageAst>,
+    pub messages: Vec<MessageAst<'a>>,
 }
 
 /// One `message NAME { ... }` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MessageAst {
+pub struct MessageAst<'a> {
     /// Message (protocol) name.
-    pub name: String,
+    pub name: &'a str,
     /// Top-level fields.
-    pub fields: Vec<FieldAst>,
+    pub fields: Vec<FieldAst<'a>>,
     /// Source position of the declaration.
     pub pos: Pos,
 }
 
 /// A dotted field reference (`length`, `pdu.function`, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefAst {
+pub struct RefAst<'a> {
     /// Path components.
-    pub parts: Vec<String>,
+    pub parts: Vec<&'a str>,
     /// Source position.
     pub pos: Pos,
 }
 
-impl RefAst {
+impl RefAst<'_> {
     /// The reference as written.
     pub fn text(&self) -> String {
         self.parts.join(".")
@@ -57,31 +62,31 @@ pub enum TypeAst {
 
 /// Terminal boundary annotations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BoundaryAst {
+pub enum BoundaryAst<'a> {
     /// `until "…"` — delimited.
-    Until(Vec<u8>),
+    Until(Cow<'a, [u8]>),
     /// `sized_by ref` — length carried by another field.
-    SizedBy(RefAst),
+    SizedBy(RefAst<'a>),
     /// `rest` — extends to the end of the window.
     Rest,
 }
 
 /// Auto-computation annotations (`= len(x)` / `= count(x)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AutoAst {
+pub enum AutoAst<'a> {
     /// Plain serialized length of the target.
-    Len(RefAst),
+    Len(RefAst<'a>),
     /// Element count of the target.
-    Count(RefAst),
+    Count(RefAst<'a>),
     /// A protocol constant, emitted and verified automatically.
-    Const(LitAst),
+    Const(LitAst<'a>),
 }
 
 /// Sequence window annotations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WindowAst {
+pub enum WindowAst<'a> {
     /// `sized_by ref`.
-    SizedBy(RefAst),
+    SizedBy(RefAst<'a>),
     /// `rest`.
     Rest,
 }
@@ -99,98 +104,98 @@ pub enum CondOp {
 
 /// Literal in a condition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LitAst {
+pub enum LitAst<'a> {
     /// Integer (encoded with the subject's width/endianness).
     Int(u64),
     /// Byte string.
-    Str(Vec<u8>),
+    Str(Cow<'a, [u8]>),
 }
 
 /// `optional … if subject <op> values` condition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CondAst {
+pub struct CondAst<'a> {
     /// The referenced subject field.
-    pub subject: RefAst,
+    pub subject: RefAst<'a>,
     /// Comparison operator.
     pub op: CondOp,
     /// Right-hand literals (one for `==`/`!=`, several for `in`).
-    pub values: Vec<LitAst>,
+    pub values: Vec<LitAst<'a>>,
 }
 
 /// Repetition stop annotations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StopAst {
+pub enum StopAst<'a> {
     /// `until "…"` — terminator byte string.
-    Until(Vec<u8>),
+    Until(Cow<'a, [u8]>),
     /// `rest` — repeat until the window is exhausted.
     Rest,
 }
 
 /// One field declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldAst {
+pub enum FieldAst<'a> {
     /// A terminal field.
     Terminal {
         /// Field name.
-        name: String,
+        name: &'a str,
         /// Declared type.
         ty: TypeAst,
         /// Optional boundary annotation.
-        boundary: Option<BoundaryAst>,
+        boundary: Option<BoundaryAst<'a>>,
         /// Optional auto-computation annotation.
-        auto: Option<AutoAst>,
+        auto: Option<AutoAst<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// `seq name [window] { … }`
     Seq {
         /// Node name.
-        name: String,
+        name: &'a str,
         /// Optional window annotation.
-        window: Option<WindowAst>,
+        window: Option<WindowAst<'a>>,
         /// Children.
-        fields: Vec<FieldAst>,
+        fields: Vec<FieldAst<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// `optional name if cond { … }`
     Optional {
         /// Node name.
-        name: String,
+        name: &'a str,
         /// Presence condition.
-        cond: CondAst,
+        cond: CondAst<'a>,
         /// Children of the (implicit) body.
-        fields: Vec<FieldAst>,
+        fields: Vec<FieldAst<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// `repeat name (until "…" | rest) { … }`
     Repeat {
         /// Node name.
-        name: String,
+        name: &'a str,
         /// Stop rule.
-        stop: StopAst,
+        stop: StopAst<'a>,
         /// Element fields.
-        fields: Vec<FieldAst>,
+        fields: Vec<FieldAst<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// `tabular name count_by ref { … }`
     Tabular {
         /// Node name.
-        name: String,
+        name: &'a str,
         /// The counter field.
-        counter: RefAst,
+        counter: RefAst<'a>,
         /// Element fields.
-        fields: Vec<FieldAst>,
+        fields: Vec<FieldAst<'a>>,
         /// Source position.
         pos: Pos,
     },
 }
 
-impl FieldAst {
+impl<'a> FieldAst<'a> {
     /// The declared field name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &'a str {
         match self {
             FieldAst::Terminal { name, .. }
             | FieldAst::Seq { name, .. }

@@ -4,8 +4,11 @@
 //! declared *earlier* (the backward-reference rule the parser will rely
 //! on); auto-computation targets (`= len(x)`, `= count(x)`) may point
 //! forward and are patched in after the whole tree is built.
-
-use std::collections::HashMap;
+//!
+//! References resolve against the declarations made so far, each of which
+//! knows its name and the declaration that prefixes its dotted path: a
+//! plain name must name exactly one of them, a dotted path must spell the
+//! chain of names from the top level down. Nothing is hashed or joined.
 
 use protoobf_core::graph::{
     AutoValue, Boundary, Condition, FormatGraph, GraphBuilder, NodeId, Predicate, StopRule,
@@ -21,19 +24,17 @@ use crate::error::{ParseSpecError, Pos};
 ///
 /// Unresolved/ambiguous references, inconsistent declarations, or graph
 /// validation failures.
-pub fn lower(message: &MessageAst) -> Result<FormatGraph, ParseSpecError> {
+pub fn lower(message: &MessageAst<'_>) -> Result<FormatGraph, ParseSpecError> {
     let mut lw = Lowerer {
-        builder: GraphBuilder::new(message.name.clone()),
-        by_path: HashMap::new(),
-        by_name: HashMap::new(),
+        builder: GraphBuilder::new(message.name),
+        decls: Vec::new(),
         pending_autos: Vec::new(),
-        kinds: HashMap::new(),
     };
-    let root = lw.builder.root_sequence(message.name.clone(), Boundary::End);
-    lw.add_fields(root, "", &message.fields)?;
+    let root = lw.builder.root_sequence(message.name, Boundary::End);
+    lw.add_fields(root, None, &message.fields)?;
     let pending = std::mem::take(&mut lw.pending_autos);
     for (field, auto, pos) in pending {
-        let av = match &auto {
+        let av = match auto {
             AutoAst::Len(r) => AutoValue::LengthOf(lw.resolve(r)?),
             AutoAst::Count(r) => AutoValue::CounterOf(lw.resolve(r)?),
             AutoAst::Const(lit) => AutoValue::Literal(lw.encode_literal(field, lit, pos)?),
@@ -43,44 +44,79 @@ pub fn lower(message: &MessageAst) -> Result<FormatGraph, ParseSpecError> {
     Ok(lw.builder.build()?)
 }
 
-struct Lowerer {
-    builder: GraphBuilder,
-    by_path: HashMap<String, NodeId>,
-    by_name: HashMap<String, Vec<NodeId>>,
-    pending_autos: Vec<(NodeId, AutoAst, Pos)>,
-    /// Terminal kinds recorded during construction, for condition-literal
-    /// encoding (the builder does not expose nodes before `build()`).
-    kinds: HashMap<NodeId, TerminalKind>,
+/// One declared node, as references see it.
+struct Decl<'a> {
+    /// The declared name.
+    name: &'a str,
+    /// The declaration whose dotted path prefixes this one's (`None` at
+    /// the top level, under the message).
+    prefix: Option<usize>,
+    /// The node declared.
+    id: NodeId,
+    /// The terminal kind of a terminal, for condition-literal encoding
+    /// (the builder does not expose nodes before `build()`).
+    kind: Option<TerminalKind>,
 }
 
-impl Lowerer {
-    fn register(&mut self, prefix: &str, name: &str, id: NodeId) -> String {
-        let path = if prefix.is_empty() { name.to_string() } else { format!("{prefix}.{name}") };
-        self.by_path.insert(path.clone(), id);
-        self.by_name.entry(name.to_string()).or_default().push(id);
-        path
+struct Lowerer<'s, 'a> {
+    builder: GraphBuilder,
+    /// Every declaration so far, in declaration order.
+    decls: Vec<Decl<'a>>,
+    pending_autos: Vec<(NodeId, &'s AutoAst<'a>, Pos)>,
+}
+
+impl<'s, 'a> Lowerer<'s, 'a> {
+    /// Records the declaration of `id` and returns its index, the prefix
+    /// of the declarations inside it.
+    fn register(
+        &mut self,
+        prefix: Option<usize>,
+        name: &'a str,
+        id: NodeId,
+        kind: Option<TerminalKind>,
+    ) -> usize {
+        self.decls.push(Decl { name, prefix, id, kind });
+        self.decls.len() - 1
     }
 
-    fn resolve(&self, r: &RefAst) -> Result<NodeId, ParseSpecError> {
-        if r.parts.len() > 1 {
-            return self
-                .by_path
-                .get(&r.text())
-                .copied()
-                .ok_or_else(|| ParseSpecError::UnknownReference { pos: r.pos, name: r.text() });
+    fn resolve(&self, r: &RefAst<'_>) -> Result<NodeId, ParseSpecError> {
+        if let [name] = r.parts[..] {
+            let mut named = self.decls.iter().filter(|d| d.name == name);
+            return match (named.next(), named.next()) {
+                (Some(one), None) => Ok(one.id),
+                (None, _) => Err(ParseSpecError::UnknownReference { pos: r.pos, name: r.text() }),
+                (Some(_), Some(_)) => {
+                    Err(ParseSpecError::AmbiguousReference { pos: r.pos, name: r.text() })
+                }
+            };
         }
-        match self.by_name.get(&r.parts[0]).map(Vec::as_slice) {
-            Some([one]) => Ok(*one),
-            Some([]) | None => Err(ParseSpecError::UnknownReference { pos: r.pos, name: r.text() }),
-            Some(_) => Err(ParseSpecError::AmbiguousReference { pos: r.pos, name: r.text() }),
+        // Sibling names are checked unique only when the graph is built;
+        // until then the last declaration at a path is the one it names.
+        self.decls
+            .iter()
+            .rev()
+            .find(|d| self.spells(d, &r.parts))
+            .map(|d| d.id)
+            .ok_or_else(|| ParseSpecError::UnknownReference { pos: r.pos, name: r.text() })
+    }
+
+    /// True if `parts` is the dotted path of `decl`.
+    fn spells(&self, decl: &Decl<'_>, parts: &[&str]) -> bool {
+        let mut at = Some(decl);
+        for &part in parts.iter().rev() {
+            match at {
+                Some(d) if d.name == part => at = d.prefix.map(|p| &self.decls[p]),
+                _ => return false,
+            }
         }
+        at.is_none()
     }
 
     fn add_fields(
         &mut self,
         parent: NodeId,
-        prefix: &str,
-        fields: &[FieldAst],
+        prefix: Option<usize>,
+        fields: &'s [FieldAst<'a>],
     ) -> Result<(), ParseSpecError> {
         for f in fields {
             self.add_field(parent, prefix, f)?;
@@ -91,17 +127,16 @@ impl Lowerer {
     fn add_field(
         &mut self,
         parent: NodeId,
-        prefix: &str,
-        field: &FieldAst,
+        prefix: Option<usize>,
+        field: &'s FieldAst<'a>,
     ) -> Result<NodeId, ParseSpecError> {
         match field {
             FieldAst::Terminal { name, ty, boundary, auto, pos } => {
                 let (kind, bnd) = self.terminal_parts(ty, boundary.as_ref(), *pos)?;
-                let id = self.builder.terminal(parent, name.clone(), kind.clone(), bnd);
-                self.kinds.insert(id, kind);
-                self.register(prefix, name, id);
+                let id = self.builder.terminal(parent, *name, kind.clone(), bnd);
+                self.register(prefix, name, id, Some(kind));
                 if let Some(a) = auto {
-                    self.pending_autos.push((id, a.clone(), *pos));
+                    self.pending_autos.push((id, a, *pos));
                 }
                 Ok(id)
             }
@@ -111,34 +146,34 @@ impl Lowerer {
                     Some(WindowAst::Rest) => Boundary::End,
                     Some(WindowAst::SizedBy(r)) => Boundary::Length(self.resolve(r)?),
                 };
-                let id = self.builder.sequence(parent, name.clone(), bnd);
-                let path = self.register(prefix, name, id);
-                self.add_fields(id, &path, fields)?;
+                let id = self.builder.sequence(parent, *name, bnd);
+                let path = self.register(prefix, name, id, None);
+                self.add_fields(id, Some(path), fields)?;
                 Ok(id)
             }
             FieldAst::Optional { name, cond, fields, pos } => {
                 let subject = self.resolve(&cond.subject)?;
                 let condition = self.condition(subject, cond, *pos)?;
-                let id = self.builder.optional(parent, name.clone(), condition);
-                let path = self.register(prefix, name, id);
-                self.add_element(id, &path, name, fields, *pos, true)?;
+                let id = self.builder.optional(parent, *name, condition);
+                let path = self.register(prefix, name, id, None);
+                self.add_element(id, path, name, fields, *pos, true)?;
                 Ok(id)
             }
             FieldAst::Repeat { name, stop, fields, pos } => {
                 let (stop_rule, bnd) = match stop {
-                    StopAst::Until(t) => (StopRule::Terminator(t.clone()), Boundary::Delegated),
+                    StopAst::Until(t) => (StopRule::Terminator(t.to_vec()), Boundary::Delegated),
                     StopAst::Rest => (StopRule::Exhausted, Boundary::End),
                 };
-                let id = self.builder.repetition(parent, name.clone(), stop_rule, bnd);
-                let path = self.register(prefix, name, id);
-                self.add_element(id, &path, name, fields, *pos, false)?;
+                let id = self.builder.repetition(parent, *name, stop_rule, bnd);
+                let path = self.register(prefix, name, id, None);
+                self.add_element(id, path, name, fields, *pos, false)?;
                 Ok(id)
             }
             FieldAst::Tabular { name, counter, fields, pos } => {
                 let c = self.resolve(counter)?;
-                let id = self.builder.tabular(parent, name.clone(), c);
-                let path = self.register(prefix, name, id);
-                self.add_element(id, &path, name, fields, *pos, false)?;
+                let id = self.builder.tabular(parent, *name, c);
+                let path = self.register(prefix, name, id, None);
+                self.add_element(id, path, name, fields, *pos, false)?;
                 Ok(id)
             }
         }
@@ -150,9 +185,9 @@ impl Lowerer {
     fn add_element(
         &mut self,
         wrapper: NodeId,
-        path: &str,
+        path: usize,
         name: &str,
-        fields: &[FieldAst],
+        fields: &'s [FieldAst<'a>],
         pos: Pos,
         optional: bool,
     ) -> Result<(), ParseSpecError> {
@@ -162,15 +197,14 @@ impl Lowerer {
                 reason: format!("{name:?} must declare at least one field"),
             }),
             [single] => {
-                self.add_field(wrapper, path, single)?;
+                self.add_field(wrapper, Some(path), single)?;
                 Ok(())
             }
             many => {
                 let elem_name = if optional { "body" } else { "item" };
-                let elem =
-                    self.builder.sequence(wrapper, elem_name.to_string(), Boundary::Delegated);
-                let elem_path = self.register(path, elem_name, elem);
-                self.add_fields(elem, &elem_path, many)?;
+                let elem = self.builder.sequence(wrapper, elem_name, Boundary::Delegated);
+                let elem_path = self.register(Some(path), elem_name, elem, None);
+                self.add_fields(elem, Some(elem_path), many)?;
                 Ok(())
             }
         }
@@ -179,7 +213,7 @@ impl Lowerer {
     fn terminal_parts(
         &self,
         ty: &TypeAst,
-        boundary: Option<&BoundaryAst>,
+        boundary: Option<&BoundaryAst<'_>>,
         pos: Pos,
     ) -> Result<(TerminalKind, Boundary), ParseSpecError> {
         match ty {
@@ -208,7 +242,7 @@ impl Lowerer {
                     TerminalKind::Bytes
                 };
                 let bnd = match boundary {
-                    Some(BoundaryAst::Until(d)) => Boundary::Delimited(d.clone()),
+                    Some(BoundaryAst::Until(d)) => Boundary::Delimited(d.to_vec()),
                     Some(BoundaryAst::SizedBy(r)) => Boundary::Length(self.resolve(r)?),
                     Some(BoundaryAst::Rest) => Boundary::End,
                     None => {
@@ -227,18 +261,22 @@ impl Lowerer {
     fn condition(
         &self,
         subject: NodeId,
-        cond: &CondAst,
+        cond: &CondAst<'_>,
         pos: Pos,
     ) -> Result<Condition, ParseSpecError> {
-        let values: Vec<Value> = cond
-            .values
-            .iter()
-            .map(|lit| self.encode_literal(subject, lit, pos))
-            .collect::<Result<_, _>>()?;
+        let mut values = cond.values.iter().map(|lit| self.encode_literal(subject, lit, pos));
         let predicate = match cond.op {
-            CondOp::Eq => Predicate::Equals(values.into_iter().next().expect("one literal")),
-            CondOp::Ne => Predicate::NotEquals(values.into_iter().next().expect("one literal")),
-            CondOp::In => Predicate::OneOf(values),
+            CondOp::In => Predicate::OneOf(values.collect::<Result<_, _>>()?),
+            op => {
+                // The parser gives `==` and `!=` one literal; any further
+                // one is still encoded, for its error.
+                let value = values.next().expect("one literal")?;
+                values.try_for_each(|v| v.map(drop))?;
+                match op {
+                    CondOp::Eq => Predicate::Equals(value),
+                    _ => Predicate::NotEquals(value),
+                }
+            }
         };
         Ok(Condition { subject, predicate })
     }
@@ -246,16 +284,14 @@ impl Lowerer {
     fn encode_literal(
         &self,
         subject: NodeId,
-        lit: &LitAst,
+        lit: &LitAst<'_>,
         pos: Pos,
     ) -> Result<Value, ParseSpecError> {
-        // Look up the subject's declared terminal kind in the builder's
-        // current state: re-derive from what we inserted.
         let kind = self.subject_kind(subject).ok_or_else(|| ParseSpecError::BadDeclaration {
             pos,
             reason: "condition subject must be a terminal field".into(),
         })?;
-        match (lit, &kind) {
+        match (lit, kind) {
             (LitAst::Int(v), TerminalKind::UInt { width, endian }) => {
                 Value::from_uint(*v, *width, *endian).ok_or_else(|| {
                     ParseSpecError::BadDeclaration {
@@ -275,12 +311,13 @@ impl Lowerer {
                     String::from_utf8_lossy(s)
                 ),
             }),
-            (LitAst::Str(s), _) => Ok(Value::from_bytes(s.clone())),
+            (LitAst::Str(s), _) => Ok(Value::from_bytes(s.to_vec())),
         }
     }
 
-    fn subject_kind(&self, subject: NodeId) -> Option<TerminalKind> {
-        self.kinds.get(&subject).cloned()
+    /// The declared terminal kind of `subject`, if it is a terminal.
+    fn subject_kind(&self, subject: NodeId) -> Option<&TerminalKind> {
+        self.decls.iter().rev().find(|d| d.id == subject)?.kind.as_ref()
     }
 }
 

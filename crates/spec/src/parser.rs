@@ -21,6 +21,8 @@
 //! lit       := INT | STRING
 //! ```
 
+use std::borrow::Cow;
+
 use protoobf_core::Endian;
 
 use crate::ast::*;
@@ -32,7 +34,7 @@ use crate::token::{lex, Token, TokenKind};
 /// # Errors
 ///
 /// Lexical and syntactic errors with source positions.
-pub fn parse(src: &str) -> Result<SpecAst, ParseSpecError> {
+pub fn parse(src: &str) -> Result<SpecAst<'_>, ParseSpecError> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, at: 0 };
     let mut messages = Vec::new();
@@ -45,13 +47,13 @@ pub fn parse(src: &str) -> Result<SpecAst, ParseSpecError> {
     Ok(SpecAst { messages })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     at: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.at]
     }
 
@@ -63,12 +65,10 @@ impl Parser {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at].clone();
+    fn bump(&mut self) {
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
-        t
     }
 
     fn unexpected(&self, expected: &str) -> ParseSpecError {
@@ -79,7 +79,7 @@ impl Parser {
         }
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseSpecError> {
+    fn expect_kind(&mut self, kind: &TokenKind<'_>, what: &str) -> Result<(), ParseSpecError> {
         if &self.peek().kind == kind {
             self.bump();
             Ok(())
@@ -88,10 +88,9 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseSpecError> {
-        match &self.peek().kind {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseSpecError> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -101,7 +100,7 @@ impl Parser {
 
     /// Consumes an identifier iff it matches `kw`.
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw) {
+        if matches!(self.peek().kind, TokenKind::Ident(s) if s == kw) {
             self.bump();
             true
         } else {
@@ -117,14 +116,21 @@ impl Parser {
         }
     }
 
-    fn string(&mut self, what: &str) -> Result<Vec<u8>, ParseSpecError> {
-        match &self.peek().kind {
-            TokenKind::Str(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(s)
-            }
+    fn string(&mut self, what: &str) -> Result<Cow<'a, [u8]>, ParseSpecError> {
+        match self.peek().kind {
+            TokenKind::Str(_) => Ok(self.take_str()),
             _ => Err(self.unexpected(what)),
+        }
+    }
+
+    /// Moves the current string literal out of its token (consumed, so
+    /// never read again) and steps past it.
+    fn take_str(&mut self) -> Cow<'a, [u8]> {
+        let kind = std::mem::replace(&mut self.tokens[self.at].kind, TokenKind::Eof);
+        self.bump();
+        match kind {
+            TokenKind::Str(s) => s,
+            _ => unreachable!("the current token is a string literal"),
         }
     }
 
@@ -138,7 +144,7 @@ impl Parser {
         }
     }
 
-    fn reference(&mut self) -> Result<RefAst, ParseSpecError> {
+    fn reference(&mut self) -> Result<RefAst<'a>, ParseSpecError> {
         let pos = self.pos();
         let mut parts = vec![self.ident("field reference")?];
         while matches!(self.peek().kind, TokenKind::Dot) {
@@ -148,7 +154,7 @@ impl Parser {
         Ok(RefAst { parts, pos })
     }
 
-    fn message(&mut self) -> Result<MessageAst, ParseSpecError> {
+    fn message(&mut self) -> Result<MessageAst<'a>, ParseSpecError> {
         let pos = self.pos();
         self.expect_keyword("message")?;
         let name = self.ident("message name")?;
@@ -156,7 +162,7 @@ impl Parser {
         Ok(MessageAst { name, fields, pos })
     }
 
-    fn block(&mut self) -> Result<Vec<FieldAst>, ParseSpecError> {
+    fn block(&mut self) -> Result<Vec<FieldAst<'a>>, ParseSpecError> {
         self.expect_kind(&TokenKind::LBrace, "'{'")?;
         let mut fields = Vec::new();
         while !matches!(self.peek().kind, TokenKind::RBrace) {
@@ -169,13 +175,13 @@ impl Parser {
         Ok(fields)
     }
 
-    fn field(&mut self) -> Result<FieldAst, ParseSpecError> {
+    fn field(&mut self) -> Result<FieldAst<'a>, ParseSpecError> {
         let pos = self.pos();
-        let head = match &self.peek().kind {
-            TokenKind::Ident(s) => s.clone(),
+        let head = match self.peek().kind {
+            TokenKind::Ident(s) => s,
             _ => return Err(self.unexpected("a field declaration")),
         };
-        match head.as_str() {
+        match head {
             "seq" => {
                 self.bump();
                 let name = self.ident("sequence name")?;
@@ -222,7 +228,7 @@ impl Parser {
         }
     }
 
-    fn terminal(&mut self, pos: Pos) -> Result<FieldAst, ParseSpecError> {
+    fn terminal(&mut self, pos: Pos) -> Result<FieldAst<'a>, ParseSpecError> {
         let ty = self.type_ast()?;
         let name = self.ident("field name")?;
         let boundary = if self.eat_keyword("until") {
@@ -261,7 +267,7 @@ impl Parser {
     fn type_ast(&mut self) -> Result<TypeAst, ParseSpecError> {
         let name = self.ident("a type")?;
         let uint = |width, endian| Ok(TypeAst::UInt { width, endian });
-        match name.as_str() {
+        match name {
             "u8" => uint(1, Endian::Big),
             "u16" | "u16be" => uint(2, Endian::Big),
             "u24" | "u24be" => uint(3, Endian::Big),
@@ -290,7 +296,7 @@ impl Parser {
         }
     }
 
-    fn condition(&mut self) -> Result<CondAst, ParseSpecError> {
+    fn condition(&mut self) -> Result<CondAst<'a>, ParseSpecError> {
         let subject = self.reference()?;
         let (op, values) = match self.peek().kind {
             TokenKind::EqEq => {
@@ -301,7 +307,7 @@ impl Parser {
                 self.bump();
                 (CondOp::Ne, vec![self.literal()?])
             }
-            TokenKind::Ident(ref s) if s == "in" => {
+            TokenKind::Ident("in") => {
                 self.bump();
                 self.expect_kind(&TokenKind::LBracket, "'['")?;
                 let mut values = vec![self.literal()?];
@@ -317,18 +323,13 @@ impl Parser {
         Ok(CondAst { subject, op, values })
     }
 
-    fn literal(&mut self) -> Result<LitAst, ParseSpecError> {
-        match &self.peek().kind {
+    fn literal(&mut self) -> Result<LitAst<'a>, ParseSpecError> {
+        match self.peek().kind {
             TokenKind::Int(v) => {
-                let v = *v;
                 self.bump();
                 Ok(LitAst::Int(v))
             }
-            TokenKind::Str(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(LitAst::Str(s))
-            }
+            TokenKind::Str(_) => Ok(LitAst::Str(self.take_str())),
             _ => Err(self.unexpected("an integer or string literal")),
         }
     }
@@ -364,7 +365,7 @@ mod tests {
         assert_eq!(m.fields.len(), 4);
         match &m.fields[2] {
             FieldAst::Terminal { name, auto: Some(AutoAst::Len(r)), .. } => {
-                assert_eq!(name, "length");
+                assert_eq!(*name, "length");
                 assert_eq!(r.text(), "pdu");
             }
             other => panic!("expected auto length, got {other:?}"),
@@ -393,7 +394,7 @@ mod tests {
         assert_eq!(ast.messages[0].fields.len(), 6);
         match &ast.messages[0].fields[3] {
             FieldAst::Terminal { boundary: Some(BoundaryAst::Until(d)), .. } => {
-                assert_eq!(d, b" ");
+                assert_eq!(d.as_ref(), b" ");
             }
             other => panic!("{other:?}"),
         }
@@ -421,7 +422,7 @@ mod tests {
         }
         match &ast.messages[0].fields[2] {
             FieldAst::Repeat { stop: StopAst::Until(t), fields, .. } => {
-                assert_eq!(t, b"\r\n");
+                assert_eq!(t.as_ref(), b"\r\n");
                 assert_eq!(fields.len(), 2);
             }
             other => panic!("{other:?}"),
@@ -457,7 +458,7 @@ mod tests {
         let ast = parse(src).unwrap();
         match &ast.messages[0].fields[1] {
             FieldAst::Optional { cond, .. } => {
-                assert_eq!(cond.values, vec![LitAst::Str(b"POST".to_vec())]);
+                assert_eq!(cond.values, vec![LitAst::Str(b"POST".as_slice().into())]);
             }
             other => panic!("{other:?}"),
         }
@@ -494,7 +495,7 @@ mod tests {
         let ast = parse(src).unwrap();
         match &ast.messages[0].fields[1] {
             FieldAst::Terminal { boundary: Some(BoundaryAst::SizedBy(r)), .. } => {
-                assert_eq!(r.parts, vec!["head".to_string(), "n".to_string()]);
+                assert_eq!(r.parts, vec!["head", "n"]);
             }
             other => panic!("{other:?}"),
         }

@@ -1,25 +1,31 @@
 //! Hand-written lexer for the specification language (the paper used Lex).
+//!
+//! Tokens borrow from the source: an identifier is a slice of it, and so
+//! is a string literal without escapes; only a literal with escapes owns
+//! its resolved bytes.
+
+use std::borrow::Cow;
 
 use crate::error::{ParseSpecError, Pos};
 
 /// One lexical token with its source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Source position of the first character.
     pub pos: Pos,
 }
 
 /// Token kinds of the specification language.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal (decimal or `0x` hexadecimal).
     Int(u64),
     /// String literal with escapes resolved.
-    Str(Vec<u8>),
+    Str(Cow<'a, [u8]>),
     /// `{`
     LBrace,
     /// `}`
@@ -48,7 +54,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -80,9 +86,12 @@ impl TokenKind {
 /// # Errors
 ///
 /// Lexical errors carry the offending position.
-pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseSpecError> {
     let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
+    // The bundled specs take 6–8 source bytes per token (names, keywords
+    // and indentation), so one allocation holds the tokens of any
+    // comparable spec; a denser one grows the vector as usual.
+    let mut tokens = Vec::with_capacity(src.len() / 4 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
@@ -160,7 +169,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
             '"' => {
                 let p = pos!();
                 advance!(1);
-                let mut out = Vec::new();
+                let start = i;
+                // The literal's bytes so far, borrowed until an escape.
+                let mut out = Cow::Borrowed(&bytes[start..start]);
                 loop {
                     if i >= bytes.len() {
                         return Err(ParseSpecError::UnterminatedString { pos: p });
@@ -175,13 +186,13 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
                                 return Err(ParseSpecError::UnterminatedString { pos: p });
                             }
                             let esc = bytes[i + 1];
-                            match esc {
-                                b'r' => out.push(b'\r'),
-                                b'n' => out.push(b'\n'),
-                                b't' => out.push(b'\t'),
-                                b'0' => out.push(0),
-                                b'\\' => out.push(b'\\'),
-                                b'"' => out.push(b'"'),
+                            let resolved = match esc {
+                                b'r' => b'\r',
+                                b'n' => b'\n',
+                                b't' => b'\t',
+                                b'0' => 0,
+                                b'\\' => b'\\',
+                                b'"' => b'"',
                                 b'x' => {
                                     if i + 3 >= bytes.len() {
                                         return Err(ParseSpecError::BadEscape {
@@ -196,8 +207,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
                                             escape: format!("x{hex}"),
                                         }
                                     })?;
-                                    out.push(v);
                                     advance!(2);
+                                    v
                                 }
                                 other => {
                                     return Err(ParseSpecError::BadEscape {
@@ -205,11 +216,15 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
                                         escape: (other as char).to_string(),
                                     })
                                 }
-                            }
+                            };
+                            out.to_mut().push(resolved);
                             advance!(2);
                         }
                         b => {
-                            out.push(b);
+                            match &mut out {
+                                Cow::Borrowed(run) => *run = &bytes[start..i + 1],
+                                Cow::Owned(own) => own.push(b),
+                            }
                             advance!(1);
                         }
                     }
@@ -250,7 +265,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
                 {
                     advance!(1);
                 }
-                tokens.push(Token { kind: TokenKind::Ident(src[start..i].to_string()), pos: p });
+                tokens.push(Token { kind: TokenKind::Ident(&src[start..i]), pos: p });
             }
             other => return Err(ParseSpecError::UnexpectedChar { pos: pos!(), found: other }),
         }
@@ -259,7 +274,12 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseSpecError> {
     Ok(tokens)
 }
 
-fn push_simple(tokens: &mut Vec<Token>, kind: TokenKind, pos: Pos, advance: impl FnOnce()) {
+fn push_simple<'a>(
+    tokens: &mut Vec<Token<'a>>,
+    kind: TokenKind<'a>,
+    pos: Pos,
+    advance: impl FnOnce(),
+) {
     advance();
     tokens.push(Token { kind, pos });
 }
@@ -268,7 +288,7 @@ fn push_simple(tokens: &mut Vec<Token>, kind: TokenKind, pos: Pos, advance: impl
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -278,11 +298,11 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("message".into()),
-                TokenKind::Ident("M".into()),
+                TokenKind::Ident("message"),
+                TokenKind::Ident("M"),
                 TokenKind::LBrace,
-                TokenKind::Ident("u16".into()),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("u16"),
+                TokenKind::Ident("x"),
                 TokenKind::Semi,
                 TokenKind::RBrace,
                 TokenKind::Eof,
@@ -301,9 +321,10 @@ mod tests {
     #[test]
     fn lex_strings_with_escapes() {
         let ks = kinds(r#""a\r\n" "\x00\xff" "sp ace""#);
-        assert_eq!(ks[0], TokenKind::Str(b"a\r\n".to_vec()));
-        assert_eq!(ks[1], TokenKind::Str(vec![0x00, 0xff]));
-        assert_eq!(ks[2], TokenKind::Str(b"sp ace".to_vec()));
+        assert_eq!(ks[0], TokenKind::Str(b"a\r\n".as_slice().into()));
+        assert_eq!(ks[1], TokenKind::Str(vec![0x00, 0xff].into()));
+        // Without escapes the literal borrows the source.
+        assert!(matches!(&ks[2], TokenKind::Str(Cow::Borrowed(b"sp ace"))));
     }
 
     #[test]
@@ -337,7 +358,7 @@ mod tests {
 
     #[test]
     fn describe_is_informative() {
-        assert!(TokenKind::Ident("x".into()).describe().contains('x'));
+        assert!(TokenKind::Ident("x").describe().contains('x'));
         assert!(TokenKind::Eof.describe().contains("end"));
     }
 }
